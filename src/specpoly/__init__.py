@@ -14,7 +14,6 @@ from .eigen import (
     eigenspace_basis,
     eigentable,
     monic_eigenfunction,
-    nullspace_oracle,
 )
 from .families import (
     AffineNormalization,
@@ -78,7 +77,6 @@ __all__ = [
     "monic_eigenfunction",
     "eigenspace_basis",
     "eigentable",
-    "nullspace_oracle",
     "FamilyKind",
     "FamilySpec",
     "AffineNormalization",

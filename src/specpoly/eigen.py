@@ -15,11 +15,15 @@ fall back to the exact kernel of M - mu_n I:
   * no such vector means there is no eigenfunction of exact degree n even
     though mu_n sits on the diagonal.
 
+``eigentable`` builds one matrix for n_max and solves each degree n on its
+leading (n+1)x(n+1) block, which is exactly the matrix on P_n.  Since
+deg(a_k) <= k, row i has entries only in columns i..i+N (N = order), so
+back-substitution sums over that band: O(n*N) per degree.  ``rref_kernel``
+(rational Gauss-Jordan that touches only the nonzero entries of each pivot
+row) is the library's only elimination; the independent fraction-free
+Bareiss cross-check lives with the tests (``tests/oracles.py``).
+
 Everything is Fraction arithmetic; no floating point enters this module.
-Two independent elimination routines are provided: ``rref_kernel`` (rational
-Gauss-Jordan, used by the solver) and ``nullspace_oracle`` (fraction-free
-Bareiss echelon over integers with its own back-solve) so each can check
-the other.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .operator import DiffOperator, OperatorMatrix
@@ -39,10 +42,7 @@ __all__ = [
     "monic_eigenfunction",
     "eigenspace_basis",
     "eigentable",
-    "nullspace_oracle",
     "rref_kernel",
-    "span_contains",
-    "spans_equal",
 ]
 
 
@@ -104,12 +104,18 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [v / pv for v in work[r]]
+        pivot = work[r]
+        pv = pivot[c]
+        # zero entries of the pivot row change nothing: skip them
+        nonzero = [j for j, v in enumerate(pivot) if v != 0]
+        for j in nonzero:
+            pivot[j] = pivot[j] / pv
         for i in range(m):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[r])]
+                row = work[i]
+                for j in nonzero:
+                    row[j] = row[j] - f * pivot[j]
         pivot_cols.append(c)
         r += 1
         if r == m:
@@ -125,167 +131,50 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("Bareiss division was not exact")
-    return q
-
-
-def _bareiss_echelon(int_rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free integer row echelon form; returns (rows, pivot columns)."""
-    m = len(int_rows)
-    ncols = len(int_rows[0])
-    work = [list(r) for r in int_rows]
-    pivot_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, ncols):
-                work[i][j] = _exact_div(
-                    work[r][c] * work[i][j] - work[i][c] * work[r][j], prev
-                )
-            work[i][c] = 0
-        prev = work[r][c]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return work[:r], pivot_cols
-
-
-def nullspace_oracle(matrix: OperatorMatrix, mu: RatLike) -> list[list[Fraction]]:
-    """Kernel of M - mu*I by integer Bareiss elimination and back-solve.
-
-    Brute force on purpose: it ignores the triangular structure and uses a
-    different elimination (fraction-free over cleared integers) so it can
-    cross-check the Gauss-Jordan route.
-    """
-    rows = matrix.shifted_rows(mu)
-    ncols = matrix.n + 1
-    int_rows: list[list[int]] = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        int_rows.append([int(v * scale) for v in row])
-    echelon, pivot_cols = _bareiss_echelon(int_rows)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis: list[list[Fraction]] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri in range(len(echelon) - 1, -1, -1):
-            pc = pivot_cols[ri]
-            acc = sum(
-                (Fraction(echelon[ri][j]) * v[j] for j in range(pc + 1, ncols)),
-                Fraction(0),
-            )
-            v[pc] = -acc / echelon[ri][pc]
-        basis.append(v)
-    return basis
-
-
-def span_contains(basis: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    """Exact membership test: is ``vector`` in the span of ``basis``?"""
-    if all(v == 0 for v in vector):
-        return True
-    if not basis:
-        return False
-    rows = [[Fraction(v) for v in b] for b in basis]
-    return _rank(rows + [[Fraction(v) for v in vector]]) == _rank(rows)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, m):
-            if work[i][c] != 0:
-                f = work[i][c] / work[r][c]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def spans_equal(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> bool:
-    """Do two sets of vectors span the same subspace?  Mutual membership."""
-    return all(span_contains(b, v) for v in a) and all(span_contains(a, v) for v in b)
-
-
 # ---------------------------------------------------------------------------
 # eigenfunction recovery
+
+
+def _solve_degree(matrix: OperatorMatrix, n: int, band: int) -> EigenResult:
+    """The degree-n eigenproblem on the leading (n+1)x(n+1) block of
+    ``matrix``; row i has entries only in columns i..i+band."""
+    entries = matrix.entries
+    mu = entries[n][n]
+    if all(entries[i][i] != mu for i in range(n)):
+        c = [Fraction(0)] * (n + 1)
+        c[n] = Fraction(1)
+        for i in range(n - 1, -1, -1):
+            row = entries[i]
+            band_end = min(i + band, n) + 1
+            acc = sum((row[j] * c[j] for j in range(i + 1, band_end) if row[j]), Fraction(0))
+            c[i] = -acc / (row[i] - mu)
+        monic = Poly(c)
+        return EigenResult(n, mu, EigenStatus.UNIQUE_MONIC, monic, 1, (monic,))
+
+    kernel = rref_kernel(matrix.shifted_rows(mu, n))
+    basis = tuple(Poly(v) for v in kernel)
+    dim = len(kernel)
+    top = [v for v in kernel if v[n] != 0]
+    if not top:
+        return EigenResult(n, mu, EigenStatus.NO_DEGREE_N, None, dim, basis)
+    # standard kernel basis: the unique vector supported on free column n
+    monic = Poly(top[0]).monic()
+    status = EigenStatus.UNIQUE_MONIC if dim == 1 else EigenStatus.DEGENERATE
+    return EigenResult(n, mu, status, monic, dim, basis)
 
 
 def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
     """Monic eigenfunction of degree n for mu_n = M[n][n], or a diagnosis.
 
-    Fast path: when mu_n collides with no lower diagonal entry, triangular
-    back-substitution yields the unique monic eigenfunction.  Otherwise the
-    kernel of M - mu_n I decides between Degenerate (canonical monic
-    representative, dimension >= 2), UniqueMonic with an incidental
+    Fast path: when mu_n collides with no lower diagonal entry, banded
+    triangular back-substitution yields the unique monic eigenfunction.
+    Otherwise the kernel of M - mu_n I decides between Degenerate (canonical
+    monic representative, dimension >= 2), UniqueMonic with an incidental
     collision, and NoDegreeNEigenfunction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    matrix = op.matrix(n)
-    mu = matrix.entry(n, n)
-    rows = matrix.shifted_rows(mu)
-    if all(rows[i][i] != 0 for i in range(n)):
-        c = [Fraction(0)] * (n + 1)
-        c[n] = Fraction(1)
-        for i in range(n - 1, -1, -1):
-            acc = sum((rows[i][j] * c[j] for j in range(i + 1, n + 1)), Fraction(0))
-            c[i] = -acc / rows[i][i]
-        monic = Poly(c)
-        return EigenResult(
-            degree=n,
-            eigenvalue=mu,
-            status=EigenStatus.UNIQUE_MONIC,
-            monic=monic,
-            eigenspace_dim=1,
-            basis=(monic,),
-        )
-
-    kernel = rref_kernel(rows)
-    basis = tuple(Poly(v) for v in kernel)
-    dim = len(kernel)
-    top = [v for v in kernel if v[n] != 0]
-    if not top:
-        return EigenResult(
-            degree=n,
-            eigenvalue=mu,
-            status=EigenStatus.NO_DEGREE_N,
-            monic=None,
-            eigenspace_dim=dim,
-            basis=basis,
-        )
-    # standard kernel basis: the unique vector supported on free column n
-    monic = Poly(top[0]).monic()
-    status = EigenStatus.UNIQUE_MONIC if dim == 1 else EigenStatus.DEGENERATE
-    return EigenResult(
-        degree=n,
-        eigenvalue=mu,
-        status=status,
-        monic=monic,
-        eigenspace_dim=dim,
-        basis=basis,
-    )
+    return _solve_degree(op.matrix(n), n, op.order)
 
 
 def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
@@ -297,7 +186,8 @@ def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
 
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
-    """One EigenResult per degree 0..n_max."""
+    """One EigenResult per degree 0..n_max, all from one matrix on P_n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [monic_eigenfunction(op, n) for n in range(n_max + 1)]
+    matrix = op.matrix(n_max)
+    return [_solve_degree(matrix, n, op.order) for n in range(n_max + 1)]

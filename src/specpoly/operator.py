@@ -101,14 +101,25 @@ class DiffOperator:
         return out
 
     def matrix(self, n: int) -> OperatorMatrix:
-        """Matrix of L on P_n in the monomial basis; column j is L(x^j)."""
+        """Matrix of L on P_n in the monomial basis; column j is L(x^j).
+
+        Built from the closed form rather than by applying L: a_k x^i times
+        the k-th derivative of x^j is a_{k,i} j(j-1)...(j-k+1) x^(j-k+i), so
+
+            M[j-k+i][j] += a_{k,i} * falling_factorial(j, k)
+
+        and column j has entries only in rows j-N..j (N = order).  The matrix
+        on P_n is the leading (n+1)x(n+1) block of the one on any larger P_m.
+        """
         if n < 0:
             raise ValueError("n must be >= 0")
-        cols = [self.apply(Poly.monomial(j)) for j in range(n + 1)]
-        entries = tuple(
-            tuple(cols[j].coeff(i) for j in range(n + 1)) for i in range(n + 1)
-        )
-        return OperatorMatrix(n=n, entries=entries)
+        rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for k, a_k in enumerate(self.coeffs):
+            for j in range(k, n + 1):
+                ff = falling_factorial(j, k)
+                for i, a_ki in enumerate(a_k.coeffs):
+                    rows[j - k + i][j] += a_ki * ff
+        return OperatorMatrix(n=n, entries=tuple(tuple(r) for r in rows))
 
     def spectrum(self, n: int) -> Spectrum:
         """Eigenvalues mu_0..mu_n from the closed-form diagonal formula."""
@@ -150,13 +161,18 @@ class OperatorMatrix:
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.n + 1))
 
-    def shifted_rows(self, mu: RatLike) -> list[list[Fraction]]:
-        """Rows of M - mu*I as mutable lists, ready for elimination."""
+    def shifted_rows(self, mu: RatLike, n: int | None = None) -> list[list[Fraction]]:
+        """Rows of M - mu*I as mutable lists, ready for elimination.
+
+        With ``n`` given, only the leading (n+1)x(n+1) block: the matrix of L
+        on P_n.
+        """
         mu = rat(mu)
-        return [
-            [self.entries[i][j] - (mu if i == j else 0) for j in range(self.n + 1)]
-            for i in range(self.n + 1)
-        ]
+        size = self.n + 1 if n is None else n + 1
+        rows = [list(self.entries[i][:size]) for i in range(size)]
+        for i, row in enumerate(rows):
+            row[i] -= mu
+        return rows
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,12 @@ def _half_line_integrand(
     """Integrand over u in (0, pi/2) for x = anchor + direction*tan(u)."""
 
     def g(u: float, d_lo: float, d_hi: float) -> float:
-        t = 1.0 / math.tan(d_hi) if d_hi < 0.8 else math.tan(u)
+        if d_hi < 0.8:
+            t = 1.0 / math.tan(d_hi)
+        elif d_lo < 0.8:
+            t = math.tan(d_lo)  # u itself cancels to 0.0 near the anchor
+        else:
+            t = math.tan(u)
         x = anchor + direction * t
         if not math.isfinite(x):
             return 0.0

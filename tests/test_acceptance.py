@@ -25,12 +25,10 @@ from specpoly import (
     gram_matrix,
     inner_product,
     monic_eigenfunction,
-    nullspace_oracle,
     pearson_check,
 )
-from specpoly.eigen import spans_equal
 
-from oracles import random_operator, random_poly
+from oracles import nullspace_oracle, random_operator, random_poly, spans_equal
 
 
 class _Criterion:

@@ -9,14 +9,20 @@ from specpoly import (
     FamilySpec,
     Poly,
     build_operator,
+    classical_presets,
     eigenspace_basis,
     eigentable,
     monic_eigenfunction,
-    nullspace_oracle,
 )
-from specpoly.eigen import rref_kernel, span_contains, spans_equal
+from specpoly.eigen import rref_kernel
 
-from oracles import monic_classical, random_operator
+from oracles import (
+    monic_classical,
+    nullspace_oracle,
+    random_operator,
+    span_contains,
+    spans_equal,
+)
 
 
 def P(*coeffs):
@@ -205,6 +211,41 @@ class TestAgainstClassicalRecurrences:
         expected = monic_classical(name, 8)
         for n, want in enumerate(expected):
             assert monic_eigenfunction(op, n).monic == want
+
+
+def _padded(basis, n):
+    return [list(b.coeffs) + [Fraction(0)] * (n + 1 - len(b.coeffs)) for b in basis]
+
+
+def _collision_operators():
+    # mu_j = a2 j(j-1) + alpha j, so alpha = -a2 n makes mu_j = mu_k for
+    # j + k = n + 1: Jacobi (a2 = -1) at alpha = n, Romanovski (a2 = 1) at -n
+    for n in range(2, 13):
+        for beta in (Fraction(0), Fraction(1, 3)):
+            yield build_operator(FamilySpec.jacobi(-1, n, beta))
+            yield build_operator(FamilySpec.romanovski(-n, beta))
+
+
+class TestSharedSolver:
+    # eigentable solves every degree on one matrix for n_max; it must agree
+    # with the per-degree solve and with the Bareiss oracle's eigenspace
+    def test_table_matches_per_degree_and_oracle(self):
+        rng = random.Random(47)
+        collisions = list(_collision_operators())
+        assert all(not op.spectrum(12).distinct for op in collisions)
+        for op in [random_operator(rng, 3) for _ in range(50)] + collisions:
+            table = eigentable(op, 12)
+            for k, res in enumerate(table):
+                assert res == monic_eigenfunction(op, k)
+                oracle = nullspace_oracle(op.matrix(k), res.eigenvalue)
+                assert spans_equal(_padded(res.basis, k), oracle), (op, k)
+                assert res.eigenspace_dim == len(oracle)
+
+    @pytest.mark.parametrize("name", ["legendre", "hermite", "laguerre"])
+    def test_degree_sixty_matches_recurrence(self, name):
+        op = build_operator(classical_presets()[name])
+        expected = monic_classical(name, 60)
+        assert [r.monic for r in eigentable(op, 60)] == expected
 
 
 class TestGeneralOrder:

@@ -134,6 +134,28 @@ class TestMatrix:
                         assert m.entry(i, j) == 0
             assert m.diagonal == spec.values
 
+    def test_columns_are_images_of_monomials(self):
+        # the closed form against the definition: column j is L(x^j)
+        rng = random.Random(37)
+        for _ in range(40):
+            op = random_operator(rng, 4)
+            n = rng.randint(0, 10)
+            m = op.matrix(n)
+            for j in range(n + 1):
+                image = op.apply(Poly.monomial(j))
+                column = [m.entry(i, j) for i in range(n + 1)]
+                assert column == [image.coeff(i) for i in range(n + 1)]
+                assert all(m.entry(i, j) == 0 for i in range(j - op.order))
+
+    def test_leading_block_is_smaller_matrix(self):
+        rng = random.Random(43)
+        for _ in range(10):
+            op = random_operator(rng, 3)
+            big = op.matrix(9)
+            for n in range(10):
+                assert op.matrix(n).entries == tuple(row[: n + 1] for row in big.entries[: n + 1])
+                assert op.matrix(n).shifted_rows(2) == big.shifted_rows(2, n)
+
 
 class TestSpectrum:
     def test_chaudhry_qadir_minus_n_squared(self):

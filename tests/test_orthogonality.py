@@ -6,6 +6,7 @@ import pytest
 
 from specpoly import (
     FamilySpec,
+    NoConvergence,
     NonIntegrable,
     NotPolynomialReducible,
     Poly,
@@ -239,6 +240,14 @@ class TestGramMatrix:
             assert e.method == "exact"
             assert e.value == 0
         assert report.off_diagonal_max_relative == 0.0
+
+    def test_fractional_laguerre_has_no_internal_fault(self):
+        # quadrature nodes next to the half line's anchor used to collapse to
+        # x = 0.0 and take log(0); convergence is not required here
+        try:
+            gram_matrix(FamilySpec.laguerre(Fraction(-3, 2), Fraction(7, 3)), 6)
+        except NoConvergence:
+            pass
 
     def test_chaudhry_qadir_degrees_and_zeros(self):
         report = gram_matrix(CQ_SPEC, 8)
