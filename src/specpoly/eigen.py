@@ -1,27 +1,29 @@
-"""Exact polynomial eigenfunctions via triangular back-substitution.
+"""Exact polynomial eigenfunctions via banded back-substitution.
 
-The matrix of a valid operator on P_n is upper triangular, so the monic
-eigenfunction of degree n solves (M - mu_n I)c = 0 with c_n = 1 by plain
-back-substitution whenever no lower diagonal entry collides with mu_n.
-When collisions occur the triangular shortcut is unreliable (a later row's
-consistency can hinge on how earlier free coordinates were chosen), so we
-fall back to the exact kernel of M - mu_n I:
+The matrix of a valid operator on P_n is upper triangular, and since
+deg(a_k) <= k row i has entries only in columns i..i+N (N = order).  For
+U = M - mu I let Z be the indices z with U[z][z] = 0, ascending; for
+mu = mu_n without a collision Z is just [n].  Each z in Z gives a vector
+v^(z): c_z = 1, 0 above z and at the rest of Z, and back-substitution over
+the band solves each row below z that has a nonzero diagonal.  A row in Z
+cannot be solved and records its residual instead.  If every residual is
+zero the v^(z) are the kernel basis; otherwise ``rref_kernel`` solves the
+small condition matrix (a row per zero-diagonal row with a nonzero
+residual, a column per z) and each of its kernel vectors t lifts to
+sum_z t_z v^(z).  The highest nonzero coordinate of such a lift is the
+highest z with t_z != 0, so the free columns and the standard kernel basis
+(1 at its own free column, 0 at the others) are those that Gauss-Jordan on
+all of U would give.  For mu = mu_n:
 
-  * the kernel contains a vector with nonzero top coordinate iff column n
-    is free in reduced row echelon form (a pivot in the last column would
-    read c_n = 0), and then the standard basis vector for that free column
-    is the canonical representative: c_n = 1, all other free coords 0;
-  * kernel dimension >= 2 means a genuinely degenerate eigenspace;
-  * no such vector means there is no eigenfunction of exact degree n even
-    though mu_n sits on the diagonal.
+  * column n free: an eigenfunction of exact degree n, whose basis vector
+    (c_n = 1, other free coordinates 0) is the canonical monic one;
+  * kernel dimension >= 2: a genuinely degenerate eigenspace;
+  * column n not free: no eigenfunction of exact degree n even though
+    mu_n sits on the diagonal.
 
-``eigentable`` builds one matrix for n_max and solves each degree n on its
-leading (n+1)x(n+1) block, which is exactly the matrix on P_n.  Since
-deg(a_k) <= k, row i has entries only in columns i..i+N (N = order), so
-back-substitution sums over that band: O(n*N) per degree.  ``rref_kernel``
-(rational Gauss-Jordan that touches only the nonzero entries of each pivot
-row) is the library's only elimination; the independent fraction-free
-Bareiss cross-check lives with the tests (``tests/oracles.py``).
+Each z costs O(z*N); |Z| <= N unless the diagonal is constant.  One matrix
+for n_max serves all of ``eigentable``: its leading (n+1)x(n+1) block is
+the matrix on P_n.  The Bareiss cross-check lives in ``tests/oracles.py``.
 
 Everything is Fraction arithmetic; no floating point enters this module.
 """
@@ -90,7 +92,8 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
     Returns the standard basis: one vector per free column, with 1 at its
     own free column and 0 at every other free column, ordered by free
-    column index.
+    column index.  The eigensolver calls it only on the condition matrix
+    of a collision, with one column per zero diagonal entry.
     """
     m = len(rows)
     if m == 0:
@@ -135,41 +138,59 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 # eigenfunction recovery
 
 
+def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int, band: int) -> list[list[Fraction]]:
+    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block of
+    ``matrix``, whose row i has entries only in columns i..i+band."""
+    entries = matrix.entries
+    diag = [entries[i][i] - mu for i in range(n + 1)]
+    zeros = [z for z, d in enumerate(diag) if d == 0]
+    vectors: list[list[Fraction]] = []
+    residuals: list[list[Fraction]] = []  # residuals[k][m]: row zeros[m] under v^(zeros[k])
+    for z in zeros:
+        c = [Fraction(0)] * (n + 1)
+        c[z] = Fraction(1)
+        res = {}
+        for i in range(z - 1, -1, -1):
+            row = entries[i]
+            band_end = min(i + band, z) + 1
+            acc = sum((row[j] * c[j] for j in range(i + 1, band_end) if row[j]), Fraction(0))
+            if diag[i]:
+                c[i] = -acc / diag[i]
+            else:
+                res[i] = acc
+        vectors.append(c)
+        residuals.append([res.get(i, Fraction(0)) for i in zeros])
+    conditions = [list(col) for col in zip(*residuals) if any(col)]
+    if not conditions:
+        return vectors
+    return [
+        [sum((t * v[i] for t, v in zip(ts, vectors) if t), Fraction(0)) for i in range(n + 1)]
+        for ts in rref_kernel(conditions)
+    ]
+
+
 def _solve_degree(matrix: OperatorMatrix, n: int, band: int) -> EigenResult:
     """The degree-n eigenproblem on the leading (n+1)x(n+1) block of
     ``matrix``; row i has entries only in columns i..i+band."""
-    entries = matrix.entries
-    mu = entries[n][n]
-    if all(entries[i][i] != mu for i in range(n)):
-        c = [Fraction(0)] * (n + 1)
-        c[n] = Fraction(1)
-        for i in range(n - 1, -1, -1):
-            row = entries[i]
-            band_end = min(i + band, n) + 1
-            acc = sum((row[j] * c[j] for j in range(i + 1, band_end) if row[j]), Fraction(0))
-            c[i] = -acc / (row[i] - mu)
-        monic = Poly(c)
-        return EigenResult(n, mu, EigenStatus.UNIQUE_MONIC, monic, 1, (monic,))
-
-    kernel = rref_kernel(matrix.shifted_rows(mu, n))
-    basis = tuple(Poly(v) for v in kernel)
-    dim = len(kernel)
-    top = [v for v in kernel if v[n] != 0]
-    if not top:
+    mu = matrix.entries[n][n]
+    basis = tuple(Poly(v) for v in _banded_kernel(matrix, mu, n, band))
+    dim = len(basis)
+    # n is the last zero diagonal entry, so only its basis vector reaches
+    # degree n, with c_n = 1
+    top = basis[-1]
+    if top.degree != n:
         return EigenResult(n, mu, EigenStatus.NO_DEGREE_N, None, dim, basis)
-    # standard kernel basis: the unique vector supported on free column n
-    monic = Poly(top[0]).monic()
     status = EigenStatus.UNIQUE_MONIC if dim == 1 else EigenStatus.DEGENERATE
-    return EigenResult(n, mu, status, monic, dim, basis)
+    return EigenResult(n, mu, status, top, dim, basis)
 
 
 def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
     """Monic eigenfunction of degree n for mu_n = M[n][n], or a diagnosis.
 
-    Fast path: when mu_n collides with no lower diagonal entry, banded
-    triangular back-substitution yields the unique monic eigenfunction.
-    Otherwise the kernel of M - mu_n I decides between Degenerate (canonical
-    monic representative, dimension >= 2), UniqueMonic with an incidental
+    When mu_n collides with no lower diagonal entry, banded triangular
+    back-substitution yields the unique monic eigenfunction.  Otherwise the
+    kernel of M - mu_n I decides between Degenerate (canonical monic
+    representative, dimension >= 2), UniqueMonic with an incidental
     collision, and NoDegreeNEigenfunction.
     """
     if n < 0:
@@ -181,8 +202,7 @@ def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
     """Basis of ker(M - mu I) inside P_n; empty when mu is not an eigenvalue."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows = op.matrix(n).shifted_rows(rat(mu))
-    return [Poly(v) for v in rref_kernel(rows)]
+    return [Poly(v) for v in _banded_kernel(op.matrix(n), rat(mu), n, op.order)]
 
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:

@@ -3,8 +3,9 @@
 The three-term recurrences below are the textbook definitions of the monic
 classical polynomials, written down directly; they share no code with the
 eigensolver they check.  The kernel and span checks use fraction-free
-Bareiss elimination over integers (Bareiss 1968), a different elimination
-from the solver's rational Gauss-Jordan ``rref_kernel``.
+Bareiss elimination over integers (Bareiss 1968) on the whole dense block,
+independent of the solver's banded back-substitution and of the rational
+Gauss-Jordan ``rref_kernel`` it runs on a collision's condition matrix.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def nullspace_oracle(matrix: OperatorMatrix, mu) -> list[list[Fraction]]:
 
     Brute force on purpose: it ignores the triangular structure and uses a
     different elimination (fraction-free over cleared integers) so it can
-    cross-check the Gauss-Jordan route.
+    cross-check the banded solver.
     """
     ncols = matrix.n + 1
     echelon, pivot_cols = _bareiss_echelon(_cleared(matrix.shifted_rows(mu)))

@@ -20,6 +20,7 @@ from oracles import (
     monic_classical,
     nullspace_oracle,
     random_operator,
+    random_rational,
     span_contains,
     spans_equal,
 )
@@ -233,8 +234,14 @@ class TestSharedSolver:
         rng = random.Random(47)
         collisions = list(_collision_operators())
         assert all(not op.spectrum(12).distinct for op in collisions)
-        for op in [random_operator(rng, 3) for _ in range(50)] + collisions:
-            table = eigentable(op, 12)
+        cases = [(op, 12) for op in [random_operator(rng, 3) for _ in range(50)] + collisions]
+        # alpha = -40: mu_n = mu_(41-n), so degrees 21..40 collide far below
+        # the diagonal; beta = 0 keeps parity (degenerate, zero residuals),
+        # beta = 1/3 breaks it (defective)
+        for beta in (Fraction(0), Fraction(1, 3)):
+            cases.append((build_operator(FamilySpec.jacobi(1, -40, beta)), 40))
+        for op, n_max in cases:
+            table = eigentable(op, n_max)
             for k, res in enumerate(table):
                 assert res == monic_eigenfunction(op, k)
                 oracle = nullspace_oracle(op.matrix(k), res.eigenvalue)
@@ -246,6 +253,43 @@ class TestSharedSolver:
         op = build_operator(classical_presets()[name])
         expected = monic_classical(name, 60)
         assert [r.monic for r in eigentable(op, 60)] == expected
+
+
+def _triple_collision(rng, roots, lower):
+    """Order-3 operator with mu_j = (j-p)(j-q)(j-r) in falling factorials
+    j(j-1)(j-2) - (s1-3) j(j-1) + (1-s1+s2) j - s3, so mu vanishes at three
+    degrees; each a_k gets random lower-order terms when ``lower``."""
+    p, q, r = roots
+    s1, s2, s3 = p + q + r, p * q + p * r + q * r, p * q * r
+    diagonal = [-s3, 1 - s1 + s2, 3 - s1, 1]
+    return DiffOperator([
+        Poly([random_rational(rng) if lower else 0 for _ in range(k)] + [diagonal[k]])
+        for k in range(4)
+    ])
+
+
+class TestCanonicalBasis:
+    # the banded kernel must return rref_kernel's standard basis of the whole
+    # block (1 at its own free column, 0 at the others), not just its span
+    def test_basis_equals_dense_rref_kernel(self):
+        rng = random.Random(53)
+        ops = [random_operator(rng, 3) for _ in range(40)]
+        ops.append(DiffOperator([Poly(), Poly(), Poly(), Poly.monomial(3)]))
+        for roots in [(0, 1, 2), (1, 4, 6), (2, 5, 9), (0, 3, 7)]:
+            ops.append(_triple_collision(rng, roots, lower=False))
+            ops.extend(_triple_collision(rng, roots, lower=True) for _ in range(3))
+            assert len(ops[-1].spectrum(9).degrees_for(0)) == 3
+        n = 9
+        for op in ops:
+            diagonal = op.spectrum(n).values
+            off = [max(diagonal) + 1, min(diagonal) - Fraction(1, 3)]
+            for mu in sorted(set(diagonal)) + off:
+                dense = rref_kernel(op.matrix(n).shifted_rows(mu))
+                assert _padded(eigenspace_basis(op, mu, n), n) == dense, (op, mu)
+            assert eigenspace_basis(op, off[0], n) == []
+            for k, res in enumerate(eigentable(op, n)):
+                dense = rref_kernel(op.matrix(k).shifted_rows(res.eigenvalue))
+                assert _padded(res.basis, k) == dense, (op, k)
 
 
 class TestGeneralOrder:
