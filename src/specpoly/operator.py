@@ -161,15 +161,10 @@ class OperatorMatrix:
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.n + 1))
 
-    def shifted_rows(self, mu: RatLike, n: int | None = None) -> list[list[Fraction]]:
-        """Rows of M - mu*I as mutable lists, ready for elimination.
-
-        With ``n`` given, only the leading (n+1)x(n+1) block: the matrix of L
-        on P_n.
-        """
+    def shifted_rows(self, mu: RatLike) -> list[list[Fraction]]:
+        """Rows of M - mu*I as mutable lists, ready for elimination."""
         mu = rat(mu)
-        size = self.n + 1 if n is None else n + 1
-        rows = [list(self.entries[i][:size]) for i in range(size)]
+        rows = [list(row) for row in self.entries]
         for i, row in enumerate(rows):
             row[i] -= mu
         return rows

@@ -3,11 +3,15 @@
 Routing policy: every pair is first attempted on the exact path, which
 succeeds whenever p*f*g cancels down to a polynomial over a finite
 interval (integer power exponents, matching factors of f*g, no
-exponential/arctan component).  Exact zeros make orthogonality claims
-unambiguous.  Everything else falls back to tanh-sinh quadrature; infinite
-intervals are first mapped to a compact one (x = tan u for the real line,
-x = anchor +/- tan u for half lines), which turns the Romanovski weight
-into (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u) on (-pi/2, pi/2).
+exponential/arctan component).  It reduces the weight and divides each
+eigenfunction by the weight's negative powers once, then assembles every
+entry from cached power moments: O(n^3) rational operations for an n x n
+Gram matrix, with no polynomial product per entry.  Exact zeros make
+orthogonality claims unambiguous.  Everything else falls back to tanh-sinh
+quadrature; infinite intervals are first mapped to a compact one (x = tan u
+for the real line, x = anchor +/- tan u for half lines), which turns the
+Romanovski weight into (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u)
+on (-pi/2, pi/2).
 
 Quadrature integrands are evaluated in log space so that weights with
 strong (but integrable) endpoint singularities and polynomials sampled at
@@ -26,7 +30,7 @@ from .eigen import eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator
 from .quadrature import NoConvergence, QuadResult, tanh_sinh
-from .ratpoly import ExactDivisionError, Poly, RatLike, rat
+from .ratpoly import Poly, RatLike, rat
 from .weights import WeightExpr, derive_weight, integrability
 
 __all__ = [
@@ -60,59 +64,105 @@ class NonIntegrable(ValueError):
 # exact path
 
 
+def _require_polynomial_shape(weight: WeightExpr) -> None:
+    """Refuse weights that no choice of f and g reduces to a polynomial."""
+    if not weight.interval.finite:
+        raise NotPolynomialReducible("interval is not finite")
+    if not weight.exp_poly.is_zero() or weight.arctan_coeff != 0:
+        raise NotPolynomialReducible("weight has a transcendental factor")
+    if weight.quad_exp is not None and weight.quad_exp != 0:
+        raise NotPolynomialReducible("weight has a (x^2+1) factor")
+
+
+class _ExactForm:
+    """<f, g> = scale * integral of f g W / prod (x - r)^k over (lo, hi) for
+    labelled f, g.  With f = f~ prod (x - r)^s_f, a pair reduces when
+    s_f + s_g >= k at each divisor (r, k), to sum_i f~_i L(i) with
+    L(i) = sum_j g~_j mu_(i+j), mu the cached power moments of
+    P^e = W prod (x - r)^(s_f + s_g - k): O(n^3) for an n x n Gram matrix."""
+
+    def __init__(self, weight: WeightExpr, polys: dict[int, Poly]):
+        _require_polynomial_shape(weight)
+        iv = weight.interval
+        # per root: the summed exponent, and the most divisions of f*g its
+        # factors ask for in order (derive_weight gives one factor a root)
+        net: dict[Fraction, int] = {}
+        need: dict[Fraction, int] = {}
+        for pf in weight.power_factors:
+            e, r = pf.exponent, pf.root
+            if e == 0:
+                continue
+            if e.denominator != 1:
+                raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
+            k = int(e)
+            # inside the interval |x-r|^k is a polynomial only for even k > 0
+            if iv.lo < r < iv.hi and (k < 0 or k % 2):
+                raise NotPolynomialReducible(f"root {r} lies inside {iv.describe()}")
+            net[r] = net.get(r, 0) + k
+            if k < 0:
+                need[r] = max(need.get(r, 0), -net[r])
+        sign, self.base = 1, Poly.one()
+        for r, k in net.items():
+            if r >= iv.hi and k % 2:  # |x - r| = -(x - r) there
+                sign = -sign
+            self.base = self.base * Poly((-r, 1)) ** (k + need.get(r, 0))
+        self.scale = weight.constant * sign
+        self.divisors = tuple(need.items())
+        self.reduced: dict[int, tuple[tuple[Fraction, ...], list[int]]] = {}
+        for label, f in polys.items():
+            mults = []
+            for r, k in self.divisors:
+                s = 0
+                while s < k and f(r) == 0:
+                    f, s = f.divide_linear(r), s + 1
+                mults.append(s)
+            self.reduced[label] = (f.coeffs, mults)
+        self.span = 2 * max((len(c) for c, _ in self.reduced.values()), default=0)
+        top = self.span + len(self.base.coeffs) + sum(need.values())
+        self.nu = [Fraction(iv.hi**s - iv.lo**s, s) for s in range(1, top)]
+        self.moments: dict[tuple[int, ...], list[Fraction]] = {}
+        self.rows: dict[tuple[int, tuple[int, ...]], list[Fraction]] = {}
+
+    def entry(self, m: int, n: int) -> Fraction:
+        if len(self.reduced[m][0]) > len(self.reduced[n][0]):
+            m, n = n, m
+        (a, a_mults), (b, b_mults) = self.reduced[m], self.reduced[n]
+        key = tuple(sa + sb - k for (_, k), sa, sb in zip(self.divisors, a_mults, b_mults))
+        for (r, k), e in zip(self.divisors, key):
+            if e < 0:
+                raise NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}")
+        if key not in self.moments:
+            p = self.base
+            for (r, _), e in zip(self.divisors, key):
+                p = p * Poly((-r, 1)) ** e
+            self.moments[key] = [
+                sum((c * self.nu[i + t] for i, c in enumerate(p.coeffs) if c), Fraction(0))
+                for t in range(self.span)
+            ]
+        if (n, key) not in self.rows:
+            mu = self.moments[key]
+            self.rows[(n, key)] = [
+                sum((c * mu[i + j] for j, c in enumerate(b) if c), Fraction(0))
+                for i in range(len(b))
+            ]
+        row = self.rows[(n, key)]
+        return self.scale * sum((c * row[i] for i, c in enumerate(a) if c), Fraction(0))
+
+
 def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
     """Exact integral of p*f*g when the weight cancels into f*g.
 
     Negative integer power exponents must divide f*g exactly; positive
     integer exponents multiply in.  On the interval interior each |x - r|
     has constant sign, which contributes the appropriate factor of -1 for
-    odd exponents at the right endpoint.
+    odd exponents at the right endpoint.  The value is assembled from the
+    power moments of the reduced weight, without forming f*g; a Gram matrix
+    shares one such form over all its entries, O(n^3) for n x n.
     """
-    iv = weight.interval
-    if not iv.finite:
-        raise NotPolynomialReducible("interval is not finite")
-    if not weight.exp_poly.is_zero() or weight.arctan_coeff != 0:
-        raise NotPolynomialReducible("weight has a transcendental factor")
-    if weight.quad_exp is not None and weight.quad_exp != 0:
-        raise NotPolynomialReducible("weight has a (x^2+1) factor")
-    h = f * g
-    if h.is_zero():
+    if f.is_zero() or g.is_zero():
+        _require_polynomial_shape(weight)
         return Fraction(0)
-    sign = 1
-    for pf in weight.power_factors:
-        e = pf.exponent
-        if e == 0:
-            continue
-        if e.denominator != 1:
-            raise NotPolynomialReducible(
-                f"non-integer exponent {e} at root {pf.root}"
-            )
-        k = int(e)
-        if pf.root <= iv.lo:
-            factor_sign = 1
-        elif pf.root >= iv.hi:
-            factor_sign = -1
-        else:
-            # root strictly inside: |x-r|^k is a polynomial only for even k >= 0
-            if k > 0 and k % 2 == 0:
-                h = h * Poly((-pf.root, 1)) ** k
-                continue
-            raise NotPolynomialReducible(
-                f"root {pf.root} lies inside {iv.describe()}"
-            )
-        if k > 0:
-            h = h * Poly((-pf.root, 1)) ** k
-        else:
-            for _ in range(-k):
-                try:
-                    h = h.divide_linear(pf.root)
-                except ExactDivisionError as exc:
-                    raise NotPolynomialReducible(
-                        f"f*g is not divisible by (x - {pf.root})^{-k}"
-                    ) from exc
-        if factor_sign < 0 and k % 2 != 0:
-            sign = -sign
-    return weight.constant * sign * h.definite_integral(iv.lo, iv.hi)
+    return _ExactForm(weight, {0: f, 1: g}).entry(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +453,10 @@ def _gram_for(
 ) -> OrthoReport:
     table = {r.degree: r for r in eigentable(op, max(degrees, default=0))}
     funcs: dict[int, Poly | None] = {d: table[d].monic for d in degrees}
+    try:
+        form = _ExactForm(weight, {d: p for d, p in funcs.items() if p is not None})
+    except NotPolynomialReducible:
+        form = None
 
     entries: list[GramEntry] = []
     values: dict[tuple[int, int], Fraction | float | None] = {}
@@ -422,13 +476,14 @@ def _gram_for(
                 )
                 values[(m, n)] = None
                 continue
-            try:
-                value = inner_product_exact(weight, f, g)
-                entries.append(GramEntry(m, n, value, "exact", integrable=True))
-                values[(m, n)] = value
-                continue
-            except NotPolynomialReducible:
-                pass
+            if form is not None:
+                try:
+                    value = form.entry(m, n)
+                    entries.append(GramEntry(m, n, value, "exact", integrable=True))
+                    values[(m, n)] = value
+                    continue
+                except NotPolynomialReducible:
+                    pass
             verdict = integrability(weight, None, m + n)
             if not verdict.integrable:
                 entries.append(

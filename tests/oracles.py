@@ -6,6 +6,9 @@ eigensolver they check.  The kernel and span checks use fraction-free
 Bareiss elimination over integers (Bareiss 1968) on the whole dense block,
 independent of the solver's banded back-substitution and of the rational
 Gauss-Jordan ``rref_kernel`` it runs on a collision's condition matrix.
+``divide_and_integrate`` is the exact inner product computed the direct
+way, one polynomial product and one definite integral per pair, against
+which the library's moment assembly is checked.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from specpoly import DiffOperator, OperatorMatrix, Poly
+from specpoly import (
+    DiffOperator,
+    ExactDivisionError,
+    NotPolynomialReducible,
+    OperatorMatrix,
+    Poly,
+    WeightExpr,
+)
 
 
 def monic_classical(name: str, n_max: int) -> list[Poly]:
@@ -151,3 +161,58 @@ def spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
     """Do two sets of vectors span the same subspace?  Stacking them raises
     neither rank."""
     return _rank(a) == _rank([*a, *b]) == _rank(b)
+
+
+def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
+    """Exact integral of p*f*g when the weight cancels into f*g.
+
+    Negative integer power exponents must divide f*g exactly; positive
+    integer exponents multiply in.  On the interval interior each |x - r|
+    has constant sign, which contributes the appropriate factor of -1 for
+    odd exponents at the right endpoint.
+    """
+    iv = weight.interval
+    if not iv.finite:
+        raise NotPolynomialReducible("interval is not finite")
+    if not weight.exp_poly.is_zero() or weight.arctan_coeff != 0:
+        raise NotPolynomialReducible("weight has a transcendental factor")
+    if weight.quad_exp is not None and weight.quad_exp != 0:
+        raise NotPolynomialReducible("weight has a (x^2+1) factor")
+    h = f * g
+    if h.is_zero():
+        return Fraction(0)
+    sign = 1
+    for pf in weight.power_factors:
+        e = pf.exponent
+        if e == 0:
+            continue
+        if e.denominator != 1:
+            raise NotPolynomialReducible(
+                f"non-integer exponent {e} at root {pf.root}"
+            )
+        k = int(e)
+        if pf.root <= iv.lo:
+            factor_sign = 1
+        elif pf.root >= iv.hi:
+            factor_sign = -1
+        else:
+            # root strictly inside: |x-r|^k is a polynomial only for even k >= 0
+            if k > 0 and k % 2 == 0:
+                h = h * Poly((-pf.root, 1)) ** k
+                continue
+            raise NotPolynomialReducible(
+                f"root {pf.root} lies inside {iv.describe()}"
+            )
+        if k > 0:
+            h = h * Poly((-pf.root, 1)) ** k
+        else:
+            for _ in range(-k):
+                try:
+                    h = h.divide_linear(pf.root)
+                except ExactDivisionError as exc:
+                    raise NotPolynomialReducible(
+                        f"f*g is not divisible by (x - {pf.root})^{-k}"
+                    ) from exc
+        if factor_sign < 0 and k % 2 != 0:
+            sign = -sign
+    return weight.constant * sign * h.definite_integral(iv.lo, iv.hi)

@@ -154,7 +154,6 @@ class TestMatrix:
             big = op.matrix(9)
             for n in range(10):
                 assert op.matrix(n).entries == tuple(row[: n + 1] for row in big.entries[: n + 1])
-                assert op.matrix(n).shifted_rows(2) == big.shifted_rows(2, n)
 
 
 class TestSpectrum:

@@ -6,10 +6,13 @@ import pytest
 
 from specpoly import (
     FamilySpec,
+    Interval,
     NoConvergence,
     NonIntegrable,
     NotPolynomialReducible,
     Poly,
+    PowerFactor,
+    WeightExpr,
     build_operator,
     derive_weight,
     eigentable,
@@ -21,7 +24,7 @@ from specpoly import (
     inner_product_numeric,
 )
 
-from oracles import random_poly
+from oracles import divide_and_integrate, random_poly
 
 
 def P(*coeffs):
@@ -76,6 +79,18 @@ class TestExactPath:
         with pytest.raises(NotPolynomialReducible):
             inner_product_exact(CHEB_W, Poly.one(), Poly.one())
 
+    def test_zero_polynomial_is_zero_before_exponent_checks(self):
+        # only the interval and transcendental checks precede the zero case
+        interior = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(1)),))
+        for w in (CHEB_W, interior):
+            for f, g in ((Poly(), Poly.x()), (P(1, 2), Poly())):
+                value = inner_product_exact(w, f, g)
+                assert value == 0 and isinstance(value, Fraction)
+        with pytest.raises(NotPolynomialReducible):
+            inner_product_exact(interior, Poly.one(), Poly.one())
+        with pytest.raises(NotPolynomialReducible):
+            inner_product_exact(ROM_W, Poly(), Poly.one())
+
     def test_uncancelled_negative_power_not_reducible(self):
         with pytest.raises(NotPolynomialReducible):
             inner_product_exact(CQ_W, Poly.one(), Poly.x())
@@ -116,6 +131,70 @@ class TestExactPath:
         assert inner_product_exact(LEGENDRE_W, f, g) == inner_product_exact(
             LEGENDRE_W, g, f
         )
+
+
+def _jacobi_with_exponents(p, q):
+    """Jacobi (eps = -1) family whose weight is (1-x)^p (1+x)^q."""
+    return FamilySpec.jacobi(-1, -(p + q + 2), q - p)
+
+
+def _same_as_oracle(w, f, g):
+    try:
+        expected = divide_and_integrate(w, f, g)
+    except NotPolynomialReducible:
+        with pytest.raises(NotPolynomialReducible):
+            inner_product_exact(w, f, g)
+        return False
+    assert inner_product_exact(w, f, g) == expected
+    return True
+
+
+class TestMomentAssembly:
+    def test_matches_divide_and_integrate(self):
+        specs = [
+            (_jacobi_with_exponents(p, q), 12) for p in range(-2, 5) for q in range(-2, 5)
+        ]
+        specs.append((CQ_SPEC, 14))
+        exact = refused = 0
+        for spec, n_max in specs:
+            w = weight_of(spec)
+            table = eigentable(build_operator(spec), n_max)
+            for e in gram_matrix(spec, n_max).entries:
+                f, g = table[e.m].monic, table[e.n].monic
+                if f is None or g is None:
+                    continue
+                try:
+                    expected = divide_and_integrate(w, f, g)
+                except NotPolynomialReducible:
+                    assert e.method != "exact"
+                    refused += 1
+                    continue
+                assert e.method == "exact" and e.value == expected
+                exact += 1
+        assert exact > 4000 and refused > 50
+
+        # planted root multiplicities 0..3 at each endpoint, and weights
+        # with more than one factor at a root
+        rng = random.Random(89)
+        weights = [weight_of(spec) for spec, _ in specs]
+        weights += [
+            WeightExpr(
+                Fraction(-3, 7),
+                (PowerFactor(Fraction(2), Fraction(e1)), PowerFactor(Fraction(2), Fraction(e2))),
+                interval=Interval(Fraction(0), Fraction(2)),
+            )
+            for e1, e2 in ((-1, -1), (-1, 2), (3, -2), (-2, 3), (1, 1))
+        ]
+        outcomes = set()
+        for w in weights:
+            roots = [pf.root for pf in w.power_factors]
+            for _ in range(16):
+                f, g = random_poly(rng, rng.randint(0, 4)), random_poly(rng, rng.randint(0, 4))
+                for r in roots:
+                    f = f * P(-r, 1) ** rng.randint(0, 3)
+                    g = g * P(-r, 1) ** rng.randint(0, 3)
+                outcomes.add(_same_as_oracle(w, f, g))
+        assert outcomes == {True, False}
 
 
 class TestNumericPath:
