@@ -13,14 +13,16 @@ for the real line, x = anchor +/- tan u for half lines), which turns the
 Romanovski weight into (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u)
 on (-pi/2, pi/2).
 
-Quadrature integrands are evaluated in log space so that weights with
-strong (but integrable) endpoint singularities and polynomials sampled at
-|x| ~ 1e300 neither overflow nor lose the endpoint distances to
-cancellation.
+Quadrature integrands run on floats, converted once per weight (cached on
+the WeightExpr) and once per integrand, never per node.  They work in log
+space so that weights with strong (but integrable) endpoint singularities
+and polynomials sampled at |x| ~ 1e300 neither overflow nor lose the
+endpoint distances to cancellation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +32,7 @@ from .eigen import eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator
 from .quadrature import NoConvergence, QuadResult, tanh_sinh
-from .ratpoly import Poly, RatLike, rat
+from .ratpoly import Poly, RatLike, horner, rat
 from .weights import WeightExpr, derive_weight, integrability
 
 __all__ = [
@@ -168,25 +170,24 @@ def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
 # ---------------------------------------------------------------------------
 # numeric path
 
+_Integrand = Callable[[float, float, float], float]
 
-def _poly_sign_log(p: Poly, x: float) -> tuple[float, float]:
-    """(sign, log|p(x)|), stable for |x| up to ~1e300.
+
+def _poly_sign_log(cs: tuple[float, ...], x: float) -> tuple[float, float]:
+    """(sign, log|p(x)|) from p's float coefficients, stable for |x| up to ~1e300.
 
     For |x| > 1 evaluates the reversed-coefficient polynomial at 1/x, so
     the magnitude comes out as deg*log|x| + O(1) without overflow.
     """
-    if p.is_zero():
+    if not cs:
         return 0.0, -math.inf
     if abs(x) <= 1.0:
-        v = p.eval_float(x)
+        v = horner(cs, x)
         if v == 0.0:
             return 0.0, -math.inf
         return math.copysign(1.0, v), math.log(abs(v))
-    deg = len(p.coeffs) - 1
-    inv = 1.0 / x
-    acc = 0.0
-    for c in p.coeffs:  # ascending-coefficient Horner in 1/x gives p(x)/x^deg
-        acc = acc * inv + float(c)
+    deg = len(cs) - 1
+    acc = horner(cs[::-1], 1.0 / x)  # the reversed polynomial at 1/x is p(x)/x^deg
     if acc == 0.0:
         return 0.0, -math.inf
     sign = math.copysign(1.0, acc)
@@ -203,9 +204,9 @@ def _signed_exp(sign: float, log_mag: float) -> float:
     return sign * math.exp(log_mag)
 
 
-def _finite_integrand(weight: WeightExpr, fg: Poly) -> Callable[[float, float, float], float]:
+def _finite_integrand(weight: WeightExpr, cs: tuple[float, ...]) -> _Integrand:
     def f(x: float, d_lo: float, d_hi: float) -> float:
-        v = fg.eval_float(x)
+        v = horner(cs, x)
         if v == 0.0:
             return 0.0
         lw = weight.log_eval(x, d_lo, d_hi)
@@ -229,13 +230,13 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
 
 
-def _real_line_integrand(weight: WeightExpr, fg: Poly) -> Callable[[float, float, float], float]:
+def _real_line_integrand(weight: WeightExpr, cs: tuple[float, ...]) -> _Integrand:
     def g(u: float, d_lo: float, d_hi: float) -> float:
         x = _tan_abscissa(u, d_lo, d_hi)
         if not math.isfinite(x):
             # only reachable when the true integrand limit is 0 (integrable case)
             return 0.0
-        sign, log_fg = _poly_sign_log(fg, x)
+        sign, log_fg = _poly_sign_log(cs, x)
         if sign == 0.0:
             return 0.0
         total = weight.log_eval(x) + log_fg + _log1p_sq(x)
@@ -245,8 +246,8 @@ def _real_line_integrand(weight: WeightExpr, fg: Poly) -> Callable[[float, float
 
 
 def _half_line_integrand(
-    weight: WeightExpr, fg: Poly, anchor: float, direction: int
-) -> Callable[[float, float, float], float]:
+    weight: WeightExpr, cs: tuple[float, ...], anchor: float, direction: int
+) -> _Integrand:
     """Integrand over u in (0, pi/2) for x = anchor + direction*tan(u)."""
 
     def g(u: float, d_lo: float, d_hi: float) -> float:
@@ -259,7 +260,7 @@ def _half_line_integrand(
         x = anchor + direction * t
         if not math.isfinite(x):
             return 0.0
-        sign, log_fg = _poly_sign_log(fg, x)
+        sign, log_fg = _poly_sign_log(cs, x)
         if sign == 0.0:
             return 0.0
         if direction > 0:
@@ -275,18 +276,19 @@ def _numeric_quad(
     weight: WeightExpr, fg: Poly, tol: float, max_levels: int = 12
 ) -> QuadResult:
     iv = weight.interval
+    cs = tuple(map(float, fg.coeffs))  # converted once, not per node
     if iv.finite:
         return tanh_sinh(
-            _finite_integrand(weight, fg), float(iv.lo), float(iv.hi), tol, max_levels
+            _finite_integrand(weight, cs), float(iv.lo), float(iv.hi), tol, max_levels
         )
     if iv.lo is None and iv.hi is None:
         return tanh_sinh(
-            _real_line_integrand(weight, fg), -math.pi / 2, math.pi / 2, tol, max_levels
+            _real_line_integrand(weight, cs), -math.pi / 2, math.pi / 2, tol, max_levels
         )
     if iv.hi is None:
-        integrand = _half_line_integrand(weight, fg, float(iv.lo), +1)
+        integrand = _half_line_integrand(weight, cs, float(iv.lo), +1)
     else:
-        integrand = _half_line_integrand(weight, fg, float(iv.hi), -1)
+        integrand = _half_line_integrand(weight, cs, float(iv.hi), -1)
     return tanh_sinh(integrand, 0.0, math.pi / 2, tol, max_levels)
 
 
@@ -458,6 +460,7 @@ def _gram_for(
     except NotPolynomialReducible:
         form = None
 
+    moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     entries: list[GramEntry] = []
     values: dict[tuple[int, int], Fraction | float | None] = {}
     for i, m in enumerate(degrees):
@@ -510,7 +513,7 @@ def _gram_for(
         if g_mm is not None and g_nn is not None and g_mm > 0 and g_nn > 0:
             rel = abs(float(e.value)) / math.sqrt(g_mm * g_nn)
         else:
-            scale = _moment_scale(weight, e.m + e.n, tol)
+            scale = moment_scale(e.m + e.n)
             rel = abs(float(e.value)) / scale if scale else None
             if rel is not None:
                 note = (note + "; " if note else "") + "relative uses moment scale"
@@ -660,6 +663,7 @@ def finite_orthogonality_report(
         for j in range(i + 1, len(degs))
     )
 
+    moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     diag: dict[int, float] = {}
     for m in range(n_max + 1):
         if 2 * m + gamma + 1 < 0 and table[m].monic is not None:
@@ -699,7 +703,7 @@ def finite_orthogonality_report(
                 rel = abs(res.value) / math.sqrt(diag[m] * diag[n])
                 detail = "relative to sqrt(G_mm G_nn)"
             else:
-                scale = _moment_scale(weight, m + n, tol)
+                scale = moment_scale(m + n)
                 rel = abs(res.value) / scale if scale else None
                 detail = "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
             verdict = "orthogonal" if rel is not None and rel < 1e-6 else "inconclusive"

@@ -54,6 +54,14 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def horner(coeffs: Sequence[float], x: float) -> float:
+    """Double-precision Horner evaluation of ascending float coefficients."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class ExactDivisionError(ArithmeticError):
     """Division that was required to be exact left a nonzero remainder."""
 
@@ -226,10 +234,7 @@ class Poly:
 
     def eval_float(self, x: float) -> float:
         """Double-precision Horner evaluation."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        return horner([float(c) for c in self.coeffs], x)
 
     def affine_sub(self, s: RatLike, t: RatLike) -> Poly:
         """Return q with q(u) = p(s*u + t), computed exactly.  Requires s != 0."""

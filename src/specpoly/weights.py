@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
-from .ratpoly import Poly, rational_sqrt
+from .ratpoly import Poly, horner, rational_sqrt
 
 __all__ = [
     "UnsupportedLeadingCoefficient",
@@ -129,27 +130,42 @@ class WeightExpr:
         ``d_lo``/``d_hi`` are accurate distances to the interval endpoints;
         when given, power factors rooted at an endpoint use them instead of
         the cancellation-prone x - root.  Can return -inf/+inf when a
-        factor under/overflows; callers pair this with quadrature weights
-        that vanish fast enough.
+        factor under/overflows or a distance is 0; callers pair this with
+        quadrature weights that vanish fast enough.
         """
-        out = math.log(self.constant)
-        for pf in self.power_factors:
-            if d_lo is not None and self.interval.lo is not None and pf.root == self.interval.lo:
+        out, powers, quad, exp_cs, arctan = self._float_form
+        for e, r, at_lo, at_hi in powers:
+            if at_lo and d_lo is not None:
                 dist = d_lo
-            elif d_hi is not None and self.interval.hi is not None and pf.root == self.interval.hi:
+            elif at_hi and d_hi is not None:
                 dist = d_hi
             else:
-                dist = abs(x - float(pf.root))
-            out += float(pf.exponent) * math.log(dist)
-        if self.quad_exp is not None and self.quad_exp != 0:
+                dist = abs(x - r)
+            out += e * (math.log(dist) if dist else -math.inf)
+        if quad is not None:
             xsq = x * x
             log_quad = math.log1p(xsq) if math.isfinite(xsq) else 2.0 * math.log(abs(x))
-            out += float(self.quad_exp) * log_quad
-        if not self.exp_poly.is_zero():
-            out += self.exp_poly.eval_float(x)
-        if self.arctan_coeff != 0:
-            out += float(self.arctan_coeff) * math.atan(x)
+            out += quad * log_quad
+        if exp_cs is not None:
+            out += horner(exp_cs, x)
+        if arctan is not None:
+            out += arctan * math.atan(x)
         return out
+
+    @cached_property
+    def _float_form(self) -> tuple:
+        """log_eval's terms as floats: log(constant); (exponent, root, root is lo, root
+        is hi) per nonzero-exponent factor; quad_exp, exp_poly, arctan_coeff (None if 0)."""
+        lo, hi = self.interval.lo, self.interval.hi
+        powers = tuple(
+            (float(pf.exponent), float(pf.root), pf.root == lo, pf.root == hi)
+            for pf in self.power_factors
+            if pf.exponent
+        )
+        quad = float(self.quad_exp) if self.quad_exp else None
+        arctan = float(self.arctan_coeff) if self.arctan_coeff else None
+        exp_cs = tuple(map(float, self.exp_poly.coeffs)) or None
+        return math.log(self.constant), powers, quad, exp_cs, arctan
 
     def eval_float(self, x: float) -> float:
         return math.exp(self.log_eval(x))

@@ -8,11 +8,15 @@ independent of the solver's banded back-substitution and of the rational
 Gauss-Jordan ``rref_kernel`` it runs on a collision's condition matrix.
 ``divide_and_integrate`` is the exact inner product computed the direct
 way, one polynomial product and one definite integral per pair, against
-which the library's moment assembly is checked.
+which the library's moment assembly is checked.  ``log_eval_reference``
+is ``WeightExpr.log_eval`` as it was before the weight cached its float
+form: it converts and compares the Fraction fields at every call, and the
+cached version must agree with it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -216,3 +220,27 @@ def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
         if factor_sign < 0 and k % 2 != 0:
             sign = -sign
     return weight.constant * sign * h.definite_integral(iv.lo, iv.hi)
+
+
+def log_eval_reference(
+    weight: WeightExpr, x: float, d_lo: float | None = None, d_hi: float | None = None
+) -> float:
+    """log p(x), converting the weight's Fractions on every call."""
+    out = math.log(weight.constant)
+    for pf in weight.power_factors:
+        if d_lo is not None and weight.interval.lo is not None and pf.root == weight.interval.lo:
+            dist = d_lo
+        elif d_hi is not None and weight.interval.hi is not None and pf.root == weight.interval.hi:
+            dist = d_hi
+        else:
+            dist = abs(x - float(pf.root))
+        out += float(pf.exponent) * math.log(dist)
+    if weight.quad_exp is not None and weight.quad_exp != 0:
+        xsq = x * x
+        log_quad = math.log1p(xsq) if math.isfinite(xsq) else 2.0 * math.log(abs(x))
+        out += float(weight.quad_exp) * log_quad
+    if not weight.exp_poly.is_zero():
+        out += weight.exp_poly.eval_float(x)
+    if weight.arctan_coeff != 0:
+        out += float(weight.arctan_coeff) * math.atan(x)
+    return out

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import specpoly.orthogonality as orthogonality
 from specpoly import (
     FamilySpec,
     Interval,
@@ -14,6 +15,7 @@ from specpoly import (
     PowerFactor,
     WeightExpr,
     build_operator,
+    classical_presets,
     derive_weight,
     eigentable,
     finite_orthogonality_report,
@@ -400,3 +402,45 @@ class TestFiniteOrthogonalityReport:
         report = finite_orthogonality_report(-8, 0, 3, 1e-10)
         p01 = next(p for p in report.pairs if (p.m, p.n) == (0, 1))
         assert p01.value == pytest.approx(0.0, abs=1e-15)
+
+
+class TestQuadratureEntries:
+    @pytest.mark.parametrize(
+        "spec",
+        [classical_presets()["chebyshev1"], FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3))],
+    )
+    def test_gram_entries_equal_public_function(self, spec):
+        report = gram_matrix(spec, 6)
+        w = weight_of(spec)
+        table = eigentable(build_operator(spec), 6)
+        quadrature = [e for e in report.entries if e.method == "quadrature"]
+        assert len(quadrature) == 28
+        for e in quadrature:
+            expected = inner_product_numeric(w, table[e.m].monic, table[e.n].monic).value
+            assert e.value == expected, (e.m, e.n)
+
+    def test_romanovski_pairs_equal_public_function(self):
+        report = finite_orthogonality_report(Fraction(-15, 2), Fraction(1, 2), 6)
+        spec = FamilySpec.romanovski(Fraction(-15, 2), Fraction(1, 2))
+        w = weight_of(spec)
+        table = eigentable(build_operator(spec), 6)
+        valued = [p for p in report.pairs if p.value is not None]
+        assert len(valued) == 17
+        for p in valued:
+            expected = inner_product_numeric(w, table[p.m].monic, table[p.n].monic).value
+            assert p.value == expected, (p.m, p.n)
+
+    def test_moment_scale_once_per_total_degree(self, monkeypatch):
+        calls = []
+        moment_scale = orthogonality._moment_scale
+
+        def counted(weight, total_degree, tol):
+            calls.append(total_degree)
+            return moment_scale(weight, total_degree, tol)
+
+        monkeypatch.setattr(orthogonality, "_moment_scale", counted)
+        finite_orthogonality_report(Fraction(-15, 2), Fraction(1, 2), 6)
+        assert calls == [5, 6, 7, 8]
+        calls.clear()
+        gram_matrix(FamilySpec.romanovski(Fraction(-15, 2), Fraction(1, 2)), 6)
+        assert calls == [5, 6, 7, 8]

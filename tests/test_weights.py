@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,8 @@ from specpoly import (
     integrability,
     pearson_check,
 )
+
+from oracles import log_eval_reference
 
 
 def P(*coeffs):
@@ -265,3 +268,73 @@ class TestPositivityAndEvaluation:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             Interval(Fraction(1), Fraction(0))
+
+
+def _seeded_weights(rng):
+    def q():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+
+    weights = [weight_of(FamilySpec.chaudhry_qadir())]
+    for _ in range(3):
+        weights += [
+            weight_of(FamilySpec.jacobi(-1, q(), q())),  # two distinct roots
+            weight_of(FamilySpec.romanovski(q(), q())),  # c*(x^2+1)
+            weight_of(FamilySpec.laguerre(q(), q())),  # linear
+            weight_of(FamilySpec.hermite(q(), q())),  # constant
+        ]
+    lo, hi = Fraction(-2, 3), Fraction(5, 2)
+    weights.append(  # every factor kind at once, a zero exponent and a repeated root
+        WeightExpr(
+            constant=Fraction(3, 7),
+            power_factors=(
+                PowerFactor(lo, Fraction(0)),
+                PowerFactor(lo, Fraction(5, 3)),
+                PowerFactor(hi, Fraction(-3, 4)),
+                PowerFactor(Fraction(1, 3), Fraction(2)),
+                PowerFactor(lo, Fraction(-1, 5)),
+            ),
+            quad_exp=Fraction(-7, 4),
+            exp_poly=P(Fraction(1, 5), -1, Fraction(2, 9)),
+            arctan_coeff=Fraction(-5, 2),
+            interval=Interval(lo, hi),
+        )
+    )
+    return weights
+
+
+class TestLogEval:
+    def test_matches_reference_bit_for_bit(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for w in _seeded_weights(rng):
+            iv = w.interval
+            for x in iv.sample_floats(25):
+                d_lo = x - float(iv.lo) if iv.lo is not None else 1.0
+                d_hi = float(iv.hi) - x if iv.hi is not None else 1.0
+                calls = [(x, None, None), (x, d_lo, d_hi), (x, d_lo, None), (x, None, d_hi)]
+                for tiny in (1e-300, 1e-200, 1e-100, 1e-30, 1e-8):
+                    calls += [(x, tiny, d_hi), (x, d_lo, tiny), (x, tiny, None), (x, None, tiny)]
+                for args in calls:
+                    expected = log_eval_reference(w, *args)
+                    assert not math.isnan(expected)
+                    assert w.log_eval(*args) == expected, (w.formula(), args)
+                    checked += 1
+        assert checked == 14 * 25 * 24
+
+    def test_zero_distance_is_infinite_not_an_error(self):
+        w = weight_of(FamilySpec.jacobi(-1, Fraction(-3, 2), Fraction(1, 3)))
+        e_lo, e_hi = w.power_exponent_at(Fraction(-1)), w.power_exponent_at(Fraction(1))
+        assert e_lo < 0 and e_hi < 0
+        assert w.log_eval(0.5, d_lo=0.0, d_hi=0.5) == math.inf
+        assert w.log_eval(0.5, d_lo=0.5, d_hi=0.0) == math.inf
+        assert w.log_eval(-1.0) == math.inf  # x - root itself is 0
+        lo, hi = Fraction(0), Fraction(1)
+        positive = WeightExpr(
+            power_factors=(PowerFactor(lo, Fraction(1, 2)),), interval=Interval(lo, hi)
+        )
+        assert positive.log_eval(0.5, d_lo=0.0) == -math.inf
+        flat = WeightExpr(
+            power_factors=(PowerFactor(lo, Fraction(0)), PowerFactor(hi, Fraction(1, 2))),
+            interval=Interval(lo, hi),
+        )
+        assert flat.log_eval(0.25, d_lo=0.0, d_hi=0.75) == 0.5 * math.log(0.75)
