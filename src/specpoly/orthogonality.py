@@ -13,15 +13,19 @@ for the real line, x = anchor +/- tan u for half lines), which turns the
 Romanovski weight into (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u)
 on (-pi/2, pi/2).
 
-Quadrature integrands run on floats, converted once per weight (cached on
-the WeightExpr) and once per integrand, never per node.  They work in log
-space so that weights with strong (but integrable) endpoint singularities
-and polynomials sampled at |x| ~ 1e300 neither overflow nor lose the
-endpoint distances to cancellation.
+A Gram matrix or Romanovski report makes one node sweep per weight: each
+node's abscissa, log p(x) and Jacobian are computed once and shared by all
+pending entries, each of which still stops on its own rule.  The integrand
+runs on floats, converted once per weight (cached on the WeightExpr) and
+once per product, never per node.  It works in log space so that weights
+with strong (but integrable) endpoint singularities and polynomials sampled
+at |x| ~ 1e300 neither overflow nor lose the endpoint distances to
+cancellation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ from typing import Callable, Sequence
 from .eigen import eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator
-from .quadrature import NoConvergence, QuadResult, tanh_sinh
+from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep, tanh_sinh
 from .ratpoly import Poly, RatLike, horner, rat
 from .weights import WeightExpr, derive_weight, integrability
 
@@ -170,31 +174,6 @@ def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
 # ---------------------------------------------------------------------------
 # numeric path
 
-_Integrand = Callable[[float, float, float], float]
-
-
-def _poly_sign_log(cs: tuple[float, ...], x: float) -> tuple[float, float]:
-    """(sign, log|p(x)|) from p's float coefficients, stable for |x| up to ~1e300.
-
-    For |x| > 1 evaluates the reversed-coefficient polynomial at 1/x, so
-    the magnitude comes out as deg*log|x| + O(1) without overflow.
-    """
-    if not cs:
-        return 0.0, -math.inf
-    if abs(x) <= 1.0:
-        v = horner(cs, x)
-        if v == 0.0:
-            return 0.0, -math.inf
-        return math.copysign(1.0, v), math.log(abs(v))
-    deg = len(cs) - 1
-    acc = horner(cs[::-1], 1.0 / x)  # the reversed polynomial at 1/x is p(x)/x^deg
-    if acc == 0.0:
-        return 0.0, -math.inf
-    sign = math.copysign(1.0, acc)
-    if deg % 2 == 1 and x < 0:
-        sign = -sign
-    return sign, deg * math.log(abs(x)) + math.log(abs(acc))
-
 
 def _signed_exp(sign: float, log_mag: float) -> float:
     if sign == 0.0 or log_mag == -math.inf:
@@ -202,17 +181,6 @@ def _signed_exp(sign: float, log_mag: float) -> float:
     if log_mag > 708.0:
         return math.copysign(math.inf, sign)
     return sign * math.exp(log_mag)
-
-
-def _finite_integrand(weight: WeightExpr, cs: tuple[float, ...]) -> _Integrand:
-    def f(x: float, d_lo: float, d_hi: float) -> float:
-        v = horner(cs, x)
-        if v == 0.0:
-            return 0.0
-        lw = weight.log_eval(x, d_lo, d_hi)
-        return _signed_exp(math.copysign(1.0, v), lw + math.log(abs(v)))
-
-    return f
 
 
 def _tan_abscissa(u: float, d_lo: float, d_hi: float) -> float:
@@ -230,66 +198,85 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
 
 
-def _real_line_integrand(weight: WeightExpr, cs: tuple[float, ...]) -> _Integrand:
-    def g(u: float, d_lo: float, d_hi: float) -> float:
-        x = _tan_abscissa(u, d_lo, d_hi)
-        if not math.isfinite(x):
-            # only reachable when the true integrand limit is 0 (integrable case)
-            return 0.0
-        sign, log_fg = _poly_sign_log(cs, x)
-        if sign == 0.0:
-            return 0.0
-        total = weight.log_eval(x) + log_fg + _log1p_sq(x)
-        return _signed_exp(sign, total)
+def _integrand(weight: WeightExpr, products: Sequence[Poly]) -> tuple[Callable, float, float]:
+    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p*fg times the
+    Jacobian of the interval's map x(u) (module docstring) at one node, per active fg.
 
-    return g
-
-
-def _half_line_integrand(
-    weight: WeightExpr, cs: tuple[float, ...], anchor: float, direction: int
-) -> _Integrand:
-    """Integrand over u in (0, pi/2) for x = anchor + direction*tan(u)."""
-
-    def g(u: float, d_lo: float, d_hi: float) -> float:
-        if d_hi < 0.8:
-            t = 1.0 / math.tan(d_hi)
-        elif d_lo < 0.8:
-            t = math.tan(d_lo)  # u itself cancels to 0.0 near the anchor
-        else:
-            t = math.tan(u)
-        x = anchor + direction * t
-        if not math.isfinite(x):
-            return 0.0
-        sign, log_fg = _poly_sign_log(cs, x)
-        if sign == 0.0:
-            return 0.0
-        if direction > 0:
-            lw = weight.log_eval(x, d_lo=t, d_hi=None)
-        else:
-            lw = weight.log_eval(x, d_lo=None, d_hi=t)
-        return _signed_exp(sign, lw + log_fg + _log1p_sq(t))
-
-    return g
-
-
-def _numeric_quad(
-    weight: WeightExpr, fg: Poly, tol: float, max_levels: int = 12
-) -> QuadResult:
+    A node's x, log p(x) and log-Jacobian are computed once for all products.  Off
+    [-1, 1], log|fg(x)| is deg*log|x| plus the log of the reversed polynomial at
+    1/x, which does not overflow for |x| up to ~1e300.
+    """
     iv = weight.interval
-    cs = tuple(map(float, fg.coeffs))  # converted once, not per node
-    if iv.finite:
-        return tanh_sinh(
-            _finite_integrand(weight, cs), float(iv.lo), float(iv.hi), tol, max_levels
-        )
-    if iv.lo is None and iv.hi is None:
-        return tanh_sinh(
-            _real_line_integrand(weight, cs), -math.pi / 2, math.pi / 2, tol, max_levels
-        )
-    if iv.hi is None:
-        integrand = _half_line_integrand(weight, cs, float(iv.lo), +1)
+    cs = [tuple(map(float, fg.coeffs)) for fg in products]  # converted once, not per node
+    rev = [c[::-1] for c in cs]
+    finite = iv.finite
+    if finite:
+        lo, hi = float(iv.lo), float(iv.hi)
+
+        def node(x: float, d_lo: float, d_hi: float) -> tuple[float, float, float]:
+            return x, weight.log_eval(x, d_lo, d_hi), 0.0  # the identity map: log 1
+
+    elif iv.lo is None and iv.hi is None:
+        lo, hi = -math.pi / 2, math.pi / 2
+
+        def node(u: float, d_lo: float, d_hi: float) -> tuple[float, float, float] | None:
+            x = _tan_abscissa(u, d_lo, d_hi)
+            if not math.isfinite(x):
+                return None
+            return x, weight.log_eval(x), _log1p_sq(x)
+
     else:
-        integrand = _half_line_integrand(weight, cs, float(iv.hi), -1)
-    return tanh_sinh(integrand, 0.0, math.pi / 2, tol, max_levels)
+        lo, hi = 0.0, math.pi / 2
+        anchor, direction = (float(iv.lo), 1) if iv.hi is None else (float(iv.hi), -1)
+
+        def node(u: float, d_lo: float, d_hi: float) -> tuple[float, float, float] | None:
+            if d_hi < 0.8:
+                t = 1.0 / math.tan(d_hi)
+            elif d_lo < 0.8:
+                t = math.tan(d_lo)  # u itself cancels to 0.0 near the anchor
+            else:
+                t = math.tan(u)
+            x = anchor + direction * t
+            if not math.isfinite(x):
+                return None
+            if direction > 0:
+                return x, weight.log_eval(x, d_lo=t, d_hi=None), _log1p_sq(t)
+            return x, weight.log_eval(x, d_lo=None, d_hi=t), _log1p_sq(t)
+
+    def f(u: float, d_lo: float, d_hi: float, active: list[int]) -> list[float]:
+        shared = node(u, d_lo, d_hi)
+        if shared is None:
+            # only reachable when the true integrand limit is 0 (integrable case)
+            return [0.0] * len(active)
+        x, lw, log_jac = shared
+        out = []
+        if finite or abs(x) <= 1.0:
+            for i in active:
+                v = horner(cs[i], x)
+                log_mag = lw + math.log(abs(v)) + log_jac if v else -math.inf
+                out.append(_signed_exp(math.copysign(1.0, v), log_mag))
+            return out
+        inv_x, log_x = 1.0 / x, math.log(abs(x))
+        for i in active:
+            acc = horner(rev[i], inv_x)  # the reversed polynomial at 1/x is fg(x)/x^deg
+            deg = len(rev[i]) - 1
+            sign = -math.copysign(1.0, acc) if x < 0 and deg % 2 else math.copysign(1.0, acc)
+            log_mag = lw + (deg * log_x + math.log(abs(acc))) + log_jac if acc else -math.inf
+            out.append(_signed_exp(sign, log_mag))
+        return out
+
+    return f, lo, hi
+
+
+def _numeric_quad(weight: WeightExpr, products: Sequence[Poly], tol: float) -> list[QuadResult]:
+    """Quadrature of p*fg for every fg in products, on one node sweep; raises
+    the NoConvergence of the first product, in list order, that fails."""
+    f, lo, hi = _integrand(weight, products)
+    results = _tanh_sinh_sweep(f, len(products), lo, hi, tol)
+    for res in results:
+        if isinstance(res, NoConvergence):
+            raise res
+    return results
 
 
 def inner_product_numeric(
@@ -309,7 +296,7 @@ def inner_product_numeric(
         raise NonIntegrable(
             f"deg {fg.degree} against this weight on {weight.interval.describe()}: {failed}"
         )
-    return _numeric_quad(weight, fg, tol)
+    return _numeric_quad(weight, [fg], tol)[0]
 
 
 def inner_product(
@@ -462,28 +449,18 @@ def _gram_for(
 
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     entries: list[GramEntry] = []
-    values: dict[tuple[int, int], Fraction | float | None] = {}
+    quadrature: list[tuple[int, Poly]] = []  # (index into entries, f*g), in (m, n) order
     for i, m in enumerate(degrees):
         for n in degrees[i:]:
             f, g = funcs[m], funcs[n]
             if f is None or g is None:
-                entries.append(
-                    GramEntry(
-                        m,
-                        n,
-                        None,
-                        None,
-                        integrable=False,
-                        note="no degree-exact eigenfunction",
-                    )
-                )
-                values[(m, n)] = None
+                note = "no degree-exact eigenfunction"
+                entries.append(GramEntry(m, n, None, None, integrable=False, note=note))
                 continue
             if form is not None:
                 try:
                     value = form.entry(m, n)
                     entries.append(GramEntry(m, n, value, "exact", integrable=True))
-                    values[(m, n)] = value
                     continue
                 except NotPolynomialReducible:
                     pass
@@ -492,13 +469,13 @@ def _gram_for(
                 entries.append(
                     GramEntry(m, n, None, None, integrable=False, note="non-integrable")
                 )
-                values[(m, n)] = None
                 continue
-            res = _numeric_quad(weight, f * g, tol)
-            entries.append(
-                GramEntry(m, n, res.value, "quadrature", integrable=True, err_est=res.err_est)
-            )
-            values[(m, n)] = res.value
+            quadrature.append((len(entries), f * g))
+            entries.append(GramEntry(m, n, None, "quadrature", integrable=True))
+    results = _numeric_quad(weight, [fg for _, fg in quadrature], tol)
+    for (k, _), res in zip(quadrature, results):
+        entries[k] = dataclasses.replace(entries[k], value=res.value, err_est=res.err_est)
+    values = {(e.m, e.n): e.value for e in entries}
 
     # attach scale-invariant relative magnitudes to off-diagonal entries
     finished: list[GramEntry] = []
@@ -664,52 +641,44 @@ def finite_orthogonality_report(
     )
 
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
-    diag: dict[int, float] = {}
-    for m in range(n_max + 1):
-        if 2 * m + gamma + 1 < 0 and table[m].monic is not None:
-            diag[m] = _numeric_quad(weight, table[m].monic ** 2, tol).value
-
-    pairs: list[RomanovskiPair] = []
+    # one quadrature sweep: the diagonal norms first, then the pairs
+    normed = [m for m in range(n_max + 1) if 2 * m + gamma + 1 < 0 and table[m].monic is not None]
+    products = [table[m].monic ** 2 for m in normed]
+    pairs: list[RomanovskiPair | tuple[int, int]] = []
     for m in range(n_max + 1):
         for n in range(m + 1, n_max + 1):
             if m + n + gamma + 1 >= 0:
-                pairs.append(
-                    RomanovskiPair(
-                        m,
-                        n,
-                        "non-integrable",
-                        detail=f"m+n+gamma+1 = {m + n + gamma + 1} >= 0",
-                    )
-                )
+                detail = f"m+n+gamma+1 = {m + n + gamma + 1} >= 0"
+                pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
                 continue
             if spectrum.values[m] == spectrum.values[n]:
-                pairs.append(
-                    RomanovskiPair(
-                        m,
-                        n,
-                        "degenerate-pair",
-                        detail="equal eigenvalues; orthogonality argument needs them distinct",
-                    )
-                )
+                detail = "equal eigenvalues; orthogonality argument needs them distinct"
+                pairs.append(RomanovskiPair(m, n, "degenerate-pair", detail=detail))
                 continue
             f, g = table[m].monic, table[n].monic
             if f is None or g is None:
-                pairs.append(
-                    RomanovskiPair(m, n, "inconclusive", detail="no degree-exact eigenfunction")
-                )
+                detail = "no degree-exact eigenfunction"
+                pairs.append(RomanovskiPair(m, n, "inconclusive", detail=detail))
                 continue
-            res = _numeric_quad(weight, f * g, tol)
-            if m in diag and n in diag and diag[m] > 0 and diag[n] > 0:
-                rel = abs(res.value) / math.sqrt(diag[m] * diag[n])
-                detail = "relative to sqrt(G_mm G_nn)"
-            else:
-                scale = moment_scale(m + n)
-                rel = abs(res.value) / scale if scale else None
-                detail = "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
-            verdict = "orthogonal" if rel is not None and rel < 1e-6 else "inconclusive"
-            pairs.append(
-                RomanovskiPair(m, n, verdict, res.value, rel, res.err_est, detail)
-            )
+            pairs.append((m, n))
+            products.append(f * g)
+
+    results = iter(_numeric_quad(weight, products, tol))
+    diag = {m: next(results).value for m in normed}
+    for k, pair in enumerate(pairs):
+        if isinstance(pair, RomanovskiPair):
+            continue
+        m, n = pair
+        res = next(results)
+        if m in diag and n in diag and diag[m] > 0 and diag[n] > 0:
+            rel = abs(res.value) / math.sqrt(diag[m] * diag[n])
+            detail = "relative to sqrt(G_mm G_nn)"
+        else:
+            scale = moment_scale(m + n)
+            rel = abs(res.value) / scale if scale else None
+            detail = "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
+        verdict = "orthogonal" if rel is not None and rel < 1e-6 else "inconclusive"
+        pairs[k] = RomanovskiPair(m, n, verdict, res.value, rel, res.err_est, detail)
 
     return RomanovskiReport(
         alpha=alpha,

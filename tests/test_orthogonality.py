@@ -404,20 +404,47 @@ class TestFiniteOrthogonalityReport:
         assert p01.value == pytest.approx(0.0, abs=1e-15)
 
 
+# every interval shape of the shared integrand: finite, real line, both half lines
+SWEPT_GRAMS = [
+    (classical_presets()["chebyshev1"], 6),
+    (FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 6),
+    (classical_presets()["laguerre"], 4),
+    (FamilySpec.laguerre(Fraction(-2), Fraction(1, 2)), 4),
+    (FamilySpec.laguerre(Fraction(2), Fraction(1, 2)), 4),
+]
+
+
 class TestQuadratureEntries:
     @pytest.mark.parametrize(
-        "spec",
-        [classical_presets()["chebyshev1"], FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3))],
+        "spec, n", SWEPT_GRAMS, ids=[f"spec{i}" for i in range(len(SWEPT_GRAMS))]
     )
-    def test_gram_entries_equal_public_function(self, spec):
-        report = gram_matrix(spec, 6)
+    def test_gram_entries_equal_public_function(self, spec, n):
+        report = gram_matrix(spec, n)
+        w = weight_of(spec)
+        table = eigentable(build_operator(spec), n)
+        quadrature = [e for e in report.entries if e.method == "quadrature"]
+        assert len(quadrature) == (n + 1) * (n + 2) // 2
+        for e in quadrature:
+            res = inner_product_numeric(w, table[e.m].monic, table[e.n].monic)
+            assert (e.value, e.err_est) == (res.value, res.err_est), (e.m, e.n)
+
+    @pytest.mark.parametrize(
+        "spec", [classical_presets()["laguerre"], FamilySpec.hermite(Fraction(-1), Fraction(3))]
+    )
+    def test_gram_raises_first_failing_pair_in_order(self, spec):
         w = weight_of(spec)
         table = eigentable(build_operator(spec), 6)
-        quadrature = [e for e in report.entries if e.method == "quadrature"]
-        assert len(quadrature) == 28
-        for e in quadrature:
-            expected = inner_product_numeric(w, table[e.m].monic, table[e.n].monic).value
-            assert e.value == expected, (e.m, e.n)
+        expected = None
+        for m in range(7):
+            for n in range(m, 7):
+                try:
+                    inner_product_numeric(w, table[m].monic, table[n].monic)
+                except NoConvergence as exc:
+                    expected = expected or str(exc)
+        assert expected is not None
+        with pytest.raises(NoConvergence) as raised:
+            gram_matrix(spec, 6)
+        assert str(raised.value) == expected
 
     def test_romanovski_pairs_equal_public_function(self):
         report = finite_orthogonality_report(Fraction(-15, 2), Fraction(1, 2), 6)

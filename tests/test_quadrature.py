@@ -3,6 +3,7 @@ import math
 import pytest
 
 from specpoly import NoConvergence, tanh_sinh
+from specpoly.quadrature import _tanh_sinh_sweep
 
 
 def plain(func):
@@ -66,3 +67,62 @@ class TestContract:
         a = tanh_sinh(plain(lambda x: math.exp(-x * x)), -1.0, 1.0, 1e-11)
         b = tanh_sinh(plain(lambda x: math.exp(-x * x)), -1.0, 1.0, 1e-11)
         assert a.value == b.value and a.evals == b.evals
+
+
+def swept(integrands):
+    """The vector integrand over a list of scalar ones."""
+    return lambda x, d_lo, d_hi, active: [integrands[i](x, d_lo, d_hi) for i in active]
+
+
+def bits(res):
+    return (res.value.hex(), res.err_est.hex(), res.levels, res.evals)
+
+
+class TestSweep:
+    """Several integrands on one node sweep, each as if integrated alone."""
+
+    INTEGRANDS = [
+        plain(lambda x: x * x),
+        plain(math.exp),
+        plain(lambda x: math.sin(40.0 * x)),
+        plain(lambda x: x ** 7),
+        lambda x, d_lo, d_hi: d_hi ** -0.5,
+        lambda x, d_lo, d_hi: math.log(d_lo),
+        lambda x, d_lo, d_hi: (d_lo * d_hi) ** -0.5,
+    ]
+
+    def test_each_integrand_matches_its_scalar_call(self):
+        fs = self.INTEGRANDS
+        results = _tanh_sinh_sweep(swept(fs), len(fs), 0.0, 1.0, 1e-12)
+        scalar = [tanh_sinh(f, 0.0, 1.0, 1e-12) for f in fs]
+        assert [bits(r) for r in results] == [bits(r) for r in scalar]
+        assert len({r.levels for r in scalar}) == 3  # they leave the sweep at different levels
+
+    def test_failures_stay_with_their_integrand(self):
+        fs = [
+            self.INTEGRANDS[0],
+            lambda x, d_lo, d_hi: 1.0 / d_hi,  # overflows to inf at the last nodes
+            plain(lambda x: math.nan if x > 0.5 else x),  # fails at the first node off centre
+            plain(lambda x: 1.0 if x > 1 / 3 else 0.0),  # an interior jump converges slowly
+            self.INTEGRANDS[2],
+            self.INTEGRANDS[4],
+        ]
+        results = _tanh_sinh_sweep(swept(fs), len(fs), 0.0, 1.0, 1e-12, max_levels=8)
+        assert str(results[1]).startswith("integrand not finite at a quadrature node")
+        assert str(results[2]).startswith("integrand not finite at a quadrature node")
+        assert str(results[3]).startswith("no convergence after 8 levels")
+        for f, res in zip(fs, results):
+            try:
+                expected = tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels=8)
+            except NoConvergence as exc:
+                assert isinstance(res, NoConvergence)
+                assert str(res) == str(exc)
+                assert repr((res.last_value, res.err_est)) == repr((exc.last_value, exc.err_est))
+            else:
+                assert bits(res) == bits(expected)
+
+    def test_no_integrands_no_evaluation(self):
+        def never(x, d_lo, d_hi, active):
+            raise AssertionError("called with no integrands")
+
+        assert _tanh_sinh_sweep(never, 0, 0.0, 1.0, 1e-12) == []
