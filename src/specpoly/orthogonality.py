@@ -15,12 +15,13 @@ on (-pi/2, pi/2).
 
 A Gram matrix or Romanovski report makes one node sweep per weight: each
 node's abscissa, log p(x) and Jacobian are computed once and shared by all
-pending entries, each of which still stops on its own rule.  The integrand
-runs on floats, converted once per weight (cached on the WeightExpr) and
-once per product, never per node.  It works in log space so that weights
-with strong (but integrable) endpoint singularities and polynomials sampled
-at |x| ~ 1e300 neither overflow nor lose the endpoint distances to
-cancellation.
+pending entries, each of which still stops on its own rule.  The weight
+(cached on the WeightExpr) and each eigenfunction are converted to floats
+once; a node evaluates each eigenfunction once, to a sign and log|f(x)|, and
+an entry adds two such logs, so f*g is never formed (quadrature floats may
+differ in their last digits from expanding it; exact entries do not).  Log
+space keeps weights with strong (but integrable) endpoint singularities and
+polynomials at |x| ~ 1e300 from overflowing or losing endpoint distances.
 """
 
 from __future__ import annotations
@@ -198,17 +199,21 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
 
 
-def _integrand(weight: WeightExpr, products: Sequence[Poly]) -> tuple[Callable, float, float]:
-    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p*fg times the
-    Jacobian of the interval's map x(u) (module docstring) at one node, per active fg.
+def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Callable, float, float]:
+    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p f_i f_j times the
+    Jacobian of the interval's map x(u) (module docstring) at one node, per active pair
+    (i, j) of indices into funcs.
 
-    A node's x, log p(x) and log-Jacobian are computed once for all products.  Off
-    [-1, 1], log|fg(x)| is deg*log|x| plus the log of the reversed polynomial at
-    1/x, which does not overflow for |x| up to ~1e300.
+    A node's x, log p(x) and log-Jacobian are computed once for all pairs, and the sign
+    and log|f_i(x)| once per f_i that an active pair needs; f_i f_j is never formed.  Off
+    [-1, 1], log|f_i(x)| is deg*log|x| plus the log of the reversed polynomial at 1/x,
+    which does not overflow for |x| up to ~1e300.
     """
     iv = weight.interval
-    cs = [tuple(map(float, fg.coeffs)) for fg in products]  # converted once, not per node
+    cs = [tuple(map(float, p.coeffs)) for p in funcs]  # converted once, not per node
     rev = [c[::-1] for c in cs]
+    degs = [len(c) - 1 for c in cs]
+    signs, logs, zero = [0.0] * len(cs), [0.0] * len(cs), (0.0, -math.inf)
     finite = iv.finite
     if finite:
         lo, hi = float(iv.lo), float(iv.hi)
@@ -249,30 +254,34 @@ def _integrand(weight: WeightExpr, products: Sequence[Poly]) -> tuple[Callable, 
             # only reachable when the true integrand limit is 0 (integrable case)
             return [0.0] * len(active)
         x, lw, log_jac = shared
-        out = []
-        if finite or abs(x) <= 1.0:
-            for i in active:
-                v = horner(cs[i], x)
-                log_mag = lw + math.log(abs(v)) + log_jac if v else -math.inf
-                out.append(_signed_exp(math.copysign(1.0, v), log_mag))
-            return out
-        inv_x, log_x = 1.0 / x, math.log(abs(x))
-        for i in active:
-            acc = horner(rev[i], inv_x)  # the reversed polynomial at 1/x is fg(x)/x^deg
-            deg = len(rev[i]) - 1
-            sign = -math.copysign(1.0, acc) if x < 0 and deg % 2 else math.copysign(1.0, acc)
-            log_mag = lw + (deg * log_x + math.log(abs(acc))) + log_jac if acc else -math.inf
-            out.append(_signed_exp(sign, log_mag))
-        return out
+        near = finite or abs(x) <= 1.0
+        if not near:
+            inv_x, log_x = 1.0 / x, math.log(abs(x))
+        for i in {i for k in active for i in pairs[k]}:  # signs and logs of other f_i go unread
+            if near:
+                v, log_scale = horner(cs[i], x), 0.0
+            else:  # the reversed polynomial at 1/x is f_i(x)/x^deg
+                v, log_scale = horner(rev[i], inv_x), degs[i] * log_x
+                if x < 0 and degs[i] % 2:
+                    v = -v
+            # sign 0.0 at a zero of f_i zeroes its entries
+            signs[i], logs[i] = (math.copysign(1.0, v), log_scale + math.log(abs(v))) if v else zero
+        base = lw + log_jac
+        return [
+            _signed_exp(signs[i] * signs[j], base + logs[i] + logs[j])
+            for i, j in map(pairs.__getitem__, active)
+        ]
 
     return f, lo, hi
 
 
-def _numeric_quad(weight: WeightExpr, products: Sequence[Poly], tol: float) -> list[QuadResult]:
-    """Quadrature of p*fg for every fg in products, on one node sweep; raises
-    the NoConvergence of the first product, in list order, that fails."""
-    f, lo, hi = _integrand(weight, products)
-    results = _tanh_sinh_sweep(f, len(products), lo, hi, tol)
+def _numeric_quad(weight: WeightExpr, pairs: Sequence, tol: float) -> list[QuadResult]:
+    """Quadrature of p*f*g for every (f, g) in pairs, on one node sweep; raises
+    the NoConvergence of the first pair, in list order, that fails."""
+    index: dict[Poly, int] = {}  # each distinct eigenfunction once
+    pos = [(index.setdefault(f, len(index)), index.setdefault(g, len(index))) for f, g in pairs]
+    f, lo, hi = _integrand(weight, list(index), pos)
+    results = _tanh_sinh_sweep(f, len(pairs), lo, hi, tol)
     for res in results:
         if isinstance(res, NoConvergence):
             raise res
@@ -289,14 +298,14 @@ def inner_product_numeric(
     """
     if f.is_zero() or g.is_zero():
         return QuadResult(0.0, 0.0, 0, 0)
-    fg = f * g
-    verdict = integrability(weight, None, int(fg.degree))
+    degree = int(f.degree + g.degree)
+    verdict = integrability(weight, None, degree)
     if not verdict.integrable:
         failed = "; ".join(d for _, ok, d in verdict.conditions if not ok)
         raise NonIntegrable(
-            f"deg {fg.degree} against this weight on {weight.interval.describe()}: {failed}"
+            f"deg {degree} against this weight on {weight.interval.describe()}: {failed}"
         )
-    return _numeric_quad(weight, [fg], tol)[0]
+    return _numeric_quad(weight, [(f, g)], tol)[0]
 
 
 def inner_product(
@@ -426,12 +435,6 @@ class OrthoReport:
         return "\n".join(lines)
 
 
-def _entry_float(value: Fraction | float | None) -> float | None:
-    if value is None:
-        return None
-    return float(value)
-
-
 def _gram_for(
     op: DiffOperator,
     weight: WeightExpr,
@@ -449,7 +452,7 @@ def _gram_for(
 
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     entries: list[GramEntry] = []
-    quadrature: list[tuple[int, Poly]] = []  # (index into entries, f*g), in (m, n) order
+    quadrature: list[tuple[int, tuple[Poly, Poly]]] = []  # (index into entries, (f, g))
     for i, m in enumerate(degrees):
         for n in degrees[i:]:
             f, g = funcs[m], funcs[n]
@@ -470,22 +473,20 @@ def _gram_for(
                     GramEntry(m, n, None, None, integrable=False, note="non-integrable")
                 )
                 continue
-            quadrature.append((len(entries), f * g))
+            quadrature.append((len(entries), (f, g)))
             entries.append(GramEntry(m, n, None, "quadrature", integrable=True))
-    results = _numeric_quad(weight, [fg for _, fg in quadrature], tol)
+    results = _numeric_quad(weight, [pair for _, pair in quadrature], tol)
     for (k, _), res in zip(quadrature, results):
         entries[k] = dataclasses.replace(entries[k], value=res.value, err_est=res.err_est)
-    values = {(e.m, e.n): e.value for e in entries}
+    values = {(e.m, e.n): None if e.value is None else float(e.value) for e in entries}
 
     # attach scale-invariant relative magnitudes to off-diagonal entries
     finished: list[GramEntry] = []
-    max_rel: float | None = None
     for e in entries:
         if e.m == e.n or e.value is None:
             finished.append(e)
             continue
-        g_mm = _entry_float(values.get((e.m, e.m)))
-        g_nn = _entry_float(values.get((e.n, e.n)))
+        g_mm, g_nn = values.get((e.m, e.m)), values.get((e.n, e.n))
         note = e.note
         if g_mm is not None and g_nn is not None and g_mm > 0 and g_nn > 0:
             rel = abs(float(e.value)) / math.sqrt(g_mm * g_nn)
@@ -494,11 +495,8 @@ def _gram_for(
             rel = abs(float(e.value)) / scale if scale else None
             if rel is not None:
                 note = (note + "; " if note else "") + "relative uses moment scale"
-        finished.append(
-            GramEntry(e.m, e.n, e.value, e.method, e.integrable, e.err_est, rel, note)
-        )
-        if rel is not None:
-            max_rel = rel if max_rel is None else max(max_rel, rel)
+        finished.append(dataclasses.replace(e, relative=rel, note=note))
+    max_rel = max((e.relative for e in finished if e.relative is not None), default=None)
 
     return OrthoReport(
         family=family_label,
@@ -643,7 +641,7 @@ def finite_orthogonality_report(
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     # one quadrature sweep: the diagonal norms first, then the pairs
     normed = [m for m in range(n_max + 1) if 2 * m + gamma + 1 < 0 and table[m].monic is not None]
-    products = [table[m].monic ** 2 for m in normed]
+    integrands = [(table[m].monic, table[m].monic) for m in normed]
     pairs: list[RomanovskiPair | tuple[int, int]] = []
     for m in range(n_max + 1):
         for n in range(m + 1, n_max + 1):
@@ -661,9 +659,9 @@ def finite_orthogonality_report(
                 pairs.append(RomanovskiPair(m, n, "inconclusive", detail=detail))
                 continue
             pairs.append((m, n))
-            products.append(f * g)
+            integrands.append((f, g))
 
-    results = iter(_numeric_quad(weight, products, tol))
+    results = iter(_numeric_quad(weight, integrands, tol))
     diag = {m: next(results).value for m in normed}
     for k, pair in enumerate(pairs):
         if isinstance(pair, RomanovskiPair):

@@ -95,6 +95,29 @@ class TestGram:
         assert data["family"] == "custom operator"
         assert data["off_diagonal_max_relative"] == 0.0
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--preset", "laguerre"),
+            ("--family", "hermite", "--alpha", "-1", "--beta", "3"),
+            ("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3"),
+            ("--family", "laguerre", "--alpha", "-1", "--beta", "1/2"),
+        ],
+    )
+    def test_quadrature_converges_at_default_size(self, capsys, source):
+        data = run_json(capsys, "gram", *source)
+        assert [e["method"] for e in data["entries"]] == ["quadrature"] * 28
+        assert data["off_diagonal_max_relative"] <= 1e-12
+
+    @pytest.mark.parametrize(
+        "source", [("laguerre", "8"), ("laguerre", "10"), ("laguerre", "14"), ("hermite", "14")]
+    )
+    def test_quadrature_refusal_is_domain_error(self, capsys, source):
+        preset, n_max = source
+        code, out, err = run(capsys, "gram", "--preset", preset, "--n-max", n_max)
+        assert code == 1 and out == ""
+        assert err.startswith("specpoly: error: no convergence after 12 levels")
+
 
 class TestRomanovskiReport:
     def test_report_flags(self, capsys):

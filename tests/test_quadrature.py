@@ -49,8 +49,11 @@ class TestContract:
             tanh_sinh(plain(lambda x: x), 1.0, 0.0)
 
     def test_no_convergence_raises(self):
-        # a non-integrable singularity cannot satisfy the tolerance
-        with pytest.raises(NoConvergence):
+        # an interior jump converges too slowly for the level budget
+        with pytest.raises(NoConvergence, match="^no convergence after 8 levels"):
+            tanh_sinh(plain(lambda x: 1.0 if x > 1 / 3 else 0.0), 0.0, 1.0, 1e-12, max_levels=8)
+        # a non-integrable singularity overflows at the outermost nodes
+        with pytest.raises(NoConvergence, match="^integrand not finite at a quadrature node"):
             tanh_sinh(lambda x, d_lo, d_hi: 1.0 / d_hi, 0.0, 1.0, 1e-12, max_levels=8)
 
     def test_error_estimate_tracks_truth(self):
