@@ -21,11 +21,13 @@ all of U would give.  For mu = mu_n:
   * column n not free: no eigenfunction of exact degree n even though
     mu_n sits on the diagonal.
 
-Each z costs O(z*N); |Z| <= N unless the diagonal is constant.  One matrix
-for n_max serves all of ``eigentable``: its leading (n+1)x(n+1) block is
-the matrix on P_n.  The Bareiss cross-check lives in ``tests/oracles.py``.
+Each z costs O(z*N), plus O(z) per pivot that does not divide its row sum;
+|Z| <= N unless the diagonal is constant.  One matrix for n_max serves all
+of ``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  The
+Bareiss cross-check lives in ``tests/oracles.py``.
 
-Everything is Fraction arithmetic; no floating point enters this module.
+Back-substitution runs on integer numerators over one common denominator
+(``_banded_kernel``); no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .operator import DiffOperator, OperatorMatrix
@@ -140,25 +144,38 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int, band: int) -> list[list[Fraction]]:
     """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block of
-    ``matrix``, whose row i has entries only in columns i..i+band."""
-    entries = matrix.entries
-    diag = [entries[i][i] - mu for i in range(n + 1)]
+    ``matrix``, whose row i has entries only in columns i..i+band.
+
+    Runs on D (M - mu I), D*M the cleared matrix, with v^(z) = c / q: a pivot
+    d takes s = sum_j D M_ij c_j and g = gcd(s, d), sets c_i = -s/g (s/g when
+    d < 0) and scales q and the filled c_j by |d|/g.  A residual Fraction(s, q)
+    is D times the true one in every row, which leaves the kernel alone."""
+    d_m, rows = matrix.cleared
+    if d_m % mu.denominator:
+        return []  # every diagonal entry's denominator divides D: U is invertible
+    shift = mu.numerator * (d_m // mu.denominator)
+    diag = [rows[i][i] - shift for i in range(n + 1)]
     zeros = [z for z, d in enumerate(diag) if d == 0]
     vectors: list[list[Fraction]] = []
     residuals: list[list[Fraction]] = []  # residuals[k][m]: row zeros[m] under v^(zeros[k])
     for z in zeros:
-        c = [Fraction(0)] * (n + 1)
-        c[z] = Fraction(1)
+        c = [0] * (z + 1)
+        c[z] = q = 1
         res = {}
         for i in range(z - 1, -1, -1):
-            row = entries[i]
-            band_end = min(i + band, z) + 1
-            acc = sum((row[j] * c[j] for j in range(i + 1, band_end) if row[j]), Fraction(0))
-            if diag[i]:
-                c[i] = -acc / diag[i]
-            else:
-                res[i] = acc
-        vectors.append(c)
+            end = min(i + band, z) + 1
+            s = sum(map(mul, rows[i][i + 1 : end], c[i + 1 : end]))
+            d = diag[i]
+            if not d:
+                res[i] = Fraction(s, q)
+                continue
+            g = gcd(s, d)
+            c[i] = -s // g if d > 0 else s // g
+            f = abs(d) // g
+            if f != 1:
+                q *= f
+                c[i + 1 :] = [v * f for v in c[i + 1 :]]
+        vectors.append([Fraction(v, q) for v in c] + [Fraction(0)] * (n - z))
         residuals.append([res.get(i, Fraction(0)) for i in zeros])
     conditions = [list(col) for col in zip(*residuals) if any(col)]
     if not conditions:

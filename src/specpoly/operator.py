@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .ratpoly import Poly, RatLike, rat
+from .ratpoly import Poly, RatLike, common_denominator, rat
 
 __all__ = [
     "DegreeViolation",
@@ -160,6 +161,12 @@ class OperatorMatrix:
     @property
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.n + 1))
+
+    @cached_property
+    def cleared(self) -> tuple[int, list[list[int]]]:
+        """(D, rows of D*M as integers), D the lcm of every entry's denominator."""
+        d, flat = common_denominator(v for row in self.entries for v in row)
+        return d, [flat[i : i + self.n + 1] for i in range(0, len(flat), self.n + 1)]
 
     def shifted_rows(self, mu: RatLike) -> list[list[Fraction]]:
         """Rows of M - mu*I as mutable lists, ready for elimination."""

@@ -5,13 +5,14 @@ succeeds whenever p*f*g cancels down to a polynomial over a finite
 interval (integer power exponents, matching factors of f*g, no
 exponential/arctan component).  It reduces the weight and divides each
 eigenfunction by the weight's negative powers once, then assembles every
-entry from cached power moments: O(n^3) rational operations for an n x n
-Gram matrix, with no polynomial product per entry.  Exact zeros make
-orthogonality claims unambiguous.  Everything else falls back to tanh-sinh
-quadrature; infinite intervals are first mapped to a compact one (x = tan u
-for the real line, x = anchor +/- tan u for half lines), which turns the
-Romanovski weight into (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u)
-on (-pi/2, pi/2).
+entry from cached power moments: O(n^3) operations for an n x n Gram
+matrix, no polynomial product per entry.  They run on integer numerators
+over one common denominator, with one Fraction per entry and no float.
+Exact zeros make orthogonality claims unambiguous.  Everything else falls
+back to tanh-sinh quadrature; infinite intervals are first mapped to a
+compact one (x = tan u for the real line, x = anchor +/- tan u for half
+lines), which turns the Romanovski weight into
+(tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u) on (-pi/2, pi/2).
 
 A Gram matrix or Romanovski report makes one node sweep per weight: each
 node's abscissa, log p(x) and Jacobian are computed once and shared by all
@@ -31,13 +32,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .eigen import eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator
 from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep, tanh_sinh
-from .ratpoly import Poly, RatLike, horner, rat
+from .ratpoly import Poly, RatLike, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability
 
 __all__ = [
@@ -86,7 +88,9 @@ class _ExactForm:
     labelled f, g.  With f = f~ prod (x - r)^s_f, a pair reduces when
     s_f + s_g >= k at each divisor (r, k), to sum_i f~_i L(i) with
     L(i) = sum_j g~_j mu_(i+j), mu the cached power moments of
-    P^e = W prod (x - r)^(s_f + s_g - k): O(n^3) for an n x n Gram matrix."""
+    P^e = W prod (x - r)^(s_f + s_g - k): O(n^3) for an n x n Gram matrix.
+    f~, g~ and mu are int lists over denominators d_f, d_g, d_mu, so an entry
+    is int sums and one Fraction over d_f d_g d_mu."""
 
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly]):
         _require_polynomial_shape(weight)
@@ -115,7 +119,8 @@ class _ExactForm:
             self.base = self.base * Poly((-r, 1)) ** (k + need.get(r, 0))
         self.scale = weight.constant * sign
         self.divisors = tuple(need.items())
-        self.reduced: dict[int, tuple[tuple[Fraction, ...], list[int]]] = {}
+        # label -> (denominator, numerators, multiplicity per divisor)
+        self.reduced: dict[int, tuple[int, list[int], list[int]]] = {}
         for label, f in polys.items():
             mults = []
             for r, k in self.divisors:
@@ -123,17 +128,17 @@ class _ExactForm:
                 while s < k and f(r) == 0:
                     f, s = f.divide_linear(r), s + 1
                 mults.append(s)
-            self.reduced[label] = (f.coeffs, mults)
-        self.span = 2 * max((len(c) for c, _ in self.reduced.values()), default=0)
+            self.reduced[label] = (*common_denominator(f.coeffs), mults)
+        self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
         top = self.span + len(self.base.coeffs) + sum(need.values())
         self.nu = [Fraction(iv.hi**s - iv.lo**s, s) for s in range(1, top)]
-        self.moments: dict[tuple[int, ...], list[Fraction]] = {}
-        self.rows: dict[tuple[int, tuple[int, ...]], list[Fraction]] = {}
+        self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+        self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
     def entry(self, m: int, n: int) -> Fraction:
-        if len(self.reduced[m][0]) > len(self.reduced[n][0]):
+        if len(self.reduced[m][1]) > len(self.reduced[n][1]):
             m, n = n, m
-        (a, a_mults), (b, b_mults) = self.reduced[m], self.reduced[n]
+        (d_a, a, a_mults), (d_b, b, b_mults) = self.reduced[m], self.reduced[n]
         key = tuple(sa + sb - k for (_, k), sa, sb in zip(self.divisors, a_mults, b_mults))
         for (r, k), e in zip(self.divisors, key):
             if e < 0:
@@ -142,18 +147,15 @@ class _ExactForm:
             p = self.base
             for (r, _), e in zip(self.divisors, key):
                 p = p * Poly((-r, 1)) ** e
-            self.moments[key] = [
+            self.moments[key] = common_denominator(
                 sum((c * self.nu[i + t] for i, c in enumerate(p.coeffs) if c), Fraction(0))
                 for t in range(self.span)
-            ]
+            )
+        d_mu, mu = self.moments[key]
         if (n, key) not in self.rows:
-            mu = self.moments[key]
-            self.rows[(n, key)] = [
-                sum((c * mu[i + j] for j, c in enumerate(b) if c), Fraction(0))
-                for i in range(len(b))
-            ]
-        row = self.rows[(n, key)]
-        return self.scale * sum((c * row[i] for i, c in enumerate(a) if c), Fraction(0))
+            self.rows[(n, key)] = [sum(map(mul, b, mu[i:])) for i in range(len(b))]
+        total = sum(map(mul, a, self.rows[(n, key)]))
+        return Fraction(self.scale.numerator * total, self.scale.denominator * d_a * d_b * d_mu)
 
 
 def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
@@ -451,6 +453,7 @@ def _gram_for(
         form = None
 
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
+    integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
     entries: list[GramEntry] = []
     quadrature: list[tuple[int, tuple[Poly, Poly]]] = []  # (index into entries, (f, g))
     for i, m in enumerate(degrees):
@@ -467,8 +470,7 @@ def _gram_for(
                     continue
                 except NotPolynomialReducible:
                     pass
-            verdict = integrability(weight, None, m + n)
-            if not verdict.integrable:
+            if not integrable(m + n):
                 entries.append(
                     GramEntry(m, n, None, None, integrable=False, note="non-integrable")
                 )

@@ -15,7 +15,7 @@ denominator, value equality for free.  The string forms ``"p/q"`` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -52,6 +52,13 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     if num * num == q.numerator and den * den == q.denominator:
         return Fraction(num, den)
     return None
+
+
+def common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v*d for v in values]) with d the lcm of the denominators."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def horner(coeffs: Sequence[float], x: float) -> float:

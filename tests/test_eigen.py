@@ -333,3 +333,67 @@ class TestKernelHelpers:
         assert span_contains(basis, [Fraction(5), Fraction(-3)])
         assert not span_contains([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
         assert span_contains([], [Fraction(0)])
+
+
+def _big_rational(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def _large_denominator_operators(rng):
+    """Operators whose coefficients have large, mostly coprime denominators:
+    random ones of order 1..3, triple collisions (x^3 D^3 plus lower terms,
+    mu_j = c (j-p)(j-q)(j-r)), and Jacobi and Romanovski collisions scaled by
+    a large-denominator c (beta = 0 degenerate, beta != 0 defective)."""
+    ops = [
+        DiffOperator([Poly([_big_rational(rng) for _ in range(k + 1)]) for k in range(order + 1)])
+        for order in (1, 2, 3) for _ in range(6)
+    ]
+    for p, q, r in [(0, 1, 2), (1, 4, 6), (2, 5, 9)]:
+        s1, s2, s3 = p + q + r, p * q + p * r + q * r, p * q * r
+        c = _big_rational(rng) or Fraction(1)
+        for lower in (False, True):
+            ops.append(DiffOperator([
+                Poly([_big_rational(rng) if lower else 0 for _ in range(k)] + [c * d])
+                for k, d in enumerate([-s3, 1 - s1 + s2, 3 - s1, 1])
+            ]))
+    for n in (5, 8):
+        for beta in (Fraction(0), _big_rational(rng)):
+            for spec in (FamilySpec.jacobi(-1, n, beta), FamilySpec.romanovski(-n, beta)):
+                c = _big_rational(rng) or Fraction(1)
+                ops.append(DiffOperator([c * a for a in build_operator(spec).coeffs]))
+    return ops
+
+
+class TestLargeDenominators:
+    # The kernel runs on the operator matrix cleared to integers over one
+    # denominator D, and keeps each vector as integer numerators over one
+    # denominator that every pivot rescales; denominators up to 10^6 make
+    # those rescales and their signs matter on almost every row.
+    def test_table_equals_bareiss_oracle(self):
+        ops = _large_denominator_operators(random.Random(61))
+        statuses = set()
+        for op in ops:
+            for k, res in enumerate(eigentable(op, 9)):
+                # the oracle's back-solve gives the same standard basis
+                assert _padded(res.basis, k) == nullspace_oracle(op.matrix(k), res.eigenvalue), (op, k)
+                statuses.add(res.status)
+        assert statuses == set(EigenStatus)
+
+    def test_eigenspace_basis_at_foreign_denominators(self):
+        # every diagonal entry's denominator divides D, so mu = p/q with q
+        # coprime to D is no eigenvalue and its basis is empty; the diagonal
+        # entries themselves give the nonempty bases
+        rng = random.Random(67)
+        n = 7
+        for op in _large_denominator_operators(rng):
+            matrix = op.matrix(n)
+            d = matrix.cleared[0]
+            diagonal = set(op.spectrum(n).values)
+            for q in (999_983, 1_000_003, 7):
+                if d % q == 0:
+                    continue
+                mu = Fraction(rng.randint(-10**6, 10**6) * q + 1, q)
+                assert mu not in diagonal
+                assert eigenspace_basis(op, mu, n) == [] == nullspace_oracle(matrix, mu)
+            for mu in diagonal:
+                assert _padded(eigenspace_basis(op, mu, n), n) == nullspace_oracle(matrix, mu)

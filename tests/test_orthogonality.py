@@ -199,6 +199,51 @@ class TestMomentAssembly:
         assert outcomes == {True, False}
 
 
+    def test_large_denominators_match_divide_and_integrate(self):
+        # numerators and denominators up to 10^6, a different denominator for
+        # every polynomial, on negative integer exponents: the assembly clears
+        # each polynomial and each moment list to integers over its own
+        # denominator and must still give the oracle's exact value
+        rng = random.Random(97)
+
+        def big_poly(degree):
+            return Poly([
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                for _ in range(degree + 1)
+            ])
+
+        lo, hi = Fraction(-2, 7), Fraction(5, 3)
+        weights = [
+            weight_of(_jacobi_with_exponents(p, q)) for p, q in ((-1, -1), (-2, 0), (-3, 2), (1, -2))
+        ]
+        weights.append(WeightExpr(
+            Fraction(-3, 7),
+            (PowerFactor(lo, Fraction(-2)), PowerFactor(hi, Fraction(-1))),
+            interval=Interval(lo, hi),
+        ))
+        exact = refused = 0
+        for w in weights:
+            polys = {}
+            for label in range(8):
+                f = big_poly(rng.randint(0, 5))
+                for pf in w.power_factors:
+                    f = f * P(-pf.root, 1) ** rng.randint(0, 2)
+                polys[label] = f
+            form = orthogonality._ExactForm(w, polys)
+            for m, f in polys.items():
+                for n, g in polys.items():
+                    try:
+                        expected = divide_and_integrate(w, f, g)
+                    except NotPolynomialReducible:
+                        with pytest.raises(NotPolynomialReducible):
+                            form.entry(m, n)
+                        refused += 1
+                        continue
+                    assert form.entry(m, n) == expected == inner_product_exact(w, f, g)
+                    exact += 1
+        assert exact > 150 and refused > 50
+
+
 class TestNumericPath:
     def test_agrees_with_exact_for_legendre(self):
         table = eigentable(build_operator(FamilySpec.jacobi(-1, -2, 0)), 6)
