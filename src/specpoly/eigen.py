@@ -22,12 +22,12 @@ all of U would give.  For mu = mu_n:
     mu_n sits on the diagonal.
 
 Each z costs O(z*N), plus O(z) per pivot that does not divide its row sum;
-|Z| <= N unless the diagonal is constant.  One matrix for n_max serves all
-of ``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  The
-Bareiss cross-check lives in ``tests/oracles.py``.
-
-Back-substitution runs on integer numerators over one common denominator
-(``_banded_kernel``); no floating point enters this module.
+|Z| <= N unless the diagonal is constant.  One matrix for n_max, stored as
+its integer band over one denominator (``OperatorMatrix``), serves all of
+``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  Each
+v^(z) and each lift stays in integers over one denominator until one
+Fraction per output coefficient; no float enters.  The Bareiss cross-check
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, truediv
 from typing import Sequence
 
 from .operator import DiffOperator, OperatorMatrix
-from .ratpoly import Poly, RatLike, rat
+from .ratpoly import Poly, RatLike, common_denominator, rat
 
 __all__ = [
     "EigenStatus",
@@ -142,29 +142,29 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 # eigenfunction recovery
 
 
-def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int, band: int) -> list[list[Fraction]]:
-    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block of
-    ``matrix``, whose row i has entries only in columns i..i+band.
+def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[list[Fraction]]:
+    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block.
 
-    Runs on D (M - mu I), D*M the cleared matrix, with v^(z) = c / q: a pivot
-    d takes s = sum_j D M_ij c_j and g = gcd(s, d), sets c_i = -s/g (s/g when
+    Runs on D (M - mu I), D M the integer band, with v^(z) = c / q: a pivot d
+    takes s = sum_j D M_ij c_j and g = gcd(s, d), sets c_i = -s/g (s/g when
     d < 0) and scales q and the filled c_j by |d|/g.  A residual Fraction(s, q)
-    is D times the true one in every row, which leaves the kernel alone."""
-    d_m, rows = matrix.cleared
+    is D times the true one in every row, which leaves the kernel alone.  A
+    lift sum_z t_z v^(z) sums the c^(z) in integers, t_z / q_z over one lcm."""
+    d_m, rows = matrix.denominator, matrix.band
     if d_m % mu.denominator:
         return []  # every diagonal entry's denominator divides D: U is invertible
     shift = mu.numerator * (d_m // mu.denominator)
-    diag = [rows[i][i] - shift for i in range(n + 1)]
+    diag = [rows[i][0] - shift for i in range(n + 1)]
     zeros = [z for z, d in enumerate(diag) if d == 0]
-    vectors: list[list[Fraction]] = []
+    vectors, qs = [], []  # v^(zeros[k]) = vectors[k] / qs[k], integers
     residuals: list[list[Fraction]] = []  # residuals[k][m]: row zeros[m] under v^(zeros[k])
     for z in zeros:
         c = [0] * (z + 1)
         c[z] = q = 1
         res = {}
         for i in range(z - 1, -1, -1):
-            end = min(i + band, z) + 1
-            s = sum(map(mul, rows[i][i + 1 : end], c[i + 1 : end]))
+            row = rows[i]
+            s = sum(map(mul, row[1:], c[i + 1 : i + len(row)]))
             d = diag[i]
             if not d:
                 res[i] = Fraction(s, q)
@@ -175,22 +175,22 @@ def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int, band: int) -> l
             if f != 1:
                 q *= f
                 c[i + 1 :] = [v * f for v in c[i + 1 :]]
-        vectors.append([Fraction(v, q) for v in c] + [Fraction(0)] * (n - z))
+        vectors.append(c + [0] * (n - z))
+        qs.append(q)
         residuals.append([res.get(i, Fraction(0)) for i in zeros])
     conditions = [list(col) for col in zip(*residuals) if any(col)]
     if not conditions:
-        return vectors
+        return [[Fraction(v, q) for v in c] for c, q in zip(vectors, qs)]
     return [
-        [sum((t * v[i] for t, v in zip(ts, vectors) if t), Fraction(0)) for i in range(n + 1)]
-        for ts in rref_kernel(conditions)
+        [Fraction(sum(map(mul, ws, col)), den) for col in zip(*vectors)]
+        for den, ws in (common_denominator(map(truediv, ts, qs)) for ts in rref_kernel(conditions))
     ]
 
 
-def _solve_degree(matrix: OperatorMatrix, n: int, band: int) -> EigenResult:
-    """The degree-n eigenproblem on the leading (n+1)x(n+1) block of
-    ``matrix``; row i has entries only in columns i..i+band."""
-    mu = matrix.entries[n][n]
-    basis = tuple(Poly(v) for v in _banded_kernel(matrix, mu, n, band))
+def _solve_degree(matrix: OperatorMatrix, n: int) -> EigenResult:
+    """The degree-n eigenproblem on the leading (n+1)x(n+1) block of ``matrix``."""
+    mu = Fraction(matrix.band[n][0], matrix.denominator)
+    basis = tuple(Poly(v) for v in _banded_kernel(matrix, mu, n))
     dim = len(basis)
     # n is the last zero diagonal entry, so only its basis vector reaches
     # degree n, with c_n = 1
@@ -212,14 +212,14 @@ def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _solve_degree(op.matrix(n), n, op.order)
+    return _solve_degree(op.matrix(n), n)
 
 
 def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
     """Basis of ker(M - mu I) inside P_n; empty when mu is not an eigenvalue."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [Poly(v) for v in _banded_kernel(op.matrix(n), rat(mu), n, op.order)]
+    return [Poly(v) for v in _banded_kernel(op.matrix(n), rat(mu), n)]
 
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
@@ -227,4 +227,4 @@ def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     matrix = op.matrix(n_max)
-    return [_solve_degree(matrix, n, op.order) for n in range(n_max + 1)]
+    return [_solve_degree(matrix, n) for n in range(n_max + 1)]

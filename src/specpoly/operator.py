@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .ratpoly import Poly, RatLike, common_denominator, rat
+from .ratpoly import Poly, RatLike, rat
 
 __all__ = [
     "DegreeViolation",
@@ -109,18 +110,24 @@ class DiffOperator:
 
             M[j-k+i][j] += a_{k,i} * falling_factorial(j, k)
 
-        and column j has entries only in rows j-N..j (N = order).  The matrix
-        on P_n is the leading (n+1)x(n+1) block of the one on any larger P_m.
+        and column j has entries only in rows j-N..j (N = order), the band that
+        ``OperatorMatrix`` stores.  The matrix on P_n is the leading
+        (n+1)x(n+1) block of the one on any larger P_m.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        d = lcm(*(c.denominator for a_k in self.coeffs for c in a_k.coeffs))
+        band = [[0] * (min(self.order, n - i) + 1) for i in range(n + 1)]
         for k, a_k in enumerate(self.coeffs):
-            for j in range(k, n + 1):
-                ff = falling_factorial(j, k)
-                for i, a_ki in enumerate(a_k.coeffs):
-                    rows[j - k + i][j] += a_ki * ff
-        return OperatorMatrix(n=n, entries=tuple(tuple(r) for r in rows))
+            ffs = [falling_factorial(j, k) for j in range(n + 1)]
+            for i, a_ki in enumerate(a_k.coeffs):
+                if a_ki:  # row j - k + i, k - i to the right of the diagonal
+                    a_ki = a_ki.numerator * (d // a_ki.denominator)
+                    for j in range(k, n + 1):
+                        band[j - k + i][k - i] += a_ki * ffs[j]
+        g = gcd(d, *(v for row in band for v in row))  # D the lcm of the entries' denominators
+        # tuple(list) reuses CPython's freed small tuples; tuple(genexpr) hoards them
+        return OperatorMatrix(n, d // g, tuple(tuple([v // g for v in row]) for row in band))
 
     def spectrum(self, n: int) -> Spectrum:
         """Eigenvalues mu_0..mu_n from the closed-form diagonal formula."""
@@ -145,28 +152,36 @@ class DiffOperator:
     def from_json(cls, data: dict) -> DiffOperator:
         if not isinstance(data, dict) or "a" not in data:
             raise ValueError('operator JSON must be an object with key "a"')
-        return cls([Poly.from_strings(item) for item in data["a"]])
+        item, polys = data["a"], []  # item: what a refusal names
+        try:
+            for item in data["a"]:
+                polys.append(Poly.from_strings(item))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"operator JSON: {item!r} is not a list of rationals ({exc})") from exc
+        return cls(polys)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense (n+1)x(n+1) matrix of L on P_n; upper triangular by construction."""
+    """M on P_n as band[i][t] = D*M[i][i+t] for 0 <= t <= min(order, n-i), all
+    other entries 0; D = ``denominator``, the lcm of the entries' denominators."""
 
     n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    band: tuple[tuple[int, ...], ...]
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        row = self.band[i]
+        return Fraction(row[j - i], self.denominator) if 0 <= j - i < len(row) else Fraction(0)
 
     @property
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.n + 1))
+        return tuple(Fraction(row[0], self.denominator) for row in self.band)
 
     @cached_property
-    def cleared(self) -> tuple[int, list[list[int]]]:
-        """(D, rows of D*M as integers), D the lcm of every entry's denominator."""
-        d, flat = common_denominator(v for row in self.entries for v in row)
-        return d, [flat[i : i + self.n + 1] for i in range(0, len(flat), self.n + 1)]
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense (n+1)x(n+1) rows, built on first use; the solver reads only the band."""
+        return tuple(tuple(self.entry(i, j) for j in range(self.n + 1)) for i in range(self.n + 1))
 
     def shifted_rows(self, mu: RatLike) -> list[list[Fraction]]:
         """Rows of M - mu*I as mutable lists, ready for elimination."""

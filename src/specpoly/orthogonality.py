@@ -89,8 +89,10 @@ class _ExactForm:
     s_f + s_g >= k at each divisor (r, k), to sum_i f~_i L(i) with
     L(i) = sum_j g~_j mu_(i+j), mu the cached power moments of
     P^e = W prod (x - r)^(s_f + s_g - k): O(n^3) for an n x n Gram matrix.
-    f~, g~ and mu are int lists over denominators d_f, d_g, d_mu, so an entry
-    is int sums and one Fraction over d_f d_g d_mu."""
+    f~, g~ and mu are int lists over denominators d_f, d_g, d_mu; with P^e and
+    the power integrals nu_s of (lo, hi) cleared once, mu_t = sum_i P^e_i
+    nu_(i+t) is an int sum too, so an entry is int sums and one Fraction over
+    d_f d_g d_mu."""
 
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly]):
         _require_polynomial_shape(weight)
@@ -131,7 +133,10 @@ class _ExactForm:
             self.reduced[label] = (*common_denominator(f.coeffs), mults)
         self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
         top = self.span + len(self.base.coeffs) + sum(need.values())
-        self.nu = [Fraction(iv.hi**s - iv.lo**s, s) for s in range(1, top)]
+        # nu[s] = integral of x^s over (lo, hi), as ints over d_nu
+        self.d_nu, self.nu = common_denominator(
+            Fraction(iv.hi**s - iv.lo**s, s) for s in range(1, top)
+        )
         self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
         self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
@@ -147,9 +152,10 @@ class _ExactForm:
             p = self.base
             for (r, _), e in zip(self.divisors, key):
                 p = p * Poly((-r, 1)) ** e
-            self.moments[key] = common_denominator(
-                sum((c * self.nu[i + t] for i, c in enumerate(p.coeffs) if c), Fraction(0))
-                for t in range(self.span)
+            d_p, ps = common_denominator(p.coeffs)
+            self.moments[key] = (
+                d_p * self.d_nu,
+                [sum(map(mul, ps, self.nu[t:])) for t in range(self.span)],
             )
         d_mu, mu = self.moments[key]
         if (n, key) not in self.rows:

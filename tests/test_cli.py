@@ -241,6 +241,20 @@ class TestContract:
         assert code == 1
         assert "degree" in err
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"a": 5}, "5"),
+        ({"a": [[None]]}, "[None]"),
+        ({"a": [["1/0"]]}, "['1/0']"),
+    ])
+    def test_malformed_operator_json_is_domain_error(self, capsys, tmp_path, payload, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "spectrum", "--operator-json", str(path), "--n-max", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("specpoly: error: ")
+        assert f"{named} is not a list of rationals" in err
+
     def test_bessel_shape_weight_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"a": [["0"], ["0", "1"], ["0", "0", "1"]]}))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from specpoly import (
     eigentable,
     monic_eigenfunction,
 )
+from specpoly import eigen as eigen_module
 from specpoly.eigen import rref_kernel
+from specpoly.operator import OperatorMatrix
 
 from oracles import (
     monic_classical,
@@ -387,7 +390,7 @@ class TestLargeDenominators:
         n = 7
         for op in _large_denominator_operators(rng):
             matrix = op.matrix(n)
-            d = matrix.cleared[0]
+            d = matrix.denominator
             diagonal = set(op.spectrum(n).values)
             for q in (999_983, 1_000_003, 7):
                 if d % q == 0:
@@ -397,3 +400,73 @@ class TestLargeDenominators:
                 assert eigenspace_basis(op, mu, n) == [] == nullspace_oracle(matrix, mu)
             for mu in diagonal:
                 assert _padded(eigenspace_basis(op, mu, n), n) == nullspace_oracle(matrix, mu)
+
+
+def _forced_collision(rng, roots, shift_one):
+    """Operator of order len(roots) with mu_j = c prod_r (j - r), so mu vanishes
+    at every root, and random large-denominator lower terms.  Without
+    ``shift_one`` no a_k has an x^(k-1) term, so M[i][i+1] = 0."""
+    order = len(roots)
+    c = _big_rational(rng) or Fraction(1)
+    mu = [c * math.prod(j - r for r in roots) for j in range(order + 1)]
+    # mu_j = sum_k a_{k,k} j(j-1)...(j-k+1), so a_{k,k} = Delta^k mu(0) / k!
+    top = [
+        sum((-1) ** (k - i) * math.comb(k, i) * mu[i] for i in range(k + 1)) / math.factorial(k)
+        for k in range(order + 1)
+    ]
+    return DiffOperator([
+        Poly([_big_rational(rng) if shift_one or i != k - 1 else 0 for i in range(k)] + [top[k]])
+        for k in range(order + 1)
+    ])
+
+
+class TestIntegerLift:
+    # A lift sum_z t_z v^(z) puts the t_z / q_z over one denominator and sums
+    # the integer numerators of the v^(z).  Order-3 collisions give condition
+    # matrices of two rows; order-4 ones without x^(k-1) terms and with
+    # adjacent roots q, q + 1 (whose residual M[q][q+1] is then 0) give
+    # kernel vectors that combine v^(z) of different denominators q_z.
+    def test_multi_row_conditions_match_oracle(self, monkeypatch):
+        seen = {3: set(), 4: set()}  # (condition rows, most nonzero t_z in a kernel vector)
+        order = None
+
+        def spy(rows):
+            kernel = rref_kernel(rows)
+            seen[order].add((len(rows), max((sum(1 for t in v if t) for v in kernel), default=0)))
+            return kernel
+
+        monkeypatch.setattr(eigen_module, "rref_kernel", spy)
+        rng = random.Random(73)
+        cases = [((0, 2, 5), True), ((1, 3, 7), True), ((0, 1, 2), True),
+                 ((0, 2, 3, 6), False), ((1, 4, 5, 8), False), ((0, 3, 4, 9), False)]
+        for roots, shift_one in cases:
+            order = len(roots)
+            for _ in range(3):
+                op = _forced_collision(rng, roots, shift_one)
+                assert len(op.spectrum(9).degrees_for(0)) == order
+                for k, res in enumerate(eigentable(op, 9)):
+                    want = nullspace_oracle(op.matrix(k), res.eigenvalue)
+                    assert _padded(res.basis, k) == want, (op, k)
+                    assert eigenspace_basis(op, 0, k) == [
+                        Poly(v) for v in nullspace_oracle(op.matrix(k), 0)]
+        assert any(rows >= 2 for rows, _ in seen[3])
+        assert any(rows >= 2 and mixed >= 2 for rows, mixed in seen[4])
+
+
+class TestBandOnly:
+    # the solver reads the band; the dense Fraction matrix is for the public
+    # API and the tests, and building it in the solver would cost (n+1)^2
+    def test_solver_never_builds_the_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense OperatorMatrix.entries built")
+
+        ops = [HERMITE, LEGENDRE, DEGENERATE, CHAUDHRY_QADIR, *_collision_operators()]
+        ops += _large_denominator_operators(random.Random(79))
+        monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+        for op in ops:
+            table = eigentable(op, 12)
+            assert monic_eigenfunction(op, 12) == table[12]
+            for mu in {r.eigenvalue for r in table} | {Fraction(1, 999_983)}:
+                eigenspace_basis(op, mu, 12)
+        with pytest.raises(AssertionError):
+            LEGENDRE.matrix(3).entries

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -52,6 +53,20 @@ class TestValidation:
     def test_json_round_trip(self):
         op = CHAUDHRY_QADIR
         assert DiffOperator.from_json(op.to_json()) == op
+
+    def test_json_accepts_numbers(self):
+        assert DiffOperator.from_json({"a": [[0], [0, -2], [1, 0.0, "-1"]]}) == LEGENDRE
+
+    @pytest.mark.parametrize("data, named", [
+        ({"a": 5}, "5"),
+        ({"a": [[None]]}, "[None]"),
+        ({"a": [["0"], ["1/0"]]}, "['1/0']"),
+        ({"a": [["x"]]}, "['x']"),
+    ])
+    def test_malformed_json_is_value_error_naming_the_item(self, data, named):
+        with pytest.raises(ValueError) as err:
+            DiffOperator.from_json(data)
+        assert f"{named} is not a list of rationals" in str(err.value)
 
 
 class TestFallingFactorial:
@@ -154,6 +169,59 @@ class TestMatrix:
             big = op.matrix(9)
             for n in range(10):
                 assert op.matrix(n).entries == tuple(row[: n + 1] for row in big.entries[: n + 1])
+
+
+def _big_operator(rng, order):
+    """Order-``order`` operator with every coefficient a random rational
+    whose numerator and denominator go up to 10^6."""
+    def big():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    return DiffOperator([Poly([big() for _ in range(k)] + [big() or 1]) for k in range(order + 1)])
+
+
+def _band_cases():
+    rng = random.Random(59)
+    for order in range(5):
+        for _ in range(6):
+            yield _big_operator(rng, order), rng.randint(0, 10)
+            yield random_operator(rng, order), rng.randint(0, 10)
+
+
+class TestBand:
+    # The matrix is stored as its band, integers over one denominator D; the
+    # reference here is the definition, column j = L(x^j), not the band itself.
+    def test_band_is_cleared_matrix_of_monomial_images(self):
+        for op, n in _band_cases():
+            m = op.matrix(n)
+            images = [op.apply(Poly.monomial(j)) for j in range(n + 1)]
+            dense = [[image.coeff(i) for image in images] for i in range(n + 1)]
+            assert m.denominator == lcm(*(v.denominator for row in dense for v in row))
+            assert len(m.band) == n + 1
+            for i in range(n + 1):
+                width = min(op.order, n - i) + 1
+                assert len(m.band[i]) == width
+                for j in range(n + 1):
+                    if 0 <= j - i < width:
+                        assert m.band[i][j - i] == m.denominator * dense[i][j]
+                    else:
+                        assert dense[i][j] == 0
+            assert m.entries == tuple(map(tuple, dense))
+            assert m.diagonal == op.spectrum(n).values
+
+    def test_leading_block_of_the_band(self):
+        rng = random.Random(61)
+        for order in range(5):
+            for _ in range(4):
+                op = _big_operator(rng, order)
+                big = op.matrix(12)
+                for n in range(13):
+                    small = op.matrix(n)
+                    assert small.denominator == lcm(
+                        *(v.denominator for row in small.entries for v in row))
+                    for i, row in enumerate(small.band):
+                        assert row == tuple(
+                            Fraction(v, big.denominator) * small.denominator
+                            for v in big.band[i][: len(row)])
 
 
 class TestSpectrum:
