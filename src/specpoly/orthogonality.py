@@ -27,7 +27,6 @@ polynomials at |x| ~ 1e300 from overflowing or losing endpoint distances.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -126,9 +125,7 @@ class _ExactForm:
         for label, f in polys.items():
             mults = []
             for r, k in self.divisors:
-                s = 0
-                while s < k and f(r) == 0:
-                    f, s = f.divide_linear(r), s + 1
+                f, s = f.strip_root(r, k)
                 mults.append(s)
             self.reduced[label] = (*common_denominator(f.coeffs), mults)
         self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
@@ -355,6 +352,19 @@ def _moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | 
         return None
 
 
+def _relative(
+    value: float, diag: dict[int, float | None], m: int, n: int, moment_scale: Callable
+) -> tuple[float | None, bool]:
+    """(|value| / scale, whether scale is the moment scale): scale is sqrt(G_mm G_nn)
+    when both diagonals are positive, otherwise moment_scale(m + n); None when that
+    scale is unavailable or zero."""
+    g_mm, g_nn = diag.get(m), diag.get(n)
+    if g_mm is not None and g_nn is not None and g_mm > 0 and g_nn > 0:
+        return abs(value) / math.sqrt(g_mm * g_nn), False
+    scale = moment_scale(m + n)
+    return (abs(value) / scale if scale else None), True
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 
@@ -460,51 +470,38 @@ def _gram_for(
 
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
-    entries: list[GramEntry] = []
-    quadrature: list[tuple[int, tuple[Poly, Poly]]] = []  # (index into entries, (f, g))
+    routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, note)
     for i, m in enumerate(degrees):
         for n in degrees[i:]:
-            f, g = funcs[m], funcs[n]
-            if f is None or g is None:
-                note = "no degree-exact eigenfunction"
-                entries.append(GramEntry(m, n, None, None, integrable=False, note=note))
+            if funcs[m] is None or funcs[n] is None:
+                routes[m, n] = (None, None, "no degree-exact eigenfunction")
                 continue
             if form is not None:
                 try:
-                    value = form.entry(m, n)
-                    entries.append(GramEntry(m, n, value, "exact", integrable=True))
+                    routes[m, n] = (form.entry(m, n), "exact", None)
                     continue
                 except NotPolynomialReducible:
                     pass
-            if not integrable(m + n):
-                entries.append(
-                    GramEntry(m, n, None, None, integrable=False, note="non-integrable")
-                )
-                continue
-            quadrature.append((len(entries), (f, g)))
-            entries.append(GramEntry(m, n, None, "quadrature", integrable=True))
-    results = _numeric_quad(weight, [pair for _, pair in quadrature], tol)
-    for (k, _), res in zip(quadrature, results):
-        entries[k] = dataclasses.replace(entries[k], value=res.value, err_est=res.err_est)
-    values = {(e.m, e.n): None if e.value is None else float(e.value) for e in entries}
+            if integrable(m + n):
+                routes[m, n] = (None, "quadrature", None)
+            else:
+                routes[m, n] = (None, None, "non-integrable")
+    pending = [key for key, route in routes.items() if route[1] == "quadrature"]
+    results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol)
+    quad = dict(zip(pending, results))
+    values = {key: quad[key].value if key in quad else route[0] for key, route in routes.items()}
+    diag = {m: None if values[m, m] is None else float(values[m, m]) for m in degrees}
 
-    # attach scale-invariant relative magnitudes to off-diagonal entries
-    finished: list[GramEntry] = []
-    for e in entries:
-        if e.m == e.n or e.value is None:
-            finished.append(e)
-            continue
-        g_mm, g_nn = values.get((e.m, e.m)), values.get((e.n, e.n))
-        note = e.note
-        if g_mm is not None and g_nn is not None and g_mm > 0 and g_nn > 0:
-            rel = abs(float(e.value)) / math.sqrt(g_mm * g_nn)
-        else:
-            scale = moment_scale(e.m + e.n)
-            rel = abs(float(e.value)) / scale if scale else None
-            if rel is not None:
-                note = (note + "; " if note else "") + "relative uses moment scale"
-        finished.append(dataclasses.replace(e, relative=rel, note=note))
-    max_rel = max((e.relative for e in finished if e.relative is not None), default=None)
+    entries: list[GramEntry] = []
+    for (m, n), (_, method, note) in routes.items():
+        value, rel = values[m, n], None
+        if m != n and value is not None:
+            rel, scaled = _relative(float(value), diag, m, n, moment_scale)
+            if scaled and rel is not None:
+                note = "relative uses moment scale"
+        err_est = quad[m, n].err_est if (m, n) in quad else None
+        entries.append(GramEntry(m, n, value, method, method is not None, err_est, rel, note))
+    max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
 
     return OrthoReport(
         family=family_label,
@@ -512,7 +509,7 @@ def _gram_for(
         degrees=tuple(degrees),
         weight_formula=weight.formula(),
         interval=weight.interval.describe(),
-        entries=tuple(finished),
+        entries=tuple(entries),
         off_diagonal_max_relative=max_rel,
         notes=notes,
     )
@@ -676,13 +673,12 @@ def finite_orthogonality_report(
             continue
         m, n = pair
         res = next(results)
-        if m in diag and n in diag and diag[m] > 0 and diag[n] > 0:
-            rel = abs(res.value) / math.sqrt(diag[m] * diag[n])
-            detail = "relative to sqrt(G_mm G_nn)"
-        else:
-            scale = moment_scale(m + n)
-            rel = abs(res.value) / scale if scale else None
-            detail = "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
+        rel, scaled = _relative(res.value, diag, m, n, moment_scale)
+        detail = (
+            "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
+            if scaled
+            else "relative to sqrt(G_mm G_nn)"
+        )
         verdict = "orthogonal" if rel is not None and rel < 1e-6 else "inconclusive"
         pairs[k] = RomanovskiPair(m, n, verdict, res.value, rel, res.err_est, detail)
 

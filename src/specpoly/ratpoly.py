@@ -20,7 +20,6 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Poly",
-    "Rat",
     "RatLike",
     "rat",
     "rational_sqrt",
@@ -28,7 +27,6 @@ __all__ = [
     "ExactDivisionError",
 ]
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 MINUS_INF = float("-inf")
@@ -67,6 +65,18 @@ def horner(coeffs: Sequence[float], x: float) -> float:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _synthetic_division(
+    coeffs: Sequence[Fraction], root: Fraction
+) -> tuple[list[Fraction], Fraction]:
+    """(quotient, remainder) of the nonzero ascending coeffs by (x - root)."""
+    quot = [Fraction(0)] * (len(coeffs) - 1)
+    acc = Fraction(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * root + coeffs[i]
+        quot[i - 1] = acc
+    return quot, acc * root + coeffs[0]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -264,18 +274,30 @@ class Poly:
         root = rat(root)
         if not self.coeffs:
             return Poly()
-        quot = [Fraction(0)] * (len(self.coeffs) - 1)
-        acc = Fraction(0)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * root + self.coeffs[i]
-            quot[i - 1] = acc
-        remainder = acc * root + self.coeffs[0]
+        quot, remainder = _synthetic_division(self.coeffs, root)
         if remainder != 0:
             raise ExactDivisionError(
                 f"{self} is not divisible by (x - {root}): remainder {remainder}",
                 remainder,
             )
         return Poly(quot)
+
+    def strip_root(self, root: RatLike, limit: int) -> tuple[Poly, int]:
+        """(q, k) with self = (x - root)^k q and k <= limit as large as possible.
+
+        One synthetic division per factor tried; its remainder is the test.
+        The zero polynomial is divisible any number of times: (0, limit).
+        """
+        root = rat(root)
+        if not self.coeffs:
+            return self, limit
+        coeffs, k = self.coeffs, 0
+        while k < limit:
+            quot, remainder = _synthetic_division(coeffs, root)
+            if remainder != 0:
+                break
+            coeffs, k = quot, k + 1
+        return (Poly(coeffs) if k else self), k
 
     # -- display ------------------------------------------------------------
 

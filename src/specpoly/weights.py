@@ -25,6 +25,17 @@ Weights are stored as symbolic factor collections with exact rational
 exponents and are projectively meaningful only; the constant is fixed to 1.
 All evaluation is restricted to the interior of the interval of definition,
 where |x - r| factors have constant sign.
+
+The integrability and boundary-term verdicts read the same facts per
+endpoint of p * P for a polynomial P: at a finite point r, the exponent of
+|x - r| (p's power exponent plus r's multiplicity as a root of P); at an
+infinite end, whether e^E decays or grows there, or, when E = 0, the
+asymptotic power deg P + (power exponent sum) + 2 quad_exp.  Integrability
+knows only the degree of P and asks for exponents above -1 at the roots of
+p and, at an infinite end, decay or a power below -1; the boundary term
+p*a*(u v' - u' v) asks for a positive exponent of p*a at each finite
+endpoint (or zero with u and v vanishing there) and, at an infinite end,
+decay or a negative power.
 """
 
 from __future__ import annotations
@@ -69,8 +80,6 @@ class Interval:
 
     lo: Fraction | None
     hi: Fraction | None
-    lo_open: bool = True
-    hi_open: bool = True
 
     def __post_init__(self):
         if self.lo is not None and self.hi is not None and not self.lo < self.hi:
@@ -324,29 +333,11 @@ class IntegrabilityVerdict:
     integrable: bool
     conditions: tuple[tuple[str, bool, str], ...]  # (location, ok, detail)
 
-    def to_json(self) -> dict:
-        return {
-            "integrable": self.integrable,
-            "conditions": [
-                {"at": loc, "ok": ok, "detail": detail}
-                for loc, ok, detail in self.conditions
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class BoundaryVerdict:
     vanishes: bool
     conditions: tuple[tuple[str, bool, str], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "vanishes": self.vanishes,
-            "conditions": [
-                {"at": loc, "ok": ok, "detail": detail}
-                for loc, ok, detail in self.conditions
-            ],
-        }
 
 
 def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
@@ -380,15 +371,31 @@ def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     )
 
 
-def _exp_decays_at(exp_poly: Poly, toward_plus: bool) -> bool | None:
-    """Does e^E(x) decay toward +inf (or -inf)?  None when E = 0."""
-    if exp_poly.is_zero():
-        return None
-    lead = exp_poly.leading()
-    deg = int(exp_poly.degree)
-    if not toward_plus and deg % 2 == 1:
-        lead = -lead
-    return lead < 0
+_EXP_DETAIL = {True: "exponential factor decays", False: "exponential factor grows"}
+
+
+def _endpoint_facts(
+    weight: WeightExpr, iv: Interval, points: list[Fraction], poly: Poly, degree: int
+) -> list[tuple[str, Fraction | None, Fraction, bool | None]]:
+    """(location, point, exponent, decay) per endpoint of p * poly * q, q of degree
+    `degree` with no root counted, the facts of the module docstring: at each
+    finite point r of points inside [lo, hi], point r and decay None; at each
+    infinite end of iv, point None and decay True or False when e^E decays or
+    grows there, else None with exponent the asymptotic power.  The arctan
+    factor is bounded and plays no role."""
+    facts = []
+    for r in points:
+        if (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi):
+            mult = poly.strip_root(r, max(poly.degree, 0))[1]
+            facts.append((f"x={r}", r, weight.power_exponent_at(r) + mult, None))
+    asym = degree + max(poly.degree, 0) + sum(pf.exponent for pf in weight.power_factors)
+    asym += 2 * weight.quad_exp if weight.quad_exp is not None else Fraction(0)
+    exp_poly = weight.exp_poly
+    for name, end, sign in (("-inf", iv.lo, -1), ("+inf", iv.hi, 1)):
+        if end is None:
+            decay = None if exp_poly.is_zero() else exp_poly.leading() * sign ** exp_poly.degree < 0
+            facts.append((name, None, asym, decay))
+    return facts
 
 
 def integrability(
@@ -396,47 +403,23 @@ def integrability(
 ) -> IntegrabilityVerdict:
     """Is (polynomial of degree total_degree) * weight integrable over the interval?
 
-    Finite endpoints demand every power exponent there exceed -1; infinite
-    endpoints demand either a decaying exponential factor or a total
-    asymptotic power below -1 (the arctan factor is bounded and plays no
-    role).
+    Every power exponent at a finite root must exceed -1; each infinite end
+    needs a decaying exponential factor, or else an asymptotic power below -1.
     """
     iv = interval if interval is not None else weight.interval
-    conditions: list[tuple[str, bool, str]] = []
-
     roots = sorted({pf.root for pf in weight.power_factors})
-    for r in roots:
-        inside_lo = iv.lo is None or iv.lo <= r
-        inside_hi = iv.hi is None or r <= iv.hi
-        if not (inside_lo and inside_hi):
-            continue
-        e = weight.power_exponent_at(r)
-        ok = e > -1
-        conditions.append(
-            (f"x={r}", ok, f"power exponent {e} {'>' if ok else '<='} -1")
-        )
-
-    quad = 2 * weight.quad_exp if weight.quad_exp is not None else Fraction(0)
-    power_sum = sum((pf.exponent for pf in weight.power_factors), Fraction(0))
-    for toward_plus, present in ((False, iv.lo is None), (True, iv.hi is None)):
-        if not present:
-            continue
-        name = "+inf" if toward_plus else "-inf"
-        decay = _exp_decays_at(weight.exp_poly, toward_plus)
-        if decay is True:
-            conditions.append((name, True, "exponential factor decays"))
-        elif decay is False:
-            conditions.append((name, False, "exponential factor grows"))
+    conditions = []
+    for loc, r, e, decay in _endpoint_facts(weight, iv, roots, Poly.one(), total_degree):
+        if decay is not None:
+            ok, detail = decay, _EXP_DETAIL[decay]
+        elif r is None:
+            ok = e < -1
+            detail = f"asymptotic power {e} {'<' if ok else '>='} -1"
         else:
-            asym = total_degree + power_sum + quad
-            ok = asym < -1
-            conditions.append(
-                (name, ok, f"asymptotic power {asym} {'<' if ok else '>='} -1")
-            )
-
-    return IntegrabilityVerdict(
-        integrable=all(ok for _, ok, _ in conditions), conditions=tuple(conditions)
-    )
+            ok = e > -1
+            detail = f"power exponent {e} {'>' if ok else '<='} -1"
+        conditions.append((loc, ok, detail))
+    return IntegrabilityVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))
 
 
 def boundary_vanishing(
@@ -448,62 +431,33 @@ def boundary_vanishing(
 ) -> BoundaryVerdict:
     """Does the boundary term p*a*(u v' - u' v) vanish at the endpoints?
 
-    Finite endpoint r: the power exponent of p*a there must be positive; if
+    Finite endpoint r: the exponent of |x - r| in p*a must be positive; if
     it is exactly zero the term still vanishes when both candidate
-    functions (if supplied) vanish at r.  Infinite endpoint: a decaying
-    exponential factor wins, otherwise the total asymptotic power of
-    p*a*(u v' - u' v), namely deg(a) + m + n - 1 + (power and quadratic
-    exponent sums), must be negative.
+    functions (if supplied) vanish at r.  Infinite end: a decaying
+    exponential factor wins, otherwise the asymptotic power of
+    p*a*(u v' - u' v), p times a polynomial of degree deg(a) + m + n - 1,
+    must be negative.
     """
     iv = interval if interval is not None else weight.interval
     m, n = deg_pair
-    conditions: list[tuple[str, bool, str]] = []
-
-    for endpoint in (iv.lo, iv.hi):
-        if endpoint is None:
-            continue
-        # multiplicity of the endpoint as a root of a
-        mult = 0
-        reduced = a
-        while not reduced.is_zero() and reduced(endpoint) == 0:
-            reduced = reduced.divide_linear(endpoint)
-            mult += 1
-        e = weight.power_exponent_at(endpoint) + mult
-        if e > 0:
-            conditions.append((f"x={endpoint}", True, f"p*a exponent {e} > 0"))
+    ends = [end for end in (iv.lo, iv.hi) if end is not None]
+    conditions = []
+    for loc, r, e, decay in _endpoint_facts(weight, iv, ends, a, m + n - 1):
+        if decay is not None:
+            ok, detail = decay, _EXP_DETAIL[decay]
+        elif r is None:
+            ok = e < 0
+            detail = f"boundary term asymptotic power {e} {'<' if ok else '>='} 0"
+        elif e > 0:
+            ok, detail = True, f"p*a exponent {e} > 0"
         elif e == 0 and funcs is not None:
-            u, v = funcs
-            ok = u(endpoint) == 0 and v(endpoint) == 0
+            ok = funcs[0](r) == 0 and funcs[1](r) == 0
             detail = (
                 "p*a finite; both functions vanish here"
                 if ok
                 else "p*a finite and a function is nonzero here"
             )
-            conditions.append((f"x={endpoint}", ok, detail))
         else:
-            conditions.append(
-                (f"x={endpoint}", False, f"p*a exponent {e} <= 0")
-            )
-
-    quad = 2 * weight.quad_exp if weight.quad_exp is not None else Fraction(0)
-    power_sum = sum((pf.exponent for pf in weight.power_factors), Fraction(0))
-    deg_a = int(a.degree) if not a.is_zero() else 0
-    for toward_plus, present in ((False, iv.lo is None), (True, iv.hi is None)):
-        if not present:
-            continue
-        name = "+inf" if toward_plus else "-inf"
-        decay = _exp_decays_at(weight.exp_poly, toward_plus)
-        if decay is True:
-            conditions.append((name, True, "exponential factor decays"))
-        elif decay is False:
-            conditions.append((name, False, "exponential factor grows"))
-        else:
-            asym = deg_a + m + n - 1 + power_sum + quad
-            ok = asym < 0
-            conditions.append(
-                (name, ok, f"boundary term asymptotic power {asym} {'<' if ok else '>='} 0")
-            )
-
-    return BoundaryVerdict(
-        vanishes=all(ok for _, ok, _ in conditions), conditions=tuple(conditions)
-    )
+            ok, detail = False, f"p*a exponent {e} <= 0"
+        conditions.append((loc, ok, detail))
+    return BoundaryVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))

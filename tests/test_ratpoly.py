@@ -176,6 +176,32 @@ class TestLinearDivision:
             assert p.divide_linear(root) * P(-root, 1) == p
 
 
+class TestStripRoot:
+    def test_planted_factors_are_recovered_up_to_the_limit(self):
+        rng = random.Random(83)
+        checked = 0
+        while checked < 60:
+            q = random_poly(rng, rng.randint(0, 4))
+            root = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if q(root) == 0:  # includes q = 0
+                continue
+            k = rng.randint(0, 4)
+            p = P(-root, 1) ** k * q
+            # the exact multiplicity, with room to spare, and every smaller limit
+            assert p.strip_root(root, k + rng.randint(0, 3)) == (q, k)
+            for limit in range(k):
+                assert p.strip_root(root, limit) == (P(-root, 1) ** (k - limit) * q, limit)
+            checked += 1
+
+    def test_nonroot_returns_the_polynomial(self):
+        assert P(-1, 0, 1).strip_root(2, 5) == (P(-1, 0, 1), 0)
+        assert P(3).strip_root(0, 2) == (P(3), 0)
+
+    def test_zero_polynomial_is_divisible_up_to_the_limit(self):
+        assert Poly().strip_root(Fraction(1, 2), 3) == (Poly(), 3)
+        assert Poly().strip_root(0, 0) == (Poly(), 0)
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None

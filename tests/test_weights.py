@@ -241,6 +241,119 @@ class TestBoundaryVanishing:
         assert not verdict.vanishes
 
 
+F = Fraction
+REAL_LINE = Interval(None, None)
+ROMANOVSKI_W = weight_of(FamilySpec.romanovski(F(-13, 2), 1))  # (x^2+1)^(-17/4) e^(arctan x)
+CQ_W = weight_of(FamilySpec.chaudhry_qadir())  # |t - 1|^(-1) on (0, 1), a = t - t^2
+CQ_A = P(0, 1, -1)
+CQ_ETA = eigentable(build_operator(FamilySpec.chaudhry_qadir()), 2)[2].monic
+ONE_MINUS_X2 = P(1, 0, -1)
+
+
+def _w(*factors, interval=Interval(F(-1), F(1)), **parts):
+    return WeightExpr(
+        power_factors=tuple(PowerFactor(F(r), F(e)) for r, e in factors),
+        interval=interval,
+        **parts,
+    )
+
+
+@pytest.mark.parametrize(
+    "verdict, expected",
+    [
+        pytest.param(
+            lambda: integrability(_w((-1, F(1, 2)), (1, -1))),
+            (("x=-1", True, "power exponent 1/2 > -1"), ("x=1", False, "power exponent -1 <= -1")),
+            id="finite-roots",
+        ),
+        pytest.param(
+            lambda: integrability(
+                _w((0, F(3, 2)), interval=Interval(F(0), None), exp_poly=P(0, -1))
+            ),
+            (("x=0", True, "power exponent 3/2 > -1"), ("+inf", True, "exponential factor decays")),
+            id="half-line",
+        ),
+        pytest.param(
+            lambda: integrability(_w(interval=REAL_LINE, exp_poly=P(0, 0, -1))),
+            (("-inf", True, "exponential factor decays"),
+             ("+inf", True, "exponential factor decays")),
+            id="inf-decays",
+        ),
+        pytest.param(
+            lambda: integrability(_w(interval=REAL_LINE, exp_poly=P(0, 0, 1))),
+            (("-inf", False, "exponential factor grows"),
+             ("+inf", False, "exponential factor grows")),
+            id="inf-grows",
+        ),
+        pytest.param(
+            lambda: integrability(_w(interval=REAL_LINE, exp_poly=P(0, 1))),
+            (("-inf", True, "exponential factor decays"),
+             ("+inf", False, "exponential factor grows")),
+            id="odd-exponential",
+        ),
+        pytest.param(
+            lambda: integrability(ROMANOVSKI_W, total_degree=7),
+            (("-inf", True, "asymptotic power -3/2 < -1"),
+             ("+inf", True, "asymptotic power -3/2 < -1")),
+            id="inf-power-ok",
+        ),
+        pytest.param(
+            lambda: integrability(ROMANOVSKI_W, total_degree=8),
+            (("-inf", False, "asymptotic power -1/2 >= -1"),
+             ("+inf", False, "asymptotic power -1/2 >= -1")),
+            id="inf-power-fail",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(_w(), ONE_MINUS_X2, deg_pair=(3, 4)),
+            (("x=-1", True, "p*a exponent 1 > 0"), ("x=1", True, "p*a exponent 1 > 0")),
+            id="boundary-positive",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(CQ_W, CQ_A, deg_pair=(1, 2), funcs=(P(-1, 1), CQ_ETA)),
+            (("x=0", True, "p*a exponent 1 > 0"),
+             ("x=1", True, "p*a finite; both functions vanish here")),
+            id="boundary-zero-vanishing",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(CQ_W, CQ_A, deg_pair=(0, 2), funcs=(Poly.one(), CQ_ETA)),
+            (("x=0", True, "p*a exponent 1 > 0"),
+             ("x=1", False, "p*a finite and a function is nonzero here")),
+            id="boundary-zero-nonvanishing",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(CQ_W, CQ_A, deg_pair=(1, 2)),
+            (("x=0", True, "p*a exponent 1 > 0"), ("x=1", False, "p*a exponent 0 <= 0")),
+            id="boundary-zero-no-funcs",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(_w((1, -2)), ONE_MINUS_X2),
+            (("x=-1", True, "p*a exponent 1 > 0"), ("x=1", False, "p*a exponent -1 <= 0")),
+            id="boundary-negative",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(ROMANOVSKI_W, P(1, 0, 1), deg_pair=(3, 4)),
+            (("-inf", True, "boundary term asymptotic power -1/2 < 0"),
+             ("+inf", True, "boundary term asymptotic power -1/2 < 0")),
+            id="boundary-inf-power-ok",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(ROMANOVSKI_W, P(1, 0, 1), deg_pair=(4, 4)),
+            (("-inf", False, "boundary term asymptotic power 1/2 >= 0"),
+             ("+inf", False, "boundary term asymptotic power 1/2 >= 0")),
+            id="boundary-inf-power-fail",
+        ),
+        pytest.param(
+            lambda: boundary_vanishing(_w(interval=REAL_LINE, exp_poly=P(0, 1)), Poly.one()),
+            (("-inf", True, "exponential factor decays"),
+             ("+inf", False, "exponential factor grows")),
+            id="boundary-inf-exponential",
+        ),
+    ],
+)
+def test_verdict_conditions_are_pinned(verdict, expected):
+    assert verdict().conditions == expected
+
+
 class TestPositivityAndEvaluation:
     @pytest.mark.parametrize("name", sorted(classical_presets()))
     def test_weight_positive_on_interior(self, name):
