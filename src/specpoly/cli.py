@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -125,8 +126,8 @@ def _tolerance(args: argparse.Namespace) -> float:
         tol = args.tol
     else:
         tol = float(os.environ.get("SPECPOLY_TOL", str(DEFAULT_TOL)))
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # also refuses nan
+        raise ValueError(f"tolerance must be a finite positive number, not {tol}")
     return tol
 
 

@@ -14,9 +14,12 @@ compact one (x = tan u for the real line, x = anchor +/- tan u for half
 lines), which turns the Romanovski weight into
 (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u) on (-pi/2, pi/2).
 
-A Gram matrix or Romanovski report makes one node sweep per weight: each
-node's abscissa, log p(x) and Jacobian are computed once and shared by all
-pending entries, each of which still stops on its own rule.  The weight
+A Gram matrix makes one node sweep per weight: each node's abscissa,
+log p(x) and Jacobian are computed once and shared by all pending entries,
+each of which still stops on its own rule.  A Romanovski report is read off
+the Romanovski Gram matrix: its verdicts map the Gram entries, and its
+eigenvalue collisions always sit on the integrability boundary
+m + n + gamma + 1 = 0.  The weight
 (cached on the WeightExpr) and each eigenfunction are converted to floats
 once; a node evaluates each eigenfunction once, to a sign and log|f(x)|, and
 an entry adds two such logs, so f*g is never formed (quadrature floats may
@@ -31,12 +34,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .eigen import eigentable
+from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
-from .operator import DiffOperator
+from .operator import DiffOperator, Spectrum
 from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep, tanh_sinh
 from .ratpoly import Poly, RatLike, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability
@@ -352,19 +356,6 @@ def _moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | 
         return None
 
 
-def _relative(
-    value: float, diag: dict[int, float | None], m: int, n: int, moment_scale: Callable
-) -> tuple[float | None, bool]:
-    """(|value| / scale, whether scale is the moment scale): scale is sqrt(G_mm G_nn)
-    when both diagonals are positive, otherwise moment_scale(m + n); None when that
-    scale is unavailable or zero."""
-    g_mm, g_nn = diag.get(m), diag.get(n)
-    if g_mm is not None and g_nn is not None and g_mm > 0 and g_nn > 0:
-        return abs(value) / math.sqrt(g_mm * g_nn), False
-    scale = moment_scale(m + n)
-    return (abs(value) / scale if scale else None), True
-
-
 # ---------------------------------------------------------------------------
 # Gram matrices
 
@@ -454,14 +445,14 @@ class OrthoReport:
 
 
 def _gram_for(
-    op: DiffOperator,
+    table: Sequence[EigenResult],
     weight: WeightExpr,
     degrees: Sequence[int],
     tol: float,
     family_label: str,
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
-    table = {r.degree: r for r in eigentable(op, max(degrees, default=0))}
+    """The Gram entries over degrees of the eigenfunctions in table (indexed by degree)."""
     funcs: dict[int, Poly | None] = {d: table[d].monic for d in degrees}
     try:
         form = _ExactForm(weight, {d: p for d, p in funcs.items() if p is not None})
@@ -490,15 +481,17 @@ def _gram_for(
     results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol)
     quad = dict(zip(pending, results))
     values = {key: quad[key].value if key in quad else route[0] for key, route in routes.items()}
-    diag = {m: None if values[m, m] is None else float(values[m, m]) for m in degrees}
+    diag = {m: float(values[m, m] or 0) for m in degrees}  # 0.0 where the norm has no value
 
     entries: list[GramEntry] = []
     for (m, n), (_, method, note) in routes.items():
         value, rel = values[m, n], None
+        # a Romanovski diagonal norm can diverge while the pair converges: moment scale then
         if m != n and value is not None:
-            rel, scaled = _relative(float(value), diag, m, n, moment_scale)
-            if scaled and rel is not None:
-                note = "relative uses moment scale"
+            if diag[m] > 0 and diag[n] > 0:
+                rel = abs(float(value)) / math.sqrt(diag[m] * diag[n])
+            elif scale := moment_scale(m + n):
+                rel, note = abs(float(value)) / scale, "relative uses moment scale"
         err_est = quad[m, n].err_est if (m, n) in quad else None
         entries.append(GramEntry(m, n, value, method, method is not None, err_est, rel, note))
     max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
@@ -534,7 +527,7 @@ def gram_matrix(spec: FamilySpec, n_max: int, tol: float = DEFAULT_TOL) -> Ortho
         )
     else:
         degrees = tuple(range(n_max + 1))
-    return _gram_for(op, weight, degrees, tol, spec.describe(), notes)
+    return _gram_for(eigentable(op, n_max), weight, degrees, tol, spec.describe(), notes)
 
 
 def gram_matrix_for_operator(
@@ -546,7 +539,8 @@ def gram_matrix_for_operator(
     if op.order != 2:
         raise ValueError("gram matrices require a second-order operator")
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
-    return _gram_for(op, weight, tuple(range(n_max + 1)), tol, "custom operator")
+    degrees = tuple(range(n_max + 1))
+    return _gram_for(eigentable(op, n_max), weight, degrees, tol, "custom operator")
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +551,8 @@ def gram_matrix_for_operator(
 class RomanovskiPair:
     m: int
     n: int
-    verdict: str  # "orthogonal" | "degenerate-pair" | "non-integrable" | "inconclusive"
+    # "orthogonal" | "non-integrable" | "inconclusive"; collision pairs are non-integrable
+    verdict: str
     value: float | None = None
     relative: float | None = None
     err_est: float | None = None
@@ -617,13 +612,14 @@ class RomanovskiReport:
 def finite_orthogonality_report(
     alpha: RatLike, beta: RatLike, n_max: int, tol: float = DEFAULT_TOL
 ) -> RomanovskiReport:
-    """Pairwise orthogonality verdicts for the Romanovski family.
+    """Pairwise orthogonality verdicts for the Romanovski family, read off its
+    Gram matrix.
 
     A pair (m, n) is checked only when m + n + gamma + 1 < 0 (product
     integrability, gamma = alpha - 2); pairs violating that are flagged
-    non-integrable.  Pairs whose eigenvalues collide (integer alpha) are
-    flagged degenerate-pair without asserting orthogonality, since the
-    self-adjointness argument needs distinct eigenvalues.
+    non-integrable.  Eigenvalues collide (integer alpha) only on that
+    boundary: mu_m = mu_n with m != n forces m + n = 1 - alpha, so
+    m + n + gamma + 1 = 0 and no collision pair is ever called orthogonal.
     """
     alpha, beta = rat(alpha), rat(beta)
     if n_max < 0:
@@ -633,54 +629,29 @@ def finite_orthogonality_report(
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
     gamma = alpha - 2
     table = eigentable(op, n_max)
-    spectrum = op.spectrum(n_max)
+    gram = _gram_for(table, weight, range(n_max + 1), tol, spec.describe())
+    collisions = Spectrum(tuple(r.eigenvalue for r in table)).multiplicity.values()
 
-    degenerate_pairs = tuple(
-        (degs[i], degs[j])
-        for degs in spectrum.multiplicity.values()
-        if len(degs) > 1
-        for i in range(len(degs))
-        for j in range(i + 1, len(degs))
-    )
-
-    moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
-    # one quadrature sweep: the diagonal norms first, then the pairs
-    normed = [m for m in range(n_max + 1) if 2 * m + gamma + 1 < 0 and table[m].monic is not None]
-    integrands = [(table[m].monic, table[m].monic) for m in normed]
-    pairs: list[RomanovskiPair | tuple[int, int]] = []
-    for m in range(n_max + 1):
-        for n in range(m + 1, n_max + 1):
-            if m + n + gamma + 1 >= 0:
-                detail = f"m+n+gamma+1 = {m + n + gamma + 1} >= 0"
-                pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
-                continue
-            if spectrum.values[m] == spectrum.values[n]:
-                detail = "equal eigenvalues; orthogonality argument needs them distinct"
-                pairs.append(RomanovskiPair(m, n, "degenerate-pair", detail=detail))
-                continue
-            f, g = table[m].monic, table[n].monic
-            if f is None or g is None:
-                detail = "no degree-exact eigenfunction"
-                pairs.append(RomanovskiPair(m, n, "inconclusive", detail=detail))
-                continue
-            pairs.append((m, n))
-            integrands.append((f, g))
-
-    results = iter(_numeric_quad(weight, integrands, tol))
-    diag = {m: next(results).value for m in normed}
-    for k, pair in enumerate(pairs):
-        if isinstance(pair, RomanovskiPair):
+    normed = {e.m for e in gram.entries if e.m == e.n and (e.value or 0) > 0}
+    pairs = []
+    for e in gram.entries:
+        m, n = e.m, e.n
+        if m == n:
             continue
-        m, n = pair
-        res = next(results)
-        rel, scaled = _relative(res.value, diag, m, n, moment_scale)
-        detail = (
-            "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
-            if scaled
-            else "relative to sqrt(G_mm G_nn)"
-        )
-        verdict = "orthogonal" if rel is not None and rel < 1e-6 else "inconclusive"
-        pairs[k] = RomanovskiPair(m, n, verdict, res.value, rel, res.err_est, detail)
+        if m + n + gamma + 1 >= 0:
+            detail = f"m+n+gamma+1 = {m + n + gamma + 1} >= 0"
+            pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
+        elif e.value is None:
+            pairs.append(RomanovskiPair(m, n, "inconclusive", detail=e.note or ""))
+        else:
+            detail = (
+                "relative to sqrt(G_mm G_nn)"
+                if m in normed and n in normed
+                else "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
+            )
+            ok = e.relative is not None and e.relative < 1e-6
+            verdict = "orthogonal" if ok else "inconclusive"
+            pairs.append(RomanovskiPair(m, n, verdict, e.value, e.relative, e.err_est, detail))
 
     return RomanovskiReport(
         alpha=alpha,
@@ -688,6 +659,6 @@ def finite_orthogonality_report(
         gamma=gamma,
         max_degree=n_max,
         statuses=tuple(r.status.value for r in table),
-        degenerate_degree_pairs=degenerate_pairs,
+        degenerate_degree_pairs=tuple(p for degs in collisions for p in combinations(degs, 2)),
         pairs=tuple(pairs),
     )

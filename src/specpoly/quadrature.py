@@ -94,6 +94,8 @@ def _tanh_sinh_sweep(
     f(x, d_lo, d_hi, active) -> list[float] gives the active ones' values at a node."""
     if not lo < hi:
         raise ValueError(f"bounds out of order: {lo} >= {hi}")
+    if not 0 < tol < math.inf:  # also refuses nan
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
     mid = (lo + hi) / 2.0
     rad = (hi - lo) / 2.0
     evals = [0] * count

@@ -291,8 +291,18 @@ class TestContract:
         data = run_json(capsys, "gram", "--preset", "chebyshev1", "--n-max", "2")
         assert data["off_diagonal_max_relative"] < 1e-5
 
-    def test_bad_tol_is_domain_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECPOLY_TOL", "-1")
-        code, _, err = run(capsys, "gram", "--preset", "chebyshev1", "--n-max", "2")
-        assert code == 1
-        assert "positive" in err
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["gram", "romanovski-report"])
+    def test_bad_tol_is_domain_error(self, capsys, monkeypatch, command, tol, source):
+        args = {
+            "gram": ["gram", "--preset", "chebyshev1", "--n-max", "3"],
+            "romanovski-report": ["romanovski-report", "--alpha", "-13/2", "--n-max", "3"],
+        }[command]
+        if source == "env":
+            monkeypatch.setenv("SPECPOLY_TOL", tol)
+        else:
+            args.append(f"--tol={tol}")
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert "tolerance must be a finite positive number" in err

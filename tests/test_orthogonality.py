@@ -455,16 +455,18 @@ class TestFiniteOrthogonalityReport:
         assert (3, 4) in report.degenerate_degree_pairs
         assert (2, 5) in report.degenerate_degree_pairs
 
-    def test_degenerate_pair_verdict_when_integrable(self):
-        # alpha = -10: collisions at m+n = 11, all non-integrable there, so
-        # push to a smaller example: alpha = -9 collides at m+n = 10 ... also
-        # non-integrable.  A collision pair (m,n) has m+n = 1-alpha and
-        # gamma+1 = alpha-1, so m+n+gamma+1 = 0: collision pairs are always
-        # exactly on the non-integrability boundary and get that verdict.
-        report = finite_orthogonality_report(-7, 0, 7, 1e-10)
-        for p in report.pairs:
-            if (p.m, p.n) in report.degenerate_degree_pairs:
-                assert p.verdict == "non-integrable"
+    @pytest.mark.parametrize("alpha", [Fraction(k, 2) for k in range(-24, 1)], ids=float)
+    def test_degenerate_pair_verdict_when_integrable(self, alpha):
+        # A collision pair (m,n) has m+n = 1-alpha and gamma+1 = alpha-1, so
+        # m+n+gamma+1 = 0: collision pairs are always exactly on the
+        # non-integrability boundary and get that verdict.
+        report = finite_orthogonality_report(alpha, 0, 12, 1e-10)
+        assert bool(report.degenerate_degree_pairs) == (alpha.denominator == 1)
+        verdicts = {(p.m, p.n): p.verdict for p in report.pairs}
+        for m, n in report.degenerate_degree_pairs:
+            assert m + n + report.gamma + 1 == 0, (m, n)
+            assert verdicts[m, n] == "non-integrable", (m, n)
+        assert "degenerate-pair" not in verdicts.values()
 
     def test_beta_zero_odd_pairs_exact_zero(self):
         report = finite_orthogonality_report(-8, 0, 3, 1e-10)
@@ -561,15 +563,32 @@ class TestQuadratureEntries:
         assert str(raised.value) == expected
 
     def test_romanovski_pairs_equal_public_function(self):
-        report = finite_orthogonality_report(Fraction(-15, 2), Fraction(1, 2), 6)
-        spec = FamilySpec.romanovski(Fraction(-15, 2), Fraction(1, 2))
-        w = weight_of(spec)
-        table = eigentable(build_operator(spec), 6)
-        valued = [p for p in report.pairs if p.value is not None]
-        assert len(valued) == 17
-        for p in valued:
-            expected = inner_product_numeric(w, table[p.m].monic, table[p.n].monic).value
-            assert p.value == expected, (p.m, p.n)
+        # (alpha, beta, n_max) -> valued pairs, of which relative to a moment
+        inputs = {
+            (Fraction(-15, 2), Fraction(1, 2), 6): (17, 7),
+            (Fraction(-13, 2), 1, 7): (16, 10),
+        }
+        for (alpha, beta, n), (count, by_moment) in inputs.items():
+            report = finite_orthogonality_report(alpha, beta, n)
+            spec = FamilySpec.romanovski(alpha, beta)
+            w = weight_of(spec)
+            table = eigentable(build_operator(spec), n)
+            gram = gram_matrix(spec, n)
+            valued = [p for p in report.pairs if p.value is not None]
+            assert len(valued) == count
+            details = []
+            for p in valued:
+                expected = inner_product_numeric(w, table[p.m].monic, table[p.n].monic).value
+                assert p.value == expected, (p.m, p.n)
+                e = gram.entry(p.m, p.n)
+                assert (p.value, p.relative, p.err_est) == (e.value, e.relative, e.err_est)
+                details.append(p.detail)
+                if e.note is None:
+                    assert p.detail == "relative to sqrt(G_mm G_nn)", (p.m, p.n)
+                else:
+                    assert e.note == "relative uses moment scale", (p.m, p.n)
+                    assert p.detail.startswith("relative to the (1+x^2)^((m+n)/2) moment")
+            assert details.count("relative to sqrt(G_mm G_nn)") == count - by_moment
 
     def test_moment_scale_once_per_total_degree(self, monkeypatch):
         calls = []

@@ -48,6 +48,13 @@ class TestContract:
         with pytest.raises(ValueError):
             tanh_sinh(plain(lambda x: x), 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        calls = []
+        with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+            tanh_sinh(lambda x, d_lo, d_hi: calls.append(x) or 1.0, 0.0, 1.0, tol)
+        assert calls == []
+
     def test_no_convergence_raises(self):
         # an interior jump converges too slowly for the level budget
         with pytest.raises(NoConvergence, match="^no convergence after 8 levels"):
