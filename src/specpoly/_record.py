@@ -1,0 +1,61 @@
+"""Immutable value records, a light stand-in for frozen dataclasses.
+
+A subclass declares its fields as class annotations, in order; a class
+attribute of the same name is the field's default.  Each subclass gets one
+generated ``__init__`` (positional-or-keyword parameters, each field set with
+``object.__setattr__``, then ``__post_init__`` if the class defines it);
+equality, hashing and repr work over the field values, as a frozen
+dataclass's do.  Assigning or deleting an attribute raises AttributeError;
+``functools.cached_property`` still works, because it writes the instance
+``__dict__`` directly.  Importing ``dataclasses`` (and ``inspect`` behind it)
+plus one ``exec`` of six methods per class cost a command-line call more
+start-up time than the rest of the package import.  The ``__init__`` is
+generated because a generic loop over the fields costs about 2.5 times as
+much per instance, and it sets the fields one by one because ``__dict__.update``
+would give every instance a full dict instead of the compact shared-key form.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        missing = object()
+        defaults = [getattr(cls, f, missing) for f in fields]
+        first = next((i for i, d in enumerate(defaults) if d is not missing), len(fields))
+        if any(d is missing for d in defaults[first:]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"_set(self, {f!r}, {f})" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("self.__post_init__()")
+        namespace = {"_set": object.__setattr__}
+        exec("\n    ".join(lines + ["pass"]), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(defaults[first:]) or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")

@@ -33,12 +33,12 @@ lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul, truediv
 from typing import Sequence
 
+from ._record import Record
 from .operator import DiffOperator, OperatorMatrix
 from .ratpoly import Poly, RatLike, common_denominator, rat
 
@@ -58,8 +58,7 @@ class EigenStatus(str, enum.Enum):
     NO_DEGREE_N = "NoDegreeNEigenfunction"
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(Record):
     """Outcome of the degree-n eigenfunction search.
 
     ``monic`` is the unique monic eigenfunction (UniqueMonic) or the

@@ -20,9 +20,9 @@ x^2-1, x^2+1, x^2, x, 1 and returns the exact substitution data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .operator import DiffOperator
 from .ratpoly import Poly, RatLike, rat, rational_sqrt
 
@@ -45,8 +45,7 @@ class FamilyKind(str, enum.Enum):
     CHAUDHRY_QADIR = "chaudhry-qadir"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     kind: FamilyKind
     alpha: Fraction = Fraction(0)
     beta: Fraction = Fraction(0)
@@ -126,8 +125,7 @@ def classical_presets() -> dict[str, FamilySpec]:
 # affine normalization of the leading coefficient
 
 
-@dataclass(frozen=True)
-class AffineNormalization:
+class AffineNormalization(Record):
     """Exact substitution data: a(s*u + t) = c * normal_form(u).
 
     ``c`` carries the sign of the leading coefficient (a quadratic with

@@ -16,12 +16,12 @@ surface both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .ratpoly import Poly, RatLike, rat
 
 __all__ = [
@@ -161,8 +161,7 @@ class DiffOperator:
         return cls(polys)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """M on P_n as band[i][t] = D*M[i][i+t] for 0 <= t <= min(order, n-i), all
     other entries 0; D = ``denominator``, the lcm of the entries' denominators."""
 
@@ -192,8 +191,7 @@ class OperatorMatrix:
         return rows
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Eigenvalues by degree plus the collision structure."""
 
     values: tuple[Fraction, ...]

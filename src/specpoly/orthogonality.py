@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
+from ._record import Record
 from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
@@ -134,10 +134,14 @@ class _ExactForm:
             self.reduced[label] = (*common_denominator(f.coeffs), mults)
         self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
         top = self.span + len(self.base.coeffs) + sum(need.values())
-        # nu[s] = integral of x^s over (lo, hi), as ints over d_nu
-        self.d_nu, self.nu = common_denominator(
-            Fraction(iv.hi**s - iv.lo**s, s) for s in range(1, top)
-        )
+        # nu[s] = integral of x^s over (lo, hi) = (hi^s - lo^s)/s, as ints over d_nu,
+        # from running int powers of hi = a/b and lo = c/d
+        a, b, c, d = iv.hi.numerator, iv.hi.denominator, iv.lo.numerator, iv.lo.denominator
+        nu, a_s, b_s, c_s, d_s = [], 1, 1, 1, 1
+        for s in range(1, top):
+            a_s, b_s, c_s, d_s = a_s * a, b_s * b, c_s * c, d_s * d
+            nu.append(Fraction(a_s * d_s - c_s * b_s, s * b_s * d_s))
+        self.d_nu, self.nu = common_denominator(nu)
         self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
         self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
@@ -360,8 +364,7 @@ def _moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | 
 # Gram matrices
 
 
-@dataclass(frozen=True)
-class GramEntry:
+class GramEntry(Record):
     m: int
     n: int
     value: Fraction | float | None
@@ -388,8 +391,7 @@ class GramEntry:
         }
 
 
-@dataclass(frozen=True)
-class OrthoReport:
+class OrthoReport(Record):
     family: str
     max_degree: int
     degrees: tuple[int, ...]
@@ -547,8 +549,7 @@ def gram_matrix_for_operator(
 # Romanovski finite orthogonality
 
 
-@dataclass(frozen=True)
-class RomanovskiPair:
+class RomanovskiPair(Record):
     m: int
     n: int
     # "orthogonal" | "non-integrable" | "inconclusive"; collision pairs are non-integrable
@@ -570,8 +571,7 @@ class RomanovskiPair:
         }
 
 
-@dataclass(frozen=True)
-class RomanovskiReport:
+class RomanovskiReport(Record):
     alpha: Fraction
     beta: Fraction
     gamma: Fraction

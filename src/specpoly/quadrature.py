@@ -29,8 +29,9 @@ case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
+
+from ._record import Record
 
 __all__ = ["NoConvergence", "QuadResult", "tanh_sinh"]
 
@@ -47,8 +48,7 @@ class NoConvergence(RuntimeError):
         self.err_est = err_est
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(Record):
     value: float
     err_est: float
     levels: int

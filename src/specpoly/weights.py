@@ -41,10 +41,10 @@ decay or a negative power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
+from ._record import Record
 from .ratpoly import Poly, horner, rational_sqrt
 
 __all__ = [
@@ -66,16 +66,14 @@ class UnsupportedLeadingCoefficient(ValueError):
     """Leading coefficient outside the supported Pearson shapes."""
 
 
-@dataclass(frozen=True)
-class PowerFactor:
+class PowerFactor(Record):
     """One factor |x - root|^exponent."""
 
     root: Fraction
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Open interval; None endpoint means unbounded on that side."""
 
     lo: Fraction | None
@@ -115,14 +113,13 @@ class Interval:
         }
 
 
-@dataclass(frozen=True)
-class WeightExpr:
+class WeightExpr(Record):
     """Symbolic weight: constant * prod |x-r|^e * (x^2+1)^q * e^E(x) * e^(h*arctan x)."""
 
     constant: Fraction = Fraction(1)
     power_factors: tuple[PowerFactor, ...] = ()
     quad_exp: Fraction | None = None
-    exp_poly: Poly = field(default_factory=Poly)
+    exp_poly: Poly = Poly()  # Poly is immutable: one shared default is safe
     arctan_coeff: Fraction = Fraction(0)
     interval: Interval = Interval(Fraction(-1), Fraction(1))
 
@@ -312,8 +309,7 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
 # verdicts
 
 
-@dataclass(frozen=True)
-class PearsonVerdict:
+class PearsonVerdict(Record):
     ok: bool
     symbolic_zero: bool
     max_residual: float
@@ -328,14 +324,12 @@ class PearsonVerdict:
         }
 
 
-@dataclass(frozen=True)
-class IntegrabilityVerdict:
+class IntegrabilityVerdict(Record):
     integrable: bool
     conditions: tuple[tuple[str, bool, str], ...]  # (location, ok, detail)
 
 
-@dataclass(frozen=True)
-class BoundaryVerdict:
+class BoundaryVerdict(Record):
     vanishes: bool
     conditions: tuple[tuple[str, bool, str], ...]
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +310,36 @@ class TestContract:
         code, out, err = run(capsys, *args)
         assert (code, out) == (1, "")
         assert "tolerance must be a finite positive number" in err
+
+
+class TestColdStart:
+    """`dataclasses` and `inspect` stay out of a command's process: their
+    import was most of the package's start-up time."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "import specpoly.cli",
+            # what `python -m specpoly spectrum --preset legendre` runs
+            "sys.argv[1:] = ['spectrum', '--preset', 'legendre']; "
+            "runpy.run_module('specpoly', run_name='__main__', alter_sys=True)",
+        ],
+        ids=["import", "spectrum"],
+    )
+    def test_no_dataclasses_or_inspect(self, entry):
+        # the modules the entry imports, listed to stderr at exit
+        probe = (
+            "import atexit, runpy, sys; before = set(sys.modules); "
+            "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr)); "
+            + entry
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.split())
+        assert "specpoly.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -111,8 +110,13 @@ class TestPearson:
 
     def test_perturbed_exponent_fails(self):
         w = weight_of(FamilySpec.chaudhry_qadir())
-        bad = replace(
-            w, power_factors=(PowerFactor(Fraction(1), Fraction(-3, 2)),)
+        bad = WeightExpr(
+            w.constant,
+            (PowerFactor(Fraction(1), Fraction(-3, 2)),),
+            w.quad_exp,
+            w.exp_poly,
+            w.arctan_coeff,
+            w.interval,
         )
         a, b = ab_of(FamilySpec.chaudhry_qadir())
         verdict = pearson_check(bad, a, b)
