@@ -13,9 +13,16 @@ start-up time than the rest of the package import.  The ``__init__`` is
 generated because a generic loop over the fields costs about 2.5 times as
 much per instance, and it sets the fields one by one because ``__dict__.update``
 would give every instance a full dict instead of the compact shared-key form.
+
+``to_json`` is the one JSON format of the reports: an object with the fields
+in order under their own names, where a record becomes its own ``to_json()``,
+a tuple a list, a Fraction its exact ``"p/q"`` string, and any other value
+passes through.  A type whose JSON keys are not its field names overrides it.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class Record:
@@ -39,6 +46,9 @@ class Record:
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
 
+    def to_json(self) -> dict:
+        return {f: _json_value(getattr(self, f)) for f in self._fields}
+
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 
@@ -59,3 +69,13 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+
+def _json_value(value):
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value

@@ -147,14 +147,6 @@ class AffineNormalization(Record):
             "1": Poly((1,)),
         }[self.normal_form]
 
-    def to_json(self) -> dict:
-        return {
-            "s": str(self.s),
-            "t": str(self.t),
-            "c": str(self.c),
-            "normal_form": self.normal_form,
-        }
-
 
 def bochner_normalize(a: Poly) -> AffineNormalization:
     """Classify a nonzero leading coefficient of degree <= 2.

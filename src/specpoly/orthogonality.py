@@ -374,28 +374,12 @@ class GramEntry(Record):
     relative: float | None = None
     note: str | None = None
 
-    def to_json(self) -> dict:
-        if isinstance(self.value, Fraction):
-            value = str(self.value)
-        else:
-            value = self.value
-        return {
-            "m": self.m,
-            "n": self.n,
-            "value": value,
-            "method": self.method,
-            "integrable": self.integrable,
-            "err_est": self.err_est,
-            "relative": self.relative,
-            "note": self.note,
-        }
-
 
 class OrthoReport(Record):
     family: str
     max_degree: int
     degrees: tuple[int, ...]
-    weight_formula: str
+    weight: str
     interval: str
     entries: tuple[GramEntry, ...]
     off_diagonal_max_relative: float | None
@@ -408,22 +392,10 @@ class OrthoReport(Record):
                 return e
         raise KeyError(f"no gram entry ({m}, {n})")
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "max_degree": self.max_degree,
-            "degrees": list(self.degrees),
-            "weight": self.weight_formula,
-            "interval": self.interval,
-            "entries": [e.to_json() for e in self.entries],
-            "off_diagonal_max_relative": self.off_diagonal_max_relative,
-            "notes": list(self.notes),
-        }
-
     def format_table(self) -> str:
         lines = [
             f"family: {self.family}",
-            f"weight: {self.weight_formula} on {self.interval}",
+            f"weight: {self.weight} on {self.interval}",
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -502,7 +474,7 @@ def _gram_for(
         family=family_label,
         max_degree=max(degrees, default=0),
         degrees=tuple(degrees),
-        weight_formula=weight.formula(),
+        weight=weight.formula(),
         interval=weight.interval.describe(),
         entries=tuple(entries),
         off_diagonal_max_relative=max_rel,
@@ -559,17 +531,6 @@ class RomanovskiPair(Record):
     err_est: float | None = None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "verdict": self.verdict,
-            "value": self.value,
-            "relative": self.relative,
-            "err_est": self.err_est,
-            "detail": self.detail,
-        }
-
 
 class RomanovskiReport(Record):
     alpha: Fraction
@@ -579,17 +540,6 @@ class RomanovskiReport(Record):
     statuses: tuple[str, ...]
     degenerate_degree_pairs: tuple[tuple[int, int], ...]
     pairs: tuple[RomanovskiPair, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
-            "max_degree": self.max_degree,
-            "statuses": list(self.statuses),
-            "degenerate_degree_pairs": [list(p) for p in self.degenerate_degree_pairs],
-            "pairs": [p.to_json() for p in self.pairs],
-        }
 
     def format_table(self) -> str:
         lines = [

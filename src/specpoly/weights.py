@@ -106,12 +106,6 @@ class Interval(Record):
         hi = str(self.hi) if self.hi is not None else "+inf"
         return f"({lo}, {hi})"
 
-    def to_json(self) -> dict:
-        return {
-            "lo": str(self.lo) if self.lo is not None else None,
-            "hi": str(self.hi) if self.hi is not None else None,
-        }
-
 
 class WeightExpr(Record):
     """Symbolic weight: constant * prod |x-r|^e * (x^2+1)^q * e^E(x) * e^(h*arctan x)."""
@@ -314,14 +308,6 @@ class PearsonVerdict(Record):
     symbolic_zero: bool
     max_residual: float
     samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "symbolic_zero": self.symbolic_zero,
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-        }
 
 
 class IntegrabilityVerdict(Record):
