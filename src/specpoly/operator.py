@@ -130,18 +130,8 @@ class DiffOperator:
         return OperatorMatrix(n, d // g, tuple(tuple([v // g for v in row]) for row in band))
 
     def spectrum(self, n: int) -> Spectrum:
-        """Eigenvalues mu_0..mu_n from the closed-form diagonal formula."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        diag_coeffs = [a_k.coeff(k) for k, a_k in enumerate(self.coeffs)]
-        values = tuple(
-            sum(
-                (c * falling_factorial(j, k) for k, c in enumerate(diag_coeffs)),
-                Fraction(0),
-            )
-            for j in range(n + 1)
-        )
-        return Spectrum(values=values)
+        """Eigenvalues mu_0..mu_n: the diagonal of the matrix on P_n."""
+        return Spectrum(self.matrix(n).diagonal)
 
     # -- serialization -----------------------------------------------------
 

@@ -435,22 +435,22 @@ def _gram_for(
 
     moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
-    routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, note)
+    routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, integrable, note)
     for i, m in enumerate(degrees):
         for n in degrees[i:]:
             if funcs[m] is None or funcs[n] is None:
-                routes[m, n] = (None, None, "no degree-exact eigenfunction")
+                routes[m, n] = (None, None, integrable(m + n), "no degree-exact eigenfunction")
                 continue
             if form is not None:
                 try:
-                    routes[m, n] = (form.entry(m, n), "exact", None)
+                    routes[m, n] = (form.entry(m, n), "exact", True, None)
                     continue
                 except NotPolynomialReducible:
                     pass
             if integrable(m + n):
-                routes[m, n] = (None, "quadrature", None)
+                routes[m, n] = (None, "quadrature", True, None)
             else:
-                routes[m, n] = (None, None, "non-integrable")
+                routes[m, n] = (None, None, False, "non-integrable")
     pending = [key for key, route in routes.items() if route[1] == "quadrature"]
     results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol)
     quad = dict(zip(pending, results))
@@ -458,7 +458,7 @@ def _gram_for(
     diag = {m: float(values[m, m] or 0) for m in degrees}  # 0.0 where the norm has no value
 
     entries: list[GramEntry] = []
-    for (m, n), (_, method, note) in routes.items():
+    for (m, n), (_, method, ok, note) in routes.items():
         value, rel = values[m, n], None
         # a Romanovski diagonal norm can diverge while the pair converges: moment scale then
         if m != n and value is not None:
@@ -467,7 +467,7 @@ def _gram_for(
             elif scale := moment_scale(m + n):
                 rel, note = abs(float(value)) / scale, "relative uses moment scale"
         err_est = quad[m, n].err_est if (m, n) in quad else None
-        entries.append(GramEntry(m, n, value, method, method is not None, err_est, rel, note))
+        entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
     max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
 
     return OrthoReport(

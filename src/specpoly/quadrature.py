@@ -12,18 +12,22 @@ with endpoint singularities should use those distances instead of forming
 x - endpoint themselves.
 
 The step starts at h = 1 and halves per level; the value converges when
-two successive levels differ by less than tol * (1 + |value|).  A level
-budget (default 12 halvings) bounds the work; exhausting it raises
-NoConvergence.
+two successive levels differ by less than tol * (1 + L1), where L1 is the
+same rule's estimate of the integral of |f|, summed from the same rows.
+Measuring the error against L1 rather than |value| lets a true zero built
+from large terms of both signs converge (Bailey, Jeyabalan and Li,
+Exp. Math. 14, 2005); for an integrand of one sign L1 is |value| to the
+last bit, so its stopping level is unchanged.  A level budget (default 12
+halvings) bounds the work; exhausting it raises NoConvergence.
 
 One loop integrates several integrands over the same interval on one sweep
 of the nodes, so each node's abscissa, distances and weight are computed
 once: it calls f(x, d_lo, d_hi, active) for the integrands still active in
 the current row and takes one value per integrand.  Every integrand keeps
-its own row total, tiny-term streak, level, error, eval count and failure,
-and leaves the sweep when its own stopping rule holds, so each one sees
-exactly the additions it would see alone.  tanh_sinh is its one-integrand
-case.
+its own row total, L1 size, tiny-term streak, level, error, eval count and
+failure, and leaves the sweep when its own stopping rule holds, so each one
+sees exactly the additions it would see alone.  tanh_sinh is its
+one-integrand case.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def tanh_sinh(
     tol: float = 1e-10,
     max_levels: int = 12,
 ) -> QuadResult:
-    """Integrate f over (lo, hi); see the module docstring for the contract."""
+    """Integrate f over (lo, hi) until two levels differ by at most
+    tol * (1 + integral of |f|); see the module docstring for the contract."""
     (res,) = _tanh_sinh_sweep(
         lambda x, d_lo, d_hi, _: [f(x, d_lo, d_hi)], 1, lo, hi, tol, max_levels
     )
@@ -101,12 +106,15 @@ def _tanh_sinh_sweep(
     evals = [0] * count
     out: list = [None] * count  # each integrand's QuadResult or NoConvergence
 
-    def row_sums(h: float, odd_only: bool, active: list[int]) -> list[float]:
+    def row_sums(h: float, odd_only: bool, active: list[int]) -> tuple[list[float], list[float]]:
+        """Each integrand's row total and the row total of its |terms|."""
         totals = [0.0] * count
+        sizes = [0.0] * count
         streak = [0] * count
         if active and not odd_only:  # the centre node belongs to the first row only
             for i, v in zip(active, f(mid, rad, rad, active)):
                 totals[i] += (math.pi / 2.0) * v
+                sizes[i] += abs((math.pi / 2.0) * v)
                 evals[i] += 1
         k = 1
         step = 2 if odd_only else 1
@@ -130,7 +138,9 @@ def _tanh_sinh_sweep(
                     )
                     continue
                 totals[i] += term_hi + term_lo
-                if abs(term_hi) + abs(term_lo) <= 1e-4 * tol * (1.0 + abs(totals[i])):
+                size = abs(term_hi) + abs(term_lo)
+                sizes[i] += size
+                if size <= 1e-4 * tol * (1.0 + abs(totals[i])):
                     streak[i] += 1
                     if streak[i] >= 3:
                         continue
@@ -139,24 +149,27 @@ def _tanh_sinh_sweep(
                 still.append(i)
             active = still
             k += step
-        return totals
+        return totals, sizes
 
     h = 1.0
     pending = list(range(count))
-    estimate = [rad * h * total for total in row_sums(h, False, pending)]
+    totals, sizes = row_sums(h, False, pending)
+    estimate = [rad * h * total for total in totals]
+    l1 = [rad * h * size for size in sizes]  # the estimate of the integral of |f|
     err = [math.inf] * count
     for level in range(1, max_levels + 1):
         pending = [i for i in pending if out[i] is None]
         if not pending:
             break
         h /= 2.0
-        sums = row_sums(h, True, pending)
+        sums, sizes = row_sums(h, True, pending)
         for i in pending:
             if out[i] is None:
                 estimate_new = estimate[i] / 2.0 + rad * h * sums[i]
+                l1[i] = l1[i] / 2.0 + rad * h * sizes[i]
                 err[i] = abs(estimate_new - estimate[i])
                 estimate[i] = estimate_new
-                if err[i] <= tol * (1.0 + abs(estimate_new)):
+                if err[i] <= tol * (1.0 + l1[i]):
                     out[i] = QuadResult(estimate_new, err[i], level, evals[i])
     for i in range(count):
         if out[i] is None:

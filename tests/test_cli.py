@@ -76,6 +76,17 @@ class TestWeight:
         assert data["arctan_coeff"] == "1"
         assert data["pearson"]["ok"] is True
 
+    def test_json_key_order(self, capsys):
+        data = run_json(
+            capsys, "weight", "--family", "romanovski", "--alpha", "-13/2", "--beta", "1"
+        )
+        assert list(data) == [
+            "constant", "power_factors", "quad_exp", "exp_poly", "arctan_coeff", "interval",
+            "formula", "pearson",
+        ]
+        assert data["interval"] == {"lo": None, "hi": None}
+        assert list(data["pearson"]) == ["ok", "symbolic_zero", "max_residual", "samples"]
+
     def test_table_format_prints_formula(self, capsys):
         code, out, _ = run(
             capsys, "weight", "--preset", "chaudhry-qadir", "--format", "table"
@@ -91,6 +102,16 @@ class TestGram:
         off_diag = [e for e in data["entries"] if e["m"] != e["n"]]
         assert all(e["value"] == "0" and e["method"] == "exact" for e in off_diag)
         assert data["off_diagonal_max_relative"] == 0.0
+
+    def test_json_key_order(self, capsys):
+        data = run_json(capsys, "gram", "--preset", "legendre", "--n-max", "2")
+        assert list(data) == [
+            "family", "max_degree", "degrees", "weight", "interval", "entries",
+            "off_diagonal_max_relative", "notes",
+        ]
+        for e in data["entries"]:
+            assert list(e) == [
+                "m", "n", "value", "method", "integrable", "err_est", "relative", "note"]
 
     def test_operator_json_source(self, capsys, tmp_path):
         path = tmp_path / "op.json"
@@ -113,12 +134,32 @@ class TestGram:
         assert [e["method"] for e in data["entries"]] == ["quadrature"] * 28
         assert data["off_diagonal_max_relative"] <= 1e-12
 
+    # these stopped with NoConvergence while the stopping rule measured the error
+    # against |value|, which a true zero built from large terms cannot meet
     @pytest.mark.parametrize(
-        "source", [("laguerre", "8"), ("laguerre", "10"), ("laguerre", "14"), ("hermite", "14")]
+        "source, bound",
+        [
+            (("--preset", "laguerre", "--n-max", "8"), 1e-12),
+            (("--preset", "laguerre", "--n-max", "10"), 1e-12),
+            (("--preset", "laguerre", "--n-max", "14"), 1e-11),
+            (("--preset", "hermite", "--n-max", "14"), 1e-12),
+            (("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3", "--n-max", "10"), 1e-12),
+        ],
+    )
+    def test_quadrature_converges_at_larger_sizes(self, capsys, source, bound):
+        data = run_json(capsys, "gram", *source)
+        assert {e["method"] for e in data["entries"]} == {"quadrature"}
+        assert data["off_diagonal_max_relative"] <= bound
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--preset", "laguerre", "--n-max", "20"),
+            ("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3", "--n-max", "18"),
+        ],
     )
     def test_quadrature_refusal_is_domain_error(self, capsys, source):
-        preset, n_max = source
-        code, out, err = run(capsys, "gram", "--preset", preset, "--n-max", n_max)
+        code, out, err = run(capsys, "gram", *source)
         assert code == 1 and out == ""
         assert err.startswith("specpoly: error: no convergence after 12 levels")
 
@@ -133,6 +174,19 @@ class TestRomanovskiReport:
         verdicts = {(p["m"], p["n"]): p["verdict"] for p in data["pairs"]}
         assert verdicts[(3, 4)] == "orthogonal"
         assert verdicts[(4, 5)] == "non-integrable"
+
+
+    def test_json_key_order(self, capsys):
+        data = run_json(
+            capsys, "romanovski-report", "--alpha", "-6", "--beta", "0", "--n-max", "5"
+        )
+        assert list(data) == [
+            "alpha", "beta", "gamma", "max_degree", "statuses", "degenerate_degree_pairs",
+            "pairs",
+        ]
+        assert [3, 4] in data["degenerate_degree_pairs"]
+        for p in data["pairs"]:
+            assert list(p) == ["m", "n", "verdict", "value", "relative", "err_est", "detail"]
 
 
 class TestNormalize:

@@ -2,10 +2,11 @@
 
 Each case runs ``cli.main`` in-process and compares its stdout with
 ``tests/golden/<name>.txt``.  The cases print exact rationals only (or
-floats computed by IEEE arithmetic alone, such as a zero ``relative``):
-``weight`` is left out because its ``max_residual`` samples through
-``math.tan``, and so is every quadrature entry, because libm may differ in
-the last digit between machines.
+floats computed by IEEE arithmetic alone, such as a zero ``relative``).
+``weight`` is kept to finite intervals, where the Pearson residual samples
+``lo + (hi - lo) t`` and evaluates by Horner; on an infinite interval its
+``max_residual`` samples through ``math.tan``.  Every quadrature entry is
+left out too.  In both, libm may differ in the last digit between machines.
 
 To regenerate after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -33,6 +34,17 @@ CASES = {
     "readme-gram-legendre-table": (
         "gram", "--preset", "legendre", "--n-max", "8", "--format", "table"),
     "readme-normalize": ("normalize", "--operator-json", OP_JSON),
+    # weight on a finite interval
+    **{
+        f"weight-{name}": ("weight", *source)
+        for name, source in (
+            ("legendre", ("--preset", "legendre")),
+            ("chebyshev1", ("--preset", "chebyshev1")),
+            ("chebyshev2", ("--preset", "chebyshev2")),
+            ("chaudhry-qadir", ("--preset", "chaudhry-qadir")),
+            ("jacobi-1-2", JACOBI),
+        )
+    },
     # JSON of the three exact commands
     **{
         f"{cmd}-{name}": (cmd, *source, "--n-max", "6")

@@ -147,7 +147,12 @@ class TestMatrix:
                 for j in range(n + 1):
                     if i > j:
                         assert m.entry(i, j) == 0
-            assert m.diagonal == spec.values
+            # the module docstring's mu_j = sum_k a_{k,k} j(j-1)...(j-k+1)
+            closed_form = tuple(
+                sum(a_k.coeff(k) * falling_factorial(j, k) for k, a_k in enumerate(op.coeffs))
+                for j in range(n + 1)
+            )
+            assert m.diagonal == spec.values == closed_form
 
     def test_columns_are_images_of_monomials(self):
         # the closed form against the definition: column j is L(x^j)

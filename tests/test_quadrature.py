@@ -63,6 +63,14 @@ class TestContract:
         with pytest.raises(NoConvergence, match="^integrand not finite at a quadrature node"):
             tanh_sinh(lambda x, d_lo, d_hi: 1.0 / d_hi, 0.0, 1.0, 1e-12, max_levels=8)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e10, 1e20])
+    def test_zero_integral_of_large_terms_converges(self, scale):
+        # the error is measured against the integral of |f| (2 scale / pi), not
+        # against |value| ~ 0, so the stopping level does not depend on the scale
+        res = tanh_sinh(plain(lambda x: scale * math.cos(2 * math.pi * x)), 0.0, 1.0)
+        assert res.levels == 4
+        assert abs(res.value) <= 1e-10 * scale
+
     def test_error_estimate_tracks_truth(self):
         res = tanh_sinh(plain(lambda x: x ** 7), 0.0, 1.0, 1e-10)
         assert abs(res.value - 1 / 8) <= max(res.err_est, 1e-12) * 10

@@ -109,3 +109,37 @@ class TestImmutability:
         m = build_operator(classical_presets()["legendre"]).matrix(3)
         assert m.entries is m.entries
         assert m.entries[1][1] == -2
+
+
+class Pair(Record):
+    a: object
+    b: object = None
+
+
+class TestToJson:
+    def test_fields_in_order_under_their_names(self):
+        entry = GramEntry(0, 2, Fraction(-4, 45), "exact", True)
+        assert entry.to_json() == {
+            "m": 0, "n": 2, "value": "-4/45", "method": "exact", "integrable": True,
+            "err_est": None, "relative": None, "note": None,
+        }
+        assert list(entry.to_json()) == list(GramEntry._fields)
+
+    def test_fraction_becomes_its_exact_string(self):
+        assert Pair(Fraction(-4, 45), Fraction(3)).to_json() == {"a": "-4/45", "b": "3"}
+
+    def test_nested_tuples_become_lists(self):
+        data = Pair(((1, 2), (Fraction(1, 3),), ()), ()).to_json()
+        assert data == {"a": [[1, 2], ["1/3"], []], "b": []}
+
+    def test_nested_record_becomes_its_own_to_json(self):
+        inner = Pair(Fraction(1, 2))
+        assert Pair(inner, (inner,)).to_json() == {
+            "a": {"a": "1/2", "b": None}, "b": [{"a": "1/2", "b": None}]}
+        weight = chebyshev1_weight()  # WeightExpr keeps its own keys
+        assert Pair(weight).to_json()["a"] == weight.to_json()
+
+    def test_other_values_pass_through(self):
+        data = Pair(None, (0.25, True, False, "x", 3)).to_json()
+        assert data == {"a": None, "b": [0.25, True, False, "x", 3]}
+        assert [type(v) for v in data["b"]] == [float, bool, bool, str, int]
