@@ -84,7 +84,7 @@ class TestWeight:
             "constant", "power_factors", "quad_exp", "exp_poly", "arctan_coeff", "interval",
             "formula", "pearson",
         ]
-        assert data["interval"] == {"lo": None, "hi": None}
+        assert list(data["interval"]) == ["lo", "hi"]
         assert list(data["pearson"]) == ["ok", "symbolic_zero", "max_residual", "samples"]
 
     def test_table_format_prints_formula(self, capsys):

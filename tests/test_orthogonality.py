@@ -513,7 +513,6 @@ def hermite_3_norm(n):
 # laguerre(alpha, beta) has the weight x^(beta-1) e^(alpha x) on (0, inf)
 CONVERGED = {
     "laguerre": (classical_presets()["laguerre"], lambda n: laguerre_norm(n, 0, 1)),
-    "hermite": (classical_presets()["hermite"], hermite_norm),
     "hermite(-1,3)": (FamilySpec.hermite(-1, 3), hermite_3_norm),
     "laguerre(-3/2,7/3)": (
         FamilySpec.laguerre(Fraction(-3, 2), Fraction(7, 3)),
@@ -526,18 +525,34 @@ CONVERGED = {
 }
 
 
-class TestConvergedQuadrature:
-    """Quadrature Gram matrices against closed-form norms, at sizes whose
-    quadrature used to stop with NoConvergence."""
+def assert_matches_norms(spec, norm, n, bound):
+    """Every entry by quadrature, diagonals within bound of norm, off-diagonals
+    with relative <= bound."""
+    report = gram_matrix(spec, n)
+    assert len(report.entries) == (n + 1) * (n + 2) // 2
+    for e in report.entries:
+        assert e.method == "quadrature", (e.m, e.n)
+        if e.m == e.n:
+            assert abs(e.value - norm(e.m)) <= bound * norm(e.m), e.m
+        else:
+            assert e.relative <= bound, (e.m, e.n)
+    assert report.off_diagonal_max_relative <= bound
 
-    # (name, n, bound): at 6, all but hermite used to fail; the larger sizes failed
-    # while the stopping rule measured the error against |value|, which a true
-    # zero built from large terms cannot meet.  At degree 14 the Laguerre entries
-    # cancel terms of order (14!)^2, which leaves about 8e-12 (tol is 1e-10).
+
+class TestConvergedQuadrature:
+    """Gram matrices whose quadrature used to stop with NoConvergence."""
+
+    @pytest.mark.parametrize("name", list(CONVERGED))
+    def test_gram_matches_closed_form_norms(self, name):
+        assert_matches_norms(*CONVERGED[name], 6, 1e-12)
+
+    # these failed while the stopping rule measured the error against |value|,
+    # which a true zero built from large terms cannot meet.  At degree 14 the
+    # Laguerre entries cancel terms of order (14!)^2, which leaves about 8e-12
+    # (tol is 1e-10).
     @pytest.mark.parametrize(
         "name, n, bound",
-        [(name, 6, 1e-12) for name in CONVERGED]
-        + [
+        [
             ("laguerre", 8, 1e-12),
             ("laguerre", 10, 1e-12),
             ("laguerre", 14, 1e-11),
@@ -545,17 +560,9 @@ class TestConvergedQuadrature:
             ("laguerre(-3/2,7/3)", 10, 1e-12),
         ],
     )
-    def test_gram_matches_closed_form_norms(self, name, n, bound):
-        spec, norm = CONVERGED[name]
-        report = gram_matrix(spec, n)
-        assert len(report.entries) == (n + 1) * (n + 2) // 2
-        for e in report.entries:
-            assert e.method == "quadrature", (e.m, e.n)
-            if e.m == e.n:
-                assert abs(e.value - norm(e.m)) <= bound * norm(e.m), e.m
-            else:
-                assert e.relative <= bound, (e.m, e.n)
-        assert report.off_diagonal_max_relative <= bound
+    def test_larger_sizes_match_closed_form_norms(self, name, n, bound):
+        specs = {**CONVERGED, "hermite": (classical_presets()["hermite"], hermite_norm)}
+        assert_matches_norms(*specs[name], n, bound)
 
 
 class TestQuadratureEntries:
