@@ -14,9 +14,10 @@ The operator comes from exactly one of --preset, --family (+ --eps/--alpha/
 nothing is contaminated by floats.  Output is JSON by default or an aligned
 table with --format table; identical invocations print identical bytes.
 
-Exit codes: 0 success, 1 domain errors (invalid operator, unsupported
-weight shape, non-integrable request, no quadrature convergence), 2
-argument errors.
+Exit codes: 0 success (also when the reader closes stdout early, as
+`| head` does), 1 domain errors (invalid operator, unsupported weight
+shape, non-integrable request, no quadrature convergence), 2 argument
+errors.
 """
 
 from __future__ import annotations
@@ -88,9 +89,13 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
 def _add_common_args(parser: argparse.ArgumentParser, n_max: bool = True) -> None:
     if n_max:
         parser.add_argument("--n-max", type=int, default=6)
+    parser.add_argument("--format", choices=["json", "table"], default="json")
+
+
+def _add_tol_arg(parser: argparse.ArgumentParser) -> None:
+    """--tol, for the commands that run quadrature."""
     parser.add_argument("--tol", type=float, default=None,
                         help="quadrature tolerance (default SPECPOLY_TOL or 1e-10)")
-    parser.add_argument("--format", choices=["json", "table"], default="json")
 
 
 def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec | None:
@@ -283,12 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", help="Gram matrix of eigenfunctions")
     _add_source_args(p)
     _add_common_args(p)
+    _add_tol_arg(p)
     p.set_defaults(handler=_cmd_gram)
 
     p = sub.add_parser("romanovski-report", help="finite orthogonality report")
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--beta", type=_fraction, default=Fraction(0))
     _add_common_args(p)
+    _add_tol_arg(p)
     p.set_defaults(handler=_cmd_romanovski_report)
 
     p = sub.add_parser("normalize", help="affine normalization of the leading coefficient")
@@ -305,7 +312,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        status = args.handler(args, parser)
+        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not an error.  What is still buffered
+        # goes to devnull, so the interpreter's final flush prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _DOMAIN_ERRORS as exc:
         print(f"specpoly: error: {exc}", file=sys.stderr)
         return 1

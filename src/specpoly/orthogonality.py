@@ -14,18 +14,22 @@ compact one (x = tan u for the real line, x = anchor +/- tan u for half
 lines), which turns the Romanovski weight into
 (tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u) on (-pi/2, pi/2).
 
-A Gram matrix makes one node sweep per weight: each node's abscissa,
+A pair goes to quadrature when p f g is integrable: by the degree of f g, or
+else with each root of f g at a root of the weight raising its exponent
+there.  A Gram matrix makes one node sweep per weight: each node's abscissa,
 log p(x) and Jacobian are computed once and shared by all pending entries,
-each of which still stops on its own rule.  A Romanovski report is read off
-the Romanovski Gram matrix: its verdicts map the Gram entries, and its
+each of which still stops on its own rule.  On the real line the sweep also
+integrates the moment p (1+x^2)^((m+n)/2), the scale of a pair whose
+diagonal norms diverge, once per m + n.  A Romanovski report is read off the
+Romanovski Gram matrix: its verdicts map the Gram entries, and its
 eigenvalue collisions always sit on the integrability boundary
-m + n + gamma + 1 = 0.  The weight
-(cached on the WeightExpr) and each eigenfunction are converted to floats
-once; a node evaluates each eigenfunction once, to a sign and log|f(x)|, and
-an entry adds two such logs, so f*g is never formed (quadrature floats may
-differ in their last digits from expanding it; exact entries do not).  Log
-space keeps weights with strong (but integrable) endpoint singularities and
-polynomials at |x| ~ 1e300 from overflowing or losing endpoint distances.
+m + n + gamma + 1 = 0.  The weight (cached on the WeightExpr) and each
+eigenfunction are converted to floats once; a node evaluates each
+eigenfunction once, to a sign and log|f(x)|, and an entry adds two such logs,
+so f*g is never formed (quadrature floats may differ in their last digits
+from expanding it; exact entries do not).  Log space keeps weights with
+strong (but integrable) endpoint singularities and polynomials at
+|x| ~ 1e300 from overflowing or losing endpoint distances.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ._record import Record
 from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
-from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep, tanh_sinh
+from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep
 from .ratpoly import Poly, RatLike, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability
 
@@ -212,10 +216,12 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
 
 
-def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Callable, float, float]:
-    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p f_i f_j times the
-    Jacobian of the interval's map x(u) (module docstring) at one node, per active pair
-    (i, j) of indices into funcs.
+def _integrand(
+    weight: WeightExpr, funcs: list[Poly], pairs: list, powers: Sequence[float]
+) -> tuple[Callable, float, float]:
+    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p f_i f_j J^c at one
+    node, J the Jacobian of the interval's map x(u) (module docstring), per active integrand
+    ((i, j), b): indices into funcs, and into powers, which holds c (1.0 for an inner product).
 
     A node's x, log p(x) and log-Jacobian are computed once for all pairs, and the sign
     and log|f_i(x)| once per f_i that an active pair needs; f_i f_j is never formed.  Off
@@ -270,7 +276,7 @@ def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Call
         near = finite or abs(x) <= 1.0
         if not near:
             inv_x, log_x = 1.0 / x, math.log(abs(x))
-        for i in {i for k in active for i in pairs[k]}:  # signs and logs of other f_i go unread
+        for i in {i for k in active for i in pairs[k][0]}:  # signs and logs of other f_i go unread
             if near:
                 v, log_scale = horner(cs[i], x), 0.0
             else:  # the reversed polynomial at 1/x is f_i(x)/x^deg
@@ -279,23 +285,29 @@ def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Call
                     v = -v
             # sign 0.0 at a zero of f_i zeroes its entries
             signs[i], logs[i] = (math.copysign(1.0, v), log_scale + math.log(abs(v))) if v else zero
-        base = lw + log_jac
+        bases = [lw + c * log_jac for c in powers]
         return [
-            _signed_exp(signs[i] * signs[j], base + logs[i] + logs[j])
-            for i, j in map(pairs.__getitem__, active)
+            _signed_exp(signs[i] * signs[j], bases[b] + logs[i] + logs[j])
+            for (i, j), b in map(pairs.__getitem__, active)
         ]
 
     return f, lo, hi
 
 
-def _numeric_quad(weight: WeightExpr, pairs: Sequence, tol: float) -> list[QuadResult]:
-    """Quadrature of p*f*g for every (f, g) in pairs, on one node sweep; raises
-    the NoConvergence of the first pair, in list order, that fails."""
-    index: dict[Poly, int] = {}  # each distinct eigenfunction once
-    pos = [(index.setdefault(f, len(index)), index.setdefault(g, len(index))) for f, g in pairs]
-    f, lo, hi = _integrand(weight, list(index), pos)
-    results = _tanh_sinh_sweep(f, len(pairs), lo, hi, tol)
-    for res in results:
+def _numeric_quad(
+    weight: WeightExpr, pairs: Sequence, tol: float, moments: Sequence[int] = ()
+) -> list[QuadResult | NoConvergence]:
+    """Quadrature of p*f*g for every (f, g) in pairs, then of p (1+x^2)^(t/2) for
+    every t in moments (real line only), on one node sweep.  Raises the
+    NoConvergence of the first pair, in list order, that fails; a moment that
+    fails keeps its NoConvergence in its slot."""
+    index: dict[Poly, int] = {Poly.one(): 0}  # each distinct polynomial once; 0 is 1
+    pos = [(tuple(index.setdefault(p, len(index)) for p in fg), 0) for fg in pairs]
+    # the moment p (1+x^2)^(t/2) is p 1 1 J^(t/2 + 1), J = 1 + x^2 the real line's Jacobian
+    pos += [((0, 0), b) for b in range(1, len(moments) + 1)]
+    f, lo, hi = _integrand(weight, list(index), pos, [1.0] + [t / 2.0 + 1.0 for t in moments])
+    results = _tanh_sinh_sweep(f, len(pos), lo, hi, tol)
+    for res in results[: len(pairs)]:
         if isinstance(res, NoConvergence):
             raise res
     return results
@@ -312,7 +324,7 @@ def inner_product_numeric(
     if f.is_zero() or g.is_zero():
         return QuadResult(0.0, 0.0, 0, 0)
     degree = int(f.degree + g.degree)
-    verdict = integrability(weight, None, degree)
+    verdict = integrability(weight, None, 0, f * g)  # a root of f g raises an exponent
     if not verdict.integrable:
         failed = "; ".join(d for _, ok, d in verdict.conditions if not ok)
         raise NonIntegrable(
@@ -333,31 +345,6 @@ def inner_product(
     except NotPolynomialReducible:
         res = inner_product_numeric(weight, f, g, tol)
         return res.value, "quadrature", res.err_est
-
-
-def _moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | None:
-    """integral p(x) (1+x^2)^(total_degree/2) dx, the scale used to
-    normalize off-diagonal entries whose diagonal norms diverge.
-
-    Smooth and finite exactly when the pair itself is integrable; only the
-    real-line case ever needs it.
-    """
-    iv = weight.interval
-    if not (iv.lo is None and iv.hi is None):
-        return None
-    half = total_degree / 2.0
-
-    def g(u: float, d_lo: float, d_hi: float) -> float:
-        x = _tan_abscissa(u, d_lo, d_hi)
-        if not math.isfinite(x):
-            return 0.0
-        total = weight.log_eval(x) + (half + 1.0) * _log1p_sq(x)
-        return _signed_exp(1.0, total)
-
-    try:
-        return tanh_sinh(g, -math.pi / 2, math.pi / 2, tol).value
-    except NoConvergence:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +386,7 @@ class OrthoReport(Record):
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
-        header = f"{'m':>3} {'n':>3} {'method':>10} {'value':>24} {'relative':>12}"
-        lines.append(header)
-        lines.append("-" * len(header))
+        cells = []
         for e in self.entries:
             if not e.integrable:
                 value, rel = "non-integrable", ""
@@ -410,7 +395,13 @@ class OrthoReport(Record):
             else:
                 value = str(e.value) if isinstance(e.value, Fraction) else f"{e.value:.3e}"
                 rel = "" if e.relative is None else f"{e.relative:.3e}"
-            lines.append(f"{e.m:>3} {e.n:>3} {e.method or '-':>10} {value:>24} {rel:>12}")
+            cells.append((e, value, rel))
+        width = max([24] + [len(value) for _, value, _ in cells])  # no cell shifts `relative`
+        header = f"{'m':>3} {'n':>3} {'method':>10} {'value':>{width}} {'relative':>12}"
+        lines.append(header)
+        lines.append("-" * len(header))
+        for e, value, rel in cells:
+            lines.append(f"{e.m:>3} {e.n:>3} {e.method or '-':>10} {value:>{width}} {rel:>12}")
         if self.off_diagonal_max_relative is not None:
             lines.append(
                 f"max off-diagonal relative entry: {self.off_diagonal_max_relative:.3e}"
@@ -433,7 +424,6 @@ def _gram_for(
     except NotPolynomialReducible:
         form = None
 
-    moment_scale = functools.cache(lambda k: _moment_scale(weight, k, tol))
     integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
     routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, integrable, note)
     for i, m in enumerate(degrees):
@@ -447,24 +437,33 @@ def _gram_for(
                     continue
                 except NotPolynomialReducible:
                     pass
-            if integrable(m + n):
+            # a pair the degree refuses can still be integrable: each root of f g at a
+            # root of the weight raises the weight's exponent there
+            if integrable(m + n) or weight.power_factors and integrability(
+                weight, None, 0, funcs[m] * funcs[n]
+            ).integrable:
                 routes[m, n] = (None, "quadrature", True, None)
             else:
                 routes[m, n] = (None, None, False, "non-integrable")
     pending = [key for key, route in routes.items() if route[1] == "quadrature"]
-    results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol)
+    # a pair whose diagonal norms diverge is scaled by p (1+x^2)^((m+n)/2) (real line only)
+    valued = {key for key, route in routes.items() if route[1] is not None}
+    on_line = weight.interval.lo is None and weight.interval.hi is None
+    moments = sorted({m + n for m, n in valued if on_line and not {(m, m), (n, n)} <= valued})
+    results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol, moments)
     quad = dict(zip(pending, results))
+    tail = zip(moments, results[len(pending):])
+    scales = {t: res.value for t, res in tail if isinstance(res, QuadResult)}
     values = {key: quad[key].value if key in quad else route[0] for key, route in routes.items()}
     diag = {m: float(values[m, m] or 0) for m in degrees}  # 0.0 where the norm has no value
 
     entries: list[GramEntry] = []
     for (m, n), (_, method, ok, note) in routes.items():
         value, rel = values[m, n], None
-        # a Romanovski diagonal norm can diverge while the pair converges: moment scale then
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
                 rel = abs(float(value)) / math.sqrt(diag[m] * diag[n])
-            elif scale := moment_scale(m + n):
+            elif scale := scales.get(m + n):
                 rel, note = abs(float(value)) / scale, "relative uses moment scale"
         err_est = quad[m, n].err_est if (m, n) in quad else None
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))

@@ -379,17 +379,22 @@ def _endpoint_facts(
 
 
 def integrability(
-    weight: WeightExpr, interval: Interval | None = None, total_degree: int = 0
+    weight: WeightExpr,
+    interval: Interval | None = None,
+    total_degree: int = 0,
+    factor: Poly = Poly.one(),
 ) -> IntegrabilityVerdict:
-    """Is (polynomial of degree total_degree) * weight integrable over the interval?
+    """Is factor * (polynomial of degree total_degree) * weight integrable over
+    the interval?
 
-    Every power exponent at a finite root must exceed -1; each infinite end
-    needs a decaying exponential factor, or else an asymptotic power below -1.
+    Every power exponent at a finite root, plus the root's multiplicity in
+    factor, must exceed -1; each infinite end needs a decaying exponential
+    factor, or else an asymptotic power below -1.
     """
     iv = interval if interval is not None else weight.interval
     roots = sorted({pf.root for pf in weight.power_factors})
     conditions = []
-    for loc, r, e, decay in _endpoint_facts(weight, iv, roots, Poly.one(), total_degree):
+    for loc, r, e, decay in _endpoint_facts(weight, iv, roots, factor, total_degree):
         if decay is not None:
             ok, detail = decay, _EXP_DETAIL[decay]
         elif r is None:

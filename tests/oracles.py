@@ -11,7 +11,10 @@ way, one polynomial product and one definite integral per pair, against
 which the library's moment assembly is checked.  ``log_eval_reference``
 is ``WeightExpr.log_eval`` as it was before the weight cached its float
 form: it converts and compares the Fraction fields at every call, and the
-cached version must agree with it bit for bit.
+cached version must agree with it bit for bit.  ``moment_scale`` is the
+Romanovski moment scale as one public ``tanh_sinh`` call per total degree,
+as the library computed it before the moments joined the Gram matrix's node
+sweep; the scales read off the sweep must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ from typing import Sequence
 from specpoly import (
     DiffOperator,
     ExactDivisionError,
+    NoConvergence,
     NotPolynomialReducible,
     OperatorMatrix,
     Poly,
     WeightExpr,
+    tanh_sinh,
 )
+from specpoly.orthogonality import _log1p_sq, _signed_exp, _tan_abscissa
 
 
 def monic_classical(name: str, n_max: int) -> list[Poly]:
@@ -244,3 +250,28 @@ def log_eval_reference(
     if weight.arctan_coeff != 0:
         out += float(weight.arctan_coeff) * math.atan(x)
     return out
+
+
+def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | None:
+    """integral p(x) (1+x^2)^(total_degree/2) dx, the scale used to
+    normalize off-diagonal entries whose diagonal norms diverge.
+
+    Smooth and finite exactly when the pair itself is integrable; only the
+    real-line case ever needs it.
+    """
+    iv = weight.interval
+    if not (iv.lo is None and iv.hi is None):
+        return None
+    half = total_degree / 2.0
+
+    def g(u: float, d_lo: float, d_hi: float) -> float:
+        x = _tan_abscissa(u, d_lo, d_hi)
+        if not math.isfinite(x):
+            return 0.0
+        total = weight.log_eval(x) + (half + 1.0) * _log1p_sq(x)
+        return _signed_exp(1.0, total)
+
+    try:
+        return tanh_sinh(g, -math.pi / 2, math.pi / 2, tol).value
+    except NoConvergence:
+        return None

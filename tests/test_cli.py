@@ -366,6 +366,27 @@ class TestContract:
         assert "tolerance must be a finite positive number" in err
 
 
+    @pytest.mark.parametrize("command", ["spectrum", "eigenfns", "weight", "normalize"])
+    def test_tol_only_where_quadrature_runs(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "legendre", "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_closed_stdout_is_not_an_error(self):
+        # the reader closes the pipe before anything is written: every write fails
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "specpoly", "eigenfns", "--preset", "legendre", "--n-max", "60"],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+
+
 class TestColdStart:
     """`dataclasses` and `inspect` stay out of a command's process: their
     import was most of the package's start-up time."""

@@ -8,10 +8,12 @@ import pytest
 import specpoly.orthogonality as orthogonality
 from specpoly import (
     FamilySpec,
+    GramEntry,
     Interval,
     NoConvergence,
     NonIntegrable,
     NotPolynomialReducible,
+    OrthoReport,
     Poly,
     PowerFactor,
     WeightExpr,
@@ -27,7 +29,7 @@ from specpoly import (
     inner_product_numeric,
 )
 
-from oracles import divide_and_integrate, random_poly
+from oracles import divide_and_integrate, moment_scale, random_poly
 
 
 def P(*coeffs):
@@ -311,14 +313,13 @@ class TestNumericPath:
                 exact = inner_product_exact(w, f, g)
                 scale = math.sqrt(inner_product_exact(w, f, f) * inner_product_exact(w, g, g))
                 assert abs(inner_product_numeric(w, f, g).value - exact) <= 1e-12 * scale
-        # chaudhry-qadir's 1/(1-t) makes the integrability verdict refuse every
-        # pair, although f g vanishes at t = 1: no quadrature value to compare
+        # chaudhry-qadir's 1/(1-t) is integrable against f g, which vanishes at t = 1
         table = eigentable(build_operator(CQ_SPEC), 4)
         for m in range(1, 5):
             f = table[m].monic
-            assert inner_product_exact(CQ_W, f, f) > 0
-            with pytest.raises(NonIntegrable, match="power exponent -1 <= -1"):
-                inner_product_numeric(CQ_W, f, f)
+            exact = inner_product_exact(CQ_W, f, f)
+            assert exact > 0
+            assert abs(inner_product_numeric(CQ_W, f, f).value - exact) <= 1e-12 * exact
 
 
 class TestRouter:
@@ -429,6 +430,34 @@ class TestGramMatrix:
         for e in missing:
             assert (e.value, e.method, e.note) == (None, None, "no degree-exact eigenfunction")
         assert "  0   3          - no degree-exact eigenfunction" in report.format_table()
+
+    def test_table_rows_as_wide_as_the_header(self):
+        entries = (
+            GramEntry(0, 0, Fraction(2), "exact", True),
+            GramEntry(0, 1, 1.5, "quadrature", True, 1e-12, 0.25),
+            GramEntry(0, 2, None, None, True, note="no degree-exact eigenfunction"),
+            GramEntry(1, 1, Fraction(2**90, 3**40), "exact", True),
+            GramEntry(1, 2, None, None, False, note="non-integrable"),
+        )
+        report = OrthoReport("custom", 2, (0, 1, 2), "1", "(-1, 1)", entries, 0.25)
+        lines = report.format_table().splitlines()
+        header = lines.index(next(line for line in lines if line.lstrip().startswith("m ")))
+        rows = lines[header + 2 : header + 2 + len(entries)]
+        assert len(rows) == len(entries)
+        assert {len(row) for row in rows} == {len(lines[header])}
+        assert rows[1].endswith(" 1.500e+00    2.500e-01")
+
+    def test_root_orders_decide_integrability(self):
+        # weight |x+1|^(1/3) |x-1|^(-1): every eigenfunction of degree >= 1 has the
+        # factor (x - 1), so only (0, 0) is non-integrable
+        spec = FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3))
+        table = eigentable(build_operator(spec), 8)
+        assert all(table[d].monic(1) == 0 for d in range(1, 9))
+        report = gram_matrix(spec, 8)
+        assert [(e.m, e.n) for e in report.entries if not e.integrable] == [(0, 0)]
+        for e in report.entries:
+            if e.m >= 1 and e.n > e.m:
+                assert e.method == "quadrature" and e.relative <= 1e-12, (e.m, e.n)
 
     def test_chebyshev_gram_numeric_zeros(self):
         report = gram_matrix(FamilySpec.jacobi(-1, -1, 0), 4, 1e-11)
@@ -633,16 +662,32 @@ class TestQuadratureEntries:
             assert details.count("relative to sqrt(G_mm G_nn)") == count - by_moment
 
     def test_moment_scale_once_per_total_degree(self, monkeypatch):
-        calls = []
-        moment_scale = orthogonality._moment_scale
+        # one moment integrand per total degree, on the Gram matrix's only sweep,
+        # and each scale bit for bit the one-integral tanh_sinh of the oracle
+        alpha, beta, n, tol = Fraction(-15, 2), Fraction(1, 2), 6, 1e-10
+        spec = FamilySpec.romanovski(alpha, beta)
+        w = weight_of(spec)
+        moments, sweeps = [], []
+        numeric_quad, sweep = orthogonality._numeric_quad, orthogonality._tanh_sinh_sweep
 
-        def counted(weight, total_degree, tol):
-            calls.append(total_degree)
-            return moment_scale(weight, total_degree, tol)
+        def recorded_quad(weight, pairs, tol, moments_=()):
+            moments.append(list(moments_))
+            return numeric_quad(weight, pairs, tol, moments_)
 
-        monkeypatch.setattr(orthogonality, "_moment_scale", counted)
-        finite_orthogonality_report(Fraction(-15, 2), Fraction(1, 2), 6)
-        assert calls == [5, 6, 7, 8]
-        calls.clear()
-        gram_matrix(FamilySpec.romanovski(Fraction(-15, 2), Fraction(1, 2)), 6)
-        assert calls == [5, 6, 7, 8]
+        def counted_sweep(*args, **kwargs):
+            sweeps.append(args[1])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(orthogonality, "_numeric_quad", recorded_quad)
+        monkeypatch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
+        report = finite_orthogonality_report(alpha, beta, n, tol)
+        gram = gram_matrix(spec, n, tol)
+        assert moments == [[5, 6, 7, 8], [5, 6, 7, 8]]
+        quadrature = sum(e.method == "quadrature" for e in gram.entries)
+        assert sweeps == [quadrature + 4, quadrature + 4]
+        scaled = [e for e in gram.entries if e.note == "relative uses moment scale"]
+        assert len(scaled) == 7
+        for e in scaled:
+            assert e.relative == abs(e.value) / moment_scale(w, e.m + e.n, tol), (e.m, e.n)
+            pair = next(p for p in report.pairs if (p.m, p.n) == (e.m, e.n))
+            assert pair.relative == e.relative

@@ -195,6 +195,20 @@ class TestIntegrability:
         verdict = integrability(w)
         assert not verdict.integrable
 
+    def test_factor_roots_raise_exponents(self):
+        # 1/(1-t) on (0, 1) against a factor with the root t = 1
+        w = weight_of(FamilySpec.chaudhry_qadir())
+        assert integrability(w, factor=P(-1, 1)).integrable
+        assert integrability(w, factor=P(1, -2, 1)).conditions[-1][2] == "power exponent 1 > -1"
+        assert not integrability(w, factor=P(1, 1)).integrable
+        # the asymptotic power counts the factor's degree, roots included
+        w = weight_of(FamilySpec.laguerre(-1, -1))  # |x|^(-2) e^(-x) on (0, inf)
+        assert integrability(w, factor=P(0, 0, 1)).integrable
+        assert not integrability(w, factor=P(0, 1)).integrable
+        w = weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))
+        assert integrability(w, total_degree=6, factor=P(1, 1)).integrable
+        assert not integrability(w, total_degree=7, factor=P(1, 1)).integrable
+
     def test_laguerre_derived_conditions(self):
         # p = e^{alpha x} |x|^{beta - 1} on (0, inf): needs beta > 0 and alpha < 0
         half_line = Interval(Fraction(0), None)
