@@ -56,6 +56,7 @@ from .weights import (
     boundary_vanishing,
     derive_weight,
     integrability,
+    moment_reach,
     pearson_check,
 )
 
@@ -91,6 +92,7 @@ __all__ = [
     "derive_weight",
     "pearson_check",
     "integrability",
+    "moment_reach",
     "boundary_vanishing",
     "NoConvergence",
     "QuadResult",

@@ -92,12 +92,6 @@ def _add_common_args(parser: argparse.ArgumentParser, n_max: bool = True) -> Non
     parser.add_argument("--format", choices=["json", "table"], default="json")
 
 
-def _add_tol_arg(parser: argparse.ArgumentParser) -> None:
-    """--tol, for the commands that run quadrature."""
-    parser.add_argument("--tol", type=float, default=None,
-                        help="quadrature tolerance (default SPECPOLY_TOL or 1e-10)")
-
-
 def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec | None:
     sources = [args.preset is not None, args.family is not None,
                getattr(args, "operator_json", None) is not None]
@@ -240,7 +234,7 @@ def _cmd_gram(args, parser) -> int:
 def _cmd_romanovski_report(args, parser) -> int:
     if args.n_max < 0:
         raise ValueError("--n-max must be >= 0")
-    report = finite_orthogonality_report(args.alpha, args.beta, args.n_max, _tolerance(args))
+    report = finite_orthogonality_report(args.alpha, args.beta, args.n_max)
     _emit(report.to_json(), report.format_table(), args.format)
     return 0
 
@@ -288,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", help="Gram matrix of eigenfunctions")
     _add_source_args(p)
     _add_common_args(p)
-    _add_tol_arg(p)
+    p.add_argument("--tol", type=float, default=None,  # gram is the one command with quadrature
+                   help="quadrature tolerance (default SPECPOLY_TOL or 1e-10)")
     p.set_defaults(handler=_cmd_gram)
 
     p = sub.add_parser("romanovski-report", help="finite orthogonality report")
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--beta", type=_fraction, default=Fraction(0))
     _add_common_args(p)
-    _add_tol_arg(p)
     p.set_defaults(handler=_cmd_romanovski_report)
 
     p = sub.add_parser("normalize", help="affine normalization of the leading coefficient")

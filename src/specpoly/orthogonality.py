@@ -1,27 +1,38 @@
 """Weighted inner products <f, g> = integral p f g and Gram matrices.
 
-Routing policy: every pair is first attempted on the exact path, which
-succeeds whenever p*f*g cancels down to a polynomial over a finite
-interval (integer power exponents, matching factors of f*g, no
-exponential/arctan component).  It reduces the weight and divides each
-eigenfunction by the weight's negative powers once, then assembles every
-entry from cached power moments: O(n^3) operations for an n x n Gram
-matrix, no polynomial product per entry.  They run on integer numerators
-over one common denominator, with one Fraction per entry and no float.
-Exact zeros make orthogonality claims unambiguous.  Everything else falls
-back to tanh-sinh quadrature; infinite intervals are first mapped to a
-compact one (x = tan u for the real line, x = anchor +/- tan u for half
-lines), which turns the Romanovski weight into
-(tan^2 u + 1)^(gamma/2 + 1) e^(beta u) f g(tan u) on (-pi/2, pi/2).
+Routing policy: a Gram matrix takes one of three routes per pair.
+
+* exact: p*f*g cancels down to a polynomial over a finite interval (integer
+  power exponents, matching factors of f*g, no exponential/arctan
+  component).  The weight is reduced and each eigenfunction divided by the
+  weight's negative powers once, then every entry is assembled from cached
+  power moments: O(n^3) operations for an n x n Gram matrix, no polynomial
+  product per entry.  They run on integer numerators over one common
+  denominator, with one Fraction per entry and no float.
+* moment: the Romanovski shape p = (x^2+1)^q e^(h arctan x) on the real
+  line.  Every moment m_k = integral p x^k is an exact rational r_k times
+  m_0, from the Pearson pair (a, b) of p (the moment functional; Chihara,
+  An Introduction to Orthogonal Polynomials, 1978): integrating
+  (p a x^k)' = p (k a x^(k-1) + b x^k) over R gives
+  m_(k+1) = -(k a0 m_(k-1) + (k a1 + b0) m_k) / (k a2 + b1) while the
+  boundary term p a x^k vanishes, which is exactly while m_(k+1) exists.
+  The exact route's bilinear form over the integer-cleared r_k gives each
+  entry as an exact ratio to m_0, and m_0 is Cauchy's beta integral in
+  closed form.  The last k with p x^k integrable (the reach) is read once
+  per matrix; a pair with m + n beyond it is non-integrable.
+* quadrature: everything else, by tanh-sinh; infinite intervals are first
+  mapped to a compact one (x = tan u for the real line, x = anchor +/- tan u
+  for half lines).
+
+Exact zeros make orthogonality claims unambiguous: a moment entry's float
+value is its ratio times m_0, 0.0 exactly when the ratio is 0.
 
 A pair goes to quadrature when p f g is integrable: by the degree of f g, or
 else with each root of f g at a root of the weight raising its exponent
 there.  A Gram matrix makes one node sweep per weight: each node's abscissa,
 log p(x) and Jacobian are computed once and shared by all pending entries,
-each of which still stops on its own rule.  On the real line the sweep also
-integrates the moment p (1+x^2)^((m+n)/2), the scale of a pair whose
-diagonal norms diverge, once per m + n.  A Romanovski report is read off the
-Romanovski Gram matrix: its verdicts map the Gram entries, and its
+each of which still stops on its own rule.  A Romanovski report is read off
+the Romanovski Gram matrix: its verdicts map the Gram entries, and its
 eigenvalue collisions always sit on the integrability boundary
 m + n + gamma + 1 = 0.  The weight (cached on the WeightExpr) and each
 eigenfunction are converted to floats once; a node evaluates each
@@ -47,7 +58,7 @@ from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep
 from .ratpoly import Poly, RatLike, common_denominator, horner, rat
-from .weights import WeightExpr, derive_weight, integrability
+from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
     "NotPolynomialReducible",
@@ -128,15 +139,7 @@ class _ExactForm:
             self.base = self.base * Poly((-r, 1)) ** (k + need.get(r, 0))
         self.scale = weight.constant * sign
         self.divisors = tuple(need.items())
-        # label -> (denominator, numerators, multiplicity per divisor)
-        self.reduced: dict[int, tuple[int, list[int], list[int]]] = {}
-        for label, f in polys.items():
-            mults = []
-            for r, k in self.divisors:
-                f, s = f.strip_root(r, k)
-                mults.append(s)
-            self.reduced[label] = (*common_denominator(f.coeffs), mults)
-        self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
+        self._reduce(polys)
         top = self.span + len(self.base.coeffs) + sum(need.values())
         # nu[s] = integral of x^s over (lo, hi) = (hi^s - lo^s)/s, as ints over d_nu,
         # from running int powers of hi = a/b and lo = c/d
@@ -146,6 +149,18 @@ class _ExactForm:
             a_s, b_s, c_s, d_s = a_s * a, b_s * b, c_s * c, d_s * d
             nu.append(Fraction(a_s * d_s - c_s * b_s, s * b_s * d_s))
         self.d_nu, self.nu = common_denominator(nu)
+
+    def _reduce(self, polys: dict[int, Poly]) -> None:
+        """Each f divided by the divisors as far as it goes, cleared to ints; empty caches."""
+        # label -> (denominator, numerators, multiplicity per divisor)
+        self.reduced: dict[int, tuple[int, list[int], list[int]]] = {}
+        for label, f in polys.items():
+            mults = []
+            for r, k in self.divisors:
+                f, s = f.strip_root(r, k)
+                mults.append(s)
+            self.reduced[label] = (*common_denominator(f.coeffs), mults)
+        self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
         self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
         self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
@@ -190,6 +205,81 @@ def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# moment path
+
+
+def _moment_shape(weight: WeightExpr) -> bool:
+    """p = (x^2+1)^q e^(h arctan x) on the real line, the weights of the moment route."""
+    iv = weight.interval
+    return (
+        iv.lo is None and iv.hi is None and weight.quad_exp is not None
+        and not weight.power_factors and weight.exp_poly.is_zero()
+    )
+
+
+def _moment_ratios(weight: WeightExpr, reach: int) -> list[Fraction]:
+    """[r_0, ..., r_reach] with r_k = m_k / m_0, by the Pearson recurrence of the module
+    docstring.  (a, b) comes from p'/p = num/a, b = num + a'; step k is valid while the
+    boundary term p a x^k vanishes, k + 1 <= reach, where its divisor k a2 + b1 < 0."""
+    num, a = weight.dlog()
+    b = num + a.derivative()
+    a0, a1, a2, b0, b1 = a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)
+    r = [Fraction(1)]
+    for k in range(reach):
+        r.append(-(k * a0 * (r[k - 1] if k else 0) + (k * a1 + b0) * r[k]) / (k * a2 + b1))
+    return r
+
+
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series for log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
+    """integral over R of p (1+x^2)^(t/2) for the moment shape: m_0 at t = 0, else the
+    scale of a pair m + n = t whose diagonal norms diverge.
+
+    With x = tan u it is Cauchy's beta integral of cos(u)^nu e^(h u) over (-pi/2, pi/2),
+    nu = -2q - t - 2 > -1: pi Gamma(nu+1) / (2^nu |Gamma(a + ib)|^2), a = 1 + nu/2,
+    b = h/2, which the duplication formula turns into
+    sqrt(pi) Gamma(a - 1/2) / Gamma(a) * |Gamma(a) / Gamma(a + ib)|^2.  The last factor
+    is prod_(j<N) (1 + b^2 / (a+j)^2) times the same ratio at A = a + N >= 16, whose
+    log, Re log Gamma(A + ib) - log Gamma(A), Stirling's series gives to double precision.
+    """
+    a = -weight.quad_exp - Fraction(t, 2)  # 1 + nu/2
+    b = float(weight.arctan_coeff) / 2
+    x = float(a - Fraction(1, 2))
+    if a < 171:  # Gamma overflows a float beyond 171.6
+        gammas = math.gamma(x) / math.gamma(float(a))
+    else:
+        gammas = math.exp(math.lgamma(x) - math.lgamma(float(a)))
+    shift = 1.0
+    while a < 16:
+        shift *= 1 + (b / float(a)) ** 2
+        a += 1
+    big = float(a)
+    # (A - 1/2) log|A + ib| - b arg(A + ib), less the same at b = 0
+    log_ratio = (big - 0.5) * 0.5 * math.log1p((b / big) ** 2) - b * math.atan(b / big)
+    inv_z, inv_a = 1 / complex(big, b), 1 / big
+    power_z, power_a = inv_z, inv_a
+    for c in _STIRLING:
+        log_ratio += c * (power_z.real - power_a)
+        power_z *= inv_z * inv_z
+        power_a *= inv_a * inv_a
+    return math.sqrt(math.pi) * gammas * shift * math.exp(-2 * log_ratio)
+
+
+class _MomentForm(_ExactForm):
+    """<f, g> / m_0 on the moment route: _ExactForm's bilinear form over one moment list,
+    the integer-cleared r_k, with no divisors.  An entry is exact only for
+    deg f + deg g <= reach; the caller gates on that."""
+
+    def __init__(self, weight: WeightExpr, polys: dict[int, Poly], reach: int):
+        self.scale, self.divisors = Fraction(1), ()
+        self._reduce(polys)
+        self.moments[()] = common_denominator(_moment_ratios(weight, reach))
+
+
+# ---------------------------------------------------------------------------
 # numeric path
 
 
@@ -216,12 +306,10 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
 
 
-def _integrand(
-    weight: WeightExpr, funcs: list[Poly], pairs: list, powers: Sequence[float]
-) -> tuple[Callable, float, float]:
-    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p f_i f_j J^c at one
-    node, J the Jacobian of the interval's map x(u) (module docstring), per active integrand
-    ((i, j), b): indices into funcs, and into powers, which holds c (1.0 for an inner product).
+def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Callable, float, float]:
+    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p f_i f_j times the
+    Jacobian of the interval's map x(u) (module docstring) at one node, per active pair
+    (i, j) of indices into funcs.
 
     A node's x, log p(x) and log-Jacobian are computed once for all pairs, and the sign
     and log|f_i(x)| once per f_i that an active pair needs; f_i f_j is never formed.  Off
@@ -276,7 +364,7 @@ def _integrand(
         near = finite or abs(x) <= 1.0
         if not near:
             inv_x, log_x = 1.0 / x, math.log(abs(x))
-        for i in {i for k in active for i in pairs[k][0]}:  # signs and logs of other f_i go unread
+        for i in {i for k in active for i in pairs[k]}:  # signs and logs of other f_i go unread
             if near:
                 v, log_scale = horner(cs[i], x), 0.0
             else:  # the reversed polynomial at 1/x is f_i(x)/x^deg
@@ -285,29 +373,23 @@ def _integrand(
                     v = -v
             # sign 0.0 at a zero of f_i zeroes its entries
             signs[i], logs[i] = (math.copysign(1.0, v), log_scale + math.log(abs(v))) if v else zero
-        bases = [lw + c * log_jac for c in powers]
+        base = lw + log_jac
         return [
-            _signed_exp(signs[i] * signs[j], bases[b] + logs[i] + logs[j])
-            for (i, j), b in map(pairs.__getitem__, active)
+            _signed_exp(signs[i] * signs[j], base + logs[i] + logs[j])
+            for i, j in map(pairs.__getitem__, active)
         ]
 
     return f, lo, hi
 
 
-def _numeric_quad(
-    weight: WeightExpr, pairs: Sequence, tol: float, moments: Sequence[int] = ()
-) -> list[QuadResult | NoConvergence]:
-    """Quadrature of p*f*g for every (f, g) in pairs, then of p (1+x^2)^(t/2) for
-    every t in moments (real line only), on one node sweep.  Raises the
-    NoConvergence of the first pair, in list order, that fails; a moment that
-    fails keeps its NoConvergence in its slot."""
-    index: dict[Poly, int] = {Poly.one(): 0}  # each distinct polynomial once; 0 is 1
-    pos = [(tuple(index.setdefault(p, len(index)) for p in fg), 0) for fg in pairs]
-    # the moment p (1+x^2)^(t/2) is p 1 1 J^(t/2 + 1), J = 1 + x^2 the real line's Jacobian
-    pos += [((0, 0), b) for b in range(1, len(moments) + 1)]
-    f, lo, hi = _integrand(weight, list(index), pos, [1.0] + [t / 2.0 + 1.0 for t in moments])
-    results = _tanh_sinh_sweep(f, len(pos), lo, hi, tol)
-    for res in results[: len(pairs)]:
+def _numeric_quad(weight: WeightExpr, pairs: Sequence, tol: float) -> list[QuadResult]:
+    """Quadrature of p*f*g for every (f, g) in pairs, on one node sweep; raises
+    the NoConvergence of the first pair, in list order, that fails."""
+    index: dict[Poly, int] = {}  # each distinct eigenfunction once
+    pos = [(index.setdefault(f, len(index)), index.setdefault(g, len(index))) for f, g in pairs]
+    f, lo, hi = _integrand(weight, list(index), pos)
+    results = _tanh_sinh_sweep(f, len(pairs), lo, hi, tol)
+    for res in results:
         if isinstance(res, NoConvergence):
             raise res
     return results
@@ -355,7 +437,7 @@ class GramEntry(Record):
     m: int
     n: int
     value: Fraction | float | None
-    method: str | None  # "exact" | "quadrature" | None
+    method: str | None  # "exact" | "moment" | "quadrature" | None
     integrable: bool
     err_est: float | None = None
     relative: float | None = None
@@ -413,23 +495,38 @@ def _gram_for(
     table: Sequence[EigenResult],
     weight: WeightExpr,
     degrees: Sequence[int],
-    tol: float,
     family_label: str,
+    tol: float = DEFAULT_TOL,
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
     """The Gram entries over degrees of the eigenfunctions in table (indexed by degree)."""
+    if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
     funcs: dict[int, Poly | None] = {d: table[d].monic for d in degrees}
-    try:
-        form = _ExactForm(weight, {d: p for d, p in funcs.items() if p is not None})
-    except NotPolynomialReducible:
-        form = None
+    known = {d: p for d, p in funcs.items() if p is not None}
+    moment = _moment_shape(weight)
+    if moment:
+        reach = moment_reach(weight)  # the matrix's one integrability decision
+        form = _MomentForm(weight, known, reach)
+        integrable = lambda k: k <= reach
+    else:
+        try:
+            form = _ExactForm(weight, known)
+        except NotPolynomialReducible:
+            form = None
+        integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
 
-    integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
     routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, integrable, note)
     for i, m in enumerate(degrees):
         for n in degrees[i:]:
             if funcs[m] is None or funcs[n] is None:
                 routes[m, n] = (None, None, integrable(m + n), "no degree-exact eigenfunction")
+                continue
+            if moment:  # gate first: r_k past the reach is no moment
+                if integrable(m + n):
+                    routes[m, n] = (form.entry(m, n), "moment", True, None)
+                else:
+                    routes[m, n] = (None, None, False, "non-integrable")
                 continue
             if form is not None:
                 try:
@@ -446,15 +543,17 @@ def _gram_for(
             else:
                 routes[m, n] = (None, None, False, "non-integrable")
     pending = [key for key, route in routes.items() if route[1] == "quadrature"]
-    # a pair whose diagonal norms diverge is scaled by p (1+x^2)^((m+n)/2) (real line only)
-    valued = {key for key, route in routes.items() if route[1] is not None}
-    on_line = weight.interval.lo is None and weight.interval.hi is None
-    moments = sorted({m + n for m, n in valued if on_line and not {(m, m), (n, n)} <= valued})
-    results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol, moments)
+    results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol) if pending else []
     quad = dict(zip(pending, results))
-    tail = zip(moments, results[len(pending):])
-    scales = {t: res.value for t, res in tail if isinstance(res, QuadResult)}
-    values = {key: quad[key].value if key in quad else route[0] for key, route in routes.items()}
+    # the moment route's m_0 (t = 0), and its scale of a pair whose diagonal norms diverge
+    moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))
+    values = {}
+    for key, (value, method, _, _) in routes.items():
+        if method == "quadrature":
+            value = quad[key].value
+        elif method == "moment":
+            value = float(value) * moment_scale(0)
+        values[key] = value
     diag = {m: float(values[m, m] or 0) for m in degrees}  # 0.0 where the norm has no value
 
     entries: list[GramEntry] = []
@@ -463,8 +562,8 @@ def _gram_for(
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
                 rel = abs(float(value)) / math.sqrt(diag[m] * diag[n])
-            elif scale := scales.get(m + n):
-                rel, note = abs(float(value)) / scale, "relative uses moment scale"
+            elif moment:
+                rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
         err_est = quad[m, n].err_est if (m, n) in quad else None
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
     max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
@@ -500,7 +599,7 @@ def gram_matrix(spec: FamilySpec, n_max: int, tol: float = DEFAULT_TOL) -> Ortho
         )
     else:
         degrees = tuple(range(n_max + 1))
-    return _gram_for(eigentable(op, n_max), weight, degrees, tol, spec.describe(), notes)
+    return _gram_for(eigentable(op, n_max), weight, degrees, spec.describe(), tol, notes)
 
 
 def gram_matrix_for_operator(
@@ -513,7 +612,7 @@ def gram_matrix_for_operator(
         raise ValueError("gram matrices require a second-order operator")
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
     degrees = tuple(range(n_max + 1))
-    return _gram_for(eigentable(op, n_max), weight, degrees, tol, "custom operator")
+    return _gram_for(eigentable(op, n_max), weight, degrees, "custom operator", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +657,17 @@ class RomanovskiReport(Record):
         return "\n".join(lines)
 
 
-def finite_orthogonality_report(
-    alpha: RatLike, beta: RatLike, n_max: int, tol: float = DEFAULT_TOL
-) -> RomanovskiReport:
+def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> RomanovskiReport:
     """Pairwise orthogonality verdicts for the Romanovski family, read off its
-    Gram matrix.
+    Gram matrix, which takes the moment route: no quadrature runs.
 
     A pair (m, n) is checked only when m + n + gamma + 1 < 0 (product
     integrability, gamma = alpha - 2); pairs violating that are flagged
-    non-integrable.  Eigenvalues collide (integer alpha) only on that
-    boundary: mu_m = mu_n with m != n forces m + n = 1 - alpha, so
-    m + n + gamma + 1 = 0 and no collision pair is ever called orthogonal.
+    non-integrable.  A checked pair is orthogonal when its exact ratio to m_0
+    is 0 (its value then is 0.0), else inconclusive.  Eigenvalues collide
+    (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
+    m + n = 1 - alpha, so m + n + gamma + 1 = 0 and no collision pair is ever
+    called orthogonal.
     """
     alpha, beta = rat(alpha), rat(beta)
     if n_max < 0:
@@ -578,7 +677,7 @@ def finite_orthogonality_report(
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
     gamma = alpha - 2
     table = eigentable(op, n_max)
-    gram = _gram_for(table, weight, range(n_max + 1), tol, spec.describe())
+    gram = _gram_for(table, weight, range(n_max + 1), spec.describe())
     collisions = Spectrum(tuple(r.eigenvalue for r in table)).multiplicity.values()
 
     normed = {e.m for e in gram.entries if e.m == e.n and (e.value or 0) > 0}
@@ -598,8 +697,7 @@ def finite_orthogonality_report(
                 if m in normed and n in normed
                 else "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
             )
-            ok = e.relative is not None and e.relative < 1e-6
-            verdict = "orthogonal" if ok else "inconclusive"
+            verdict = "orthogonal" if e.value == 0 else "inconclusive"
             pairs.append(RomanovskiPair(m, n, verdict, e.value, e.relative, e.err_est, detail))
 
     return RomanovskiReport(

@@ -35,7 +35,8 @@ knows only the degree of P and asks for exponents above -1 at the roots of
 p and, at an infinite end, decay or a power below -1; the boundary term
 p*a*(u v' - u' v) asks for a positive exponent of p*a at each finite
 endpoint (or zero with u and v vanishing there) and, at an infinite end,
-decay or a negative power.
+decay or a negative power.  moment_reach reads the facts of p alone once and
+answers integrability for every degree: the last k with p x^k integrable.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "derive_weight",
     "pearson_check",
     "integrability",
+    "moment_reach",
     "boundary_vanishing",
     "PearsonVerdict",
     "IntegrabilityVerdict",
@@ -405,6 +407,22 @@ def integrability(
             detail = f"power exponent {e} {'>' if ok else '<='} -1"
         conditions.append((loc, ok, detail))
     return IntegrabilityVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))
+
+
+def moment_reach(weight: WeightExpr) -> int | float:
+    """The largest k with p x^k integrable over the weight's interval: -1 when p
+    itself is not, math.inf when every moment is.  So k >= 0 lies within the
+    reach exactly when integrability(weight, None, k) holds; one read of the
+    endpoint facts decides every degree at once.
+    """
+    roots = sorted({pf.root for pf in weight.power_factors})
+    reach = math.inf
+    for _, r, e, decay in _endpoint_facts(weight, weight.interval, roots, Poly.one(), 0):
+        if r is None and decay is None:  # a power law at an infinite end: k + e < -1
+            reach = min(reach, math.ceil(-1 - e) - 1)
+        elif not (decay if r is None else e > -1):
+            reach = -1
+    return max(reach, -1)
 
 
 def boundary_vanishing(

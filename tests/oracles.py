@@ -13,8 +13,8 @@ is ``WeightExpr.log_eval`` as it was before the weight cached its float
 form: it converts and compares the Fraction fields at every call, and the
 cached version must agree with it bit for bit.  ``moment_scale`` is the
 Romanovski moment scale as one public ``tanh_sinh`` call per total degree,
-as the library computed it before the moments joined the Gram matrix's node
-sweep; the scales read off the sweep must equal it bit for bit.
+as the library once computed it; the closed-form scales (Cauchy's beta
+integral) of the moment route must agree with it to 1e-12.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ floats computed by IEEE arithmetic alone, such as a zero ``relative``).
 ``weight`` is kept to finite intervals, where the Pearson residual samples
 ``lo + (hi - lo) t`` and evaluates by Horner; on an infinite interval its
 ``max_residual`` samples through ``math.tan``.  Every quadrature entry is
-left out too.  In both, libm may differ in the last digit between machines.
+left out too, and so is a Gram matrix on the moment route, whose diagonals
+are ratios times a closed-form m_0.  In all three, libm may differ in the
+last digit between machines.  A Romanovski report prints no such float: its
+valued pairs are exact zeros.
 
 To regenerate after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -44,6 +47,17 @@ CASES = {
             ("chaudhry-qadir", ("--preset", "chaudhry-qadir")),
             ("jacobi-1-2", JACOBI),
         )
+    },
+    # Romanovski reports on the moment route: every valued pair an exact 0.0
+    **{
+        f"romanovski-report-{name}{suffix}": (
+            "romanovski-report", *params, "--n-max", "6", *fmt)
+        for name, params in (
+            ("15-2", ("--alpha", "-15/2", "--beta", "1/2")),
+            # eigenvalue collisions and missing eigenfunctions
+            ("7-0", ("--alpha", "-7", "--beta", "0")),
+        )
+        for suffix, fmt in (("", ()), ("-table", ("--format", "table")))
     },
     # JSON of the three exact commands
     **{

@@ -7,6 +7,8 @@ import pytest
 
 import specpoly.orthogonality as orthogonality
 from specpoly import (
+    DiffOperator,
+    EigenStatus,
     FamilySpec,
     GramEntry,
     Interval,
@@ -27,6 +29,8 @@ from specpoly import (
     inner_product,
     inner_product_exact,
     inner_product_numeric,
+    integrability,
+    moment_reach,
 )
 
 from oracles import divide_and_integrate, moment_scale, random_poly
@@ -472,6 +476,13 @@ class TestGramMatrix:
         assert report.degrees == (0, 1, 2, 3, 4)
         assert report.off_diagonal_max_relative == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tol_refused_on_every_route(self, tol):
+        # exact, moment and quadrature routes alike, though only quadrature reads tol
+        for spec in (classical_presets()["legendre"], ROM_SPEC, classical_presets()["chebyshev1"]):
+            with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+                gram_matrix(spec, 2, tol)
+
     def test_report_json_is_stable(self):
         a = gram_matrix(FamilySpec.jacobi(-1, -2, 0), 4).to_json()
         b = gram_matrix(FamilySpec.jacobi(-1, -2, 0), 4).to_json()
@@ -480,18 +491,18 @@ class TestGramMatrix:
 
 class TestFiniteOrthogonalityReport:
     def test_standard_parameters(self):
-        report = finite_orthogonality_report(Fraction(-13, 2), 1, 5, 1e-10)
+        report = finite_orthogonality_report(Fraction(-13, 2), 1, 5)
         assert report.gamma == Fraction(-17, 2)
         verdicts = {(p.m, p.n): p for p in report.pairs}
         for (m, n), p in verdicts.items():
             if m + n <= 7:
                 assert p.verdict == "orthogonal", (m, n)
-                assert p.relative < 1e-8
+                assert p.value == p.relative == 0.0 and p.err_est is None
             else:
                 assert p.verdict == "non-integrable"
 
     def test_integer_alpha_flags_collisions(self):
-        report = finite_orthogonality_report(-6, 0, 5, 1e-10)
+        report = finite_orthogonality_report(-6, 0, 5)
         assert (3, 4) in report.degenerate_degree_pairs
         assert (2, 5) in report.degenerate_degree_pairs
 
@@ -500,7 +511,7 @@ class TestFiniteOrthogonalityReport:
         # A collision pair (m,n) has m+n = 1-alpha and gamma+1 = alpha-1, so
         # m+n+gamma+1 = 0: collision pairs are always exactly on the
         # non-integrability boundary and get that verdict.
-        report = finite_orthogonality_report(alpha, 0, 12, 1e-10)
+        report = finite_orthogonality_report(alpha, 0, 12)
         assert bool(report.degenerate_degree_pairs) == (alpha.denominator == 1)
         verdicts = {(p.m, p.n): p.verdict for p in report.pairs}
         for m, n in report.degenerate_degree_pairs:
@@ -509,9 +520,9 @@ class TestFiniteOrthogonalityReport:
         assert "degenerate-pair" not in verdicts.values()
 
     def test_beta_zero_odd_pairs_exact_zero(self):
-        report = finite_orthogonality_report(-8, 0, 3, 1e-10)
+        report = finite_orthogonality_report(-8, 0, 3)
         p01 = next(p for p in report.pairs if (p.m, p.n) == (0, 1))
-        assert p01.value == pytest.approx(0.0, abs=1e-15)
+        assert p01.value == 0.0
 
 
 # every interval shape of the shared integrand: finite, real line, both half lines
@@ -633,61 +644,159 @@ class TestQuadratureEntries:
             gram_matrix(spec, n)
         assert str(raised.value) == expected
 
-    def test_romanovski_pairs_equal_public_function(self):
-        # (alpha, beta, n_max) -> valued pairs, of which relative to a moment
-        inputs = {
-            (Fraction(-15, 2), Fraction(1, 2), 6): (17, 7),
-            (Fraction(-13, 2), 1, 7): (16, 10),
-        }
-        for (alpha, beta, n), (count, by_moment) in inputs.items():
-            report = finite_orthogonality_report(alpha, beta, n)
-            spec = FamilySpec.romanovski(alpha, beta)
-            w = weight_of(spec)
-            table = eigentable(build_operator(spec), n)
-            gram = gram_matrix(spec, n)
-            valued = [p for p in report.pairs if p.value is not None]
-            assert len(valued) == count
-            details = []
-            for p in valued:
-                expected = inner_product_numeric(w, table[p.m].monic, table[p.n].monic).value
-                assert p.value == expected, (p.m, p.n)
-                e = gram.entry(p.m, p.n)
-                assert (p.value, p.relative, p.err_est) == (e.value, e.relative, e.err_est)
-                details.append(p.detail)
-                if e.note is None:
-                    assert p.detail == "relative to sqrt(G_mm G_nn)", (p.m, p.n)
-                else:
-                    assert e.note == "relative uses moment scale", (p.m, p.n)
-                    assert p.detail.startswith("relative to the (1+x^2)^((m+n)/2) moment")
-            assert details.count("relative to sqrt(G_mm G_nn)") == count - by_moment
 
-    def test_moment_scale_once_per_total_degree(self, monkeypatch):
-        # one moment integrand per total degree, on the Gram matrix's only sweep,
-        # and each scale bit for bit the one-integral tanh_sinh of the oracle
-        alpha, beta, n, tol = Fraction(-15, 2), Fraction(1, 2), 6, 1e-10
-        spec = FamilySpec.romanovski(alpha, beta)
-        w = weight_of(spec)
-        moments, sweeps = [], []
-        numeric_quad, sweep = orthogonality._numeric_quad, orthogonality._tanh_sinh_sweep
+# ---------------------------------------------------------------------------
+# the moment route: the Romanovski shape (x^2+1)^q e^(h arctan x) on the real line
 
-        def recorded_quad(weight, pairs, tol, moments_=()):
-            moments.append(list(moments_))
-            return numeric_quad(weight, pairs, tol, moments_)
+
+def favard_gammas(table, n):
+    """gamma_1, gamma_2, ... of x p_k = p_(k+1) + beta_k p_k + gamma_k p_(k-1), read off
+    the eigentable's monic polynomials while p_(k-1), p_k and p_(k+1) are unique, up to
+    p_n; stops at the first degree that is not."""
+    gammas = []
+    for k in range(1, n):
+        if any(table[j].status is not EigenStatus.UNIQUE_MONIC for j in (k - 1, k, k + 1)):
+            break
+        r = Poly.x() * table[k].monic - table[k + 1].monic  # beta_k p_k + gamma_k p_(k-1) + ...
+        gammas.append((r - r.coeff(k) * table[k].monic).coeff(k - 1))
+    return gammas
+
+
+def romanovski_shape_draw():
+    """120 seeded (c, alpha, beta, n): the operator c (x^2+1) y'' + (alpha x + beta) y' up
+    to degree n.  alpha/c = offset - k with k in 1..16: offset 0 makes alpha/c an integer
+    (eigenvalue collisions at m + n = k + 1), +-1/1000 puts m + n = k (k + 1) a hair
+    inside the integrability boundary, and the rest are general rationals."""
+    rng = random.Random(2010)
+    draw = []
+    for _ in range(120):
+        c = rng.choice([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(-5, 2)])
+        k = rng.randint(1, 16)
+        offset = rng.choice(
+            [0, 0, Fraction(1, 1000), Fraction(-1, 1000), Fraction(1, 2), Fraction(rng.randint(1, 11), 12)]
+        )
+        beta = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        draw.append((c, c * (offset - k), c * beta, rng.randint(1, 10)))
+    return draw
+
+
+class TestMomentRoute:
+    # (alpha, beta, n_max) -> valued pairs, of which relative to a moment
+    REPORTS = {
+        (Fraction(-15, 2), Fraction(1, 2), 6): (17, 7),
+        (Fraction(-13, 2), Fraction(1), 7): (16, 10),
+    }
+
+    def test_romanovski_pairs_are_exact_zeros(self, monkeypatch):
+        # report == Gram bit for bit, no quadrature sweep, every valued pair exactly 0.0;
+        # the quadrature oracle agrees to 1e-10 of each pair's scale, 1e-12 on diagonals
+        sweeps, sweep = [], orthogonality._tanh_sinh_sweep
 
         def counted_sweep(*args, **kwargs):
             sweeps.append(args[1])
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(orthogonality, "_numeric_quad", recorded_quad)
-        monkeypatch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
-        report = finite_orthogonality_report(alpha, beta, n, tol)
-        gram = gram_matrix(spec, n, tol)
-        assert moments == [[5, 6, 7, 8], [5, 6, 7, 8]]
-        quadrature = sum(e.method == "quadrature" for e in gram.entries)
-        assert sweeps == [quadrature + 4, quadrature + 4]
-        scaled = [e for e in gram.entries if e.note == "relative uses moment scale"]
-        assert len(scaled) == 7
-        for e in scaled:
-            assert e.relative == abs(e.value) / moment_scale(w, e.m + e.n, tol), (e.m, e.n)
-            pair = next(p for p in report.pairs if (p.m, p.n) == (e.m, e.n))
-            assert pair.relative == e.relative
+        with monkeypatch.context() as patch:
+            patch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
+            runs = {
+                key: (finite_orthogonality_report(*key), gram_matrix(FamilySpec.romanovski(*key[:2]), key[2]))
+                for key in self.REPORTS
+            }
+        assert sweeps == []
+        for (alpha, beta, n), (count, by_moment) in self.REPORTS.items():
+            report, gram = runs[alpha, beta, n]
+            w = weight_of(FamilySpec.romanovski(alpha, beta))
+            table = eigentable(build_operator(FamilySpec.romanovski(alpha, beta)), n)
+
+            def numeric(m, k):
+                return inner_product_numeric(w, table[m].monic, table[k].monic).value
+
+            valued = [p for p in report.pairs if p.value is not None]
+            assert len(valued) == count
+            assert sum(p.detail != "relative to sqrt(G_mm G_nn)" for p in valued) == by_moment
+            for p in valued:
+                e = gram.entry(p.m, p.n)
+                assert (p.value, p.relative, p.err_est) == (e.value, e.relative, e.err_est)
+                assert (e.method, p.verdict, p.value, p.relative) == ("moment", "orthogonal", 0.0, 0.0)
+                if e.note is None:
+                    scale = math.sqrt(gram.entry(p.m, p.m).value * gram.entry(p.n, p.n).value)
+                else:
+                    assert e.note == "relative uses moment scale", (p.m, p.n)
+                    assert p.detail.startswith("relative to the (1+x^2)^((m+n)/2) moment")
+                    scale = orthogonality._real_line_moment(w, p.m + p.n)
+                assert abs(numeric(p.m, p.n)) <= 1e-10 * scale, (p.m, p.n)
+            for e in gram.entries:
+                if e.m == e.n and e.value is not None:
+                    assert abs(e.value - numeric(e.m, e.m)) <= 1e-12 * e.value, e.m
+
+    def test_moment_scales_match_quadrature_oracle(self):
+        # the closed form at every m + n a pair is scaled by, and at 0 (m_0 = G_00),
+        # within 1e-12 of one public tanh_sinh integral of p (1+x^2)^(t/2)
+        alpha, beta, n = Fraction(-15, 2), Fraction(1, 2), 6
+        spec = FamilySpec.romanovski(alpha, beta)
+        w = weight_of(spec)
+        gram = gram_matrix(spec, n)
+        scaled = [e.m + e.n for e in gram.entries if e.note == "relative uses moment scale"]
+        assert len(scaled) == 7 and set(scaled) == {5, 6, 7, 8}
+        assert gram.entry(0, 0).value == orthogonality._real_line_moment(w)
+        for t in (0, *sorted(set(scaled))):
+            closed = orthogonality._real_line_moment(w, t)
+            assert abs(closed - moment_scale(w, t, 1e-10)) <= 1e-12 * closed, t
+
+    def test_m0_matches_mpmath(self):
+        # Cauchy's beta integral with mpmath's own complex Gamma at 30 digits, for m_0
+        # and the largest scale of every weight of the draw, plus large |h|
+        mpmath = pytest.importorskip("mpmath")
+        weights = []
+        for c, alpha, beta, _ in romanovski_shape_draw():
+            weights.append(derive_weight(c * P(1, 0, 1), P(beta, alpha)))
+        weights += [weight_of(FamilySpec.romanovski(Fraction(-9, 4), h)) for h in (-40, 17, Fraction(81, 2))]
+        checked = 0
+        with mpmath.workdps(30):
+            for w in weights:
+                for t in {0, moment_reach(w)}:
+                    if t < 0:
+                        continue
+                    nu = -2 * w.quad_exp - t - 2
+                    nu_m = mpmath.mpf(nu.numerator) / nu.denominator
+                    h = mpmath.mpf(w.arctan_coeff.numerator) / w.arctan_coeff.denominator
+                    exact = mpmath.pi * mpmath.gamma(nu_m + 1) / (
+                        2**nu_m * abs(mpmath.gamma(1 + nu_m / 2 + 0.5j * h)) ** 2
+                    )
+                    closed = orthogonality._real_line_moment(w, t)
+                    assert abs(closed - exact) <= 1e-13 * exact, (w.formula(), t)
+                    checked += 1
+        assert checked > 150
+
+    def test_seeded_draw_exact_zeros_reach_and_favard(self):
+        # every entry: integrable iff integrability says so, off-diagonals exactly 0,
+        # diagonals G_kk = G_00 prod gamma_j exactly (Favard), gamma_j off the eigentable
+        draw = romanovski_shape_draw()
+        collided = near_boundary = zeros = favard = 0
+        for c, alpha, beta, n in draw:
+            op = DiffOperator([Poly(), P(beta, alpha), c * P(1, 0, 1)])
+            w = derive_weight(op.coeffs[2], op.coeffs[1])
+            table = eigentable(op, n)
+            gram = gram_matrix_for_operator(op, n)
+            gammas = favard_gammas(table, n)
+            ratios = orthogonality._MomentForm(
+                w, {k: table[k].monic for k in range(len(gammas) + 1)}, moment_reach(w)
+            )
+            collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
+            near_boundary += (alpha / c).denominator == 1000
+            for e in gram.entries:
+                ok = integrability(w, None, e.m + e.n).integrable
+                assert e.integrable == ok, (c, alpha, beta, e.m, e.n)
+                if e.value is None:
+                    continue
+                assert e.method == "moment" and e.err_est is None
+                if e.m != e.n:
+                    assert e.value == e.relative == 0.0, (c, alpha, beta, e.m, e.n)
+                    zeros += 1
+                elif e.m <= len(gammas):
+                    product = math.prod(gammas[: e.m], start=Fraction(1))
+                    assert ratios.entry(e.m, e.m) == product, (c, alpha, beta, e.m)
+                    assert e.value == float(product) * gram.entry(0, 0).value
+                    favard += 1
+        assert len(draw) >= 100 and collided >= 15 and near_boundary >= 15
+        assert zeros > 1000 and favard > 200

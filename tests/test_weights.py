@@ -17,6 +17,7 @@ from specpoly import (
     derive_weight,
     eigentable,
     integrability,
+    moment_reach,
     pearson_check,
 )
 
@@ -223,6 +224,32 @@ class TestIntegrability:
     def test_hermite_derived_condition(self):
         assert integrability(weight_of(FamilySpec.hermite(-2, 0)), total_degree=9).integrable
         assert not integrability(weight_of(FamilySpec.hermite(2, 0))).integrable
+
+    def test_moment_reach_is_the_degree_verdict(self):
+        # k <= moment_reach(w) exactly when integrability(w, None, k) holds, on every
+        # weight shape; the reach is finite only on the Romanovski shape
+        assert moment_reach(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == 7
+        assert moment_reach(weight_of(FamilySpec.romanovski(-7, 0))) == 7
+        assert moment_reach(weight_of(FamilySpec.romanovski(0, 1))) == 0
+        assert moment_reach(weight_of(FamilySpec.romanovski(1, 1))) == -1
+        assert moment_reach(weight_of(FamilySpec.hermite(-2, 0))) == math.inf
+        rng = random.Random(131)
+        reaches = set()
+        for _ in range(40):
+            alpha = Fraction(rng.randint(-30, 6), rng.randint(1, 4))
+            beta = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for spec in (
+                FamilySpec.jacobi(-1, alpha, beta),
+                FamilySpec.romanovski(alpha, beta),
+                FamilySpec.laguerre(alpha or Fraction(-1), beta),
+                FamilySpec.hermite(alpha or Fraction(-1), beta),
+            ):
+                w = weight_of(spec)
+                reach = moment_reach(w)
+                reaches.add(reach if reach in (-1, math.inf) else "finite")
+                for k in range(20):
+                    assert (k <= reach) == integrability(w, None, k).integrable, (spec, k)
+        assert reaches == {-1, math.inf, "finite"}
 
 
 class TestBoundaryVanishing:
