@@ -209,8 +209,7 @@ def _cmd_weight(args, parser) -> int:
     lines = [
         f"weight:   {weight.formula()}",
         f"interval: {weight.interval.describe()}",
-        f"pearson (pa)' = pb: {'pass' if verdict.ok else 'FAIL'}"
-        f" (max residual {verdict.max_residual:.3e})",
+        f"pearson (pa)' = pb: {'pass' if verdict.ok else 'FAIL'}",
     ]
     _emit(payload, "\n".join(lines), args.format)
     return 0

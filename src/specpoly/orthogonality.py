@@ -418,10 +418,14 @@ def inner_product_numeric(
 def inner_product(
     weight: WeightExpr, f: Poly, g: Poly, tol: float = DEFAULT_TOL
 ) -> tuple[Fraction | float, str, float | None]:
-    """Route to the exact path first; fall back to quadrature.
+    """Route a pair as a Gram matrix does: moment, exact, else quadrature.
 
-    Returns (value, method, err_est) with method "exact" or "quadrature".
+    Returns (value, method, err_est) with method "exact", "moment" or "quadrature";
+    a moment-shape pair past moment_reach gets quadrature's NonIntegrable.
     """
+    if _moment_shape(weight) and 0 <= f.degree + g.degree <= moment_reach(weight):
+        ratio = _MomentForm(weight, {0: f, 1: g}, f.degree + g.degree).entry(0, 1)
+        return float(ratio) * _real_line_moment(weight), "moment", None
     try:
         return inner_product_exact(weight, f, g), "exact", None
     except NotPolynomialReducible:

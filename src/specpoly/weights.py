@@ -17,9 +17,13 @@ partial fractions give p in closed form.  Supported leading coefficients:
                                           half line starting at r
     nonzero constant c                    p = exp((b1/2c) x^2 + (b0/c) x), on R
 
-A quadratic with a double root (the x^2 normal form) or with irrational
-roots is rejected: the former is deliberately unsupported, the latter
-should be affinely normalized first.
+The shape of a is the normal form families.bochner_normalize assigns it,
+so the two modules cannot disagree on it.  A double root (the x^2 normal
+form) is deliberately unsupported.  Irrational roots, and complex roots no
+rational substitution maps onto x^2+1, are refused with bochner_normalize's
+reason: there is no rational normal form to work in.  A quadratic that is
+c*(x^2+1) only after a rational substitution, like (x-1)^2 + 1, is refused
+too: normalize the operator first.
 
 Weights are stored as symbolic factor collections with exact rational
 exponents and are projectively meaningful only; the constant is fixed to 1.
@@ -46,7 +50,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from ._record import Record
-from .ratpoly import Poly, horner, rational_sqrt
+from .families import bochner_normalize
+from .ratpoly import Poly, horner
 
 __all__ = [
     "UnsupportedLeadingCoefficient",
@@ -88,20 +93,6 @@ class Interval(Record):
     @property
     def finite(self) -> bool:
         return self.lo is not None and self.hi is not None
-
-    def sample_floats(self, count: int) -> list[float]:
-        """Deterministic interior sample points (for numeric spot checks)."""
-        if count < 1:
-            return []
-        ticks = [(i + 1) / (count + 1) for i in range(count)]
-        if self.finite:
-            lo, hi = float(self.lo), float(self.hi)
-            return [lo + (hi - lo) * t for t in ticks]
-        if self.lo is None and self.hi is None:
-            return [math.tan(math.pi * (t - 0.5)) for t in ticks]
-        if self.hi is None:
-            return [float(self.lo) + math.tan(math.pi * t / 2) for t in ticks]
-        return [float(self.hi) - math.tan(math.pi * t / 2) for t in ticks]
 
     def describe(self) -> str:
         lo = str(self.lo) if self.lo is not None else "-inf"
@@ -169,9 +160,6 @@ class WeightExpr(Record):
         exp_cs = tuple(map(float, self.exp_poly.coeffs)) or None
         return math.log(self.constant), powers, quad, exp_cs, arctan
 
-    def eval_float(self, x: float) -> float:
-        return math.exp(self.log_eval(x))
-
     def dlog(self) -> tuple[Poly, Poly]:
         """(numerator, denominator) of p'/p as an exact rational function."""
         den = Poly.one()
@@ -233,69 +221,48 @@ class WeightExpr(Record):
 
 
 def derive_weight(a: Poly, b: Poly) -> WeightExpr:
-    """Solve (pa)' = pb for the weight, exactly.  See the module docstring
-    for the supported shapes of a."""
-    if a.is_zero():
-        raise UnsupportedLeadingCoefficient("leading coefficient is zero")
+    """Solve (pa)' = pb for the weight, exactly.  The shape of a is
+    families.bochner_normalize's normal form; see the module docstring for
+    the supported ones."""
     if a.degree > 2:
         raise UnsupportedLeadingCoefficient("weight derivation requires deg(a) <= 2")
+    try:
+        norm = bochner_normalize(a)
+    except ValueError as exc:
+        raise UnsupportedLeadingCoefficient(str(exc)) from exc
     if b.degree > 1:
         raise ValueError("weight derivation requires deg(b) <= 1")
+    s, t, c = norm.s, norm.t, norm.c
+    b1, b0 = b.coeff(1), b.coeff(0)
 
-    if a.degree == 2:
-        a2, a1, a0 = a.coeff(2), a.coeff(1), a.coeff(0)
-        disc = a1 * a1 - 4 * a2 * a0
-        if disc == 0:
-            raise UnsupportedLeadingCoefficient(
-                "double root (x^2 normal form): weight not developed for this shape"
-            )
-        if disc > 0:
-            root = rational_sqrt(disc)
-            if root is None:
-                raise UnsupportedLeadingCoefficient(
-                    f"irrational roots (discriminant {disc}); normalize first"
-                )
-            r1 = (-a1 - root) / (2 * a2)
-            r2 = (-a1 + root) / (2 * a2)
-            if r1 > r2:
-                r1, r2 = r2, r1
-            da = a.derivative()
-            factors = tuple(
-                PowerFactor(r, b(r) / da(r) - 1)
-                for r in (r1, r2)
-                if b(r) / da(r) - 1 != 0
-            )
-            return WeightExpr(power_factors=factors, interval=Interval(r1, r2))
-        # negative discriminant: accept only c*(x^2 + 1)
-        if a1 != 0 or a0 != a2:
+    if norm.normal_form == "x^2-1":  # roots t - s < t + s
+        da = a.derivative()
+        factors = tuple(
+            PowerFactor(r, b(r) / da(r) - 1)
+            for r in (t - s, t + s)
+            if b(r) / da(r) - 1 != 0
+        )
+        return WeightExpr(power_factors=factors, interval=Interval(t - s, t + s))
+    if norm.normal_form == "x^2+1":
+        if (s, t) != (1, 0):
             raise UnsupportedLeadingCoefficient(
                 "complex-root quadratic is not c*(x^2+1); normalize first"
             )
-        c = a2
-        b1, b0 = b.coeff(1), b.coeff(0)
         return WeightExpr(
             quad_exp=(b1 - 2 * c) / (2 * c),
             arctan_coeff=b0 / c,
             interval=Interval(None, None),
         )
-
-    if a.degree == 1:
-        a1, a0 = a.coeff(1), a.coeff(0)
-        r = -a0 / a1
-        b1, b0 = b.coeff(1), b.coeff(0)
-        exponent = b(r) / a1 - 1
-        factors = (PowerFactor(r, exponent),) if exponent != 0 else ()
-        exp_poly = Poly((0, b1 / a1))
+    if norm.normal_form == "x^2":
+        raise UnsupportedLeadingCoefficient(
+            "double root (x^2 normal form): weight not developed for this shape"
+        )
+    if norm.normal_form == "x":  # root t, slope 1/s
+        exponent = b(t) * s - 1
+        factors = (PowerFactor(t, exponent),) if exponent != 0 else ()
         # pick the half line on which the exponential factor decays
-        if b1 / a1 > 0:
-            interval = Interval(None, r)
-        else:
-            interval = Interval(r, None)
-        return WeightExpr(power_factors=factors, exp_poly=exp_poly, interval=interval)
-
-    # constant a
-    c = a.coeff(0)
-    b1, b0 = b.coeff(1), b.coeff(0)
+        interval = Interval(None, t) if b1 * s > 0 else Interval(t, None)
+        return WeightExpr(power_factors=factors, exp_poly=Poly((0, b1 * s)), interval=interval)
     return WeightExpr(
         exp_poly=Poly((0, b0 / c, b1 / (2 * c))), interval=Interval(None, None)
     )
@@ -307,9 +274,7 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
 
 class PearsonVerdict(Record):
     ok: bool
-    symbolic_zero: bool
-    max_residual: float
-    samples: int
+    symbolic_zero: bool  # the same as ok: the identity is checked exactly
 
 
 class IntegrabilityVerdict(Record):
@@ -327,30 +292,11 @@ def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
 
     The identity divided by p is (a * p'/p + a' - b) = 0, a rational
     function with polynomial denominator; clearing it gives an exact
-    polynomial identity.  A 20-point numeric residual check runs as well:
-    since p > 0 on the interior, (pa)' - pb is compared to zero per unit
-    weight, i.e. |a*(p'/p) + a' - b| relative to the size of its terms,
-    which keeps growing exponential factors from overflowing the check.
+    polynomial identity.
     """
     num, den = weight.dlog()
-    residual_poly = a * num + (a.derivative() - b) * den
-    symbolic_zero = residual_poly.is_zero()
-
-    xs = weight.interval.sample_floats(20)
-    max_resid = 0.0
-    a_d = a.derivative()
-    for x in xs:
-        den_f = den.eval_float(x)
-        if den_f == 0:
-            continue
-        pa_prime_over_p = a_d.eval_float(x) + a.eval_float(x) * num.eval_float(x) / den_f
-        pb_over_p = b.eval_float(x)
-        scale = 1.0 + abs(pa_prime_over_p) + abs(pb_over_p)
-        max_resid = max(max_resid, abs(pa_prime_over_p - pb_over_p) / scale)
-    ok = symbolic_zero and max_resid < 1e-10
-    return PearsonVerdict(
-        ok=ok, symbolic_zero=symbolic_zero, max_residual=max_resid, samples=len(xs)
-    )
+    zero = (a * num + (a.derivative() - b) * den).is_zero()
+    return PearsonVerdict(ok=zero, symbolic_zero=zero)
 
 
 _EXP_DETAIL = {True: "exponential factor decays", False: "exponential factor grows"}

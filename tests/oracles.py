@@ -15,6 +15,10 @@ cached version must agree with it bit for bit.  ``moment_scale`` is the
 Romanovski moment scale as one public ``tanh_sinh`` call per total degree,
 as the library once computed it; the closed-form scales (Cauchy's beta
 integral) of the moment route must agree with it to 1e-12.
+``interior_points`` and ``weight_value`` are numeric spot-check helpers, and
+``log_slope_error`` is a numeric Pearson check: the central difference of
+``log p`` against (b - a')/a, which does not go through ``WeightExpr.dlog``
+as the library's exact check does.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Sequence
 from specpoly import (
     DiffOperator,
     ExactDivisionError,
+    Interval,
     NoConvergence,
     NotPolynomialReducible,
     OperatorMatrix,
@@ -275,3 +280,41 @@ def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | N
         return tanh_sinh(g, -math.pi / 2, math.pi / 2, tol).value
     except NoConvergence:
         return None
+
+
+def interior_points(iv: Interval, count: int) -> list[float]:
+    """count deterministic points inside iv: evenly spaced on a finite
+    interval, through tan on a half line or the real line."""
+    ticks = [(i + 1) / (count + 1) for i in range(count)]
+    if iv.finite:
+        lo, hi = float(iv.lo), float(iv.hi)
+        return [lo + (hi - lo) * t for t in ticks]
+    if iv.lo is None and iv.hi is None:
+        return [math.tan(math.pi * (t - 0.5)) for t in ticks]
+    if iv.hi is None:
+        return [float(iv.lo) + math.tan(math.pi * t / 2) for t in ticks]
+    return [float(iv.hi) - math.tan(math.pi * t / 2) for t in ticks]
+
+
+def weight_value(weight: WeightExpr, x: float) -> float:
+    """p(x) as a float, for x inside the weight's interval."""
+    return math.exp(weight.log_eval(x))
+
+
+def log_slope_error(weight: WeightExpr, a: Poly, b: Poly, count: int = 20) -> float:
+    """The largest gap, over count interior points, between the central
+    difference of log p and (b - a')/a (exact at the float point), relative
+    to 1 + |(b - a')/a|.  The step is 1e-4 of the smaller of 1 + |x| and the
+    distance to the nearest finite endpoint, so the truncation error stays
+    near 1e-9 of the slope."""
+    iv, da = weight.interval, a.derivative()
+    worst = 0.0
+    for x in interior_points(iv, count):
+        dist = [abs(x - float(end)) for end in (iv.lo, iv.hi) if end is not None]
+        h = 1e-4 * min([1 + abs(x), *dist])
+        hi, lo = x + h, x - h
+        slope = (weight.log_eval(hi) - weight.log_eval(lo)) / (hi - lo)
+        at = Fraction(x)
+        want = float((b(at) - da(at)) / a(at))
+        worst = max(worst, abs(slope - want) / (1 + abs(want)))
+    return worst

@@ -85,7 +85,7 @@ class TestWeight:
             "formula", "pearson",
         ]
         assert list(data["interval"]) == ["lo", "hi"]
-        assert list(data["pearson"]) == ["ok", "symbolic_zero", "max_residual", "samples"]
+        assert list(data["pearson"]) == ["ok", "symbolic_zero"]
 
     def test_table_format_prints_formula(self, capsys):
         code, out, _ = run(
@@ -326,6 +326,32 @@ class TestContract:
         code, _, err = run(capsys, "normalize", "--operator-json", str(path))
         assert code == 1
         assert "irrational" in err
+
+    @pytest.mark.parametrize("coeffs, reason", [
+        # (2 - x^2) D^2 - 3x D
+        ([["0"], ["0", "-3"], ["2", "0", "-1"]], "quadratic has irrational roots (discriminant 8)"),
+        # (x^2 + 2) D^2
+        ([["0"], ["0"], ["2", "0", "1"]],
+         "quadratic is not rationally equivalent to x^2+1 (discriminant -8)"),
+    ])
+    def test_unnormalizable_quadratic_one_refusal(self, capsys, tmp_path, coeffs, reason):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": coeffs}))
+        for argv in (
+            ["gram", "--operator-json", str(path), "--n-max", "2"],
+            ["weight", "--operator-json", str(path)],
+            ["normalize", "--operator-json", str(path)],
+        ):
+            assert run(capsys, *argv) == (1, "", f"specpoly: error: {reason}\n"), argv
+
+    def test_shifted_complex_quadratic_says_normalize_first(self, capsys, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": [["0"], ["0", "1"], ["2", "-2", "1"]]}))  # (x-1)^2 + 1
+        code, _, err = run(capsys, "gram", "--operator-json", str(path), "--n-max", "2")
+        assert code == 1
+        assert "normalize first" in err
+        data = run_json(capsys, "normalize", "--operator-json", str(path))
+        assert data["normal_form"] == "x^2+1"
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "gram", "--operator-json", "/nonexistent.json")

@@ -3,13 +3,12 @@
 Each case runs ``cli.main`` in-process and compares its stdout with
 ``tests/golden/<name>.txt``.  The cases print exact rationals only (or
 floats computed by IEEE arithmetic alone, such as a zero ``relative``).
-``weight`` is kept to finite intervals, where the Pearson residual samples
-``lo + (hi - lo) t`` and evaluates by Horner; on an infinite interval its
-``max_residual`` samples through ``math.tan``.  Every quadrature entry is
-left out too, and so is a Gram matrix on the moment route, whose diagonals
-are ratios times a closed-form m_0.  In all three, libm may differ in the
-last digit between machines.  A Romanovski report prints no such float: its
-valued pairs are exact zeros.
+``weight`` covers infinite intervals as well as finite ones: its Pearson
+verdict is the exact identity, with no sampled float.  Every quadrature
+entry is left out, and so is a Gram matrix on the moment route, whose
+diagonals are ratios times a closed-form m_0.  In both, libm may differ in
+the last digit between machines.  A Romanovski report prints no such float:
+its valued pairs are exact zeros.
 
 To regenerate after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -37,7 +36,7 @@ CASES = {
     "readme-gram-legendre-table": (
         "gram", "--preset", "legendre", "--n-max", "8", "--format", "table"),
     "readme-normalize": ("normalize", "--operator-json", OP_JSON),
-    # weight on a finite interval
+    # weight on finite intervals, half lines and the real line
     **{
         f"weight-{name}": ("weight", *source)
         for name, source in (
@@ -45,7 +44,10 @@ CASES = {
             ("chebyshev1", ("--preset", "chebyshev1")),
             ("chebyshev2", ("--preset", "chebyshev2")),
             ("chaudhry-qadir", ("--preset", "chaudhry-qadir")),
+            ("hermite", ("--preset", "hermite")),
+            ("laguerre", ("--preset", "laguerre")),
             ("jacobi-1-2", JACOBI),
+            ("romanovski-13-2", ("--family", "romanovski", "--alpha", "-13/2", "--beta", "1/2")),
         )
     },
     # Romanovski reports on the moment route: every valued pair an exact 0.0

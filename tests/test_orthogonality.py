@@ -33,7 +33,7 @@ from specpoly import (
     moment_reach,
 )
 
-from oracles import divide_and_integrate, moment_scale, random_poly
+from oracles import divide_and_integrate, moment_scale, random_poly, weight_value
 
 
 def P(*coeffs):
@@ -337,6 +337,26 @@ class TestRouter:
         assert value == pytest.approx(math.pi, rel=1e-9)
         assert err is not None
 
+    def test_romanovski_pairs_take_the_gram_route(self):
+        # the moment route where the Gram matrix takes it, with the Gram entry's
+        # value to the bit; past the reach, quadrature's NonIntegrable
+        for alpha, beta, n_max in ((Fraction(-13, 2), 1, 5), (Fraction(-9), Fraction(-1, 2), 6)):
+            spec = FamilySpec.romanovski(alpha, beta)
+            weight, table = weight_of(spec), eigentable(build_operator(spec), n_max)
+            report, seen = gram_matrix(spec, n_max), set()
+            for m, n in combinations_with_replacement(range(n_max + 1), 2):
+                f, g, entry = table[m].monic, table[n].monic, report.entry(m, n)
+                if f is None or g is None:
+                    continue
+                seen.add(entry.integrable)
+                if entry.integrable:
+                    assert entry.method == "moment"
+                    assert inner_product(weight, f, g) == (entry.value, "moment", None)
+                else:
+                    with pytest.raises(NonIntegrable):
+                        inner_product(weight, f, g)
+            assert seen == {True, False}
+
 
 class TestSelfAdjointness:
     def test_exact_for_legendre_weight(self):
@@ -378,7 +398,7 @@ class TestSelfAdjointness:
                 continue
 
             def boundary(x):
-                return (x * x + 1) * ROM_W.eval_float(x) * wronskian.eval_float(x)
+                return (x * x + 1) * weight_value(ROM_W, x) * wronskian.eval_float(x)
 
             ratio = abs(boundary(2000.0) / boundary(1000.0))
             expected = 2.0 ** (m + n + gamma + 1)
