@@ -29,18 +29,22 @@ value is its ratio times m_0, 0.0 exactly when the ratio is 0.
 
 A pair goes to quadrature when p f g is integrable: by the degree of f g, or
 else with each root of f g at a root of the weight raising its exponent
-there.  A Gram matrix makes one node sweep per weight: each node's abscissa,
-log p(x) and Jacobian are computed once and shared by all pending entries,
-each of which still stops on its own rule.  A Romanovski report is read off
-the Romanovski Gram matrix: its verdicts map the Gram entries, and its
-eigenvalue collisions always sit on the integrability boundary
-m + n + gamma + 1 = 0.  The weight (cached on the WeightExpr) and each
-eigenfunction are converted to floats once; a node evaluates each
-eigenfunction once, to a sign and log|f(x)|, and an entry adds two such logs,
+there; one verdict at the largest m + n serves a whole Gram matrix when it
+holds.  A Gram matrix makes one node sweep per weight, with one integrand
+call per node pair +/- t: each node's abscissa, log p(x) and Jacobian are
+computed once and shared by all pending entries, each of which still stops
+on its own rule.  A Romanovski report is read off the Romanovski Gram
+matrix: its verdicts map the Gram entries, and its eigenvalue collisions
+always sit on the integrability boundary m + n + gamma + 1 = 0.  The weight
+(cached on the WeightExpr) and each eigenfunction are converted to floats
+once; a node evaluates each eigenfunction once, to a sign and
+log p + log J + log|f(x)|, and an entry adds the other function's log|g(x)|,
 so f*g is never formed (quadrature floats may differ in their last digits
 from expanding it; exact entries do not).  Log space keeps weights with
 strong (but integrable) endpoint singularities and polynomials at
-|x| ~ 1e300 from overflowing or losing endpoint distances.
+|x| ~ 1e300 from overflowing or losing endpoint distances; a root of an
+eigenfunction at a finite end where p's exponent is <= -1 is divided out
+and added back as a log of the exact endpoint distance.
 """
 
 from __future__ import annotations
@@ -283,14 +287,6 @@ class _MomentForm(_ExactForm):
 # numeric path
 
 
-def _signed_exp(sign: float, log_mag: float) -> float:
-    if sign == 0.0 or log_mag == -math.inf:
-        return 0.0
-    if log_mag > 708.0:
-        return math.copysign(math.inf, sign)
-    return sign * math.exp(log_mag)
-
-
 def _tan_abscissa(u: float, d_lo: float, d_hi: float) -> float:
     """tan(u) on (-pi/2, pi/2), accurate near the endpoints."""
     if d_hi < 0.8:
@@ -306,42 +302,63 @@ def _log1p_sq(t: float) -> float:
     return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
 
 
-def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Callable, float, float]:
-    """(f, lo, hi) for _tanh_sinh_sweep: f(u, d_lo, d_hi, active) lists p f_i f_j times the
-    Jacobian of the interval's map x(u) (module docstring) at one node, per active pair
-    (i, j) of indices into funcs.
+def _integrand(
+    weight: WeightExpr, funcs: Sequence[Poly], pairs: Sequence[tuple[int, int]]
+) -> tuple[Callable, float, float]:
+    """(f, lo, hi) for _tanh_sinh_sweep: f(u_hi, u_lo, d_near, d_far, active) lists, at both
+    nodes of a pair, p f_i f_j times the Jacobian of the interval's map x(u) (module
+    docstring) per active pair (i, j) of indices into funcs.
 
-    A node's x, log p(x) and log-Jacobian are computed once for all pairs, and the sign
-    and log|f_i(x)| once per f_i that an active pair needs; f_i f_j is never formed.  Off
-    [-1, 1], log|f_i(x)| is deg*log|x| plus the log of the reversed polynomial at 1/x,
-    which does not overflow for |x| up to ~1e300.
+    A node's x, log p(x) and log-Jacobian are computed once for all pairs.  Each f_i that an
+    active pair needs is evaluated once per node, to a sign and log p + log J + log|f_i(x)|,
+    and a pair adds log|f_j(x)| to that; f_i f_j is never formed.  Off [-1, 1], log|f_i(x)|
+    is deg*log|x| plus the log of the reversed polynomial at 1/x, which does not overflow
+    for |x| up to ~1e300.  At a finite end where p's exponent is <= -1, Horner's f_i(x) near
+    a root of f_i there is all cancellation, which p turns into a divergent integrand: the
+    root is divided out once and comes back as s*log(d) from the sweep's exact endpoint
+    distance d.  The pair list and the needed f_i are rebuilt only when the sweep's active
+    list changes.
     """
     iv = weight.interval
-    cs = [tuple(map(float, p.coeffs)) for p in funcs]  # converted once, not per node
-    rev = [c[::-1] for c in cs]
-    degs = [len(c) - 1 for c in cs]
-    signs, logs, zero = [0.0] * len(cs), [0.0] * len(cs), (0.0, -math.inf)
+    # the finite ends a root is divided out at, None for the others
+    ends = [
+        r if r is not None and weight.power_exponent_at(r) <= -1 else None for r in (iv.lo, iv.hi)
+    ]
+    cs, rev, degs, roots = [], [], [], []
+    for p in funcs:
+        mults = []
+        for r in ends:
+            p, s = p.strip_root(r, int(p.degree)) if r is not None else (p, 0)
+            mults.append(s)
+        c = tuple(map(float, p.coeffs))  # converted once, not per node
+        cs.append(c)
+        rev.append(c[::-1])
+        degs.append(len(c) - 1)
+        roots.append(tuple(mults) if any(mults) else None)
+    count = len(funcs)
+    signs, logs, based = [0.0] * count, [0.0] * count, [0.0] * count
+    exp, log, copysign, inf = math.exp, math.log, math.copysign, math.inf
     finite = iv.finite
     if finite:
         lo, hi = float(iv.lo), float(iv.hi)
 
-        def node(x: float, d_lo: float, d_hi: float) -> tuple[float, float, float]:
-            return x, weight.log_eval(x, d_lo, d_hi), 0.0  # the identity map: log 1
+        def node(x: float, d_lo: float, d_hi: float) -> tuple:
+            return x, weight.log_eval(x, d_lo, d_hi), 0.0, d_lo, d_hi  # the identity map: log 1
 
     elif iv.lo is None and iv.hi is None:
         lo, hi = -math.pi / 2, math.pi / 2
 
-        def node(u: float, d_lo: float, d_hi: float) -> tuple[float, float, float] | None:
+        def node(u: float, d_lo: float, d_hi: float) -> tuple | None:
             x = _tan_abscissa(u, d_lo, d_hi)
             if not math.isfinite(x):
                 return None
-            return x, weight.log_eval(x), _log1p_sq(x)
+            return x, weight.log_eval(x), _log1p_sq(x), None, None
 
     else:
         lo, hi = 0.0, math.pi / 2
         anchor, direction = (float(iv.lo), 1) if iv.hi is None else (float(iv.hi), -1)
 
-        def node(u: float, d_lo: float, d_hi: float) -> tuple[float, float, float] | None:
+        def node(u: float, d_lo: float, d_hi: float) -> tuple | None:
             if d_hi < 0.8:
                 t = 1.0 / math.tan(d_hi)
             elif d_lo < 0.8:
@@ -352,42 +369,69 @@ def _integrand(weight: WeightExpr, funcs: list[Poly], pairs: list) -> tuple[Call
             if not math.isfinite(x):
                 return None
             if direction > 0:
-                return x, weight.log_eval(x, d_lo=t, d_hi=None), _log1p_sq(t)
-            return x, weight.log_eval(x, d_lo=None, d_hi=t), _log1p_sq(t)
+                return x, weight.log_eval(x, d_lo=t, d_hi=None), _log1p_sq(t), t, None
+            return x, weight.log_eval(x, d_lo=None, d_hi=t), _log1p_sq(t), None, t
 
-    def f(u: float, d_lo: float, d_hi: float, active: list[int]) -> list[float]:
+    last: list = []  # the sweep's active list when act and need were built
+    act: list[tuple[int, int]] = []  # its pairs
+    need: list[int] = []  # the f_i they read
+
+    def values(u: float, d_lo: float, d_hi: float) -> list[float]:
         shared = node(u, d_lo, d_hi)
         if shared is None:
             # only reachable when the true integrand limit is 0 (integrable case)
-            return [0.0] * len(active)
-        x, lw, log_jac = shared
+            return [0.0] * len(act)
+        x, lw, log_jac, e_lo, e_hi = shared
+        base = lw + log_jac
         near = finite or abs(x) <= 1.0
         if not near:
-            inv_x, log_x = 1.0 / x, math.log(abs(x))
-        for i in {i for k in active for i in pairs[k]}:  # signs and logs of other f_i go unread
+            inv_x, log_x = 1.0 / x, log(abs(x))
+        for i in need:
             if near:
                 v, log_scale = horner(cs[i], x), 0.0
             else:  # the reversed polynomial at 1/x is f_i(x)/x^deg
                 v, log_scale = horner(rev[i], inv_x), degs[i] * log_x
                 if x < 0 and degs[i] % 2:
                     v = -v
-            # sign 0.0 at a zero of f_i zeroes its entries
-            signs[i], logs[i] = (math.copysign(1.0, v), log_scale + math.log(abs(v))) if v else zero
-        base = lw + log_jac
+            if not v:
+                signs[i] = 0.0  # zeroes its entries; its logs go unread
+                continue
+            log_f = log_scale + log(abs(v))
+            if roots[i] is not None:
+                s_lo, s_hi = roots[i]
+                if s_lo:
+                    log_f += s_lo * (log(e_lo) if e_lo else -inf)
+                if s_hi:
+                    log_f += s_hi * (log(e_hi) if e_hi else -inf)
+                    if s_hi % 2:  # (x - hi)^s_hi < 0 inside
+                        v = -v
+                if log_f == -inf:  # a node on the end itself, where f_i is 0
+                    signs[i] = 0.0
+                    continue
+            signs[i], logs[i], based[i] = copysign(1.0, v), log_f, base + log_f
+        # sign * e^(log p + log J + log|f_i| + log|f_j|), 0 for a zero sign or magnitude
         return [
-            _signed_exp(signs[i] * signs[j], base + logs[i] + logs[j])
-            for i, j in map(pairs.__getitem__, active)
+            0.0 if (sign := signs[i] * signs[j]) == 0.0 or (mag := based[i] + logs[j]) == -inf
+            else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
+            for i, j in act
         ]
+
+    def f(u_hi: float, u_lo: float, d_near: float, d_far: float, active: list[int]):
+        nonlocal last, act, need
+        if active is not last:
+            last, act = active, [pairs[k] for k in active]
+            need = sorted({i for pair in act for i in pair})
+        return values(u_hi, d_far, d_near), values(u_lo, d_near, d_far)
 
     return f, lo, hi
 
 
-def _numeric_quad(weight: WeightExpr, pairs: Sequence, tol: float) -> list[QuadResult]:
-    """Quadrature of p*f*g for every (f, g) in pairs, on one node sweep; raises
-    the NoConvergence of the first pair, in list order, that fails."""
-    index: dict[Poly, int] = {}  # each distinct eigenfunction once
-    pos = [(index.setdefault(f, len(index)), index.setdefault(g, len(index))) for f, g in pairs]
-    f, lo, hi = _integrand(weight, list(index), pos)
+def _numeric_quad(
+    weight: WeightExpr, funcs: Sequence[Poly], pairs: Sequence[tuple[int, int]], tol: float
+) -> list[QuadResult]:
+    """Quadrature of p f_i f_j for every index pair (i, j) into funcs, on one node
+    sweep; raises the NoConvergence of the first pair, in list order, that fails."""
+    f, lo, hi = _integrand(weight, funcs, pairs)
     results = _tanh_sinh_sweep(f, len(pairs), lo, hi, tol)
     for res in results:
         if isinstance(res, NoConvergence):
@@ -412,7 +456,7 @@ def inner_product_numeric(
         raise NonIntegrable(
             f"deg {degree} against this weight on {weight.interval.describe()}: {failed}"
         )
-    return _numeric_quad(weight, [(f, g)], tol)[0]
+    return _numeric_quad(weight, [f, g], [(0, 1)], tol)[0]
 
 
 def inner_product(
@@ -423,7 +467,9 @@ def inner_product(
     Returns (value, method, err_est) with method "exact", "moment" or "quadrature";
     a moment-shape pair past moment_reach gets quadrature's NonIntegrable.
     """
-    if _moment_shape(weight) and 0 <= f.degree + g.degree <= moment_reach(weight):
+    if _moment_shape(weight) and (f.is_zero() or g.is_zero()):
+        return 0.0, "moment", None
+    if _moment_shape(weight) and f.degree + g.degree <= moment_reach(weight):
         ratio = _MomentForm(weight, {0: f, 1: g}, f.degree + g.degree).entry(0, 1)
         return float(ratio) * _real_line_moment(weight), "moment", None
     try:
@@ -518,7 +564,11 @@ def _gram_for(
             form = _ExactForm(weight, known)
         except NotPolynomialReducible:
             form = None
-        integrable = functools.cache(lambda k: integrability(weight, None, k).integrable)
+        # the verdict is monotone in the degree: one read at the largest m + n decides
+        # them all when it holds, and the per-degree reads only when it does not
+        top = functools.cache(lambda: integrability(weight, None, 2 * max(degrees)).integrable)
+        by_degree = functools.cache(lambda k: integrability(weight, None, k).integrable)
+        integrable = lambda k: top() or by_degree(k)
 
     routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, integrable, note)
     for i, m in enumerate(degrees):
@@ -547,7 +597,9 @@ def _gram_for(
             else:
                 routes[m, n] = (None, None, False, "non-integrable")
     pending = [key for key, route in routes.items() if route[1] == "quadrature"]
-    results = _numeric_quad(weight, [(funcs[m], funcs[n]) for m, n in pending], tol) if pending else []
+    slot = {d: k for k, d in enumerate(sorted({d for key in pending for d in key}))}
+    pairs = [(slot[m], slot[n]) for m, n in pending]
+    results = _numeric_quad(weight, [funcs[d] for d in slot], pairs, tol) if pending else []
     quad = dict(zip(pending, results))
     # the moment route's m_0 (t = 0), and its scale of a pair whose diagonal norms diverge
     moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))

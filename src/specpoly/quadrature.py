@@ -22,16 +22,23 @@ halvings) bounds the work; exhausting it raises NoConvergence.
 
 One loop integrates several integrands over the same interval on one sweep
 of the nodes, so each node's abscissa, distances and weight are computed
-once: it calls f(x, d_lo, d_hi, active) for the integrands still active in
-the current row and takes one value per integrand.  Every integrand keeps
-its own row total, L1 size, tiny-term streak, level, error, eval count and
-failure, and leaves the sweep when its own stopping rule holds, so each one
-sees exactly the additions it would see alone.  tanh_sinh is its
-one-integrand case.
+once: it calls f(x_hi, x_lo, d_near, d_far, active) once per node pair
+x = mid +/- rad t for the integrands still active in the current row, and
+takes one list of values per node (d_near is each node's distance to its
+own end, d_far to the other; the centre is called as the pair (mid, mid)
+and only its first list is read).
+Every integrand keeps its own row total, L1 size, tiny-term streak, level,
+error, eval count and failure, and leaves the sweep when its own stopping
+rule holds, so each one sees exactly the additions it would see alone.
+The active list is replaced only when an integrand leaves, so an integrand
+may cache whatever it derives from it.  tanh_sinh is the one-integrand case.
+A node's abscissa, distance and weight depend on u = k h alone and are
+memoised (a bounded cache) across sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -59,6 +66,7 @@ class QuadResult(Record):
     evals: int
 
 
+@functools.lru_cache(maxsize=1024)  # the 844 nodes of levels 0-7, about 0.3 MB
 def _node(u: float) -> tuple[float, float, float]:
     """Return (t, 1 - t, weight) for abscissa parameter u > 0."""
     s = (math.pi / 2.0) * math.sinh(u)
@@ -85,7 +93,8 @@ def tanh_sinh(
     """Integrate f over (lo, hi) until two levels differ by at most
     tol * (1 + integral of |f|); see the module docstring for the contract."""
     (res,) = _tanh_sinh_sweep(
-        lambda x, d_lo, d_hi, _: [f(x, d_lo, d_hi)], 1, lo, hi, tol, max_levels
+        lambda x_hi, x_lo, d_near, d_far, _: ([f(x_hi, d_far, d_near)], [f(x_lo, d_near, d_far)]),
+        1, lo, hi, tol, max_levels,
     )
     if isinstance(res, NoConvergence):
         raise res
@@ -96,13 +105,16 @@ def _tanh_sinh_sweep(
     f: Callable, count: int, lo: float, hi: float, tol: float, max_levels: int = 12
 ) -> list[QuadResult | NoConvergence]:
     """Integrate integrands 0..count-1 over (lo, hi) on one sweep of the nodes;
-    f(x, d_lo, d_hi, active) -> list[float] gives the active ones' values at a node."""
+    f(x_hi, x_lo, d_near, d_far, active) -> (values at x_hi, values at x_lo) gives
+    the active ones' values at a node pair."""
     if not lo < hi:
         raise ValueError(f"bounds out of order: {lo} >= {hi}")
     if not 0 < tol < math.inf:  # also refuses nan
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     mid = (lo + hi) / 2.0
     rad = (hi - lo) / 2.0
+    tiny = 1e-4 * tol  # a term this small, relative to 1 + |total|, extends the streak
+    isfinite = math.isfinite
     evals = [0] * count
     out: list = [None] * count  # each integrand's QuadResult or NoConvergence
 
@@ -112,43 +124,49 @@ def _tanh_sinh_sweep(
         sizes = [0.0] * count
         streak = [0] * count
         if active and not odd_only:  # the centre node belongs to the first row only
-            for i, v in zip(active, f(mid, rad, rad, active)):
+            centre, _ = f(mid, mid, rad, rad, active)
+            for i, v in zip(active, centre):
                 totals[i] += (math.pi / 2.0) * v
                 sizes[i] += abs((math.pi / 2.0) * v)
                 evals[i] += 1
         k = 1
         step = 2 if odd_only else 1
+        seen = 0  # node pairs evaluated in this row
         while active and k * h <= _U_MAX:
             t, d, w = _node(k * h)
             if w == 0.0 or d == 0.0:
                 break
-            d_near = rad * d
-            d_far = rad * (2.0 - d)
-            values_hi = f(mid + rad * t, d_far, d_near, active)
-            values_lo = f(mid - rad * t, d_near, d_far, active)
-            still = []
+            x_hi, x_lo = mid + rad * t, mid - rad * t
+            values_hi, values_lo = f(x_hi, x_lo, rad * d, rad * (2.0 - d), active)
+            seen += 1
+            gone = []
             for i, v_hi, v_lo in zip(active, values_hi, values_lo):
                 term_hi = w * v_hi
                 term_lo = w * v_lo
-                evals[i] += 2
-                if not (math.isfinite(term_hi) and math.isfinite(term_lo)):
-                    x_near = f"x near {mid + rad * t!r} / {mid - rad * t!r}"
+                pair = term_hi + term_lo
+                if not isfinite(pair) and not (isfinite(term_hi) and isfinite(term_lo)):
                     out[i] = NoConvergence(
-                        f"integrand not finite at a quadrature node ({x_near})", math.nan, math.inf
+                        f"integrand not finite at a quadrature node (x near {x_hi!r} / {x_lo!r})",
+                        math.nan, math.inf,
                     )
+                    gone.append(i)
                     continue
-                totals[i] += term_hi + term_lo
+                total = totals[i] = totals[i] + pair
                 size = abs(term_hi) + abs(term_lo)
                 sizes[i] += size
-                if size <= 1e-4 * tol * (1.0 + abs(totals[i])):
+                if size <= tiny * (1.0 + abs(total)):
                     streak[i] += 1
                     if streak[i] >= 3:
-                        continue
+                        gone.append(i)
                 else:
                     streak[i] = 0
-                still.append(i)
-            active = still
+            if gone:
+                for i in gone:
+                    evals[i] += 2 * seen
+                active = [i for i in active if i not in gone]
             k += step
+        for i in active:
+            evals[i] += 2 * seen
         return totals, sizes
 
     h = 1.0

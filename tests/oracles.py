@@ -15,6 +15,9 @@ cached version must agree with it bit for bit.  ``moment_scale`` is the
 Romanovski moment scale as one public ``tanh_sinh`` call per total degree,
 as the library once computed it; the closed-form scales (Cauchy's beta
 integral) of the moment route must agree with it to 1e-12.
+``pair_quadrature`` is one Gram entry by the public ``tanh_sinh`` with the scalar
+integrand the library used before its sweep took node pairs (two calls per node
+pair, ``signed_exp`` per value), which the node-pair kernel must match bit for bit.
 ``interior_points`` and ``weight_value`` are numeric spot-check helpers, and
 ``log_slope_error`` is a numeric Pearson check: the central difference of
 ``log p`` against (b - a')/a, which does not go through ``WeightExpr.dlog``
@@ -37,10 +40,12 @@ from specpoly import (
     NotPolynomialReducible,
     OperatorMatrix,
     Poly,
+    QuadResult,
     WeightExpr,
     tanh_sinh,
 )
-from specpoly.orthogonality import _log1p_sq, _signed_exp, _tan_abscissa
+from specpoly.orthogonality import _log1p_sq, _tan_abscissa
+from specpoly.ratpoly import horner
 
 
 def monic_classical(name: str, n_max: int) -> list[Poly]:
@@ -257,6 +262,71 @@ def log_eval_reference(
     return out
 
 
+def signed_exp(sign: float, log_mag: float) -> float:
+    """sign * e^log_mag: 0 for a zero sign or magnitude, an infinity past 708."""
+    if sign == 0.0 or log_mag == -math.inf:
+        return 0.0
+    if log_mag > 708.0:
+        return math.copysign(math.inf, sign)
+    return sign * math.exp(log_mag)
+
+
+def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadResult:
+    """Tanh-sinh of p f g over the weight's interval by the public ``tanh_sinh``, with the
+    scalar integrand the library used before its Gram sweep took node pairs: one call
+    per node, which maps the node to x (x = tan u on the real line, anchor +/- tan u on a
+    half line), evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed
+    polynomial at 1/x), and returns signed_exp of the product sign and log p + log J +
+    log|f| + log|g|."""
+    iv = weight.interval
+    polys = [tuple(map(float, p.coeffs)) for p in (f, g)]
+
+    def log_abs(c: tuple, x: float) -> tuple[float, float]:
+        if iv.finite or abs(x) <= 1.0:
+            v, log_scale = horner(c, x), 0.0
+        else:
+            v, log_scale = horner(c[::-1], 1.0 / x), (len(c) - 1) * math.log(abs(x))
+            if x < 0 and (len(c) - 1) % 2:
+                v = -v
+        return (math.copysign(1.0, v), log_scale + math.log(abs(v))) if v else (0.0, -math.inf)
+
+    def value(x: float, lw: float, log_jac: float) -> float:
+        (s_f, l_f), (s_g, l_g) = (log_abs(c, x) for c in polys)
+        return signed_exp(s_f * s_g, lw + log_jac + l_f + l_g)
+
+    if iv.finite:
+        lo, hi = float(iv.lo), float(iv.hi)
+
+        def h(x: float, d_lo: float, d_hi: float) -> float:
+            return value(x, weight.log_eval(x, d_lo, d_hi), 0.0)
+
+    elif iv.lo is None and iv.hi is None:
+        lo, hi = -math.pi / 2, math.pi / 2
+
+        def h(u: float, d_lo: float, d_hi: float) -> float:
+            x = _tan_abscissa(u, d_lo, d_hi)
+            return value(x, weight.log_eval(x), _log1p_sq(x)) if math.isfinite(x) else 0.0
+
+    else:
+        lo, hi = 0.0, math.pi / 2
+        anchor, direction = (float(iv.lo), 1) if iv.hi is None else (float(iv.hi), -1)
+
+        def h(u: float, d_lo: float, d_hi: float) -> float:
+            if d_hi < 0.8:
+                t = 1.0 / math.tan(d_hi)
+            elif d_lo < 0.8:
+                t = math.tan(d_lo)
+            else:
+                t = math.tan(u)
+            x = anchor + direction * t
+            if not math.isfinite(x):
+                return 0.0
+            distances = (t, None) if direction > 0 else (None, t)
+            return value(x, weight.log_eval(x, *distances), _log1p_sq(t))
+
+    return tanh_sinh(h, lo, hi, tol)
+
+
 def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | None:
     """integral p(x) (1+x^2)^(total_degree/2) dx, the scale used to
     normalize off-diagonal entries whose diagonal norms diverge.
@@ -274,7 +344,7 @@ def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | N
         if not math.isfinite(x):
             return 0.0
         total = weight.log_eval(x) + (half + 1.0) * _log1p_sq(x)
-        return _signed_exp(1.0, total)
+        return signed_exp(1.0, total)
 
     try:
         return tanh_sinh(g, -math.pi / 2, math.pi / 2, tol).value

@@ -151,6 +151,17 @@ class TestGram:
         assert {e["method"] for e in data["entries"]} == {"quadrature"}
         assert data["off_diagonal_max_relative"] <= bound
 
+    # weights with exponent -2 or -3 at x = 1, where the eigenfunctions of degree >= 2 or
+    # 3 vanish: these stopped with NoConvergence while Horner evaluated f near that root
+    @pytest.mark.parametrize("alpha, beta", [("-1/3", "7/3"), ("1/2", "7/2"), ("2/3", "4/3")])
+    def test_finite_end_root_converges(self, capsys, alpha, beta):
+        data = run_json(
+            capsys, "gram", "--family", "jacobi", "--alpha", alpha, "--beta", beta, "--n-max", "4"
+        )
+        off = [e for e in data["entries"] if e["m"] != e["n"] and e["relative"] is not None]
+        assert off and all(e["relative"] <= 1e-10 for e in off)
+        assert data["off_diagonal_max_relative"] <= 1e-10
+
     @pytest.mark.parametrize(
         "source",
         [

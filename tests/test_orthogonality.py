@@ -33,7 +33,7 @@ from specpoly import (
     moment_reach,
 )
 
-from oracles import divide_and_integrate, moment_scale, random_poly, weight_value
+from oracles import divide_and_integrate, moment_scale, pair_quadrature, random_poly, weight_value
 
 
 def P(*coeffs):
@@ -357,6 +357,12 @@ class TestRouter:
                         inner_product(weight, f, g)
             assert seen == {True, False}
 
+    def test_zero_romanovski_pair_is_a_moment_zero(self):
+        # as a nonzero pair of the shape: no quadrature runs for it either
+        p1 = eigentable(build_operator(ROM_SPEC), 1)[1].monic
+        for f, g in ((Poly.zero(), p1), (p1, Poly.zero()), (Poly.zero(), Poly.monomial(9))):
+            assert inner_product(ROM_W, f, g) == (0.0, "moment", None)
+
 
 class TestSelfAdjointness:
     def test_exact_for_legendre_weight(self):
@@ -482,6 +488,22 @@ class TestGramMatrix:
         for e in report.entries:
             if e.m >= 1 and e.n > e.m:
                 assert e.method == "quadrature" and e.relative <= 1e-12, (e.m, e.n)
+
+    def test_one_integrability_read_per_matrix(self, monkeypatch):
+        # the verdict at the largest m + n decides every degree when it holds; an
+        # exact-route matrix reads none
+        reads = []
+
+        def counted(*args):
+            reads.append(args[1:])
+            return integrability(*args)
+
+        monkeypatch.setattr(orthogonality, "integrability", counted)
+        gram_matrix(FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 6)
+        assert reads == [(None, 12)]
+        reads.clear()
+        gram_matrix(classical_presets()["legendre"], 6)
+        assert reads == []
 
     def test_chebyshev_gram_numeric_zeros(self):
         report = gram_matrix(FamilySpec.jacobi(-1, -1, 0), 4, 1e-11)
@@ -663,6 +685,95 @@ class TestQuadratureEntries:
         with pytest.raises(NoConvergence) as raised:
             gram_matrix(spec, n)
         assert str(raised.value) == expected
+
+
+def bits(res):
+    return (res.value.hex(), res.err_est.hex(), res.levels, res.evals)
+
+
+class TestNodePairKernel:
+    """The Gram sweep's integrand: one call per node pair, every result bit for bit the
+    scalar integrand's of one pair at a time through the public tanh_sinh."""
+
+    # a finite interval with non-integer exponents, both half lines, the real line
+    SPECS = [
+        FamilySpec.jacobi(-1, Fraction(-29, 12), Fraction(13, 12)),  # (1-x)^(-1/3) (1+x)^(3/4)
+        FamilySpec.laguerre(Fraction(-3, 2), Fraction(7, 3)),
+        FamilySpec.laguerre(Fraction(2), Fraction(1, 2)),
+        FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["jacobi", "laguerre", "laguerre-left", "hermite"])
+    def test_matches_scalar_integrand_bit_for_bit(self, spec):
+        w = weight_of(spec)
+        table = eigentable(build_operator(spec), 6)
+        funcs = [r.monic for r in table]
+        pairs = list(combinations_with_replacement(range(7), 2))
+        swept = orthogonality._numeric_quad(w, funcs, pairs, 1e-10)
+        alone = [pair_quadrature(w, funcs[i], funcs[j], 1e-10) for i, j in pairs]
+        assert [bits(r) for r in swept] == [bits(r) for r in alone]
+        assert len({r.levels for r in alone}) > 1  # entries leave the sweep at different levels
+
+    def test_one_call_per_node_pair(self, monkeypatch):
+        calls, sweep = [], orthogonality._tanh_sinh_sweep
+
+        def counted_sweep(f, *args, **kwargs):
+            def counted(x_hi, x_lo, d_near, d_far, active):
+                calls.append(x_hi)
+                values_hi, values_lo = f(x_hi, x_lo, d_near, d_far, active)
+                assert len(values_hi) == len(values_lo) == len(active)
+                return values_hi, values_lo
+
+            return sweep(counted, *args, **kwargs)
+
+        monkeypatch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
+        w = weight_of(self.SPECS[0])
+        res = inner_product_numeric(w, P(1, 2, 3), P(-1, 0, 0, 1))
+        assert len(calls) == (res.evals + 1) // 2  # the centre, then one call per pair
+        # a Gram sweep calls each node pair once for all its active entries
+        calls.clear()
+        funcs = [r.monic for r in eigentable(build_operator(self.SPECS[3]), 6)]
+        results = orthogonality._numeric_quad(
+            weight_of(self.SPECS[3]), funcs, list(combinations_with_replacement(range(7), 2)), 1e-10
+        )
+        assert len(calls) == len(set(calls))
+        evals = [r.evals for r in results]
+        assert (max(evals) + 1) // 2 <= len(calls) < sum(evals) // 2
+
+
+class TestFiniteEndRoots:
+    """Weights with exponent -2 or -3 at x = 1, where the eigenfunctions of degree 2 or 3
+    and up vanish: near that end Horner's f(x) is rounding noise, which the weight turned
+    into a divergent integrand (NoConvergence) until the root was divided out."""
+
+    CASES = [
+        (Fraction(-1, 3), Fraction(7, 3)),
+        (Fraction(1, 2), Fraction(7, 2)),
+        (Fraction(2, 3), Fraction(4, 3)),
+    ]
+
+    def test_diagonals_match_mpmath(self):
+        # y = 1 - x: p(1 - y) is expanded exactly, so mpmath sees y^s with no cancellation;
+        # its tanh-sinh at 50 digits on y^(e_1) (2 - y)^(e_-1) p(1 - y)^2 over (0, 2)
+        mpmath = pytest.importorskip("mpmath")
+        checked = 0
+        with mpmath.workdps(50):
+            for alpha, beta in self.CASES:
+                spec = FamilySpec.jacobi(-1, alpha, beta)
+                w, table = weight_of(spec), eigentable(build_operator(spec), 4)
+                e_hi, e_lo = (w.power_exponent_at(r) for r in (1, -1))
+                e_hi, e_lo = (mpmath.mpf(e.numerator) / e.denominator for e in (e_hi, e_lo))
+                for e in gram_matrix(spec, 4).entries:
+                    if e.m != e.n or e.value is None:
+                        continue
+                    shifted = table[e.m].monic.affine_sub(-1, 1)
+                    cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(shifted.coeffs)]
+                    exact = mpmath.quad(
+                        lambda y: y**e_hi * (2 - y) ** e_lo * mpmath.polyval(cs, y) ** 2, [0, 1, 2]
+                    )
+                    assert abs(e.value - exact) <= 1e-13 * exact, (alpha, beta, e.m)
+                    checked += 1
+        assert checked == 8
 
 
 # ---------------------------------------------------------------------------

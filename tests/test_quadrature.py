@@ -88,8 +88,11 @@ class TestContract:
 
 
 def swept(integrands):
-    """The vector integrand over a list of scalar ones."""
-    return lambda x, d_lo, d_hi, active: [integrands[i](x, d_lo, d_hi) for i in active]
+    """The node-pair integrand over a list of scalar ones."""
+    return lambda x_hi, x_lo, d_near, d_far, active: (
+        [integrands[i](x_hi, d_far, d_near) for i in active],
+        [integrands[i](x_lo, d_near, d_far) for i in active],
+    )
 
 
 def bits(res):
