@@ -44,7 +44,6 @@ from .orthogonality import (
     gram_matrix_for_operator,
     inner_product,
     inner_product_exact,
-    inner_product_numeric,
 )
 from .quadrature import NoConvergence, QuadResult, tanh_sinh
 from .ratpoly import ExactDivisionError, Poly, rat, rational_sqrt
@@ -105,7 +104,6 @@ __all__ = [
     "NotPolynomialReducible",
     "inner_product",
     "inner_product_exact",
-    "inner_product_numeric",
     "gram_matrix",
     "gram_matrix_for_operator",
     "finite_orthogonality_report",

@@ -216,10 +216,10 @@ def _cmd_weight(args, parser) -> int:
 
 
 def _cmd_gram(args, parser) -> int:
+    spec = _resolve_spec(args, parser)
     if args.n_max < 0:
         raise ValueError("--n-max must be >= 0")
     tol = _tolerance(args)
-    spec = _resolve_spec(args, parser)
     if spec is not None:
         report = gram_matrix(spec, args.n_max, tol)
     else:

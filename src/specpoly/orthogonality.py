@@ -1,6 +1,7 @@
 """Weighted inner products <f, g> = integral p f g and Gram matrices.
 
-Routing policy: a Gram matrix takes one of three routes per pair.
+Routing policy: one router serves Gram matrices and inner_product alike, and
+takes one of three routes per pair.
 
 * exact: p*f*g cancels down to a polynomial over a finite interval (integer
   power exponents, matching factors of f*g, no exponential/arctan
@@ -27,10 +28,12 @@ Routing policy: a Gram matrix takes one of three routes per pair.
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.
 
-A pair goes to quadrature when p f g is integrable: by the degree of f g, or
-else with each root of f g at a root of the weight raising its exponent
-there; one verdict at the largest m + n serves a whole Gram matrix when it
-holds.  A Gram matrix makes one node sweep per weight, with one integrand
+A pair goes to quadrature when p f g is integrable.  One integrability read at
+the largest m + n decides every pair when it holds; where it refuses, each
+eigenfunction's root orders at the weight's roots are read once, and a pair's
+sum raises the weight's exponents there, so no f g is formed for a verdict.  A
+zero f or g is an exact zero with no verdict read (0.0 on the moment shape).  A
+Gram matrix makes one node sweep per weight, with one integrand
 call per node pair +/- t: each node's abscissa, log p(x) and Jacobian are
 computed once and shared by all pending entries, each of which still stops
 on its own rule.  A Romanovski report is read off the Romanovski Gram
@@ -53,7 +56,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from ._record import Record
@@ -69,7 +72,6 @@ __all__ = [
     "NonIntegrable",
     "DEFAULT_TOL",
     "inner_product_exact",
-    "inner_product_numeric",
     "inner_product",
     "GramEntry",
     "OrthoReport",
@@ -439,24 +441,80 @@ def _numeric_quad(
     return results
 
 
-def inner_product_numeric(
-    weight: WeightExpr, f: Poly, g: Poly, tol: float = DEFAULT_TOL
-) -> QuadResult:
-    """Quadrature value of integral p*f*g with an error estimate.
+# ---------------------------------------------------------------------------
+# routing
 
-    Raises NonIntegrable when the integrability precondition fails and
-    NoConvergence when the level budget runs out.
-    """
-    if f.is_zero() or g.is_zero():
-        return QuadResult(0.0, 0.0, 0, 0)
-    degree = int(f.degree + g.degree)
-    verdict = integrability(weight, None, 0, f * g)  # a root of f g raises an exponent
-    if not verdict.integrable:
-        failed = "; ".join(d for _, ok, d in verdict.conditions if not ok)
-        raise NonIntegrable(
-            f"deg {degree} against this weight on {weight.interval.describe()}: {failed}"
-        )
-    return _numeric_quad(weight, [f, g], [(0, 1)], tol)[0]
+
+def _route(
+    weight: WeightExpr, funcs: Sequence[Poly | None], pairs: Sequence[tuple[int, int]], tol: float
+) -> list[tuple]:
+    """(value, method, integrable, err_est, note) per index pair (i, j) into funcs, by the
+    routes and the integrability gate of the module docstring.  funcs[d] is None where
+    degree d has no eigenfunction; such a pair has no value and its degree's verdict."""
+    if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
+    degree = [d if f is None else max(f.degree, 0) for d, f in enumerate(funcs)]
+    top = max((degree[i] + degree[j] for i, j in pairs), default=0)
+    known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
+    moment = _moment_shape(weight)
+    if moment:
+        reach = moment_reach(weight)  # the one integrability decision of the moment shape
+        form = _MomentForm(weight, known, min(reach, top))
+        integrable = lambda i, j: degree[i] + degree[j] <= reach
+    else:
+        try:
+            form = _ExactForm(weight, known)
+        except NotPolynomialReducible:
+            form = None
+        # the verdict is monotone in the degree: one read at the largest m + n decides
+        # every pair when it holds, and only where it refuses do root orders count
+        top_holds = functools.cache(lambda: integrability(weight, top).integrable)
+        roots = sorted({pf.root for pf in weight.power_factors})
+        orders = functools.cache(lambda i: [known[i].strip_root(r, degree[i])[1] for r in roots])
+
+        @functools.cache
+        def verdict(k: int, s: tuple[int, ...]) -> bool:
+            """Is p times a degree-k polynomial with root order s_r at each root r of p
+            integrable?  Each root of f g at a root of p raises p's exponent there."""
+            factor = math.prod((Poly((-r, 1)) ** e for r, e in zip(roots, s)), start=Poly.one())
+            return integrability(weight, k - sum(s), factor).integrable
+
+        def integrable(i: int, j: int) -> bool:
+            if top_holds():
+                return True
+            both = funcs[i] is not None and funcs[j] is not None  # else the degree alone
+            s = map(add, orders(i), orders(j)) if both else [0] * len(roots)
+            return verdict(degree[i] + degree[j], tuple(s))
+
+    def exact(i: int, j: int) -> Fraction | None:
+        try:
+            return form.entry(i, j) if form is not None else None
+        except NotPolynomialReducible:
+            return None
+
+    m_0 = functools.cache(lambda: _real_line_moment(weight))
+    zero = (0.0, "moment", True, None, None) if moment else (Fraction(0), "exact", True, None, None)
+    refused = (None, None, False, None, "non-integrable")
+    routes: list[tuple] = []
+    for i, j in pairs:
+        if funcs[i] is None or funcs[j] is None:
+            routes.append((None, None, integrable(i, j), None, "no degree-exact eigenfunction"))
+        elif i not in known or j not in known:  # f or g is zero
+            routes.append(zero)
+        elif moment:  # gate first: r_k past the reach is no moment
+            value = float(form.entry(i, j)) * m_0() if integrable(i, j) else None
+            routes.append(refused if value is None else (value, "moment", True, None, None))
+        elif (value := exact(i, j)) is not None:
+            routes.append((value, "exact", True, None, None))
+        else:
+            routes.append((None, "quadrature", True, None, None) if integrable(i, j) else refused)
+    pending = [k for k, route in enumerate(routes) if route[1] == "quadrature"]
+    slot = {d: k for k, d in enumerate(sorted({d for k in pending for d in pairs[k]}))}
+    swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in pending)]
+    results = _numeric_quad(weight, [funcs[d] for d in slot], swept, tol) if pending else []
+    for k, res in zip(pending, results):
+        routes[k] = (res.value, "quadrature", True, res.err_est, None)
+    return routes
 
 
 def inner_product(
@@ -464,19 +522,16 @@ def inner_product(
 ) -> tuple[Fraction | float, str, float | None]:
     """Route a pair as a Gram matrix does: moment, exact, else quadrature.
 
-    Returns (value, method, err_est) with method "exact", "moment" or "quadrature";
-    a moment-shape pair past moment_reach gets quadrature's NonIntegrable.
+    Returns (value, method, err_est) with method "exact", "moment" or "quadrature",
+    the Gram entry's to the bit.  Raises NonIntegrable when p f g is not integrable
+    and NoConvergence when the quadrature's level budget runs out.
     """
-    if _moment_shape(weight) and (f.is_zero() or g.is_zero()):
-        return 0.0, "moment", None
-    if _moment_shape(weight) and f.degree + g.degree <= moment_reach(weight):
-        ratio = _MomentForm(weight, {0: f, 1: g}, f.degree + g.degree).entry(0, 1)
-        return float(ratio) * _real_line_moment(weight), "moment", None
-    try:
-        return inner_product_exact(weight, f, g), "exact", None
-    except NotPolynomialReducible:
-        res = inner_product_numeric(weight, f, g, tol)
-        return res.value, "quadrature", res.err_est
+    value, method, integrable, err_est, _ = _route(weight, [f, g], [(0, 1)], tol)[0]
+    if not integrable:
+        raise NonIntegrable(
+            f"p f g of degree {f.degree + g.degree} is not integrable on {weight.interval.describe()}"
+        )
+    return value, method, err_est
 
 
 # ---------------------------------------------------------------------------
@@ -550,77 +605,20 @@ def _gram_for(
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
     """The Gram entries over degrees of the eigenfunctions in table (indexed by degree)."""
-    if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
-        raise ValueError(f"tol must be a finite positive number, not {tol}")
-    funcs: dict[int, Poly | None] = {d: table[d].monic for d in degrees}
-    known = {d: p for d, p in funcs.items() if p is not None}
-    moment = _moment_shape(weight)
-    if moment:
-        reach = moment_reach(weight)  # the matrix's one integrability decision
-        form = _MomentForm(weight, known, reach)
-        integrable = lambda k: k <= reach
-    else:
-        try:
-            form = _ExactForm(weight, known)
-        except NotPolynomialReducible:
-            form = None
-        # the verdict is monotone in the degree: one read at the largest m + n decides
-        # them all when it holds, and the per-degree reads only when it does not
-        top = functools.cache(lambda: integrability(weight, None, 2 * max(degrees)).integrable)
-        by_degree = functools.cache(lambda k: integrability(weight, None, k).integrable)
-        integrable = lambda k: top() or by_degree(k)
-
-    routes: dict[tuple[int, int], tuple] = {}  # (m, n) -> (value, method, integrable, note)
-    for i, m in enumerate(degrees):
-        for n in degrees[i:]:
-            if funcs[m] is None or funcs[n] is None:
-                routes[m, n] = (None, None, integrable(m + n), "no degree-exact eigenfunction")
-                continue
-            if moment:  # gate first: r_k past the reach is no moment
-                if integrable(m + n):
-                    routes[m, n] = (form.entry(m, n), "moment", True, None)
-                else:
-                    routes[m, n] = (None, None, False, "non-integrable")
-                continue
-            if form is not None:
-                try:
-                    routes[m, n] = (form.entry(m, n), "exact", True, None)
-                    continue
-                except NotPolynomialReducible:
-                    pass
-            # a pair the degree refuses can still be integrable: each root of f g at a
-            # root of the weight raises the weight's exponent there
-            if integrable(m + n) or weight.power_factors and integrability(
-                weight, None, 0, funcs[m] * funcs[n]
-            ).integrable:
-                routes[m, n] = (None, "quadrature", True, None)
-            else:
-                routes[m, n] = (None, None, False, "non-integrable")
-    pending = [key for key, route in routes.items() if route[1] == "quadrature"]
-    slot = {d: k for k, d in enumerate(sorted({d for key in pending for d in key}))}
-    pairs = [(slot[m], slot[n]) for m, n in pending]
-    results = _numeric_quad(weight, [funcs[d] for d in slot], pairs, tol) if pending else []
-    quad = dict(zip(pending, results))
-    # the moment route's m_0 (t = 0), and its scale of a pair whose diagonal norms diverge
+    pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
+    routes = _route(weight, [r.monic for r in table], pairs, tol)
+    # 0.0 where the norm has no value
+    diag = {m: float(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
+    # the moment route's scale of a pair whose diagonal norms diverge
     moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))
-    values = {}
-    for key, (value, method, _, _) in routes.items():
-        if method == "quadrature":
-            value = quad[key].value
-        elif method == "moment":
-            value = float(value) * moment_scale(0)
-        values[key] = value
-    diag = {m: float(values[m, m] or 0) for m in degrees}  # 0.0 where the norm has no value
-
     entries: list[GramEntry] = []
-    for (m, n), (_, method, ok, note) in routes.items():
-        value, rel = values[m, n], None
+    for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):
+        rel = None
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
                 rel = abs(float(value)) / math.sqrt(diag[m] * diag[n])
-            elif moment:
+            elif method == "moment":
                 rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
-        err_est = quad[m, n].err_est if (m, n) in quad else None
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
     max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
 

@@ -303,14 +303,15 @@ _EXP_DETAIL = {True: "exponential factor decays", False: "exponential factor gro
 
 
 def _endpoint_facts(
-    weight: WeightExpr, iv: Interval, points: list[Fraction], poly: Poly, degree: int
+    weight: WeightExpr, points: list[Fraction], poly: Poly, degree: int
 ) -> list[tuple[str, Fraction | None, Fraction, bool | None]]:
     """(location, point, exponent, decay) per endpoint of p * poly * q, q of degree
     `degree` with no root counted, the facts of the module docstring: at each
-    finite point r of points inside [lo, hi], point r and decay None; at each
-    infinite end of iv, point None and decay True or False when e^E decays or
+    finite point r of points inside the weight's [lo, hi], point r and decay None;
+    at each infinite end, point None and decay True or False when e^E decays or
     grows there, else None with exponent the asymptotic power.  The arctan
     factor is bounded and plays no role."""
+    iv = weight.interval
     facts = []
     for r in points:
         if (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi):
@@ -327,22 +328,18 @@ def _endpoint_facts(
 
 
 def integrability(
-    weight: WeightExpr,
-    interval: Interval | None = None,
-    total_degree: int = 0,
-    factor: Poly = Poly.one(),
+    weight: WeightExpr, total_degree: int = 0, factor: Poly = Poly.one()
 ) -> IntegrabilityVerdict:
     """Is factor * (polynomial of degree total_degree) * weight integrable over
-    the interval?
+    the weight's interval?
 
     Every power exponent at a finite root, plus the root's multiplicity in
     factor, must exceed -1; each infinite end needs a decaying exponential
     factor, or else an asymptotic power below -1.
     """
-    iv = interval if interval is not None else weight.interval
     roots = sorted({pf.root for pf in weight.power_factors})
     conditions = []
-    for loc, r, e, decay in _endpoint_facts(weight, iv, roots, factor, total_degree):
+    for loc, r, e, decay in _endpoint_facts(weight, roots, factor, total_degree):
         if decay is not None:
             ok, detail = decay, _EXP_DETAIL[decay]
         elif r is None:
@@ -358,12 +355,12 @@ def integrability(
 def moment_reach(weight: WeightExpr) -> int | float:
     """The largest k with p x^k integrable over the weight's interval: -1 when p
     itself is not, math.inf when every moment is.  So k >= 0 lies within the
-    reach exactly when integrability(weight, None, k) holds; one read of the
+    reach exactly when integrability(weight, k) holds; one read of the
     endpoint facts decides every degree at once.
     """
     roots = sorted({pf.root for pf in weight.power_factors})
     reach = math.inf
-    for _, r, e, decay in _endpoint_facts(weight, weight.interval, roots, Poly.one(), 0):
+    for _, r, e, decay in _endpoint_facts(weight, roots, Poly.one(), 0):
         if r is None and decay is None:  # a power law at an infinite end: k + e < -1
             reach = min(reach, math.ceil(-1 - e) - 1)
         elif not (decay if r is None else e > -1):
@@ -374,7 +371,6 @@ def moment_reach(weight: WeightExpr) -> int | float:
 def boundary_vanishing(
     weight: WeightExpr,
     a: Poly,
-    interval: Interval | None = None,
     deg_pair: tuple[int, int] = (0, 0),
     funcs: tuple[Poly, Poly] | None = None,
 ) -> BoundaryVerdict:
@@ -387,11 +383,10 @@ def boundary_vanishing(
     p*a*(u v' - u' v), p times a polynomial of degree deg(a) + m + n - 1,
     must be negative.
     """
-    iv = interval if interval is not None else weight.interval
     m, n = deg_pair
-    ends = [end for end in (iv.lo, iv.hi) if end is not None]
+    ends = [end for end in (weight.interval.lo, weight.interval.hi) if end is not None]
     conditions = []
-    for loc, r, e, decay in _endpoint_facts(weight, iv, ends, a, m + n - 1):
+    for loc, r, e, decay in _endpoint_facts(weight, ends, a, m + n - 1):
         if decay is not None:
             ok, detail = decay, _EXP_DETAIL[decay]
         elif r is None:

@@ -293,10 +293,21 @@ class TestSchemas:
 
 
 class TestContract:
-    def test_missing_source_is_argument_error(self, capsys):
+    # every command that takes an operator source; the source is resolved before any
+    # other argument is checked
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n-max", "-1"],
+        ["eigenfns", "--n-max", "-1"],
+        ["gram", "--n-max", "-1"],
+        ["gram", "--tol", "nan"],
+        ["weight"],
+        ["normalize"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_missing_source_is_argument_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--n-max", "3"])
+            main(argv)
         assert exc.value.code == 2
+        assert "provide exactly one of --preset, --family, --operator-json" in capsys.readouterr().err
 
     def test_two_sources_is_argument_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,6 @@ from specpoly import (
     gram_matrix_for_operator,
     inner_product,
     inner_product_exact,
-    inner_product_numeric,
     integrability,
     moment_reach,
 )
@@ -140,6 +139,11 @@ class TestExactPath:
         assert inner_product_exact(LEGENDRE_W, f, g) == inner_product_exact(
             LEGENDRE_W, g, f
         )
+
+
+def quad(w, f, g, tol=orthogonality.DEFAULT_TOL):
+    """The quadrature leg of one pair alone: what the Gram sweep gives its entry."""
+    return orthogonality._numeric_quad(w, [f, g], [(0, 1)], tol)[0]
 
 
 def _jacobi_with_exponents(p, q):
@@ -258,33 +262,29 @@ class TestNumericPath:
             for n in range(m, 7):
                 f, g = table[m].monic, table[n].monic
                 exact = inner_product_exact(LEGENDRE_W, f, g)
-                numeric = inner_product_numeric(LEGENDRE_W, f, g, 1e-12)
+                numeric = quad(LEGENDRE_W, f, g, 1e-12)
                 assert abs(numeric.value - float(exact)) < 1e-10 * (1 + abs(float(exact)))
 
     def test_chebyshev_closed_forms(self):
         # weight is exactly 1/sqrt(1-x^2): <1,1> = pi, <T2m, T2m> = pi/8 for monic T2
-        assert inner_product_numeric(CHEB_W, Poly.one(), Poly.one(), 1e-12).value == pytest.approx(math.pi, rel=1e-11)
+        assert quad(CHEB_W, Poly.one(), Poly.one(), 1e-12).value == pytest.approx(math.pi, rel=1e-11)
         t2 = P("-1/2", 0, 1)
-        assert inner_product_numeric(CHEB_W, t2, t2, 1e-12).value == pytest.approx(math.pi / 8, rel=1e-10)
-        assert inner_product_numeric(CHEB_W, Poly.one(), Poly.x(), 1e-12).value == pytest.approx(0.0, abs=1e-13)
+        assert quad(CHEB_W, t2, t2, 1e-12).value == pytest.approx(math.pi / 8, rel=1e-10)
+        assert quad(CHEB_W, Poly.one(), Poly.x(), 1e-12).value == pytest.approx(0.0, abs=1e-13)
 
     def test_hermite_and_laguerre_masses(self):
         herm_w = weight_of(FamilySpec.hermite(-2, 0))
-        assert inner_product_numeric(herm_w, Poly.one(), Poly.one(), 1e-12).value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
+        assert quad(herm_w, Poly.one(), Poly.one(), 1e-12).value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
         lag_w = weight_of(FamilySpec.laguerre(-1, 1))
-        assert inner_product_numeric(lag_w, Poly.x(), P(0, 1, 1), 1e-12).value == pytest.approx(8.0, rel=1e-11)
+        assert quad(lag_w, Poly.x(), P(0, 1, 1), 1e-12).value == pytest.approx(8.0, rel=1e-11)
 
     def test_romanovski_first_pair(self):
         table = eigentable(build_operator(ROM_SPEC), 1)
         assert table[1].monic == P("-2/13", 1)
-        res = inner_product_numeric(ROM_W, table[0].monic, table[1].monic, 1e-10)
-        norm0 = inner_product_numeric(ROM_W, Poly.one(), Poly.one(), 1e-10).value
-        norm1 = inner_product_numeric(ROM_W, table[1].monic, table[1].monic, 1e-10).value
+        res = quad(ROM_W, table[0].monic, table[1].monic, 1e-10)
+        norm0 = quad(ROM_W, Poly.one(), Poly.one(), 1e-10).value
+        norm1 = quad(ROM_W, table[1].monic, table[1].monic, 1e-10).value
         assert abs(res.value) / math.sqrt(norm0 * norm1) < 1e-8
-
-    def test_non_integrable_raises(self):
-        with pytest.raises(NonIntegrable):
-            inner_product_numeric(ROM_W, Poly.monomial(4), Poly.monomial(4))
 
     def test_bilinearity_within_tolerance(self):
         rng = random.Random(89)
@@ -293,16 +293,12 @@ class TestNumericPath:
             f = random_poly(rng, 3)
             g = random_poly(rng, 3)
             h = random_poly(rng, 3)
-            lhs = inner_product_numeric(CHEB_W, f, g + h, tol).value
+            lhs = quad(CHEB_W, f, g + h, tol).value
             rhs = (
-                inner_product_numeric(CHEB_W, f, g, tol).value
-                + inner_product_numeric(CHEB_W, f, h, tol).value
+                quad(CHEB_W, f, g, tol).value
+                + quad(CHEB_W, f, h, tol).value
             )
             assert abs(lhs - rhs) <= 2 * tol * (1 + abs(lhs))
-
-    def test_zero_polynomial_short_circuits(self):
-        res = inner_product_numeric(ROM_W, Poly.zero(), Poly.monomial(9))
-        assert res.value == 0.0
 
     def test_exact_route_is_oracle_for_quadrature(self):
         # seeded pairs of eigenfunctions on Jacobi weights (1-x)^p (1+x)^q with
@@ -316,14 +312,14 @@ class TestNumericPath:
                 f, g = table[rng.randint(0, 8)].monic, table[rng.randint(0, 8)].monic
                 exact = inner_product_exact(w, f, g)
                 scale = math.sqrt(inner_product_exact(w, f, f) * inner_product_exact(w, g, g))
-                assert abs(inner_product_numeric(w, f, g).value - exact) <= 1e-12 * scale
+                assert abs(quad(w, f, g).value - exact) <= 1e-12 * scale
         # chaudhry-qadir's 1/(1-t) is integrable against f g, which vanishes at t = 1
         table = eigentable(build_operator(CQ_SPEC), 4)
         for m in range(1, 5):
             f = table[m].monic
             exact = inner_product_exact(CQ_W, f, f)
             assert exact > 0
-            assert abs(inner_product_numeric(CQ_W, f, f).value - exact) <= 1e-12 * exact
+            assert abs(quad(CQ_W, f, f).value - exact) <= 1e-12 * exact
 
 
 class TestRouter:
@@ -337,31 +333,61 @@ class TestRouter:
         assert value == pytest.approx(math.pi, rel=1e-9)
         assert err is not None
 
-    def test_romanovski_pairs_take_the_gram_route(self):
-        # the moment route where the Gram matrix takes it, with the Gram entry's
-        # value to the bit; past the reach, quadrature's NonIntegrable
-        for alpha, beta, n_max in ((Fraction(-13, 2), 1, 5), (Fraction(-9), Fraction(-1, 2), 6)):
-            spec = FamilySpec.romanovski(alpha, beta)
-            weight, table = weight_of(spec), eigentable(build_operator(spec), n_max)
-            report, seen = gram_matrix(spec, n_max), set()
-            for m, n in combinations_with_replacement(range(n_max + 1), 2):
-                f, g, entry = table[m].monic, table[n].monic, report.entry(m, n)
-                if f is None or g is None:
-                    continue
-                seen.add(entry.integrable)
-                if entry.integrable:
-                    assert entry.method == "moment"
-                    assert inner_product(weight, f, g) == (entry.value, "moment", None)
-                else:
-                    with pytest.raises(NonIntegrable):
-                        inner_product(weight, f, g)
-            assert seen == {True, False}
+    def test_non_integrable_raises(self):
+        with pytest.raises(NonIntegrable):
+            inner_product(ROM_W, Poly.monomial(4), Poly.monomial(4))
+        with pytest.raises(NonIntegrable):  # 1/(1-t) is integrable only against a root at 1
+            inner_product(CQ_W, Poly.one(), Poly.x())
 
-    def test_zero_romanovski_pair_is_a_moment_zero(self):
-        # as a nonzero pair of the shape: no quadrature runs for it either
+    # spec, n_max, the routes its pairs take, whether some pair is non-integrable
+    GRAM_ROUTED = {
+        "romanovski": (ROM_SPEC, 5, {"moment"}, True),
+        "romanovski-collision": (FamilySpec.romanovski(-9, Fraction(-1, 2)), 6, {"moment"}, True),
+        "jacobi": (FamilySpec.jacobi(-1, Fraction(-29, 12), Fraction(13, 12)), 5, {"quadrature"}, False),
+        "hermite": (FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 5, {"quadrature"}, False),
+        "chaudhry-qadir": (CQ_SPEC, 6, {"exact"}, False),
+        "jacobi-root-orders": (FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3)), 6, {"quadrature"}, True),
+    }
+
+    @pytest.mark.parametrize("name", list(GRAM_ROUTED))
+    def test_pairs_take_the_gram_route(self, name):
+        # inner_product gives the Gram entry's (value, method, err_est) to the bit, and
+        # raises NonIntegrable for a pair the Gram matrix calls non-integrable
+        spec, n_max, methods, refuses = self.GRAM_ROUTED[name]
+        weight, table = weight_of(spec), eigentable(build_operator(spec), n_max)
+        seen, refused = set(), False
+        for entry in gram_matrix(spec, n_max).entries:
+            f, g = table[entry.m].monic, table[entry.n].monic
+            if f is None or g is None:
+                continue
+            if entry.integrable:
+                seen.add(entry.method)
+                got = inner_product(weight, f, g)
+                assert repr(got) == repr((entry.value, entry.method, entry.err_est)), (entry.m, entry.n)
+            else:
+                refused = True
+                with pytest.raises(NonIntegrable):
+                    inner_product(weight, f, g)
+        assert (seen, refused) == (methods, refuses)
+
+    @pytest.mark.parametrize(
+        "weight, zero",
+        [
+            (ROM_W, (0.0, "moment", None)),
+            (LEGENDRE_W, (Fraction(0), "exact", None)),
+            (CQ_W, (Fraction(0), "exact", None)),
+            (CHEB_W, (Fraction(0), "exact", None)),
+            (weight_of(classical_presets()["hermite"]), (Fraction(0), "exact", None)),
+        ],
+        ids=["romanovski", "legendre", "chaudhry-qadir", "chebyshev1", "hermite"],
+    )
+    def test_zero_pair_reads_no_verdict(self, weight, zero):
+        # p f g = 0 is integrable at any degree and needs no quadrature: on the moment
+        # shape a moment zero, on every other shape an exact one
         p1 = eigentable(build_operator(ROM_SPEC), 1)[1].monic
         for f, g in ((Poly.zero(), p1), (p1, Poly.zero()), (Poly.zero(), Poly.monomial(9))):
-            assert inner_product(ROM_W, f, g) == (0.0, "moment", None)
+            got = inner_product(weight, f, g)
+            assert got == zero and type(got[0]) is type(zero[0])
 
 
 class TestSelfAdjointness:
@@ -384,8 +410,8 @@ class TestSelfAdjointness:
         for _ in range(6):
             f = random_poly(rng, 4)
             g = random_poly(rng, 4)
-            lf_g = inner_product_numeric(w, op.apply(f), g, 1e-11).value
-            f_lg = inner_product_numeric(w, f, op.apply(g), 1e-11).value
+            lf_g = quad(w, op.apply(f), g, 1e-11).value
+            f_lg = quad(w, f, op.apply(g), 1e-11).value
             assert abs(lf_g - f_lg) < 1e-8 * (1 + abs(lf_g))
 
     def test_romanovski_boundary_term_power_law(self):
@@ -489,6 +515,18 @@ class TestGramMatrix:
             if e.m >= 1 and e.n > e.m:
                 assert e.method == "quadrature" and e.relative <= 1e-12, (e.m, e.n)
 
+    def test_root_orders_form_no_product(self, monkeypatch):
+        # a pair's verdict adds the root orders read once per eigenfunction: no f g is formed
+        spec = FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3))
+        weight, funcs = weight_of(spec), [r.monic for r in eigentable(build_operator(spec), 8)]
+        operands, mul = [], Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append((a, b)) or mul(a, b))
+        pairs = list(combinations_with_replacement(range(9), 2))
+        routes = orthogonality._route(weight, funcs, pairs, 1e-10)
+        assert [pair for pair, route in zip(pairs, routes) if not route[2]] == [(0, 0)]
+        is_func = lambda p: any(p is f for f in funcs)
+        assert operands and not any(is_func(a) and is_func(b) for a, b in operands)
+
     def test_one_integrability_read_per_matrix(self, monkeypatch):
         # the verdict at the largest m + n decides every degree when it holds; an
         # exact-route matrix reads none
@@ -500,10 +538,15 @@ class TestGramMatrix:
 
         monkeypatch.setattr(orthogonality, "integrability", counted)
         gram_matrix(FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 6)
-        assert reads == [(None, 12)]
+        assert reads == [(12,)]
         reads.clear()
         gram_matrix(classical_presets()["legendre"], 6)
         assert reads == []
+
+    def test_no_degrees_no_entries(self):
+        # chaudhry-qadir starts at degree 1: at n_max 0 the matrix has no pair at all
+        report = gram_matrix(CQ_SPEC, 0)
+        assert (report.degrees, report.entries, report.off_diagonal_max_relative) == ((), (), None)
 
     def test_chebyshev_gram_numeric_zeros(self):
         report = gram_matrix(FamilySpec.jacobi(-1, -1, 0), 4, 1e-11)
@@ -524,6 +567,8 @@ class TestGramMatrix:
         for spec in (classical_presets()["legendre"], ROM_SPEC, classical_presets()["chebyshev1"]):
             with pytest.raises(ValueError, match="^tol must be a finite positive number"):
                 gram_matrix(spec, 2, tol)
+            with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+                inner_product(weight_of(spec), Poly.one(), Poly.x(), tol)
 
     def test_report_json_is_stable(self):
         a = gram_matrix(FamilySpec.jacobi(-1, -2, 0), 4).to_json()
@@ -651,14 +696,14 @@ class TestQuadratureEntries:
     @pytest.mark.parametrize(
         "spec, n", SWEPT_GRAMS, ids=[f"spec{i}" for i in range(len(SWEPT_GRAMS))]
     )
-    def test_gram_entries_equal_public_function(self, spec, n):
+    def test_gram_entries_equal_one_pair_quadrature(self, spec, n):
         report = gram_matrix(spec, n)
         w = weight_of(spec)
         table = eigentable(build_operator(spec), n)
         quadrature = [e for e in report.entries if e.method == "quadrature"]
         assert len(quadrature) == (n + 1) * (n + 2) // 2
         for e in quadrature:
-            res = inner_product_numeric(w, table[e.m].monic, table[e.n].monic)
+            res = quad(w, table[e.m].monic, table[e.n].monic)
             assert (e.value, e.err_est) == (res.value, res.err_est), (e.m, e.n)
 
     # inputs that still fail: laguerre at 20 on 19 pairs, first (4, 20);
@@ -677,7 +722,7 @@ class TestQuadratureEntries:
         expected = None
         for m, k in combinations_with_replacement(range(n + 1), 2):
             try:
-                inner_product_numeric(w, table[m].monic, table[k].monic)
+                quad(w, table[m].monic, table[k].monic)
             except NoConvergence as exc:
                 expected = str(exc)
                 break
@@ -728,7 +773,7 @@ class TestNodePairKernel:
 
         monkeypatch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
         w = weight_of(self.SPECS[0])
-        res = inner_product_numeric(w, P(1, 2, 3), P(-1, 0, 0, 1))
+        res = quad(w, P(1, 2, 3), P(-1, 0, 0, 1))
         assert len(calls) == (res.evals + 1) // 2  # the centre, then one call per pair
         # a Gram sweep calls each node pair once for all its active entries
         calls.clear()
@@ -840,7 +885,7 @@ class TestMomentRoute:
             table = eigentable(build_operator(FamilySpec.romanovski(alpha, beta)), n)
 
             def numeric(m, k):
-                return inner_product_numeric(w, table[m].monic, table[k].monic).value
+                return quad(w, table[m].monic, table[k].monic).value
 
             valued = [p for p in report.pairs if p.value is not None]
             assert len(valued) == count
@@ -916,7 +961,7 @@ class TestMomentRoute:
             collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
             near_boundary += (alpha / c).denominator == 1000
             for e in gram.entries:
-                ok = integrability(w, None, e.m + e.n).integrable
+                ok = integrability(w, e.m + e.n).integrable
                 assert e.integrable == ok, (c, alpha, beta, e.m, e.n)
                 if e.value is None:
                     continue

@@ -219,9 +219,8 @@ class TestIntegrability:
         half_line = Interval(Fraction(0), None)
         assert integrability(weight_of(FamilySpec.laguerre(-1, 1))).integrable
         assert not integrability(weight_of(FamilySpec.laguerre(-1, -1))).integrable
-        assert not integrability(
-            weight_of(FamilySpec.laguerre(1, 1)), half_line
-        ).integrable
+        # laguerre(1, 1)'s factor e^x, which grows on the half line (0, inf)
+        assert not integrability(WeightExpr(exp_poly=P(0, 1), interval=half_line)).integrable
         # for alpha > 0 the derivation itself settles on the decaying side
         assert weight_of(FamilySpec.laguerre(1, 1)).interval == Interval(None, Fraction(0))
 
@@ -230,7 +229,7 @@ class TestIntegrability:
         assert not integrability(weight_of(FamilySpec.hermite(2, 0))).integrable
 
     def test_moment_reach_is_the_degree_verdict(self):
-        # k <= moment_reach(w) exactly when integrability(w, None, k) holds, on every
+        # k <= moment_reach(w) exactly when integrability(w, k) holds, on every
         # weight shape; the reach is finite only on the Romanovski shape
         assert moment_reach(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == 7
         assert moment_reach(weight_of(FamilySpec.romanovski(-7, 0))) == 7
@@ -252,7 +251,7 @@ class TestIntegrability:
                 reach = moment_reach(w)
                 reaches.add(reach if reach in (-1, math.inf) else "finite")
                 for k in range(20):
-                    assert (k <= reach) == integrability(w, None, k).integrable, (spec, k)
+                    assert (k <= reach) == integrability(w, k).integrable, (spec, k)
         assert reaches == {-1, math.inf, "finite"}
 
 
