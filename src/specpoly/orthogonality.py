@@ -22,8 +22,15 @@ takes one of three routes per pair.
   closed form.  The last k with p x^k integrable (the reach) is read once
   per matrix; a pair with m + n beyond it is non-integrable.
 * quadrature: everything else, by tanh-sinh; infinite intervals are first
-  mapped to a compact one (x = tan u for the real line, x = anchor +/- tan u
-  for half lines).
+  mapped to a compact one.  On the real line a Gaussian factor
+  e^(c2 x^2 + c1 x), c2 < 0, takes x = centre + scale artanh(t) on (-1, 1),
+  centre = -c1/(2 c2), scale = 2/sqrt(-c2): after the sweep's
+  t = tanh((pi/2) sinh u) that is the plain sinh substitution of an integrand
+  that already decays super-exponentially (Takahasi and Mori, Publ. RIMS 9,
+  1974).  Every other real-line weight has algebraic tails and keeps
+  x = tan u, whose compression makes them decay double-exponentially; under
+  the sinh map they would hold mass beyond the sweep's last node.  Half lines
+  take x = anchor +/- tan u.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.
@@ -31,7 +38,8 @@ value is its ratio times m_0, 0.0 exactly when the ratio is 0.
 A pair goes to quadrature when p f g is integrable.  One integrability read at
 the largest m + n decides every pair when it holds; where it refuses, each
 eigenfunction's root orders at the weight's roots are read once, and a pair's
-sum raises the weight's exponents there, so no f g is formed for a verdict.  A
+sum raises the weight's exponents there, so no f g is formed for a verdict; on
+a finite interval the degree plays no part, and the sum alone keys it.  A
 zero f or g is an exact zero with no verdict read (0.0 on the moment shape).  A
 Gram matrix makes one node sweep per weight, with one integrand
 call per node pair +/- t: each node's abscissa, log p(x) and Jacobian are
@@ -258,11 +266,11 @@ def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
         gammas = math.gamma(x) / math.gamma(float(a))
     else:
         gammas = math.exp(math.lgamma(x) - math.lgamma(float(a)))
-    shift = 1.0
-    while a < 16:
-        shift *= 1 + (b / float(a)) ** 2
-        a += 1
-    big = float(a)
+    shift, num, den = 1.0, a.numerator, a.denominator  # a = num / den, shifted in ints
+    while num < 16 * den:
+        shift *= 1 + (b / (num / den)) ** 2
+        num += den
+    big = num / den
     # (A - 1/2) log|A + ib| - b arg(A + ib), less the same at b = 0
     log_ratio = (big - 0.5) * 0.5 * math.log1p((b / big) ** 2) - b * math.atan(b / big)
     inv_z, inv_a = 1 / complex(big, b), 1 / big
@@ -321,7 +329,7 @@ def _integrand(
     distance d.  The pair list and the needed f_i are rebuilt only when the sweep's active
     list changes.
     """
-    iv = weight.interval
+    iv, exp_poly = weight.interval, weight.exp_poly
     # the finite ends a root is divided out at, None for the others
     ends = [
         r if r is not None and weight.power_exponent_at(r) <= -1 else None for r in (iv.lo, iv.hi)
@@ -330,7 +338,7 @@ def _integrand(
     for p in funcs:
         mults = []
         for r in ends:
-            p, s = p.strip_root(r, int(p.degree)) if r is not None else (p, 0)
+            p, s = p.strip_root(r, int(p.degree)) if r is not None and p else (p, 0)
             mults.append(s)
         c = tuple(map(float, p.coeffs))  # converted once, not per node
         cs.append(c)
@@ -346,6 +354,17 @@ def _integrand(
 
         def node(x: float, d_lo: float, d_hi: float) -> tuple:
             return x, weight.log_eval(x, d_lo, d_hi), 0.0, d_lo, d_hi  # the identity map: log 1
+
+    elif iv.lo is None and iv.hi is None and exp_poly.degree == 2 and exp_poly.leading() < 0:
+        lo, hi = -1.0, 1.0  # a Gaussian factor e^(c2 x^2 + c1 x): the module docstring's map
+        c1, c2 = exp_poly.coeff(1), exp_poly.coeff(2)
+        centre, scale = float(-c1 / (2 * c2)), 2.0 / math.sqrt(float(-c2))
+        log_scale = log(scale)
+
+        def node(t: float, d_lo: float, d_hi: float) -> tuple:
+            log_lo, log_hi = log(d_lo), log(d_hi)  # artanh(t) = (log_lo - log_hi) / 2
+            x = centre + scale * ((log_lo - log_hi) / 2.0)
+            return x, weight.log_eval(x), log_scale - log_lo - log_hi, None, None
 
     elif iv.lo is None and iv.hi is None:
         lo, hi = -math.pi / 2, math.pi / 2
@@ -466,25 +485,30 @@ def _route(
             form = _ExactForm(weight, known)
         except NotPolynomialReducible:
             form = None
-        # the verdict is monotone in the degree: one read at the largest m + n decides
-        # every pair when it holds, and only where it refuses do root orders count
-        top_holds = functools.cache(lambda: integrability(weight, top).integrable)
         roots = sorted({pf.root for pf in weight.power_factors})
         orders = functools.cache(lambda i: [known[i].strip_root(r, degree[i])[1] for r in roots])
+        finite, zeros = weight.interval.finite, (0,) * len(roots)
 
         @functools.cache
         def verdict(k: int, s: tuple[int, ...]) -> bool:
-            """Is p times a degree-k polynomial with root order s_r at each root r of p
+            """Is p times (x - r)^s_r at each root r of p times a degree-k polynomial
             integrable?  Each root of f g at a root of p raises p's exponent there."""
             factor = math.prod((Poly((-r, 1)) ** e for r, e in zip(roots, s)), start=Poly.one())
-            return integrability(weight, k - sum(s), factor).integrable
+            return integrability(weight, k, factor).integrable
+
+        def holds(k: int, s: tuple[int, ...]) -> bool:
+            """verdict for degree k with root orders s; the degree counts only at an
+            infinite end, so on a finite interval the root orders alone are the key."""
+            return verdict(0 if finite else k - sum(s), s)
 
         def integrable(i: int, j: int) -> bool:
-            if top_holds():
+            # the verdict is monotone in the degree: one read at the largest m + n decides
+            # every pair when it holds, and only where it refuses do root orders count
+            if holds(top, zeros):
                 return True
             both = funcs[i] is not None and funcs[j] is not None  # else the degree alone
-            s = map(add, orders(i), orders(j)) if both else [0] * len(roots)
-            return verdict(degree[i] + degree[j], tuple(s))
+            s = tuple(map(add, orders(i), orders(j))) if both else zeros
+            return holds(degree[i] + degree[j], s)
 
     def exact(i: int, j: int) -> Fraction | None:
         try:

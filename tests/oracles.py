@@ -274,11 +274,12 @@ def signed_exp(sign: float, log_mag: float) -> float:
 def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadResult:
     """Tanh-sinh of p f g over the weight's interval by the public ``tanh_sinh``, with the
     scalar integrand the library used before its Gram sweep took node pairs: one call
-    per node, which maps the node to x (x = tan u on the real line, anchor +/- tan u on a
-    half line), evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed
+    per node, which maps the node to x (on the real line x = centre + scale artanh(t) over
+    (-1, 1) for a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u; anchor +/- tan u
+    on a half line), evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed
     polynomial at 1/x), and returns signed_exp of the product sign and log p + log J +
     log|f| + log|g|."""
-    iv = weight.interval
+    iv, exp = weight.interval, weight.exp_poly
     polys = [tuple(map(float, p.coeffs)) for p in (f, g)]
 
     def log_abs(c: tuple, x: float) -> tuple[float, float]:
@@ -299,6 +300,17 @@ def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadRes
 
         def h(x: float, d_lo: float, d_hi: float) -> float:
             return value(x, weight.log_eval(x, d_lo, d_hi), 0.0)
+
+    elif iv.lo is None and iv.hi is None and len(exp.coeffs) == 3 and exp.coeffs[2] < 0:
+        # the Gaussian's centre -c1/(2 c2) and width 2/sqrt(-c2); dx/dt = scale/(1 - t^2)
+        lo, hi = -1.0, 1.0
+        centre = float(-exp.coeffs[1] / (2 * exp.coeffs[2]))
+        scale = 2.0 / math.sqrt(float(-exp.coeffs[2]))
+
+        def h(t: float, d_lo: float, d_hi: float) -> float:
+            x = centre + scale * ((math.log(d_lo) - math.log(d_hi)) / 2.0)
+            log_jac = math.log(scale) - math.log(d_lo) - math.log(d_hi)
+            return value(x, weight.log_eval(x), log_jac)
 
     elif iv.lo is None and iv.hi is None:
         lo, hi = -math.pi / 2, math.pi / 2

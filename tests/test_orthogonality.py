@@ -538,10 +538,24 @@ class TestGramMatrix:
 
         monkeypatch.setattr(orthogonality, "integrability", counted)
         gram_matrix(FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 6)
-        assert reads == [(12,)]
+        assert reads == [(12, Poly.one())]  # degree 12, no root order
         reads.clear()
         gram_matrix(classical_presets()["legendre"], 6)
         assert reads == []
+
+    def test_finite_interval_verdict_reads_root_orders_only(self, monkeypatch):
+        # on (-1, 1) the degree plays no part: the refused top read and the verdicts
+        # of the three root-order sums (0, 0), (0, 1) and (0, 2) decide all 45 pairs
+        reads = []
+
+        def counted(*args):
+            reads.append(args[1:])
+            return integrability(*args)
+
+        monkeypatch.setattr(orthogonality, "integrability", counted)
+        report = gram_matrix(FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3)), 8)
+        assert len(reads) == 3 and {k for k, _ in reads} == {0}
+        assert [(e.m, e.n) for e in report.entries if not e.integrable] == [(0, 0)]
 
     def test_no_degrees_no_entries(self):
         # chaudhry-qadir starts at degree 1: at n_max 0 the matrix has no pair at all
@@ -764,7 +778,7 @@ class TestNodePairKernel:
 
         def counted_sweep(f, *args, **kwargs):
             def counted(x_hi, x_lo, d_near, d_far, active):
-                calls.append(x_hi)
+                calls.append((x_hi, d_near))  # nodes near an end share x_hi == 1.0
                 values_hi, values_lo = f(x_hi, x_lo, d_near, d_far, active)
                 assert len(values_hi) == len(values_lo) == len(active)
                 return values_hi, values_lo
@@ -784,6 +798,42 @@ class TestNodePairKernel:
         assert len(calls) == len(set(calls))
         evals = [r.evals for r in results]
         assert (max(evals) + 1) // 2 <= len(calls) < sum(evals) // 2
+
+    def test_zero_function_reads_zero(self):
+        # a zero function at a finite end where p's exponent is <= -1 has no root to divide
+        res = orthogonality._numeric_quad(CQ_W, [Poly(), Poly.x()], [(0, 1)], 1e-10)
+        assert [r.value for r in res] == [0.0]
+
+
+class TestRealLineMaps:
+    """A Gaussian factor e^(c2 x^2 + c1 x) is swept with x = centre + scale artanh(t);
+    every other real-line weight keeps x = tan u, whose compression its algebraic
+    tails need."""
+
+    # x = tan u turns x^2 (x^2+1)^q dx into sin^2 u cos^(-2q-4) u du on (-pi/2, pi/2);
+    # the x^-2 tail of q = -2 holds mass 2/X beyond any finite X
+    @pytest.mark.parametrize("q, expected", [(-4, math.pi / 16), (-2, math.pi / 2)])
+    def test_algebraic_tail_keeps_tan_map(self, q, expected):
+        w = WeightExpr(
+            power_factors=(PowerFactor(Fraction(0), Fraction(2)),),
+            quad_exp=Fraction(q),
+            interval=Interval(None, None),
+        )
+        value, method, _ = inner_product(w, Poly.one(), Poly.one())
+        assert method == "quadrature"
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_gaussian_sweep_levels(self):
+        spec = FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3))
+        funcs = [r.monic for r in eigentable(build_operator(spec), 6)]
+        pairs = list(combinations_with_replacement(range(7), 2))
+        results = orthogonality._numeric_quad(weight_of(spec), funcs, pairs, 1e-10)
+        assert max(r.levels for r in results) <= 5
+
+    def test_hermite_preset_at_degree_20(self):
+        report = gram_matrix(classical_presets()["hermite"], 20)
+        assert {e.method for e in report.entries} == {"quadrature"}
+        assert report.off_diagonal_max_relative <= 1e-12
 
 
 class TestFiniteEndRoots:
