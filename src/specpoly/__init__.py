@@ -46,7 +46,7 @@ from .orthogonality import (
     inner_product_exact,
 )
 from .quadrature import NoConvergence, QuadResult, tanh_sinh
-from .ratpoly import ExactDivisionError, Poly, rat, rational_sqrt
+from .ratpoly import Poly, rat, rational_sqrt
 from .weights import (
     Interval,
     PowerFactor,
@@ -65,7 +65,6 @@ __all__ = [
     "Poly",
     "rat",
     "rational_sqrt",
-    "ExactDivisionError",
     "DiffOperator",
     "OperatorMatrix",
     "Spectrum",

@@ -138,15 +138,6 @@ class AffineNormalization(Record):
     c: Fraction
     normal_form: str  # one of "x^2-1", "x^2+1", "x^2", "x", "1"
 
-    def normal_form_poly(self) -> Poly:
-        return {
-            "x^2-1": Poly((-1, 0, 1)),
-            "x^2+1": Poly((1, 0, 1)),
-            "x^2": Poly((0, 0, 1)),
-            "x": Poly((0, 1)),
-            "1": Poly((1,)),
-        }[self.normal_form]
-
 
 def bochner_normalize(a: Poly) -> AffineNormalization:
     """Classify a nonzero leading coefficient of degree <= 2.

@@ -196,7 +196,3 @@ class Spectrum(Record):
     @property
     def distinct(self) -> bool:
         return len(set(self.values)) == len(self.values)
-
-    def degrees_for(self, mu: RatLike) -> tuple[int, ...]:
-        mu = rat(mu)
-        return tuple(j for j, v in enumerate(self.values) if v == mu)

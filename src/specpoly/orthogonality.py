@@ -10,17 +10,23 @@ takes one of three routes per pair.
   power moments: O(n^3) operations for an n x n Gram matrix, no polynomial
   product per entry.  They run on integer numerators over one common
   denominator, with one Fraction per entry and no float.
-* moment: the Romanovski shape p = (x^2+1)^q e^(h arctan x) on the real
-  line.  Every moment m_k = integral p x^k is an exact rational r_k times
-  m_0, from the Pearson pair (a, b) of p (the moment functional; Chihara,
-  An Introduction to Orthogonal Polynomials, 1978): integrating
-  (p a x^k)' = p (k a x^(k-1) + b x^k) over R gives
-  m_(k+1) = -(k a0 m_(k-1) + (k a1 + b0) m_k) / (k a2 + b1) while the
-  boundary term p a x^k vanishes, which is exactly while m_(k+1) exists.
-  The exact route's bilinear form over the integer-cleared r_k gives each
-  entry as an exact ratio to m_0, and m_0 is Cauchy's beta integral in
-  closed form.  The last k with p x^k integrable (the reach) is read once
-  per matrix; a pair with m + n beyond it is non-integrable.
+* moment: the two shapes below, on which every moment m_k = integral p x^k
+  is an exact rational r_k times m_0.  From a Pearson pair (a, b),
+  (p a)' = p b (the moment functional; Chihara, An Introduction to
+  Orthogonal Polynomials, 1978), integrating (p a x^k)' = p (k a x^(k-1) +
+  b x^k) gives m_(k+1) = -(k a0 m_(k-1) + (k a1 + b0) m_k) / (k a2 + b1)
+  while the boundary term p a x^k vanishes.  The exact route's bilinear form
+  over the integer-cleared r_k gives each entry as an exact ratio to m_0
+  (times the weight's constant), and m_0 is in closed form.
+  - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: a = x^2+1,
+    b = (2q+2) x + h; m_0 is Cauchy's beta integral.  The last k with p x^k
+    integrable (the reach), read once per matrix, gates every pair by m + n.
+  - Laguerre, p = |x - t|^E e^(c x) on a half line from t: f is divided by
+    (x - t) up to k = floor(-E) times when E <= -1, and a pair whose orders
+    s = s_f + s_g reach k (key s - k) integrates |x - t|^A e^(c x),
+    A = E + s > -1: a = x - t, b = 1 + A + c (x - t), and
+    m_0 = Gamma(A+1) e^(ct) / |c|^(A+1), times (-1)^s left of t.  The generic
+    gate below reads the same root orders.
 * quadrature: everything else, by tanh-sinh; infinite intervals are first
   mapped to a compact one.  On the real line a Gaussian factor
   e^(c2 x^2 + c1 x), c2 < 0, takes x = centre + scale artanh(t) on (-1, 1),
@@ -29,8 +35,9 @@ takes one of three routes per pair.
   that already decays super-exponentially (Takahasi and Mori, Publ. RIMS 9,
   1974).  Every other real-line weight has algebraic tails and keeps
   x = tan u, whose compression makes them decay double-exponentially; under
-  the sinh map they would hold mass beyond the sweep's last node.  Half lines
-  take x = anchor +/- tan u.
+  the sinh map they would hold mass beyond the sweep's last node.  A half
+  line has no map: derive_weight gives every half line the Laguerre shape,
+  and a half-line weight of any other shape is refused.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.
@@ -40,7 +47,7 @@ the largest m + n decides every pair when it holds; where it refuses, each
 eigenfunction's root orders at the weight's roots are read once, and a pair's
 sum raises the weight's exponents there, so no f g is formed for a verdict; on
 a finite interval the degree plays no part, and the sum alone keys it.  A
-zero f or g is an exact zero with no verdict read (0.0 on the moment shape).  A
+zero f or g is an exact zero with no verdict read (0.0 on a moment shape).  A
 Gram matrix makes one node sweep per weight, with one integrand
 call per node pair +/- t: each node's abscissa, log p(x) and Jacobian are
 computed once and shared by all pending entries, each of which still stops
@@ -178,23 +185,30 @@ class _ExactForm:
         self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
         self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
-    def entry(self, m: int, n: int) -> Fraction:
-        if len(self.reduced[m][1]) > len(self.reduced[n][1]):
-            m, n = n, m
-        (d_a, a, a_mults), (d_b, b, b_mults) = self.reduced[m], self.reduced[n]
-        key = tuple(sa + sb - k for (_, k), sa, sb in zip(self.divisors, a_mults, b_mults))
+    def key(self, m: int, n: int) -> tuple[int, ...]:
+        """s_f + s_g - k per divisor (r, k): the power of (x - r) the pair leaves."""
+        pairs = zip(self.divisors, self.reduced[m][2], self.reduced[n][2])
+        key = tuple(sa + sb - k for (_, k), sa, sb in pairs)
         for (r, k), e in zip(self.divisors, key):
             if e < 0:
                 raise NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}")
+        return key
+
+    def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
+        """The power moments of P^e over their common denominator."""
+        p = self.base
+        for (r, _), e in zip(self.divisors, key):
+            p = p * Poly((-r, 1)) ** e
+        d_p, ps = common_denominator(p.coeffs)
+        return d_p * self.d_nu, [sum(map(mul, ps, self.nu[t:])) for t in range(self.span)]
+
+    def entry(self, m: int, n: int) -> Fraction:
+        if len(self.reduced[m][1]) > len(self.reduced[n][1]):
+            m, n = n, m
+        (d_a, a, _), (d_b, b, _) = self.reduced[m], self.reduced[n]
+        key = self.key(m, n)
         if key not in self.moments:
-            p = self.base
-            for (r, _), e in zip(self.divisors, key):
-                p = p * Poly((-r, 1)) ** e
-            d_p, ps = common_denominator(p.coeffs)
-            self.moments[key] = (
-                d_p * self.d_nu,
-                [sum(map(mul, ps, self.nu[t:])) for t in range(self.span)],
-            )
+            self.moments[key] = self._moments(key)
         d_mu, mu = self.moments[key]
         if (n, key) not in self.rows:
             self.rows[(n, key)] = [sum(map(mul, b, mu[i:])) for i in range(len(b))]
@@ -222,24 +236,24 @@ def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
 # moment path
 
 
-def _moment_shape(weight: WeightExpr) -> bool:
-    """p = (x^2+1)^q e^(h arctan x) on the real line, the weights of the moment route."""
-    iv = weight.interval
-    return (
-        iv.lo is None and iv.hi is None and weight.quad_exp is not None
-        and not weight.power_factors and weight.exp_poly.is_zero()
-    )
+def _moment_shape(weight: WeightExpr) -> str | None:
+    """"romanovski" or "laguerre", the shapes of the moment route; None for the others."""
+    iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
+    if iv.lo is None and iv.hi is None:
+        return "romanovski" if weight.quad_exp is not None and not factors and not exp_poly else None
+    anchor = iv.lo if iv.hi is None else iv.hi
+    if iv.finite or weight.quad_exp or weight.arctan_coeff or exp_poly.degree != 1:
+        return None
+    return "laguerre" if all(pf.root == anchor for pf in factors) else None
 
 
-def _moment_ratios(weight: WeightExpr, reach: int) -> list[Fraction]:
-    """[r_0, ..., r_reach] with r_k = m_k / m_0, by the Pearson recurrence of the module
-    docstring.  (a, b) comes from p'/p = num/a, b = num + a'; step k is valid while the
-    boundary term p a x^k vanishes, k + 1 <= reach, where its divisor k a2 + b1 < 0."""
-    num, a = weight.dlog()
-    b = num + a.derivative()
+def _moment_ratios(a: Poly, b: Poly, steps: int) -> list[Fraction]:
+    """[r_0, ..., r_steps] with r_k = m_k / m_0 for the Pearson pair (a, b), (p a)' = p b, by
+    the recurrence of the module docstring: step k is valid while the boundary term p a x^k
+    vanishes, and its divisor k a2 + b1 is then nonzero."""
     a0, a1, a2, b0, b1 = a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)
     r = [Fraction(1)]
-    for k in range(reach):
+    for k in range(steps):
         r.append(-(k * a0 * (r[k - 1] if k else 0) + (k * a1 + b0) * r[k]) / (k * a2 + b1))
     return r
 
@@ -249,7 +263,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 
 
 def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
-    """integral over R of p (1+x^2)^(t/2) for the moment shape: m_0 at t = 0, else the
+    """integral over R of p (1+x^2)^(t/2) for the Romanovski shape: m_0 at t = 0, else the
     scale of a pair m + n = t whose diagonal norms diverge.
 
     With x = tan u it is Cauchy's beta integral of cos(u)^nu e^(h u) over (-pi/2, pi/2),
@@ -283,14 +297,45 @@ def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
 
 
 class _MomentForm(_ExactForm):
-    """<f, g> / m_0 on the moment route: _ExactForm's bilinear form over one moment list,
-    the integer-cleared r_k, with no divisors.  An entry is exact only for
-    deg f + deg g <= reach; the caller gates on that."""
+    """<f, g> on the moment route: _ExactForm's bilinear form over each key's integer-cleared
+    r_k, r_0 .. r_steps, is an exact ratio to the key's float m_0 (module docstring).  The
+    Romanovski shape has no divisor and one key; the Laguerre shape divides at its anchor.
+    An entry is exact only where the integrability gate holds; the caller gates first."""
 
-    def __init__(self, weight: WeightExpr, polys: dict[int, Poly], reach: int):
-        self.scale, self.divisors = Fraction(1), ()
+    def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: int):
+        self.weight, self.scale, self.steps = weight, weight.constant, steps
+        self.m_0: dict[tuple[int, ...], float] = {}
+        iv = weight.interval
+        if iv.lo is None and iv.hi is None:
+            self.divisors = ()
+        else:
+            t = iv.lo if iv.hi is None else iv.hi
+            self.divisors = ((t, max(math.floor(-weight.power_exponent_at(t)), 0)),)
         self._reduce(polys)
-        self.moments[()] = common_denominator(_moment_ratios(weight, reach))
+
+    def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
+        w = self.weight
+        if not key:
+            a, b = Poly((1, 0, 1)), Poly((w.arctan_coeff, 2 * w.quad_exp + 2))
+            self.m_0[key] = _real_line_moment(w)
+        else:
+            ((t, k),) = self.divisors
+            s = key[0] + k  # the pair's root orders at t
+            power, c = w.power_exponent_at(t) + s + 1, w.exp_poly.coeff(1)  # A + 1 > 0
+            a, b = Poly((-t, 1)), Poly((power - c * t, c))
+            m_0 = math.exp(math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c)))
+            self.m_0[key] = -m_0 if w.interval.lo is None and s % 2 else m_0
+        return common_denominator(_moment_ratios(a, b, self.steps))
+
+    def value(self, m: int, n: int) -> float:
+        """The entry as a float, its ratio times its key's m_0; ValueError past a float's range."""
+        try:
+            value = float(self.entry(m, n)) * self.m_0[self.key(m, n)]
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise ValueError(f"a moment entry on {self.weight.formula()} overflows a float")
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +400,9 @@ def _integrand(
         def node(x: float, d_lo: float, d_hi: float) -> tuple:
             return x, weight.log_eval(x, d_lo, d_hi), 0.0, d_lo, d_hi  # the identity map: log 1
 
-    elif iv.lo is None and iv.hi is None and exp_poly.degree == 2 and exp_poly.leading() < 0:
+    elif iv.lo is not None or iv.hi is not None:
+        raise ValueError(f"no quadrature map for {weight.formula()} on {iv.describe()}")
+    elif exp_poly.degree == 2 and exp_poly.leading() < 0:
         lo, hi = -1.0, 1.0  # a Gaussian factor e^(c2 x^2 + c1 x): the module docstring's map
         c1, c2 = exp_poly.coeff(1), exp_poly.coeff(2)
         centre, scale = float(-c1 / (2 * c2)), 2.0 / math.sqrt(float(-c2))
@@ -366,7 +413,7 @@ def _integrand(
             x = centre + scale * ((log_lo - log_hi) / 2.0)
             return x, weight.log_eval(x), log_scale - log_lo - log_hi, None, None
 
-    elif iv.lo is None and iv.hi is None:
+    else:
         lo, hi = -math.pi / 2, math.pi / 2
 
         def node(u: float, d_lo: float, d_hi: float) -> tuple | None:
@@ -374,24 +421,6 @@ def _integrand(
             if not math.isfinite(x):
                 return None
             return x, weight.log_eval(x), _log1p_sq(x), None, None
-
-    else:
-        lo, hi = 0.0, math.pi / 2
-        anchor, direction = (float(iv.lo), 1) if iv.hi is None else (float(iv.hi), -1)
-
-        def node(u: float, d_lo: float, d_hi: float) -> tuple | None:
-            if d_hi < 0.8:
-                t = 1.0 / math.tan(d_hi)
-            elif d_lo < 0.8:
-                t = math.tan(d_lo)  # u itself cancels to 0.0 near the anchor
-            else:
-                t = math.tan(u)
-            x = anchor + direction * t
-            if not math.isfinite(x):
-                return None
-            if direction > 0:
-                return x, weight.log_eval(x, d_lo=t, d_hi=None), _log1p_sq(t), t, None
-            return x, weight.log_eval(x, d_lo=None, d_hi=t), _log1p_sq(t), None, t
 
     last: list = []  # the sweep's active list when act and need were built
     act: list[tuple[int, int]] = []  # its pairs
@@ -476,15 +505,17 @@ def _route(
     top = max((degree[i] + degree[j] for i, j in pairs), default=0)
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
     moment = _moment_shape(weight)
-    if moment:
-        reach = moment_reach(weight)  # the one integrability decision of the moment shape
+    if moment:  # r_k past the Romanovski reach is no moment; Laguerre keys have them all
+        reach = moment_reach(weight) if moment == "romanovski" else math.inf
         form = _MomentForm(weight, known, min(reach, top))
-        integrable = lambda i, j: degree[i] + degree[j] <= reach
     else:
         try:
             form = _ExactForm(weight, known)
         except NotPolynomialReducible:
             form = None
+    if moment == "romanovski":  # its reach is the shape's one integrability decision
+        integrable = lambda i, j: degree[i] + degree[j] <= reach
+    else:
         roots = sorted({pf.root for pf in weight.power_factors})
         orders = functools.cache(lambda i: [known[i].strip_root(r, degree[i])[1] for r in roots])
         finite, zeros = weight.interval.finite, (0,) * len(roots)
@@ -516,7 +547,6 @@ def _route(
         except NotPolynomialReducible:
             return None
 
-    m_0 = functools.cache(lambda: _real_line_moment(weight))
     zero = (0.0, "moment", True, None, None) if moment else (Fraction(0), "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
     routes: list[tuple] = []
@@ -525,9 +555,8 @@ def _route(
             routes.append((None, None, integrable(i, j), None, "no degree-exact eigenfunction"))
         elif i not in known or j not in known:  # f or g is zero
             routes.append(zero)
-        elif moment:  # gate first: r_k past the reach is no moment
-            value = float(form.entry(i, j)) * m_0() if integrable(i, j) else None
-            routes.append(refused if value is None else (value, "moment", True, None, None))
+        elif moment:  # gate first: a pair it refuses has no moment
+            routes.append((form.value(i, j), "moment", True, None, None) if integrable(i, j) else refused)
         elif (value := exact(i, j)) is not None:
             routes.append((value, "exact", True, None, None))
         else:
@@ -633,7 +662,8 @@ def _gram_for(
     routes = _route(weight, [r.monic for r in table], pairs, tol)
     # 0.0 where the norm has no value
     diag = {m: float(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
-    # the moment route's scale of a pair whose diagonal norms diverge
+    # the Romanovski scale of a pair whose diagonal norms diverge; a Laguerre pair has none
+    romanovski = _moment_shape(weight) == "romanovski"
     moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))
     entries: list[GramEntry] = []
     for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):
@@ -641,7 +671,7 @@ def _gram_for(
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
                 rel = abs(float(value)) / math.sqrt(diag[m] * diag[n])
-            elif method == "moment":
+            elif romanovski:
                 rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
     max_rel = max((e.relative for e in entries if e.relative is not None), default=None)

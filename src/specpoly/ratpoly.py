@@ -24,7 +24,6 @@ __all__ = [
     "rat",
     "rational_sqrt",
     "MINUS_INF",
-    "ExactDivisionError",
 ]
 
 RatLike = Union[Fraction, int, str]
@@ -77,14 +76,6 @@ def _synthetic_division(
         acc = acc * root + coeffs[i]
         quot[i - 1] = acc
     return quot, acc * root + coeffs[0]
-
-
-class ExactDivisionError(ArithmeticError):
-    """Division that was required to be exact left a nonzero remainder."""
-
-    def __init__(self, message: str, remainder: Fraction):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 class Poly:
@@ -264,23 +255,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * arg + Poly((c,))
         return acc
-
-    def divide_linear(self, root: RatLike) -> Poly:
-        """Synthetic division by (x - root); the division must be exact.
-
-        Raises ExactDivisionError (carrying the remainder p(root)) when
-        root is not actually a root.
-        """
-        root = rat(root)
-        if not self.coeffs:
-            return Poly()
-        quot, remainder = _synthetic_division(self.coeffs, root)
-        if remainder != 0:
-            raise ExactDivisionError(
-                f"{self} is not divisible by (x - {root}): remainder {remainder}",
-                remainder,
-            )
-        return Poly(quot)
 
     def strip_root(self, root: RatLike, limit: int) -> tuple[Poly, int]:
         """(q, k) with self = (x - root)^k q and k <= limit as large as possible.

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from specpoly import (
     DiffOperator,
-    ExactDivisionError,
     Interval,
     NoConvergence,
     NotPolynomialReducible,
@@ -226,13 +225,9 @@ def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
         if k > 0:
             h = h * Poly((-pf.root, 1)) ** k
         else:
-            for _ in range(-k):
-                try:
-                    h = h.divide_linear(pf.root)
-                except ExactDivisionError as exc:
-                    raise NotPolynomialReducible(
-                        f"f*g is not divisible by (x - {pf.root})^{-k}"
-                    ) from exc
+            h, order = h.strip_root(pf.root, -k)
+            if order < -k:
+                raise NotPolynomialReducible(f"f*g is not divisible by (x - {pf.root})^{-k}")
         if factor_sign < 0 and k % 2 != 0:
             sign = -sign
     return weight.constant * sign * h.definite_integral(iv.lo, iv.hi)
@@ -275,10 +270,10 @@ def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadRes
     """Tanh-sinh of p f g over the weight's interval by the public ``tanh_sinh``, with the
     scalar integrand the library used before its Gram sweep took node pairs: one call
     per node, which maps the node to x (on the real line x = centre + scale artanh(t) over
-    (-1, 1) for a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u; anchor +/- tan u
-    on a half line), evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed
-    polynomial at 1/x), and returns signed_exp of the product sign and log p + log J +
-    log|f| + log|g|."""
+    (-1, 1) for a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u), evaluates f
+    and g to a sign and log|.| (off [-1, 1] through the reversed polynomial at 1/x), and
+    returns signed_exp of the product sign and log p + log J + log|f| + log|g|.  The
+    library has no half-line map, and neither has this oracle."""
     iv, exp = weight.interval, weight.exp_poly
     polys = [tuple(map(float, p.coeffs)) for p in (f, g)]
 
@@ -312,29 +307,12 @@ def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadRes
             log_jac = math.log(scale) - math.log(d_lo) - math.log(d_hi)
             return value(x, weight.log_eval(x), log_jac)
 
-    elif iv.lo is None and iv.hi is None:
+    else:
         lo, hi = -math.pi / 2, math.pi / 2
 
         def h(u: float, d_lo: float, d_hi: float) -> float:
             x = _tan_abscissa(u, d_lo, d_hi)
             return value(x, weight.log_eval(x), _log1p_sq(x)) if math.isfinite(x) else 0.0
-
-    else:
-        lo, hi = 0.0, math.pi / 2
-        anchor, direction = (float(iv.lo), 1) if iv.hi is None else (float(iv.hi), -1)
-
-        def h(u: float, d_lo: float, d_hi: float) -> float:
-            if d_hi < 0.8:
-                t = 1.0 / math.tan(d_hi)
-            elif d_lo < 0.8:
-                t = math.tan(d_lo)
-            else:
-                t = math.tan(u)
-            x = anchor + direction * t
-            if not math.isfinite(x):
-                return 0.0
-            distances = (t, None) if direction > 0 else (None, t)
-            return value(x, weight.log_eval(x, *distances), _log1p_sq(t))
 
     return tanh_sinh(h, lo, hi, tol)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,36 +121,71 @@ class TestGram:
         assert data["family"] == "custom operator"
         assert data["off_diagonal_max_relative"] == 0.0
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            ("--preset", "laguerre"),
-            ("--family", "hermite", "--alpha", "-1", "--beta", "3"),
-            ("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3"),
-            ("--family", "laguerre", "--alpha", "-1", "--beta", "1/2"),
-        ],
-    )
-    def test_quadrature_converges_at_default_size(self, capsys, source):
-        data = run_json(capsys, "gram", *source)
+    def test_quadrature_converges_at_default_size(self, capsys):
+        data = run_json(capsys, "gram", "--family", "hermite", "--alpha", "-1", "--beta", "3")
         assert [e["method"] for e in data["entries"]] == ["quadrature"] * 28
         assert data["off_diagonal_max_relative"] <= 1e-12
 
-    # these stopped with NoConvergence while the stopping rule measured the error
-    # against |value|, which a true zero built from large terms cannot meet
+    # this stopped with NoConvergence while the stopping rule measured the error against
+    # |value|, which a true zero built from large terms cannot meet
+    def test_quadrature_converges_at_larger_sizes(self, capsys):
+        data = run_json(capsys, "gram", "--preset", "hermite", "--n-max", "14")
+        assert {e["method"] for e in data["entries"]} == {"quadrature"}
+        assert data["off_diagonal_max_relative"] <= 1e-12
+
+    # laguerre(alpha, beta) has the weight x^e e^(-c x) on (0, inf), e = beta - 1 and
+    # c = -alpha, and monic norms n! Gamma(n + e + 1) / c^(2n + e + 1).  Quadrature left
+    # the preset's off-diagonals up to 3e-10 at --n-max 18 and stopped with NoConvergence
+    # on the preset at 20 and on laguerre(-3/2, 7/3) at 18.
     @pytest.mark.parametrize(
-        "source, bound",
+        "source, e, c",
         [
-            (("--preset", "laguerre", "--n-max", "8"), 1e-12),
-            (("--preset", "laguerre", "--n-max", "10"), 1e-12),
-            (("--preset", "laguerre", "--n-max", "14"), 1e-11),
-            (("--preset", "hermite", "--n-max", "14"), 1e-12),
-            (("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3", "--n-max", "10"), 1e-12),
+            (("--preset", "laguerre"), 0, 1),
+            (("--preset", "laguerre", "--n-max", "14"), 0, 1),
+            (("--preset", "laguerre", "--n-max", "18"), 0, 1),
+            (("--preset", "laguerre", "--n-max", "20"), 0, 1),
+            (("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3"), 4 / 3, 3 / 2),
+            (("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3", "--n-max", "18"), 4 / 3, 3 / 2),
+            (("--family", "laguerre", "--alpha", "-1", "--beta", "1/2"), -1 / 2, 1),
         ],
     )
-    def test_quadrature_converges_at_larger_sizes(self, capsys, source, bound):
+    def test_laguerre_takes_the_moment_route(self, capsys, source, e, c):
         data = run_json(capsys, "gram", *source)
-        assert {e["method"] for e in data["entries"]} == {"quadrature"}
-        assert data["off_diagonal_max_relative"] <= bound
+        for entry in data["entries"]:
+            m, n, value = entry["m"], entry["n"], entry["value"]
+            assert (entry["method"], entry["err_est"]) == ("moment", None), (m, n)
+            if m != n:
+                assert value == entry["relative"] == 0.0, (m, n)
+            else:
+                norm = math.factorial(n) * math.gamma(n + e + 1) / c ** (2 * n + e + 1)
+                assert abs(value - norm) <= 1e-13 * norm, n
+        assert data["off_diagonal_max_relative"] == 0.0
+
+    def test_laguerre_diverging_diagonal_has_no_relative(self, capsys):
+        # weight |x|^(-1) e^(-x): p_0 = 1 has a divergent norm, and its pairs with the
+        # others, which vanish at 0, have values but no scale to be relative to
+        data = run_json(capsys, "gram", "--family", "laguerre", "--alpha", "-1", "--beta", "0", "--n-max", "4")
+        entries = {(e["m"], e["n"]): e for e in data["entries"]}
+        assert not entries[0, 0]["integrable"]
+        for n in range(1, 5):
+            assert entries[0, n]["method"] == "moment" and entries[0, n]["value"] != 0.0
+            assert entries[0, n]["relative"] is None
+        assert data["off_diagonal_max_relative"] == 0.0
+
+    def test_moment_overflow_is_domain_error(self, capsys, tmp_path):
+        # (x - 1000) y'' + x y': weight |x - 1000|^999 e^x on (-inf, 1000), whose m_0 is
+        # Gamma(1000) e^1000, far past a float's range
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": [["0"], ["0", "1"], ["-1000", "1"]]}))
+        code, out, err = run(capsys, "gram", "--operator-json", str(path), "--n-max", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("specpoly: error: a moment entry on |x - 1000|^(999) * exp(x) overflows a float")
+
+    def test_half_line_without_exponential_is_non_integrable(self, capsys):
+        # laguerre(0, 1) has the weight 1 on (0, inf): no pair is integrable
+        data = run_json(capsys, "gram", "--family", "laguerre", "--alpha", "0", "--beta", "1", "--n-max", "3")
+        assert data["interval"] == "(0, +inf)" and len(data["entries"]) == 10
+        assert all(not e["integrable"] and e["value"] is None for e in data["entries"])
 
     # weights with exponent -2 or -3 at x = 1, where the eigenfunctions of degree >= 2 or
     # 3 vanish: these stopped with NoConvergence while Horner evaluated f near that root
@@ -162,15 +198,8 @@ class TestGram:
         assert off and all(e["relative"] <= 1e-10 for e in off)
         assert data["off_diagonal_max_relative"] <= 1e-10
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            ("--preset", "laguerre", "--n-max", "20"),
-            ("--family", "laguerre", "--alpha", "-3/2", "--beta", "7/3", "--n-max", "18"),
-        ],
-    )
-    def test_quadrature_refusal_is_domain_error(self, capsys, source):
-        code, out, err = run(capsys, "gram", *source)
+    def test_quadrature_refusal_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "gram", "--family", "hermite", "--alpha", "-1", "--beta", "3", "--n-max", "24")
         assert code == 1 and out == ""
         assert err.startswith("specpoly: error: no convergence after 12 levels")
 

@@ -259,8 +259,3 @@ class TestSpectrum:
         spec = op.spectrum(6)
         for j in range(7):
             assert spec.values[j] == j * (j - 1) + alpha * j
-
-    def test_degrees_for(self):
-        spec = CHAUDHRY_QADIR.spectrum(5)
-        assert spec.degrees_for(-4) == (2,)
-        assert spec.degrees_for(7) == ()

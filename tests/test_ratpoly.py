@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from specpoly import ExactDivisionError, Poly, rat, rational_sqrt
+from specpoly import Poly, rat, rational_sqrt
 
 from oracles import random_poly
 
@@ -147,36 +147,15 @@ class TestAffineSubstitution:
             Poly.one().affine_sub(0, 1)
 
 
-class TestLinearDivision:
-    def test_x_squared_minus_one(self):
-        assert P(-1, 0, 1).divide_linear(1) == P(1, 1)
-
-    def test_one_minus_t_by_t_minus_one(self):
-        assert P(1, -1).divide_linear(1) == P(-1)
-
+class TestStripRoot:
     def test_synthetic_division(self):
         # (1 - t)(t + 2) = -t^2 - t + 2, divided by (t - 1) gives -(t + 2)
         product = P(1, -1) * P(2, 1)
         assert product == P(2, -1, -1)
-        assert product.divide_linear(1) == P(-2, -1)
+        assert product.strip_root(1, 1) == (P(-2, -1), 1)
+        assert P(-1, 0, 1).strip_root(1, 1) == (P(1, 1), 1)
+        assert P(1, -1).strip_root(1, 1) == (P(-1), 1)
 
-    def test_nonroot_reports_remainder(self):
-        with pytest.raises(ExactDivisionError) as err:
-            P(-1, 0, 1).divide_linear(2)
-        assert err.value.remainder == 3
-
-    def test_divide_then_multiply_round_trips(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            q = random_poly(rng, 4)
-            if q.is_zero():
-                continue
-            root = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            p = q * P(-root, 1)
-            assert p.divide_linear(root) * P(-root, 1) == p
-
-
-class TestStripRoot:
     def test_planted_factors_are_recovered_up_to_the_limit(self):
         rng = random.Random(83)
         checked = 0
