@@ -21,20 +21,23 @@ all of U would give.  For mu = mu_n:
   * column n not free: no eigenfunction of exact degree n even though
     mu_n sits on the diagonal.
 
-Each z costs O(z*N), plus O(z) per pivot that does not divide its row sum;
-|Z| <= N unless the diagonal is constant.  One matrix for n_max, stored as
-its integer band over one denominator (``OperatorMatrix``), serves all of
+Each z costs O(z*N) integer products: every solved row keeps its own
+denominator factor, as in Bareiss's fraction-free elimination (Math. Comp.
+22, 1968), and no pivot rescales the coefficients already filled; |Z| <= N
+unless the diagonal is constant.  One matrix for n_max, stored as its
+integer band over one denominator (``OperatorMatrix``), serves all of
 ``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  Each
-v^(z) and each lift stays in integers over one denominator until one
-Fraction per output coefficient; no float enters.  The Bareiss cross-check
-lives in ``tests/oracles.py``.
+v^(z) and each lift stays in integers until one Fraction per nonzero output
+coefficient; no float enters.  The Bareiss cross-check lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, prod
 from operator import mul, truediv
 from typing import Sequence
 
@@ -140,46 +143,61 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 # eigenfunction recovery
 
+_ZERO = Fraction(0)
+
 
 def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[list[Fraction]]:
     """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block.
 
-    Runs on D (M - mu I), D M the integer band, with v^(z) = c / q: a pivot d
-    takes s = sum_j D M_ij c_j and g = gcd(s, d), sets c_i = -s/g (s/g when
-    d < 0) and scales q and the filled c_j by |d|/g.  A residual Fraction(s, q)
-    is D times the true one in every row, which leaves the kernel alone.  A
-    lift sum_z t_z v^(z) sums the c^(z) in integers, t_z / q_z over one lcm."""
+    Runs on D (M - mu I), D M the integer band, with v^(z)_j = c_j / q_j,
+    q_j = f_j q_(j+1) and q_z = 1.  Row i takes s = q_(i+1) sum_t D M_i,i+t
+    v_(i+t), whose term t carries c_(i+t) f_(i+1) ... f_(i+t-1); a pivot d sets
+    g = gcd(s, d), c_i = -s/g (s/g when d < 0) and f_i = |d|/g, and changes no
+    filled c_j.  A residual Fraction(s, q_(i+1)) is D times the true one in
+    every row, which leaves the kernel alone.  A lift sum_z t_z v^(z) puts each
+    v^(z) over q_0, as c_j f_0 ... f_(j-1), and sums in integers over one lcm."""
     d_m, rows = matrix.denominator, matrix.band
     if d_m % mu.denominator:
         return []  # every diagonal entry's denominator divides D: U is invertible
     shift = mu.numerator * (d_m // mu.denominator)
     diag = [rows[i][0] - shift for i in range(n + 1)]
     zeros = [z for z, d in enumerate(diag) if d == 0]
-    vectors, qs = [], []  # v^(zeros[k]) = vectors[k] / qs[k], integers
+    pairs = []  # (c, f) of v^(zeros[k]), integers, f_j = 1 where c_j is no pivot
     residuals: list[list[Fraction]] = []  # residuals[k][m]: row zeros[m] under v^(zeros[k])
     for z in zeros:
-        c = [0] * (z + 1)
-        c[z] = q = 1
+        c, f = [0] * (z + len(rows[0])), [1] * (z + len(rows[0]))  # the band reaches past z
+        c[z] = 1
         res = {}
         for i in range(z - 1, -1, -1):
             row = rows[i]
-            s = sum(map(mul, row[1:], c[i + 1 : i + len(row)]))
+            if len(row) == 3:  # a row of order 2 reads both band terms inline
+                s = row[1] * c[i + 1] + row[2] * c[i + 2] * f[i + 1]
+            else:  # any other order, or one of the band's last rows
+                s, p = 0, 1
+                for t in range(1, len(row)):
+                    s += row[t] * c[i + t] * p
+                    p *= f[i + t]
             d = diag[i]
             if not d:
-                res[i] = Fraction(s, q)
+                res[i] = Fraction(s, prod(f[i + 1 : z]))
                 continue
             g = gcd(s, d)
             c[i] = -s // g if d > 0 else s // g
-            f = abs(d) // g
-            if f != 1:
-                q *= f
-                c[i + 1 :] = [v * f for v in c[i + 1 :]]
-        vectors.append(c + [0] * (n - z))
-        qs.append(q)
-        residuals.append([res.get(i, Fraction(0)) for i in zeros])
+            f[i] = abs(d) // g
+        pairs.append((c, f))
+        residuals.append([res.get(i, _ZERO) for i in zeros])
     conditions = [list(col) for col in zip(*residuals) if any(col)]
     if not conditions:
-        return [[Fraction(v, q) for v in c] for c, q in zip(vectors, qs)]
+        basis = []
+        for z, (c, f) in zip(zeros, pairs):  # q_z, q_(z-1), ..., q_0 as suffix products
+            v = [Fraction(cj, q) if cj else _ZERO for cj, q in zip(c[z::-1], accumulate(f[z::-1], mul))]
+            basis.append(v[::-1] + [_ZERO] * (n - z))
+        return basis
+    vectors, qs = [], []  # v^(zeros[k]) = vectors[k] / qs[k], integers over q_0
+    for z, (c, f) in zip(zeros, pairs):
+        ps = list(accumulate(f[:z], mul, initial=1))  # ps[j] = f_0 ... f_(j-1), ps[z] = q_0
+        vectors.append(list(map(mul, c, ps)) + [0] * (n - z))
+        qs.append(ps[z])
     return [
         [Fraction(sum(map(mul, ws, col)), den) for col in zip(*vectors)]
         for den, ws in (common_denominator(map(truediv, ts, qs)) for ts in rref_kernel(conditions))

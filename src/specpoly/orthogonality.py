@@ -675,6 +675,10 @@ def _gram_for(
                 rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
     max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
+    unscaled = sum(1 for e in entries if e.m != e.n and e.value and e.relative is None)
+    if unscaled:
+        notes += ("nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
+                  f"which the max relative skips: {unscaled}",)
 
     return OrthoReport(
         family=family_label,

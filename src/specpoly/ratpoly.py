@@ -86,8 +86,8 @@ class Poly:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is Fraction else rat(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 

@@ -237,11 +237,8 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
 
     if norm.normal_form == "x^2-1":  # roots t - s < t + s
         da = a.derivative()
-        factors = tuple(
-            PowerFactor(r, b(r) / da(r) - 1)
-            for r in (t - s, t + s)
-            if b(r) / da(r) - 1 != 0
-        )
+        exponents = ((r, b(r) / da(r) - 1) for r in (t - s, t + s))
+        factors = tuple(PowerFactor(r, e) for r, e in exponents if e != 0)
         return WeightExpr(power_factors=factors, interval=Interval(t - s, t + s))
     if norm.normal_form == "x^2+1":
         if (s, t) != (1, 0):

@@ -22,6 +22,12 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+UNSCALED_NOTE = (
+    "nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
+    "which the max relative skips: "
+)
+
+
 class TestSpectrum:
     def test_chaudhry_qadir_table(self, capsys):
         code, out, _ = run(
@@ -171,6 +177,34 @@ class TestGram:
             assert entries[0, n]["method"] == "moment" and entries[0, n]["value"] != 0.0
             assert entries[0, n]["relative"] is None
         assert data["off_diagonal_max_relative"] == 0.0
+
+    # the max relative cannot see a nonzero off-diagonal without a scale, so a note
+    # counts them; the Jacobi weight 1/(1 - x^2) diverges on the diagonals 0 and 1
+    @pytest.mark.parametrize(
+        "source, count",
+        [
+            (("--family", "laguerre", "--alpha", "-1", "--beta", "0", "--n-max", "4"), 4),
+            (("--family", "laguerre", "--alpha", "2", "--beta", "-1", "--n-max", "4"), 6),
+            (("--family", "jacobi", "--alpha", "0", "--beta", "0", "--n-max", "5"), 4),
+        ],
+    )
+    def test_unscaled_off_diagonals_are_counted_in_a_note(self, capsys, source, count):
+        data = run_json(capsys, "gram", *source)
+        # exact values print as strings, so "0" is an exact zero
+        unscaled = [e for e in data["entries"]
+                    if e["m"] != e["n"] and e["value"] not in (None, 0.0, "0") and e["relative"] is None]
+        assert len(unscaled) == count and data["notes"] == [UNSCALED_NOTE + str(count)]
+        code, out, _ = run(capsys, "gram", *source, "--format", "table")
+        assert code == 0 and out.splitlines()[2] == f"note: {UNSCALED_NOTE}{count}"
+
+    @pytest.mark.parametrize(
+        "source",
+        [("--preset", "laguerre"), ("--preset", "chaudhry-qadir"),
+         ("--family", "jacobi", "--alpha", "-5/2", "--beta", "-1/3"), ("--family", "romanovski", "--alpha", "-4")],
+    )
+    def test_scaled_off_diagonals_add_no_note(self, capsys, source):
+        notes = run_json(capsys, "gram", *source, "--n-max", "5")["notes"]
+        assert not any(note.startswith(UNSCALED_NOTE) for note in notes)
 
     def test_moment_overflow_is_domain_error(self, capsys, tmp_path):
         # (x - 1000) y'' + x y': weight |x - 1000|^999 e^x on (-inf, 1000), whose m_0 is

@@ -402,10 +402,11 @@ class TestLargeDenominators:
                 assert _padded(eigenspace_basis(op, mu, n), n) == nullspace_oracle(matrix, mu)
 
 
-def _forced_collision(rng, roots, shift_one):
+def _forced_collision(rng, roots, shift_one, parity=False):
     """Operator of order len(roots) with mu_j = c prod_r (j - r), so mu vanishes
     at every root, and random large-denominator lower terms.  Without
-    ``shift_one`` no a_k has an x^(k-1) term, so M[i][i+1] = 0."""
+    ``shift_one`` no a_k has an x^(k-1) term, so M[i][i+1] = 0; with ``parity``
+    a_k has only x^(k-2m) terms, so M[i][i+t] = 0 for every odd t."""
     order = len(roots)
     c = _big_rational(rng) or Fraction(1)
     mu = [c * math.prod(j - r for r in roots) for j in range(order + 1)]
@@ -415,7 +416,8 @@ def _forced_collision(rng, roots, shift_one):
         for k in range(order + 1)
     ]
     return DiffOperator([
-        Poly([_big_rational(rng) if shift_one or i != k - 1 else 0 for i in range(k)] + [top[k]])
+        Poly([_big_rational(rng) if (shift_one or i != k - 1) and not (parity and (k - i) % 2) else 0
+              for i in range(k)] + [top[k]])
         for k in range(order + 1)
     ])
 
@@ -451,6 +453,49 @@ class TestIntegerLift:
                         Poly(v) for v in nullspace_oracle(op.matrix(k), 0)]
         assert any(rows >= 2 for rows, _ in seen[3])
         assert any(rows >= 2 and mixed >= 2 for rows, mixed in seen[4])
+
+
+class TestWideBands:
+    # Orders 5 and 6 at n_max = 30: a row sum chains up to five per-row
+    # denominator factors f_(i+1) ... f_(i+t-1), and large denominators leave
+    # almost no f equal to 1.  Random lower terms make the forced collisions
+    # defective; parity-symmetric ones (M[i][i+t] = 0 for odd t) leave a
+    # collision of opposite parity degenerate with zero residuals.
+    def test_tables_equal_bareiss_oracle(self, monkeypatch):
+        conditions = []
+
+        def spy(rows):
+            conditions.append(len(rows))
+            return rref_kernel(rows)
+
+        monkeypatch.setattr(eigen_module, "rref_kernel", spy)
+        rng = random.Random(83)
+        ops = [
+            DiffOperator([Poly([_big_rational(rng) for _ in range(k + 1)]) for k in range(order + 1)])
+            for order in (5, 6)
+        ]
+        for roots in [(1, 6, 11, 19, 26), (0, 4, 9, 15, 22, 27)]:
+            ops.append(_forced_collision(rng, roots, shift_one=True))
+        for roots in [(3, 28, 31, 36, 40), (2, 7, 28, 31, 36, 40)]:
+            ops.append(_forced_collision(rng, roots, shift_one=False, parity=True))
+        statuses = set()
+        for op in ops:
+            for k, res in enumerate(eigentable(op, 30)):
+                assert _padded(res.basis, k) == nullspace_oracle(op.matrix(k), res.eigenvalue), (op, k)
+                statuses.add(res.status)
+        assert statuses == set(EigenStatus)
+        assert max(conditions) >= 4
+
+    def test_opposite_parity_collision_needs_no_conditions(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("rref_kernel called on zero residuals")
+
+        monkeypatch.setattr(eigen_module, "rref_kernel", refuse)
+        op = _forced_collision(random.Random(89), (3, 28, 31, 36, 40), shift_one=False, parity=True)
+        table = eigentable(op, 30)
+        assert [k for k, res in enumerate(table) if res.status is not EigenStatus.UNIQUE_MONIC] == [28]
+        assert table[28].status is EigenStatus.DEGENERATE and table[28].eigenspace_dim == 2
+        assert _padded(table[28].basis, 28) == nullspace_oracle(op.matrix(28), 0)
 
 
 class TestBandOnly:

@@ -16,6 +16,21 @@ class TestBasics:
     def test_trailing_zeros_stripped(self):
         assert Poly((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
 
+    def test_constructor_coerces_every_rational_form(self):
+        # a plain Fraction is stored as given, every other form goes through rat,
+        # which keeps a Fraction subclass and turns int and "p/q" into Fraction
+        class Sub(Fraction):
+            pass
+
+        half, third = Fraction(1, 2), Sub(1, 3)
+        p = P(half, 3, "-5/7", third, 0, Fraction(0), "0/4", Sub(0), 0)
+        assert p.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(1, 3))
+        assert [type(c) for c in p.coeffs] == [Fraction, Fraction, Fraction, Sub]
+        assert p.coeffs[0] is half and p.coeffs[3] is third
+        assert P(0, Fraction(0), "0", Sub(0)).coeffs == ()
+        with pytest.raises(TypeError):
+            P(Fraction(1), 1.5)
+
     def test_zero_degree_is_minus_infinity(self):
         assert Poly().degree == float("-inf")
         assert Poly().degree < 0
