@@ -27,9 +27,10 @@ denominator factor, as in Bareiss's fraction-free elimination (Math. Comp.
 unless the diagonal is constant.  One matrix for n_max, stored as its
 integer band over one denominator (``OperatorMatrix``), serves all of
 ``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  Each
-v^(z) and each lift stays in integers until one Fraction per nonzero output
-coefficient; no float enters.  The Bareiss cross-check lives in
-``tests/oracles.py``.
+v^(z) and each lift stays in integers, and leaves as integer numerators over
+q_0 (a lift: over one lcm) that become a ``Poly`` with one gcd; no
+coefficient Fraction and no float is built.  The Bareiss cross-check lives
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -146,16 +147,17 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 _ZERO = Fraction(0)
 
 
-def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[list[Fraction]]:
-    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block.
+def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[tuple[int, list[int]]]:
+    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block, each
+    vector as (denominator, integer numerators), coordinates 0..n or fewer.
 
     Runs on D (M - mu I), D M the integer band, with v^(z)_j = c_j / q_j,
     q_j = f_j q_(j+1) and q_z = 1.  Row i takes s = q_(i+1) sum_t D M_i,i+t
     v_(i+t), whose term t carries c_(i+t) f_(i+1) ... f_(i+t-1); a pivot d sets
     g = gcd(s, d), c_i = -s/g (s/g when d < 0) and f_i = |d|/g, and changes no
     filled c_j.  A residual Fraction(s, q_(i+1)) is D times the true one in
-    every row, which leaves the kernel alone.  A lift sum_z t_z v^(z) puts each
-    v^(z) over q_0, as c_j f_0 ... f_(j-1), and sums in integers over one lcm."""
+    every row, which leaves the kernel alone.  Each v^(z) leaves over q_0, as
+    c_j f_0 ... f_(j-1); a lift sum_z t_z v^(z) sums those in integers over one lcm."""
     d_m, rows = matrix.denominator, matrix.band
     if d_m % mu.denominator:
         return []  # every diagonal entry's denominator divides D: U is invertible
@@ -186,20 +188,16 @@ def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[list[Fr
             f[i] = abs(d) // g
         pairs.append((c, f))
         residuals.append([res.get(i, _ZERO) for i in zeros])
-    conditions = [list(col) for col in zip(*residuals) if any(col)]
-    if not conditions:
-        basis = []
-        for z, (c, f) in zip(zeros, pairs):  # q_z, q_(z-1), ..., q_0 as suffix products
-            v = [Fraction(cj, q) if cj else _ZERO for cj, q in zip(c[z::-1], accumulate(f[z::-1], mul))]
-            basis.append(v[::-1] + [_ZERO] * (n - z))
-        return basis
     vectors, qs = [], []  # v^(zeros[k]) = vectors[k] / qs[k], integers over q_0
     for z, (c, f) in zip(zeros, pairs):
         ps = list(accumulate(f[:z], mul, initial=1))  # ps[j] = f_0 ... f_(j-1), ps[z] = q_0
         vectors.append(list(map(mul, c, ps)) + [0] * (n - z))
         qs.append(ps[z])
+    conditions = [list(col) for col in zip(*residuals) if any(col)]
+    if not conditions:
+        return list(zip(qs, vectors))
     return [
-        [Fraction(sum(map(mul, ws, col)), den) for col in zip(*vectors)]
+        (den, [sum(map(mul, ws, col)) for col in zip(*vectors)])
         for den, ws in (common_denominator(map(truediv, ts, qs)) for ts in rref_kernel(conditions))
     ]
 
@@ -207,7 +205,7 @@ def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[list[Fr
 def _solve_degree(matrix: OperatorMatrix, n: int) -> EigenResult:
     """The degree-n eigenproblem on the leading (n+1)x(n+1) block of ``matrix``."""
     mu = Fraction(matrix.band[n][0], matrix.denominator)
-    basis = tuple(Poly(v) for v in _banded_kernel(matrix, mu, n))
+    basis = tuple(Poly._from_ints(den, v) for den, v in _banded_kernel(matrix, mu, n))
     dim = len(basis)
     # n is the last zero diagonal entry, so only its basis vector reaches
     # degree n, with c_n = 1
@@ -236,7 +234,7 @@ def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
     """Basis of ker(M - mu I) inside P_n; empty when mu is not an eigenvalue."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [Poly(v) for v in _banded_kernel(op.matrix(n), rat(mu), n)]
+    return [Poly._from_ints(den, v) for den, v in _banded_kernel(op.matrix(n), rat(mu), n)]
 
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:

@@ -116,13 +116,13 @@ class DiffOperator:
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        d = lcm(*(c.denominator for a_k in self.coeffs for c in a_k.coeffs))
+        d = lcm(*(a_k.den for a_k in self.coeffs))
         band = [[0] * (min(self.order, n - i) + 1) for i in range(n + 1)]
         for k, a_k in enumerate(self.coeffs):
             ffs = [falling_factorial(j, k) for j in range(n + 1)]
-            for i, a_ki in enumerate(a_k.coeffs):
+            for i, a_ki in enumerate(a_k.nums):
                 if a_ki:  # row j - k + i, k - i to the right of the diagonal
-                    a_ki = a_ki.numerator * (d // a_ki.denominator)
+                    a_ki *= d // a_k.den
                     for j in range(k, n + 1):
                         band[j - k + i][k - i] += a_ki * ffs[j]
         g = gcd(d, *(v for row in band for v in row))  # D the lcm of the entries' denominators

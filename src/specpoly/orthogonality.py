@@ -161,7 +161,7 @@ class _ExactForm:
         self.scale = weight.constant * sign
         self.divisors = tuple(need.items())
         self._reduce(polys)
-        top = self.span + len(self.base.coeffs) + sum(need.values())
+        top = self.span + len(self.base.nums) + sum(need.values())
         # nu[s] = integral of x^s over (lo, hi) = (hi^s - lo^s)/s, as ints over d_nu,
         # from running int powers of hi = a/b and lo = c/d
         a, b, c, d = iv.hi.numerator, iv.hi.denominator, iv.lo.numerator, iv.lo.denominator
@@ -174,13 +174,13 @@ class _ExactForm:
     def _reduce(self, polys: dict[int, Poly]) -> None:
         """Each f divided by the divisors as far as it goes, cleared to ints; empty caches."""
         # label -> (denominator, numerators, multiplicity per divisor)
-        self.reduced: dict[int, tuple[int, list[int], list[int]]] = {}
+        self.reduced: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
         for label, f in polys.items():
             mults = []
             for r, k in self.divisors:
                 f, s = f.strip_root(r, k)
                 mults.append(s)
-            self.reduced[label] = (*common_denominator(f.coeffs), mults)
+            self.reduced[label] = (f.den, f.nums, mults)
         self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
         self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
         self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
@@ -199,8 +199,7 @@ class _ExactForm:
         p = self.base
         for (r, _), e in zip(self.divisors, key):
             p = p * Poly((-r, 1)) ** e
-        d_p, ps = common_denominator(p.coeffs)
-        return d_p * self.d_nu, [sum(map(mul, ps, self.nu[t:])) for t in range(self.span)]
+        return p.den * self.d_nu, [sum(map(mul, p.nums, self.nu[t:])) for t in range(self.span)]
 
     def entry(self, m: int, n: int) -> Fraction:
         if len(self.reduced[m][1]) > len(self.reduced[n][1]):
@@ -247,15 +246,26 @@ def _moment_shape(weight: WeightExpr) -> str | None:
     return "laguerre" if all(pf.root == anchor for pf in factors) else None
 
 
-def _moment_ratios(a: Poly, b: Poly, steps: int) -> list[Fraction]:
-    """[r_0, ..., r_steps] with r_k = m_k / m_0 for the Pearson pair (a, b), (p a)' = p b, by
-    the recurrence of the module docstring: step k is valid while the boundary term p a x^k
-    vanishes, and its divisor k a2 + b1 is then nonzero."""
-    a0, a1, a2, b0, b1 = a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)
-    r = [Fraction(1)]
+def _moment_ratios(a: Poly, b: Poly, steps: int) -> tuple[int, list[int]]:
+    """[r_0, ..., r_steps] with r_k = m_k / m_0 for the Pearson pair (a, b), (p a)' = p b, as
+    integer numerators over their lcm denominator, by the recurrence of the module docstring:
+    step k is valid while the boundary term p a x^k vanishes, and its divisor
+    s_k = k a2 + b1 is then nonzero.  The recurrence is blind to a common scale of a and b,
+    so both are cleared to integers over one denominator; then r_k = n_k / (s_0 ... s_(k-1))
+    with n_(k+1) = -(k a0 s_(k-1) n_(k-1) + (k a1 + b0) n_k), and one gcd reduces them all."""
+    d = math.lcm(a.den, b.den)
+    a0, a1, a2 = [v * (d // a.den) for v in (a.nums + (0, 0, 0))[:3]]
+    b0, b1 = [v * (d // b.den) for v in (b.nums + (0, 0))[:2]]
+    nums, divisors = [1], []
     for k in range(steps):
-        r.append(-(k * a0 * (r[k - 1] if k else 0) + (k * a1 + b0) * r[k]) / (k * a2 + b1))
-    return r
+        nums.append(-((k * a0 * divisors[-1] * nums[k - 1] if k else 0) + (k * a1 + b0) * nums[k]))
+        divisors.append(k * a2 + b1)
+    den = 1  # over s_0 ... s_(steps-1): n_k times s_k ... s_(steps-1)
+    for k in range(steps - 1, -1, -1):
+        den *= divisors[k]
+        nums[k] *= den
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return den // g, [v // g for v in nums]
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: Stirling's series for log Gamma
@@ -325,7 +335,7 @@ class _MomentForm(_ExactForm):
             a, b = Poly((-t, 1)), Poly((power - c * t, c))
             m_0 = math.exp(math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c)))
             self.m_0[key] = -m_0 if w.interval.lo is None and s % 2 else m_0
-        return common_denominator(_moment_ratios(a, b, self.steps))
+        return _moment_ratios(a, b, self.steps)
 
     def value(self, m: int, n: int) -> float:
         """The entry as a float, its ratio times its key's m_0; ValueError past a float's range."""
@@ -385,7 +395,7 @@ def _integrand(
         for r in ends:
             p, s = p.strip_root(r, int(p.degree)) if r is not None and p else (p, 0)
             mults.append(s)
-        c = tuple(map(float, p.coeffs))  # converted once, not per node
+        c = tuple([v / p.den for v in p.nums])  # float(Fraction) to the bit, once, not per node
         cs.append(c)
         rev.append(c[::-1])
         degs.append(len(c) - 1)
@@ -679,6 +689,10 @@ def _gram_for(
     if unscaled:
         notes += ("nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
                   f"which the max relative skips: {unscaled}",)
+    above = [e.relative for e in entries if e.relative is not None and e.relative > tol]
+    if above:
+        notes += (f"off-diagonal entries with relative above tol {tol:g}: {len(above)}, "
+                  f"max {max(above):.3e}",)
 
     return OrthoReport(
         family=family_label,

@@ -1,21 +1,27 @@
 """Dense univariate polynomials over exact rationals.
 
-A polynomial is a tuple of ``fractions.Fraction`` coefficients in ascending
-degree order: ``(1, 0, Fraction(-1, 3))`` is ``1 - x^2/3``.  The zero
-polynomial is the empty tuple and its degree is ``-inf`` (never a finite
-number, so ``p.degree <= k`` style checks behave sensibly).  Trailing zero
-coefficients are stripped on construction, so equal values always have
-equal representations.
+A polynomial is stored as integer numerators over one common denominator,
+as FLINT's ``fmpq_poly`` stores it (W. Hart, *FLINT: Fast Library for Number
+Theory*): ``den`` is an int > 0 and ``nums`` a tuple of ints in ascending
+degree order, with no trailing zero and ``gcd(den, *nums) == 1``, so ``den``
+is the lcm of the coefficients' denominators.  ``1 - x^2/3`` is ``den = 3,
+nums = (3, 0, -1)``.  The zero polynomial is ``den = 1, nums = ()`` and its
+degree is ``-inf`` (never a finite number, so ``p.degree <= k`` style checks
+behave sensibly).  The form is canonical, so equal values always have equal
+representations, and arithmetic runs on ints with one gcd per result.
 
-Scalars are plain ``Fraction`` everywhere: always reduced, positive
-denominator, value equality for free.  The string forms ``"p/q"`` and
-``"p"`` used in JSON output are exactly what ``str(Fraction)`` produces.
+``coeffs`` is the same polynomial as a tuple of reduced ``fractions.Fraction``
+coefficients: the ones a ``Poly`` was built from, or built from the integer
+form on first read.  Scalars are plain ``Fraction`` everywhere: always
+reduced, positive denominator, value equality for free.  The string forms
+``"p/q"`` and ``"p"`` used in JSON output are exactly what ``str(Fraction)``
+produces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -29,6 +35,8 @@ __all__ = [
 RatLike = Union[Fraction, int, str]
 
 MINUS_INF = float("-inf")
+
+_set = object.__setattr__  # Poly.__setattr__ refuses every assignment
 
 
 def rat(value: RatLike) -> Fraction:
@@ -66,33 +74,66 @@ def horner(coeffs: Sequence[float], x: float) -> float:
     return acc
 
 
-def _synthetic_division(
-    coeffs: Sequence[Fraction], root: Fraction
-) -> tuple[list[Fraction], Fraction]:
-    """(quotient, remainder) of the nonzero ascending coeffs by (x - root)."""
-    quot = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
+def _divide_linear(nums: Sequence[int], p: int, q: int) -> list[int] | None:
+    """The integer quotient of sum nums[i] x^i by the primitive q x - p, or None when
+    q x - p does not divide it.  By Gauss's lemma a quotient over the rationals is
+    then one over the integers, so a division by q that leaves a remainder ends it."""
+    quot = [0] * (len(nums) - 1)
+    acc = 0
+    for i in range(len(nums) - 1, 0, -1):  # the x^i coefficient: q Q_(i-1) - p Q_i = N_i
+        acc, rem = divmod(nums[i] + p * acc, q)
+        if rem:
+            return None
         quot[i - 1] = acc
-    return quot, acc * root + coeffs[0]
+    return quot if nums[0] + p * acc == 0 else None
 
 
 class Poly:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums", "_coeffs")
 
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [c if type(c) is Fraction else rat(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # the lcm of reduced denominators leaves the numerators no common factor with it
+        den = lcm(*(c.denominator for c in cs))
+        _set(self, "den", den)
+        _set(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        _set(self, "_coeffs", tuple(cs))
+
+    @classmethod
+    def _from_ints(cls, den: int, nums: Iterable[int]) -> Poly:
+        """sum nums[i] x^i / den for an int den > 0, brought to the canonical form."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [v // g for v in nums]
+        p = object.__new__(cls)
+        _set(p, "den", den)
+        _set(p, "nums", tuple(nums))
+        _set(p, "_coeffs", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, ascending degree; built once."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple([Fraction(v, den) for v in self.nums])
+            _set(self, "_coeffs", cs)
+        return cs
 
     # -- constructors -------------------------------------------------
 
@@ -128,19 +169,19 @@ class Poly:
     @property
     def degree(self) -> int | float:
         """Degree, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INF
+        return len(self.nums) - 1 if self.nums else MINUS_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the stored degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def monic(self) -> Poly:
         lead = self.leading()
@@ -151,13 +192,17 @@ class Poly:
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = [v * (den // self.den) for v in a]
+            b = [v * (den // other.den) for v in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._from_ints(den, out)
 
     def __sub__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
@@ -165,21 +210,21 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
+        return Poly._from_ints(self.den, [-v for v in self.nums])
 
     def __mul__(self, other: Poly | RatLike) -> Poly:
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, u in enumerate(a):
+                if u:
+                    for j, v in enumerate(b, i):
+                        out[j] += u * v
+            return Poly._from_ints(self.den * other.den, out)
         c = rat(other)
-        return Poly(a * c for a in self.coeffs)
+        return Poly._from_ints(self.den * c.denominator, [v * c.numerator for v in self.nums])
 
     def __rmul__(self, other: RatLike) -> Poly:
         return self.__mul__(other)
@@ -197,13 +242,13 @@ class Poly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     # -- calculus ----------------------------------------------------------
 
@@ -213,14 +258,15 @@ class Poly:
             raise ValueError("derivative order must be >= 0")
         p = self
         for _ in range(k):
-            if not p.coeffs:
+            if not p.nums:
                 return p
-            p = Poly(i * c for i, c in enumerate(p.coeffs) if i > 0)
+            p = Poly._from_ints(p.den, [i * v for i, v in enumerate(p.nums) if i])
         return p
 
     def antiderivative(self) -> Poly:
         """Antiderivative with zero constant term."""
-        return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        m = lcm(*range(1, len(self.nums) + 1))
+        return Poly._from_ints(self.den * m, [0] + [v * (m // i) for i, v in enumerate(self.nums, 1)])
 
     def definite_integral(self, lo: RatLike, hi: RatLike) -> Fraction:
         """Exact integral over [lo, hi] via the antiderivative."""
@@ -233,16 +279,20 @@ class Poly:
     # -- evaluation and substitution ----------------------------------------
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact evaluation at x = p/q: Horner on sum nums[i] p^i q^(deg-i), one Fraction."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, scale = self.nums[-1], 1
+        for v in self.nums[-2::-1]:
+            scale *= q
+            acc = acc * p + v * scale
+        return Fraction(acc, self.den * scale)
 
     def eval_float(self, x: float) -> float:
         """Double-precision Horner evaluation."""
-        return horner([float(c) for c in self.coeffs], x)
+        return horner([v / self.den for v in self.nums], x)
 
     def affine_sub(self, s: RatLike, t: RatLike) -> Poly:
         """Return q with q(u) = p(s*u + t), computed exactly.  Requires s != 0."""
@@ -250,38 +300,45 @@ class Poly:
         if s == 0:
             raise ValueError("affine substitution requires a nonzero scale")
         arg = Poly((t, s))
-        # Horner in the polynomial ring
+        # Horner in the polynomial ring, on the numerators
         acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly((c,))
-        return acc
+        for v in reversed(self.nums):
+            acc = acc * arg + Poly._from_ints(1, (v,))
+        return acc * Fraction(1, self.den)
 
     def strip_root(self, root: RatLike, limit: int) -> tuple[Poly, int]:
         """(q, k) with self = (x - root)^k q and k <= limit as large as possible.
 
-        One synthetic division per factor tried; its remainder is the test.
-        The zero polynomial is divisible any number of times: (0, limit).
+        With root = p/r in lowest terms, each factor tried is one exact integer
+        division of the numerators by r x - p, which fails on a remainder; k of
+        them leave q = r^k (quotient) / den.  The zero polynomial is divisible
+        any number of times: (0, limit).
         """
         root = rat(root)
-        if not self.coeffs:
+        if not self.nums:
             return self, limit
-        coeffs, k = self.coeffs, 0
+        p, r = root.numerator, root.denominator
+        nums, k = self.nums, 0
         while k < limit:
-            quot, remainder = _synthetic_division(coeffs, root)
-            if remainder != 0:
+            quot = _divide_linear(nums, p, r)
+            if quot is None:
                 break
-            coeffs, k = quot, k + 1
-        return (Poly(coeffs) if k else self), k
+            nums, k = quot, k + 1
+        if not k:
+            return self, 0
+        scale = r**k
+        return Poly._from_ints(self.den, [v * scale for v in nums]), k
 
     # -- display ------------------------------------------------------------
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable form, highest degree first, e.g. 'x^2 - 1/3'."""
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        cs = self.coeffs
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"

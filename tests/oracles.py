@@ -18,6 +18,9 @@ integral) of the moment route must agree with it to 1e-12.
 ``pair_quadrature`` is one Gram entry by the public ``tanh_sinh`` with the scalar
 integrand the library used before its sweep took node pairs (two calls per node
 pair, ``signed_exp`` per value), which the node-pair kernel must match bit for bit.
+The ``ref_*`` functions are ``Poly`` arithmetic on plain tuples of ``Fraction``
+coefficients, ascending with no trailing zero, the format ``Poly`` stored before it
+kept integer numerators over one denominator; ``Poly`` must agree with them.
 ``interior_points`` and ``weight_value`` are numeric spot-check helpers, and
 ``log_slope_error`` is a numeric Pearson check: the central difference of
 ``log p`` against (b - a')/a, which does not go through ``WeightExpr.dlog``
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Sequence
 
@@ -85,6 +89,69 @@ def random_rational(rng: random.Random, max_num: int = 6, max_den: int = 3) -> F
 
 def random_poly(rng: random.Random, max_degree: int) -> Poly:
     return Poly([random_rational(rng) for _ in range(max_degree + 1)])
+
+
+def _trim(coeffs) -> tuple[Fraction, ...]:
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def ref_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return _trim(x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def ref_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_pow(a: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
+    out: tuple[Fraction, ...] = (Fraction(1),)
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return _trim(i * c for i, c in enumerate(a) if i)
+
+
+def ref_call(a: Sequence[Fraction], x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_affine_sub(a: Sequence[Fraction], s: Fraction, t: Fraction) -> tuple[Fraction, ...]:
+    """sum_i a_i (s u + t)^i by the binomial theorem."""
+    out = [Fraction(0)] * len(a)
+    for i, c in enumerate(a):
+        for k in range(i + 1):
+            out[k] += c * math.comb(i, k) * s**k * t ** (i - k)
+    return _trim(out)
+
+
+def ref_strip_root(a: Sequence[Fraction], root: Fraction, limit: int) -> tuple[tuple[Fraction, ...], int]:
+    """Synthetic division by (x - root) while the remainder is 0, at most limit times."""
+    if not a:
+        return (), limit
+    k = 0
+    while k < limit:
+        quot, acc = [Fraction(0)] * (len(a) - 1), Fraction(0)
+        for i in range(len(a) - 1, 0, -1):
+            acc = acc * root + a[i]
+            quot[i - 1] = acc
+        if acc * root + a[0]:
+            break
+        a, k = tuple(quot), k + 1
+    return tuple(a), k
 
 
 def random_operator(rng: random.Random, max_order: int) -> DiffOperator:

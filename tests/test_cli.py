@@ -133,6 +133,25 @@ class TestGram:
         assert data["off_diagonal_max_relative"] <= 1e-12
 
     # this stopped with NoConvergence while the stopping rule measured the error against
+    # tanh-sinh stops each entry on its own error estimate, so a converged matrix can
+    # still leave off-diagonals above tol in relative size; the report says how many
+    def test_off_diagonal_above_tol_is_noted(self, capsys):
+        argv = ("gram", "--family", "hermite", "--alpha", "-1", "--beta", "3", "--n-max", "20")
+        data = run_json(capsys, *argv)
+        above = [e["relative"] for e in data["entries"] if (e["relative"] or 0) > 1e-10]
+        assert above and max(above) == data["off_diagonal_max_relative"]
+        note = f"off-diagonal entries with relative above tol 1e-10: {len(above)}, max {max(above):.3e}"
+        assert data["notes"] == [note]
+        code, out, _ = run(capsys, *argv, "--format", "table")
+        assert code == 0 and out.splitlines()[2] == f"note: {note}"
+
+    def test_off_diagonals_within_tol_add_no_note(self, capsys):
+        data = run_json(capsys, "gram", "--preset", "chebyshev1", "--n-max", "6")
+        assert {e["method"] for e in data["entries"]} == {"quadrature"}
+        assert 0 < data["off_diagonal_max_relative"] <= 1e-10 and data["notes"] == []
+        code, out, _ = run(capsys, "gram", "--preset", "chebyshev1", "--n-max", "6", "--format", "table")
+        assert code == 0 and "note:" not in out
+
     # |value|, which a true zero built from large terms cannot meet
     def test_quadrature_converges_at_larger_sizes(self, capsys):
         data = run_json(capsys, "gram", "--preset", "hermite", "--n-max", "14")

@@ -515,3 +515,26 @@ class TestBandOnly:
                 eigenspace_basis(op, mu, 12)
         with pytest.raises(AssertionError):
             LEGENDRE.matrix(3).entries
+
+
+class TestIntegerFormOut:
+    """Eigenfunctions leave the solver as integer numerators over one denominator;
+    their floats and strings are those of the reduced Fraction coefficients."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec.jacobi(-1, -2, 0),  # legendre
+            FamilySpec.jacobi(-1, Fraction(-13, 6), Fraction(-7, 6)),
+            FamilySpec.romanovski(-80, Fraction(-27, 7)),
+        ],
+        ids=["legendre", "jacobi", "romanovski"],
+    )
+    def test_floats_and_strings_at_degree_80(self, spec):
+        table = eigentable(build_operator(spec), 80)
+        polys = [p for r in table for p in r.basis]
+        assert len(polys) >= 81
+        for p in polys:
+            assert math.gcd(p.den, *p.nums) == 1 and p.nums[-1] != 0
+            assert [v / p.den for v in p.nums] == [float(c) for c in p.coeffs]
+            assert p.to_strings() == [str(Fraction(v, p.den)) for v in p.nums]

@@ -1,11 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from specpoly import Poly, rat, rational_sqrt
+from specpoly.ratpoly import common_denominator
 
-from oracles import random_poly
+from oracles import (
+    random_poly,
+    ref_add,
+    ref_affine_sub,
+    ref_call,
+    ref_derivative,
+    ref_mul,
+    ref_pow,
+    ref_strip_root,
+    ref_sub,
+)
 
 
 def P(*coeffs):
@@ -207,3 +219,75 @@ def test_pretty_printing():
     assert P("-1/3", 0, 1).pretty() == "x^2 - 1/3"
     assert Poly.zero().pretty() == "0"
     assert P(1, -1).pretty("t") == "-t + 1"
+
+
+def mixed_coeffs(rng: random.Random, max_degree: int) -> tuple[Fraction, ...]:
+    """Reduced Fractions over mixed denominators, some zero, no trailing zero."""
+    cs = [
+        Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 12))) if rng.random() < 0.8 else Fraction(0)
+        for _ in range(rng.randint(0, max_degree + 1))
+    ]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def assert_canonical(p: Poly, ref: tuple[Fraction, ...]) -> None:
+    """p is ref, in the integer form: den > 0, no trailing zero, gcd(den, *nums) = 1."""
+    assert p.coeffs == ref
+    assert type(p.den) is int and p.den > 0 and all(type(v) is int for v in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert (p.den, list(p.nums)) == common_denominator(p.coeffs)
+    assert p == Poly(ref) and hash(p) == hash(Poly(ref))
+
+
+class TestIntegerForm:
+    def test_arithmetic_matches_the_fraction_reference(self):
+        rng = random.Random(24)
+        for _ in range(150):
+            a, b = mixed_coeffs(rng, 5), mixed_coeffs(rng, 5)
+            p, q = Poly(a), Poly(b)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            k = rng.randint(0, 4)
+            s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 6))
+            t = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+            root = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+            planted = ref_mul(ref_pow((-root, Fraction(1)), rng.randint(0, 3)), a)
+            results = [
+                (p + q, ref_add(a, b)),
+                (p - q, ref_sub(a, b)),
+                (-p, ref_sub((), a)),
+                (p * q, ref_mul(a, b)),
+                (p * c, ref_mul(a, (c,) if c else ())),
+                (p**k, ref_pow(a, k)),
+                (p.derivative(), ref_derivative(a)),
+                (p.derivative(2), ref_derivative(ref_derivative(a))),
+                (p.affine_sub(s, t), ref_affine_sub(a, s, t)),
+            ]
+            for coeffs in (a, planted):
+                limit = rng.randint(0, 4)
+                stripped, mult = Poly(coeffs).strip_root(root, limit)
+                ref_stripped, ref_mult = ref_strip_root(coeffs, root, limit)
+                assert mult == ref_mult
+                results.append((stripped, ref_stripped))
+            for result, ref in results:
+                assert_canonical(result, ref)
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            assert p(x) == ref_call(a, x) and type(p(x)) is Fraction
+
+    def test_one_form_and_hash_from_every_constructor(self):
+        rng = random.Random(25)
+        for _ in range(100):
+            a = mixed_coeffs(rng, 6)
+            den, nums = common_denominator(a)
+            scale = rng.randint(2, 30)  # a common factor _from_ints must take out
+            forms = [
+                Poly(a),
+                Poly.from_strings([str(c) for c in a]),
+                Poly._from_ints(den * scale, [v * scale for v in nums] + [0] * rng.randint(0, 2)),
+            ]
+            for p in forms:
+                assert_canonical(p, a)
+                assert (p.den, p.nums) == (forms[0].den, forms[0].nums)
+                assert p == forms[0] and hash(p) == hash(forms[0])
