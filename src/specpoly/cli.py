@@ -223,9 +223,7 @@ def _cmd_gram(args, parser) -> int:
     if spec is not None:
         report = gram_matrix(spec, args.n_max, tol)
     else:
-        with open(args.operator_json, encoding="utf-8") as fh:
-            op = DiffOperator.from_json(json.load(fh))
-        report = gram_matrix_for_operator(op, args.n_max, tol)
+        report = gram_matrix_for_operator(_resolve_operator(args, parser), args.n_max, tol)
     _emit(report.to_json(), report.format_table(), args.format)
     return 0
 

@@ -1,7 +1,10 @@
 """Weighted inner products <f, g> = integral p f g and Gram matrices.
 
 Routing policy: one router serves Gram matrices and inner_product alike, and
-takes one of three routes per pair.
+takes one of three routes per pair.  _shape names the route once per weight
+from the four shapes derive_weight gives (Bochner's classification): Jacobi
+on a finite interval, Laguerre on a half line, Romanovski or Gaussian on the
+real line.
 
 * exact: p*f*g cancels down to a polynomial over a finite interval (integer
   power exponents, matching factors of f*g, no exponential/arctan
@@ -27,17 +30,17 @@ takes one of three routes per pair.
     A = E + s > -1: a = x - t, b = 1 + A + c (x - t), and
     m_0 = Gamma(A+1) e^(ct) / |c|^(A+1), times (-1)^s left of t.  The generic
     gate below reads the same root orders.
-* quadrature: everything else, by tanh-sinh; infinite intervals are first
-  mapped to a compact one.  On the real line a Gaussian factor
-  e^(c2 x^2 + c1 x), c2 < 0, takes x = centre + scale artanh(t) on (-1, 1),
+* quadrature: by tanh-sinh, a finite-interval pair that does not reduce, on
+  the interval, and every pair of a Gaussian factor e^(c2 x^2 + c1 x),
+  c2 < 0, on the real line, with x = centre + scale artanh(t) on (-1, 1),
   centre = -c1/(2 c2), scale = 2/sqrt(-c2): after the sweep's
   t = tanh((pi/2) sinh u) that is the plain sinh substitution of an integrand
   that already decays super-exponentially (Takahasi and Mori, Publ. RIMS 9,
-  1974).  Every other real-line weight has algebraic tails and keeps
-  x = tan u, whose compression makes them decay double-exponentially; under
-  the sinh map they would hold mass beyond the sweep's last node.  A half
-  line has no map: derive_weight gives every half line the Laguerre shape,
-  and a half-line weight of any other shape is refused.
+  1974).  No other weight has a map, and derive_weight gives none: a half
+  line is Laguerre, and a real-line weight without a Gaussian factor is
+  Romanovski or, with e^(c1 x) alone, has no integrable pair.  Any other
+  weight is refused with a ValueError once a pair passes the integrability
+  gate (the test oracles keep x = tan u for algebraic tails).
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.
@@ -59,10 +62,10 @@ once; a node evaluates each eigenfunction once, to a sign and
 log p + log J + log|f(x)|, and an entry adds the other function's log|g(x)|,
 so f*g is never formed (quadrature floats may differ in their last digits
 from expanding it; exact entries do not).  Log space keeps weights with
-strong (but integrable) endpoint singularities and polynomials at
-|x| ~ 1e300 from overflowing or losing endpoint distances; a root of an
-eigenfunction at a finite end where p's exponent is <= -1 is divided out
-and added back as a log of the exact endpoint distance.
+strong (but integrable) endpoint singularities from overflowing or losing
+endpoint distances; a root of an eigenfunction at a finite end where p's
+exponent is <= -1 is divided out and added back as a log of the exact
+endpoint distance.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep
-from .ratpoly import Poly, RatLike, common_denominator, horner, rat
+from .ratpoly import Poly, RatLike, horner, rat
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
@@ -162,14 +165,13 @@ class _ExactForm:
         self.divisors = tuple(need.items())
         self._reduce(polys)
         top = self.span + len(self.base.nums) + sum(need.values())
-        # nu[s] = integral of x^s over (lo, hi) = (hi^s - lo^s)/s, as ints over d_nu,
-        # from running int powers of hi = a/b and lo = c/d
+        # nu[s] = integral of x^s over (lo, hi) = (hi^s - lo^s)/s for hi = a/b, lo = c/d, as
+        # ints over d_nu = L (b d)^t, L = lcm(1..t), t = top - 1:
+        # nu[s] d_nu = (a^s d^s - c^s b^s) (L/s) (b d)^(t - s)
         a, b, c, d = iv.hi.numerator, iv.hi.denominator, iv.lo.numerator, iv.lo.denominator
-        nu, a_s, b_s, c_s, d_s = [], 1, 1, 1, 1
-        for s in range(1, top):
-            a_s, b_s, c_s, d_s = a_s * a, b_s * b, c_s * c, d_s * d
-            nu.append(Fraction(a_s * d_s - c_s * b_s, s * b_s * d_s))
-        self.d_nu, self.nu = common_denominator(nu)
+        t, lcm, bd = top - 1, math.lcm(*range(1, top)), b * d
+        nu = [((a * d) ** s - (c * b) ** s) * (lcm // s) * bd ** (t - s) for s in range(1, top)]
+        self.d_nu, self.nu = lcm * bd**t, nu
 
     def _reduce(self, polys: dict[int, Poly]) -> None:
         """Each f divided by the divisors as far as it goes, cleared to ints; empty caches."""
@@ -233,17 +235,6 @@ def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # moment path
-
-
-def _moment_shape(weight: WeightExpr) -> str | None:
-    """"romanovski" or "laguerre", the shapes of the moment route; None for the others."""
-    iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
-    if iv.lo is None and iv.hi is None:
-        return "romanovski" if weight.quad_exp is not None and not factors and not exp_poly else None
-    anchor = iv.lo if iv.hi is None else iv.hi
-    if iv.finite or weight.quad_exp or weight.arctan_coeff or exp_poly.degree != 1:
-        return None
-    return "laguerre" if all(pf.root == anchor for pf in factors) else None
 
 
 def _moment_ratios(a: Poly, b: Poly, steps: int) -> tuple[int, list[int]]:
@@ -315,12 +306,8 @@ class _MomentForm(_ExactForm):
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: int):
         self.weight, self.scale, self.steps = weight, weight.constant, steps
         self.m_0: dict[tuple[int, ...], float] = {}
-        iv = weight.interval
-        if iv.lo is None and iv.hi is None:
-            self.divisors = ()
-        else:
-            t = iv.lo if iv.hi is None else iv.hi
-            self.divisors = ((t, max(math.floor(-weight.power_exponent_at(t)), 0)),)
+        t = weight.interval.lo if weight.interval.hi is None else weight.interval.hi  # None on R
+        self.divisors = () if t is None else ((t, max(math.floor(-weight.power_exponent_at(t)), 0)),)
         self._reduce(polys)
 
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -352,21 +339,6 @@ class _MomentForm(_ExactForm):
 # numeric path
 
 
-def _tan_abscissa(u: float, d_lo: float, d_hi: float) -> float:
-    """tan(u) on (-pi/2, pi/2), accurate near the endpoints."""
-    if d_hi < 0.8:
-        return 1.0 / math.tan(d_hi)
-    if d_lo < 0.8:
-        return -1.0 / math.tan(d_lo)
-    return math.tan(u)
-
-
-def _log1p_sq(t: float) -> float:
-    """log(1 + t^2) without overflow."""
-    sq = t * t
-    return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
-
-
 def _integrand(
     weight: WeightExpr, funcs: Sequence[Poly], pairs: Sequence[tuple[int, int]]
 ) -> tuple[Callable, float, float]:
@@ -376,13 +348,15 @@ def _integrand(
 
     A node's x, log p(x) and log-Jacobian are computed once for all pairs.  Each f_i that an
     active pair needs is evaluated once per node, to a sign and log p + log J + log|f_i(x)|,
-    and a pair adds log|f_j(x)| to that; f_i f_j is never formed.  Off [-1, 1], log|f_i(x)|
-    is deg*log|x| plus the log of the reversed polynomial at 1/x, which does not overflow
-    for |x| up to ~1e300.  At a finite end where p's exponent is <= -1, Horner's f_i(x) near
-    a root of f_i there is all cancellation, which p turns into a divergent integrand: the
-    root is divided out once and comes back as s*log(d) from the sweep's exact endpoint
-    distance d.  The pair list and the needed f_i are rebuilt only when the sweep's active
-    list changes.
+    and a pair adds log|f_j(x)| to that; f_i f_j is never formed.  Off [-1, 1] on the real
+    line, log|f_i(x)| is deg*log|x| plus the log of the reversed polynomial at 1/x: Horner
+    in x would not overflow at the sinh map's nodes (|x| <= 203 for hermite(-1, 3) at 20),
+    but raised Hermite's n = 20 off-diagonal maximum from 5.2e-14 to 1.4e-13 for the preset,
+    and from 8.4e-10 to 1.2e-9 for hermite(-1, 3).  At a finite end where p's exponent is
+    <= -1, Horner's f_i(x) near a root of f_i there is all cancellation, which p turns into
+    a divergent integrand: the root is divided out once and comes back as s*log(d) from the
+    sweep's exact endpoint distance d.  The pair list and the needed f_i are rebuilt only
+    when the sweep's active list changes.
     """
     iv, exp_poly = weight.interval, weight.exp_poly
     # the finite ends a root is divided out at, None for the others
@@ -403,16 +377,15 @@ def _integrand(
     count = len(funcs)
     signs, logs, based = [0.0] * count, [0.0] * count, [0.0] * count
     exp, log, copysign, inf = math.exp, math.log, math.copysign, math.inf
-    finite = iv.finite
+    shape = _shape(weight)
+    finite = shape == "finite"
     if finite:
         lo, hi = float(iv.lo), float(iv.hi)
 
         def node(x: float, d_lo: float, d_hi: float) -> tuple:
             return x, weight.log_eval(x, d_lo, d_hi), 0.0, d_lo, d_hi  # the identity map: log 1
 
-    elif iv.lo is not None or iv.hi is not None:
-        raise ValueError(f"no quadrature map for {weight.formula()} on {iv.describe()}")
-    elif exp_poly.degree == 2 and exp_poly.leading() < 0:
+    elif shape == "gaussian":
         lo, hi = -1.0, 1.0  # a Gaussian factor e^(c2 x^2 + c1 x): the module docstring's map
         c1, c2 = exp_poly.coeff(1), exp_poly.coeff(2)
         centre, scale = float(-c1 / (2 * c2)), 2.0 / math.sqrt(float(-c2))
@@ -424,24 +397,14 @@ def _integrand(
             return x, weight.log_eval(x), log_scale - log_lo - log_hi, None, None
 
     else:
-        lo, hi = -math.pi / 2, math.pi / 2
-
-        def node(u: float, d_lo: float, d_hi: float) -> tuple | None:
-            x = _tan_abscissa(u, d_lo, d_hi)
-            if not math.isfinite(x):
-                return None
-            return x, weight.log_eval(x), _log1p_sq(x), None, None
+        raise ValueError(f"no quadrature map for {weight.formula()} on {iv.describe()}")
 
     last: list = []  # the sweep's active list when act and need were built
     act: list[tuple[int, int]] = []  # its pairs
     need: list[int] = []  # the f_i they read
 
     def values(u: float, d_lo: float, d_hi: float) -> list[float]:
-        shared = node(u, d_lo, d_hi)
-        if shared is None:
-            # only reachable when the true integrand limit is 0 (integrable case)
-            return [0.0] * len(act)
-        x, lw, log_jac, e_lo, e_hi = shared
+        x, lw, log_jac, e_lo, e_hi = node(u, d_lo, d_hi)
         base = lw + log_jac
         near = finite or abs(x) <= 1.0
         if not near:
@@ -503,6 +466,23 @@ def _numeric_quad(
 # routing
 
 
+def _shape(weight: WeightExpr) -> str | None:
+    """The weight's route: "romanovski" or "laguerre", the moment route; "finite", exact
+    where the pair reduces, else quadrature on the interval; "gaussian", quadrature on the
+    sinh map (module docstring); None, no route."""
+    iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
+    if iv.finite:
+        return "finite"
+    if iv.lo is None and iv.hi is None:
+        if weight.quad_exp is not None and not factors and not exp_poly:
+            return "romanovski"
+        return "gaussian" if exp_poly.degree == 2 and exp_poly.leading() < 0 else None
+    anchor = iv.lo if iv.hi is None else iv.hi
+    if weight.quad_exp or weight.arctan_coeff or exp_poly.degree != 1:
+        return None
+    return "laguerre" if all(pf.root == anchor for pf in factors) else None
+
+
 def _route(
     weight: WeightExpr, funcs: Sequence[Poly | None], pairs: Sequence[tuple[int, int]], tol: float
 ) -> list[tuple]:
@@ -514,21 +494,23 @@ def _route(
     degree = [d if f is None else max(f.degree, 0) for d, f in enumerate(funcs)]
     top = max((degree[i] + degree[j] for i, j in pairs), default=0)
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
-    moment = _moment_shape(weight)
+    shape = _shape(weight)
+    moment = shape in ("romanovski", "laguerre")
+    form = None
     if moment:  # r_k past the Romanovski reach is no moment; Laguerre keys have them all
-        reach = moment_reach(weight) if moment == "romanovski" else math.inf
+        reach = moment_reach(weight) if shape == "romanovski" else math.inf
         form = _MomentForm(weight, known, min(reach, top))
-    else:
+    elif shape == "finite":
         try:
             form = _ExactForm(weight, known)
         except NotPolynomialReducible:
-            form = None
-    if moment == "romanovski":  # its reach is the shape's one integrability decision
+            pass
+    if shape == "romanovski":  # its reach is the shape's one integrability decision
         integrable = lambda i, j: degree[i] + degree[j] <= reach
     else:
         roots = sorted({pf.root for pf in weight.power_factors})
         orders = functools.cache(lambda i: [known[i].strip_root(r, degree[i])[1] for r in roots])
-        finite, zeros = weight.interval.finite, (0,) * len(roots)
+        finite, zeros = shape == "finite", (0,) * len(roots)
 
         @functools.cache
         def verdict(k: int, s: tuple[int, ...]) -> bool:
@@ -673,7 +655,7 @@ def _gram_for(
     # 0.0 where the norm has no value
     diag = {m: float(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
     # the Romanovski scale of a pair whose diagonal norms diverge; a Laguerre pair has none
-    romanovski = _moment_shape(weight) == "romanovski"
+    romanovski = _shape(weight) == "romanovski"
     moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))
     entries: list[GramEntry] = []
     for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):

@@ -18,6 +18,10 @@ integral) of the moment route must agree with it to 1e-12.
 ``pair_quadrature`` is one Gram entry by the public ``tanh_sinh`` with the scalar
 integrand the library used before its sweep took node pairs (two calls per node
 pair, ``signed_exp`` per value), which the node-pair kernel must match bit for bit.
+On a real-line weight without a Gaussian factor it and ``moment_scale`` sweep
+``x = tan u`` (``_tan_abscissa``, ``_log1p_sq``), a map the library lacks: it
+refuses such weights, and takes the Romanovski shape by its moment route, which
+these two cross-check.
 The ``ref_*`` functions are ``Poly`` arithmetic on plain tuples of ``Fraction``
 coefficients, ascending with no trailing zero, the format ``Poly`` stored before it
 kept integer numerators over one denominator; ``Poly`` must agree with them.
@@ -47,7 +51,6 @@ from specpoly import (
     WeightExpr,
     tanh_sinh,
 )
-from specpoly.orthogonality import _log1p_sq, _tan_abscissa
 from specpoly.ratpoly import horner
 
 
@@ -333,14 +336,29 @@ def signed_exp(sign: float, log_mag: float) -> float:
     return sign * math.exp(log_mag)
 
 
+def _tan_abscissa(u: float, d_lo: float, d_hi: float) -> float:
+    """tan(u) on (-pi/2, pi/2), accurate near the endpoints."""
+    if d_hi < 0.8:
+        return 1.0 / math.tan(d_hi)
+    if d_lo < 0.8:
+        return -1.0 / math.tan(d_lo)
+    return math.tan(u)
+
+
+def _log1p_sq(t: float) -> float:
+    """log(1 + t^2) without overflow."""
+    sq = t * t
+    return math.log1p(sq) if math.isfinite(sq) else 2.0 * math.log(abs(t))
+
+
 def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadResult:
     """Tanh-sinh of p f g over the weight's interval by the public ``tanh_sinh``, with the
     scalar integrand the library used before its Gram sweep took node pairs: one call
     per node, which maps the node to x (on the real line x = centre + scale artanh(t) over
-    (-1, 1) for a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u), evaluates f
-    and g to a sign and log|.| (off [-1, 1] through the reversed polynomial at 1/x), and
-    returns signed_exp of the product sign and log p + log J + log|f| + log|g|.  The
-    library has no half-line map, and neither has this oracle."""
+    (-1, 1) for a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u, which the
+    library lacks), evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed
+    polynomial at 1/x), and returns signed_exp of the product sign and
+    log p + log J + log|f| + log|g|.  Neither has a half-line map."""
     iv, exp = weight.interval, weight.exp_poly
     polys = [tuple(map(float, p.coeffs)) for p in (f, g)]
 
