@@ -6,104 +6,25 @@ polynomial eigenfunctions in exact rational arithmetic, derives the
 Sturm-Liouville weight from the Pearson equation, and verifies classical
 and finite orthogonality (exactly where the integrand reduces to a
 polynomial, by tanh-sinh quadrature otherwise).
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package re-exports those lists.  ``specpoly.cli`` is not
+imported here, so ``import specpoly`` does not load argparse.
 """
 
-from .eigen import (
-    EigenResult,
-    EigenStatus,
-    eigenspace_basis,
-    eigentable,
-    monic_eigenfunction,
-)
-from .families import (
-    AffineNormalization,
-    FamilyKind,
-    FamilySpec,
-    bochner_normalize,
-    build_operator,
-    classical_presets,
-    normalize_operator,
-)
-from .operator import (
-    DegreeViolation,
-    DiffOperator,
-    EmptyOperator,
-    OperatorMatrix,
-    Spectrum,
-    falling_factorial,
-)
-from .orthogonality import (
-    DEFAULT_TOL,
-    GramEntry,
-    NonIntegrable,
-    NotPolynomialReducible,
-    OrthoReport,
-    RomanovskiReport,
-    finite_orthogonality_report,
-    gram_matrix,
-    gram_matrix_for_operator,
-    inner_product,
-    inner_product_exact,
-)
-from .quadrature import NoConvergence, QuadResult, tanh_sinh
-from .ratpoly import Poly, rat, rational_sqrt
-from .weights import (
-    Interval,
-    PowerFactor,
-    UnsupportedLeadingCoefficient,
-    WeightExpr,
-    boundary_vanishing,
-    derive_weight,
-    integrability,
-    moment_reach,
-    pearson_check,
-)
+from . import eigen, families, operator, orthogonality, quadrature, ratpoly, weights
+from .eigen import *  # noqa: F403
+from .families import *  # noqa: F403
+from .operator import *  # noqa: F403
+from .orthogonality import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .ratpoly import *  # noqa: F403
+from .weights import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly",
-    "rat",
-    "rational_sqrt",
-    "DiffOperator",
-    "OperatorMatrix",
-    "Spectrum",
-    "DegreeViolation",
-    "EmptyOperator",
-    "falling_factorial",
-    "EigenResult",
-    "EigenStatus",
-    "monic_eigenfunction",
-    "eigenspace_basis",
-    "eigentable",
-    "FamilyKind",
-    "FamilySpec",
-    "AffineNormalization",
-    "build_operator",
-    "bochner_normalize",
-    "normalize_operator",
-    "classical_presets",
-    "Interval",
-    "PowerFactor",
-    "WeightExpr",
-    "UnsupportedLeadingCoefficient",
-    "derive_weight",
-    "pearson_check",
-    "integrability",
-    "moment_reach",
-    "boundary_vanishing",
-    "NoConvergence",
-    "QuadResult",
-    "tanh_sinh",
-    "DEFAULT_TOL",
-    "GramEntry",
-    "OrthoReport",
-    "RomanovskiReport",
-    "NonIntegrable",
-    "NotPolynomialReducible",
-    "inner_product",
-    "inner_product_exact",
-    "gram_matrix",
-    "gram_matrix_for_operator",
-    "finite_orthogonality_report",
+    name
+    for module in (ratpoly, operator, eigen, families, weights, quadrature, orthogonality)
+    for name in module.__all__
 ]

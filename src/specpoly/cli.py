@@ -36,6 +36,7 @@ _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 from .eigen import eigentable
 from .families import (
+    FamilyKind,
     FamilySpec,
     build_operator,
     classical_presets,
@@ -74,10 +75,7 @@ def _fraction(text: str) -> Fraction:
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("operator source (exactly one)")
     group.add_argument("--preset", choices=sorted(classical_presets()))
-    group.add_argument(
-        "--family",
-        choices=["jacobi", "laguerre", "hermite", "romanovski", "chaudhry-qadir"],
-    )
+    group.add_argument("--family", choices=[kind.value for kind in FamilyKind])
     group.add_argument("--eps", type=int, choices=[-1, 1], default=-1,
                        help="sign in x^2+eps for --family jacobi")
     group.add_argument("--alpha", type=_fraction, default=Fraction(0))
@@ -101,15 +99,10 @@ def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return classical_presets()[args.preset]
     if args.family is None:
         return None
-    if args.family == "jacobi":
-        return FamilySpec.jacobi(args.eps, args.alpha, args.beta)
-    if args.family == "laguerre":
-        return FamilySpec.laguerre(args.alpha, args.beta)
-    if args.family == "hermite":
-        return FamilySpec.hermite(args.alpha, args.beta)
-    if args.family == "romanovski":
-        return FamilySpec.romanovski(args.alpha, args.beta)
-    return FamilySpec.chaudhry_qadir()
+    kind = FamilyKind(args.family)
+    if kind is FamilyKind.CHAUDHRY_QADIR:
+        return FamilySpec.chaudhry_qadir()
+    return FamilySpec(kind, args.alpha, args.beta, args.eps)
 
 
 def _resolve_operator(args: argparse.Namespace, parser: argparse.ArgumentParser) -> DiffOperator:

@@ -268,33 +268,33 @@ def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
     scale of a pair m + n = t whose diagonal norms diverge.
 
     With x = tan u it is Cauchy's beta integral of cos(u)^nu e^(h u) over (-pi/2, pi/2),
-    nu = -2q - t - 2 > -1: pi Gamma(nu+1) / (2^nu |Gamma(a + ib)|^2), a = 1 + nu/2,
+    nu = -2q - t - 2 > -1: pi Gamma(nu+1) / (2^nu |Gamma(a + ib)|^2), a = 1 + nu/2 > 1/2,
     b = h/2, which the duplication formula turns into
-    sqrt(pi) Gamma(a - 1/2) / Gamma(a) * |Gamma(a) / Gamma(a + ib)|^2.  The last factor
-    is prod_(j<N) (1 + b^2 / (a+j)^2) times the same ratio at A = a + N >= 16, whose
-    log, Re log Gamma(A + ib) - log Gamma(A), Stirling's series gives to double precision.
+    sqrt(pi) Gamma(a - 1/2) / Gamma(a) * |Gamma(a) / Gamma(a + ib)|^2.  Both factors are
+    prod_(j<N) of (a+j) / (a+j-1/2) and (1 + b^2 / (a+j)^2), exact steps in integers, times
+    the same factors at A = a + N >= 16, whose logs Stirling's series gives to double
+    precision: no two large logs are subtracted, whatever the size of a.
     """
     a = -weight.quad_exp - Fraction(t, 2)  # 1 + nu/2
     b = float(weight.arctan_coeff) / 2
-    x = float(a - Fraction(1, 2))
-    if a < 171:  # Gamma overflows a float beyond 171.6
-        gammas = math.gamma(x) / math.gamma(float(a))
-    else:
-        gammas = math.exp(math.lgamma(x) - math.lgamma(float(a)))
     shift, num, den = 1.0, a.numerator, a.denominator  # a = num / den, shifted in ints
     while num < 16 * den:
-        shift *= 1 + (b / (num / den)) ** 2
+        shift *= 2 * num / (2 * num - den) * (1 + (b * den / num) ** 2)
         num += den
     big = num / den
-    # (A - 1/2) log|A + ib| - b arg(A + ib), less the same at b = 0
+    # log Gamma(A - 1/2) - log Gamma(A), and (A - 1/2) log|A + ib| - b arg(A + ib) less
+    # the same at b = 0, before their series terms
+    log_half = 0.5 - 0.5 * math.log(big) + (big - 1) * math.log1p(-0.5 / big)
     log_ratio = (big - 0.5) * 0.5 * math.log1p((b / big) ** 2) - b * math.atan(b / big)
-    inv_z, inv_a = 1 / complex(big, b), 1 / big
-    power_z, power_a = inv_z, inv_a
+    inv_z, inv_h, inv_a = 1 / complex(big, b), 1 / (big - 0.5), 1 / big
+    power_z, power_h, power_a = inv_z, inv_h, inv_a
     for c in _STIRLING:
+        log_half += c * (power_h - power_a)
         log_ratio += c * (power_z.real - power_a)
         power_z *= inv_z * inv_z
+        power_h *= inv_h * inv_h
         power_a *= inv_a * inv_a
-    return math.sqrt(math.pi) * gammas * shift * math.exp(-2 * log_ratio)
+    return math.sqrt(math.pi) * shift * math.exp(log_half - 2 * log_ratio)
 
 
 class _MomentForm(_ExactForm):

@@ -161,31 +161,16 @@ class WeightExpr(Record):
         return math.log(self.constant), powers, quad, exp_cs, arctan
 
     def dlog(self) -> tuple[Poly, Poly]:
-        """(numerator, denominator) of p'/p as an exact rational function."""
-        den = Poly.one()
+        """(numerator, denominator) of p'/p as an exact rational function: E'
+        plus one factor's log-derivative g/f at a time, n/d + g/f = (n f + g d)/(d f)."""
+        num, den = self.exp_poly.derivative(), Poly.one()
         for pf in self.power_factors:
-            den = den * Poly((-pf.root, 1))
-        quad = Poly((1, 0, 1))
-        has_quad = (self.quad_exp is not None and self.quad_exp != 0) or self.arctan_coeff != 0
-        if has_quad:
-            den = den * quad
-        num = Poly()
-        for pf in self.power_factors:
-            term = Poly((pf.exponent,))
-            for other in self.power_factors:
-                if other is not pf:
-                    term = term * Poly((-other.root, 1))
-            if has_quad:
-                term = term * quad
-            num = num + term
-        if has_quad:
-            q = self.quad_exp if self.quad_exp is not None else Fraction(0)
-            term = Poly((self.arctan_coeff, 2 * q))
-            for pf in self.power_factors:
-                term = term * Poly((-pf.root, 1))
-            num = num + term
-        if not self.exp_poly.is_zero():
-            num = num + self.exp_poly.derivative() * den
+            linear = Poly((-pf.root, 1))
+            num, den = num * linear + den * pf.exponent, den * linear
+        if self.quad_exp or self.arctan_coeff:
+            quad = Poly((1, 0, 1))
+            slope = Poly((self.arctan_coeff, 2 * (self.quad_exp or 0)))
+            num, den = num * quad + slope * den, den * quad
         return num, den
 
     def formula(self, var: str = "x") -> str:

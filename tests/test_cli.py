@@ -396,6 +396,14 @@ class TestContract:
             main(["spectrum", "--preset", "legendre", "--family", "hermite"])
         assert exc.value.code == 2
 
+    def test_unknown_family_is_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--family", "bessel"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bessel'" in err
+        assert "--family {jacobi,laguerre,hermite,romanovski,chaudhry-qadir}" in err
+
     def test_invalid_operator_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"a": [["0"], ["0", "0", "1"]]}))  # deg(a_1)=2
@@ -515,6 +523,16 @@ class TestContract:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
+
+
+class TestFamilySource:
+    @pytest.mark.parametrize("command", ["gram", "spectrum"])
+    def test_chaudhry_qadir_family_matches_preset(self, capsys, command):
+        # the family flag and the preset name the same parameter-free operator
+        by_family = run(capsys, command, "--family", "chaudhry-qadir", "--n-max", "5")
+        by_preset = run(capsys, command, "--preset", "chaudhry-qadir", "--n-max", "5")
+        assert by_family[0] == 0
+        assert by_family == by_preset
 
 
 class TestColdStart:

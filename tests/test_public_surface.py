@@ -1,9 +1,14 @@
 """Every name that specpoly or one of its public modules lists in ``__all__``
 resolves: a name removed from a module but left in a list fails here, not in
-a user's ``from specpoly import *``."""
+a user's ``from specpoly import *``.  The package's list is its modules' lists
+concatenated, and importing the package leaves the CLI (and argparse) out."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +24,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_reexports_each_module_list_once():
+    lists = [
+        importlib.import_module(f"specpoly.{m}").__all__
+        for m in ("ratpoly", "operator", "eigen", "families", "weights", "quadrature", "orthogonality")
+    ]
+    assert specpoly.__all__ == [name for names in lists for name in names]
+    assert len(set(specpoly.__all__)) == len(specpoly.__all__)
+
+
+def test_package_import_leaves_out_the_cli():
+    # a fresh interpreter: this one may already have imported specpoly.cli
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, specpoly; print(sorted({'argparse', 'specpoly.cli'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
