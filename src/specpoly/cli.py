@@ -117,7 +117,11 @@ def _tolerance(args: argparse.Namespace) -> float:
     if args.tol is not None:
         tol = args.tol
     else:
-        tol = float(os.environ.get("SPECPOLY_TOL", str(DEFAULT_TOL)))
+        raw = os.environ.get("SPECPOLY_TOL", str(DEFAULT_TOL))
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"SPECPOLY_TOL must be a number, not {raw!r}") from None
     if not 0 < tol < math.inf:  # also refuses nan
         raise ValueError(f"tolerance must be a finite positive number, not {tol}")
     return tol

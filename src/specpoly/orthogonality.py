@@ -6,30 +6,36 @@ from the four shapes derive_weight gives (Bochner's classification): Jacobi
 on a finite interval, Laguerre on a half line, Romanovski or Gaussian on the
 real line.
 
-* exact: p*f*g cancels down to a polynomial over a finite interval (integer
-  power exponents, matching factors of f*g, no exponential/arctan
-  component).  The weight is reduced and each eigenfunction divided by the
-  weight's negative powers once, then every entry is assembled from cached
-  power moments: O(n^3) operations for an n x n Gram matrix, no polynomial
-  product per entry.  They run on integer numerators over one common
-  denominator, with one Fraction per entry and no float.
-* moment: the two shapes below, on which every moment m_k = integral p x^k
-  is an exact rational r_k times m_0.  From a Pearson pair (a, b),
+* exact and moment: on the three shapes below every moment m_k = integral
+  p x^k is an exact rational r_k times m_0.  From a Pearson pair (a, b),
   (p a)' = p b (the moment functional; Chihara, An Introduction to
   Orthogonal Polynomials, 1978), integrating (p a x^k)' = p (k a x^(k-1) +
   b x^k) gives m_(k+1) = -(k a0 m_(k-1) + (k a1 + b0) m_k) / (k a2 + b1)
-  while the boundary term p a x^k vanishes.  The exact route's bilinear form
-  over the integer-cleared r_k gives each entry as an exact ratio to m_0
-  (times the weight's constant), and m_0 is in closed form.
+  while the boundary term p a x^k vanishes.  At each finite end r, where p
+  has the summed exponent E_r, each eigenfunction is divided by (x - r) up to
+  k_r times, once, and a pair whose root orders s_r = s_f + s_g reach k_r
+  (key s_r - k_r) integrates p prod (x - r)^s_r, with exponent A_r = E_r + s_r
+  at r and the sign (-1)^s_r at the upper end.  Its entry is a bilinear form
+  over the key's r_k, cleared to integers over one denominator: O(n^3)
+  operations for an n x n Gram matrix, no polynomial product per entry and
+  one Fraction per entry.
+  - Jacobi, p = |x - lo|^E_lo |x - hi|^E_hi on a finite interval, the exact
+    route: integer exponents, k_r the most divisions that r's factors ask for
+    in order, so A_r >= 0; a = (x - lo)(x - hi),
+    b = (A_lo + 1)(x - hi) + (A_hi + 1)(x - lo), and
+    m_0 = (hi - lo)^(A_lo+A_hi+1) A_lo! A_hi! / (A_lo+A_hi+1)! is rational,
+    folded into the entry, which is then the exact integral, with no float.
+    A factor rooted off the ends, a non-integer exponent or a transcendental
+    factor leaves the weight to quadrature.
   - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: a = x^2+1,
     b = (2q+2) x + h; m_0 is Cauchy's beta integral.  The last k with p x^k
     integrable (the reach), read once per matrix, gates every pair by m + n.
-  - Laguerre, p = |x - t|^E e^(c x) on a half line from t: f is divided by
-    (x - t) up to k = floor(-E) times when E <= -1, and a pair whose orders
-    s = s_f + s_g reach k (key s - k) integrates |x - t|^A e^(c x),
-    A = E + s > -1: a = x - t, b = 1 + A + c (x - t), and
-    m_0 = Gamma(A+1) e^(ct) / |c|^(A+1), times (-1)^s left of t.  The generic
-    gate below reads the same root orders.
+  - Laguerre, p = |x - t|^E e^(c x) on a half line from t: k = floor(-E)
+    when E <= -1, A = E + s > -1, a = x - t, b = 1 + A + c (x - t), and
+    m_0 = Gamma(A+1) e^(ct) / |c|^(A+1).  The generic gate below reads the
+    same root orders.
+  These two are the moment route: m_0 is a float, and an entry is its exact
+  ratio to m_0 (times the weight's constant) times that float.
 * quadrature: by tanh-sinh, a finite-interval pair that does not reduce, on
   the interval, and every pair of a Gaussian factor e^(c2 x^2 + c1 x),
   c2 < 0, on the real line, with x = centre + scale artanh(t) on (-1, 1),
@@ -112,7 +118,7 @@ class NonIntegrable(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact path
+# exact and moment paths
 
 
 def _require_polynomial_shape(weight: WeightExpr) -> None:
@@ -125,125 +131,17 @@ def _require_polynomial_shape(weight: WeightExpr) -> None:
         raise NotPolynomialReducible("weight has a (x^2+1) factor")
 
 
-class _ExactForm:
-    """<f, g> = scale * integral of f g W / prod (x - r)^k over (lo, hi) for
-    labelled f, g.  With f = f~ prod (x - r)^s_f, a pair reduces when
-    s_f + s_g >= k at each divisor (r, k), to sum_i f~_i L(i) with
-    L(i) = sum_j g~_j mu_(i+j), mu the cached power moments of
-    P^e = W prod (x - r)^(s_f + s_g - k): O(n^3) for an n x n Gram matrix.
-    f~, g~ and mu are int lists over denominators d_f, d_g, d_mu; with P^e and
-    the power integrals nu_s of (lo, hi) cleared once, mu_t = sum_i P^e_i
-    nu_(i+t) is an int sum too, so an entry is int sums and one Fraction over
-    d_f d_g d_mu."""
-
-    def __init__(self, weight: WeightExpr, polys: dict[int, Poly]):
-        _require_polynomial_shape(weight)
-        iv = weight.interval
-        # per root: the summed exponent, and the most divisions of f*g its
-        # factors ask for in order (derive_weight gives one factor a root)
-        net: dict[Fraction, int] = {}
-        need: dict[Fraction, int] = {}
-        for pf in weight.power_factors:
-            e, r = pf.exponent, pf.root
-            if e == 0:
-                continue
-            if e.denominator != 1:
-                raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
-            k = int(e)
-            # inside the interval |x-r|^k is a polynomial only for even k > 0
-            if iv.lo < r < iv.hi and (k < 0 or k % 2):
-                raise NotPolynomialReducible(f"root {r} lies inside {iv.describe()}")
-            net[r] = net.get(r, 0) + k
-            if k < 0:
-                need[r] = max(need.get(r, 0), -net[r])
-        sign, self.base = 1, Poly.one()
-        for r, k in net.items():
-            if r >= iv.hi and k % 2:  # |x - r| = -(x - r) there
-                sign = -sign
-            self.base = self.base * Poly((-r, 1)) ** (k + need.get(r, 0))
-        self.scale = weight.constant * sign
-        self.divisors = tuple(need.items())
-        self._reduce(polys)
-        top = self.span + len(self.base.nums) + sum(need.values())
-        # nu[s] = integral of x^s over (lo, hi) = (hi^s - lo^s)/s for hi = a/b, lo = c/d, as
-        # ints over d_nu = L (b d)^t, L = lcm(1..t), t = top - 1:
-        # nu[s] d_nu = (a^s d^s - c^s b^s) (L/s) (b d)^(t - s)
-        a, b, c, d = iv.hi.numerator, iv.hi.denominator, iv.lo.numerator, iv.lo.denominator
-        t, lcm, bd = top - 1, math.lcm(*range(1, top)), b * d
-        nu = [((a * d) ** s - (c * b) ** s) * (lcm // s) * bd ** (t - s) for s in range(1, top)]
-        self.d_nu, self.nu = lcm * bd**t, nu
-
-    def _reduce(self, polys: dict[int, Poly]) -> None:
-        """Each f divided by the divisors as far as it goes, cleared to ints; empty caches."""
-        # label -> (denominator, numerators, multiplicity per divisor)
-        self.reduced: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
-        for label, f in polys.items():
-            mults = []
-            for r, k in self.divisors:
-                f, s = f.strip_root(r, k)
-                mults.append(s)
-            self.reduced[label] = (f.den, f.nums, mults)
-        self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
-        self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-        self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def key(self, m: int, n: int) -> tuple[int, ...]:
-        """s_f + s_g - k per divisor (r, k): the power of (x - r) the pair leaves."""
-        pairs = zip(self.divisors, self.reduced[m][2], self.reduced[n][2])
-        key = tuple(sa + sb - k for (_, k), sa, sb in pairs)
-        for (r, k), e in zip(self.divisors, key):
-            if e < 0:
-                raise NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}")
-        return key
-
-    def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
-        """The power moments of P^e over their common denominator."""
-        p = self.base
-        for (r, _), e in zip(self.divisors, key):
-            p = p * Poly((-r, 1)) ** e
-        return p.den * self.d_nu, [sum(map(mul, p.nums, self.nu[t:])) for t in range(self.span)]
-
-    def entry(self, m: int, n: int) -> Fraction:
-        if len(self.reduced[m][1]) > len(self.reduced[n][1]):
-            m, n = n, m
-        (d_a, a, _), (d_b, b, _) = self.reduced[m], self.reduced[n]
-        key = self.key(m, n)
-        if key not in self.moments:
-            self.moments[key] = self._moments(key)
-        d_mu, mu = self.moments[key]
-        if (n, key) not in self.rows:
-            self.rows[(n, key)] = [sum(map(mul, b, mu[i:])) for i in range(len(b))]
-        total = sum(map(mul, a, self.rows[(n, key)]))
-        return Fraction(self.scale.numerator * total, self.scale.denominator * d_a * d_b * d_mu)
-
-
-def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
-    """Exact integral of p*f*g when the weight cancels into f*g.
-
-    Negative integer power exponents must divide f*g exactly; positive
-    integer exponents multiply in.  On the interval interior each |x - r|
-    has constant sign, which contributes the appropriate factor of -1 for
-    odd exponents at the right endpoint.  The value is assembled from the
-    power moments of the reduced weight, without forming f*g; a Gram matrix
-    shares one such form over all its entries, O(n^3) for n x n.
-    """
-    if f.is_zero() or g.is_zero():
-        _require_polynomial_shape(weight)
-        return Fraction(0)
-    return _ExactForm(weight, {0: f, 1: g}).entry(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# moment path
-
-
-def _moment_ratios(a: Poly, b: Poly, steps: int) -> tuple[int, list[int]]:
-    """[r_0, ..., r_steps] with r_k = m_k / m_0 for the Pearson pair (a, b), (p a)' = p b, as
-    integer numerators over their lcm denominator, by the recurrence of the module docstring:
-    step k is valid while the boundary term p a x^k vanishes, and its divisor
-    s_k = k a2 + b1 is then nonzero.  The recurrence is blind to a common scale of a and b,
-    so both are cleared to integers over one denominator; then r_k = n_k / (s_0 ... s_(k-1))
-    with n_(k+1) = -(k a0 s_(k-1) n_(k-1) + (k a1 + b0) n_k), and one gcd reduces them all."""
+def _moment_ratios(
+    a: Poly, b: Poly, steps: int, scale: Fraction = Fraction(1)
+) -> tuple[int, list[int]]:
+    """[c r_0, ..., c r_steps], r_k = m_k / m_0 for the Pearson pair (a, b), (p a)' = p b, and
+    c = scale, as integer numerators over their lcm denominator, by the recurrence of the
+    module docstring: step k is valid while the boundary term p a x^k vanishes, and its
+    divisor s_k = k a2 + b1 is then nonzero.  The recurrence is blind to a common scale of a
+    and b, so both are cleared to integers over one denominator; then
+    r_k = n_k / (s_0 ... s_(k-1)) with n_(k+1) = -(k a0 s_(k-1) n_(k-1) + (k a1 + b0) n_k).
+    One gcd reduces them all once c is in: with c = m_0 they are the moments, whose
+    denominators are far smaller than the divisors' product."""
     d = math.lcm(a.den, b.den)
     a0, a1, a2 = [v * (d // a.den) for v in (a.nums + (0, 0, 0))[:3]]
     b0, b1 = [v * (d // b.den) for v in (b.nums + (0, 0))[:2]]
@@ -251,10 +149,12 @@ def _moment_ratios(a: Poly, b: Poly, steps: int) -> tuple[int, list[int]]:
     for k in range(steps):
         nums.append(-((k * a0 * divisors[-1] * nums[k - 1] if k else 0) + (k * a1 + b0) * nums[k]))
         divisors.append(k * a2 + b1)
-    den = 1  # over s_0 ... s_(steps-1): n_k times s_k ... s_(steps-1)
+    # over c's denominator and s_0 ... s_(steps-1): n_k times c's numerator and s_k ... s_(steps-1)
+    num, den = scale.numerator, scale.denominator
+    nums[-1] *= num
     for k in range(steps - 1, -1, -1):
-        den *= divisors[k]
-        nums[k] *= den
+        num, den = num * divisors[k], den * divisors[k]
+        nums[k] *= num
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     return den // g, [v // g for v in nums]
 
@@ -297,32 +197,105 @@ def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
     return math.sqrt(math.pi) * shift * math.exp(log_half - 2 * log_ratio)
 
 
-class _MomentForm(_ExactForm):
-    """<f, g> on the moment route: _ExactForm's bilinear form over each key's integer-cleared
-    r_k, r_0 .. r_steps, is an exact ratio to the key's float m_0 (module docstring).  The
-    Romanovski shape has no divisor and one key; the Laguerre shape divides at its anchor.
-    An entry is exact only where the integrability gate holds; the caller gates first."""
+class _MomentForm:
+    """<f, g> = integral p f g for labelled f, g, on the Pearson moments of the module
+    docstring.  With f = f~ prod (x - r)^s_f at the divisors (r, k_r), a pair reduces when
+    s_f + s_g >= k_r at each, to sum_i f~_i L(i) with L(i) = sum_j g~_j r_(i+j), r the cached
+    moment ratios of its key: O(n^3) for an n x n Gram matrix.  f~, g~ and r are int lists
+    over their denominators, so an entry is int sums and one Fraction.  On a finite interval
+    r carries the rational m_0, and the entry is the integral; on the moment route it is the
+    ratio to the key's float m_0, which value() multiplies in, exact only where the
+    integrability gate holds: the caller gates first.  steps caps the ratios (the
+    Romanovski reach)."""
 
-    def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: int):
-        self.weight, self.scale, self.steps = weight, weight.constant, steps
+    def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: float = math.inf):
+        iv = weight.interval
+        self.weight, self.finite = weight, iv.finite
+        if self.finite:
+            _require_polynomial_shape(weight)
+        # per finite end r: the summed exponent E_r and the divisions k_r; on a finite interval
+        # the exponents are integers and k_r the most that the factors ask for in order, on a
+        # half line floor(-E_r)
+        net = {r: Fraction(0) for r in (iv.lo, iv.hi) if r is not None}
+        need = dict.fromkeys(net, 0)
+        for pf in weight.power_factors:
+            e, r = pf.exponent, pf.root
+            if e == 0:
+                continue
+            if r not in net:
+                raise NotPolynomialReducible(f"root {r} is not an end of {iv.describe()}")
+            if self.finite and e.denominator != 1:
+                raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
+            net[r] += e
+            need[r] = max(need[r], int(-net[r]))
+        if not self.finite:
+            need = {r: max(math.floor(-e), 0) for r, e in net.items()}
+        self.exponents = {r: int(e) if self.finite else e for r, e in net.items()}
+        self.divisors = tuple((r, k) for r, k in need.items() if k)
         self.m_0: dict[tuple[int, ...], float] = {}
-        t = weight.interval.lo if weight.interval.hi is None else weight.interval.hi  # None on R
-        self.divisors = () if t is None else ((t, max(math.floor(-weight.power_exponent_at(t)), 0)),)
         self._reduce(polys)
+        self.steps = min(steps, self.span - 2)  # no entry reads a ratio past span - 2
+
+    def _reduce(self, polys: dict[int, Poly]) -> None:
+        """Each f divided by the divisors as far as it goes, cleared to ints; empty caches."""
+        # label -> (denominator, numerators, multiplicity per divisor)
+        self.reduced: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
+        for label, f in polys.items():
+            mults = []
+            for r, k in self.divisors:
+                f, s = f.strip_root(r, k)
+                mults.append(s)
+            self.reduced[label] = (f.den, f.nums, mults)
+        self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
+        self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+        self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+    def key(self, m: int, n: int) -> tuple[int, ...]:
+        """s_f + s_g - k per divisor (r, k): the power of (x - r) the pair leaves."""
+        pairs = zip(self.divisors, self.reduced[m][2], self.reduced[n][2])
+        key = tuple(sa + sb - k for (_, k), sa, sb in pairs)
+        for (r, k), e in zip(self.divisors, key):
+            if e < 0:
+                raise NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}")
+        return key
 
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
-        w = self.weight
-        if not key:
+        """The key's ratios r_0 .. r_steps times the weight's constant and, on a finite
+        interval, the signed m_0, over their common denominator: the Pearson pair, m_0 and
+        the sign are the module docstring's."""
+        w, hi = self.weight, self.weight.interval.hi
+        scale = w.constant
+        orders = dict.fromkeys(self.exponents, 0)  # the pair's root orders s at each end
+        for (r, k), e in zip(self.divisors, key):
+            orders[r] = k + e
+        powers = [e + orders[r] + 1 for r, e in self.exponents.items()]  # A + 1 > 0 per end
+        sign = (-1) ** orders.get(hi, 0)
+        if not powers:  # the Romanovski shape: no finite end
             a, b = Poly((1, 0, 1)), Poly((w.arctan_coeff, 2 * w.quad_exp + 2))
             self.m_0[key] = _real_line_moment(w)
-        else:
-            ((t, k),) = self.divisors
-            s = key[0] + k  # the pair's root orders at t
-            power, c = w.power_exponent_at(t) + s + 1, w.exp_poly.coeff(1)  # A + 1 > 0
+        elif self.finite:  # p = (x - lo)^A1 (hi - x)^A2: m_0 = L^(A1+A2+1) A1! A2! / (A1+A2+1)!
+            lo, (p1, p2) = w.interval.lo, powers
+            a, b = Poly((lo * hi, -lo - hi, 1)), Poly((-p1 * hi - p2 * lo, p1 + p2))
+            m_0 = (hi - lo) ** (p1 + p2 - 1) / ((p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1))
+            scale *= sign * m_0
+        else:  # p = |x - t|^A e^(c x) on a half line from t
+            (t,), (power,), c = self.exponents, powers, w.exp_poly.coeff(1)
             a, b = Poly((-t, 1)), Poly((power - c * t, c))
-            m_0 = math.exp(math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c)))
-            self.m_0[key] = -m_0 if w.interval.lo is None and s % 2 else m_0
-        return _moment_ratios(a, b, self.steps)
+            log_m_0 = math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c))
+            self.m_0[key] = sign * math.exp(log_m_0)
+        return _moment_ratios(a, b, self.steps, scale)
+
+    def entry(self, m: int, n: int) -> Fraction:
+        if len(self.reduced[m][1]) > len(self.reduced[n][1]):
+            m, n = n, m
+        (d_a, a, _), (d_b, b, _) = self.reduced[m], self.reduced[n]
+        key = self.key(m, n)
+        if key not in self.moments:
+            self.moments[key] = self._moments(key)
+        d_mu, mu = self.moments[key]
+        if (n, key) not in self.rows:
+            self.rows[(n, key)] = [sum(map(mul, b, mu[i:])) for i in range(len(b))]
+        return Fraction(sum(map(mul, a, self.rows[(n, key)])), d_a * d_b * d_mu)
 
     def value(self, m: int, n: int) -> float:
         """The entry as a float, its ratio times its key's m_0; ValueError past a float's range."""
@@ -333,6 +306,21 @@ class _MomentForm(_ExactForm):
         if math.isinf(value):
             raise ValueError(f"a moment entry on {self.weight.formula()} overflows a float")
         return value
+
+
+def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
+    """Exact integral of p*f*g when the weight cancels into f*g.
+
+    p's power factors must sit at the interval's ends with integer exponents;
+    negative ones must divide f*g exactly, positive ones multiply in, and
+    (x - hi)^s = (-1)^s |x - hi|^s gives the sign.  The value is assembled
+    from the Pearson moments of the reduced weight, without forming f*g; a
+    Gram matrix shares one such form over all its entries, O(n^3) for n x n.
+    """
+    _require_polynomial_shape(weight)
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    return _MomentForm(weight, {0: f, 1: g}).entry(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +485,12 @@ def _route(
     shape = _shape(weight)
     moment = shape in ("romanovski", "laguerre")
     form = None
-    if moment:  # r_k past the Romanovski reach is no moment; Laguerre keys have them all
-        reach = moment_reach(weight) if shape == "romanovski" else math.inf
-        form = _MomentForm(weight, known, min(reach, top))
-    elif shape == "finite":
+    # r_k past the Romanovski reach is no moment; the other shapes' keys have them all
+    reach = moment_reach(weight) if shape == "romanovski" else math.inf
+    if moment or shape == "finite":
         try:
-            form = _ExactForm(weight, known)
-        except NotPolynomialReducible:
+            form = _MomentForm(weight, known, reach)
+        except NotPolynomialReducible:  # only a finite interval's form refuses a weight
             pass
     if shape == "romanovski":  # its reach is the shape's one integrability decision
         integrable = lambda i, j: degree[i] + degree[j] <= reach

@@ -499,6 +499,12 @@ class TestContract:
         assert (code, out) == (1, "")
         assert "tolerance must be a finite positive number" in err
 
+    def test_non_numeric_tol_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPECPOLY_TOL", "abc")
+        code, out, err = run(capsys, "gram", "--preset", "chebyshev1", "--n-max", "3")
+        assert (code, out) == (1, "")
+        assert err == "specpoly: error: SPECPOLY_TOL must be a number, not 'abc'\n"
+
 
     @pytest.mark.parametrize(
         "command", ["spectrum", "eigenfns", "weight", "normalize", "romanovski-report"]

@@ -105,6 +105,16 @@ class TestExactPath:
         with pytest.raises(NotPolynomialReducible):
             inner_product_exact(CQ_W, Poly.one(), Poly.x())
 
+    # the exact route integrates powers rooted at the interval's ends only: |x|^2 (inside)
+    # and |x - 3| (outside) on (-1, 1) are refused by name and integrated by quadrature
+    @pytest.mark.parametrize("root, exponent, expected", [(0, 2, 2 / 3), (3, 1, 6.0)])
+    def test_power_rooted_off_the_ends_is_refused(self, root, exponent, expected):
+        w = WeightExpr(power_factors=(PowerFactor(Fraction(root), Fraction(exponent)),))
+        with pytest.raises(NotPolynomialReducible, match=f"root {root} is not an end of \\(-1, 1\\)"):
+            inner_product_exact(w, Poly.one(), Poly.one())
+        value, method, _ = inner_product(w, Poly.one(), Poly.one())
+        assert method == "quadrature" and abs(value - expected) <= 1e-12
+
     def test_left_endpoint_odd_exponent_sign(self):
         # a = t(1-t), b = t gives p = |t|^-1 |t-1|^-2 on (0,1); for
         # f = g = t(t-1) everything cancels down to integral of t
@@ -242,7 +252,7 @@ class TestMomentAssembly:
                 for pf in w.power_factors:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 2)
                 polys[label] = f
-            form = orthogonality._ExactForm(w, polys)
+            form = orthogonality._MomentForm(w, polys)
             for m, f in polys.items():
                 for n, g in polys.items():
                     try:
@@ -714,6 +724,27 @@ KNOWN_WRONG = [
 def test_known_wrong_off_diagonals(spec, n):
     report = gram_matrix(spec, n)
     assert all(e.relative <= 1e-10 for e in report.entries if e.relative is not None)
+
+
+# the monic Chebyshev norms: pi/2^(2n-1) for T_n (pi at n = 0), pi/2^(2n+1) for U_n
+CHEBYSHEV_NORMS = {
+    "chebyshev1": lambda n: math.pi if n == 0 else math.pi / 2 ** (2 * n - 1),
+    "chebyshev2": lambda n: math.pi / 2 ** (2 * n + 1),
+}
+
+
+# quadrature diagonals that drift from these closed forms: relative errors pass 1e-13 at
+# degree 10-11 and reach 0.335 (T) and 0.796 (U) at 16, with no note in the report; strict,
+# as above
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="quadrature diagonals wrong beyond their err_est"
+)
+@pytest.mark.parametrize("name", CHEBYSHEV_NORMS)
+def test_known_wrong_chebyshev_diagonals(name):
+    report = gram_matrix(classical_presets()[name], 16)
+    norm = CHEBYSHEV_NORMS[name]
+    worst = max(abs(report.entry(n, n).value - norm(n)) / norm(n) for n in range(17))
+    assert worst <= 1e-13, worst
 
 
 # laguerre(alpha, beta) has the weight x^(beta-1) e^(alpha x) on (0, inf)
