@@ -6,14 +6,17 @@ U = M - mu I let Z be the indices z with U[z][z] = 0, ascending; for
 mu = mu_n without a collision Z is just [n].  Each z in Z gives a vector
 v^(z): c_z = 1, 0 above z and at the rest of Z, and back-substitution over
 the band solves each row below z that has a nonzero diagonal.  A row in Z
-cannot be solved and records its residual instead.  If every residual is
-zero the v^(z) are the kernel basis; otherwise ``rref_kernel`` solves the
-small condition matrix (a row per zero-diagonal row with a nonzero
-residual, a column per z) and each of its kernel vectors t lifts to
-sum_z t_z v^(z).  The highest nonzero coordinate of such a lift is the
-highest z with t_z != 0, so the free columns and the standard kernel basis
-(1 at its own free column, 0 at the others) are those that Gauss-Jordan on
-all of U would give.  For mu = mu_n:
+cannot be solved and records its residual instead.  v^(z) depends on z and
+mu = M[z][z] alone, so ``eigentable`` back-substitutes each degree once and
+keeps v^(z) while M[z][z] repeats higher up: a collision reuses it.
+
+In the condition matrix (a row per row of Z, a column of residuals per z)
+a zero column is free, and its basis vector lifts to v^(z) itself; a lone
+nonzero column is a pivot.  Two or more nonzero columns go to
+``rref_kernel``, whose kernel vectors t lift to sum_z t_z v^(z), of degree
+the highest z with t_z != 0.  So the free columns and the standard kernel
+basis (1 at its own free column, 0 at the others) are those that
+Gauss-Jordan on all of U would give.  For mu = mu_n:
 
   * column n free: an eigenfunction of exact degree n, whose basis vector
     (c_n = 1, other free coordinates 0) is the canonical monic one;
@@ -27,10 +30,9 @@ denominator factor, as in Bareiss's fraction-free elimination (Math. Comp.
 unless the diagonal is constant.  One matrix for n_max, stored as its
 integer band over one denominator (``OperatorMatrix``), serves all of
 ``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  Each
-v^(z) and each lift stays in integers, and leaves as integer numerators over
-q_0 (a lift: over one lcm) that become a ``Poly`` with one gcd; no
-coefficient Fraction and no float is built.  The Bareiss cross-check lives
-in ``tests/oracles.py``.
+v^(z) leaves as integer numerators over q_0, a ``Poly`` after one gcd, and
+a lift sums those; no coefficient Fraction and no float is built.  The
+Bareiss cross-check lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ import enum
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
-from operator import mul, truediv
+from operator import mul
 from typing import Sequence
 
 from ._record import Record
 from .operator import DiffOperator, OperatorMatrix
-from .ratpoly import Poly, RatLike, common_denominator, rat
+from .ratpoly import Poly, RatLike, rat
 
 __all__ = [
     "EigenStatus",
@@ -99,40 +101,31 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
     Returns the standard basis: one vector per free column, with 1 at its
     own free column and 0 at every other free column, ordered by free
-    column index.  The eigensolver calls it only on the condition matrix
-    of a collision, with one column per zero diagonal entry.
+    column index.  The eigensolver calls it only on the nonzero columns of
+    a collision's condition matrix, when there are two or more.
     """
-    m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
     work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
     pivot_cols: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
+        r = len(pivot_cols)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r]
-        pv = pivot[c]
+        pivot, pv = work[r], work[r][c]
         # zero entries of the pivot row change nothing: skip them
         nonzero = [j for j, v in enumerate(pivot) if v != 0]
         for j in nonzero:
             pivot[j] = pivot[j] / pv
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                row = work[i]
+        for i, row in enumerate(work):
+            if i != r and row[c] != 0:
+                f = row[c]
                 for j in nonzero:
                     row[j] = row[j] - f * pivot[j]
         pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis: list[list[Fraction]] = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for pr, pc in enumerate(pivot_cols):
@@ -144,76 +137,73 @@ def rref_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 # eigenfunction recovery
 
-_ZERO = Fraction(0)
+Column = tuple[Poly, dict[int, Fraction]]  # v^(z) and its nonzero residuals by row
 
 
-def _banded_kernel(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[tuple[int, list[int]]]:
-    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block, each
-    vector as (denominator, integer numerators), coordinates 0..n or fewer.
+def _back_substitute(rows: Sequence[Sequence[int]], shift: int, z: int) -> Column:
+    """v^(z) of U = D (M - mu I) for the integer band ``rows`` = D M and
+    shift = D mu = rows[z][0], with its nonzero residuals at the rows below z
+    whose diagonal is zero.
 
-    Runs on D (M - mu I), D M the integer band, with v^(z)_j = c_j / q_j,
-    q_j = f_j q_(j+1) and q_z = 1.  Row i takes s = q_(i+1) sum_t D M_i,i+t
-    v_(i+t), whose term t carries c_(i+t) f_(i+1) ... f_(i+t-1); a pivot d sets
-    g = gcd(s, d), c_i = -s/g (s/g when d < 0) and f_i = |d|/g, and changes no
-    filled c_j.  A residual Fraction(s, q_(i+1)) is D times the true one in
-    every row, which leaves the kernel alone.  Each v^(z) leaves over q_0, as
-    c_j f_0 ... f_(j-1); a lift sum_z t_z v^(z) sums those in integers over one lcm."""
+    Runs with v^(z)_j = c_j / q_j, q_j = f_j q_(j+1) and q_z = 1.  Row i takes
+    s = q_(i+1) sum_t D M_i,i+t v_(i+t), whose term t carries c_(i+t) f_(i+1)
+    ... f_(i+t-1); a pivot d sets g = gcd(s, d), c_i = -s/g (s/g when d < 0)
+    and f_i = |d|/g, and changes no filled c_j.  A residual Fraction(s,
+    q_(i+1)) is D times the true one in every row, which leaves the kernel
+    alone.  v^(z) leaves over q_0, as c_j f_0 ... f_(j-1)."""
+    c, f = [0] * (z + len(rows[0])), [1] * (z + len(rows[0]))  # the band reaches past z
+    c[z] = 1
+    res = {}
+    for i in range(z - 1, -1, -1):
+        row = rows[i]
+        if len(row) == 3:  # a row of order 2 reads both band terms inline
+            s = row[1] * c[i + 1] + row[2] * c[i + 2] * f[i + 1]
+        else:  # any other order, or one of the band's last rows
+            s, p = 0, 1
+            for t in range(1, len(row)):
+                s += row[t] * c[i + t] * p
+                p *= f[i + t]
+        d = row[0] - shift
+        if not d:
+            if s:
+                res[i] = Fraction(s, prod(f[i + 1 : z]))
+            continue
+        g = gcd(s, d)
+        c[i] = -s // g if d > 0 else s // g
+        f[i] = abs(d) // g
+    ps = list(accumulate(f[:z], mul, initial=1))  # ps[j] = f_0 ... f_(j-1), ps[z] = q_0
+    return Poly._from_ints(ps[z], map(mul, c, ps)), res
+
+
+def _kernel(columns: Sequence[Column]) -> list[Poly]:
+    """Standard kernel basis, by degree, from the columns of Z in order."""
+    basis = [v for v, res in columns if not res]  # zero columns: free, each its own v^(z)
+    live = [k for k, (_, res) in enumerate(columns) if res]
+    if len(live) < 2:  # none, or a lone nonzero column: a pivot
+        return basis
+    rows = sorted({i for k in live for i in columns[k][1]})
+    conditions = [[columns[k][1].get(i, Fraction(0)) for k in live] for i in rows]
+    for ts in rref_kernel(conditions):
+        basis.append(sum((t * columns[k][0] for t, k in zip(ts, live) if t), Poly()))
+    return sorted(basis, key=lambda v: v.degree)
+
+
+def _basis(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[Poly]:
+    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block."""
     d_m, rows = matrix.denominator, matrix.band
     if d_m % mu.denominator:
         return []  # every diagonal entry's denominator divides D: U is invertible
     shift = mu.numerator * (d_m // mu.denominator)
-    diag = [rows[i][0] - shift for i in range(n + 1)]
-    zeros = [z for z, d in enumerate(diag) if d == 0]
-    pairs = []  # (c, f) of v^(zeros[k]), integers, f_j = 1 where c_j is no pivot
-    residuals: list[list[Fraction]] = []  # residuals[k][m]: row zeros[m] under v^(zeros[k])
-    for z in zeros:
-        c, f = [0] * (z + len(rows[0])), [1] * (z + len(rows[0]))  # the band reaches past z
-        c[z] = 1
-        res = {}
-        for i in range(z - 1, -1, -1):
-            row = rows[i]
-            if len(row) == 3:  # a row of order 2 reads both band terms inline
-                s = row[1] * c[i + 1] + row[2] * c[i + 2] * f[i + 1]
-            else:  # any other order, or one of the band's last rows
-                s, p = 0, 1
-                for t in range(1, len(row)):
-                    s += row[t] * c[i + t] * p
-                    p *= f[i + t]
-            d = diag[i]
-            if not d:
-                res[i] = Fraction(s, prod(f[i + 1 : z]))
-                continue
-            g = gcd(s, d)
-            c[i] = -s // g if d > 0 else s // g
-            f[i] = abs(d) // g
-        pairs.append((c, f))
-        residuals.append([res.get(i, _ZERO) for i in zeros])
-    vectors, qs = [], []  # v^(zeros[k]) = vectors[k] / qs[k], integers over q_0
-    for z, (c, f) in zip(zeros, pairs):
-        ps = list(accumulate(f[:z], mul, initial=1))  # ps[j] = f_0 ... f_(j-1), ps[z] = q_0
-        vectors.append(list(map(mul, c, ps)) + [0] * (n - z))
-        qs.append(ps[z])
-    conditions = [list(col) for col in zip(*residuals) if any(col)]
-    if not conditions:
-        return list(zip(qs, vectors))
-    return [
-        (den, [sum(map(mul, ws, col)) for col in zip(*vectors)])
-        for den, ws in (common_denominator(map(truediv, ts, qs)) for ts in rref_kernel(conditions))
-    ]
+    return _kernel([_back_substitute(rows, shift, z) for z in range(n + 1) if rows[z][0] == shift])
 
 
-def _solve_degree(matrix: OperatorMatrix, n: int) -> EigenResult:
-    """The degree-n eigenproblem on the leading (n+1)x(n+1) block of ``matrix``."""
-    mu = Fraction(matrix.band[n][0], matrix.denominator)
-    basis = tuple(Poly._from_ints(den, v) for den, v in _banded_kernel(matrix, mu, n))
-    dim = len(basis)
-    # n is the last zero diagonal entry, so only its basis vector reaches
-    # degree n, with c_n = 1
-    top = basis[-1]
+def _result(n: int, mu: Fraction, basis: list[Poly]) -> EigenResult:
+    """The degree-n result; only the last basis vector can reach degree n."""
+    top, basis = basis[-1], tuple(basis)
     if top.degree != n:
-        return EigenResult(n, mu, EigenStatus.NO_DEGREE_N, None, dim, basis)
-    status = EigenStatus.UNIQUE_MONIC if dim == 1 else EigenStatus.DEGENERATE
-    return EigenResult(n, mu, status, top, dim, basis)
+        return EigenResult(n, mu, EigenStatus.NO_DEGREE_N, None, len(basis), basis)
+    status = EigenStatus.UNIQUE_MONIC if len(basis) == 1 else EigenStatus.DEGENERATE
+    return EigenResult(n, mu, status, top, len(basis), basis)
 
 
 def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
@@ -227,19 +217,32 @@ def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _solve_degree(op.matrix(n), n)
+    matrix = op.matrix(n)
+    mu = Fraction(matrix.band[n][0], matrix.denominator)
+    return _result(n, mu, _basis(matrix, mu, n))
 
 
 def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
     """Basis of ker(M - mu I) inside P_n; empty when mu is not an eigenvalue."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [Poly._from_ints(den, v) for den, v in _banded_kernel(op.matrix(n), rat(mu), n)]
+    return _basis(op.matrix(n), rat(mu), n)
 
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
-    """One EigenResult per degree 0..n_max, all from one matrix on P_n_max."""
+    """One EigenResult per degree 0..n_max from one matrix on P_n_max and one
+    back-substitution per degree."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     matrix = op.matrix(n_max)
-    return [_solve_degree(matrix, n) for n in range(n_max + 1)]
+    rows = matrix.band
+    last = {row[0]: z for z, row in enumerate(rows)}
+    lower: dict[int, list[Column]] = {}  # columns by D M[z][z], while it repeats higher up
+    table = []
+    for z, row in enumerate(rows):
+        shift = row[0]
+        columns = lower.pop(shift, []) + [_back_substitute(rows, shift, z)]
+        if last[shift] > z:
+            lower[shift] = columns
+        table.append(_result(z, Fraction(shift, matrix.denominator), _kernel(columns)))
+    return table

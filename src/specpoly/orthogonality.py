@@ -13,15 +13,15 @@ real line.
   b x^k) gives m_(k+1) = -(k a0 m_(k-1) + (k a1 + b0) m_k) / (k a2 + b1)
   while the boundary term p a x^k vanishes.  At each finite end r, where p
   has the summed exponent E_r, each eigenfunction is divided by (x - r) up to
-  k_r times, once, and a pair whose root orders s_r = s_f + s_g reach k_r
-  (key s_r - k_r) integrates p prod (x - r)^s_r, with exponent A_r = E_r + s_r
-  at r and the sign (-1)^s_r at the upper end.  Its entry is a bilinear form
+  k_r = max(floor(-E_r), 0) times, once, on every shape, and a pair whose
+  root orders s_r = s_f + s_g reach k_r (key s_r - k_r) integrates
+  p prod (x - r)^s_r, with exponent A_r = E_r + s_r at r and the sign
+  (-1)^s_r at the upper end.  Its entry is a bilinear form
   over the key's r_k, cleared to integers over one denominator: O(n^3)
   operations for an n x n Gram matrix, no polynomial product per entry and
   one Fraction per entry.
   - Jacobi, p = |x - lo|^E_lo |x - hi|^E_hi on a finite interval, the exact
-    route: integer exponents, k_r the most divisions that r's factors ask for
-    in order, so A_r >= 0; a = (x - lo)(x - hi),
+    route: integer exponents, so A_r >= 0; a = (x - lo)(x - hi),
     b = (A_lo + 1)(x - hi) + (A_hi + 1)(x - lo), and
     m_0 = (hi - lo)^(A_lo+A_hi+1) A_lo! A_hi! / (A_lo+A_hi+1)! is rational,
     folded into the entry, which is then the exact integral, with no float.
@@ -213,11 +213,9 @@ class _MomentForm:
         self.weight, self.finite = weight, iv.finite
         if self.finite:
             _require_polynomial_shape(weight)
-        # per finite end r: the summed exponent E_r and the divisions k_r; on a finite interval
-        # the exponents are integers and k_r the most that the factors ask for in order, on a
-        # half line floor(-E_r)
+        # per finite end r: the summed exponent E_r (an integer on a finite interval) and
+        # the divisions k_r = max(floor(-E_r), 0)
         net = {r: Fraction(0) for r in (iv.lo, iv.hi) if r is not None}
-        need = dict.fromkeys(net, 0)
         for pf in weight.power_factors:
             e, r = pf.exponent, pf.root
             if e == 0:
@@ -227,11 +225,8 @@ class _MomentForm:
             if self.finite and e.denominator != 1:
                 raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
             net[r] += e
-            need[r] = max(need[r], int(-net[r]))
-        if not self.finite:
-            need = {r: max(math.floor(-e), 0) for r, e in net.items()}
         self.exponents = {r: int(e) if self.finite else e for r, e in net.items()}
-        self.divisors = tuple((r, k) for r, k in need.items() if k)
+        self.divisors = tuple((r, k) for r, e in net.items() if (k := max(math.floor(-e), 0)))
         self.m_0: dict[tuple[int, ...], float] = {}
         self._reduce(polys)
         self.steps = min(steps, self.span - 2)  # no entry reads a ratio past span - 2
@@ -311,11 +306,12 @@ class _MomentForm:
 def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
     """Exact integral of p*f*g when the weight cancels into f*g.
 
-    p's power factors must sit at the interval's ends with integer exponents;
-    negative ones must divide f*g exactly, positive ones multiply in, and
-    (x - hi)^s = (-1)^s |x - hi|^s gives the sign.  The value is assembled
-    from the Pearson moments of the reduced weight, without forming f*g; a
-    Gram matrix shares one such form over all its entries, O(n^3) for n x n.
+    p's power factors must sit at the interval's ends with integer exponents,
+    summed per end; a negative sum must divide f*g exactly, a positive one
+    multiplies in, and (x - hi)^s = (-1)^s |x - hi|^s gives the sign.  The
+    value is assembled from the Pearson moments of the reduced weight,
+    without forming f*g; a Gram matrix shares one such form over all its
+    entries, O(n^3) for n x n.
     """
     _require_polynomial_shape(weight)
     if f.is_zero() or g.is_zero():

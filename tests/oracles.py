@@ -255,10 +255,10 @@ def spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
     """Exact integral of p*f*g when the weight cancels into f*g.
 
-    Negative integer power exponents must divide f*g exactly; positive
-    integer exponents multiply in.  On the interval interior each |x - r|
-    has constant sign, which contributes the appropriate factor of -1 for
-    odd exponents at the right endpoint.
+    The integer power exponents are summed per root; a negative sum must
+    divide f*g exactly, a positive one multiplies in.  On the interval
+    interior each |x - r| has constant sign, which contributes the
+    appropriate factor of -1 for odd exponents at the right endpoint.
     """
     iv = weight.interval
     if not iv.finite:
@@ -270,7 +270,7 @@ def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
     h = f * g
     if h.is_zero():
         return Fraction(0)
-    sign = 1
+    exponents: dict[Fraction, int] = {}  # the summed exponent per root
     for pf in weight.power_factors:
         e = pf.exponent
         if e == 0:
@@ -279,25 +279,27 @@ def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
             raise NotPolynomialReducible(
                 f"non-integer exponent {e} at root {pf.root}"
             )
-        k = int(e)
-        if pf.root <= iv.lo:
+        exponents[pf.root] = exponents.get(pf.root, 0) + int(e)
+    sign = 1
+    for root, k in exponents.items():
+        if root <= iv.lo:
             factor_sign = 1
-        elif pf.root >= iv.hi:
+        elif root >= iv.hi:
             factor_sign = -1
         else:
             # root strictly inside: |x-r|^k is a polynomial only for even k >= 0
             if k > 0 and k % 2 == 0:
-                h = h * Poly((-pf.root, 1)) ** k
+                h = h * Poly((-root, 1)) ** k
                 continue
             raise NotPolynomialReducible(
-                f"root {pf.root} lies inside {iv.describe()}"
+                f"root {root} lies inside {iv.describe()}"
             )
         if k > 0:
-            h = h * Poly((-pf.root, 1)) ** k
+            h = h * Poly((-root, 1)) ** k
         else:
-            h, order = h.strip_root(pf.root, -k)
+            h, order = h.strip_root(root, -k)
             if order < -k:
-                raise NotPolynomialReducible(f"f*g is not divisible by (x - {pf.root})^{-k}")
+                raise NotPolynomialReducible(f"f*g is not divisible by (x - {root})^{-k}")
         if factor_sign < 0 and k % 2 != 0:
             sign = -sign
     return weight.constant * sign * h.definite_integral(iv.lo, iv.hi)

@@ -498,6 +498,49 @@ class TestWideBands:
         assert _padded(table[28].basis, 28) == nullspace_oracle(op.matrix(28), 0)
 
 
+class TestOneBackSubstitution:
+    # eigentable back-substitutes each degree once on the shared band; a
+    # collision degree reuses the lower v^(z) of its eigenvalue
+    def test_one_pass_per_degree(self, monkeypatch):
+        calls = []
+
+        def spy(rows, shift, z):
+            calls.append(z)
+            return back_substitute(rows, shift, z)
+
+        back_substitute = eigen_module._back_substitute
+        monkeypatch.setattr(eigen_module, "_back_substitute", spy)
+        cases = [
+            (build_operator(FamilySpec.jacobi(-1, 20, Fraction(9, 2))), 20),  # defective
+            (build_operator(FamilySpec.romanovski(-20, Fraction(-13, 5))), 20),  # defective
+            (build_operator(FamilySpec.jacobi(-1, 20, 0)), 20),  # parity: degenerate
+            (_triple_collision(random.Random(97), (2, 5, 9), lower=True), 12),
+        ]
+        statuses = set()
+        for op, n in cases:
+            calls.clear()
+            table = eigentable(op, n)
+            assert calls == list(range(n + 1)), op
+            for k, res in enumerate(table):
+                assert res == monic_eigenfunction(op, k), (op, k)
+                assert _padded(res.basis, k) == nullspace_oracle(op.matrix(k), res.eigenvalue), (op, k)
+                statuses.add(res.status)
+        assert statuses == set(EigenStatus)
+
+    def test_defective_pair_needs_no_rref(self, monkeypatch):
+        # conditions [[0, r]], r != 0: the lone nonzero column is a pivot, and
+        # the kernel is the lower degree's own v^(z)
+        def refuse(rows):
+            raise AssertionError("rref_kernel called on a lone nonzero column")
+
+        monkeypatch.setattr(eigen_module, "rref_kernel", refuse)
+        for spec in (FamilySpec.jacobi(-1, 20, Fraction(9, 2)), FamilySpec.romanovski(-20, Fraction(-13, 5))):
+            table = eigentable(build_operator(spec), 20)
+            for k in range(11, 21):
+                assert table[k].status is EigenStatus.NO_DEGREE_N
+                assert table[k].basis == (table[21 - k].monic,)
+
+
 class TestBandOnly:
     # the solver reads the band; the dense Fraction matrix is for the public
     # API and the tests, and building it in the solver would cost (n+1)^2

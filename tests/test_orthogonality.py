@@ -266,6 +266,19 @@ class TestMomentAssembly:
                     exact += 1
         assert exact > 150 and refused > 50
 
+    def test_factor_order_at_a_root_does_not_matter(self):
+        # |x-1|^(-2) |x-1|^3 is |x-1|: the divisions follow the summed
+        # exponent, not the first factor's, so <1, 1> = 1/2 exactly either way
+        one = Fraction(1)
+        for exponents in ((-2, 3), (3, -2)):
+            w = WeightExpr(
+                one,
+                tuple(PowerFactor(one, Fraction(e)) for e in exponents),
+                interval=Interval(Fraction(0), one),
+            )
+            assert inner_product_exact(w, Poly.one(), Poly.one()) == Fraction(1, 2)
+            assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
+
 
 class TestNumericPath:
     def test_agrees_with_exact_for_legendre(self):
