@@ -19,7 +19,9 @@ real line.
   (-1)^s_r at the upper end.  Its entry is a bilinear form
   over the key's r_k, cleared to integers over one denominator: O(n^3)
   operations for an n x n Gram matrix, no polynomial product per entry and
-  one Fraction per entry.
+  one Fraction per nonzero entry (every exact zero is one shared
+  Fraction(0)).  A Gram matrix's pairs are answered as one block, which
+  reads each key's moments once and builds each row once per (degree, key).
   - Jacobi, p = |x - lo|^E_lo |x - hi|^E_hi on a finite interval, the exact
     route: integer exponents, so A_r >= 0; a = (x - lo)(x - hi),
     b = (A_lo + 1)(x - hi) + (A_hi + 1)(x - lo), and
@@ -80,8 +82,8 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add, mul
-from typing import Callable, Sequence
+from operator import add, mul, sub
+from typing import Callable, Iterable, Sequence
 
 from ._record import Record
 from .eigen import EigenResult, eigentable
@@ -116,6 +118,8 @@ class NotPolynomialReducible(ValueError):
 class NonIntegrable(ValueError):
     """The weighted product is not integrable over the interval."""
 
+
+_ZERO = Fraction(0)  # every exact zero entry
 
 # ---------------------------------------------------------------------------
 # exact and moment paths
@@ -201,12 +205,12 @@ class _MomentForm:
     """<f, g> = integral p f g for labelled f, g, on the Pearson moments of the module
     docstring.  With f = f~ prod (x - r)^s_f at the divisors (r, k_r), a pair reduces when
     s_f + s_g >= k_r at each, to sum_i f~_i L(i) with L(i) = sum_j g~_j r_(i+j), r the cached
-    moment ratios of its key: O(n^3) for an n x n Gram matrix.  f~, g~ and r are int lists
-    over their denominators, so an entry is int sums and one Fraction.  On a finite interval
-    r carries the rational m_0, and the entry is the integral; on the moment route it is the
-    ratio to the key's float m_0, which value() multiplies in, exact only where the
-    integrability gate holds: the caller gates first.  steps caps the ratios (the
-    Romanovski reach)."""
+    moment ratios of its key: O(n^3) for an n x n Gram matrix, answered as one block.
+    f~, g~ and r are int lists over their denominators, so an entry is int sums and, when
+    it is not 0, one Fraction.  On a finite interval r carries the rational m_0, and the
+    entry is the integral; on the moment route it is the ratio to the key's float m_0
+    (m_0[key], set when the key's moments are read), exact only where the integrability
+    gate holds: the caller gates first.  steps caps the ratios (the Romanovski reach)."""
 
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: float = math.inf):
         iv = weight.interval
@@ -228,12 +232,8 @@ class _MomentForm:
         self.exponents = {r: int(e) if self.finite else e for r, e in net.items()}
         self.divisors = tuple((r, k) for r, e in net.items() if (k := max(math.floor(-e), 0)))
         self.m_0: dict[tuple[int, ...], float] = {}
-        self._reduce(polys)
-        self.steps = min(steps, self.span - 2)  # no entry reads a ratio past span - 2
-
-    def _reduce(self, polys: dict[int, Poly]) -> None:
-        """Each f divided by the divisors as far as it goes, cleared to ints; empty caches."""
-        # label -> (denominator, numerators, multiplicity per divisor)
+        # label -> each f divided by the divisors as far as it goes, cleared to ints:
+        # (denominator, numerators, multiplicity per divisor)
         self.reduced: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
         for label, f in polys.items():
             mults = []
@@ -241,18 +241,8 @@ class _MomentForm:
                 f, s = f.strip_root(r, k)
                 mults.append(s)
             self.reduced[label] = (f.den, f.nums, mults)
-        self.span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
-        self.moments: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-        self.rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def key(self, m: int, n: int) -> tuple[int, ...]:
-        """s_f + s_g - k per divisor (r, k): the power of (x - r) the pair leaves."""
-        pairs = zip(self.divisors, self.reduced[m][2], self.reduced[n][2])
-        key = tuple(sa + sb - k for (_, k), sa, sb in pairs)
-        for (r, k), e in zip(self.divisors, key):
-            if e < 0:
-                raise NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}")
-        return key
+        span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
+        self.steps = min(steps, span - 2)  # no entry reads a ratio past span - 2
 
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
         """The key's ratios r_0 .. r_steps times the weight's constant and, on a finite
@@ -280,27 +270,33 @@ class _MomentForm:
             self.m_0[key] = sign * math.exp(log_m_0)
         return _moment_ratios(a, b, self.steps, scale)
 
-    def entry(self, m: int, n: int) -> Fraction:
-        if len(self.reduced[m][1]) > len(self.reduced[n][1]):
-            m, n = n, m
-        (d_a, a, _), (d_b, b, _) = self.reduced[m], self.reduced[n]
-        key = self.key(m, n)
-        if key not in self.moments:
-            self.moments[key] = self._moments(key)
-        d_mu, mu = self.moments[key]
-        if (n, key) not in self.rows:
-            self.rows[(n, key)] = [sum(map(mul, b, mu[i:])) for i in range(len(b))]
-        return Fraction(sum(map(mul, a, self.rows[(n, key)])), d_a * d_b * d_mu)
-
-    def value(self, m: int, n: int) -> float:
-        """The entry as a float, its ratio times its key's m_0; ValueError past a float's range."""
-        try:
-            value = float(self.entry(m, n)) * self.m_0[self.key(m, n)]
-        except OverflowError:
-            value = math.inf
-        if math.isinf(value):
-            raise ValueError(f"a moment entry on {self.weight.formula()} overflows a float")
-        return value
+    def block(self, pairs: Iterable[tuple[int, int]]) -> list:
+        """Per label pair (m, n): its entry and key, s_f + s_g - k per divisor (r, k), the power
+        of (x - r) the pair leaves; or, where a key is negative, the pair's refusal.  Each key's
+        moments are read once and each row L once per (label, key), for the label with the
+        longer f~; a zero entry is the one shared Fraction(0)."""
+        reduced, divisors = self.reduced, self.divisors
+        ks = [k for _, k in divisors]
+        moments, rows, answers = {}, {}, []  # key -> moments; (label, key) -> row
+        for m, n in pairs:
+            d_a, a, s_a = reduced[m]
+            d_b, b, s_b = reduced[n]
+            if len(a) > len(b):
+                d_a, a, d_b, b, n = d_b, b, d_a, a, m
+            key = tuple(map(sub, map(add, s_a, s_b), ks)) if ks else ()
+            if key and min(key) < 0:
+                r, k = divisors[next(i for i, e in enumerate(key) if e < 0)]
+                answers.append(NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}"))
+                continue
+            row = rows.get((n, key))
+            if row is None:
+                if key not in moments:
+                    moments[key] = self._moments(key)
+                d_mu, mu = moments[key]
+                row = rows[n, key] = (d_b * d_mu, [sum(map(mul, b, mu[i:])) for i in range(len(b))])
+            total = sum(map(mul, a, row[1]))
+            answers.append((Fraction(total, d_a * row[0]) if total else _ZERO, key))
+        return answers
 
 
 def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
@@ -315,8 +311,11 @@ def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
     """
     _require_polynomial_shape(weight)
     if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    return _MomentForm(weight, {0: f, 1: g}).entry(0, 1)
+        return _ZERO
+    (answer,) = _MomentForm(weight, {0: f, 1: g}).block([(0, 1)])
+    if isinstance(answer, NotPolynomialReducible):
+        raise answer
+    return answer[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,26 +515,38 @@ def _route(
             s = tuple(map(add, orders(i), orders(j))) if both else zeros
             return holds(degree[i] + degree[j], s)
 
-    def exact(i: int, j: int) -> Fraction | None:
-        try:
-            return form.entry(i, j) if form is not None else None
-        except NotPolynomialReducible:
-            return None
-
-    zero = (0.0, "moment", True, None, None) if moment else (Fraction(0), "exact", True, None, None)
+    zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
-    routes: list[tuple] = []
+    numeric = (None, "quadrature", True, None, None)  # valued by the sweep below
+    routes: list = []
+    asked: list[int] = []  # the pairs the form answers, as one block
     for i, j in pairs:
         if funcs[i] is None or funcs[j] is None:
             routes.append((None, None, integrable(i, j), None, "no degree-exact eigenfunction"))
         elif i not in known or j not in known:  # f or g is zero
             routes.append(zero)
-        elif moment:  # gate first: a pair it refuses has no moment
-            routes.append((form.value(i, j), "moment", True, None, None) if integrable(i, j) else refused)
-        elif (value := exact(i, j)) is not None:
-            routes.append((value, "exact", True, None, None))
+        elif moment and not integrable(i, j):  # gate first: a pair it refuses has no moment
+            routes.append(refused)
         else:
-            routes.append((None, "quadrature", True, None, None) if integrable(i, j) else refused)
+            asked.append(len(routes))
+            routes.append(None)
+    block = [pairs[k] for k in asked]
+    if moment:  # the gate admits only pairs that reduce, each a ratio to its key's float m_0
+        try:  # m_0 is read with its key's moments
+            values = [float(ratio) * form.m_0[key] for ratio, key in form.block(block)]
+            if any(map(math.isinf, values)):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
+        for k, value in zip(asked, values):
+            routes[k] = (value, "moment", True, None, None)
+    else:
+        answers = form.block(block) if form is not None else [None] * len(block)
+        for k, answer in zip(asked, answers):
+            if isinstance(answer, tuple):
+                routes[k] = (answer[0], "exact", True, None, None)
+            else:  # refused by the exact route, or no form
+                routes[k] = numeric if integrable(*pairs[k]) else refused
     pending = [k for k, route in enumerate(routes) if route[1] == "quadrature"]
     slot = {d: k for k, d in enumerate(sorted({d for k in pending for d in pairs[k]}))}
     swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in pending)]
@@ -624,6 +635,13 @@ class OrthoReport(Record):
         return "\n".join(lines)
 
 
+def _float_in_range(value: Fraction | float) -> Fraction | float:
+    try:
+        return float(value)
+    except OverflowError:
+        return value
+
+
 def _gram_for(
     table: Sequence[EigenResult],
     weight: WeightExpr,
@@ -635,8 +653,8 @@ def _gram_for(
     """The Gram entries over degrees of the eigenfunctions in table (indexed by degree)."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
     routes = _route(weight, [r.monic for r in table], pairs, tol)
-    # 0.0 where the norm has no value
-    diag = {m: float(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
+    # 0.0 where the norm has no value; an exact norm past a float's range stays exact
+    diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
     # the Romanovski scale of a pair whose diagonal norms diverge; a Laguerre pair has none
     romanovski = _shape(weight) == "romanovski"
     moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))
@@ -645,7 +663,10 @@ def _gram_for(
         rel = None
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
-                rel = abs(float(value)) / math.sqrt(diag[m] * diag[n])
+                try:  # from the exact values where a float overflows
+                    rel = abs(float(value)) / math.sqrt(diag[m] * diag[n]) if value else 0.0
+                except OverflowError:
+                    rel = math.sqrt(Fraction(value) ** 2 / (Fraction(diag[m]) * Fraction(diag[n])))
             elif romanovski:
                 rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
@@ -777,8 +798,9 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
         m, n = e.m, e.n
         if m == n:
             continue
-        if m + n + gamma + 1 >= 0:
-            detail = f"m+n+gamma+1 = {m + n + gamma + 1} >= 0"
+        bound = m + n + gamma + 1
+        if bound >= 0:
+            detail = f"m+n+gamma+1 = {bound} >= 0"
             pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
         elif e.value is None:
             pairs.append(RomanovskiPair(m, n, "inconclusive", detail=e.note or ""))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,22 @@ class TestGram:
         code, out, err = run(capsys, "gram", "--operator-json", str(path), "--n-max", "2")
         assert code == 1 and out == ""
         assert err.startswith("specpoly: error: a moment entry on |x - 1000|^(999) * exp(x) overflows a float")
+
+    def test_exact_norms_past_a_float_keep_exact_relatives(self, capsys, tmp_path):
+        # (x^2 - 10^6 x) y'' + (2x - 10^6) y': the weight 1 on (0, 10^6), whose exact monic
+        # norm at n = 28 is past a float's range; --n-max 28 exited with an OverflowError
+        # traceback
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": [["0"], ["-1000000", "2"], ["0", "-1000000", "1"]]}))
+        data = run_json(capsys, "gram", "--operator-json", str(path), "--n-max", "28")
+        off = [e for e in data["entries"] if e["m"] != e["n"]]
+        assert len(off) == 406 and data["notes"] == []
+        assert all(e["method"] == "exact" and e["value"] == "0" and e["relative"] == 0.0 for e in off)
+        assert data["off_diagonal_max_relative"] == 0.0
+        norm = data["entries"][-1]
+        assert (norm["m"], norm["n"]) == (28, 28)
+        with pytest.raises(OverflowError):
+            float(Fraction(norm["value"]))
 
     def test_half_line_without_exponential_is_non_integrable(self, capsys):
         # laguerre(0, 1) has the weight 1 on (0, inf): no pair is integrable

@@ -1,8 +1,10 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +35,14 @@ from specpoly import (
     moment_reach,
 )
 
-from oracles import divide_and_integrate, moment_scale, pair_quadrature, random_poly, weight_value
+from oracles import (
+    divide_and_integrate,
+    moment_scale,
+    pair_quadrature,
+    random_poly,
+    ref_strip_root,
+    weight_value,
+)
 
 
 def P(*coeffs):
@@ -174,12 +183,39 @@ def _same_as_oracle(w, f, g):
     return True
 
 
+# TestMomentAssembly's seeded draws: Gram matrices on the Jacobi weights (1-x)^p (1+x)^q
+# and chaudhry-qadir, and hand-built weights with more than one factor at a root
+ASSEMBLY_SPECS = [(_jacobi_with_exponents(p, q), 12) for p in range(-2, 5) for q in range(-2, 5)]
+ASSEMBLY_SPECS.append((CQ_SPEC, 14))
+PLANTED_WEIGHTS = [
+    WeightExpr(
+        Fraction(-3, 7),
+        (PowerFactor(Fraction(2), Fraction(e1)), PowerFactor(Fraction(2), Fraction(e2))),
+        interval=Interval(Fraction(0), Fraction(2)),
+    )
+    for e1, e2 in ((-1, -1), (-1, 2), (3, -2), (-2, 3), (1, 1))
+]
+
+
+def _outcome(answer):
+    """A block answer, with a refusal as its type and text."""
+    return answer if isinstance(answer, tuple) else (type(answer), str(answer))
+
+
+def _block_key(w, f, g):
+    """s_f + s_g - k at each end r of w's interval, in order, where k = floor(-E_r) > 0 for
+    the summed exponent E_r, s the root order of f or g at r (ref_strip_root) capped at k."""
+    key = []
+    for r in (w.interval.lo, w.interval.hi):
+        k = math.floor(-sum(pf.exponent for pf in w.power_factors if pf.root == r))
+        if k > 0:
+            key.append(sum(ref_strip_root(h.coeffs, r, k)[1] for h in (f, g)) - k)
+    return tuple(key)
+
+
 class TestMomentAssembly:
     def test_matches_divide_and_integrate(self):
-        specs = [
-            (_jacobi_with_exponents(p, q), 12) for p in range(-2, 5) for q in range(-2, 5)
-        ]
-        specs.append((CQ_SPEC, 14))
+        specs = ASSEMBLY_SPECS
         exact = refused = 0
         for spec, n_max in specs:
             w = weight_of(spec)
@@ -201,15 +237,7 @@ class TestMomentAssembly:
         # planted root multiplicities 0..3 at each endpoint, and weights
         # with more than one factor at a root
         rng = random.Random(89)
-        weights = [weight_of(spec) for spec, _ in specs]
-        weights += [
-            WeightExpr(
-                Fraction(-3, 7),
-                (PowerFactor(Fraction(2), Fraction(e1)), PowerFactor(Fraction(2), Fraction(e2))),
-                interval=Interval(Fraction(0), Fraction(2)),
-            )
-            for e1, e2 in ((-1, -1), (-1, 2), (3, -2), (-2, 3), (1, 1))
-        ]
+        weights = [weight_of(spec) for spec, _ in specs] + PLANTED_WEIGHTS
         outcomes = set()
         for w in weights:
             roots = [pf.root for pf in w.power_factors]
@@ -221,6 +249,84 @@ class TestMomentAssembly:
                 outcomes.add(_same_as_oracle(w, f, g))
         assert outcomes == {True, False}
 
+
+    def test_block_agrees_with_oracle_in_any_order(self):
+        # a Gram matrix's pairs as one block, shuffled, and one pair at a time give the same
+        # answers: divide_and_integrate's value (and inner_product_exact's) with the key
+        # s_f + s_g - k per divisor, or the oracle's NotPolynomialReducible text
+        rng = random.Random(107)
+        draws = []
+        for spec, n_max in ASSEMBLY_SPECS:
+            table = eigentable(build_operator(spec), n_max)
+            draws.append((weight_of(spec), {r.degree: r.monic for r in table if r.monic is not None}))
+        for w in PLANTED_WEIGHTS:
+            polys = {}
+            while len(polys) < 10:
+                f = random_poly(rng, rng.randint(0, 4))
+                for pf in w.power_factors:
+                    f = f * P(-pf.root, 1) ** rng.randint(0, 3)
+                if f:  # the block's labels are nonzero, as a Gram matrix's are
+                    polys[len(polys)] = f
+            draws.append((w, polys))
+        exact = refused = 0
+        for w, polys in draws:
+            form = orthogonality._MomentForm(w, polys)
+            pairs = [(m, n) for m in polys for n in polys if m <= n]
+            answers = dict(zip(pairs, map(_outcome, form.block(pairs))))
+            shuffled = rng.sample(pairs, len(pairs))
+            assert dict(zip(shuffled, map(_outcome, form.block(shuffled)))) == answers
+            for (m, n), answer in answers.items():
+                assert list(map(_outcome, form.block([(m, n)]))) == [answer]
+                f, g = polys[m], polys[n]
+                try:
+                    expected = divide_and_integrate(w, f, g)
+                except NotPolynomialReducible as error:
+                    assert answer == (NotPolynomialReducible, str(error)), (w, m, n)
+                    with pytest.raises(NotPolynomialReducible, match=re.escape(str(error))):
+                        inner_product_exact(w, f, g)
+                    refused += 1
+                    continue
+                assert answer == (expected, _block_key(w, f, g)), (w, m, n)
+                assert inner_product_exact(w, f, g) == expected
+                exact += 1
+        assert exact > 4500 and refused > 50
+
+    def test_moment_route_reads_only_gated_keys(self, monkeypatch):
+        # the integrability gate runs before the block: only gated pairs reach it, and each
+        # key of a gated pair has its moments (and m_0) read once; a weight that gates no
+        # pair reads none
+        reads, asked = [], []
+        moments, block = orthogonality._MomentForm._moments, orthogonality._MomentForm.block
+
+        def spy_moments(form, key):
+            reads.append(key)
+            return moments(form, key)
+
+        def spy_block(form, pairs):
+            asked.extend(pairs)
+            return block(form, pairs)
+
+        monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
+        monkeypatch.setattr(orthogonality._MomentForm, "block", spy_block)
+        specs = [
+            (FamilySpec.laguerre(-1, 1), 8, 0),  # no divisor: one key, ()
+            (FamilySpec.laguerre(-1, -2), 8, 6),  # |x|^(-3) e^(-x): k = 3
+            (FamilySpec.laguerre(-2, -3), 8, 10),  # |x|^(-4) e^(-2x): k = 4
+            (FamilySpec.laguerre(1, -1), 8, 3),  # |x|^(-2) e^x on (-inf, 0): k = 2
+            (FamilySpec.laguerre(-1, Fraction(-1, 2)), 6, 28),  # |x|^(-3/2) e^(-x): none gated
+            (ROM_SPEC, 10, 46),  # the reach: m + n <= 7
+        ]
+        for spec, n, refused in specs:
+            reads.clear()
+            asked.clear()
+            w = weight_of(spec)
+            table = eigentable(build_operator(spec), n)
+            gram = gram_matrix(spec, n)
+            gated = [e for e in gram.entries if e.integrable]
+            assert len(gram.entries) - len(gated) == refused, spec
+            assert sorted(asked) == sorted((e.m, e.n) for e in gated), spec
+            keys = {_block_key(w, table[e.m].monic, table[e.n].monic) for e in gated}
+            assert len(reads) == len(set(reads)) and set(reads) == keys, spec
 
     def test_large_denominators_match_divide_and_integrate(self):
         # numerators and denominators up to 10^6, a different denominator for
@@ -252,18 +358,17 @@ class TestMomentAssembly:
                 for pf in w.power_factors:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 2)
                 polys[label] = f
-            form = orthogonality._MomentForm(w, polys)
-            for m, f in polys.items():
-                for n, g in polys.items():
-                    try:
-                        expected = divide_and_integrate(w, f, g)
-                    except NotPolynomialReducible:
-                        with pytest.raises(NotPolynomialReducible):
-                            form.entry(m, n)
-                        refused += 1
-                        continue
-                    assert form.entry(m, n) == expected == inner_product_exact(w, f, g)
-                    exact += 1
+            pairs = [(m, n) for m in polys for n in polys]
+            for (m, n), answer in zip(pairs, orthogonality._MomentForm(w, polys).block(pairs)):
+                f, g = polys[m], polys[n]
+                try:
+                    expected = divide_and_integrate(w, f, g)
+                except NotPolynomialReducible:
+                    assert isinstance(answer, NotPolynomialReducible)
+                    refused += 1
+                    continue
+                assert answer[0] == expected == inner_product_exact(w, f, g)
+                exact += 1
         assert exact > 150 and refused > 50
 
     def test_factor_order_at_a_root_does_not_matter(self):
@@ -480,6 +585,22 @@ class TestGramMatrix:
             assert e.method == "exact"
             assert e.value == 0
         assert report.off_diagonal_max_relative == 0.0
+
+    def test_relative_past_a_float_comes_from_exact_values(self):
+        # <x^a, x^b> = L^(a+b+1) / (a+b+1) on (0, L), L = 10^6, a and b near 100: every value
+        # is past a float's range, and |G_ab| / sqrt(G_aa G_bb) = sqrt((2a+1)(2b+1)) / (a+b+1)
+        length = Fraction(10**6)
+        w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
+        powers = (100, 101, 103)
+        table = [SimpleNamespace(monic=Poly.x() ** a) for a in powers]
+        report = orthogonality._gram_for(table, w, range(3), "monomials")
+        assert len(report.entries) == 6
+        for e in report.entries:
+            a, b = powers[e.m], powers[e.n]
+            assert e.method == "exact" and e.value == length ** (a + b + 1) / (a + b + 1)
+            if e.m != e.n:
+                closed = math.sqrt((2 * a + 1) * (2 * b + 1)) / (a + b + 1)
+                assert e.relative == pytest.approx(closed, rel=1e-15)
 
     def test_fractional_laguerre_has_no_internal_fault(self):
         # quadrature nodes next to the half line's anchor once collapsed to x = 0.0 and
@@ -1176,6 +1297,23 @@ class TestMomentRoute:
                     checked += 1
         assert checked > 190
 
+    # the complex factor |Gamma(a)/Gamma(a+ib)|^2 loses accuracy linearly in |h|: its log at
+    # A >= 16 sums terms near b atan(b/A) that cancel; 3.0e-15 off at h = 20, 9.8e-15 at 40
+    @pytest.mark.parametrize(
+        "h",
+        [20, pytest.param(40, marks=pytest.mark.xfail(strict=True, reason="m_0 loses accuracy in |h|"))],
+    )
+    def test_m0_at_large_h_matches_mpmath(self, h):
+        mpmath = pytest.importorskip("mpmath")
+        w = weight_of(FamilySpec.romanovski(Fraction(-13, 2), h))
+        with mpmath.workdps(30):
+            nu = -2 * w.quad_exp - 2
+            nu_m = mpmath.mpf(nu.numerator) / nu.denominator
+            exact = mpmath.pi * mpmath.gamma(nu_m + 1) / (
+                2**nu_m * abs(mpmath.gamma(1 + nu_m / 2 + 0.5j * h)) ** 2
+            )
+            assert abs(orthogonality._real_line_moment(w) - exact) <= 4e-15 * exact
+
     def test_seeded_draw_exact_zeros_reach_and_favard(self):
         # every entry: integrable iff integrability says so, off-diagonals exactly 0,
         # diagonals G_kk = G_00 prod gamma_j exactly (Favard), gamma_j off the eigentable
@@ -1187,9 +1325,10 @@ class TestMomentRoute:
             table = eigentable(op, n)
             gram = gram_matrix_for_operator(op, n)
             gammas = favard_gammas(table, n)
-            ratios = orthogonality._MomentForm(
-                w, {k: table[k].monic for k in range(len(gammas) + 1)}, moment_reach(w)
-            )
+            reach = moment_reach(w)
+            diagonal = [(k, k) for k in range(len(gammas) + 1) if 2 * k <= reach]  # the gated
+            form = orthogonality._MomentForm(w, {k: table[k].monic for k, _ in diagonal}, reach)
+            ratios = dict(zip(diagonal, form.block(diagonal)))
             collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
             near_boundary += (alpha / c).denominator == 1000
             for e in gram.entries:
@@ -1203,7 +1342,7 @@ class TestMomentRoute:
                     zeros += 1
                 elif e.m <= len(gammas):
                     product = math.prod(gammas[: e.m], start=Fraction(1))
-                    assert ratios.entry(e.m, e.m) == product, (c, alpha, beta, e.m)
+                    assert ratios[e.m, e.m] == (product, ()), (c, alpha, beta, e.m)
                     assert e.value == float(product) * gram.entry(0, 0).value
                     favard += 1
         assert len(draw) >= 100 and collided >= 15 and near_boundary >= 15
