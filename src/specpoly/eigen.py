@@ -231,7 +231,8 @@ def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
     """One EigenResult per degree 0..n_max from one matrix on P_n_max and one
-    back-substitution per degree."""
+    back-substitution per degree; a degree that no lower one collides with is its own
+    UniqueMonic result, with no kernel read."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     matrix = op.matrix(n_max)
@@ -241,8 +242,14 @@ def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
     table = []
     for z, row in enumerate(rows):
         shift = row[0]
-        columns = lower.pop(shift, []) + [_back_substitute(rows, shift, z)]
+        mu, column = Fraction(shift, matrix.denominator), _back_substitute(rows, shift, z)
+        columns = lower.pop(shift, None)
+        if columns is None:  # no lower degree collides: v^(z) is the unique monic eigenfunction
+            columns = [column]
+            table.append(EigenResult(z, mu, EigenStatus.UNIQUE_MONIC, column[0], 1, (column[0],)))
+        else:
+            columns.append(column)
+            table.append(_result(z, mu, _kernel(columns)))
         if last[shift] > z:
             lower[shift] = columns
-        table.append(_result(z, Fraction(shift, matrix.denominator), _kernel(columns)))
     return table

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import isqrt
 
 from ._record import Record
 from .operator import DiffOperator
-from .ratpoly import Poly, RatLike, rat, rational_sqrt
+from .ratpoly import Poly, RatLike, rat
 
 __all__ = [
     "FamilyKind",
@@ -155,32 +156,23 @@ def bochner_normalize(a: Poly) -> AffineNormalization:
         raise ValueError(f"normalization applies to degree <= 2, got degree {deg}")
     if deg == 0:
         return AffineNormalization(Fraction(1), Fraction(0), a.coeff(0), "1")
+    den = a.den  # a = (a0 + a1 x + a2 x^2) / den in ints
     if deg == 1:
-        a1, a0 = a.coeff(1), a.coeff(0)
-        return AffineNormalization(1 / a1, -a0 / a1, Fraction(1), "x")
-    a2, a1, a0 = a.coeff(2), a.coeff(1), a.coeff(0)
-    disc = a1 * a1 - 4 * a2 * a0
+        a0, a1 = a.nums
+        return AffineNormalization(Fraction(den, a1), Fraction(-a0, a1), Fraction(1), "x")
+    a0, a1, a2 = a.nums
+    disc = a1 * a1 - 4 * a2 * a0  # den^2 times the discriminant
     if disc == 0:
-        return AffineNormalization(Fraction(1), -a1 / (2 * a2), a2, "x^2")
-    if disc > 0:
-        root = rational_sqrt(disc)
-        if root is None:
-            raise ValueError(f"quadratic has irrational roots (discriminant {disc})")
-        r_lo = (-a1 - root) / (2 * a2)
-        r_hi = (-a1 + root) / (2 * a2)
-        if r_lo > r_hi:
-            r_lo, r_hi = r_hi, r_lo
-        s = (r_hi - r_lo) / 2
-        t = (r_hi + r_lo) / 2
-        return AffineNormalization(s, t, a2 * s * s, "x^2-1")
-    s = rational_sqrt(-disc)
-    if s is None:
-        raise ValueError(
-            f"quadratic is not rationally equivalent to x^2+1 (discriminant {disc})"
-        )
-    s = s / (2 * abs(a2))
-    t = -a1 / (2 * a2)
-    return AffineNormalization(s, t, a2 * s * s, "x^2+1")
+        return AffineNormalization(Fraction(1), Fraction(-a1, 2 * a2), Fraction(a2, den), "x^2")
+    root = isqrt(abs(disc))
+    if root * root != abs(disc):
+        reason = "has irrational roots" if disc > 0 else "is not rationally equivalent to x^2+1"
+        raise ValueError(f"quadratic {reason} (discriminant {Fraction(disc, den * den)})")
+    # roots (-a1 -+ root) / (2 a2) when disc > 0, sent to -1 and +1 (s > 0), and
+    # a(s u + t) = a2 s^2 (u^2 -+ 1) / den either way, with c = a2 s^2 / den = |disc| / (4 a2 den)
+    s, t = Fraction(root, 2 * abs(a2)), Fraction(-a1, 2 * a2)
+    c = Fraction(abs(disc), 4 * a2 * den)
+    return AffineNormalization(s, t, c, "x^2-1" if disc > 0 else "x^2+1")
 
 
 def normalize_operator(op: DiffOperator) -> tuple[DiffOperator, AffineNormalization, Fraction]:

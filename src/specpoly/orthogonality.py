@@ -50,8 +50,27 @@ real line.
   weight is refused with a ValueError once a pair passes the integrability
   gate (the test oracles keep x = tan u for algebraic tails).
 
+Certified entries (PAPER.md's argument; Raposo, Weber, Alvarez-Castillo and
+Kirchbach, arXiv:0706.3897 for Romanovski): for eigenfunctions L f = lambda_m f
+and L g = lambda_n g of L = a D^2 + b D, (p a)' = p b gives
+(lambda_m - lambda_n) p f g = (p a (f' g - f g'))'.  Where the form has no
+divisor, the boundary term vanishes at both ends of every pair the block is
+asked: on a finite interval every end exponent is >= 0, so p a has a positive
+one; on a half line E > -1 at t and e^(c x) decays; on the Romanovski shape the
+gate admits only pairs inside the reach, m + n + 2q + 1 < 0, which is the power
+of the boundary term.  So, read off the eigentable once per Gram matrix, an
+off-diagonal pair whose eigenvalues differ is the shared exact zero, with no
+moment read, and a diagonal (k, k) is <p_k, x^k> = sum_i c_i m_(k+i), one O(k)
+dot product instead of an O(k^2) row, when degrees 0 .. k-1 all have
+eigenfunctions and the eigenvalues of 0 .. k all differ.  Each is the block's
+own Fraction.  A weight with a divisor (Chaudhry-Qadir's 1/(1-t) among them),
+a pair of equal eigenvalues, a diagonal above a missing eigenfunction or a
+collision, and inner_product, whose f and g need be no eigenfunctions, take the
+block.
+
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
-value is its ratio times m_0, 0.0 exactly when the ratio is 0.
+value is its ratio times m_0, 0.0 exactly when the ratio is 0.  An
+off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
 
 A pair goes to quadrature when p f g is integrable.  One integrability read at
 the largest m + n decides every pair when it holds; where it refuses, each
@@ -83,14 +102,14 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
 from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep
-from .ratpoly import Poly, RatLike, horner, rat
+from .ratpoly import Poly, RatLike, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
@@ -136,25 +155,23 @@ def _require_polynomial_shape(weight: WeightExpr) -> None:
 
 
 def _moment_ratios(
-    a: Poly, b: Poly, steps: int, scale: Fraction = Fraction(1)
+    pair: Sequence[int], steps: int, num: int = 1, den: int = 1
 ) -> tuple[int, list[int]]:
-    """[c r_0, ..., c r_steps], r_k = m_k / m_0 for the Pearson pair (a, b), (p a)' = p b, and
-    c = scale, as integer numerators over their lcm denominator, by the recurrence of the
-    module docstring: step k is valid while the boundary term p a x^k vanishes, and its
-    divisor s_k = k a2 + b1 is then nonzero.  The recurrence is blind to a common scale of a
-    and b, so both are cleared to integers over one denominator; then
-    r_k = n_k / (s_0 ... s_(k-1)) with n_(k+1) = -(k a0 s_(k-1) n_(k-1) + (k a1 + b0) n_k).
-    One gcd reduces them all once c is in: with c = m_0 they are the moments, whose
-    denominators are far smaller than the divisors' product."""
-    d = math.lcm(a.den, b.den)
-    a0, a1, a2 = [v * (d // a.den) for v in (a.nums + (0, 0, 0))[:3]]
-    b0, b1 = [v * (d // b.den) for v in (b.nums + (0, 0))[:2]]
+    """[c r_0, ..., c r_steps], r_k = m_k / m_0 for the Pearson pair a = a0 + a1 x + a2 x^2,
+    b = b0 + b1 x, (p a)' = p b, given as the ints (a0, a1, a2, b0, b1), and c = num / den,
+    as integer numerators over their lcm denominator, by the recurrence of the module
+    docstring: step k is valid while the boundary term p a x^k vanishes, and its divisor
+    s_k = k a2 + b1 is then nonzero.  The recurrence is blind to a common scale of a and b,
+    so the pair may carry any one; then r_k = n_k / (s_0 ... s_(k-1)) with
+    n_(k+1) = -(k a0 s_(k-1) n_(k-1) + (k a1 + b0) n_k).  One gcd reduces them all once c is
+    in: with c = m_0 they are the moments, whose denominators are far smaller than the
+    divisors' product."""
+    a0, a1, a2, b0, b1 = pair
     nums, divisors = [1], []
     for k in range(steps):
         nums.append(-((k * a0 * divisors[-1] * nums[k - 1] if k else 0) + (k * a1 + b0) * nums[k]))
         divisors.append(k * a2 + b1)
     # over c's denominator and s_0 ... s_(steps-1): n_k times c's numerator and s_k ... s_(steps-1)
-    num, den = scale.numerator, scale.denominator
     nums[-1] *= num
     for k in range(steps - 1, -1, -1):
         num, den = num * divisors[k], den * divisors[k]
@@ -217,28 +234,30 @@ class _MomentForm:
         self.weight, self.finite = weight, iv.finite
         if self.finite:
             _require_polynomial_shape(weight)
-        # per finite end r: the summed exponent E_r (an integer on a finite interval) and
-        # the divisions k_r = max(floor(-E_r), 0)
-        net = {r: Fraction(0) for r in (iv.lo, iv.hi) if r is not None}
+        # per finite end r: the summed exponent E_r (an int on a finite interval) and the
+        # divisions k_r = max(floor(-E_r), 0), a divisor (end index, k_r) where k_r > 0
+        self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
+        self.exponents = net = [0] * len(ends)
         for pf in weight.power_factors:
             e, r = pf.exponent, pf.root
-            if e == 0:
+            if not e:
                 continue
-            if r not in net:
+            if r not in ends:
                 raise NotPolynomialReducible(f"root {r} is not an end of {iv.describe()}")
-            if self.finite and e.denominator != 1:
-                raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
-            net[r] += e
-        self.exponents = {r: int(e) if self.finite else e for r, e in net.items()}
-        self.divisors = tuple((r, k) for r, e in net.items() if (k := max(math.floor(-e), 0)))
+            if self.finite:
+                if e.denominator != 1:
+                    raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
+                e = e.numerator
+            net[ends.index(r)] += e
+        self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
         self.m_0: dict[tuple[int, ...], float] = {}
         # label -> each f divided by the divisors as far as it goes, cleared to ints:
         # (denominator, numerators, multiplicity per divisor)
         self.reduced: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
         for label, f in polys.items():
             mults = []
-            for r, k in self.divisors:
-                f, s = f.strip_root(r, k)
+            for i, k in self.divisors:
+                f, s = f.strip_root(ends[i], k)
                 mults.append(s)
             self.reduced[label] = (f.den, f.nums, mults)
         span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
@@ -247,45 +266,73 @@ class _MomentForm:
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
         """The key's ratios r_0 .. r_steps times the weight's constant and, on a finite
         interval, the signed m_0, over their common denominator: the Pearson pair, m_0 and
-        the sign are the module docstring's."""
-        w, hi = self.weight, self.weight.interval.hi
-        scale = w.constant
-        orders = dict.fromkeys(self.exponents, 0)  # the pair's root orders s at each end
-        for (r, k), e in zip(self.divisors, key):
-            orders[r] = k + e
-        powers = [e + orders[r] + 1 for r, e in self.exponents.items()]  # A + 1 > 0 per end
-        sign = (-1) ** orders.get(hi, 0)
+        the sign are the module docstring's, built as ints on a finite interval."""
+        w = self.weight
+        orders = [0] * len(self.ends)  # the pair's root orders s at each end
+        for (i, k), e in zip(self.divisors, key):
+            orders[i] = k + e
+        powers = [e + s + 1 for e, s in zip(self.exponents, orders)]  # A + 1 > 0 per end
+        sign = (-1) ** orders[-1] if w.interval.hi is not None else 1
+        num, den = w.constant.numerator, w.constant.denominator
         if not powers:  # the Romanovski shape: no finite end
-            a, b = Poly((1, 0, 1)), Poly((w.arctan_coeff, 2 * w.quad_exp + 2))
+            pair = common_denominator((1, 0, 1, w.arctan_coeff, 2 * w.quad_exp + 2))[1]
             self.m_0[key] = _real_line_moment(w)
-        elif self.finite:  # p = (x - lo)^A1 (hi - x)^A2: m_0 = L^(A1+A2+1) A1! A2! / (A1+A2+1)!
-            lo, (p1, p2) = w.interval.lo, powers
-            a, b = Poly((lo * hi, -lo - hi, 1)), Poly((-p1 * hi - p2 * lo, p1 + p2))
-            m_0 = (hi - lo) ** (p1 + p2 - 1) / ((p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1))
-            scale *= sign * m_0
+        elif self.finite:
+            # p = (x - lo)^A1 (hi - x)^A2 with lo = l1/l2, hi = h1/h2: l2 h2 a and l2 h2 b are
+            # (l2 x - l1)(h2 x - h1) and (A1 + 1)(h2 x - h1) l2 + (A2 + 1)(l2 x - l1) h2, and
+            # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!
+            (l1, l2), (h1, h2) = [(r.numerator, r.denominator) for r in self.ends]
+            p1, p2 = powers
+            pair = (l1 * h1, -l1 * h2 - h1 * l2, l2 * h2, -p1 * l2 * h1 - p2 * h2 * l1,
+                    (p1 + p2) * l2 * h2)
+            num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
+            den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
         else:  # p = |x - t|^A e^(c x) on a half line from t
-            (t,), (power,), c = self.exponents, powers, w.exp_poly.coeff(1)
-            a, b = Poly((-t, 1)), Poly((power - c * t, c))
+            (t,), (power,), c = self.ends, powers, w.exp_poly.coeff(1)
+            pair = common_denominator((-t, 1, 0, power - c * t, c))[1]
             log_m_0 = math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c))
             self.m_0[key] = sign * math.exp(log_m_0)
-        return _moment_ratios(a, b, self.steps, scale)
+        return _moment_ratios(pair, self.steps, num, den)
 
-    def block(self, pairs: Iterable[tuple[int, int]]) -> list:
+    def block(
+        self, pairs: Sequence[tuple[int, int]], certificate: tuple[list, int] | None = None
+    ) -> list:
         """Per label pair (m, n): its entry and key, s_f + s_g - k per divisor (r, k), the power
         of (x - r) the pair leaves; or, where a key is negative, the pair's refusal.  Each key's
         moments are read once and each row L once per (label, key), for the label with the
-        longer f~; a zero entry is the one shared Fraction(0)."""
+        longer f~; a zero entry is the one shared Fraction(0).
+
+        certificate = (ids, prefix) says that the labels are the degrees of an eigentable of
+        the weight's operator, each a monic eigenfunction, with ids[d] the same int for
+        degrees of one eigenvalue, and 0 .. prefix - 1 the degrees below the first missing
+        eigenfunction or repeated eigenvalue.  Where the form has no divisor, the module
+        docstring's certificate then answers without a row: a pair with ids[m] != ids[n] is
+        the shared zero, and a diagonal (k, k) with k < prefix is <p_k, x^k>, one dot product
+        with the moments of key (), read once for the block."""
         reduced, divisors = self.reduced, self.divisors
         ks = [k for _, k in divisors]
         moments, rows, answers = {}, {}, []  # key -> moments; (label, key) -> row
+        ids, prefix = certificate if certificate and pairs and not ks else (None, 0)
+        if ids is not None:
+            d_0, mu_0 = moments[()] = self._moments(())
         for m, n in pairs:
+            if ids is not None:
+                if ids[m] != ids[n]:
+                    answers.append((_ZERO, ()))
+                    continue
+                if m == n and m < prefix:
+                    d_a, a, _ = reduced[m]
+                    total = sum(map(mul, a, mu_0[len(a) - 1 :]))
+                    answers.append((Fraction(total, d_a * d_0) if total else _ZERO, ()))
+                    continue
             d_a, a, s_a = reduced[m]
             d_b, b, s_b = reduced[n]
             if len(a) > len(b):
                 d_a, a, d_b, b, n = d_b, b, d_a, a, m
             key = tuple(map(sub, map(add, s_a, s_b), ks)) if ks else ()
             if key and min(key) < 0:
-                r, k = divisors[next(i for i, e in enumerate(key) if e < 0)]
+                i, k = divisors[next(i for i, e in enumerate(key) if e < 0)]
+                r = self.ends[i]
                 answers.append(NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}"))
                 continue
             row = rows.get((n, key))
@@ -466,16 +513,75 @@ def _shape(weight: WeightExpr) -> str | None:
     return "laguerre" if all(pf.root == anchor for pf in factors) else None
 
 
+def _integrability_gate(
+    weight: WeightExpr,
+    funcs: Sequence[Poly | None],
+    pairs: Sequence[tuple[int, int]],
+    shape: str | None,
+    reach: int | float,
+) -> Callable[[int, int], bool]:
+    """integrable(i, j) for an index pair into funcs: the module docstring's gate."""
+    degree = [d if f is None else max(f.degree, 0) for d, f in enumerate(funcs)]
+    if shape == "romanovski":  # its reach is the shape's one integrability decision
+        return lambda i, j: degree[i] + degree[j] <= reach
+    top = max((degree[i] + degree[j] for i, j in pairs), default=0)
+    roots = sorted({pf.root for pf in weight.power_factors})
+    orders = functools.cache(lambda i: [funcs[i].strip_root(r, degree[i])[1] for r in roots])
+    finite, zeros = shape == "finite", (0,) * len(roots)
+
+    @functools.cache
+    def verdict(k: int, s: tuple[int, ...]) -> bool:
+        """Is p times (x - r)^s_r at each root r of p times a degree-k polynomial
+        integrable?  Each root of f g at a root of p raises p's exponent there."""
+        factor = math.prod((Poly((-r, 1)) ** e for r, e in zip(roots, s)), start=Poly.one())
+        return integrability(weight, k, factor).integrable
+
+    def holds(k: int, s: tuple[int, ...]) -> bool:
+        """verdict for degree k with root orders s; the degree counts only at an
+        infinite end, so on a finite interval the root orders alone are the key."""
+        return verdict(0 if finite else k - sum(s), s)
+
+    def integrable(i: int, j: int) -> bool:
+        # the verdict is monotone in the degree: one read at the largest m + n decides
+        # every pair when it holds, and only where it refuses do root orders count
+        if holds(top, zeros):
+            return True
+        both = funcs[i] is not None and funcs[j] is not None  # else the degree alone
+        s = tuple(map(add, orders(i), orders(j))) if both else zeros
+        return holds(degree[i] + degree[j], s)
+
+    return integrable
+
+
+def _certificate(
+    funcs: Sequence[Poly | None], eigenvalues: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """(ids, prefix) for _MomentForm.block from an eigentable, read once: ids[d] numbers
+    degree d's eigenvalue by first appearance, so ids[m] != ids[n] exactly when the
+    eigenvalues differ, and prefix is the first degree with no eigenfunction or whose
+    eigenvalue a lower degree has."""
+    seen: dict[tuple[int, int], int] = {}
+    ids = [seen.setdefault((mu.numerator, mu.denominator), len(seen)) for mu in eigenvalues]
+    prefix = next((d for d, f in enumerate(funcs) if f is None or ids[d] != d), len(funcs))
+    return ids, prefix
+
+
 def _route(
-    weight: WeightExpr, funcs: Sequence[Poly | None], pairs: Sequence[tuple[int, int]], tol: float
+    weight: WeightExpr,
+    funcs: Sequence[Poly | None],
+    pairs: Sequence[tuple[int, int]],
+    tol: float,
+    eigenvalues: Sequence[Fraction] | None = None,
 ) -> list[tuple]:
     """(value, method, integrable, err_est, note) per index pair (i, j) into funcs, by the
-    routes and the integrability gate of the module docstring.  funcs[d] is None where
-    degree d has no eigenfunction; such a pair has no value and its degree's verdict."""
+    routes and the integrability gate of the module docstring, the gate built only when a
+    pair needs it.  funcs[d] is None where degree d has no eigenfunction; such a pair has no
+    value and its degree's verdict.  eigenvalues, when given, makes funcs an eigentable of
+    the weight's operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue
+    eigenvalues[d]), whose pairs the form may certify (_MomentForm.block); the eigenvalues'
+    collisions are read once, not per pair."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
-    degree = [d if f is None else max(f.degree, 0) for d, f in enumerate(funcs)]
-    top = max((degree[i] + degree[j] for i, j in pairs), default=0)
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
     shape = _shape(weight)
     moment = shape in ("romanovski", "laguerre")
@@ -487,33 +593,13 @@ def _route(
             form = _MomentForm(weight, known, reach)
         except NotPolynomialReducible:  # only a finite interval's form refuses a weight
             pass
-    if shape == "romanovski":  # its reach is the shape's one integrability decision
-        integrable = lambda i, j: degree[i] + degree[j] <= reach
-    else:
-        roots = sorted({pf.root for pf in weight.power_factors})
-        orders = functools.cache(lambda i: [known[i].strip_root(r, degree[i])[1] for r in roots])
-        finite, zeros = shape == "finite", (0,) * len(roots)
+    gate = None
 
-        @functools.cache
-        def verdict(k: int, s: tuple[int, ...]) -> bool:
-            """Is p times (x - r)^s_r at each root r of p times a degree-k polynomial
-            integrable?  Each root of f g at a root of p raises p's exponent there."""
-            factor = math.prod((Poly((-r, 1)) ** e for r, e in zip(roots, s)), start=Poly.one())
-            return integrability(weight, k, factor).integrable
-
-        def holds(k: int, s: tuple[int, ...]) -> bool:
-            """verdict for degree k with root orders s; the degree counts only at an
-            infinite end, so on a finite interval the root orders alone are the key."""
-            return verdict(0 if finite else k - sum(s), s)
-
-        def integrable(i: int, j: int) -> bool:
-            # the verdict is monotone in the degree: one read at the largest m + n decides
-            # every pair when it holds, and only where it refuses do root orders count
-            if holds(top, zeros):
-                return True
-            both = funcs[i] is not None and funcs[j] is not None  # else the degree alone
-            s = tuple(map(add, orders(i), orders(j))) if both else zeros
-            return holds(degree[i] + degree[j], s)
+    def integrable(i: int, j: int) -> bool:
+        nonlocal gate
+        if gate is None:
+            gate = _integrability_gate(weight, funcs, pairs, shape, reach)
+        return gate(i, j)
 
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
@@ -531,9 +617,13 @@ def _route(
             asked.append(len(routes))
             routes.append(None)
     block = [pairs[k] for k in asked]
+    certificate = None
+    if eigenvalues is not None and form is not None and not form.divisors:
+        certificate = _certificate(funcs, eigenvalues)
     if moment:  # the gate admits only pairs that reduce, each a ratio to its key's float m_0
         try:  # m_0 is read with its key's moments
-            values = [float(ratio) * form.m_0[key] for ratio, key in form.block(block)]
+            answers = form.block(block, certificate)
+            values = [float(ratio) * form.m_0[key] for ratio, key in answers]
             if any(map(math.isinf, values)):
                 raise OverflowError
         except OverflowError:
@@ -541,7 +631,7 @@ def _route(
         for k, value in zip(asked, values):
             routes[k] = (value, "moment", True, None, None)
     else:
-        answers = form.block(block) if form is not None else [None] * len(block)
+        answers = form.block(block, certificate) if form is not None else [None] * len(block)
         for k, answer in zip(asked, answers):
             if isinstance(answer, tuple):
                 routes[k] = (answer[0], "exact", True, None, None)
@@ -636,10 +726,13 @@ class OrthoReport(Record):
 
 
 def _float_in_range(value: Fraction | float) -> Fraction | float:
+    """value as a float, or, where an exact value is past a float's range either way (it
+    overflows, or a nonzero value underflows to 0.0), the exact value."""
     try:
-        return float(value)
+        as_float = float(value)
     except OverflowError:
         return value
+    return value if value and not as_float else as_float
 
 
 def _gram_for(
@@ -650,32 +743,43 @@ def _gram_for(
     tol: float = DEFAULT_TOL,
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
-    """The Gram entries over degrees of the eigenfunctions in table (indexed by degree)."""
+    """The Gram entries over degrees of the eigenfunctions in table (indexed by degree).  An
+    off-diagonal's relative is 0.0 where its value is 0, whatever its diagonals; else it is
+    |value| / sqrt(G_mm G_nn) where both diagonals are positive, from the exact values where
+    a float's range does not hold them; else, on the Romanovski shape, |value| over the
+    moment scale of m + n; else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
-    routes = _route(weight, [r.monic for r in table], pairs, tol)
+    routes = _route(weight, [r.monic for r in table], pairs, tol, [r.eigenvalue for r in table])
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
     # the Romanovski scale of a pair whose diagonal norms diverge; a Laguerre pair has none
     romanovski = _shape(weight) == "romanovski"
-    moment_scale = functools.cache(lambda t: _real_line_moment(weight, t))
+    moment_scale = functools.cache(lambda t: _real_line_moment(weight, t)) if romanovski else None
     entries: list[GramEntry] = []
+    max_rel, unscaled, above = None, 0, []
     for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):
         rel = None
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
-                try:  # from the exact values where a float overflows
+                try:  # from the exact values where a float product overflows or underflows
                     rel = abs(float(value)) / math.sqrt(diag[m] * diag[n]) if value else 0.0
-                except OverflowError:
+                except (OverflowError, ZeroDivisionError):
                     rel = math.sqrt(Fraction(value) ** 2 / (Fraction(diag[m]) * Fraction(diag[n])))
             elif romanovski:
                 rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
+            elif not value:
+                rel = 0.0
+            if rel is None:
+                unscaled += 1
+            else:
+                if max_rel is None or rel > max_rel:
+                    max_rel = rel
+                if rel > tol:
+                    above.append(rel)
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
-    max_rel = max((e.relative for e in entries if e.relative is not None), default=None)
-    unscaled = sum(1 for e in entries if e.m != e.n and e.value and e.relative is None)
     if unscaled:
         notes += ("nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
                   f"which the max relative skips: {unscaled}",)
-    above = [e.relative for e in entries if e.relative is not None and e.relative > tol]
     if above:
         notes += (f"off-diagonal entries with relative above tol {tol:g}: {len(above)}, "
                   f"max {max(above):.3e}",)

@@ -218,13 +218,19 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
     if b.degree > 1:
         raise ValueError("weight derivation requires deg(b) <= 1")
     s, t, c = norm.s, norm.t, norm.c
-    b1, b0 = b.coeff(1), b.coeff(0)
-
     if norm.normal_form == "x^2-1":  # roots t - s < t + s
-        da = a.derivative()
-        exponents = ((r, b(r) / da(r) - 1) for r in (t - s, t + s))
-        factors = tuple(PowerFactor(r, e) for r, e in exponents if e != 0)
-        return WeightExpr(power_factors=factors, interval=Interval(t - s, t + s))
+        # e = b(r) / a'(r) - 1 in ints: for r = p/q, q a.den a'(r) = a1 q + 2 a2 p and
+        # q b.den b(r) = b0 q + b1 p
+        (_, a1, a2), (b0, b1) = a.nums, (b.nums + (0, 0))[:2]
+        ends, factors = (t - s, t + s), []
+        for r in ends:
+            p, q = r.numerator, r.denominator
+            slope = (a1 * q + 2 * a2 * p) * b.den
+            e = Fraction((b0 * q + b1 * p) * a.den - slope, slope)
+            if e:
+                factors.append(PowerFactor(r, e))
+        return WeightExpr(power_factors=tuple(factors), interval=Interval(*ends))
+    b1, b0 = b.coeff(1), b.coeff(0)
     if norm.normal_form == "x^2+1":
         if (s, t) != (1, 0):
             raise UnsupportedLeadingCoefficient(

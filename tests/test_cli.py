@@ -251,6 +251,20 @@ class TestGram:
         with pytest.raises(OverflowError):
             float(Fraction(norm["value"]))
 
+    def test_exact_norms_below_a_float_keep_exact_relatives(self, capsys, tmp_path):
+        # (x^2 - 10^-6 x) y'' + (2x - 10^-6) y': the weight 1 on (0, 10^-6), whose exact
+        # monic norms from n = 15 on are below a float's smallest subnormal; 106 of the 406
+        # exact-zero off-diagonals at --n-max 28 read relative null, for example (0, 25)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": [["0"], ["-1/1000000", "2"], ["0", "-1/1000000", "1"]]}))
+        data = run_json(capsys, "gram", "--operator-json", str(path), "--n-max", "28")
+        off = [e for e in data["entries"] if e["m"] != e["n"]]
+        assert len(off) == 406 and data["notes"] == []
+        assert all(e["method"] == "exact" and e["value"] == "0" and e["relative"] == 0.0 for e in off)
+        assert data["off_diagonal_max_relative"] == 0.0
+        norm = data["entries"][-1]
+        assert (norm["m"], norm["n"]) == (28, 28) and float(Fraction(norm["value"])) == 0.0
+
     def test_half_line_without_exponential_is_non_integrable(self, capsys):
         # laguerre(0, 1) has the weight 1 on (0, inf): no pair is integrable
         data = run_json(capsys, "gram", "--family", "laguerre", "--alpha", "0", "--beta", "1", "--n-max", "3")

@@ -34,6 +34,7 @@ from specpoly import (
     integrability,
     moment_reach,
 )
+from specpoly.ratpoly import common_denominator
 
 from oracles import (
     divide_and_integrate,
@@ -302,9 +303,9 @@ class TestMomentAssembly:
             reads.append(key)
             return moments(form, key)
 
-        def spy_block(form, pairs):
+        def spy_block(form, pairs, *certificate):
             asked.extend(pairs)
-            return block(form, pairs)
+            return block(form, pairs, *certificate)
 
         monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
         monkeypatch.setattr(orthogonality._MomentForm, "block", spy_block)
@@ -592,7 +593,8 @@ class TestGramMatrix:
         length = Fraction(10**6)
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (100, 101, 103)
-        table = [SimpleNamespace(monic=Poly.x() ** a) for a in powers]
+        # one shared eigenvalue: the monomials are no eigentable, so no pair is certified
+        table = [SimpleNamespace(monic=Poly.x() ** a, eigenvalue=Fraction(0)) for a in powers]
         report = orthogonality._gram_for(table, w, range(3), "monomials")
         assert len(report.entries) == 6
         for e in report.entries:
@@ -601,6 +603,38 @@ class TestGramMatrix:
             if e.m != e.n:
                 closed = math.sqrt((2 * a + 1) * (2 * b + 1)) / (a + b + 1)
                 assert e.relative == pytest.approx(closed, rel=1e-15)
+
+    def test_relative_below_a_float_comes_from_exact_values(self):
+        # the same on (0, L), L = 10^-6, a and b near 30: every value is below a float's
+        # smallest subnormal, and relative keeps its closed form
+        length = Fraction(1, 10**6)
+        w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
+        powers = (29, 30, 32)
+        table = [SimpleNamespace(monic=Poly.x() ** a, eigenvalue=Fraction(0)) for a in powers]
+        report = orthogonality._gram_for(table, w, range(3), "monomials")
+        closed = []
+        for e in report.entries:
+            a, b = powers[e.m], powers[e.n]
+            assert e.value == length ** (a + b + 1) / (a + b + 1) and float(e.value) == 0.0
+            if e.m != e.n:
+                closed.append(math.sqrt((2 * a + 1) * (2 * b + 1)) / (a + b + 1))
+                assert e.relative == pytest.approx(closed[-1], rel=1e-15)
+        assert report.off_diagonal_max_relative == pytest.approx(max(closed), rel=1e-15)
+        assert report.notes == (f"off-diagonal entries with relative above tol 1e-10: 3, max {max(closed):.3e}",)
+
+    def test_zero_beside_a_divergent_diagonal_reads_zero_relative(self):
+        # (1 - x)^-2 (1 + x)^-2: G_00 .. G_33 diverge; an exact-zero off-diagonal beside one
+        # reads relative 0.0 (it read null), and only the nonzero ones count as unscaled
+        report = gram_matrix(FamilySpec.jacobi(-1, 2, 0), 6)
+        assert [e.integrable for e in report.entries if e.m == e.n] == [False] * 4 + [True] * 3
+        off = [e for e in report.entries if e.m != e.n and e.value is not None]
+        zeros = [e for e in off if e.value == 0]
+        assert len(zeros) == 9 and all(e.relative == 0.0 for e in zeros)
+        assert sum(1 for e in zeros if min(e.m, e.n) < 4) == 6
+        assert len(off) - len(zeros) == 6 and all(e.relative is None for e in off if e.value)
+        assert report.off_diagonal_max_relative == 0.0
+        assert report.notes == ("nonzero off-diagonal entries without a scale (a diagonal norm "
+                                "diverges), which the max relative skips: 6",)
 
     def test_fractional_laguerre_has_no_internal_fault(self):
         # quadrature nodes next to the half line's anchor once collapsed to x = 0.0 and
@@ -967,7 +1001,8 @@ class TestLaguerreMoments:
     def test_pearson_ratios_are_rising_factorials(self):
         # for |x|^A e^(c x) on (0, inf), c < 0: m_k / m_0 = (A+1)(A+2)...(A+k) / |c|^k
         for a_exp, c in ((Fraction(0), Fraction(-1)), (Fraction(4, 3), Fraction(-3, 2)), (Fraction(-1, 2), -2)):
-            den, nums = orthogonality._moment_ratios(P(0, 1), P(1 + a_exp, c), 12)
+            pair = common_denominator((0, 1, 0, 1 + a_exp, c))[1]  # a = x, b = 1 + A + c x
+            den, nums = orthogonality._moment_ratios(pair, 12)
             assert [Fraction(v, den) for v in nums] == [math.prod((a_exp + j for j in range(1, k + 1)), start=Fraction(1)) / (-c) ** k
                               for k in range(13)]
 
@@ -1347,3 +1382,104 @@ class TestMomentRoute:
                     favard += 1
         assert len(draw) >= 100 and collided >= 15 and near_boundary >= 15
         assert zeros > 1000 and favard > 200
+
+
+def certificate_draw():
+    """Seeded second-order operators, each with a degree: integer Jacobi exponents -3..6 up
+    to degree 16, Laguerre exponents on both sides of -1, Romanovski near its reach
+    (romanovski_shape_draw) and operators c (x - r1)(x - r2) D^2 + (b1 x + b0) D with
+    rational roots."""
+    rng = random.Random(31)
+    draw = []
+    for _ in range(60):  # the weight (1 - x)^a (1 + x)^b
+        a, b = rng.randint(-3, 6), rng.randint(-3, 6)
+        draw.append((build_operator(FamilySpec.jacobi(-1, -2 - a - b, b - a)), rng.randint(0, 16)))
+    for _ in range(40):  # |x|^(beta - 1) e^(alpha x): E = beta - 1 on both sides of -1
+        alpha = rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        beta = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        draw.append((build_operator(FamilySpec.laguerre(alpha, beta)), rng.randint(0, 12)))
+    for c, alpha, beta, n in romanovski_shape_draw()[:60]:
+        draw.append((DiffOperator([Poly(), P(beta, alpha), c * P(1, 0, 1)]), n + 4))
+    for _ in range(60):
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        r2 = r1 + Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        c = rng.choice([Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)])
+        b = P(Fraction(rng.randint(-12, 12), rng.randint(1, 4)), Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+        draw.append((DiffOperator([Poly(), b, c * P(-r1, 1) * P(-r2, 1)]), rng.randint(0, 12)))
+    return draw
+
+
+class TestCertifiedEntries:
+    """_MomentForm.block with an eigentable's certificate against the block without it."""
+
+    def test_certified_entries_equal_the_block(self):
+        # every pair the router would ask, answered with the certificate and without it:
+        # the same Fraction (or refusal) and key, with no row built where it certifies
+        certified = divisors = collided = through_operator = 0
+        for op, n in certificate_draw():
+            try:
+                w = derive_weight(op.coeffs[2], op.coeffs[1])
+            except ValueError:
+                continue
+            shape = orthogonality._shape(w)
+            if shape not in ("finite", "laguerre", "romanovski"):
+                continue
+            table = eigentable(op, n)
+            funcs = [r.monic for r in table]
+            reach = moment_reach(w) if shape == "romanovski" else math.inf
+            try:
+                form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
+            except NotPolynomialReducible:  # a non-integer exponent on a finite interval
+                continue
+            pairs = [
+                (m, k) for m in range(n + 1) for k in range(m, n + 1)
+                if funcs[m] is not None and funcs[k] is not None and m + k <= reach
+            ]
+            certificate = orthogonality._certificate(funcs, [r.eigenvalue for r in table])
+            got, want = form.block(pairs, certificate), form.block(pairs)
+            for pair, g, e in zip(pairs, got, want):
+                assert type(g) is type(e), (op, pair)
+                if isinstance(e, tuple):
+                    assert g == e and type(g[0]) is Fraction, (op, pair)
+                else:
+                    assert str(g) == str(e), (op, pair)
+            ids = certificate[0]
+            if form.divisors:
+                divisors += 1
+            else:
+                certified += sum(1 for m, k in pairs if m != k and ids[m] != ids[k])
+            collided += len(set(ids)) < len(ids)
+            if n <= 12:  # the Gram matrix is the uncertified route's
+                gram = gram_matrix_for_operator(op, n)
+                gram_pairs = [(e.m, e.n) for e in gram.entries]
+                routes = orthogonality._route(w, funcs, gram_pairs, orthogonality.DEFAULT_TOL)
+                for e, route in zip(gram.entries, routes):
+                    assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
+                    assert e.value is None or type(e.value) is type(route[0])
+                through_operator += 1
+        assert certified > 3000 and divisors > 40 and collided > 20 and through_operator > 120
+
+    @pytest.mark.parametrize("divided", [False, True])
+    def test_equal_eigenvalues_and_divisors_reach_the_block(self, divided):
+        # x^d + x^(d-1) are no eigenfunctions, so a certified entry shows itself: with no
+        # divisor an off-diagonal of two ids is the shared zero and a diagonal below the
+        # prefix is <p_k, x^k>, while equal ids, the diagonals from the prefix on, and a
+        # weight with a divisor (1/(1 - t) on (0, 1), f = (t - 1) g) take the block
+        base = {0: P(1), **{d: Poly.monomial(d) + Poly.monomial(d - 1) for d in range(1, 7)}}
+        w = LEGENDRE_W
+        if divided:
+            w, base = CQ_W, {d: P(-1, 1) * f for d, f in base.items()}
+        form = orthogonality._MomentForm(w, base)
+        pairs = [(m, k) for m in range(7) for k in range(m, 7)]
+        ids, prefix = [0, 1, 2, 3, 2, 4, 4], 4  # degree 4 repeats degree 2's eigenvalue
+        got = dict(zip(pairs, form.block(pairs, (ids, prefix))))
+        want = dict(zip(pairs, form.block(pairs)))
+        assert all(want[m, k][0] != 0 for m, k in pairs if (m + k) % 2 == 0)
+        for (m, k), answer in got.items():
+            if divided or (m != k and ids[m] == ids[k]) or (m == k and m >= prefix):
+                assert answer == want[m, k], (m, k)
+            elif m != k:
+                assert answer == (0, ()) and answer[0] is got[0, 1][0], (m, k)
+            else:
+                dot = inner_product_exact(w, base[m], Poly.monomial(m))
+                assert answer == (dot, ()) and (dot != want[m, k][0]) == (m > 0), m

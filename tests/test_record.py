@@ -1,23 +1,42 @@
 """The Record contract: what the value types kept from frozen dataclasses."""
 
+import functools
+import json
 from fractions import Fraction
 
 import pytest
 
 from specpoly import (
+    AffineNormalization,
+    BoundaryVerdict,
+    EigenResult,
     FamilyKind,
     FamilySpec,
     GramEntry,
+    IntegrabilityVerdict,
     Interval,
+    OperatorMatrix,
+    OrthoReport,
+    PearsonVerdict,
     Poly,
     PowerFactor,
+    QuadResult,
+    RomanovskiPair,
+    RomanovskiReport,
+    Spectrum,
     WeightExpr,
+    bochner_normalize,
+    boundary_vanishing,
     build_operator,
     classical_presets,
     derive_weight,
+    eigentable,
+    finite_orthogonality_report,
+    gram_matrix,
+    integrability,
+    pearson_check,
 )
 from specpoly._record import Record
-from specpoly.weights import BoundaryVerdict, IntegrabilityVerdict
 
 
 def chebyshev1_weight() -> WeightExpr:
@@ -143,3 +162,133 @@ class TestToJson:
         data = Pair(None, (0.25, True, False, "x", 3)).to_json()
         assert data == {"a": None, "b": [0.25, True, False, "x", 3]}
         assert [type(v) for v in data["b"]] == [float, bool, bool, str, int]
+
+
+# ---------------------------------------------------------------------------
+# the contract, class by class: every Record subclass in the package
+
+
+def _package_records() -> list[type]:
+    found, stack = [], list(Record.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("specpoly."):
+            found.append(cls)
+    return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
+
+
+def _legendre_op():
+    return build_operator(classical_presets()["legendre"])
+
+
+# one instance per class, from the library's own calls where they are cheap
+SAMPLES = {
+    OperatorMatrix: lambda: _legendre_op().matrix(3),
+    Spectrum: lambda: _legendre_op().spectrum(3),
+    EigenResult: lambda: eigentable(_legendre_op(), 2)[2],
+    FamilySpec: lambda: FamilySpec.jacobi(1, Fraction(-1, 2), 3),
+    AffineNormalization: lambda: bochner_normalize(Poly((1, 0, -1))),
+    QuadResult: lambda: QuadResult(0.5, 1e-12, 3, 97),
+    PowerFactor: lambda: PowerFactor(Fraction(1), Fraction(-1, 2)),
+    Interval: lambda: Interval(Fraction(-1), None),
+    WeightExpr: chebyshev1_weight,
+    PearsonVerdict: lambda: pearson_check(chebyshev1_weight(), Poly((1, 0, -1)), Poly((0, -1))),
+    IntegrabilityVerdict: lambda: integrability(chebyshev1_weight(), 2),
+    BoundaryVerdict: lambda: boundary_vanishing(chebyshev1_weight(), Poly((1, 0, -1)), (1, 2)),
+    GramEntry: lambda: GramEntry(0, 2, Fraction(-4, 45), "exact", True),
+    OrthoReport: lambda: gram_matrix(classical_presets()["legendre"], 2),
+    RomanovskiPair: lambda: RomanovskiPair(0, 1, "orthogonal", 0.0, 0.0),
+    RomanovskiReport: lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 3),
+}
+RECORDS = _package_records()
+# the only classes with a __post_init__, and an argument list each refuses
+REFUSALS = {
+    Interval: ((Fraction(1), Fraction(1)), r"empty interval \(1, 1\)"),
+    FamilySpec: ((FamilyKind.JACOBI, Fraction(0), Fraction(0), 0), "jacobi eps must be"),
+}
+# the only classes whose JSON keys are not their fields
+OWN_JSON_KEYS = {
+    EigenResult: ["degree", "eigenvalue_of_L", "lambda_ode_convention", "status", "monic",
+                  "eigenspace_dim", "basis"],
+    WeightExpr: ["constant", "power_factors", "quad_exp", "exp_poly", "arctan_coeff", "interval",
+                 "formula"],
+}
+CACHED = [
+    (cls, name) for cls in RECORDS for name, v in vars(cls).items()
+    if isinstance(v, functools.cached_property)
+]
+
+
+def _defaulted(cls) -> list[str]:
+    return [f for f in cls._fields if hasattr(cls, f)]
+
+
+def test_every_record_class_has_a_sample():
+    assert set(RECORDS) == set(SAMPLES) and len(RECORDS) == 16
+    assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
+    assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
+    assert CACHED == [(OperatorMatrix, "entries"), (WeightExpr, "_float_form")]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+class TestEveryRecord:
+    def test_positional_and_keyword_construction(self, cls):
+        sample = SAMPLES[cls]()
+        values = sample._values()
+        assert type(sample) is cls and len(values) == len(cls._fields)
+        assert cls(*values) == sample
+        assert cls(**dict(zip(cls._fields, values))) == sample
+        assert hash(cls(*values)) == hash(sample)
+        assert repr(sample) == f"{cls.__qualname__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(cls._fields, values)) + ")"
+        with pytest.raises(TypeError):
+            cls(*values, None)  # one too many
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: values[0]})  # given twice
+
+    def test_defaults(self, cls):
+        sample, defaulted = SAMPLES[cls](), _defaulted(cls)
+        required = len(cls._fields) - len(defaulted)
+        assert list(cls._fields[required:]) == defaulted  # defaults come last
+        built = cls(*sample._values()[:required])
+        for f in defaulted:
+            assert getattr(built, f) is getattr(cls, f)
+        if required:
+            with pytest.raises(TypeError):
+                cls(*sample._values()[: required - 1])
+
+    def test_to_json_field_order(self, cls):
+        data = SAMPLES[cls]().to_json()
+        assert list(data) == OWN_JSON_KEYS.get(cls, list(cls._fields))
+        assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("cls", list(REFUSALS), ids=lambda c: c.__name__)
+def test_post_init_refusals(cls):
+    args, message = REFUSALS[cls]
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
+
+
+@pytest.mark.parametrize("cls, name", CACHED, ids=lambda v: getattr(v, "__name__", v))
+def test_cached_property(cls, name):
+    used, fresh = SAMPLES[cls](), SAMPLES[cls]()
+    value = getattr(used, name)
+    assert getattr(used, name) is value and name in vars(used) and name not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+
+
+def test_init_is_compiled_at_the_first_instance():
+    class Triple(Record):
+        a: int
+        b: int = 2
+        c: int = 3
+
+    stub = Triple.__init__
+    first = Triple(1, c=4)
+    assert Triple.__init__ is not stub and Triple.__init__.__qualname__.endswith("Triple.__init__")
+    assert Triple.__init__.__defaults__ == (2, 3)
+    assert list(vars(first)) == ["a", "b", "c"] and first == Triple(1, 2, 4)
+    with pytest.raises(TypeError):
+        Triple()
