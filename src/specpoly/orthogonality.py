@@ -16,7 +16,8 @@ real line.
   k_r = max(floor(-E_r), 0) times, once, on every shape, and a pair whose
   root orders s_r = s_f + s_g reach k_r (key s_r - k_r) integrates
   p prod (x - r)^s_r, with exponent A_r = E_r + s_r at r and the sign
-  (-1)^s_r at the upper end.  Its entry is a bilinear form
+  (-1)^s_r at the upper end.  A negative key leaves A_r <= -1, so the key (with
+  the Romanovski reach) decides integrability.  Its entry is a bilinear form
   over the key's r_k, cleared to integers over one denominator: O(n^3)
   operations for an n x n Gram matrix, no polynomial product per entry and
   one Fraction per nonzero entry (every exact zero is one shared
@@ -31,11 +32,12 @@ real line.
     factor leaves the weight to quadrature.
   - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: a = x^2+1,
     b = (2q+2) x + h; m_0 is Cauchy's beta integral.  The last k with p x^k
-    integrable (the reach), read once per matrix, gates every pair by m + n.
+    integrable (the reach), read once per matrix, refuses every pair with
+    m + n past it before the block.
   - Laguerre, p = |x - t|^E e^(c x) on a half line from t: k = floor(-E)
     when E <= -1, A = E + s > -1, a = x - t, b = 1 + A + c (x - t), and
-    m_0 = Gamma(A+1) e^(ct) / |c|^(A+1).  The generic gate below reads the
-    same root orders.
+    m_0 = Gamma(A+1) e^(ct) / |c|^(A+1).  A hand-built half line whose e^(c x)
+    grows toward its infinite end has reach -1: no pair is integrable.
   These two are the moment route: m_0 is a float, and an entry is its exact
   ratio to m_0 (times the weight's constant) times that float.
 * quadrature: by tanh-sinh, a finite-interval pair that does not reduce, on
@@ -57,7 +59,7 @@ and L g = lambda_n g of L = a D^2 + b D, (p a)' = p b gives
 divisor, the boundary term vanishes at both ends of every pair the block is
 asked: on a finite interval every end exponent is >= 0, so p a has a positive
 one; on a half line E > -1 at t and e^(c x) decays; on the Romanovski shape the
-gate admits only pairs inside the reach, m + n + 2q + 1 < 0, which is the power
+router asks only pairs inside the reach, m + n + 2q + 1 < 0, which is the power
 of the boundary term.  So, read off the eigentable once per Gram matrix, an
 off-diagonal pair whose eigenvalues differ is the shared exact zero, with no
 moment read, and a diagonal (k, k) is <p_k, x^k> = sum_i c_i m_(k+i), one O(k)
@@ -72,8 +74,14 @@ Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.  An
 off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
 
-A pair goes to quadrature when p f g is integrable.  One integrability read at
-the largest m + n decides every pair when it holds; where it refuses, each
+One integrability decision per weight.  Where it has a moment form, the form
+decides: a pair is non-integrable when the block refuses its key or, on the
+Romanovski shape, when m + n is past the reach; a pair with no eigenfunction
+is integrable when no end divides and m + n is within the reach.  A weight
+with no form (a non-integer finite exponent, a factor rooted off the ends, the
+Gaussian, a shape with no route) takes the integrability gate, and a pair goes
+to quadrature when the gate holds.  One integrability read at the largest
+m + n decides every pair when it holds; where it refuses, each
 eigenfunction's root orders at the weight's roots are read once, and a pair's
 sum raises the weight's exponents there, so no f g is formed for a verdict; on
 a finite interval the degree plays no part, and the sum alone keys it.  A
@@ -226,8 +234,9 @@ class _MomentForm:
     f~, g~ and r are int lists over their denominators, so an entry is int sums and, when
     it is not 0, one Fraction.  On a finite interval r carries the rational m_0, and the
     entry is the integral; on the moment route it is the ratio to the key's float m_0
-    (m_0[key], set when the key's moments are read), exact only where the integrability
-    gate holds: the caller gates first.  steps caps the ratios (the Romanovski reach)."""
+    (m_0[key], set when the key's moments are read).  A refused key is a non-integrable
+    pair.  steps caps the ratios (the Romanovski reach): a pair past it has no moment, and
+    the caller asks none."""
 
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: float = math.inf):
         iv = weight.interval
@@ -518,12 +527,10 @@ def _integrability_gate(
     funcs: Sequence[Poly | None],
     pairs: Sequence[tuple[int, int]],
     shape: str | None,
-    reach: int | float,
 ) -> Callable[[int, int], bool]:
-    """integrable(i, j) for an index pair into funcs: the module docstring's gate."""
+    """integrable(i, j) for an index pair into funcs, on a weight with no moment form: the
+    module docstring's gate."""
     degree = [d if f is None else max(f.degree, 0) for d, f in enumerate(funcs)]
-    if shape == "romanovski":  # its reach is the shape's one integrability decision
-        return lambda i, j: degree[i] + degree[j] <= reach
     top = max((degree[i] + degree[j] for i, j in pairs), default=0)
     roots = sorted({pf.root for pf in weight.power_factors})
     orders = functools.cache(lambda i: [funcs[i].strip_root(r, degree[i])[1] for r in roots])
@@ -574,10 +581,12 @@ def _route(
     eigenvalues: Sequence[Fraction] | None = None,
 ) -> list[tuple]:
     """(value, method, integrable, err_est, note) per index pair (i, j) into funcs, by the
-    routes and the integrability gate of the module docstring, the gate built only when a
-    pair needs it.  funcs[d] is None where degree d has no eigenfunction; such a pair has no
-    value and its degree's verdict.  eigenvalues, when given, makes funcs an eigentable of
-    the weight's operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue
+    routes of the module docstring.  Where the weight has a moment form, the form decides
+    integrability: a pair past the reach is refused before the block, and one whose key the
+    block refuses is non-integrable; the integrability gate is built only for a weight with
+    no form.  funcs[d] is None where degree d has no eigenfunction; such a pair has no value
+    and its degree's verdict.  eigenvalues, when given, makes funcs an eigentable of the
+    weight's operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue
     eigenvalues[d]), whose pairs the form may certify (_MomentForm.block); the eigenvalues'
     collisions are read once, not per pair."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
@@ -586,21 +595,21 @@ def _route(
     shape = _shape(weight)
     moment = shape in ("romanovski", "laguerre")
     form = None
-    # r_k past the Romanovski reach is no moment; the other shapes' keys have them all
+    # the last k with a moment r_k: the Romanovski power law caps it, and a half line whose
+    # e^(c x) grows toward its infinite end has none; the other shapes' keys have them all
     reach = moment_reach(weight) if shape == "romanovski" else math.inf
+    if shape == "laguerre" and (weight.exp_poly.coeff(1) > 0) == (weight.interval.hi is None):
+        reach = -1
     if moment or shape == "finite":
         try:
             form = _MomentForm(weight, known, reach)
         except NotPolynomialReducible:  # only a finite interval's form refuses a weight
             pass
-    gate = None
-
-    def integrable(i: int, j: int) -> bool:
-        nonlocal gate
-        if gate is None:
-            gate = _integrability_gate(weight, funcs, pairs, shape, reach)
-        return gate(i, j)
-
+    # a degree alone (no eigenfunction) is integrable where no end divides, within the reach
+    integrable = (
+        _integrability_gate(weight, funcs, pairs, shape) if form is None
+        else lambda i, j: not form.divisors and i + j <= reach
+    )
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
     numeric = (None, "quadrature", True, None, None)  # valued by the sweep below
@@ -611,7 +620,7 @@ def _route(
             routes.append((None, None, integrable(i, j), None, "no degree-exact eigenfunction"))
         elif i not in known or j not in known:  # f or g is zero
             routes.append(zero)
-        elif moment and not integrable(i, j):  # gate first: a pair it refuses has no moment
+        elif reach < math.inf and known[i].degree + known[j].degree > reach:  # no moment
             routes.append(refused)
         else:
             asked.append(len(routes))
@@ -620,23 +629,20 @@ def _route(
     certificate = None
     if eigenvalues is not None and form is not None and not form.divisors:
         certificate = _certificate(funcs, eigenvalues)
-    if moment:  # the gate admits only pairs that reduce, each a ratio to its key's float m_0
-        try:  # m_0 is read with its key's moments
-            answers = form.block(block, certificate)
-            values = [float(ratio) * form.m_0[key] for ratio, key in answers]
-            if any(map(math.isinf, values)):
-                raise OverflowError
-        except OverflowError:
-            raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
-        for k, value in zip(asked, values):
-            routes[k] = (value, "moment", True, None, None)
-    else:
+    try:  # a moment entry is its ratio times its key's float m_0, which the block reads
         answers = form.block(block, certificate) if form is not None else [None] * len(block)
         for k, answer in zip(asked, answers):
-            if isinstance(answer, tuple):
+            if not isinstance(answer, tuple):  # a negative key, or no form and the gate
+                routes[k] = numeric if answer is None and integrable(*pairs[k]) else refused
+            elif moment:
+                value = float(answer[0]) * form.m_0[answer[1]]
+                if math.isinf(value):
+                    raise OverflowError
+                routes[k] = (value, "moment", True, None, None)
+            else:
                 routes[k] = (answer[0], "exact", True, None, None)
-            else:  # refused by the exact route, or no form
-                routes[k] = numeric if integrable(*pairs[k]) else refused
+    except OverflowError:
+        raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
     pending = [k for k, route in enumerate(routes) if route[1] == "quadrature"]
     slot = {d: k for k, d in enumerate(sorted({d for k in pending for d in pairs[k]}))}
     swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in pending)]

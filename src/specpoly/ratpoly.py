@@ -21,14 +21,13 @@ produces.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Poly",
     "RatLike",
     "rat",
-    "rational_sqrt",
     "MINUS_INF",
 ]
 
@@ -46,17 +45,6 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num = isqrt(q.numerator)
-    den = isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
 
 
 def common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:

@@ -293,10 +293,11 @@ class TestMomentAssembly:
         assert exact > 4500 and refused > 50
 
     def test_moment_route_reads_only_gated_keys(self, monkeypatch):
-        # the integrability gate runs before the block: only gated pairs reach it, and each
-        # key of a gated pair has its moments (and m_0) read once; a weight that gates no
-        # pair reads none
-        reads, asked = [], []
+        # the form decides integrability on the moment route: the block is asked every pair
+        # of two eigenfunctions within the reach, reads the moments (and m_0) of each key of an
+        # integrable pair once and no other key, and its refusals are the entries marked
+        # non-integrable that lie within the reach; a weight with no integrable pair reads none
+        reads, asked, refusals = [], [], []
         moments, block = orthogonality._MomentForm._moments, orthogonality._MomentForm.block
 
         def spy_moments(form, key):
@@ -304,8 +305,10 @@ class TestMomentAssembly:
             return moments(form, key)
 
         def spy_block(form, pairs, *certificate):
+            answers = block(form, pairs, *certificate)
             asked.extend(pairs)
-            return block(form, pairs, *certificate)
+            refusals.extend(pair for pair, a in zip(pairs, answers) if not isinstance(a, tuple))
+            return answers
 
         monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
         monkeypatch.setattr(orthogonality._MomentForm, "block", spy_block)
@@ -314,20 +317,31 @@ class TestMomentAssembly:
             (FamilySpec.laguerre(-1, -2), 8, 6),  # |x|^(-3) e^(-x): k = 3
             (FamilySpec.laguerre(-2, -3), 8, 10),  # |x|^(-4) e^(-2x): k = 4
             (FamilySpec.laguerre(1, -1), 8, 3),  # |x|^(-2) e^x on (-inf, 0): k = 2
-            (FamilySpec.laguerre(-1, Fraction(-1, 2)), 6, 28),  # |x|^(-3/2) e^(-x): none gated
+            (FamilySpec.laguerre(-1, Fraction(-1, 2)), 6, 28),  # |x|^(-3/2) e^(-x): none integrable
             (ROM_SPEC, 10, 46),  # the reach: m + n <= 7
         ]
         for spec, n, refused in specs:
             reads.clear()
             asked.clear()
+            refusals.clear()
             w = weight_of(spec)
+            reach = moment_reach(w) if orthogonality._shape(w) == "romanovski" else math.inf
             table = eigentable(build_operator(spec), n)
             gram = gram_matrix(spec, n)
-            gated = [e for e in gram.entries if e.integrable]
-            assert len(gram.entries) - len(gated) == refused, spec
-            assert sorted(asked) == sorted((e.m, e.n) for e in gated), spec
-            keys = {_block_key(w, table[e.m].monic, table[e.n].monic) for e in gated}
+            integrable = [e for e in gram.entries if e.integrable]
+            assert len(gram.entries) - len(integrable) == refused, spec
+            within = [
+                (e.m, e.n) for e in gram.entries
+                if table[e.m].monic is not None and table[e.n].monic is not None
+                and e.m + e.n <= reach
+            ]
+            assert sorted(asked) == sorted(within), spec
+            keys = {_block_key(w, table[e.m].monic, table[e.n].monic) for e in integrable}
             assert len(reads) == len(set(reads)) and set(reads) == keys, spec
+            assert sorted(refusals) == sorted(
+                (e.m, e.n) for e in gram.entries if not e.integrable and e.m + e.n <= reach
+            ), spec
+            assert all(e.m + e.n <= reach for e in integrable), spec
 
     def test_large_denominators_match_divide_and_integrate(self):
         # numerators and denominators up to 10^6, a different denominator for
@@ -476,6 +490,24 @@ class TestRouter:
             inner_product(ROM_W, Poly.monomial(4), Poly.monomial(4))
         with pytest.raises(NonIntegrable):  # 1/(1-t) is integrable only against a root at 1
             inner_product(CQ_W, Poly.one(), Poly.x())
+
+    @pytest.mark.parametrize("lo, hi, c, e", [(0, None, 1, 0), (None, 0, -1, 0), (None, 0, -2, -2)])
+    def test_growing_half_line_has_no_moment(self, lo, hi, c, e):
+        # a hand-built |x|^e e^(c x) that grows toward its infinite end has the Laguerre shape
+        # but no moment: its moment form reads no pair, whatever the roots of f and g, while
+        # a zero f is still the moment route's 0.0 and a missing eigenfunction non-integrable
+        w = WeightExpr(
+            power_factors=(PowerFactor(Fraction(0), Fraction(e)),) if e else (),
+            exp_poly=P(0, c),
+            interval=Interval(lo, hi),
+        )
+        assert orthogonality._shape(w) == "laguerre"
+        for f, g in ((P(1), P(1)), (P(0, 0, 1), P(0, 0, 1)), (P(1), P(2, 1))):
+            with pytest.raises(NonIntegrable):
+                inner_product(w, f, g)
+        assert inner_product(w, Poly.zero(), P(1)) == (0.0, "moment", None)
+        routes = orthogonality._route(w, [None, P(0, 1)], [(0, 0), (0, 1), (1, 1)], 1e-10)
+        assert [route[2] for route in routes] == [False, False, False]
 
     # spec, n_max, the routes its pairs take, whether some pair is non-integrable
     GRAM_ROUTED = {
@@ -1483,3 +1515,65 @@ class TestCertifiedEntries:
             else:
                 dot = inner_product_exact(w, base[m], Poly.monomial(m))
                 assert answer == (dot, ()) and (dot != want[m, k][0]) == (m > 0), m
+
+
+def integrability_draw():
+    """Seeded second-order operators, each with a degree, whose weights all have a moment form:
+    c (x - r1)(x - r2) D^2 + c ((E1 + 1)(x - r2) + (E2 + 1)(x - r1)) D, the weight
+    |x - r1|^E1 |x - r2|^E2 on (r1, r2) with rational ends and integer E1, E2 in -5..3 (their
+    negative sums collide eigenvalues, so some degrees have no eigenfunction); c (x - t) D^2 +
+    (b1 x + b0) D, a half line on either side of t with E = b0/c + b1 t/c - 1 <= -1; and the
+    Romanovski operators of romanovski_shape_draw, near and past their reach."""
+    rng = random.Random(532)
+    draw = []
+    for _ in range(50):
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        r2 = r1 + Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        e1, e2 = rng.randint(-5, 3), rng.randint(-5, 3)
+        c = rng.choice([Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)])
+        b = c * ((e1 + 1) * P(-r2, 1) + (e2 + 1) * P(-r1, 1))
+        draw.append((DiffOperator([Poly(), b, c * P(-r1, 1) * P(-r2, 1)]), rng.randint(2, 10)))
+    for _ in range(30):
+        t = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        c = rng.choice([Fraction(1), Fraction(-2), Fraction(1, 2)])
+        b1 = rng.choice([-1, 1]) * Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        e = rng.choice([-1, -2, -3]) - Fraction(rng.randint(0, 5), rng.randint(1, 3))  # E <= -1
+        draw.append((DiffOperator([Poly(), P(c * (e + 1) - b1 * t, b1), c * P(-t, 1)]), rng.randint(2, 10)))
+    for c, alpha, beta, n in romanovski_shape_draw()[60:]:
+        draw.append((DiffOperator([Poly(), P(beta, alpha), c * P(1, 0, 1)]), n + 4))
+    return draw
+
+
+class TestIntegrabilityDecision:
+    def test_gram_entries_match_the_root_order_verdict(self):
+        # where a weight has a moment form, the form alone decides integrability (a negative
+        # key, or past the Romanovski reach); every Gram entry's flag must equal the public
+        # weights.integrability verdict on p times (x - r)^s at each root r of p, with s the
+        # pair's summed root orders read by the oracle's synthetic division, times a degree
+        # m + n - sum(s); a pair with no eigenfunction reads the degree verdict for m + n
+        counts = {"finite": 0, "laguerre": 0, "romanovski": 0}
+        refused = missing = 0
+        for op, n in integrability_draw():
+            w = derive_weight(op.coeffs[2], op.coeffs[1])
+            shape = orthogonality._shape(w)
+            counts[shape] += 1
+            roots = sorted({pf.root for pf in w.power_factors})
+            funcs = [r.monic for r in eigentable(op, n)]
+            orders = [
+                None if f is None else [ref_strip_root(f.coeffs, r, f.degree)[1] for r in roots]
+                for f in funcs
+            ]
+            for e in gram_matrix_for_operator(op, n).entries:
+                if orders[e.m] is None or orders[e.n] is None:
+                    want = integrability(w, e.m + e.n).integrable
+                    missing += 1
+                else:
+                    s = [a + b for a, b in zip(orders[e.m], orders[e.n])]
+                    factor = functools.reduce(
+                        lambda acc, rs: acc * P(-rs[0], 1) ** rs[1], zip(roots, s), Poly.one()
+                    )
+                    want = integrability(w, e.m + e.n - sum(s), factor).integrable
+                assert e.integrable == want, (op, e.m, e.n)
+                refused += not want
+        assert counts == {"finite": 50, "laguerre": 30, "romanovski": 60}
+        assert refused > 2000 and missing > 300

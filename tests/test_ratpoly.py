@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from specpoly import Poly, rat, rational_sqrt
+from specpoly import Poly, rat
 from specpoly.ratpoly import common_denominator
 
 from oracles import (
@@ -206,13 +206,6 @@ class TestStripRoot:
     def test_zero_polynomial_is_divisible_up_to_the_limit(self):
         assert Poly().strip_root(Fraction(1, 2), 3) == (Poly(), 3)
         assert Poly().strip_root(0, 0) == (Poly(), 0)
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-    assert rational_sqrt(Fraction(0)) == 0
 
 
 def test_pretty_printing():
