@@ -55,20 +55,26 @@ real line.
 Certified entries (PAPER.md's argument; Raposo, Weber, Alvarez-Castillo and
 Kirchbach, arXiv:0706.3897 for Romanovski): for eigenfunctions L f = lambda_m f
 and L g = lambda_n g of L = a D^2 + b D, (p a)' = p b gives
-(lambda_m - lambda_n) p f g = (p a (f' g - f g'))'.  Where the form has no
-divisor, the boundary term vanishes at both ends of every pair the block is
-asked: on a finite interval every end exponent is >= 0, so p a has a positive
-one; on a half line E > -1 at t and e^(c x) decays; on the Romanovski shape the
-router asks only pairs inside the reach, m + n + 2q + 1 < 0, which is the power
-of the boundary term.  So, read off the eigentable once per Gram matrix, an
-off-diagonal pair whose eigenvalues differ is the shared exact zero, with no
-moment read, and a diagonal (k, k) is <p_k, x^k> = sum_i c_i m_(k+i), one O(k)
-dot product instead of an O(k^2) row, when degrees 0 .. k-1 all have
-eigenfunctions and the eigenvalues of 0 .. k all differ.  Each is the block's
-own Fraction.  A weight with a divisor (Chaudhry-Qadir's 1/(1-t) among them),
-a pair of equal eigenvalues, a diagonal above a missing eigenfunction or a
-collision, and inner_product, whose f and g need be no eigenfunctions, take the
-block.
+(lambda_m - lambda_n) p f g = (p a (f' g - f g'))'.  The boundary term vanishes
+at an end without a divisor for every pair the block is asked: a finite end
+has E_r > -1, so p a has a positive exponent; a half line's e^(c x) decays; on
+the Romanovski shape the router asks only pairs inside the reach,
+m + n + 2q + 1 < 0, which is the power of the boundary term.  At a divisor
+(r, k_r), a simple root of a, the term has the order A_r = E_r + s_f + s_g when
+s_f != s_g and more when they are equal; with the key s_f + s_g - k_r >= 0,
+A_r = E_r + k_r + key and -1 < E_r + k_r <= 0, so it vanishes where the key is
+>= 1 or s_f == s_g (key 0 then makes s_f = k_r / 2 < k_r an exact root order),
+for integer and non-integer E_r, and need not elsewhere (laguerre(-1, 0)'s
+(0, n) are 1, -1, 2).  So, read off the eigentable once per Gram matrix, an
+off-diagonal pair of two eigenvalues that passes at every divisor is the shared
+exact zero, with no row (its key's moments are still read once).  A diagonal
+(k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is <f~_k, x^d> under
+its key, one O(d) dot product instead of an O(d^2) row, when the eigenfunctions
+with root orders s fill the reduced degrees 0 .. d-1 and none has k's
+eigenvalue: each is then a zero against f_k under k's key.  Each is the block's
+own Fraction.  A pair of equal eigenvalues or that fails at a divisor, a
+diagonal above a gap or sharing its eigenvalue within its run, and
+inner_product, whose f and g need be no eigenfunctions, take the block.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.  An
@@ -117,7 +123,7 @@ from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep
-from .ratpoly import Poly, RatLike, common_denominator, horner, rat
+from .ratpoly import Poly, RatLike, _strip_linear, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
@@ -260,16 +266,27 @@ class _MomentForm:
             net[ends.index(r)] += e
         self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
         self.m_0: dict[tuple[int, ...], float] = {}
-        # label -> each f divided by the divisors as far as it goes, cleared to ints:
-        # (denominator, numerators, multiplicity per divisor)
-        self.reduced: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
+        # label -> (den, numerators) of f divided by the divisors as far as it goes, in ints
+        # (no gcd); label -> its class, the root orders s per divisor; and per class, with
+        # labels read as degrees, the run of labels from sum(s) up that it fills (a degree
+        # is >= sum(s))
+        self.reduced = reduced = {}
+        self.classes = classes = {}
+        linear = [(ends[i].numerator, ends[i].denominator, k) for i, k in self.divisors]
         for label, f in polys.items():
-            mults = []
-            for i, k in self.divisors:
-                f, s = f.strip_root(ends[i], k)
-                mults.append(s)
-            self.reduced[label] = (f.den, f.nums, mults)
-        span = 2 * max((len(c) for _, c, _ in self.reduced.values()), default=0)
+            nums, mults = f.nums, ()
+            for p, q, k in linear:
+                nums, s = _strip_linear(nums, p, q, k)
+                mults += (s,)
+            reduced[label] = f.den, nums
+            classes[label] = mults
+        self.runs = {}
+        for s in dict.fromkeys(classes.values()):
+            start = end = sum(s)
+            while classes.get(end) == s:
+                end += 1
+            self.runs[s] = range(start, end)
+        span = 2 * max((len(c) for _, c in reduced.values()), default=0)
         self.steps = min(steps, span - 2)  # no entry reads a ratio past span - 2
 
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -303,56 +320,72 @@ class _MomentForm:
             self.m_0[key] = sign * math.exp(log_m_0)
         return _moment_ratios(pair, self.steps, num, den)
 
-    def block(
-        self, pairs: Sequence[tuple[int, int]], certificate: tuple[list, int] | None = None
-    ) -> list:
+    def block(self, pairs: Sequence[tuple[int, int]], ids: Sequence[int] | None = None) -> list:
         """Per label pair (m, n): its entry and key, s_f + s_g - k per divisor (r, k), the power
         of (x - r) the pair leaves; or, where a key is negative, the pair's refusal.  Each key's
         moments are read once and each row L once per (label, key), for the label with the
         longer f~; a zero entry is the one shared Fraction(0).
 
-        certificate = (ids, prefix) says that the labels are the degrees of an eigentable of
-        the weight's operator, each a monic eigenfunction, with ids[d] the same int for
-        degrees of one eigenvalue, and 0 .. prefix - 1 the degrees below the first missing
-        eigenfunction or repeated eigenvalue.  Where the form has no divisor, the module
-        docstring's certificate then answers without a row: a pair with ids[m] != ids[n] is
-        the shared zero, and a diagonal (k, k) with k < prefix is <p_k, x^k>, one dot product
-        with the moments of key (), read once for the block."""
-        reduced, divisors = self.reduced, self.divisors
-        ks = [k for _, k in divisors]
+        ids says that the labels are the degrees of an eigentable of the weight's operator,
+        each a monic eigenfunction, with ids[d] the same int for degrees of one eigenvalue.
+        The module docstring's certificate then answers without a row: a pair with
+        ids[m] != ids[n] whose key is >= 1 or s_f == s_g at each divisor is the shared zero,
+        and a diagonal (k, k) is <f~_k, x^d>, d = deg f~_k, one dot product with its key's
+        moments, where the labels of k's class (its root orders) fill every reduced degree
+        below d (runs) and none of them has ids[k]."""
+        reduced, classes, runs = self.reduced, self.classes, self.runs
         moments, rows, answers = {}, {}, []  # key -> moments; (label, key) -> row
-        ids, prefix = certificate if certificate and pairs and not ks else (None, 0)
-        if ids is not None:
-            d_0, mu_0 = moments[()] = self._moments(())
+        rules, one, last = {}, None, None  # (s_f, s_g) -> its rule; the last pair's classes
+        if pairs and len(runs) == 1:  # one class (no divisor, one set of root orders): one rule
+            (s,) = runs
+            key, refusal, zero = one = self._rule(s, s, moments)
+        if ids is None:  # every label has the one id, and no diagonal is direct
+            ids, direct = dict.fromkeys(reduced, 0), ()
+        elif len(set(ids)) == len(ids):  # every eigenvalue differs: a run's labels are direct
+            direct = set().union(*runs.values())
+        else:  # the diagonals whose class fills the reduced degrees below theirs, other ids
+            direct = {d for run in runs.values() for d in run if ids.index(ids[d], run.start) == d}
         for m, n in pairs:
-            if ids is not None:
-                if ids[m] != ids[n]:
-                    answers.append((_ZERO, ()))
-                    continue
-                if m == n and m < prefix:
-                    d_a, a, _ = reduced[m]
-                    total = sum(map(mul, a, mu_0[len(a) - 1 :]))
-                    answers.append((Fraction(total, d_a * d_0) if total else _ZERO, ()))
-                    continue
-            d_a, a, s_a = reduced[m]
-            d_b, b, s_b = reduced[n]
+            if not one and (both := (classes[m], classes[n])) != last:
+                last, rule = both, rules.get(both)
+                if rule is None:
+                    rule = rules[both] = self._rule(*both, moments)
+                key, refusal, zero = rule
+            if zero and ids[m] != ids[n]:
+                answers.append(zero)
+                continue
+            if refusal:
+                answers.append(NotPolynomialReducible(refusal))
+                continue
+            d_a, a = reduced[m]
+            if m in direct and m == n:
+                d_mu, mu = moments[key]
+                total = sum(map(mul, a, mu[len(a) - 1 :]))
+                answers.append((Fraction(total, d_a * d_mu) if total else _ZERO, key))
+                continue
+            d_b, b = reduced[n]
             if len(a) > len(b):
                 d_a, a, d_b, b, n = d_b, b, d_a, a, m
-            key = tuple(map(sub, map(add, s_a, s_b), ks)) if ks else ()
-            if key and min(key) < 0:
-                i, k = divisors[next(i for i, e in enumerate(key) if e < 0)]
-                r = self.ends[i]
-                answers.append(NotPolynomialReducible(f"f*g is not divisible by (x - {r})^{k}"))
-                continue
             row = rows.get((n, key))
             if row is None:
-                if key not in moments:
-                    moments[key] = self._moments(key)
                 d_mu, mu = moments[key]
                 row = rows[n, key] = (d_b * d_mu, [sum(map(mul, b, mu[i:])) for i in range(len(b))])
             total = sum(map(mul, a, row[1]))
             answers.append((Fraction(total, d_a * row[0]) if total else _ZERO, key))
         return answers
+
+    def _rule(self, s: tuple[int, ...], t: tuple[int, ...], moments: dict) -> tuple:
+        """(key, refusal, zero) for the root orders s and t: the refusal text of a negative
+        key, else None and the key's moments read into moments; zero, the certified answer
+        (Fraction(0), key) where the boundary term vanishes at every divisor, else None."""
+        key = tuple(map(sub, map(add, s, t), [k for _, k in self.divisors]))
+        if key and min(key) < 0:
+            i, k = self.divisors[next(i for i, e in enumerate(key) if e < 0)]
+            return key, f"f*g is not divisible by (x - {self.ends[i]})^{k}", None
+        if key not in moments:
+            moments[key] = self._moments(key)
+        vanishes = s == t or all(e or s_f == s_g for e, s_f, s_g in zip(key, s, t))
+        return key, None, (_ZERO, key) if vanishes else None
 
 
 def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
@@ -560,17 +593,11 @@ def _integrability_gate(
     return integrable
 
 
-def _certificate(
-    funcs: Sequence[Poly | None], eigenvalues: Sequence[Fraction]
-) -> tuple[list[int], int]:
-    """(ids, prefix) for _MomentForm.block from an eigentable, read once: ids[d] numbers
-    degree d's eigenvalue by first appearance, so ids[m] != ids[n] exactly when the
-    eigenvalues differ, and prefix is the first degree with no eigenfunction or whose
-    eigenvalue a lower degree has."""
+def _certificate(eigenvalues: Sequence[Fraction]) -> list[int]:
+    """ids for _MomentForm.block from an eigentable, read once: ids[d] numbers degree d's
+    eigenvalue by first appearance, so ids[m] != ids[n] exactly when the eigenvalues differ."""
     seen: dict[tuple[int, int], int] = {}
-    ids = [seen.setdefault((mu.numerator, mu.denominator), len(seen)) for mu in eigenvalues]
-    prefix = next((d for d, f in enumerate(funcs) if f is None or ids[d] != d), len(funcs))
-    return ids, prefix
+    return [seen.setdefault(mu.as_integer_ratio(), len(seen)) for mu in eigenvalues]
 
 
 def _route(
@@ -587,8 +614,9 @@ def _route(
     no form.  funcs[d] is None where degree d has no eigenfunction; such a pair has no value
     and its degree's verdict.  eigenvalues, when given, makes funcs an eigentable of the
     weight's operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue
-    eigenvalues[d]), whose pairs the form may certify (_MomentForm.block); the eigenvalues'
-    collisions are read once, not per pair."""
+    eigenvalues[d]), whose pairs the form certifies where the boundary term vanishes, at
+    its divisors too (_MomentForm.block); the eigenvalues' collisions are read once, not
+    per pair."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
@@ -613,24 +641,22 @@ def _route(
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
     numeric = (None, "quadrature", True, None, None)  # valued by the sweep below
-    routes: list = []
+    routes: list = [None] * len(pairs)
     asked: list[int] = []  # the pairs the form answers, as one block
-    for i, j in pairs:
+    bounded = reach < math.inf
+    for k, (i, j) in enumerate(pairs):
         if funcs[i] is None or funcs[j] is None:
-            routes.append((None, None, integrable(i, j), None, "no degree-exact eigenfunction"))
+            routes[k] = (None, None, integrable(i, j), None, "no degree-exact eigenfunction")
         elif i not in known or j not in known:  # f or g is zero
-            routes.append(zero)
-        elif reach < math.inf and known[i].degree + known[j].degree > reach:  # no moment
-            routes.append(refused)
+            routes[k] = zero
+        elif bounded and known[i].degree + known[j].degree > reach:  # no moment
+            routes[k] = refused
         else:
-            asked.append(len(routes))
-            routes.append(None)
+            asked.append(k)
     block = [pairs[k] for k in asked]
-    certificate = None
-    if eigenvalues is not None and form is not None and not form.divisors:
-        certificate = _certificate(funcs, eigenvalues)
+    ids = _certificate(eigenvalues) if eigenvalues is not None and form is not None else None
     try:  # a moment entry is its ratio times its key's float m_0, which the block reads
-        answers = form.block(block, certificate) if form is not None else [None] * len(block)
+        answers = form.block(block, ids) if form is not None else [None] * len(block)
         for k, answer in zip(asked, answers):
             if not isinstance(answer, tuple):  # a negative key, or no form and the gate
                 routes[k] = numeric if answer is None and integrable(*pairs[k]) else refused

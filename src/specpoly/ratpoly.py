@@ -76,6 +76,16 @@ def _divide_linear(nums: Sequence[int], p: int, q: int) -> list[int] | None:
     return quot if nums[0] + p * acc == 0 else None
 
 
+def _strip_linear(nums: Sequence[int], p: int, q: int, limit: int) -> tuple[Sequence[int], int]:
+    """(numerators, k) with k <= limit divisions of the nonzero sum nums[i] x^i by the
+    primitive q x - p, as many as go, and the quotient times q^k, whose sum over the same
+    denominator is the polynomial divided by (x - p/q)^k."""
+    k = 0
+    while k < limit and (quot := _divide_linear(nums, p, q)) is not None:
+        nums, k = quot, k + 1
+    return ([v * q**k for v in nums] if k and q != 1 else nums), k
+
+
 class Poly:
     """Immutable dense polynomial: integer numerators over one denominator."""
 
@@ -305,17 +315,8 @@ class Poly:
         root = rat(root)
         if not self.nums:
             return self, limit
-        p, r = root.numerator, root.denominator
-        nums, k = self.nums, 0
-        while k < limit:
-            quot = _divide_linear(nums, p, r)
-            if quot is None:
-                break
-            nums, k = quot, k + 1
-        if not k:
-            return self, 0
-        scale = r**k
-        return Poly._from_ints(self.den, [v * scale for v in nums]), k
+        nums, k = _strip_linear(self.nums, root.numerator, root.denominator, limit)
+        return (Poly._from_ints(self.den, nums), k) if k else (self, 0)
 
     # -- display ------------------------------------------------------------
 

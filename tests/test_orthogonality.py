@@ -22,6 +22,7 @@ from specpoly import (
     Poly,
     PowerFactor,
     WeightExpr,
+    boundary_vanishing,
     build_operator,
     classical_presets,
     derive_weight,
@@ -1441,6 +1442,60 @@ def certificate_draw():
     return draw
 
 
+def divisor_draw():
+    """Seeded operators whose weights have a divisor, each with a degree: chaudhry-qadir up to
+    degree 20; Laguerre |x|^E e^(alpha x) with E = beta - 1 <= -1, laguerre(-1, 0) (E = -1) and
+    laguerre(-1, -1) (E = -2) among them; and c (x - r1)(x - r2) D^2 + c ((E1 + 1)(x - r2) +
+    (E2 + 1)(x - r1)) D, the weight |x - r1|^E1 |x - r2|^E2 on (r1, r2) with integer end
+    exponents, one in -5..-1 and the other in -5..3."""
+    rng = random.Random(33)
+    draw = [(build_operator(CQ_SPEC), n) for n in (1, 2, 3, 7, 10, 14, 20)]
+    draw += [(build_operator(FamilySpec.laguerre(-1, beta)), 12) for beta in (0, -1)]
+    for _ in range(40):
+        alpha = rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        beta = -Fraction(rng.randint(0, 12), rng.choice([1, 1, 2, 3]))
+        draw.append((build_operator(FamilySpec.laguerre(alpha, beta)), rng.randint(2, 12)))
+    for _ in range(60):
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        r2 = r1 + Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        e1, e2 = rng.randint(-5, -1), rng.randint(-5, 3)
+        if rng.random() < 0.5:
+            e1, e2 = e2, e1
+        c = rng.choice([Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)])
+        b = c * ((e1 + 1) * P(-r2, 1) + (e2 + 1) * P(-r1, 1))
+        draw.append((DiffOperator([Poly(), b, c * P(-r1, 1) * P(-r2, 1)]), rng.randint(2, 12)))
+    return draw
+
+
+def _form_and_pairs(op, n):
+    """(weight, eigentable, form, pairs) as the router builds them for op up to degree n: every
+    pair of two eigenfunctions within the reach; None where the weight has no moment form."""
+    w = derive_weight(op.coeffs[2], op.coeffs[1])
+    if orthogonality._shape(w) not in ("finite", "laguerre", "romanovski"):
+        return None
+    table = eigentable(op, n)
+    funcs = [r.monic for r in table]
+    reach = moment_reach(w) if orthogonality._shape(w) == "romanovski" else math.inf
+    try:
+        form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
+    except NotPolynomialReducible:  # a non-integer exponent on a finite interval
+        return None
+    pairs = [
+        (m, k) for m in range(n + 1) for k in range(m, n + 1)
+        if funcs[m] is not None and funcs[k] is not None and m + k <= reach
+    ]
+    return w, table, form, pairs
+
+
+def _poisoned(form):
+    """form with every reduced numerator replaced by ones of the same degree: an entry the
+    certificate answers with no row still reads the shared zero, any other changes."""
+    copy = object.__new__(type(form))
+    copy.__dict__.update(form.__dict__)
+    copy.reduced = {d: (den, [1] * len(nums)) for d, (den, nums) in form.reduced.items()}
+    return copy
+
+
 class TestCertifiedEntries:
     """_MomentForm.block with an eigentable's certificate against the block without it."""
 
@@ -1467,15 +1522,14 @@ class TestCertifiedEntries:
                 (m, k) for m in range(n + 1) for k in range(m, n + 1)
                 if funcs[m] is not None and funcs[k] is not None and m + k <= reach
             ]
-            certificate = orthogonality._certificate(funcs, [r.eigenvalue for r in table])
-            got, want = form.block(pairs, certificate), form.block(pairs)
+            ids = orthogonality._certificate([r.eigenvalue for r in table])
+            got, want = form.block(pairs, ids), form.block(pairs)
             for pair, g, e in zip(pairs, got, want):
                 assert type(g) is type(e), (op, pair)
                 if isinstance(e, tuple):
                     assert g == e and type(g[0]) is Fraction, (op, pair)
                 else:
                     assert str(g) == str(e), (op, pair)
-            ids = certificate[0]
             if form.divisors:
                 divisors += 1
             else:
@@ -1491,30 +1545,124 @@ class TestCertifiedEntries:
                 through_operator += 1
         assert certified > 3000 and divisors > 40 and collided > 20 and through_operator > 120
 
+    def test_divisor_draw_certified_entries_equal_the_block(self):
+        # on weights with a divisor, every certified answer is the block's own Fraction (or
+        # refusal), type and key.  The draw holds the entries that certifying every key >= 0
+        # would break: distinct eigenvalues, key 0 and unequal root orders at a divisor, and a
+        # nonzero entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...).  Its eigentables have no
+        # integrable pair of equal eigenvalues and no diagonal above a gap whose dot product
+        # differs from its entry: the hand-built test below plants those
+        certified = direct = unequal = through_gram = 0
+        for op, n in divisor_draw():
+            built = _form_and_pairs(op, n)
+            assert built is not None and built[2].divisors, op
+            w, table, form, pairs = built
+            ids = orthogonality._certificate([r.eigenvalue for r in table])
+            got, want = form.block(pairs, ids), form.block(pairs)
+            blind = dict(zip(pairs, _poisoned(form).block(pairs, ids)))
+            for (m, k), g, e in zip(pairs, got, want):
+                assert type(g) is type(e), (op, m, k)
+                if not isinstance(e, tuple):
+                    assert str(g) == str(e), (op, m, k)
+                    continue
+                assert g == e and type(g[0]) is Fraction, (op, m, k)
+                if m == k:
+                    run = form.runs[form.classes[m]]
+                    direct += m in run and ids[m] not in ids[run.start : m]
+                elif blind[m, k][0] is orthogonality._ZERO:
+                    certified += 1
+                elif ids[m] != ids[k] and 0 in e[1] and form.classes[m] != form.classes[k]:
+                    unequal += e[0] != 0
+            if n <= 12:  # the Gram matrix is the uncertified route's, entry by entry
+                cq = op == build_operator(CQ_SPEC)
+                gram = gram_matrix(CQ_SPEC, n) if cq else gram_matrix_for_operator(op, n)
+                gram_pairs = [(e.m, e.n) for e in gram.entries]
+                funcs = [r.monic for r in table]
+                routes = orthogonality._route(w, funcs, gram_pairs, orthogonality.DEFAULT_TOL)
+                for e, route in zip(gram.entries, routes):
+                    assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
+                    assert e.value is None or type(e.value) is type(route[0])
+                through_gram += 1
+        assert certified > 1000 and direct > 300 and unequal > 100 and through_gram > 80
+
+    def test_boundary_vanishing_pairs_are_certified_zeros(self):
+        # weights.boundary_vanishing as a one-way oracle: where it says the boundary term of two
+        # eigenfunctions of different eigenvalues vanishes, the entry is certified (it reads
+        # no row) and an exact zero.  It is conservative (it asks p a's exponent at an end to
+        # be positive, or 0 with both functions vanishing there), so it refuses pairs that the
+        # certificate proves, such as laguerre(-1, -1)'s with s_f = s_g = 1: no converse
+        vanishing = beyond = 0
+        for op, n in divisor_draw() + certificate_draw()[::4]:
+            built = _form_and_pairs(op, n)
+            if built is None:
+                continue
+            w, table, form, pairs = built
+            ids = orthogonality._certificate([r.eigenvalue for r in table])
+            blind = dict(zip(pairs, _poisoned(form).block(pairs, ids)))
+            want = dict(zip(pairs, form.block(pairs)))
+            for m, k in pairs:
+                if m == k or ids[m] == ids[k]:
+                    continue
+                f, g = table[m].monic, table[k].monic
+                if boundary_vanishing(w, op.coeffs[2], (m, k), (f, g)).vanishes:
+                    assert blind[m, k][0] is orthogonality._ZERO and want[m, k][0] == 0, (op, m, k)
+                    vanishing += 1
+                elif isinstance(blind[m, k], tuple) and blind[m, k][0] is orthogonality._ZERO:
+                    beyond += 1
+        assert vanishing > 1500 and beyond > 700
+
     @pytest.mark.parametrize("divided", [False, True])
-    def test_equal_eigenvalues_and_divisors_reach_the_block(self, divided):
-        # x^d + x^(d-1) are no eigenfunctions, so a certified entry shows itself: with no
-        # divisor an off-diagonal of two ids is the shared zero and a diagonal below the
-        # prefix is <p_k, x^k>, while equal ids, the diagonals from the prefix on, and a
-        # weight with a divisor (1/(1 - t) on (0, 1), f = (t - 1) g) take the block
-        base = {0: P(1), **{d: Poly.monomial(d) + Poly.monomial(d - 1) for d in range(1, 7)}}
-        w = LEGENDRE_W
+    def test_equal_eigenvalues_and_gaps_reach_the_block(self, divided):
+        # x^j + x^(j-1) are no eigenfunctions, so a certified entry shows itself.  With ids
+        # (degree 4 repeats degree 2's eigenvalue, degree 6 degree 5's): an off-diagonal of
+        # two ids is the shared zero where the boundary term vanishes, and a diagonal whose
+        # class's lower labels fill its reduced degrees with other ids is <f~_k, x^d>; equal
+        # ids and every other diagonal take the block.  Undivided: Legendre's weight, one
+        # class.  Divided: |x - 1|^-2 on (0, 1), a divisor (1, 2), with root orders s = 0 at
+        # degree 0, 2 at degree 4 and 1 elsewhere, so that key 0 with s_f != s_g (degree 0
+        # against 4) takes the block, key 0 with s_f == s_g and key 1 are certified, degree
+        # 4's diagonal lies above a gap in its class, and degree 4 leaves a gap below 5 and 6
+        ids = [0, 1, 2, 3, 2, 4, 4]
         if divided:
-            w, base = CQ_W, {d: P(-1, 1) * f for d, f in base.items()}
+            w = derive_weight(P(0, -1, 1), P(-1))  # x (x - 1) D^2 - D: |x - 1|^-2 on (0, 1)
+            orders = [0, 1, 1, 1, 2, 1, 1]
+            direct = {1, 2, 3}
+        else:
+            w, orders, direct = LEGENDRE_W, [0] * 7, {0, 1, 2, 3, 5}
+        base = {  # (x - 1)^s (x^(j-s) + x^(j-s-1)), and (x - 1)^s at j = s
+            j: P(-1, 1) ** s * (Poly.monomial(j - s) + (Poly.monomial(j - s - 1) if j > s else P()))
+            for j, s in enumerate(orders)
+        }
         form = orthogonality._MomentForm(w, base)
+        assert [len(c) - 1 for _, c in map(form.reduced.get, range(7))] == [
+            j - s for j, s in enumerate(orders)
+        ]
         pairs = [(m, k) for m in range(7) for k in range(m, 7)]
-        ids, prefix = [0, 1, 2, 3, 2, 4, 4], 4  # degree 4 repeats degree 2's eigenvalue
-        got = dict(zip(pairs, form.block(pairs, (ids, prefix))))
+        got = dict(zip(pairs, form.block(pairs, ids)))
         want = dict(zip(pairs, form.block(pairs)))
-        assert all(want[m, k][0] != 0 for m, k in pairs if (m + k) % 2 == 0)
+        k_r = 2 if divided else 0
         for (m, k), answer in got.items():
-            if divided or (m != k and ids[m] == ids[k]) or (m == k and m >= prefix):
-                assert answer == want[m, k], (m, k)
-            elif m != k:
-                assert answer == (0, ()) and answer[0] is got[0, 1][0], (m, k)
-            else:
-                dot = inner_product_exact(w, base[m], Poly.monomial(m))
-                assert answer == (dot, ()) and (dot != want[m, k][0]) == (m > 0), m
+            e = want[m, k]
+            if isinstance(e, NotPolynomialReducible):
+                assert orders[m] + orders[k] < k_r and str(answer) == str(e), (m, k)
+                continue
+            key = e[1]
+            assert key == ((orders[m] + orders[k] - k_r,) if divided else ())
+            if m != k:
+                certified = ids[m] != ids[k] and (not key or key[0] >= 1 or orders[m] == orders[k])
+                # the block's entry is not 0, so a certificate shows itself
+                assert e[0] != 0, (m, k)
+                if certified:
+                    assert answer == (0, key) and answer[0] is orthogonality._ZERO, (m, k)
+                else:
+                    assert answer == e, (m, k)
+                continue
+            d = m - orders[m]
+            dot = inner_product_exact(w, base[m], P(-1, 1) ** orders[m] * Poly.monomial(d))
+            if m in direct:
+                assert answer == (dot, key) and (dot != e[0]) == (d > 0), m
+            else:  # the block's entry, which the dot product would miss
+                assert answer == e and dot != e[0], m
 
 
 def integrability_draw():
