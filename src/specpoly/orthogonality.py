@@ -267,9 +267,7 @@ class _MomentForm:
         self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
         self.m_0: dict[tuple[int, ...], float] = {}
         # label -> (den, numerators) of f divided by the divisors as far as it goes, in ints
-        # (no gcd); label -> its class, the root orders s per divisor; and per class, with
-        # labels read as degrees, the run of labels from sum(s) up that it fills (a degree
-        # is >= sum(s))
+        # (no gcd); label -> its class, the root orders s per divisor
         self.reduced = reduced = {}
         self.classes = classes = {}
         linear = [(ends[i].numerator, ends[i].denominator, k) for i, k in self.divisors]
@@ -280,12 +278,6 @@ class _MomentForm:
                 mults += (s,)
             reduced[label] = f.den, nums
             classes[label] = mults
-        self.runs = {}
-        for s in dict.fromkeys(classes.values()):
-            start = end = sum(s)
-            while classes.get(end) == s:
-                end += 1
-            self.runs[s] = range(start, end)
         span = 2 * max((len(c) for _, c in reduced.values()), default=0)
         self.steps = min(steps, span - 2)  # no entry reads a ratio past span - 2
 
@@ -332,25 +324,25 @@ class _MomentForm:
         ids[m] != ids[n] whose key is >= 1 or s_f == s_g at each divisor is the shared zero,
         and a diagonal (k, k) is <f~_k, x^d>, d = deg f~_k, one dot product with its key's
         moments, where the labels of k's class (its root orders) fill every reduced degree
-        below d (runs) and none of them has ids[k]."""
-        reduced, classes, runs = self.reduced, self.classes, self.runs
-        moments, rows, answers = {}, {}, []  # key -> moments; (label, key) -> row
-        rules, one, last = {}, None, None  # (s_f, s_g) -> its rule; the last pair's classes
-        if pairs and len(runs) == 1:  # one class (no divisor, one set of root orders): one rule
-            (s,) = runs
-            key, refusal, zero = one = self._rule(s, s, moments)
+        below d and none of them has ids[k]."""
+        reduced, classes = self.reduced, self.classes
+        moments, rows, rules, answers = {}, {}, {}, []  # key -> moments; (label, key) -> row
         if ids is None:  # every label has the one id, and no diagonal is direct
-            ids, direct = dict.fromkeys(reduced, 0), ()
-        elif len(set(ids)) == len(ids):  # every eigenvalue differs: a run's labels are direct
-            direct = set().union(*runs.values())
-        else:  # the diagonals whose class fills the reduced degrees below theirs, other ids
-            direct = {d for run in runs.values() for d in run if ids.index(ids[d], run.start) == d}
+            ids, direct = dict.fromkeys(reduced, 0), set()
+        else:  # per class s, the labels from sum(s) up (a degree is >= sum(s)) until one
+            # has another class or none, and of these the ones whose id no lower one has
+            direct = set()
+            for s in dict.fromkeys(classes.values()):
+                start = end = sum(s)
+                while classes.get(end) == s:
+                    end += 1
+                direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
         for m, n in pairs:
-            if not one and (both := (classes[m], classes[n])) != last:
-                last, rule = both, rules.get(both)
-                if rule is None:
-                    rule = rules[both] = self._rule(*both, moments)
-                key, refusal, zero = rule
+            both = classes[m], classes[n]
+            rule = rules.get(both)
+            if rule is None:
+                rule = rules[both] = self._rule(*both, moments)
+            key, refusal, zero = rule
             if zero and ids[m] != ids[n]:
                 answers.append(zero)
                 continue

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -1470,7 +1471,10 @@ def divisor_draw():
 def _form_and_pairs(op, n):
     """(weight, eigentable, form, pairs) as the router builds them for op up to degree n: every
     pair of two eigenfunctions within the reach; None where the weight has no moment form."""
-    w = derive_weight(op.coeffs[2], op.coeffs[1])
+    try:
+        w = derive_weight(op.coeffs[2], op.coeffs[1])
+    except ValueError:
+        return None
     if orthogonality._shape(w) not in ("finite", "laguerre", "romanovski"):
         return None
     table = eigentable(op, n)
@@ -1499,63 +1503,28 @@ def _poisoned(form):
 class TestCertifiedEntries:
     """_MomentForm.block with an eigentable's certificate against the block without it."""
 
-    def test_certified_entries_equal_the_block(self):
-        # every pair the router would ask, answered with the certificate and without it:
-        # the same Fraction (or refusal) and key, with no row built where it certifies
-        certified = divisors = collided = through_operator = 0
-        for op, n in certificate_draw():
-            try:
-                w = derive_weight(op.coeffs[2], op.coeffs[1])
-            except ValueError:
-                continue
-            shape = orthogonality._shape(w)
-            if shape not in ("finite", "laguerre", "romanovski"):
-                continue
-            table = eigentable(op, n)
-            funcs = [r.monic for r in table]
-            reach = moment_reach(w) if shape == "romanovski" else math.inf
-            try:
-                form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
-            except NotPolynomialReducible:  # a non-integer exponent on a finite interval
-                continue
-            pairs = [
-                (m, k) for m in range(n + 1) for k in range(m, n + 1)
-                if funcs[m] is not None and funcs[k] is not None and m + k <= reach
-            ]
-            ids = orthogonality._certificate([r.eigenvalue for r in table])
-            got, want = form.block(pairs, ids), form.block(pairs)
-            for pair, g, e in zip(pairs, got, want):
-                assert type(g) is type(e), (op, pair)
-                if isinstance(e, tuple):
-                    assert g == e and type(g[0]) is Fraction, (op, pair)
-                else:
-                    assert str(g) == str(e), (op, pair)
-            if form.divisors:
-                divisors += 1
-            else:
-                certified += sum(1 for m, k in pairs if m != k and ids[m] != ids[k])
-            collided += len(set(ids)) < len(ids)
-            if n <= 12:  # the Gram matrix is the uncertified route's
-                gram = gram_matrix_for_operator(op, n)
-                gram_pairs = [(e.m, e.n) for e in gram.entries]
-                routes = orthogonality._route(w, funcs, gram_pairs, orthogonality.DEFAULT_TOL)
-                for e, route in zip(gram.entries, routes):
-                    assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
-                    assert e.value is None or type(e.value) is type(route[0])
-                through_operator += 1
-        assert certified > 3000 and divisors > 40 and collided > 20 and through_operator > 120
-
-    def test_divisor_draw_certified_entries_equal_the_block(self):
-        # on weights with a divisor, every certified answer is the block's own Fraction (or
-        # refusal), type and key.  The draw holds the entries that certifying every key >= 0
-        # would break: distinct eigenvalues, key 0 and unequal root orders at a divisor, and a
-        # nonzero entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...).  Its eigentables have no
-        # integrable pair of equal eigenvalues and no diagonal above a gap whose dot product
-        # differs from its entry: the hand-built test below plants those
-        certified = direct = unequal = through_gram = 0
-        for op, n in divisor_draw():
+    @pytest.mark.parametrize(
+        "draw, floors",
+        [
+            (certificate_draw, {"certified": 3000, "collided": 20, "divisors": 40, "gram": 120}),
+            (divisor_draw, {"certified": 1000, "direct": 300, "unequal": 100, "gram": 80}),
+        ],
+        ids=["certificate_draw", "divisor_draw"],
+    )
+    def test_certified_entries_equal_the_block(self, draw, floors):
+        # every pair the router would ask, answered with the certificate and without it: the
+        # same Fraction (or refusal), type and key, with no row built where it certifies
+        # (the poisoned form reads the shared zero there).  The divisor draw holds the entries
+        # that certifying every key >= 0 would break: distinct eigenvalues, key 0 and unequal
+        # root orders at a divisor, and a nonzero entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2,
+        # ...).  Its eigentables have no integrable pair of equal eigenvalues and no diagonal
+        # above a gap whose dot product differs from its entry: the hand-built test below
+        # plants those
+        counts = Counter()
+        for op, n in draw():
             built = _form_and_pairs(op, n)
-            assert built is not None and built[2].divisors, op
+            if built is None:
+                continue
             w, table, form, pairs = built
             ids = orthogonality._certificate([r.eigenvalue for r in table])
             got, want = form.block(pairs, ids), form.block(pairs)
@@ -1566,13 +1535,17 @@ class TestCertifiedEntries:
                     assert str(g) == str(e), (op, m, k)
                     continue
                 assert g == e and type(g[0]) is Fraction, (op, m, k)
-                if m == k:
-                    run = form.runs[form.classes[m]]
-                    direct += m in run and ids[m] not in ids[run.start : m]
+                if m == k:  # the labels from sum(s) below m all have m's class s, other ids
+                    s = form.classes[m]
+                    counts["direct"] += all(
+                        form.classes.get(d) == s and ids[d] != ids[m] for d in range(sum(s), m)
+                    )
                 elif blind[m, k][0] is orthogonality._ZERO:
-                    certified += 1
+                    counts["certified"] += 1
                 elif ids[m] != ids[k] and 0 in e[1] and form.classes[m] != form.classes[k]:
-                    unequal += e[0] != 0
+                    counts["unequal"] += e[0] != 0
+            counts["divisors"] += bool(form.divisors)
+            counts["collided"] += len(set(ids)) < len(ids)
             if n <= 12:  # the Gram matrix is the uncertified route's, entry by entry
                 cq = op == build_operator(CQ_SPEC)
                 gram = gram_matrix(CQ_SPEC, n) if cq else gram_matrix_for_operator(op, n)
@@ -1582,8 +1555,8 @@ class TestCertifiedEntries:
                 for e, route in zip(gram.entries, routes):
                     assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
                     assert e.value is None or type(e.value) is type(route[0])
-                through_gram += 1
-        assert certified > 1000 and direct > 300 and unequal > 100 and through_gram > 80
+                counts["gram"] += 1
+        assert all(counts[name] > floor for name, floor in floors.items()), counts
 
     def test_boundary_vanishing_pairs_are_certified_zeros(self):
         # weights.boundary_vanishing as a one-way oracle: where it says the boundary term of two
