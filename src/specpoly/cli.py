@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -113,20 +112,6 @@ def _resolve_operator(args: argparse.Namespace, parser: argparse.ArgumentParser)
         return DiffOperator.from_json(json.load(fh))
 
 
-def _tolerance(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        raw = os.environ.get("SPECPOLY_TOL", str(DEFAULT_TOL))
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise ValueError(f"SPECPOLY_TOL must be a number, not {raw!r}") from None
-    if not 0 < tol < math.inf:  # also refuses nan
-        raise ValueError(f"tolerance must be a finite positive number, not {tol}")
-    return tol
-
-
 def _emit(payload: dict, table: str, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -140,8 +125,6 @@ def _emit(payload: dict, table: str, fmt: str) -> None:
 
 def _cmd_spectrum(args, parser) -> int:
     op = _resolve_operator(args, parser)
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
     spec = op.spectrum(args.n_max)
     rows = [
         {
@@ -177,8 +160,6 @@ def _cmd_spectrum(args, parser) -> int:
 
 def _cmd_eigenfns(args, parser) -> int:
     op = _resolve_operator(args, parser)
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
     results = eigentable(op, args.n_max)
     payload = {
         "operator": op.to_json(),
@@ -214,20 +195,15 @@ def _cmd_weight(args, parser) -> int:
 
 def _cmd_gram(args, parser) -> int:
     spec = _resolve_spec(args, parser)
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
-    tol = _tolerance(args)
     if spec is not None:
-        report = gram_matrix(spec, args.n_max, tol)
+        report = gram_matrix(spec, args.n_max, args.tol)
     else:
-        report = gram_matrix_for_operator(_resolve_operator(args, parser), args.n_max, tol)
+        report = gram_matrix_for_operator(_resolve_operator(args, parser), args.n_max, args.tol)
     _emit(report.to_json(), report.format_table(), args.format)
     return 0
 
 
 def _cmd_romanovski_report(args, parser) -> int:
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
     report = finite_orthogonality_report(args.alpha, args.beta, args.n_max)
     _emit(report.to_json(), report.format_table(), args.format)
     return 0
@@ -276,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", help="Gram matrix of eigenfunctions")
     _add_source_args(p)
     _add_common_args(p)
-    p.add_argument("--tol", type=float, default=None,  # gram is the one command with quadrature
-                   help="quadrature tolerance (default SPECPOLY_TOL or 1e-10)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,  # gram alone runs quadrature
+                   help="quadrature tolerance (default %(default)g)")
     p.set_defaults(handler=_cmd_gram)
 
     p = sub.add_parser("romanovski-report", help="finite orthogonality report")

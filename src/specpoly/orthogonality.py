@@ -46,11 +46,12 @@ real line.
   centre = -c1/(2 c2), scale = 2/sqrt(-c2): after the sweep's
   t = tanh((pi/2) sinh u) that is the plain sinh substitution of an integrand
   that already decays super-exponentially (Takahasi and Mori, Publ. RIMS 9,
-  1974).  No other weight has a map, and derive_weight gives none: a half
-  line is Laguerre, and a real-line weight without a Gaussian factor is
-  Romanovski or, with e^(c1 x) alone, has no integrable pair.  Any other
-  weight is refused with a ValueError once a pair passes the integrability
-  gate (the test oracles keep x = tan u for algebraic tails).
+  1974).  No other weight has a map.  A weight of derive_weight's without a
+  route, |x - r|^E on a half line or e^(c2 x^2 + c1 x) with c2 >= 0 on the
+  real line, has no integrable pair, so the ValueError ("no quadrature map")
+  that refuses a weight once a pair passes the integrability gate is raised
+  only for a hand-built weight (the test oracles keep x = tan u for
+  algebraic tails).
 
 Certified entries (PAPER.md's argument; Raposo, Weber, Alvarez-Castillo and
 Kirchbach, arXiv:0706.3897 for Romanovski): for eigenfunctions L f = lambda_m f
@@ -79,6 +80,8 @@ inner_product, whose f and g need be no eigenfunctions, take the block.
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.  An
 off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
+On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
+is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
 One integrability decision per weight.  Where it has a moment form, the form
 decides: a pair is non-integrable when the block refuses its key or, on the
@@ -122,14 +125,13 @@ from ._record import Record
 from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
-from .quadrature import NoConvergence, QuadResult, _tanh_sinh_sweep
+from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _tanh_sinh_sweep
 from .ratpoly import Poly, RatLike, _strip_linear, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
     "NotPolynomialReducible",
     "NonIntegrable",
-    "DEFAULT_TOL",
     "inner_product_exact",
     "inner_product",
     "GramEntry",
@@ -140,8 +142,6 @@ __all__ = [
     "RomanovskiReport",
     "finite_orthogonality_report",
 ]
-
-DEFAULT_TOL = 1e-10
 
 
 class NotPolynomialReducible(ValueError):
@@ -198,19 +198,18 @@ def _moment_ratios(
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
-def _real_line_moment(weight: WeightExpr, t: int = 0) -> float:
-    """integral over R of p (1+x^2)^(t/2) for the Romanovski shape: m_0 at t = 0, else the
-    scale of a pair m + n = t whose diagonal norms diverge.
+def _real_line_moment(weight: WeightExpr) -> float:
+    """m_0, the integral over R of p, for the Romanovski shape.
 
     With x = tan u it is Cauchy's beta integral of cos(u)^nu e^(h u) over (-pi/2, pi/2),
-    nu = -2q - t - 2 > -1: pi Gamma(nu+1) / (2^nu |Gamma(a + ib)|^2), a = 1 + nu/2 > 1/2,
+    nu = -2q - 2 > -1: pi Gamma(nu+1) / (2^nu |Gamma(a + ib)|^2), a = 1 + nu/2 = -q > 1/2,
     b = h/2, which the duplication formula turns into
     sqrt(pi) Gamma(a - 1/2) / Gamma(a) * |Gamma(a) / Gamma(a + ib)|^2.  Both factors are
     prod_(j<N) of (a+j) / (a+j-1/2) and (1 + b^2 / (a+j)^2), exact steps in integers, times
     the same factors at A = a + N >= 16, whose logs Stirling's series gives to double
     precision: no two large logs are subtracted, whatever the size of a.
     """
-    a = -weight.quad_exp - Fraction(t, 2)  # 1 + nu/2
+    a = -weight.quad_exp
     b = float(weight.arctan_coeff) / 2
     shift, num, den = 1.0, a.numerator, a.denominator  # a = num / den, shifted in ints
     while num < 16 * den:
@@ -768,17 +767,15 @@ def _gram_for(
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
     """The Gram entries over degrees of the eigenfunctions in table (indexed by degree).  An
-    off-diagonal's relative is 0.0 where its value is 0, whatever its diagonals; else it is
-    |value| / sqrt(G_mm G_nn) where both diagonals are positive, from the exact values where
-    a float's range does not hold them; else, on the Romanovski shape, |value| over the
-    moment scale of m + n; else None."""
+    off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive,
+    from the exact values where a float's range does not hold them; else 0.0 where its value
+    is 0 (noted "relative uses moment scale" on the Romanovski shape, where every valued
+    off-diagonal is a certified zero and no moment is read); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
     routes = _route(weight, [r.monic for r in table], pairs, tol, [r.eigenvalue for r in table])
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
-    # the Romanovski scale of a pair whose diagonal norms diverge; a Laguerre pair has none
     romanovski = _shape(weight) == "romanovski"
-    moment_scale = functools.cache(lambda t: _real_line_moment(weight, t)) if romanovski else None
     entries: list[GramEntry] = []
     max_rel, unscaled, above = None, 0, []
     for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):
@@ -789,10 +786,10 @@ def _gram_for(
                     rel = abs(float(value)) / math.sqrt(diag[m] * diag[n]) if value else 0.0
                 except (OverflowError, ZeroDivisionError):
                     rel = math.sqrt(Fraction(value) ** 2 / (Fraction(diag[m]) * Fraction(diag[n])))
-            elif romanovski:
-                rel, note = abs(value) / moment_scale(m + n), "relative uses moment scale"
             elif not value:
                 rel = 0.0
+                if romanovski:
+                    note = "relative uses moment scale"
             if rel is None:
                 unscaled += 1
             else:

@@ -44,7 +44,9 @@ from typing import Callable
 
 from ._record import Record
 
-__all__ = ["NoConvergence", "QuadResult", "tanh_sinh"]
+__all__ = ["DEFAULT_TOL", "NoConvergence", "QuadResult", "tanh_sinh"]
+
+DEFAULT_TOL = 1e-10  # the stopping rule's tol, unless a caller sets one
 
 # beyond this point on the u axis every node weight underflows to zero
 _U_MAX = 6.6
@@ -87,7 +89,7 @@ def tanh_sinh(
     f: Callable[[float, float, float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     max_levels: int = 12,
 ) -> QuadResult:
     """Integrate f over (lo, hi) until two levels differ by at most

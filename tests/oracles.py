@@ -11,10 +11,12 @@ way, one polynomial product and one definite integral per pair, against
 which the library's moment assembly is checked.  ``log_eval_reference``
 is ``WeightExpr.log_eval`` as it was before the weight cached its float
 form: it converts and compares the Fraction fields at every call, and the
-cached version must agree with it bit for bit.  ``moment_scale`` is the
-Romanovski moment scale as one public ``tanh_sinh`` call per total degree,
-as the library once computed it; the closed-form scales (Cauchy's beta
-integral) of the moment route must agree with it to 1e-12.
+cached version must agree with it bit for bit.  ``moment_scale`` is
+``integral p (1+x^2)^(t/2)`` on a real-line weight as one public ``tanh_sinh``
+call: at t = 0 the moment route's closed-form m_0 (Cauchy's beta integral)
+must agree with it to 1e-12, and at t = m + n it is the scale against which
+a Romanovski pair beside a divergent diagonal is checked by quadrature (the
+library computes no such scale: every one of those pairs is an exact zero).
 ``pair_quadrature`` is one Gram entry by the public ``tanh_sinh`` with the scalar
 integrand the library used before its sweep took node pairs (two calls per node
 pair, ``signed_exp`` per value), which the node-pair kernel must match bit for bit.
@@ -405,8 +407,8 @@ def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadRes
 
 
 def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | None:
-    """integral p(x) (1+x^2)^(total_degree/2) dx, the scale used to
-    normalize off-diagonal entries whose diagonal norms diverge.
+    """integral p(x) (1+x^2)^(total_degree/2) dx, the scale of an off-diagonal
+    pair whose diagonal norms diverge.
 
     Smooth and finite exactly when the pair itself is integrable; only the
     real-line case ever needs it.

@@ -57,6 +57,16 @@ class TestSpectrum:
         )
         assert [row["eigenvalue_of_L"] for row in data["spectrum"]] == ["0", "-2", "-6", "-12"]
 
+    @pytest.mark.parametrize("source, collide", [
+        (("--family", "jacobi", "--eps", "1", "--alpha", "-2"), True),  # mu_1 = mu_2 = -2
+        (("--preset", "legendre"), False),
+    ])
+    def test_table_warns_of_collisions(self, capsys, source, collide):
+        code, out, _ = run(capsys, "spectrum", *source, "--n-max", "3", "--format", "table")
+        assert code == 0
+        assert out.endswith("\nwarning: eigenvalue collisions present\n") == collide
+        assert out.count("warning") == collide
+
 
 class TestEigenfns:
     def test_legendre_monic_json(self, capsys):
@@ -513,28 +523,62 @@ class TestContract:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_tol_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECPOLY_TOL", "1e-6")
-        data = run_json(capsys, "gram", "--preset", "chebyshev1", "--n-max", "2")
-        assert data["off_diagonal_max_relative"] < 1e-5
+    def test_tol_env_var_is_ignored(self, capsys, monkeypatch):
+        # the tolerance has one source, --tol: a tolerance no sweep meets changes nothing
+        args = ("gram", "--preset", "chebyshev1", "--n-max", "3")
+        monkeypatch.delenv("SPECPOLY_TOL", raising=False)
+        plain = run(capsys, *args)
+        monkeypatch.setenv("SPECPOLY_TOL", "1e-300")
+        assert run(capsys, *args) == plain
+        assert plain[0] == 0 and plain[1]
 
-    @pytest.mark.parametrize("source", ["env", "flag"])
+    # one route each: quadrature, exact, moment, and a Gram matrix with no entry
+    @pytest.mark.parametrize("source", [
+        ("--preset", "chebyshev1", "--n-max", "3"),
+        ("--preset", "legendre", "--n-max", "3"),
+        ("--family", "romanovski", "--alpha", "-13/2", "--n-max", "3"),
+        ("--preset", "chaudhry-qadir", "--n-max", "0"),
+    ], ids=lambda source: " ".join(source))
     @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
-    def test_bad_tol_is_domain_error(self, capsys, monkeypatch, tol, source):
-        args = ["gram", "--preset", "chebyshev1", "--n-max", "3"]
-        if source == "env":
-            monkeypatch.setenv("SPECPOLY_TOL", tol)
-        else:
-            args.append(f"--tol={tol}")
-        code, out, err = run(capsys, *args)
+    def test_bad_tol_is_domain_error(self, capsys, tol, source):
+        code, out, err = run(capsys, "gram", *source, f"--tol={tol}")
         assert (code, out) == (1, "")
-        assert "tolerance must be a finite positive number" in err
+        assert err == f"specpoly: error: tol must be a finite positive number, not {float(tol)}\n"
 
-    def test_non_numeric_tol_env_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECPOLY_TOL", "abc")
-        code, out, err = run(capsys, "gram", "--preset", "chebyshev1", "--n-max", "3")
+    @pytest.mark.parametrize("argv, message", [
+        (("spectrum", "--preset", "legendre"), "n must be >= 0"),
+        (("eigenfns", "--preset", "legendre"), "n_max must be >= 0"),
+        (("gram", "--preset", "legendre"), "n_max must be >= 0"),
+        (("gram", "--family", "romanovski", "--alpha", "-13/2"), "n_max must be >= 0"),
+        (("romanovski-report", "--alpha", "-13/2"), "n_max must be >= 0"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+    def test_negative_n_max_is_domain_error(self, capsys, argv, message):
+        assert run(capsys, *argv, "--n-max", "-1") == (1, "", f"specpoly: error: {message}\n")
+
+    def test_negative_n_max_on_operator_json_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": [["0"], ["0", "-2"], ["1", "0", "-1"]]}))  # Legendre
+        code, out, err = run(capsys, "gram", "--operator-json", str(path), "--n-max", "-1")
+        assert (code, out, err) == (1, "", "specpoly: error: n_max must be >= 0\n")
+
+    def test_weight_of_higher_order_operator_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"a": [["0"], ["0"], ["0"], ["1"]]}))  # the third derivative
+        code, out, err = run(capsys, "weight", "--operator-json", str(path))
         assert (code, out) == (1, "")
-        assert err == "specpoly: error: SPECPOLY_TOL must be a number, not 'abc'\n"
+        assert err == "specpoly: error: weight derivation requires a second-order operator\n"
+
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "eigenfns", "weight", "gram", "romanovski-report", "normalize"]
+    )
+    def test_help_renders(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: specpoly {command}")
+        if command == "gram":
+            assert "quadrature tolerance (default 1e-10)" in out
 
 
     @pytest.mark.parametrize(

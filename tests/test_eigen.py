@@ -132,6 +132,18 @@ class TestNullspaceOracle:
                 assert len(oracle) == len(fast)
 
 
+class TestNegativeDegree:
+    @pytest.mark.parametrize("call, message", [
+        (lambda op: eigentable(op, -1), "n_max must be >= 0"),
+        (lambda op: monic_eigenfunction(op, -1), "n must be >= 0"),
+        (lambda op: eigenspace_basis(op, 0, -1), "n must be >= 0"),
+    ], ids=["eigentable", "monic_eigenfunction", "eigenspace_basis"])
+    def test_is_refused(self, call, message):
+        for op in (LEGENDRE, DEGENERATE, CHAUDHRY_QADIR):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(op)
+
+
 class TestEigentable:
     def test_chaudhry_qadir_table(self):
         results = eigentable(CHAUDHRY_QADIR, 3)

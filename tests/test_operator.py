@@ -111,6 +111,13 @@ class TestApply:
 
 
 class TestMatrix:
+    def test_negative_degree_is_refused(self):
+        for op in (LEGENDRE, CHAUDHRY_QADIR):
+            with pytest.raises(ValueError, match="^n must be >= 0$"):
+                op.matrix(-1)
+            with pytest.raises(ValueError, match="^n must be >= 0$"):
+                op.spectrum(-1)
+
     def test_hand_computed_columns(self):
         op = DiffOperator([Poly(), P(0, -2), P(1, 0, 1)])
         m = op.matrix(2)

@@ -425,8 +425,9 @@ class TestNumericPath:
 
     @pytest.mark.parametrize("spec", [FamilySpec.laguerre(-1, 1), FamilySpec.laguerre(2, Fraction(1, 2))])
     def test_half_line_has_no_quadrature_map(self, spec):
-        # every half-line weight derive_weight gives takes the moment route, and the sweep
-        # refuses a half line rather than integrating it on the real line's map
+        # every half-line weight derive_weight gives takes the moment route or has no
+        # integrable pair (TestNoRouteWeights), and the sweep refuses a half line rather
+        # than integrating it on the real line's map
         with pytest.raises(ValueError, match="no quadrature map for .* on \\((0, \\+inf|-inf, 0)\\)"):
             quad(weight_of(spec), Poly.x(), P(0, 1, 1))
 
@@ -1314,29 +1315,30 @@ class TestMomentRoute:
                 else:
                     assert e.note == "relative uses moment scale", (p.m, p.n)
                     assert p.detail.startswith("relative to the (1+x^2)^((m+n)/2) moment")
-                    scale = orthogonality._real_line_moment(w, p.m + p.n)
+                    scale = moment_scale(w, p.m + p.n, 1e-10)
                 assert abs(numeric(p.m, p.n)) <= 1e-10 * scale, (p.m, p.n)
             for e in gram.entries:
                 if e.m == e.n and e.value is not None:
                     assert abs(e.value - numeric(e.m, e.m)) <= 1e-12 * e.value, e.m
 
     def test_moment_scales_match_quadrature_oracle(self):
-        # the closed form at every m + n a pair is scaled by, and at 0 (m_0 = G_00),
-        # within 1e-12 of one public tanh_sinh integral of p (1+x^2)^(t/2)
+        # the closed-form m_0 = G_00 within 1e-12 of one public tanh_sinh integral of p; the
+        # pairs beside a divergent diagonal are exact zeros whose relative is 0.0
         alpha, beta, n = Fraction(-15, 2), Fraction(1, 2), 6
         spec = FamilySpec.romanovski(alpha, beta)
         w = weight_of(spec)
         gram = gram_matrix(spec, n)
-        scaled = [e.m + e.n for e in gram.entries if e.note == "relative uses moment scale"]
-        assert len(scaled) == 7 and set(scaled) == {5, 6, 7, 8}
-        assert gram.entry(0, 0).value == orthogonality._real_line_moment(w)
-        for t in (0, *sorted(set(scaled))):
-            closed = orthogonality._real_line_moment(w, t)
-            assert abs(closed - moment_scale(w, t, 1e-10)) <= 1e-12 * closed, t
+        noted = [e for e in gram.entries if e.note == "relative uses moment scale"]
+        assert len(noted) == 7 and {e.m + e.n for e in noted} == {5, 6, 7, 8}
+        assert all(e.value == e.relative == 0.0 for e in noted)
+        closed = orthogonality._real_line_moment(w)
+        assert gram.entry(0, 0).value == closed
+        assert abs(closed - moment_scale(w, 0, 1e-10)) <= 1e-12 * closed
 
     def test_m0_matches_mpmath(self):
-        # Cauchy's beta integral with mpmath's own complex Gamma at 30 digits, for m_0
-        # and the largest scale of every weight of the draw, plus large |h|
+        # Cauchy's beta integral with mpmath's own complex Gamma at 30 digits, for m_0 of
+        # every weight of the draw, plus large |h| and large a, and of each one's weight with
+        # q raised by half its reach, whose a = -q in (1/2, 1] is the kernel's small-a regime
         mpmath = pytest.importorskip("mpmath")
         weights = []
         for c, alpha, beta, _ in romanovski_shape_draw():
@@ -1352,19 +1354,22 @@ class TestMomentRoute:
         with mpmath.workdps(30):
             for w in weights + large_a:
                 bound = 5e-15 if w in large_a else 1e-13
-                for t in {0, moment_reach(w)}:
-                    if t < 0:
-                        continue
-                    nu = -2 * w.quad_exp - t - 2
+                reach = moment_reach(w)
+                if reach < 0:
+                    continue
+                near = derive_weight(P(1, 0, 1), P(w.arctan_coeff, 2 * w.quad_exp + 2 + reach))
+                assert Fraction(1, 2) < -near.quad_exp <= 1
+                for v in [w, near] if reach else [w]:
+                    nu = -2 * v.quad_exp - 2
                     nu_m = mpmath.mpf(nu.numerator) / nu.denominator
-                    h = mpmath.mpf(w.arctan_coeff.numerator) / w.arctan_coeff.denominator
+                    h = mpmath.mpf(v.arctan_coeff.numerator) / v.arctan_coeff.denominator
                     exact = mpmath.pi * mpmath.gamma(nu_m + 1) / (
                         2**nu_m * abs(mpmath.gamma(1 + nu_m / 2 + 0.5j * h)) ** 2
                     )
-                    closed = orthogonality._real_line_moment(w, t)
-                    assert abs(closed - exact) <= bound * exact, (w.formula(), t)
+                    closed = orthogonality._real_line_moment(v)
+                    assert abs(closed - exact) <= bound * exact, v.formula()
                     checked += 1
-        assert checked > 190
+        assert checked == 286
 
     # the complex factor |Gamma(a)/Gamma(a+ib)|^2 loses accuracy linearly in |h|: its log at
     # A >= 16 sums terms near b atan(b/A) that cancel; 3.0e-15 off at h = 20, 9.8e-15 at 40
@@ -1698,3 +1703,80 @@ class TestIntegrabilityDecision:
                 refused += not want
         assert counts == {"finite": 50, "laguerre": 30, "romanovski": 60}
         assert refused > 2000 and missing > 300
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), -1),
+        lambda: gram_matrix_for_operator(build_operator(ROM_SPEC), -1),
+        lambda: finite_orthogonality_report(Fraction(-13, 2), 1, -1),
+    ], ids=["gram_matrix", "gram_matrix_for_operator", "finite_orthogonality_report"])
+    def test_negative_degree(self, call):
+        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+            call()
+
+    @pytest.mark.parametrize("coeffs", [
+        [Poly(), Poly.one()],  # D
+        [Poly(), Poly(), Poly(), Poly.one()],  # D^3
+        [Poly(), P(0, -2), P(1, 0, -1), Poly(), P(0, 0, 0, 0, 1)],  # Legendre plus x^4 D^4
+    ], ids=["order-1", "order-3", "order-4"])
+    def test_gram_for_operator_needs_order_two(self, coeffs):
+        with pytest.raises(ValueError, match="^gram matrices require a second-order operator$"):
+            gram_matrix_for_operator(DiffOperator(coeffs), 2)
+
+    @pytest.mark.parametrize("weight, reason", [
+        (WeightExpr(exp_poly=P(0, 1)), "weight has a transcendental factor"),
+        (WeightExpr(arctan_coeff=Fraction(1)), "weight has a transcendental factor"),
+        (WeightExpr(quad_exp=Fraction(1, 2)), r"weight has a \(x\^2\+1\) factor"),
+        (WeightExpr(quad_exp=Fraction(-3), interval=Interval(Fraction(0), Fraction(2))),
+         r"weight has a \(x\^2\+1\) factor"),
+    ], ids=["exp", "arctan", "quad", "quad-on-(0,2)"])
+    def test_exact_route_refuses_finite_weight_shapes(self, weight, reason):
+        for f in (Poly.one(), Poly()):  # refused before the zero case
+            with pytest.raises(NotPolynomialReducible, match=f"^{reason}$"):
+                inner_product_exact(weight, f, P(1, 1))
+
+    def test_missing_entry_is_key_error(self):
+        report = gram_matrix(CQ_SPEC, 3)  # degrees 1..3
+        assert report.entry(3, 1) is report.entry(1, 3)
+        for m, n in ((0, 1), (1, 4), (-1, 2)):
+            with pytest.raises(KeyError, match=rf"no gram entry \({m}, {n}\)"):
+                report.entry(m, n)
+
+
+def no_route_draw():
+    """Seeded second-order operators whose derived weight has no route: c (x - r) D^2 + b0 D,
+    the weight |x - r|^(b0/c - 1) with no exponential on a half line, and c D^2 +
+    (b1 x + b0) D with b1/c >= 0, e^((b1/(2c)) x^2 + (b0/c) x) on the real line, which does
+    not decay at both ends."""
+    rng = random.Random(35)
+    draw = []
+    for _ in range(25):
+        c = rng.choice([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 3)])
+        r = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        b0 = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        draw.append((DiffOperator([Poly(), P(b0), c * P(-r, 1)]), rng.randint(0, 8)))
+    for _ in range(25):
+        c = rng.choice([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 3)])
+        b1 = c * rng.choice([Fraction(0), Fraction(rng.randint(1, 9), rng.randint(1, 4))])
+        b0 = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        draw.append((DiffOperator([Poly(), P(b0, b1), c * P(1)]), rng.randint(0, 8)))
+    return draw
+
+
+class TestNoRouteWeights:
+    def test_derived_weights_without_a_route_have_no_integrable_entry(self):
+        # so the no-quadrature-map ValueError is raised only for a hand-built weight
+        ops = [build_operator(spec) for spec in (
+            FamilySpec.laguerre(0, 1), FamilySpec.laguerre(0, -3), FamilySpec.hermite(0, 1),
+            FamilySpec.hermite(2, 0), FamilySpec.hermite(2, -1),
+        )]
+        draw = [(op, 6) for op in ops] + no_route_draw()
+        for op, n in draw:
+            w = derive_weight(op.coeffs[2], op.coeffs[1])
+            assert orthogonality._shape(w) is None, w.formula()
+            entries = gram_matrix_for_operator(op, n).entries
+            assert len(entries) == (n + 1) * (n + 2) // 2
+            for e in entries:
+                assert not e.integrable and e.value is None, (op, e)
+        assert len(draw) == 55

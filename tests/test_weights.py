@@ -96,6 +96,11 @@ class TestDeriveWeight:
         with pytest.raises(UnsupportedLeadingCoefficient):
             derive_weight(Poly.monomial(3), P(0, 1))
 
+    def test_rejects_quadratic_b(self):
+        with pytest.raises(ValueError, match=r"^weight derivation requires deg\(b\) <= 1$") as err:
+            derive_weight(P(1, 0, -1), P(0, 0, 1))
+        assert not isinstance(err.value, UnsupportedLeadingCoefficient)
+
 
 class TestPearson:
     def test_example_two_weight_satisfies_identity(self):
