@@ -29,9 +29,9 @@ import re
 import sys
 from fractions import Fraction
 
-# lets "--alpha -13/2" parse: argparse only recognizes plain ints/floats as
-# negative-number arguments, so teach it the p/q form as well
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# lets "--alpha -13/2" or "-1e1" parse: argparse takes only plain negative ints and
+# floats as values, and no specpoly option starts with a digit or a dot
+_NEGATIVE_RATIONAL = re.compile(r"^-[\d.]")
 
 from .eigen import eigentable
 from .families import (

@@ -30,8 +30,8 @@ denominator factor, as in Bareiss's fraction-free elimination (Math. Comp.
 unless the diagonal is constant.  One matrix for n_max, stored as its
 integer band over one denominator (``OperatorMatrix``), serves all of
 ``eigentable``: its leading (n+1)x(n+1) block is the matrix on P_n.  Each
-v^(z) leaves as integer numerators over q_0, a ``Poly`` after one gcd, and
-a lift sums those; no coefficient Fraction and no float is built.  The
+v^(z) leaves as integer numerators over q_0, a canonical ``Poly`` with no gcd,
+and a lift sums those; no coefficient Fraction and no float is built.  The
 Bareiss cross-check lives in ``tests/oracles.py``.
 """
 
@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, prod
-from operator import mul
 from typing import Sequence
 
 from ._record import Record
@@ -150,7 +148,10 @@ def _back_substitute(rows: Sequence[Sequence[int]], shift: int, z: int) -> Colum
     ... f_(i+t-1); a pivot d sets g = gcd(s, d), c_i = -s/g (s/g when d < 0)
     and f_i = |d|/g, and changes no filled c_j.  A residual Fraction(s,
     q_(i+1)) is D times the true one in every row, which leaves the kernel
-    alone.  v^(z) leaves over q_0, as c_j f_0 ... f_(j-1)."""
+    alone.  v^(z) leaves over q_0 = f_0 ... f_(z-1), as c_j f_0 ... f_(j-1), a
+    form canonical as it stands: each row has gcd(c_i, f_i) = 1, and f_i = 1
+    where c_i = 0.  A prime p | q_0 has a first k with p | f_k, and divides
+    neither c_k nor f_0 ... f_(k-1): not the numerator at k.  The one at z is q_0 > 0."""
     c, f = [0] * (z + len(rows[0])), [1] * (z + len(rows[0]))  # the band reaches past z
     c[z] = 1
     res = {}
@@ -171,8 +172,11 @@ def _back_substitute(rows: Sequence[Sequence[int]], shift: int, z: int) -> Colum
         g = gcd(s, d)
         c[i] = -s // g if d > 0 else s // g
         f[i] = abs(d) // g
-    ps = list(accumulate(f[:z], mul, initial=1))  # ps[j] = f_0 ... f_(j-1), ps[z] = q_0
-    return Poly._from_ints(ps[z], map(mul, c, ps)), res
+    nums, q = [], 1
+    for c_j, f_j in zip(c, f[:z]):
+        nums.append(c_j * q)
+        q *= f_j
+    return Poly._canonical(q, (*nums, q)), res
 
 
 def _kernel(columns: Sequence[Column]) -> list[Poly]:

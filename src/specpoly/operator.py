@@ -116,18 +116,22 @@ class DiffOperator:
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        d = lcm(*(a_k.den for a_k in self.coeffs))
-        band = [[0] * (min(self.order, n - i) + 1) for i in range(n + 1)]
+        d, order = lcm(*(a_k.den for a_k in self.coeffs)), self.order
+        band = [[0] * (min(order, n - i) + 1) for i in range(n + 1)]
+        ffs = [1] * (n + 1)  # falling_factorial(j, k) by j: j times order k-1's at j-1
         for k, a_k in enumerate(self.coeffs):
-            ffs = [falling_factorial(j, k) for j in range(n + 1)]
+            if k:
+                ffs = [0] + [j * ffs[j - 1] for j in range(1, n + 1)]
             for i, a_ki in enumerate(a_k.nums):
                 if a_ki:  # row j - k + i, k - i to the right of the diagonal
                     a_ki *= d // a_k.den
                     for j in range(k, n + 1):
                         band[j - k + i][k - i] += a_ki * ffs[j]
         g = gcd(d, *(v for row in band for v in row))  # D the lcm of the entries' denominators
+        if g != 1:
+            band = [[v // g for v in row] for row in band]
         # tuple(list) reuses CPython's freed small tuples; tuple(genexpr) hoards them
-        return OperatorMatrix(n, d // g, tuple(tuple([v // g for v in row]) for row in band))
+        return OperatorMatrix(n, d // g, tuple(tuple(row) for row in band))
 
     def spectrum(self, n: int) -> Spectrum:
         """Eigenvalues mu_0..mu_n: the diagonal of the matrix on P_n."""

@@ -114,9 +114,14 @@ class Poly:
         if g != 1:
             den //= g
             nums = [v // g for v in nums]
+        return cls._canonical(den, tuple(nums))
+
+    @classmethod
+    def _canonical(cls, den: int, nums: tuple[int, ...]) -> Poly:
+        """sum nums[i] x^i / den for a den and nums already in the canonical form."""
         p = object.__new__(cls)
         _set(p, "den", den)
-        _set(p, "nums", tuple(nums))
+        _set(p, "nums", nums)
         _set(p, "_coeffs", None)
         return p
 

@@ -517,6 +517,20 @@ class TestContract:
         )
         assert data["spectrum"][1]["eigenvalue_of_L"] == "-13/2"
 
+    # argparse takes a value that starts with "-" for an option unless it looks
+    # like a negative number: every form Fraction parses must, signed or not
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "-5."), ("--alpha", "-1e1"), ("--beta", "-2.5e-1"), ("--alpha", "-.5"),
+        ("--alpha", "5."), ("--alpha", "1e1"),
+    ])
+    def test_decimal_and_exponent_flag_values(self, capsys, flag, value):
+        source = ("spectrum", "--family", "romanovski", "--n-max", "2")
+        code, out, err = run(capsys, *source, flag, value)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *source, f"{flag}={value}")
+        assert run(capsys, *source, flag, value, "--n-max", "-1") == (
+            1, "", "specpoly: error: n must be >= 0\n")
+
     def test_byte_identical_output(self, capsys):
         args = ("gram", "--preset", "chebyshev1", "--n-max", "3")
         _, first, _ = run(capsys, *args)

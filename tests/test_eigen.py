@@ -593,3 +593,35 @@ class TestIntegerFormOut:
             assert math.gcd(p.den, *p.nums) == 1 and p.nums[-1] != 0
             assert [v / p.den for v in p.nums] == [float(c) for c in p.coeffs]
             assert p.to_strings() == [str(Fraction(v, p.den)) for v in p.nums]
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and p.nums[-1] != 0 and math.gcd(p.den, *p.nums) == 1, p
+    assert p == Poly(p.coeffs), p
+
+
+class TestCanonicalFormOut:
+    # back-substitution builds each v^(z) in the canonical form with no final
+    # gcd: the per-row gcd(s, d) alone keeps the numerators and q_0 coprime.
+    # Large, mostly coprime denominators leave almost no row factor f_i = 1,
+    # and forced collisions send the lifts through rref_kernel.
+    def test_every_basis_vector_is_canonical(self):
+        rng = random.Random(101)
+        ops = _large_denominator_operators(rng)
+        ops += [
+            DiffOperator([Poly([_big_rational(rng) for _ in range(k + 1)]) for k in range(5)])
+            for _ in range(4)
+        ]
+        for roots in [(0, 2, 5, 7), (1, 3, 4, 8)]:
+            ops.append(_forced_collision(rng, roots, shift_one=True))
+        assert {op.order for op in ops} == {1, 2, 3, 4}
+        n = 9
+        for op in ops:
+            table = eigentable(op, n)
+            for k, res in enumerate(table):
+                monic = monic_eigenfunction(op, k)
+                for p in (*res.basis, *monic.basis, *filter(None, [res.monic, monic.monic])):
+                    _assert_canonical(p)
+            for mu in {res.eigenvalue for res in table}:
+                for p in eigenspace_basis(op, mu, n):
+                    _assert_canonical(p)
