@@ -30,7 +30,6 @@ __all__ = [
     "DiffOperator",
     "OperatorMatrix",
     "Spectrum",
-    "falling_factorial",
 ]
 
 
@@ -45,16 +44,6 @@ class DegreeViolation(ValueError):
 
 class EmptyOperator(ValueError):
     """All coefficients are zero."""
-
-
-def falling_factorial(j: int, k: int) -> int:
-    """j(j-1)...(j-k+1); equals 1 for k = 0 and 0 for k > j."""
-    if j < 0 or k < 0:
-        raise ValueError("falling factorial arguments must be >= 0")
-    out = 1
-    for i in range(k):
-        out *= j - i
-    return out
 
 
 class DiffOperator:
@@ -108,7 +97,7 @@ class DiffOperator:
         Built from the closed form rather than by applying L: a_k x^i times
         the k-th derivative of x^j is a_{k,i} j(j-1)...(j-k+1) x^(j-k+i), so
 
-            M[j-k+i][j] += a_{k,i} * falling_factorial(j, k)
+            M[j-k+i][j] += a_{k,i} * j(j-1)...(j-k+1)
 
         and column j has entries only in rows j-N..j (N = order), the band that
         ``OperatorMatrix`` stores.  The matrix on P_n is the leading
@@ -118,7 +107,7 @@ class DiffOperator:
             raise ValueError("n must be >= 0")
         d, order = lcm(*(a_k.den for a_k in self.coeffs)), self.order
         band = [[0] * (min(order, n - i) + 1) for i in range(n + 1)]
-        ffs = [1] * (n + 1)  # falling_factorial(j, k) by j: j times order k-1's at j-1
+        ffs = [1] * (n + 1)  # j(j-1)...(j-k+1) by j: j times order k-1's at j-1
         for k, a_k in enumerate(self.coeffs):
             if k:
                 ffs = [0] + [j * ffs[j - 1] for j in range(1, n + 1)]

@@ -17,27 +17,33 @@ real line.
   root orders s_r = s_f + s_g reach k_r (key s_r - k_r) integrates
   p prod (x - r)^s_r, with exponent A_r = E_r + s_r at r and the sign
   (-1)^s_r at the upper end.  A negative key leaves A_r <= -1, so the key (with
-  the Romanovski reach) decides integrability.  Its entry is a bilinear form
-  over the key's r_k, cleared to integers over one denominator: O(n^3)
-  operations for an n x n Gram matrix, no polynomial product per entry and
-  one Fraction per nonzero entry (every exact zero is one shared
-  Fraction(0)).  A Gram matrix's pairs are answered as one block, which
-  reads each key's moments once and builds each row once per (degree, key).
+  the Romanovski reach) decides integrability.  One pair serves every shape,
+  built once per weight from the fields WeightExpr.dlog sums: a = prod (x - r)
+  over the finite ends, or x^2 + 1 where there is none, so that p a x^k
+  vanishes at each end, and b = a p'/p + a'.  A key's p prod (x - r)^s_r has
+  the pair (a, b + sum s_r a/(x - r)), and each a/(x - r) is a polynomial, so
+  a key adds s_r times one fixed shift per end to b; the recurrence is blind
+  to a common scale of the pair, which is held as ints over one denominator.
+  An entry is a bilinear form over its key's r_k, cleared to integers over
+  one denominator: O(n^3) operations for an n x n Gram matrix, no polynomial
+  product per entry and one Fraction per nonzero entry (every exact zero is
+  one shared Fraction(0)).  A Gram matrix's pairs are answered as one block,
+  which reads each key's moments once and builds each row once per degree
+  and key.  Each shape keeps its own m_0:
   - Jacobi, p = |x - lo|^E_lo |x - hi|^E_hi on a finite interval, the exact
-    route: integer exponents, so A_r >= 0; a = (x - lo)(x - hi),
-    b = (A_lo + 1)(x - hi) + (A_hi + 1)(x - lo), and
+    route: integer exponents, so A_r >= 0, and
     m_0 = (hi - lo)^(A_lo+A_hi+1) A_lo! A_hi! / (A_lo+A_hi+1)! is rational,
     folded into the entry, which is then the exact integral, with no float.
     A factor rooted off the ends, a non-integer exponent or a transcendental
     factor leaves the weight to quadrature.
-  - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: a = x^2+1,
-    b = (2q+2) x + h; m_0 is Cauchy's beta integral.  The last k with p x^k
-    integrable (the reach), read once per matrix, refuses every pair with
-    m + n past it before the block.
+  - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: m_0 is
+    Cauchy's beta integral.  The last k with p x^k integrable (the reach),
+    read once per matrix, refuses every pair with m + n past it before the
+    block.
   - Laguerre, p = |x - t|^E e^(c x) on a half line from t: k = floor(-E)
-    when E <= -1, A = E + s > -1, a = x - t, b = 1 + A + c (x - t), and
-    m_0 = Gamma(A+1) e^(ct) / |c|^(A+1).  A hand-built half line whose e^(c x)
-    grows toward its infinite end has reach -1: no pair is integrable.
+    when E <= -1, A = E + s > -1, and m_0 = Gamma(A+1) e^(ct) / |c|^(A+1).
+    A hand-built half line whose e^(c x) grows toward its infinite end has
+    reach -1: no pair is integrable.
   These two are the moment route: m_0 is a float, and an entry is its exact
   ratio to m_0 (times the weight's constant) times that float.
 * quadrature: by tanh-sinh, a finite-interval pair that does not reduce, on
@@ -126,13 +132,12 @@ from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _tanh_sinh_sweep
-from .ratpoly import Poly, RatLike, _strip_linear, common_denominator, horner, rat
+from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, common_denominator, horner, rat
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
     "NotPolynomialReducible",
     "NonIntegrable",
-    "inner_product_exact",
     "inner_product",
     "GramEntry",
     "OrthoReport",
@@ -156,16 +161,6 @@ _ZERO = Fraction(0)  # every exact zero entry
 
 # ---------------------------------------------------------------------------
 # exact and moment paths
-
-
-def _require_polynomial_shape(weight: WeightExpr) -> None:
-    """Refuse weights that no choice of f and g reduces to a polynomial."""
-    if not weight.interval.finite:
-        raise NotPolynomialReducible("interval is not finite")
-    if not weight.exp_poly.is_zero() or weight.arctan_coeff != 0:
-        raise NotPolynomialReducible("weight has a transcendental factor")
-    if weight.quad_exp is not None and weight.quad_exp != 0:
-        raise NotPolynomialReducible("weight has a (x^2+1) factor")
 
 
 def _moment_ratios(
@@ -246,8 +241,11 @@ class _MomentForm:
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: float = math.inf):
         iv = weight.interval
         self.weight, self.finite = weight, iv.finite
-        if self.finite:
-            _require_polynomial_shape(weight)
+        if self.finite:  # no f g cancels a transcendental factor
+            if weight.exp_poly or weight.arctan_coeff:
+                raise NotPolynomialReducible("weight has a transcendental factor")
+            if weight.quad_exp:
+                raise NotPolynomialReducible("weight has a (x^2+1) factor")
         # per finite end r: the summed exponent E_r (an int on a finite interval) and the
         # divisions k_r = max(floor(-E_r), 0), a divisor (end index, k_r) where k_r > 0
         self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
@@ -264,15 +262,32 @@ class _MomentForm:
                 e = e.numerator
             net[ends.index(r)] += e
         self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
+        # the module docstring's one Pearson pair, as ints over the lcm d of the denominators
+        # of the E_r, E' and the real line's quad_exp and arctan_coeff: a = prod (q x - p)
+        # over the ends r = p/q (x^2 + 1 with none), each end's shift q a/(q x - p) = a/(x - r),
+        # and b = a' + sum E_r a/(x - r) + E' a + 2 quad_exp x + arctan_coeff
+        self.linear = linear = [(r.numerator, r.denominator) for r in ends]
+        a = [1] if linear else [1, 0, 1]
+        for p, q in linear:
+            a = [q * u - p * v for u, v in zip([0, *a], [*a, 0])]
+        shifts = [(*(q * v for v in _divide_linear(a, p, q)), 0) for p, q in linear]
+        d, (*exps, slope, quad, h) = common_denominator(
+            (*net, weight.exp_poly.coeff(1), weight.quad_exp or 0, weight.arctan_coeff)
+        )
+        a0, a1, a2 = (*a, 0)[:3]
+        b0 = d * a1 + slope * a0 + h + sum(e * c[0] for e, c in zip(exps, shifts))
+        b1 = 2 * d * a2 + slope * a1 + 2 * quad + sum(e * c[1] for e, c in zip(exps, shifts))
+        self.pair = d * a0, d * a1, d * a2, b0, b1
+        self.shifts = [(d * c[0], d * c[1]) for c in shifts]
         self.m_0: dict[tuple[int, ...], float] = {}
         # label -> (den, numerators) of f divided by the divisors as far as it goes, in ints
         # (no gcd); label -> its class, the root orders s per divisor
         self.reduced = reduced = {}
         self.classes = classes = {}
-        linear = [(ends[i].numerator, ends[i].denominator, k) for i, k in self.divisors]
+        stripped = [(*linear[i], k) for i, k in self.divisors]
         for label, f in polys.items():
             nums, mults = f.nums, ()
-            for p, q, k in linear:
+            for p, q, k in stripped:
                 nums, s = _strip_linear(nums, p, q, k)
                 mults += (s,)
             reduced[label] = f.den, nums
@@ -282,34 +297,30 @@ class _MomentForm:
 
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
         """The key's ratios r_0 .. r_steps times the weight's constant and, on a finite
-        interval, the signed m_0, over their common denominator: the Pearson pair, m_0 and
-        the sign are the module docstring's, built as ints on a finite interval."""
+        interval, the signed m_0, over their common denominator: the key's root orders shift
+        the form's pair, in ints, and m_0 and the sign are the module docstring's."""
         w = self.weight
+        a0, a1, a2, b0, b1 = self.pair
         orders = [0] * len(self.ends)  # the pair's root orders s at each end
         for (i, k), e in zip(self.divisors, key):
-            orders[i] = k + e
+            orders[i] = s = k + e
+            b0 += s * self.shifts[i][0]
+            b1 += s * self.shifts[i][1]
         powers = [e + s + 1 for e, s in zip(self.exponents, orders)]  # A + 1 > 0 per end
         sign = (-1) ** orders[-1] if w.interval.hi is not None else 1
         num, den = w.constant.numerator, w.constant.denominator
-        if not powers:  # the Romanovski shape: no finite end
-            pair = common_denominator((1, 0, 1, w.arctan_coeff, 2 * w.quad_exp + 2))[1]
-            self.m_0[key] = _real_line_moment(w)
-        elif self.finite:
-            # p = (x - lo)^A1 (hi - x)^A2 with lo = l1/l2, hi = h1/h2: l2 h2 a and l2 h2 b are
-            # (l2 x - l1)(h2 x - h1) and (A1 + 1)(h2 x - h1) l2 + (A2 + 1)(l2 x - l1) h2, and
-            # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!
-            (l1, l2), (h1, h2) = [(r.numerator, r.denominator) for r in self.ends]
+        if self.finite:  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!, lo = l1/l2, hi = h1/h2
+            (l1, l2), (h1, h2) = self.linear
             p1, p2 = powers
-            pair = (l1 * h1, -l1 * h2 - h1 * l2, l2 * h2, -p1 * l2 * h1 - p2 * h2 * l1,
-                    (p1 + p2) * l2 * h2)
             num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
             den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
-        else:  # p = |x - t|^A e^(c x) on a half line from t
+        elif powers:  # p = |x - t|^A e^(c x) on a half line from t
             (t,), (power,), c = self.ends, powers, w.exp_poly.coeff(1)
-            pair = common_denominator((-t, 1, 0, power - c * t, c))[1]
             log_m_0 = math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c))
             self.m_0[key] = sign * math.exp(log_m_0)
-        return _moment_ratios(pair, self.steps, num, den)
+        else:  # the Romanovski shape: no finite end
+            self.m_0[key] = _real_line_moment(w)
+        return _moment_ratios((a0, a1, a2, b0, b1), self.steps, num, den)
 
     def block(self, pairs: Sequence[tuple[int, int]], ids: Sequence[int] | None = None) -> list:
         """Per label pair (m, n): its entry and key, s_f + s_g - k per divisor (r, k), the power
@@ -377,25 +388,6 @@ class _MomentForm:
             moments[key] = self._moments(key)
         vanishes = s == t or all(e or s_f == s_g for e, s_f, s_g in zip(key, s, t))
         return key, None, (_ZERO, key) if vanishes else None
-
-
-def inner_product_exact(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:
-    """Exact integral of p*f*g when the weight cancels into f*g.
-
-    p's power factors must sit at the interval's ends with integer exponents,
-    summed per end; a negative sum must divide f*g exactly, a positive one
-    multiplies in, and (x - hi)^s = (-1)^s |x - hi|^s gives the sign.  The
-    value is assembled from the Pearson moments of the reduced weight,
-    without forming f*g; a Gram matrix shares one such form over all its
-    entries, O(n^3) for n x n.
-    """
-    _require_polynomial_shape(weight)
-    if f.is_zero() or g.is_zero():
-        return _ZERO
-    (answer,) = _MomentForm(weight, {0: f, 1: g}).block([(0, 1)])
-    if isinstance(answer, NotPolynomialReducible):
-        raise answer
-    return answer[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,11 @@ __all__ = [
     "Poly",
     "RatLike",
     "rat",
-    "MINUS_INF",
 ]
 
 RatLike = Union[Fraction, int, str]
 
-MINUS_INF = float("-inf")
+_MINUS_INF = float("-inf")
 
 _set = object.__setattr__  # Poly.__setattr__ refuses every assignment
 
@@ -172,7 +171,7 @@ class Poly:
     @property
     def degree(self) -> int | float:
         """Degree, or -inf for the zero polynomial."""
-        return len(self.nums) - 1 if self.nums else MINUS_INF
+        return len(self.nums) - 1 if self.nums else _MINUS_INF
 
     def is_zero(self) -> bool:
         return not self.nums

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 
 import pytest
 
@@ -11,7 +11,6 @@ from specpoly import (
     FamilySpec,
     Poly,
     build_operator,
-    falling_factorial,
 )
 
 from oracles import random_operator, random_poly
@@ -67,18 +66,6 @@ class TestValidation:
         with pytest.raises(ValueError) as err:
             DiffOperator.from_json(data)
         assert f"{named} is not a list of rationals" in str(err.value)
-
-
-class TestFallingFactorial:
-    def test_five_choose_two_falling(self):
-        assert falling_factorial(5, 2) == 20
-
-    def test_more_factors_than_j(self):
-        assert falling_factorial(3, 4) == 0
-
-    def test_k_zero(self):
-        assert falling_factorial(7, 0) == 1
-        assert falling_factorial(0, 0) == 1
 
 
 class TestApply:
@@ -156,7 +143,7 @@ class TestMatrix:
                         assert m.entry(i, j) == 0
             # the module docstring's mu_j = sum_k a_{k,k} j(j-1)...(j-k+1)
             closed_form = tuple(
-                sum(a_k.coeff(k) * falling_factorial(j, k) for k, a_k in enumerate(op.coeffs))
+                sum(a_k.coeff(k) * perm(j, k) for k, a_k in enumerate(op.coeffs))
                 for j in range(n + 1)
             )
             assert m.diagonal == spec.values == closed_form

@@ -22,6 +22,7 @@ from specpoly import (
     OrthoReport,
     Poly,
     PowerFactor,
+    UnsupportedLeadingCoefficient,
     WeightExpr,
     boundary_vanishing,
     build_operator,
@@ -32,7 +33,6 @@ from specpoly import (
     gram_matrix,
     gram_matrix_for_operator,
     inner_product,
-    inner_product_exact,
     integrability,
     moment_reach,
 )
@@ -57,6 +57,22 @@ def weight_of(spec):
     return derive_weight(op.coeffs[2], op.coeffs[1])
 
 
+def exact_value(w, f, g):
+    """<f, g> from inner_product, whose route must be the exact one."""
+    value, method, err_est = inner_product(w, f, g)
+    assert (method, err_est) == ("exact", None), (method, err_est)
+    return value
+
+
+def form_pair(w, f, g):
+    """The moment form's block of the one pair (f, g): its exact value, or the pair's
+    NotPolynomialReducible raised.  The form raises its refusal of the weight itself."""
+    (answer,) = orthogonality._MomentForm(w, {0: f, 1: g}).block([(0, 1)])
+    if isinstance(answer, NotPolynomialReducible):
+        raise answer
+    return answer[0]
+
+
 LEGENDRE_W = weight_of(FamilySpec.jacobi(-1, -2, 0))
 CHEB_W = weight_of(FamilySpec.jacobi(-1, -1, 0))
 CQ_SPEC = FamilySpec.chaudhry_qadir()
@@ -67,11 +83,11 @@ ROM_W = weight_of(ROM_SPEC)
 
 class TestExactPath:
     def test_legendre_odd_pair_is_zero(self):
-        assert inner_product_exact(LEGENDRE_W, Poly.x(), P("-1/3", 0, 1)) == 0
+        assert inner_product(LEGENDRE_W, Poly.x(), P("-1/3", 0, 1)) == (0, "exact", None)
 
     def test_legendre_norm(self):
         p = P("-1/3", 0, 1)
-        assert inner_product_exact(LEGENDRE_W, p, p) == Fraction(8, 45)
+        assert inner_product(LEGENDRE_W, p, p) == (Fraction(8, 45), "exact", None)
 
     def test_example_two_cancellation(self):
         # eigenfunctions (t-1) and (t-1)(t-c2) with c2 from back-substitution
@@ -82,7 +98,7 @@ class TestExactPath:
         assert order == 1
         c2 = -psi.coeff(0)
         assert c2 == Fraction(1, 3)
-        assert inner_product_exact(CQ_W, y1, y2) == 0
+        assert inner_product(CQ_W, y1, y2) == (0, "exact", None)
         # independent route: integral of (1-t)(t-c2) over (0,1) via antiderivative
         direct = (P(1, -1) * P(-c2, 1)).definite_integral(0, 1)
         assert direct == 0
@@ -90,32 +106,36 @@ class TestExactPath:
     def test_example_two_norm_is_positive(self):
         table = eigentable(build_operator(CQ_SPEC), 2)
         y2 = table[2].monic
-        value = inner_product_exact(CQ_W, y2, y2)
-        assert value > 0
+        assert exact_value(CQ_W, y2, y2) > 0
 
     def test_transcendental_weight_not_reducible(self):
-        with pytest.raises(NotPolynomialReducible):
-            inner_product_exact(ROM_W, Poly.one(), Poly.one())
+        # the exact route is the finite interval's: the form refuses a transcendental factor
+        # there, and the Romanovski weight's pairs take the moment route
+        with pytest.raises(NotPolynomialReducible, match="^weight has a transcendental factor$"):
+            form_pair(WeightExpr(arctan_coeff=Fraction(1)), Poly.one(), Poly.one())
+        value, method, err_est = inner_product(ROM_W, Poly.one(), Poly.one())
+        assert method == "moment" and type(value) is float and err_est is None
 
     def test_fractional_exponent_not_reducible(self):
-        with pytest.raises(NotPolynomialReducible):
-            inner_product_exact(CHEB_W, Poly.one(), Poly.one())
+        with pytest.raises(NotPolynomialReducible, match="^non-integer exponent -1/2 at root -1$"):
+            form_pair(CHEB_W, Poly.one(), Poly.one())
 
     def test_zero_polynomial_is_zero_before_exponent_checks(self):
-        # only the interval and transcendental checks precede the zero case
+        # a zero f or g is an exact zero on a finite interval, also where the form refuses
+        # the weight's exponents; on the Romanovski shape it is the moment route's 0.0
         interior = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(1)),))
         for w in (CHEB_W, interior):
             for f, g in ((Poly(), Poly.x()), (P(1, 2), Poly())):
-                value = inner_product_exact(w, f, g)
+                value = exact_value(w, f, g)
                 assert value == 0 and isinstance(value, Fraction)
         with pytest.raises(NotPolynomialReducible):
-            inner_product_exact(interior, Poly.one(), Poly.one())
-        with pytest.raises(NotPolynomialReducible):
-            inner_product_exact(ROM_W, Poly(), Poly.one())
+            form_pair(interior, Poly.one(), Poly.one())
+        value = inner_product(ROM_W, Poly(), Poly.one())
+        assert value == (0.0, "moment", None) and type(value[0]) is float
 
     def test_uncancelled_negative_power_not_reducible(self):
-        with pytest.raises(NotPolynomialReducible):
-            inner_product_exact(CQ_W, Poly.one(), Poly.x())
+        with pytest.raises(NotPolynomialReducible, match=r"^f\*g is not divisible by \(x - 1\)\^1$"):
+            form_pair(CQ_W, Poly.one(), Poly.x())
 
     # the exact route integrates powers rooted at the interval's ends only: |x|^2 (inside)
     # and |x - 3| (outside) on (-1, 1) are refused by name and integrated by quadrature
@@ -123,7 +143,7 @@ class TestExactPath:
     def test_power_rooted_off_the_ends_is_refused(self, root, exponent, expected):
         w = WeightExpr(power_factors=(PowerFactor(Fraction(root), Fraction(exponent)),))
         with pytest.raises(NotPolynomialReducible, match=f"root {root} is not an end of \\(-1, 1\\)"):
-            inner_product_exact(w, Poly.one(), Poly.one())
+            form_pair(w, Poly.one(), Poly.one())
         value, method, _ = inner_product(w, Poly.one(), Poly.one())
         assert method == "quadrature" and abs(value - expected) <= 1e-12
 
@@ -133,14 +153,14 @@ class TestExactPath:
         a, b = P(0, 1, -1), P(0, 1)
         w = derive_weight(a, b)
         f = P(0, -1, 1)
-        assert inner_product_exact(w, f, f) == Fraction(1, 2)
+        assert inner_product(w, f, f) == (Fraction(1, 2), "exact", None)
 
     def test_positive_integer_exponents_multiply_in(self):
         # jacobi alpha=-4, beta=0 has the polynomial weight (1-x)(1+x)
         spec = FamilySpec.jacobi(-1, -4, 0)
         op = build_operator(spec)
         w = weight_of(spec)
-        assert inner_product_exact(w, Poly.one(), Poly.one()) == Fraction(4, 3)
+        assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(4, 3), "exact", None)
         report = gram_matrix(spec, 6)
         assert all(e.method == "exact" for e in report.entries)
         assert report.off_diagonal_max_relative == 0.0
@@ -151,18 +171,14 @@ class TestExactPath:
             f = random_poly(rng, 4)
             g = random_poly(rng, 4)
             h = random_poly(rng, 4)
-            lhs = inner_product_exact(LEGENDRE_W, f, g + h)
-            rhs = inner_product_exact(LEGENDRE_W, f, g) + inner_product_exact(
-                LEGENDRE_W, f, h
-            )
+            lhs = exact_value(LEGENDRE_W, f, g + h)
+            rhs = exact_value(LEGENDRE_W, f, g) + exact_value(LEGENDRE_W, f, h)
             assert lhs == rhs
 
     def test_symmetry(self):
         rng = random.Random(83)
         f, g = random_poly(rng, 5), random_poly(rng, 5)
-        assert inner_product_exact(LEGENDRE_W, f, g) == inner_product_exact(
-            LEGENDRE_W, g, f
-        )
+        assert exact_value(LEGENDRE_W, f, g) == exact_value(LEGENDRE_W, g, f)
 
 
 def quad(w, f, g, tol=orthogonality.DEFAULT_TOL):
@@ -180,9 +196,9 @@ def _same_as_oracle(w, f, g):
         expected = divide_and_integrate(w, f, g)
     except NotPolynomialReducible:
         with pytest.raises(NotPolynomialReducible):
-            inner_product_exact(w, f, g)
+            form_pair(w, f, g)
         return False
-    assert inner_product_exact(w, f, g) == expected
+    assert inner_product(w, f, g) == (expected, "exact", None)
     return True
 
 
@@ -255,7 +271,7 @@ class TestMomentAssembly:
 
     def test_block_agrees_with_oracle_in_any_order(self):
         # a Gram matrix's pairs as one block, shuffled, and one pair at a time give the same
-        # answers: divide_and_integrate's value (and inner_product_exact's) with the key
+        # answers: divide_and_integrate's value (and inner_product's) with the key
         # s_f + s_g - k per divisor, or the oracle's NotPolynomialReducible text
         rng = random.Random(107)
         draws = []
@@ -286,11 +302,11 @@ class TestMomentAssembly:
                 except NotPolynomialReducible as error:
                     assert answer == (NotPolynomialReducible, str(error)), (w, m, n)
                     with pytest.raises(NotPolynomialReducible, match=re.escape(str(error))):
-                        inner_product_exact(w, f, g)
+                        form_pair(w, f, g)
                     refused += 1
                     continue
                 assert answer == (expected, _block_key(w, f, g)), (w, m, n)
-                assert inner_product_exact(w, f, g) == expected
+                assert inner_product(w, f, g) == (expected, "exact", None)
                 exact += 1
         assert exact > 4500 and refused > 50
 
@@ -384,7 +400,7 @@ class TestMomentAssembly:
                     assert isinstance(answer, NotPolynomialReducible)
                     refused += 1
                     continue
-                assert answer[0] == expected == inner_product_exact(w, f, g)
+                assert answer[0] == expected == exact_value(w, f, g)
                 exact += 1
         assert exact > 150 and refused > 50
 
@@ -398,7 +414,8 @@ class TestMomentAssembly:
                 tuple(PowerFactor(one, Fraction(e)) for e in exponents),
                 interval=Interval(Fraction(0), one),
             )
-            assert inner_product_exact(w, Poly.one(), Poly.one()) == Fraction(1, 2)
+            form = orthogonality._MomentForm(w, {0: Poly.one()})
+            assert form.divisors == () and form.block([(0, 0)]) == [(Fraction(1, 2), ())]
             assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
 
 
@@ -408,7 +425,7 @@ class TestNumericPath:
         for m in range(7):
             for n in range(m, 7):
                 f, g = table[m].monic, table[n].monic
-                exact = inner_product_exact(LEGENDRE_W, f, g)
+                exact = exact_value(LEGENDRE_W, f, g)
                 numeric = quad(LEGENDRE_W, f, g, 1e-12)
                 assert abs(numeric.value - float(exact)) < 1e-10 * (1 + abs(float(exact)))
 
@@ -465,14 +482,14 @@ class TestNumericPath:
             table = eigentable(build_operator(spec), 8)
             for _ in range(6):
                 f, g = table[rng.randint(0, 8)].monic, table[rng.randint(0, 8)].monic
-                exact = inner_product_exact(w, f, g)
-                scale = math.sqrt(inner_product_exact(w, f, f) * inner_product_exact(w, g, g))
+                exact = exact_value(w, f, g)
+                scale = math.sqrt(exact_value(w, f, f) * exact_value(w, g, g))
                 assert abs(quad(w, f, g).value - exact) <= 1e-12 * scale
         # chaudhry-qadir's 1/(1-t) is integrable against f g, which vanishes at t = 1
         table = eigentable(build_operator(CQ_SPEC), 4)
         for m in range(1, 5):
             f = table[m].monic
-            exact = inner_product_exact(CQ_W, f, f)
+            exact = exact_value(CQ_W, f, f)
             assert exact > 0
             assert abs(quad(CQ_W, f, f).value - exact) <= 1e-12 * exact
 
@@ -572,8 +589,8 @@ class TestSelfAdjointness:
         for _ in range(10):
             f = random_poly(rng, 5)
             g = random_poly(rng, 5)
-            lf_g = inner_product_exact(LEGENDRE_W, op.apply(f), g)
-            f_lg = inner_product_exact(LEGENDRE_W, f, op.apply(g))
+            lf_g = exact_value(LEGENDRE_W, op.apply(f), g)
+            f_lg = exact_value(LEGENDRE_W, f, op.apply(g))
             assert lf_g == f_lg
 
     def test_numeric_for_singular_jacobi_weight(self):
@@ -1636,11 +1653,101 @@ class TestCertifiedEntries:
                     assert answer == e, (m, k)
                 continue
             d = m - orders[m]
-            dot = inner_product_exact(w, base[m], P(-1, 1) ** orders[m] * Poly.monomial(d))
+            dot = exact_value(w, base[m], P(-1, 1) ** orders[m] * Poly.monomial(d))
             if m in direct:
                 assert answer == (dot, key) and (dot != e[0]) == (d > 0), m
             else:  # the block's entry, which the dot product would miss
                 assert answer == e and dot != e[0], m
+
+
+def pearson_draw():
+    """Seeded second-order operators with a moment form, each with a degree: Jacobi
+    c (x - r1)(x - r2) D^2 + c ((E1 + 1)(x - r2) + (E2 + 1)(x - r1)) D with integer end
+    exponents in -5..4 (a divisor where one is <= -1), the jacobi family's (1 - x)^a (1 + x)^b,
+    Laguerre |x|^(beta - 1) e^(alpha x) on both sides of E = -1, and Romanovski
+    c (x^2 + 1) D^2 + (alpha x + beta) D (romanovski_shape_draw)."""
+    rng = random.Random(37)
+    draw = []
+    for _ in range(300):
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        r2 = r1 + Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        e1, e2 = rng.randint(-5, 4), rng.randint(-5, 4)
+        c = rng.choice([Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)])
+        b = c * ((e1 + 1) * P(-r2, 1) + (e2 + 1) * P(-r1, 1))
+        draw.append((DiffOperator([Poly(), b, c * P(-r1, 1) * P(-r2, 1)]), rng.randint(2, 12)))
+    for _ in range(60):
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        draw.append((build_operator(FamilySpec.jacobi(-1, -2 - a - b, b - a)), rng.randint(2, 12)))
+    for _ in range(150):
+        alpha = rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        beta = Fraction(rng.randint(-12, 9), rng.choice([1, 1, 2, 3]))
+        draw.append((build_operator(FamilySpec.laguerre(alpha, beta)), rng.randint(2, 12)))
+    for c, alpha, beta, n in romanovski_shape_draw()[60:]:
+        draw.append((DiffOperator([Poly(), P(beta, alpha), c * P(1, 0, 1)]), n + 4))
+    return draw
+
+
+class TestPearsonPair:
+    def test_form_pair_is_the_operators_shifted(self, monkeypatch):
+        # every key the block reads takes the pair lambda (a, b + sum_r s_r a/(x - r)) with
+        # (a, b) the operator's own and s_r = k_r + key_r the pair's root order at each divisor
+        keys, pairs = [], []
+        moments, ratios = orthogonality._MomentForm._moments, orthogonality._moment_ratios
+
+        def spy_moments(form, key):
+            keys.append(key)
+            return moments(form, key)
+
+        def spy_ratios(pair, *args):
+            pairs.append(pair)
+            return ratios(pair, *args)
+
+        monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
+        monkeypatch.setattr(orthogonality, "_moment_ratios", spy_ratios)
+        shapes, shifted = Counter(), 0
+        for op, n in pearson_draw():
+            w, _, form, asked = _form_and_pairs(op, n)
+            shapes[orthogonality._shape(w)] += 1
+            start = len(keys)
+            form.block(asked)
+            for key, pair in zip(keys[start:], pairs[start:]):
+                a, b = op.coeffs[2], op.coeffs[1]
+                for (i, k), e in zip(form.divisors, key):
+                    quotient, order = ref_strip_root(a.coeffs, form.ends[i], 1)  # a/(x - r)
+                    assert order == 1, (op, form.ends[i])
+                    b = b + (k + e) * Poly(quotient)
+                shifted += any(k + e for (_, k), e in zip(form.divisors, key))
+                want = [a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)]
+                assert b.degree <= 1 and all(type(v) is int for v in pair), (op, key)
+                scale = Fraction(pair[2] or pair[1], want[2] or want[1])
+                assert scale and [scale * v for v in want] == list(pair), (op, key, pair)
+        assert shapes == {"finite": 360, "laguerre": 150, "romanovski": 60}
+        assert len(keys) == len(pairs) > 750 and shifted > 500
+
+
+class TestMomentRatios:
+    # the recurrence reads the pair alone: on the two Bochner shapes that derive_weight (so
+    # gram) refuses, each operator's own (a, b) gives its moment functional's m_k / m_0
+    @pytest.mark.parametrize("a, b, want", [
+        # Krall and Frink's Bessel functional, x^2 D^2 + (2x + 2) D: (-2)^k / (k + 1)!
+        (P(0, 0, 1), P(2, 2), [Fraction((-2) ** k, math.factorial(k + 1)) for k in range(10)]),
+        # the semicircle on (-sqrt 2, sqrt 2), (2 - x^2) D^2 - 3x D: C_j / 2^j at k = 2j
+        (P(2, 0, -1), P(0, -3), [
+            0 if k % 2 else Fraction(math.comb(k, k // 2), (k // 2 + 1) * 2 ** (k // 2))
+            for k in range(10)
+        ]),
+    ], ids=["bessel", "semicircle"])
+    def test_ratios_know_nothing_of_the_shape(self, a, b, want):
+        op = DiffOperator([Poly(), b, a])
+        with pytest.raises(UnsupportedLeadingCoefficient):
+            gram_matrix_for_operator(op, 2)
+        pair = [int(a.coeff(i)) for i in range(3)] + [int(b.coeff(i)) for i in range(2)]
+        den, nums = orthogonality._moment_ratios(pair, len(want) - 1)
+        assert [Fraction(v, den) for v in nums] == want
+        assert want[:7] in (
+            [1, -1, Fraction(2, 3), Fraction(-1, 3), Fraction(2, 15), Fraction(-2, 45), Fraction(4, 315)],
+            [1, 0, Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(5, 8)],
+        )
 
 
 def integrability_draw():
@@ -1734,7 +1841,7 @@ class TestRefusals:
     def test_exact_route_refuses_finite_weight_shapes(self, weight, reason):
         for f in (Poly.one(), Poly()):  # refused before the zero case
             with pytest.raises(NotPolynomialReducible, match=f"^{reason}$"):
-                inner_product_exact(weight, f, P(1, 1))
+                form_pair(weight, f, P(1, 1))
 
     def test_missing_entry_is_key_error(self):
         report = gram_matrix(CQ_SPEC, 3)  # degrees 1..3
