@@ -35,6 +35,9 @@ read once more, by ``to_json``), so the dict writes win.  Compiling each
 in order under their own names, where a record becomes its own ``to_json()``,
 a tuple a list, a Fraction its exact ``"p/q"`` string, and any other value
 passes through.  A type whose JSON keys are not its field names overrides it.
+The tuple and Fraction tests are on the exact type (no field holds a subclass
+of either): ``isinstance(value, Fraction)`` would run
+``ABCMeta.__instancecheck__`` on every float, int, string and None field.
 """
 
 from __future__ import annotations
@@ -101,10 +104,9 @@ def _compile_init(cls: type, defaults: tuple) -> object:
 
 
 def _json_value(value):
-    if isinstance(value, Record):
-        return value.to_json()
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if isinstance(value, Fraction):
+    kind = type(value)  # the exact type: the module docstring
+    if kind is Fraction:
         return str(value)
-    return value
+    if kind is tuple:
+        return [_json_value(v) for v in value]
+    return value.to_json() if isinstance(value, Record) else value

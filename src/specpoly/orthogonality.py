@@ -101,8 +101,8 @@ eigenfunction's root orders at the weight's roots are read once, and a pair's
 sum raises the weight's exponents there, so no f g is formed for a verdict; on
 a finite interval the degree plays no part, and the sum alone keys it.  A
 zero f or g is an exact zero with no verdict read (0.0 on a moment shape).  A
-Gram matrix makes one node sweep per weight, with one integrand
-call per node pair +/- t: each node's abscissa, log p(x) and Jacobian are
+Gram matrix makes one node sweep per weight (quadrature._product_sweep), with
+one evaluation per node: each node's abscissa, log p(x) and Jacobian are
 computed once and shared by all pending entries, each of which still stops
 on its own rule.  A Romanovski report is read off the Romanovski Gram
 matrix: its verdicts map the Gram entries, and its eigenvalue collisions
@@ -131,8 +131,8 @@ from ._record import Record
 from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
-from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _tanh_sinh_sweep
-from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, common_denominator, horner, rat
+from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
+from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, common_denominator, rat
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
@@ -394,31 +394,28 @@ class _MomentForm:
 # numeric path
 
 
-def _integrand(
-    weight: WeightExpr, funcs: Sequence[Poly], pairs: Sequence[tuple[int, int]]
-) -> tuple[Callable, float, float]:
-    """(f, lo, hi) for _tanh_sinh_sweep: f(u_hi, u_lo, d_near, d_far, active) lists, at both
-    nodes of a pair, p f_i f_j times the Jacobian of the interval's map x(u) (module
-    docstring) per active pair (i, j) of indices into funcs.
+def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, float, float]:
+    """(evaluate, lo, hi) for _product_sweep: evaluate(u, d_lo, d_hi, need) -> (signs, based,
+    logs) gives, for each index i in need into funcs, f_i's sign at the node x(u) of the
+    interval's map (module docstring), 0 where f_i(x) is 0, log p + log J + log|f_i(x)| with
+    J the map's Jacobian, and log|f_i(x)|.
 
-    A node's x, log p(x) and log-Jacobian are computed once for all pairs.  Each f_i that an
-    active pair needs is evaluated once per node, to a sign and log p + log J + log|f_i(x)|,
-    and a pair adds log|f_j(x)| to that; f_i f_j is never formed.  Off [-1, 1] on the real
-    line, log|f_i(x)| is deg*log|x| plus the log of the reversed polynomial at 1/x: Horner
-    in x would not overflow at the sinh map's nodes (|x| <= 203 for hermite(-1, 3) at 20),
-    but raised Hermite's n = 20 off-diagonal maximum from 5.2e-14 to 1.4e-13 for the preset,
-    and from 8.4e-10 to 1.2e-9 for hermite(-1, 3).  At a finite end where p's exponent is
-    <= -1, Horner's f_i(x) near a root of f_i there is all cancellation, which p turns into
-    a divergent integrand: the root is divided out once and comes back as s*log(d) from the
-    sweep's exact endpoint distance d.  The pair list and the needed f_i are rebuilt only
-    when the sweep's active list changes.
+    A node's x, log p(x) and log-Jacobian are computed once for all f_i, and each f_i once
+    per node; the sweep forms each pair's sign_i sign_j e^(based_i + log_j), so f_i f_j is
+    never formed.  Off [-1, 1] on the real line, log|f_i(x)| is deg*log|x| plus the log of
+    the reversed polynomial at 1/x: Horner in x would not overflow at the sinh map's nodes
+    (|x| <= 203 for hermite(-1, 3) at 20), but raised Hermite's n = 20 off-diagonal maximum
+    from 5.2e-14 to 1.4e-13 for the preset, and from 8.4e-10 to 1.2e-9 for hermite(-1, 3).
+    At a finite end where p's exponent is <= -1, Horner's f_i(x) near a root of f_i there is
+    all cancellation, which p turns into a divergent integrand: the root is divided out once
+    and comes back as s*log(d) from the sweep's exact endpoint distance d.
     """
     iv, exp_poly = weight.interval, weight.exp_poly
     # the finite ends a root is divided out at, None for the others
     ends = [
         r if r is not None and weight.power_exponent_at(r) <= -1 else None for r in (iv.lo, iv.hi)
     ]
-    cs, rev, degs, roots = [], [], [], []
+    cs, desc, degs, roots = [], [], [], []
     for p in funcs:
         mults = []
         for r in ends:
@@ -426,12 +423,11 @@ def _integrand(
             mults.append(s)
         c = tuple([v / p.den for v in p.nums])  # float(Fraction) to the bit, once, not per node
         cs.append(c)
-        rev.append(c[::-1])
+        desc.append(c[::-1])
         degs.append(len(c) - 1)
         roots.append(tuple(mults) if any(mults) else None)
     count = len(funcs)
-    signs, logs, based = [0.0] * count, [0.0] * count, [0.0] * count
-    exp, log, copysign, inf = math.exp, math.log, math.copysign, math.inf
+    log, copysign, inf = math.log, math.copysign, math.inf
     shape = _shape(weight)
     finite = shape == "finite"
     if finite:
@@ -454,25 +450,26 @@ def _integrand(
     else:
         raise ValueError(f"no quadrature map for {weight.formula()} on {iv.describe()}")
 
-    last: list = []  # the sweep's active list when act and need were built
-    act: list[tuple[int, int]] = []  # its pairs
-    need: list[int] = []  # the f_i they read
-
-    def values(u: float, d_lo: float, d_hi: float) -> list[float]:
+    def evaluate(u: float, d_lo: float, d_hi: float, need: list[int]) -> tuple[list, list, list]:
         x, lw, log_jac, e_lo, e_hi = node(u, d_lo, d_hi)
         base = lw + log_jac
+        signs, based, logs = [0.0] * count, [0.0] * count, [0.0] * count  # sign 0: f_i(x) = 0
         near = finite or abs(x) <= 1.0
         if not near:
             inv_x, log_x = 1.0 / x, log(abs(x))
         for i in need:
+            v = 0.0  # ratpoly.horner's operations inlined: the call made each f_i 1.5x as slow
             if near:
-                v, log_scale = horner(cs[i], x), 0.0
+                for c in desc[i]:
+                    v = v * x + c
+                log_scale = 0.0
             else:  # the reversed polynomial at 1/x is f_i(x)/x^deg
-                v, log_scale = horner(rev[i], inv_x), degs[i] * log_x
+                for c in cs[i]:
+                    v = v * inv_x + c
+                log_scale = degs[i] * log_x
                 if x < 0 and degs[i] % 2:
                     v = -v
             if not v:
-                signs[i] = 0.0  # zeroes its entries; its logs go unread
                 continue
             log_f = log_scale + log(abs(v))
             if roots[i] is not None:
@@ -484,24 +481,11 @@ def _integrand(
                     if s_hi % 2:  # (x - hi)^s_hi < 0 inside
                         v = -v
                 if log_f == -inf:  # a node on the end itself, where f_i is 0
-                    signs[i] = 0.0
                     continue
-            signs[i], logs[i], based[i] = copysign(1.0, v), log_f, base + log_f
-        # sign * e^(log p + log J + log|f_i| + log|f_j|), 0 for a zero sign or magnitude
-        return [
-            0.0 if (sign := signs[i] * signs[j]) == 0.0 or (mag := based[i] + logs[j]) == -inf
-            else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
-            for i, j in act
-        ]
+            signs[i], based[i], logs[i] = copysign(1.0, v), base + log_f, log_f
+        return signs, based, logs
 
-    def f(u_hi: float, u_lo: float, d_near: float, d_far: float, active: list[int]):
-        nonlocal last, act, need
-        if active is not last:
-            last, act = active, [pairs[k] for k in active]
-            need = sorted({i for pair in act for i in pair})
-        return values(u_hi, d_far, d_near), values(u_lo, d_near, d_far)
-
-    return f, lo, hi
+    return evaluate, lo, hi
 
 
 def _numeric_quad(
@@ -509,8 +493,8 @@ def _numeric_quad(
 ) -> list[QuadResult]:
     """Quadrature of p f_i f_j for every index pair (i, j) into funcs, on one node
     sweep; raises the NoConvergence of the first pair, in list order, that fails."""
-    f, lo, hi = _integrand(weight, funcs, pairs)
-    results = _tanh_sinh_sweep(f, len(pairs), lo, hi, tol)
+    evaluate, lo, hi = _integrand(weight, funcs)
+    results = _product_sweep(evaluate, pairs, lo, hi, tol)
     for res in results:
         if isinstance(res, NoConvergence):
             raise res

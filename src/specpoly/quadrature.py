@@ -1,15 +1,9 @@
-"""Tanh-sinh (double-exponential) quadrature.
+"""Tanh-sinh (double-exponential) quadrature of many products on one sweep.
 
 The substitution t = tanh((pi/2) sinh(u)) turns the trapezoid rule on a
 finite interval into a scheme whose node weights decay double-exponentially
 toward the endpoints, which is what lets it swallow integrable endpoint
 singularities like (1-x)^(-1/2) without any special casing.
-
-The integrand is called as f(x, d_lo, d_hi) where d_lo/d_hi are the exact
-distances to the interval endpoints, computed without cancellation (for a
-node at t, 1 - t = 2 / (1 + e^(2s)) with s = (pi/2) sinh(u)).  Integrands
-with endpoint singularities should use those distances instead of forming
-x - endpoint themselves.
 
 The step starts at h = 1 and halves per level; the value converges when
 two successive levels differ by less than tol * (1 + L1), where L1 is the
@@ -20,31 +14,37 @@ Exp. Math. 14, 2005); for an integrand of one sign L1 is |value| to the
 last bit, so its stopping level is unchanged.  A level budget (default 12
 halvings) bounds the work; exhausting it raises NoConvergence.
 
-One loop integrates several integrands over the same interval on one sweep
-of the nodes, so each node's abscissa, distances and weight are computed
-once: it calls f(x_hi, x_lo, d_near, d_far, active) once per node pair
-x = mid +/- rad t for the integrands still active in the current row, and
-takes one list of values per node (d_near is each node's distance to its
-own end, d_far to the other; the centre is called as the pair (mid, mid)
-and only its first list is read).
-Every integrand keeps its own row total, L1 size, tiny-term streak, level,
-error, eval count and failure, and leaves the sweep when its own stopping
-rule holds, so each one sees exactly the additions it would see alone.
-The active list is replaced only when an integrand leaves, so an integrand
-may cache whatever it derives from it.  tanh_sinh is the one-integrand case.
-A node's abscissa, distance and weight depend on u = k h alone and are
-memoised (a bounded cache) across sweeps.
+_product_sweep integrates the products f_i f_j of a list of index pairs
+(i, j) over the same interval on one sweep of the nodes, so each node's
+abscissa, distances and weight are computed once.  The factors come in log
+space from evaluate(x, d_lo, d_hi, need), called once per node (the centre
+once, then both nodes mid +/- rad t of a pair before any term is added) with
+d_lo/d_hi the node's exact distances to the interval's ends, computed without
+cancellation (for a node at t, 1 - t = 2 / (1 + e^(2s)) with
+s = (pi/2) sinh(u)), and need the sorted indices that the pairs still in the
+sweep read.  It returns three lists indexed by i: the sign of factor i, a
+log-magnitude based_i that carries whatever is common to the node (a weight
+and a Jacobian), and log|f_i|.  A pair's value at the node is
+sign_i sign_j e^(based_i + log_j): 0 for a zero sign or a -inf magnitude, an
+infinity past 708, so it never overflows.  The sweep forms each pair's two
+terms where it adds them.  Every pair keeps its own row total, L1 size,
+tiny-term streak, level, error, eval count and failure, and leaves the sweep
+when its own stopping rule holds, so each one sees exactly the additions it
+would see integrated alone (tests/oracles.py keeps that scalar integrator as
+the bit-for-bit reference); need changes only when a pair leaves.  A node's
+abscissa, distance and weight depend on u = k h alone and are memoised (a
+bounded cache) across sweeps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from ._record import Record
 
-__all__ = ["DEFAULT_TOL", "NoConvergence", "QuadResult", "tanh_sinh"]
+__all__ = ["DEFAULT_TOL", "NoConvergence", "QuadResult"]
 
 DEFAULT_TOL = 1e-10  # the stopping rule's tol, unless a caller sets one
 
@@ -85,30 +85,13 @@ def _node(u: float) -> tuple[float, float, float]:
     return 1.0 - d, d, w
 
 
-def tanh_sinh(
-    f: Callable[[float, float, float], float],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
+def _product_sweep(
+    evaluate: Callable, pairs: Sequence[tuple[int, int]], lo: float, hi: float, tol: float,
     max_levels: int = 12,
-) -> QuadResult:
-    """Integrate f over (lo, hi) until two levels differ by at most
-    tol * (1 + integral of |f|); see the module docstring for the contract."""
-    (res,) = _tanh_sinh_sweep(
-        lambda x_hi, x_lo, d_near, d_far, _: ([f(x_hi, d_far, d_near)], [f(x_lo, d_near, d_far)]),
-        1, lo, hi, tol, max_levels,
-    )
-    if isinstance(res, NoConvergence):
-        raise res
-    return res
-
-
-def _tanh_sinh_sweep(
-    f: Callable, count: int, lo: float, hi: float, tol: float, max_levels: int = 12
 ) -> list[QuadResult | NoConvergence]:
-    """Integrate integrands 0..count-1 over (lo, hi) on one sweep of the nodes;
-    f(x_hi, x_lo, d_near, d_far, active) -> (values at x_hi, values at x_lo) gives
-    the active ones' values at a node pair."""
+    """Integrate f_i f_j over (lo, hi) for every index pair (i, j) in pairs on one sweep of
+    the nodes; evaluate(x, d_lo, d_hi, need) -> (signs, based, logs) gives the factors at a
+    node (module docstring)."""
     if not lo < hi:
         raise ValueError(f"bounds out of order: {lo} >= {hi}")
     if not 0 < tol < math.inf:  # also refuses nan
@@ -116,21 +99,30 @@ def _tanh_sinh_sweep(
     mid = (lo + hi) / 2.0
     rad = (hi - lo) / 2.0
     tiny = 1e-4 * tol  # a term this small, relative to 1 + |total|, extends the streak
-    isfinite = math.isfinite
+    count = len(pairs)
+    exp, copysign, isfinite = math.exp, math.copysign, math.isfinite
+    inf, minus_inf = math.inf, -math.inf  # a local, not -inf negated per term
     evals = [0] * count
-    out: list = [None] * count  # each integrand's QuadResult or NoConvergence
+    out: list = [None] * count  # each pair's QuadResult or NoConvergence
 
-    def row_sums(h: float, odd_only: bool, active: list[int]) -> tuple[list[float], list[float]]:
-        """Each integrand's row total and the row total of its |terms|."""
+    def row_sums(h: float, odd_only: bool, active: list) -> tuple[list[float], list[float]]:
+        """Each pair's row total and the row total of its |terms|; active lists
+        (q, i, j) for pairs[q] = (i, j) still in the sweep."""
         totals = [0.0] * count
         sizes = [0.0] * count
         streak = [0] * count
+        need = sorted({f for _, i, j in active for f in (i, j)})
         if active and not odd_only:  # the centre node belongs to the first row only
-            centre, _ = f(mid, mid, rad, rad, active)
-            for i, v in zip(active, centre):
-                totals[i] += (math.pi / 2.0) * v
-                sizes[i] += abs((math.pi / 2.0) * v)
-                evals[i] += 1
+            signs, based, logs = evaluate(mid, rad, rad, need)
+            for q, i, j in active:
+                sign = signs[i] * signs[j]
+                v = (
+                    0.0 if sign == 0.0 or (mag := based[i] + logs[j]) == minus_inf
+                    else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
+                )
+                totals[q] += (math.pi / 2.0) * v
+                sizes[q] += abs((math.pi / 2.0) * v)
+                evals[q] += 1
         k = 1
         step = 2 if odd_only else 1
         seen = 0  # node pairs evaluated in this row
@@ -138,61 +130,71 @@ def _tanh_sinh_sweep(
             t, d, w = _node(k * h)
             if w == 0.0 or d == 0.0:
                 break
-            x_hi, x_lo = mid + rad * t, mid - rad * t
-            values_hi, values_lo = f(x_hi, x_lo, rad * d, rad * (2.0 - d), active)
+            x_hi, x_lo, d_near, d_far = mid + rad * t, mid - rad * t, rad * d, rad * (2.0 - d)
+            s_hi, b_hi, l_hi = evaluate(x_hi, d_far, d_near, need)
+            s_lo, b_lo, l_lo = evaluate(x_lo, d_near, d_far, need)
             seen += 1
             gone = []
-            for i, v_hi, v_lo in zip(active, values_hi, values_lo):
-                term_hi = w * v_hi
-                term_lo = w * v_lo
+            for q, i, j in active:
+                sign = s_hi[i] * s_hi[j]
+                term_hi = w * (
+                    0.0 if sign == 0.0 or (mag := b_hi[i] + l_hi[j]) == minus_inf
+                    else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
+                )
+                sign = s_lo[i] * s_lo[j]
+                term_lo = w * (
+                    0.0 if sign == 0.0 or (mag := b_lo[i] + l_lo[j]) == minus_inf
+                    else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
+                )
                 pair = term_hi + term_lo
                 if not isfinite(pair) and not (isfinite(term_hi) and isfinite(term_lo)):
-                    out[i] = NoConvergence(
+                    out[q] = NoConvergence(
                         f"integrand not finite at a quadrature node (x near {x_hi!r} / {x_lo!r})",
                         math.nan, math.inf,
                     )
-                    gone.append(i)
+                    gone.append(q)
                     continue
-                total = totals[i] = totals[i] + pair
+                total = totals[q] = totals[q] + pair
                 size = abs(term_hi) + abs(term_lo)
-                sizes[i] += size
+                sizes[q] += size
                 if size <= tiny * (1.0 + abs(total)):
-                    streak[i] += 1
-                    if streak[i] >= 3:
-                        gone.append(i)
+                    streak[q] += 1
+                    if streak[q] >= 3:
+                        gone.append(q)
                 else:
-                    streak[i] = 0
+                    streak[q] = 0
             if gone:
-                for i in gone:
-                    evals[i] += 2 * seen
-                active = [i for i in active if i not in gone]
+                for q in gone:
+                    evals[q] += 2 * seen
+                active = [a for a in active if a[0] not in gone]
+                need = sorted({f for _, i, j in active for f in (i, j)})
             k += step
-        for i in active:
-            evals[i] += 2 * seen
+        for q, _, _ in active:
+            evals[q] += 2 * seen
         return totals, sizes
 
     h = 1.0
-    pending = list(range(count))
+    pending = [(q, i, j) for q, (i, j) in enumerate(pairs)]
     totals, sizes = row_sums(h, False, pending)
     estimate = [rad * h * total for total in totals]
     l1 = [rad * h * size for size in sizes]  # the estimate of the integral of |f|
     err = [math.inf] * count
     for level in range(1, max_levels + 1):
-        pending = [i for i in pending if out[i] is None]
+        pending = [a for a in pending if out[a[0]] is None]
         if not pending:
             break
         h /= 2.0
         sums, sizes = row_sums(h, True, pending)
-        for i in pending:
-            if out[i] is None:
-                estimate_new = estimate[i] / 2.0 + rad * h * sums[i]
-                l1[i] = l1[i] / 2.0 + rad * h * sizes[i]
-                err[i] = abs(estimate_new - estimate[i])
-                estimate[i] = estimate_new
-                if err[i] <= tol * (1.0 + l1[i]):
-                    out[i] = QuadResult(estimate_new, err[i], level, evals[i])
-    for i in range(count):
-        if out[i] is None:
-            message = f"no convergence after {max_levels} levels (last error {err[i]:.3e})"
-            out[i] = NoConvergence(message, estimate[i], err[i])
+        for q, _, _ in pending:
+            if out[q] is None:
+                estimate_new = estimate[q] / 2.0 + rad * h * sums[q]
+                l1[q] = l1[q] / 2.0 + rad * h * sizes[q]
+                err[q] = abs(estimate_new - estimate[q])
+                estimate[q] = estimate_new
+                if err[q] <= tol * (1.0 + l1[q]):
+                    out[q] = QuadResult(estimate_new, err[q], level, evals[q])
+    for q in range(count):
+        if out[q] is None:
+            message = f"no convergence after {max_levels} levels (last error {err[q]:.3e})"
+            out[q] = NoConvergence(message, estimate[q], err[q])
     return out

@@ -12,14 +12,19 @@ which the library's moment assembly is checked.  ``log_eval_reference``
 is ``WeightExpr.log_eval`` as it was before the weight cached its float
 form: it converts and compares the Fraction fields at every call, and the
 cached version must agree with it bit for bit.  ``moment_scale`` is
-``integral p (1+x^2)^(t/2)`` on a real-line weight as one public ``tanh_sinh``
+``integral p (1+x^2)^(t/2)`` on a real-line weight as one ``tanh_sinh``
 call: at t = 0 the moment route's closed-form m_0 (Cauchy's beta integral)
 must agree with it to 1e-12, and at t = m + n it is the scale against which
 a Romanovski pair beside a divergent diagonal is checked by quadrature (the
 library computes no such scale: every one of those pairs is an exact zero).
-``pair_quadrature`` is one Gram entry by the public ``tanh_sinh`` with the scalar
+``tanh_sinh`` is the scalar tanh-sinh integrator, one integrand at a time,
+frozen here as the library kept it before its Gram sweep formed each pair's
+terms itself (``_tanh_sinh_sweep`` and ``_node`` with it); the library has no
+scalar entry point.
+``pair_quadrature`` is one Gram entry by ``tanh_sinh`` with the scalar
 integrand the library used before its sweep took node pairs (two calls per node
-pair, ``signed_exp`` per value), which the node-pair kernel must match bit for bit.
+pair, ``signed_exp`` per value), which the product sweep must match bit for bit,
+including the root division at an end where the weight's exponent is <= -1.
 On a real-line weight without a Gaussian factor it and ``moment_scale`` sweep
 ``x = tan u`` (``_tan_abscissa``, ``_log1p_sq``), a map the library lacks: it
 refuses such weights, and takes the Romanovski shape by its moment route, which
@@ -35,14 +40,16 @@ as the library's exact check does.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from specpoly import (
+    DEFAULT_TOL,
     DiffOperator,
     Interval,
     NoConvergence,
@@ -51,7 +58,6 @@ from specpoly import (
     Poly,
     QuadResult,
     WeightExpr,
-    tanh_sinh,
 )
 from specpoly.ratpoly import horner
 
@@ -331,6 +337,146 @@ def log_eval_reference(
     return out
 
 
+# ---------------------------------------------------------------------------
+# the scalar tanh-sinh integrator, frozen as the library had it before its Gram sweep
+# formed each pair's terms itself: tanh_sinh integrates one f(x, d_lo, d_hi), and
+# _tanh_sinh_sweep several integrands given as lists of values per node pair
+
+
+_U_MAX = 6.6  # beyond this point on the u axis every node weight underflows to zero
+
+
+@functools.lru_cache(maxsize=1024)
+def _node(u: float) -> tuple[float, float, float]:
+    """Return (t, 1 - t, weight) for abscissa parameter u > 0."""
+    s = (math.pi / 2.0) * math.sinh(u)
+    if s > 350.0:
+        # e^(-2s) may underflow; both the distance and the weight go with it
+        em = math.exp(-2.0 * s)
+        d = 2.0 * em
+        w = 2.0 * math.pi * math.cosh(u) * em
+    else:
+        em = math.exp(-2.0 * s)
+        d = 2.0 * em / (1.0 + em)
+        cs = math.cosh(s)
+        w = (math.pi / 2.0) * math.cosh(u) / (cs * cs)
+    return 1.0 - d, d, w
+
+
+def tanh_sinh(
+    f: Callable[[float, float, float], float],
+    lo: float,
+    hi: float,
+    tol: float = DEFAULT_TOL,
+    max_levels: int = 12,
+) -> QuadResult:
+    """Integrate f(x, d_lo, d_hi), with d_lo/d_hi the node's exact distances to the ends,
+    over (lo, hi) until two levels differ by at most tol * (1 + integral of |f|), the
+    stopping rule of specpoly.quadrature's module docstring."""
+    (res,) = _tanh_sinh_sweep(
+        lambda x_hi, x_lo, d_near, d_far, _: ([f(x_hi, d_far, d_near)], [f(x_lo, d_near, d_far)]),
+        1, lo, hi, tol, max_levels,
+    )
+    if isinstance(res, NoConvergence):
+        raise res
+    return res
+
+
+def _tanh_sinh_sweep(
+    f: Callable, count: int, lo: float, hi: float, tol: float, max_levels: int = 12
+) -> list[QuadResult | NoConvergence]:
+    """Integrate integrands 0..count-1 over (lo, hi) on one sweep of the nodes;
+    f(x_hi, x_lo, d_near, d_far, active) -> (values at x_hi, values at x_lo) gives
+    the active ones' values at a node pair."""
+    if not lo < hi:
+        raise ValueError(f"bounds out of order: {lo} >= {hi}")
+    if not 0 < tol < math.inf:  # also refuses nan
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
+    mid = (lo + hi) / 2.0
+    rad = (hi - lo) / 2.0
+    tiny = 1e-4 * tol  # a term this small, relative to 1 + |total|, extends the streak
+    isfinite = math.isfinite
+    evals = [0] * count
+    out: list = [None] * count  # each integrand's QuadResult or NoConvergence
+
+    def row_sums(h: float, odd_only: bool, active: list[int]) -> tuple[list[float], list[float]]:
+        """Each integrand's row total and the row total of its |terms|."""
+        totals = [0.0] * count
+        sizes = [0.0] * count
+        streak = [0] * count
+        if active and not odd_only:  # the centre node belongs to the first row only
+            centre, _ = f(mid, mid, rad, rad, active)
+            for i, v in zip(active, centre):
+                totals[i] += (math.pi / 2.0) * v
+                sizes[i] += abs((math.pi / 2.0) * v)
+                evals[i] += 1
+        k = 1
+        step = 2 if odd_only else 1
+        seen = 0  # node pairs evaluated in this row
+        while active and k * h <= _U_MAX:
+            t, d, w = _node(k * h)
+            if w == 0.0 or d == 0.0:
+                break
+            x_hi, x_lo = mid + rad * t, mid - rad * t
+            values_hi, values_lo = f(x_hi, x_lo, rad * d, rad * (2.0 - d), active)
+            seen += 1
+            gone = []
+            for i, v_hi, v_lo in zip(active, values_hi, values_lo):
+                term_hi = w * v_hi
+                term_lo = w * v_lo
+                pair = term_hi + term_lo
+                if not isfinite(pair) and not (isfinite(term_hi) and isfinite(term_lo)):
+                    out[i] = NoConvergence(
+                        f"integrand not finite at a quadrature node (x near {x_hi!r} / {x_lo!r})",
+                        math.nan, math.inf,
+                    )
+                    gone.append(i)
+                    continue
+                total = totals[i] = totals[i] + pair
+                size = abs(term_hi) + abs(term_lo)
+                sizes[i] += size
+                if size <= tiny * (1.0 + abs(total)):
+                    streak[i] += 1
+                    if streak[i] >= 3:
+                        gone.append(i)
+                else:
+                    streak[i] = 0
+            if gone:
+                for i in gone:
+                    evals[i] += 2 * seen
+                active = [i for i in active if i not in gone]
+            k += step
+        for i in active:
+            evals[i] += 2 * seen
+        return totals, sizes
+
+    h = 1.0
+    pending = list(range(count))
+    totals, sizes = row_sums(h, False, pending)
+    estimate = [rad * h * total for total in totals]
+    l1 = [rad * h * size for size in sizes]  # the estimate of the integral of |f|
+    err = [math.inf] * count
+    for level in range(1, max_levels + 1):
+        pending = [i for i in pending if out[i] is None]
+        if not pending:
+            break
+        h /= 2.0
+        sums, sizes = row_sums(h, True, pending)
+        for i in pending:
+            if out[i] is None:
+                estimate_new = estimate[i] / 2.0 + rad * h * sums[i]
+                l1[i] = l1[i] / 2.0 + rad * h * sizes[i]
+                err[i] = abs(estimate_new - estimate[i])
+                estimate[i] = estimate_new
+                if err[i] <= tol * (1.0 + l1[i]):
+                    out[i] = QuadResult(estimate_new, err[i], level, evals[i])
+    for i in range(count):
+        if out[i] is None:
+            message = f"no convergence after {max_levels} levels (last error {err[i]:.3e})"
+            out[i] = NoConvergence(message, estimate[i], err[i])
+    return out
+
+
 def signed_exp(sign: float, log_mag: float) -> float:
     """sign * e^log_mag: 0 for a zero sign or magnitude, an infinity past 708."""
     if sign == 0.0 or log_mag == -math.inf:
@@ -356,34 +502,54 @@ def _log1p_sq(t: float) -> float:
 
 
 def pair_quadrature(weight: WeightExpr, f: Poly, g: Poly, tol: float) -> QuadResult:
-    """Tanh-sinh of p f g over the weight's interval by the public ``tanh_sinh``, with the
-    scalar integrand the library used before its Gram sweep took node pairs: one call
-    per node, which maps the node to x (on the real line x = centre + scale artanh(t) over
-    (-1, 1) for a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u, which the
-    library lacks), evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed
-    polynomial at 1/x), and returns signed_exp of the product sign and
-    log p + log J + log|f| + log|g|.  Neither has a half-line map."""
+    """Tanh-sinh of p f g over the weight's interval by ``tanh_sinh``, with the scalar
+    integrand the library used before its Gram sweep took node pairs: one call per node,
+    which maps the node to x (on the real line x = centre + scale artanh(t) over (-1, 1) for
+    a Gaussian factor e^(c2 x^2 + c1 x), c2 < 0, else x = tan u, which the library lacks),
+    evaluates f and g to a sign and log|.| (off [-1, 1] through the reversed polynomial at
+    1/x), and returns signed_exp of the product sign and log p + log J + log|f| + log|g|.
+    Neither has a half-line map.  At a finite end where p's exponent is <= -1, a root of f
+    or g there is divided out (``ref_strip_root``) and its order s comes back as s log d
+    from the node's exact distance d to that end, with the sign (x - hi)^s at the upper."""
     iv, exp = weight.interval, weight.exp_poly
-    polys = [tuple(map(float, p.coeffs)) for p in (f, g)]
+    ends = [r if r is not None and weight.power_exponent_at(r) <= -1 else None for r in (iv.lo, iv.hi)]
+    polys = []
+    for p in (f, g):
+        coeffs, orders = p.coeffs, []
+        for r in ends:
+            s = 0
+            if r is not None and coeffs:
+                coeffs, s = ref_strip_root(coeffs, r, len(coeffs) - 1)
+            orders.append(s)
+        polys.append((tuple(map(float, coeffs)), orders))
 
-    def log_abs(c: tuple, x: float) -> tuple[float, float]:
+    def log_abs(c: tuple, orders: list, x: float, d_lo: float, d_hi: float) -> tuple[float, float]:
         if iv.finite or abs(x) <= 1.0:
             v, log_scale = horner(c, x), 0.0
         else:
             v, log_scale = horner(c[::-1], 1.0 / x), (len(c) - 1) * math.log(abs(x))
             if x < 0 and (len(c) - 1) % 2:
                 v = -v
-        return (math.copysign(1.0, v), log_scale + math.log(abs(v))) if v else (0.0, -math.inf)
+        if not v:
+            return 0.0, -math.inf
+        log_mag = log_scale + math.log(abs(v))
+        s_lo, s_hi = orders
+        if s_lo:
+            log_mag += s_lo * (math.log(d_lo) if d_lo else -math.inf)
+        if s_hi:
+            log_mag += s_hi * (math.log(d_hi) if d_hi else -math.inf)
+            v = -v if s_hi % 2 else v
+        return (math.copysign(1.0, v), log_mag) if log_mag != -math.inf else (0.0, -math.inf)
 
-    def value(x: float, lw: float, log_jac: float) -> float:
-        (s_f, l_f), (s_g, l_g) = (log_abs(c, x) for c in polys)
+    def value(x: float, lw: float, log_jac: float, d_lo=None, d_hi=None) -> float:
+        (s_f, l_f), (s_g, l_g) = (log_abs(c, orders, x, d_lo, d_hi) for c, orders in polys)
         return signed_exp(s_f * s_g, lw + log_jac + l_f + l_g)
 
     if iv.finite:
         lo, hi = float(iv.lo), float(iv.hi)
 
         def h(x: float, d_lo: float, d_hi: float) -> float:
-            return value(x, weight.log_eval(x, d_lo, d_hi), 0.0)
+            return value(x, weight.log_eval(x, d_lo, d_hi), 0.0, d_lo, d_hi)
 
     elif iv.lo is None and iv.hi is None and len(exp.coeffs) == 3 and exp.coeffs[2] < 0:
         # the Gaussian's centre -c1/(2 c2) and width 2/sqrt(-c2); dx/dt = scale/(1 - t^2)

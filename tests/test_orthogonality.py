@@ -1131,9 +1131,42 @@ def bits(res):
     return (res.value.hex(), res.err_est.hex(), res.levels, res.evals)
 
 
+# perfbench's gram-quadrature grid of non-integer Jacobi exponents, and its Hermite (alpha, beta)
+NONINT_EXPONENTS = [Fraction(p, q) for p, q in (
+    (-3, 4), (-2, 3), (-1, 2), (-1, 3), (-1, 4), (1, 4), (1, 3), (1, 2),
+    (2, 3), (3, 4), (5, 4), (4, 3), (3, 2), (5, 3), (7, 4))]
+HERMITE_ALPHA = [Fraction(-2), Fraction(-9, 4), Fraction(-7, 3), Fraction(-5, 2), Fraction(-3)]
+HERMITE_BETA = [s * Fraction(p, q) for s in (1, -1) for p, q in ((1, 4), (1, 2), (2, 3), (1, 1))]
+
+
+def kernel_draw():
+    """40 seeded (weight, funcs) for the product sweep, each with its eigenfunctions up to a
+    degree in 2..12: 16 Jacobi weights (1-x)^p (1+x)^q off perfbench's non-integer grid;
+    8 with an integer exponent -1, -2 or -3 at one end (the other off the grid), where the
+    eigenfunctions of degree >= k vanish to order k and the root is divided out, as for
+    `jacobi --alpha -1/3 --beta 7/3` (p = -2, q = 1/3); 16 Gaussians e^(alpha x^2/2 + beta x)
+    with beta != 0, so the map's centre is off 0.  Every fourth also lists a zero function."""
+    rng = random.Random(2005)
+    specs = []
+    for _ in range(16):
+        specs.append(_jacobi_with_exponents(rng.choice(NONINT_EXPONENTS), rng.choice(NONINT_EXPONENTS)))
+    for k in range(8):
+        exponents = [-(1 + k % 3), rng.choice(NONINT_EXPONENTS)]
+        specs.append(_jacobi_with_exponents(*(exponents if k % 2 else exponents[::-1])))
+    for _ in range(16):
+        specs.append(FamilySpec.hermite(rng.choice(HERMITE_ALPHA), rng.choice(HERMITE_BETA)))
+    draw = []
+    for k, spec in enumerate(specs):
+        funcs = [r.monic for r in eigentable(build_operator(spec), rng.randint(2, 12))]
+        if k % 4 == 0:
+            funcs.insert(rng.randint(0, len(funcs)), Poly())
+        draw.append((weight_of(spec), funcs))
+    return draw
+
+
 class TestNodePairKernel:
-    """The Gram sweep's integrand: one call per node pair, every result bit for bit the
-    scalar integrand's of one pair at a time through the public tanh_sinh."""
+    """The Gram sweep's product kernel: one evaluation per node for all active pairs, and
+    every result bit for bit the oracle's scalar integrand of one pair at a time."""
 
     # a finite interval with non-integer exponents, the real line
     SPECS = [
@@ -1152,23 +1185,46 @@ class TestNodePairKernel:
         assert [bits(r) for r in swept] == [bits(r) for r in alone]
         assert len({r.levels for r in alone}) > 1  # entries leave the sweep at different levels
 
-    def test_one_call_per_node_pair(self, monkeypatch):
-        calls, sweep = [], orthogonality._tanh_sinh_sweep
+    def test_seeded_draw_matches_scalar_integrand_bit_for_bit(self):
+        # every pair of every weight of the draw on one sweep per weight: each result, and
+        # each failure's text and last estimate, is the scalar oracle's of the pair alone
+        failed = zeros = 0
+        for w, funcs in kernel_draw():
+            pairs = list(combinations_with_replacement(range(len(funcs)), 2))
+            evaluate, lo, hi = orthogonality._integrand(w, funcs)
+            swept = orthogonality._product_sweep(evaluate, pairs, lo, hi, 1e-10)
+            for (i, j), res in zip(pairs, swept):
+                try:
+                    alone = pair_quadrature(w, funcs[i], funcs[j], 1e-10)
+                except NoConvergence as exc:
+                    assert isinstance(res, NoConvergence), (w.formula(), i, j)
+                    assert str(res) == str(exc), (w.formula(), i, j)
+                    assert repr((res.last_value, res.err_est)) == repr((exc.last_value, exc.err_est))
+                    failed += 1
+                else:
+                    assert bits(res) == bits(alone), (w.formula(), i, j)
+                    zeros += not (funcs[i] and funcs[j])
+        assert failed > 0 and zeros > 0
 
-        def counted_sweep(f, *args, **kwargs):
-            def counted(x_hi, x_lo, d_near, d_far, active):
-                calls.append((x_hi, d_near))  # nodes near an end share x_hi == 1.0
-                values_hi, values_lo = f(x_hi, x_lo, d_near, d_far, active)
-                assert len(values_hi) == len(values_lo) == len(active)
-                return values_hi, values_lo
+    def test_one_evaluation_per_node(self, monkeypatch):
+        calls, integrand = [], orthogonality._integrand
 
-            return sweep(counted, *args, **kwargs)
+        def counted_integrand(weight, funcs):
+            evaluate, lo, hi = integrand(weight, funcs)
 
-        monkeypatch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
+            def counted(u, d_lo, d_hi, need):
+                calls.append((u, d_lo, d_hi))  # nodes near an end share u == 1.0
+                signs, based, logs = evaluate(u, d_lo, d_hi, need)
+                assert len(signs) == len(based) == len(logs) == len(funcs)
+                return signs, based, logs
+
+            return counted, lo, hi
+
+        monkeypatch.setattr(orthogonality, "_integrand", counted_integrand)
         w = weight_of(self.SPECS[0])
         res = quad(w, P(1, 2, 3), P(-1, 0, 0, 1))
-        assert len(calls) == (res.evals + 1) // 2  # the centre, then one call per pair
-        # a Gram sweep calls each node pair once for all its active entries
+        assert len(calls) == res.evals  # the centre, then both nodes of each node pair
+        # a Gram sweep evaluates each node once for all its active entries
         calls.clear()
         funcs = [r.monic for r in eigentable(build_operator(self.SPECS[1]), 6)]
         results = orthogonality._numeric_quad(
@@ -1176,7 +1232,7 @@ class TestNodePairKernel:
         )
         assert len(calls) == len(set(calls))
         evals = [r.evals for r in results]
-        assert (max(evals) + 1) // 2 <= len(calls) < sum(evals) // 2
+        assert max(evals) <= len(calls) < sum(evals) // 2
 
     def test_zero_function_reads_zero(self):
         # a zero function at a finite end where p's exponent is <= -1 has no root to divide
@@ -1299,19 +1355,21 @@ class TestMomentRoute:
     def test_romanovski_pairs_are_exact_zeros(self, monkeypatch):
         # report == Gram bit for bit, no quadrature sweep, every valued pair exactly 0.0;
         # the quadrature oracle agrees to 1e-10 of each pair's scale, 1e-12 on diagonals
-        sweeps, sweep = [], orthogonality._tanh_sinh_sweep
+        sweeps, sweep = [], orthogonality._product_sweep
 
         def counted_sweep(*args, **kwargs):
-            sweeps.append(args[1])
+            sweeps.append(len(args[1]))
             return sweep(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(orthogonality, "_tanh_sinh_sweep", counted_sweep)
+            patch.setattr(orthogonality, "_product_sweep", counted_sweep)
             runs = {
                 key: (finite_orthogonality_report(*key), gram_matrix(FamilySpec.romanovski(*key[:2]), key[2]))
                 for key in self.REPORTS
             }
-        assert sweeps == []
+            assert sweeps == []
+            gram_matrix(classical_presets()["chebyshev1"], 4)  # the spy sees a quadrature weight's
+        assert sweeps == [15]
         for (alpha, beta, n), (count, by_moment) in self.REPORTS.items():
             report, gram = runs[alpha, beta, n]
             w = weight_of(FamilySpec.romanovski(alpha, beta))
@@ -1339,7 +1397,7 @@ class TestMomentRoute:
                     assert abs(e.value - numeric(e.m, e.m)) <= 1e-12 * e.value, e.m
 
     def test_moment_scales_match_quadrature_oracle(self):
-        # the closed-form m_0 = G_00 within 1e-12 of one public tanh_sinh integral of p; the
+        # the closed-form m_0 = G_00 within 1e-12 of one oracle tanh_sinh integral of p; the
         # pairs beside a divergent diagonal are exact zeros whose relative is 0.0
         alpha, beta, n = Fraction(-15, 2), Fraction(1, 2), 6
         spec = FamilySpec.romanovski(alpha, beta)

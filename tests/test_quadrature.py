@@ -1,9 +1,13 @@
+"""The tanh-sinh stopping rule, on the scalar integrator the test oracles keep, and the
+library's product sweep, each of whose pairs must be that integrator's bit for bit."""
+
 import math
 
 import pytest
 
-from specpoly import NoConvergence, tanh_sinh
-from specpoly.quadrature import _tanh_sinh_sweep
+from oracles import signed_exp, tanh_sinh
+from specpoly import NoConvergence
+from specpoly.quadrature import _product_sweep
 
 
 def plain(func):
@@ -87,54 +91,97 @@ class TestContract:
         assert a.value == b.value and a.evals == b.evals
 
 
-def swept(integrands):
-    """The node-pair integrand over a list of scalar ones."""
-    return lambda x_hi, x_lo, d_near, d_far, active: (
-        [integrands[i](x_hi, d_far, d_near) for i in active],
-        [integrands[i](x_lo, d_near, d_far) for i in active],
-    )
+def product(factors, log_weight=lambda x, d_lo, d_hi: 0.0):
+    """The product sweep's evaluate over scalar factors f_i(x, d_lo, d_hi) and a log-weight:
+    each needed factor's sign, log-weight + log|f_i| and log|f_i|.  calls records every
+    ((x, d_lo, d_hi), need) it is asked (nodes near an end share x == 1.0)."""
+    calls = []
+
+    def evaluate(x, d_lo, d_hi, need):
+        calls.append(((x, d_lo, d_hi), tuple(need)))
+        base = log_weight(x, d_lo, d_hi)
+        signs, based, logs = [0.0] * len(factors), [0.0] * len(factors), [0.0] * len(factors)
+        for i in need:
+            v = factors[i](x, d_lo, d_hi)
+            if v:
+                signs[i], logs[i] = math.copysign(1.0, v), math.log(abs(v))
+                based[i] = base + logs[i]
+        return signs, based, logs
+
+    evaluate.calls = calls
+    return evaluate
+
+
+def scalar(factors, i, j, log_weight=lambda x, d_lo, d_hi: 0.0):
+    """Pair (i, j) as one scalar integrand: signed_exp of the same sign and logs."""
+
+    def h(x, d_lo, d_hi):
+        f, g = factors[i](x, d_lo, d_hi), factors[j](x, d_lo, d_hi)
+        if not f or not g:
+            return 0.0
+        return signed_exp(
+            math.copysign(1.0, f) * math.copysign(1.0, g),
+            log_weight(x, d_lo, d_hi) + math.log(abs(f)) + math.log(abs(g)),
+        )
+
+    return h
 
 
 def bits(res):
     return (res.value.hex(), res.err_est.hex(), res.levels, res.evals)
 
 
-class TestSweep:
-    """Several integrands on one node sweep, each as if integrated alone."""
+def one(x, d_lo, d_hi):
+    return 1.0
 
-    INTEGRANDS = [
-        plain(lambda x: x * x),
+
+class TestSweep:
+    """Several pairs of factors on one product sweep, each as if integrated alone by the
+    oracle's scalar tanh_sinh."""
+
+    FACTORS = [
+        one,
+        plain(lambda x: x),
         plain(math.exp),
         plain(lambda x: math.sin(40.0 * x)),
-        plain(lambda x: x ** 7),
-        lambda x, d_lo, d_hi: d_hi ** -0.5,
+        plain(lambda x: x ** 3 - 0.25),
+        lambda x, d_lo, d_hi: d_hi ** -0.25,
         lambda x, d_lo, d_hi: math.log(d_lo),
-        lambda x, d_lo, d_hi: (d_lo * d_hi) ** -0.5,
+        plain(lambda x: 0.0),  # a zero factor: every pair with it is 0
     ]
 
-    def test_each_integrand_matches_its_scalar_call(self):
-        fs = self.INTEGRANDS
-        results = _tanh_sinh_sweep(swept(fs), len(fs), 0.0, 1.0, 1e-12)
-        scalar = [tanh_sinh(f, 0.0, 1.0, 1e-12) for f in fs]
-        assert [bits(r) for r in results] == [bits(r) for r in scalar]
-        assert len({r.levels for r in scalar}) == 3  # they leave the sweep at different levels
+    @pytest.mark.parametrize(
+        "log_weight",
+        [lambda x, d_lo, d_hi: 0.0, lambda x, d_lo, d_hi: -0.5 * math.log(d_lo)],
+        ids=["plain", "singular"],
+    )
+    def test_each_pair_matches_its_scalar_call(self, log_weight):
+        fs = self.FACTORS
+        pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
+        results = _product_sweep(product(fs, log_weight), pairs, 0.0, 1.0, 1e-12)
+        alone = [tanh_sinh(scalar(fs, i, j, log_weight), 0.0, 1.0, 1e-12) for i, j in pairs]
+        assert [bits(r) for r in results] == [bits(r) for r in alone]
+        assert len({r.levels for r in alone}) >= 3  # they leave the sweep at different levels
+        assert {r.value for r, (i, j) in zip(results, pairs) if 7 in (i, j)} == {0.0}
 
-    def test_failures_stay_with_their_integrand(self):
+    def test_failures_stay_with_their_pair(self):
         fs = [
-            self.INTEGRANDS[0],
-            lambda x, d_lo, d_hi: 1.0 / d_hi,  # overflows to inf at the last nodes
+            one,
+            plain(lambda x: x),
+            lambda x, d_lo, d_hi: 1.0 / d_hi,  # (2, 2) overflows to inf at the last nodes
             plain(lambda x: math.nan if x > 0.5 else x),  # fails at the first node off centre
             plain(lambda x: 1.0 if x > 1 / 3 else 0.0),  # an interior jump converges slowly
-            self.INTEGRANDS[2],
-            self.INTEGRANDS[4],
+            plain(lambda x: math.sin(40.0 * x)),
         ]
-        results = _tanh_sinh_sweep(swept(fs), len(fs), 0.0, 1.0, 1e-12, max_levels=8)
+        pairs = [(0, 0), (2, 2), (1, 3), (0, 4), (1, 5), (0, 1)]
+        results = _product_sweep(product(fs), pairs, 0.0, 1.0, 1e-12, max_levels=8)
         assert str(results[1]).startswith("integrand not finite at a quadrature node")
         assert str(results[2]).startswith("integrand not finite at a quadrature node")
         assert str(results[3]).startswith("no convergence after 8 levels")
-        for f, res in zip(fs, results):
+        assert sum(isinstance(r, NoConvergence) for r in results) == 3
+        for (i, j), res in zip(pairs, results):
             try:
-                expected = tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels=8)
+                expected = tanh_sinh(scalar(fs, i, j), 0.0, 1.0, 1e-12, max_levels=8)
             except NoConvergence as exc:
                 assert isinstance(res, NoConvergence)
                 assert str(res) == str(exc)
@@ -142,8 +189,41 @@ class TestSweep:
             else:
                 assert bits(res) == bits(expected)
 
-    def test_no_integrands_no_evaluation(self):
-        def never(x, d_lo, d_hi, active):
-            raise AssertionError("called with no integrands")
+    def test_one_evaluation_per_node(self):
+        # one pair alone: the centre, then both nodes of each node pair once
+        evaluate = product(self.FACTORS)
+        (res,) = _product_sweep(evaluate, [(3, 3)], 0.0, 1.0, 1e-12)
+        assert len(evaluate.calls) == res.evals
+        # several: each node once for every pair still in the sweep, and need shrinks
+        # to the factors the remaining pairs read
+        evaluate = product(self.FACTORS)
+        results = _product_sweep(evaluate, [(1, 1), (3, 3), (5, 6)], 0.0, 1.0, 1e-12)
+        nodes = [node for node, _ in evaluate.calls]
+        evals = [r.evals for r in results]
+        assert len(nodes) == len(set(nodes))
+        assert max(evals) <= len(nodes) < sum(evals)
+        assert evaluate.calls[0] == ((0.5, 0.5, 0.5), (1, 3, 5, 6))
+        assert len({need for _, need in evaluate.calls}) > 1
 
-        assert _tanh_sinh_sweep(never, 0, 0.0, 1.0, 1e-12) == []
+    def test_no_pairs_no_evaluation(self):
+        def never(x, d_lo, d_hi, need):
+            raise AssertionError("called with no pairs")
+
+        assert _product_sweep(never, [], 0.0, 1.0, 1e-12) == []
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol, message",
+        [
+            (1.0, 0.0, 1e-12, "^bounds out of order"),
+            (0.0, 0.0, 1e-12, "^bounds out of order"),
+            (0.0, 1.0, 0.0, "^tol must be a finite positive number"),
+            (0.0, 1.0, -1.0, "^tol must be a finite positive number"),
+            (0.0, 1.0, math.inf, "^tol must be a finite positive number"),
+            (0.0, 1.0, math.nan, "^tol must be a finite positive number"),
+        ],
+    )
+    def test_rejects_bad_bounds_and_tol(self, lo, hi, tol, message):
+        evaluate = product([one])
+        with pytest.raises(ValueError, match=message):
+            _product_sweep(evaluate, [(0, 0)], lo, hi, tol)
+        assert evaluate.calls == []
