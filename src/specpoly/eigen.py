@@ -219,8 +219,6 @@ def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
     representative, dimension >= 2), UniqueMonic with an incidental
     collision, and NoDegreeNEigenfunction.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     matrix = op.matrix(n)
     mu = Fraction(matrix.band[n][0], matrix.denominator)
     return _result(n, mu, _basis(matrix, mu, n))
@@ -228,8 +226,6 @@ def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
 
 def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
     """Basis of ker(M - mu I) inside P_n; empty when mu is not an eigenvalue."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return _basis(op.matrix(n), rat(mu), n)
 
 

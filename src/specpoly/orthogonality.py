@@ -136,7 +136,6 @@ from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, common_denomi
 from .weights import WeightExpr, derive_weight, integrability, moment_reach
 
 __all__ = [
-    "NotPolynomialReducible",
     "NonIntegrable",
     "inner_product",
     "GramEntry",
@@ -800,8 +799,6 @@ def gram_matrix(spec: FamilySpec, n_max: int, tol: float = DEFAULT_TOL) -> Ortho
     (the constant) does not vanish at t = 1, and the weight 1/(1-t) alone is
     not integrable, so the constant is outside the self-adjointness subspace.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     op = build_operator(spec)
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
     notes: tuple[str, ...] = ()
@@ -819,8 +816,6 @@ def gram_matrix_for_operator(
     op: DiffOperator, n_max: int, tol: float = DEFAULT_TOL
 ) -> OrthoReport:
     """Gram matrix for a raw second-order operator (degrees 0..n_max)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     if op.order != 2:
         raise ValueError("gram matrices require a second-order operator")
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
@@ -875,16 +870,15 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     Gram matrix, which takes the moment route: no quadrature runs.
 
     A pair (m, n) is checked only when m + n + gamma + 1 < 0 (product
-    integrability, gamma = alpha - 2); pairs violating that are flagged
-    non-integrable.  A checked pair is orthogonal when its exact ratio to m_0
-    is 0 (its value then is 0.0), else inconclusive.  Eigenvalues collide
+    integrability, gamma = alpha - 2: the Gram entry's verdict from the
+    moment reach); pairs violating that are flagged non-integrable.  A
+    checked pair is orthogonal when its exact ratio to m_0 is 0 (its value
+    then is 0.0), else inconclusive.  Eigenvalues collide
     (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
     m + n = 1 - alpha, so m + n + gamma + 1 = 0 and no collision pair is ever
     called orthogonal.
     """
     alpha, beta = rat(alpha), rat(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     spec = FamilySpec.romanovski(alpha, beta)
     op = build_operator(spec)
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
@@ -899,9 +893,8 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
         m, n = e.m, e.n
         if m == n:
             continue
-        bound = m + n + gamma + 1
-        if bound >= 0:
-            detail = f"m+n+gamma+1 = {bound} >= 0"
+        if not e.integrable:  # past the moment reach: m + n + gamma + 1 >= 0
+            detail = f"m+n+gamma+1 = {m + n + gamma + 1} >= 0"
             pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
         elif e.value is None:
             pairs.append(RomanovskiPair(m, n, "inconclusive", detail=e.note or ""))

@@ -26,7 +26,8 @@ sweep read.  It returns three lists indexed by i: the sign of factor i, a
 log-magnitude based_i that carries whatever is common to the node (a weight
 and a Jacobian), and log|f_i|.  A pair's value at the node is
 sign_i sign_j e^(based_i + log_j): 0 for a zero sign or a -inf magnitude, an
-infinity past 708, so it never overflows.  The sweep forms each pair's two
+infinity past 708, so it never overflows; a pair whose term is not finite at a
+node, the centre included, fails there ("integrand not finite").  The sweep forms each pair's two
 terms where it adds them.  Every pair keeps its own row total, L1 size,
 tiny-term streak, level, error, eval count and failure, and leaves the sweep
 when its own stopping rule holds, so each one sees exactly the additions it
@@ -44,7 +45,7 @@ from typing import Callable, Sequence
 
 from ._record import Record
 
-__all__ = ["DEFAULT_TOL", "NoConvergence", "QuadResult"]
+__all__ = ["DEFAULT_TOL", "NoConvergence"]
 
 DEFAULT_TOL = 1e-10  # the stopping rule's tol, unless a caller sets one
 
@@ -105,6 +106,11 @@ def _product_sweep(
     evals = [0] * count
     out: list = [None] * count  # each pair's QuadResult or NoConvergence
 
+    def not_finite(q: int, where: str) -> None:
+        out[q] = NoConvergence(
+            f"integrand not finite at a quadrature node (x near {where})", math.nan, math.inf
+        )
+
     def row_sums(h: float, odd_only: bool, active: list) -> tuple[list[float], list[float]]:
         """Each pair's row total and the row total of its |terms|; active lists
         (q, i, j) for pairs[q] = (i, j) still in the sweep."""
@@ -114,15 +120,23 @@ def _product_sweep(
         need = sorted({f for _, i, j in active for f in (i, j)})
         if active and not odd_only:  # the centre node belongs to the first row only
             signs, based, logs = evaluate(mid, rad, rad, need)
+            gone = []
             for q, i, j in active:
                 sign = signs[i] * signs[j]
                 v = (
                     0.0 if sign == 0.0 or (mag := based[i] + logs[j]) == minus_inf
                     else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
                 )
+                evals[q] += 1
+                if not isfinite(v):
+                    not_finite(q, repr(mid))
+                    gone.append(q)
+                    continue
                 totals[q] += (math.pi / 2.0) * v
                 sizes[q] += abs((math.pi / 2.0) * v)
-                evals[q] += 1
+            if gone:
+                active = [a for a in active if a[0] not in gone]
+                need = sorted({f for _, i, j in active for f in (i, j)})
         k = 1
         step = 2 if odd_only else 1
         seen = 0  # node pairs evaluated in this row
@@ -148,10 +162,7 @@ def _product_sweep(
                 )
                 pair = term_hi + term_lo
                 if not isfinite(pair) and not (isfinite(term_hi) and isfinite(term_lo)):
-                    out[q] = NoConvergence(
-                        f"integrand not finite at a quadrature node (x near {x_hi!r} / {x_lo!r})",
-                        math.nan, math.inf,
-                    )
+                    not_finite(q, f"{x_hi!r} / {x_lo!r}")
                     gone.append(q)
                     continue
                 total = totals[q] = totals[q] + pair

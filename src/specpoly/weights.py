@@ -30,17 +30,17 @@ exponents and are projectively meaningful only; the constant is fixed to 1.
 All evaluation is restricted to the interior of the interval of definition,
 where |x - r| factors have constant sign.
 
-The integrability and boundary-term verdicts read the same facts per
-endpoint of p * P for a polynomial P: at a finite point r, the exponent of
-|x - r| (p's power exponent plus r's multiplicity as a root of P); at an
-infinite end, whether e^E decays or grows there, or, when E = 0, the
-asymptotic power deg P + (power exponent sum) + 2 quad_exp.  Integrability
-knows only the degree of P and asks for exponents above -1 at the roots of
-p and, at an infinite end, decay or a power below -1; the boundary term
-p*a*(u v' - u' v) asks for a positive exponent of p*a at each finite
-endpoint (or zero with u and v vanishing there) and, at an infinite end,
-decay or a negative power.  moment_reach reads the facts of p alone once and
-answers integrability for every degree: the last k with p x^k integrable.
+The integrability verdicts read the same facts per endpoint of p * P for a
+polynomial P: at each root r of p, the exponent of |x - r| (p's power
+exponent plus r's multiplicity as a root of P); at an infinite end, whether
+e^E decays or grows there, or, when E = 0, the asymptotic power
+deg P + (power exponent sum) + 2 quad_exp.  Integrability knows only the
+degree of P and asks for exponents above -1 at the roots of p and, at an
+infinite end, decay or a power below -1.  moment_reach reads the facts of p
+alone once and answers integrability for every degree: the last k with
+p x^k integrable.  Whether the boundary term p a (f' g - f g') of two
+eigenfunctions vanishes, which orthogonality rests on, is decided where the
+pair is: orthogonality's certificate reads it off the eigentable.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ __all__ = [
     "pearson_check",
     "integrability",
     "moment_reach",
-    "boundary_vanishing",
     "PearsonVerdict",
     "IntegrabilityVerdict",
-    "BoundaryVerdict",
 ]
 
 
@@ -270,11 +268,6 @@ class IntegrabilityVerdict(Record):
     conditions: tuple[tuple[str, bool, str], ...]  # (location, ok, detail)
 
 
-class BoundaryVerdict(Record):
-    vanishes: bool
-    conditions: tuple[tuple[str, bool, str], ...]
-
-
 def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     """Verify (pa)' = pb for the symbolic weight.
 
@@ -287,21 +280,17 @@ def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     return PearsonVerdict(ok=zero, symbolic_zero=zero)
 
 
-_EXP_DETAIL = {True: "exponential factor decays", False: "exponential factor grows"}
-
-
 def _endpoint_facts(
-    weight: WeightExpr, points: list[Fraction], poly: Poly, degree: int
+    weight: WeightExpr, poly: Poly, degree: int
 ) -> list[tuple[str, Fraction | None, Fraction, bool | None]]:
     """(location, point, exponent, decay) per endpoint of p * poly * q, q of degree
-    `degree` with no root counted, the facts of the module docstring: at each
-    finite point r of points inside the weight's [lo, hi], point r and decay None;
-    at each infinite end, point None and decay True or False when e^E decays or
-    grows there, else None with exponent the asymptotic power.  The arctan
-    factor is bounded and plays no role."""
+    `degree` with no root counted, the facts of the module docstring: at each root r
+    of p inside the weight's [lo, hi], point r and decay None; at each infinite end,
+    point None and decay True or False when e^E decays or grows there, else None with
+    exponent the asymptotic power.  The arctan factor is bounded and plays no role."""
     iv = weight.interval
     facts = []
-    for r in points:
+    for r in sorted({pf.root for pf in weight.power_factors}):
         if (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi):
             mult = poly.strip_root(r, max(poly.degree, 0))[1]
             facts.append((f"x={r}", r, weight.power_exponent_at(r) + mult, None))
@@ -325,11 +314,10 @@ def integrability(
     factor, must exceed -1; each infinite end needs a decaying exponential
     factor, or else an asymptotic power below -1.
     """
-    roots = sorted({pf.root for pf in weight.power_factors})
     conditions = []
-    for loc, r, e, decay in _endpoint_facts(weight, roots, factor, total_degree):
+    for loc, r, e, decay in _endpoint_facts(weight, factor, total_degree):
         if decay is not None:
-            ok, detail = decay, _EXP_DETAIL[decay]
+            ok, detail = decay, f"exponential factor {'decays' if decay else 'grows'}"
         elif r is None:
             ok = e < -1
             detail = f"asymptotic power {e} {'<' if ok else '>='} -1"
@@ -346,50 +334,11 @@ def moment_reach(weight: WeightExpr) -> int | float:
     reach exactly when integrability(weight, k) holds; one read of the
     endpoint facts decides every degree at once.
     """
-    roots = sorted({pf.root for pf in weight.power_factors})
     reach = math.inf
-    for _, r, e, decay in _endpoint_facts(weight, roots, Poly.one(), 0):
+    for _, r, e, decay in _endpoint_facts(weight, Poly.one(), 0):
         if r is None and decay is None:  # a power law at an infinite end: k + e < -1
             reach = min(reach, math.ceil(-1 - e) - 1)
         elif not (decay if r is None else e > -1):
             reach = -1
     return max(reach, -1)
 
-
-def boundary_vanishing(
-    weight: WeightExpr,
-    a: Poly,
-    deg_pair: tuple[int, int] = (0, 0),
-    funcs: tuple[Poly, Poly] | None = None,
-) -> BoundaryVerdict:
-    """Does the boundary term p*a*(u v' - u' v) vanish at the endpoints?
-
-    Finite endpoint r: the exponent of |x - r| in p*a must be positive; if
-    it is exactly zero the term still vanishes when both candidate
-    functions (if supplied) vanish at r.  Infinite end: a decaying
-    exponential factor wins, otherwise the asymptotic power of
-    p*a*(u v' - u' v), p times a polynomial of degree deg(a) + m + n - 1,
-    must be negative.
-    """
-    m, n = deg_pair
-    ends = [end for end in (weight.interval.lo, weight.interval.hi) if end is not None]
-    conditions = []
-    for loc, r, e, decay in _endpoint_facts(weight, ends, a, m + n - 1):
-        if decay is not None:
-            ok, detail = decay, _EXP_DETAIL[decay]
-        elif r is None:
-            ok = e < 0
-            detail = f"boundary term asymptotic power {e} {'<' if ok else '>='} 0"
-        elif e > 0:
-            ok, detail = True, f"p*a exponent {e} > 0"
-        elif e == 0 and funcs is not None:
-            ok = funcs[0](r) == 0 and funcs[1](r) == 0
-            detail = (
-                "p*a finite; both functions vanish here"
-                if ok
-                else "p*a finite and a function is nonzero here"
-            )
-        else:
-            ok, detail = False, f"p*a exponent {e} <= 0"
-        conditions.append((loc, ok, detail))
-    return BoundaryVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))

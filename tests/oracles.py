@@ -32,6 +32,11 @@ these two cross-check.
 The ``ref_*`` functions are ``Poly`` arithmetic on plain tuples of ``Fraction``
 coefficients, ascending with no trailing zero, the format ``Poly`` stored before it
 kept integer numerators over one denominator; ``Poly`` must agree with them.
+``boundary_vanishing`` is PAPER.md's boundary-term rule read at the interval's
+ends, as the library kept it before its certificate became the one rule: it asks
+p a's exponent at a finite end to be positive (or zero with both functions
+vanishing there) and, at an infinite end, decay or a negative power, so it is a
+one-way oracle of the certificate, which proves more pairs than it passes.
 ``interior_points`` and ``weight_value`` are numeric spot-check helpers, and
 ``log_slope_error`` is a numeric Pearson check: the central difference of
 ``log p`` against (b - a')/a, which does not go through ``WeightExpr.dlog``
@@ -53,12 +58,13 @@ from specpoly import (
     DiffOperator,
     Interval,
     NoConvergence,
-    NotPolynomialReducible,
     OperatorMatrix,
     Poly,
-    QuadResult,
     WeightExpr,
 )
+from specpoly._record import Record
+from specpoly.orthogonality import NotPolynomialReducible
+from specpoly.quadrature import QuadResult
 from specpoly.ratpoly import horner
 
 
@@ -595,6 +601,60 @@ def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | N
         return tanh_sinh(g, -math.pi / 2, math.pi / 2, tol).value
     except NoConvergence:
         return None
+
+
+class BoundaryVerdict(Record):
+    vanishes: bool
+    conditions: tuple[tuple[str, bool, str], ...]
+
+
+def boundary_vanishing(
+    weight: WeightExpr,
+    a: Poly,
+    deg_pair: tuple[int, int] = (0, 0),
+    funcs: tuple[Poly, Poly] | None = None,
+) -> BoundaryVerdict:
+    """Does the boundary term p*a*(u v' - u' v) vanish at the endpoints?
+
+    Finite endpoint r: the exponent of |x - r| in p*a must be positive; if
+    it is exactly zero the term still vanishes when both candidate
+    functions (if supplied) vanish at r.  Infinite end: a decaying
+    exponential factor wins, otherwise the asymptotic power of
+    p*a*(u v' - u' v), p times a polynomial of degree deg(a) + m + n - 1,
+    must be negative.  The finite ends come first, then -inf, then +inf.
+    """
+    m, n = deg_pair
+    iv, exp_poly = weight.interval, weight.exp_poly
+    conditions = []
+    for r in (iv.lo, iv.hi):
+        if r is None:
+            continue
+        e = weight.power_exponent_at(r) + a.strip_root(r, max(a.degree, 0))[1]
+        if e > 0:
+            ok, detail = True, f"p*a exponent {e} > 0"
+        elif e == 0 and funcs is not None:
+            ok = funcs[0](r) == 0 and funcs[1](r) == 0
+            detail = (
+                "p*a finite; both functions vanish here"
+                if ok
+                else "p*a finite and a function is nonzero here"
+            )
+        else:
+            ok, detail = False, f"p*a exponent {e} <= 0"
+        conditions.append((f"x={r}", ok, detail))
+    asym = m + n - 1 + max(a.degree, 0) + sum(pf.exponent for pf in weight.power_factors)
+    asym += 2 * weight.quad_exp if weight.quad_exp is not None else Fraction(0)
+    for loc, end, sign in (("-inf", iv.lo, -1), ("+inf", iv.hi, 1)):
+        if end is not None:
+            continue
+        if not exp_poly.is_zero():  # e^E decays or grows at this end
+            ok = exp_poly.leading() * sign ** exp_poly.degree < 0
+            detail = f"exponential factor {'decays' if ok else 'grows'}"
+        else:
+            ok = asym < 0
+            detail = f"boundary term asymptotic power {asym} {'<' if ok else '>='} 0"
+        conditions.append((loc, ok, detail))
+    return BoundaryVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))
 
 
 def interior_points(iv: Interval, count: int) -> list[float]:

@@ -18,13 +18,11 @@ from specpoly import (
     Interval,
     NoConvergence,
     NonIntegrable,
-    NotPolynomialReducible,
     OrthoReport,
     Poly,
     PowerFactor,
     UnsupportedLeadingCoefficient,
     WeightExpr,
-    boundary_vanishing,
     build_operator,
     classical_presets,
     derive_weight,
@@ -36,9 +34,11 @@ from specpoly import (
     integrability,
     moment_reach,
 )
+from specpoly.orthogonality import NotPolynomialReducible
 from specpoly.ratpoly import common_denominator
 
 from oracles import (
+    boundary_vanishing,
     divide_and_integrate,
     moment_scale,
     pair_quadrature,
@@ -1109,6 +1109,16 @@ class TestQuadratureEntries:
             res = quad(w, table[e.m].monic, table[e.n].monic)
             assert (e.value, e.err_est) == (res.value, res.err_est), (e.m, e.n)
 
+    def test_a_root_at_the_centre_is_refused_at_its_node(self):
+        # |x|^(-1/2) on (-1, 1) has no moment form (a root off the ends) and integral 4, but
+        # log p is +inf at the sweep's centre x = 0: the node refuses it, where the sweep used
+        # to add the infinite term and run all 12 levels to "last error nan"
+        w = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(-1, 2)),),
+                       interval=Interval(Fraction(-1), Fraction(1)))
+        with pytest.raises(NoConvergence) as raised:
+            inner_product(w, Poly.one(), Poly.one())
+        assert str(raised.value) == "integrand not finite at a quadrature node (x near 0.0)"
+
     # an input that still fails: hermite(-1, 3) at 24, first on (2, 23)
     def test_gram_raises_first_failing_pair_in_order(self):
         spec, n = FamilySpec.hermite(-1, 3), 24
@@ -1639,7 +1649,7 @@ class TestCertifiedEntries:
         assert all(counts[name] > floor for name, floor in floors.items()), counts
 
     def test_boundary_vanishing_pairs_are_certified_zeros(self):
-        # weights.boundary_vanishing as a one-way oracle: where it says the boundary term of two
+        # oracles.boundary_vanishing is one-way: where it says the boundary term of two
         # eigenfunctions of different eigenvalues vanishes, the entry is certified (it reads
         # no row) and an exact zero.  It is conservative (it asks p a's exponent at an end to
         # be positive, or 0 with both functions vanishing there), so it refuses pairs that the

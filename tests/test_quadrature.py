@@ -189,6 +189,25 @@ class TestSweep:
             else:
                 assert bits(res) == bits(expected)
 
+    def test_a_centre_not_finite_fails_its_pair_alone(self):
+        # the centre node x = 1/2 is the first row's only node off the node pairs: an
+        # infinite or NaN factor there refuses the pair as any other node does, and the
+        # pairs that do not read it keep the scalar call's bits
+        fs = [
+            one,
+            plain(lambda x: abs(x - 0.5) ** -0.5 if x != 0.5 else math.inf),
+            plain(lambda x: math.nan if x == 0.5 else x),
+            plain(lambda x: x),
+        ]
+        pairs = [(0, 1), (0, 0), (2, 3), (0, 3), (1, 1)]
+        results = _product_sweep(product(fs), pairs, 0.0, 1.0, 1e-12)
+        near = "integrand not finite at a quadrature node (x near 0.5)"
+        assert [str(results[k]) for k in (0, 2, 4)] == [near] * 3
+        assert all(math.isnan(results[k].last_value) for k in (0, 2, 4))
+        for k in (1, 3):
+            expected = tanh_sinh(scalar(fs, *pairs[k]), 0.0, 1.0, 1e-12)
+            assert bits(results[k]) == bits(expected)
+
     def test_one_evaluation_per_node(self):
         # one pair alone: the centre, then both nodes of each node pair once
         evaluate = product(self.FACTORS)

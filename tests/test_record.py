@@ -8,7 +8,6 @@ import pytest
 
 from specpoly import (
     AffineNormalization,
-    BoundaryVerdict,
     EigenResult,
     FamilyKind,
     FamilySpec,
@@ -20,13 +19,11 @@ from specpoly import (
     PearsonVerdict,
     Poly,
     PowerFactor,
-    QuadResult,
     RomanovskiPair,
     RomanovskiReport,
     Spectrum,
     WeightExpr,
     bochner_normalize,
-    boundary_vanishing,
     build_operator,
     classical_presets,
     derive_weight,
@@ -37,6 +34,9 @@ from specpoly import (
     pearson_check,
 )
 from specpoly._record import Record
+from specpoly.quadrature import QuadResult
+
+from oracles import BoundaryVerdict, boundary_vanishing
 
 
 def chebyshev1_weight() -> WeightExpr:
@@ -165,7 +165,7 @@ class TestToJson:
 
 
 # ---------------------------------------------------------------------------
-# the contract, class by class: every Record subclass in the package
+# the contract, class by class: every Record subclass in the package, and the oracles' one
 
 
 def _package_records() -> list[type]:
@@ -201,7 +201,7 @@ SAMPLES = {
     RomanovskiPair: lambda: RomanovskiPair(0, 1, "orthogonal", 0.0, 0.0),
     RomanovskiReport: lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 3),
 }
-RECORDS = _package_records()
+RECORDS = _package_records() + [BoundaryVerdict]  # the oracles' verdict is a Record too
 # the only classes with a __post_init__, and an argument list each refuses
 REFUSALS = {
     Interval: ((Fraction(1), Fraction(1)), r"empty interval \(1, 1\)"),
@@ -225,7 +225,7 @@ def _defaulted(cls) -> list[str]:
 
 
 def test_every_record_class_has_a_sample():
-    assert set(RECORDS) == set(SAMPLES) and len(RECORDS) == 16
+    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 15
     assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [(OperatorMatrix, "entries"), (WeightExpr, "_float_form")]

@@ -11,7 +11,6 @@ from specpoly import (
     PowerFactor,
     UnsupportedLeadingCoefficient,
     WeightExpr,
-    boundary_vanishing,
     build_operator,
     classical_presets,
     derive_weight,
@@ -21,7 +20,13 @@ from specpoly import (
     pearson_check,
 )
 
-from oracles import interior_points, log_eval_reference, log_slope_error, weight_value
+from oracles import (
+    boundary_vanishing,
+    interior_points,
+    log_eval_reference,
+    log_slope_error,
+    weight_value,
+)
 
 
 def P(*coeffs):
