@@ -394,12 +394,14 @@ class _MomentForm:
 
 
 def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, float, float]:
-    """(evaluate, lo, hi) for _product_sweep: evaluate(u, d_lo, d_hi, need) -> (signs, based,
-    logs) gives, for each index i in need into funcs, f_i's sign at the node x(u) of the
-    interval's map (module docstring), 0 where f_i(x) is 0, log p + log J + log|f_i(x)| with
-    J the map's Jacobian, and log|f_i(x)|.
+    """(evaluate, lo, hi) for _product_sweep: evaluate(x, d_lo, d_hi, need) -> (signs, based,
+    logs) gives, for each index i in need into funcs, f_i's sign at the sweep's node (x on a
+    finite interval, the identity map; the point x(t) of the Gaussian map at its t = x,
+    module docstring), 0 where f_i is 0 there, log p + log J + log|f_i| with J the map's
+    Jacobian, and log|f_i|.
 
-    A node's x, log p(x) and log-Jacobian are computed once for all f_i, and each f_i once
+    The sweep calls it once per node, the centre (the first row's first node) included.  A
+    node's x, log p(x) and log-Jacobian are computed once for all f_i, and each f_i once
     per node; the sweep forms each pair's sign_i sign_j e^(based_i + log_j), so f_i f_j is
     never formed.  Off [-1, 1] on the real line, log|f_i(x)| is deg*log|x| plus the log of
     the reversed polynomial at 1/x: Horner in x would not overflow at the sinh map's nodes
@@ -431,27 +433,21 @@ def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, flo
     finite = shape == "finite"
     if finite:
         lo, hi = float(iv.lo), float(iv.hi)
-
-        def node(x: float, d_lo: float, d_hi: float) -> tuple:
-            return x, weight.log_eval(x, d_lo, d_hi), 0.0, d_lo, d_hi  # the identity map: log 1
-
     elif shape == "gaussian":
         lo, hi = -1.0, 1.0  # a Gaussian factor e^(c2 x^2 + c1 x): the module docstring's map
         c1, c2 = exp_poly.coeff(1), exp_poly.coeff(2)
         centre, scale = float(-c1 / (2 * c2)), 2.0 / math.sqrt(float(-c2))
         log_scale = log(scale)
-
-        def node(t: float, d_lo: float, d_hi: float) -> tuple:
-            log_lo, log_hi = log(d_lo), log(d_hi)  # artanh(t) = (log_lo - log_hi) / 2
-            x = centre + scale * ((log_lo - log_hi) / 2.0)
-            return x, weight.log_eval(x), log_scale - log_lo - log_hi, None, None
-
     else:
         raise ValueError(f"no quadrature map for {weight.formula()} on {iv.describe()}")
 
-    def evaluate(u: float, d_lo: float, d_hi: float, need: list[int]) -> tuple[list, list, list]:
-        x, lw, log_jac, e_lo, e_hi = node(u, d_lo, d_hi)
-        base = lw + log_jac
+    def evaluate(x: float, d_lo: float, d_hi: float, need: list[int]) -> tuple[list, list, list]:
+        if finite:  # the identity map: log J = 0
+            base = weight.log_eval(x, d_lo, d_hi)
+        else:  # the Gaussian map's t: artanh(t) = (log d_lo - log d_hi) / 2
+            log_lo, log_hi = log(d_lo), log(d_hi)
+            x = centre + scale * ((log_lo - log_hi) / 2.0)
+            base = weight.log_eval(x) + (log_scale - log_lo - log_hi)
         signs, based, logs = [0.0] * count, [0.0] * count, [0.0] * count  # sign 0: f_i(x) = 0
         near = finite or abs(x) <= 1.0
         if not near:
@@ -461,22 +457,22 @@ def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, flo
             if near:
                 for c in desc[i]:
                     v = v * x + c
-                log_scale = 0.0
+                log_xdeg = 0.0
             else:  # the reversed polynomial at 1/x is f_i(x)/x^deg
                 for c in cs[i]:
                     v = v * inv_x + c
-                log_scale = degs[i] * log_x
+                log_xdeg = degs[i] * log_x
                 if x < 0 and degs[i] % 2:
                     v = -v
             if not v:
                 continue
-            log_f = log_scale + log(abs(v))
+            log_f = log_xdeg + log(abs(v))
             if roots[i] is not None:
                 s_lo, s_hi = roots[i]
                 if s_lo:
-                    log_f += s_lo * (log(e_lo) if e_lo else -inf)
+                    log_f += s_lo * (log(d_lo) if d_lo else -inf)
                 if s_hi:
-                    log_f += s_hi * (log(e_hi) if e_hi else -inf)
+                    log_f += s_hi * (log(d_hi) if d_hi else -inf)
                     if s_hi % 2:  # (x - hi)^s_hi < 0 inside
                         v = -v
                 if log_f == -inf:  # a node on the end itself, where f_i is 0

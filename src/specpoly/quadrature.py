@@ -17,22 +17,24 @@ halvings) bounds the work; exhausting it raises NoConvergence.
 _product_sweep integrates the products f_i f_j of a list of index pairs
 (i, j) over the same interval on one sweep of the nodes, so each node's
 abscissa, distances and weight are computed once.  The factors come in log
-space from evaluate(x, d_lo, d_hi, need), called once per node (the centre
-once, then both nodes mid +/- rad t of a pair before any term is added) with
-d_lo/d_hi the node's exact distances to the interval's ends, computed without
-cancellation (for a node at t, 1 - t = 2 / (1 + e^(2s)) with
-s = (pi/2) sinh(u)), and need the sorted indices that the pairs still in the
-sweep read.  It returns three lists indexed by i: the sign of factor i, a
-log-magnitude based_i that carries whatever is common to the node (a weight
-and a Jacobian), and log|f_i|.  A pair's value at the node is
-sign_i sign_j e^(based_i + log_j): 0 for a zero sign or a -inf magnitude, an
-infinity past 708, so it never overflows; a pair whose term is not finite at a
-node, the centre included, fails there ("integrand not finite").  The sweep forms each pair's two
-terms where it adds them.  Every pair keeps its own row total, L1 size,
-tiny-term streak, level, error, eval count and failure, and leaves the sweep
-when its own stopping rule holds, so each one sees exactly the additions it
-would see integrated alone (tests/oracles.py keeps that scalar integrator as
-the bit-for-bit reference); need changes only when a pair leaves.  A node's
+space from evaluate(x, d_lo, d_hi, need), called once per node (both nodes
+mid +/- rad t of a pair before any term is added) with d_lo/d_hi the node's
+exact distances to the interval's ends, computed without cancellation (for a
+node at t, 1 - t = 2 / (1 + e^(2s)) with s = (pi/2) sinh(u)), and need the
+sorted indices that the pairs still in the sweep read.  It returns three
+lists indexed by i: the sign of factor i, a log-magnitude based_i that
+carries whatever is common to the node (a weight and a Jacobian), and
+log|f_i|.  A pair's value at the node is sign_i sign_j e^(based_i + log_j):
+0 for a zero sign or a -inf magnitude, an infinity past 708, so it never
+overflows; a pair whose term is not finite at a node fails there ("integrand
+not finite").  The centre x = mid is the first row's first node: weight pi/2,
+one evaluation, and one side, the other reading as sign 0 (a 0.0 term); it
+counts toward no tiny-term streak.  The sweep forms each pair's two terms
+where it adds them.  Every pair keeps its own row total, L1 size, tiny-term
+streak, level, error, eval count and failure, and leaves the sweep when its
+own stopping rule holds, so each one sees exactly the additions it would see
+integrated alone (tests/oracles.py keeps that scalar integrator as the
+bit-for-bit reference); need changes only when a pair leaves.  A node's
 abscissa, distance and weight depend on u = k h alone and are memoised (a
 bounded cache) across sweeps.
 """
@@ -106,48 +108,29 @@ def _product_sweep(
     evals = [0] * count
     out: list = [None] * count  # each pair's QuadResult or NoConvergence
 
-    def not_finite(q: int, where: str) -> None:
-        out[q] = NoConvergence(
-            f"integrand not finite at a quadrature node (x near {where})", math.nan, math.inf
-        )
-
     def row_sums(h: float, odd_only: bool, active: list) -> tuple[list[float], list[float]]:
         """Each pair's row total and the row total of its |terms|; active lists
         (q, i, j) for pairs[q] = (i, j) still in the sweep."""
         totals = [0.0] * count
         sizes = [0.0] * count
-        streak = [0] * count
+        # the first row starts at the centre, which must count toward no streak
+        streak = [0 if odd_only else -1] * count
         need = sorted({f for _, i, j in active for f in (i, j)})
-        if active and not odd_only:  # the centre node belongs to the first row only
-            signs, based, logs = evaluate(mid, rad, rad, need)
-            gone = []
-            for q, i, j in active:
-                sign = signs[i] * signs[j]
-                v = (
-                    0.0 if sign == 0.0 or (mag := based[i] + logs[j]) == minus_inf
-                    else copysign(inf, sign) if mag > 708.0 else sign * exp(mag)
-                )
-                evals[q] += 1
-                if not isfinite(v):
-                    not_finite(q, repr(mid))
-                    gone.append(q)
-                    continue
-                totals[q] += (math.pi / 2.0) * v
-                sizes[q] += abs((math.pi / 2.0) * v)
-            if gone:
-                active = [a for a in active if a[0] not in gone]
-                need = sorted({f for _, i, j in active for f in (i, j)})
-        k = 1
+        k = 1 if odd_only else 0
         step = 2 if odd_only else 1
-        seen = 0  # node pairs evaluated in this row
+        seen = 0  # evaluations in this row: 1 at the centre, 2 per node pair
         while active and k * h <= _U_MAX:
-            t, d, w = _node(k * h)
+            t, d, w = _node(k * h)  # the centre: (0.0, 1.0, pi/2)
             if w == 0.0 or d == 0.0:
                 break
             x_hi, x_lo, d_near, d_far = mid + rad * t, mid - rad * t, rad * d, rad * (2.0 - d)
             s_hi, b_hi, l_hi = evaluate(x_hi, d_far, d_near, need)
-            s_lo, b_lo, l_lo = evaluate(x_lo, d_near, d_far, need)
-            seen += 1
+            if k:
+                s_lo, b_lo, l_lo = evaluate(x_lo, d_near, d_far, need)
+                seen += 2
+            else:  # the centre has one side: the other reads as sign 0, a 0.0 term
+                s_lo = b_lo = l_lo = [0.0] * len(s_hi)
+                seen += 1
             gone = []
             for q, i, j in active:
                 sign = s_hi[i] * s_hi[j]
@@ -162,7 +145,11 @@ def _product_sweep(
                 )
                 pair = term_hi + term_lo
                 if not isfinite(pair) and not (isfinite(term_hi) and isfinite(term_lo)):
-                    not_finite(q, f"{x_hi!r} / {x_lo!r}")
+                    where = f"{x_hi!r} / {x_lo!r}" if k else repr(mid)
+                    out[q] = NoConvergence(
+                        f"integrand not finite at a quadrature node (x near {where})",
+                        math.nan, math.inf,
+                    )
                     gone.append(q)
                     continue
                 total = totals[q] = totals[q] + pair
@@ -176,12 +163,12 @@ def _product_sweep(
                     streak[q] = 0
             if gone:
                 for q in gone:
-                    evals[q] += 2 * seen
+                    evals[q] += seen
                 active = [a for a in active if a[0] not in gone]
                 need = sorted({f for _, i, j in active for f in (i, j)})
             k += step
         for q, _, _ in active:
-            evals[q] += 2 * seen
+            evals[q] += seen
         return totals, sizes
 
     h = 1.0

@@ -37,6 +37,11 @@ ends, as the library kept it before its certificate became the one rule: it asks
 p a's exponent at a finite end to be positive (or zero with both functions
 vanishing there) and, at an infinite end, decay or a negative power, so it is a
 one-way oracle of the certificate, which proves more pairs than it passes.
+``favard_diagonals`` is Favard's theorem read off the eigentable: a monic orthogonal
+family obeys p_(k+1) = (x - beta_k) p_k - gamma_k p_(k-1), so the top two coefficients
+c_k, d_k of p_k = x^k + c_k x^(k-1) + d_k x^(k-2) give beta_k = c_k - c_(k+1) and
+gamma_k = d_k - d_(k+1) - beta_k c_k, and G_kk = G_00 gamma_1 ... gamma_k; it shares no
+code with the library's moment form, which computes those diagonals from moments.
 ``interior_points`` and ``weight_value`` are numeric spot-check helpers, and
 ``log_slope_error`` is a numeric Pearson check: the central difference of
 ``log p`` against (b - a')/a, which does not go through ``WeightExpr.dlog``
@@ -56,6 +61,7 @@ from typing import Callable, Sequence
 from specpoly import (
     DEFAULT_TOL,
     DiffOperator,
+    EigenStatus,
     Interval,
     NoConvergence,
     OperatorMatrix,
@@ -601,6 +607,23 @@ def moment_scale(weight: WeightExpr, total_degree: int, tol: float) -> float | N
         return tanh_sinh(g, -math.pi / 2, math.pi / 2, tol).value
     except NoConvergence:
         return None
+
+
+def favard_diagonals(table) -> list[Fraction]:
+    """G_kk / G_00 = gamma_1 ... gamma_k for k = 0, 1, ... (module docstring), from the
+    top two coefficients of the table's monic eigenfunctions (table[k] of degree k), for
+    every k with p_0 .. p_(k+1) unique."""
+    top = []  # (c_k, d_k) while p_0 .. p_k are unique
+    for k, row in enumerate(table):
+        if row.status is not EigenStatus.UNIQUE_MONIC:
+            break
+        top.append((row.monic.coeff(k - 1), row.monic.coeff(k - 2)))
+    diagonals = [Fraction(1)]
+    for k in range(1, len(top) - 1):
+        (c, d), (c_next, d_next) = top[k], top[k + 1]
+        beta = c - c_next
+        diagonals.append(diagonals[-1] * (d - d_next - beta * c))
+    return diagonals
 
 
 class BoundaryVerdict(Record):

@@ -208,6 +208,18 @@ class TestSweep:
             expected = tanh_sinh(scalar(fs, *pairs[k]), 0.0, 1.0, 1e-12)
             assert bits(results[k]) == bits(expected)
 
+    def test_the_centre_counts_toward_no_streak(self):
+        # on (-1, 1) at tol 1e-10 a term is tiny below 1e-14 (1 + |total|): the first row's
+        # centre (u = 0) and node pairs at u = 1 and 2 are tiny, the pair at u = 3 (1 - t
+        # about 4e-14) is not; three tiny terms end a row, so a centre that counted would
+        # end the first row before u = 3
+        fs = [lambda x, d_lo, d_hi: 1.0 if min(d_lo, d_hi) < 1e-12 else 1e-10]
+        evaluate = product(fs)
+        (res,) = _product_sweep(evaluate, [(0, 0)], -1.0, 1.0, 1e-10)
+        assert bits(res) == bits(tanh_sinh(scalar(fs, 0, 0), -1.0, 1.0, 1e-10))
+        assert (0.0, 1.0, 1.0) in [node for node, _ in evaluate.calls]
+        assert res.value > 1e-12  # the pair at u = 3 is in it
+
     def test_one_evaluation_per_node(self):
         # one pair alone: the centre, then both nodes of each node pair once
         evaluate = product(self.FACTORS)
