@@ -12,7 +12,8 @@ Commands:
 The operator comes from exactly one of --preset, --family (+ --eps/--alpha/
 --beta), or --operator-json FILE; rational parameters are "p/q" strings so
 nothing is contaminated by floats.  Output is JSON by default or an aligned
-table with --format table; identical invocations print identical bytes.
+table with --format table; a call builds only the format it prints, and
+identical invocations print identical bytes.
 
 Exit codes: 0 success (also when the reader closes stdout early, as
 `| head` does), 1 domain errors (invalid operator, unsupported weight
@@ -83,12 +84,6 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
                        help="file with {\"a\": [[...a_0...], [...a_1...], ...]}")
 
 
-def _add_common_args(parser: argparse.ArgumentParser, n_max: bool = True) -> None:
-    if n_max:
-        parser.add_argument("--n-max", type=int, default=6)
-    parser.add_argument("--format", choices=["json", "table"], default="json")
-
-
 def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec | None:
     sources = [args.preset is not None, args.family is not None,
                getattr(args, "operator_json", None) is not None]
@@ -112,117 +107,107 @@ def _resolve_operator(args: argparse.Namespace, parser: argparse.ArgumentParser)
         return DiffOperator.from_json(json.load(fh))
 
 
-def _emit(payload: dict, table: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(table)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns the JSON payload or the table text, never both
 
 
-def _cmd_spectrum(args, parser) -> int:
+def _cmd_spectrum(args, parser) -> dict | str:
     op = _resolve_operator(args, parser)
     spec = op.spectrum(args.n_max)
-    rows = [
-        {
-            "degree": j,
-            "eigenvalue_of_L": str(mu),
-            "lambda_ode_convention": str(-mu),
+    if args.format == "json":
+        return {
+            "operator": op.to_json(),
+            "n_max": args.n_max,
+            "spectrum": [
+                {"degree": j, "eigenvalue_of_L": str(mu), "lambda_ode_convention": str(-mu)}
+                for j, mu in enumerate(spec.values)
+            ],
+            "distinct": spec.distinct,
+            "multiplicity": [
+                {"eigenvalue_of_L": str(mu), "degrees": list(degs)}
+                for mu, degs in sorted(
+                    spec.multiplicity.items(), key=lambda item: item[1][0]
+                )
+            ],
         }
-        for j, mu in enumerate(spec.values)
-    ]
-    payload = {
-        "operator": op.to_json(),
-        "n_max": args.n_max,
-        "spectrum": rows,
-        "distinct": spec.distinct,
-        "multiplicity": [
-            {"eigenvalue_of_L": str(mu), "degrees": list(degs)}
-            for mu, degs in sorted(
-                spec.multiplicity.items(), key=lambda item: item[1][0]
-            )
-        ],
-    }
     header = f"{'degree':>6} {'eigenvalue of L':>18} {'lambda (ODE)':>14}"
     lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['degree']:>6} {row['eigenvalue_of_L']:>18} {row['lambda_ode_convention']:>14}"
-        )
+    lines += (f"{j:>6} {str(mu):>18} {str(-mu):>14}" for j, mu in enumerate(spec.values))
     if not spec.distinct:
         lines.append("warning: eigenvalue collisions present")
-    _emit(payload, "\n".join(lines), args.format)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eigenfns(args, parser) -> int:
+def _cmd_eigenfns(args, parser) -> dict | str:
     op = _resolve_operator(args, parser)
     results = eigentable(op, args.n_max)
-    payload = {
-        "operator": op.to_json(),
-        "n_max": args.n_max,
-        "eigenfunctions": [r.to_json() for r in results],
-    }
+    if args.format == "json":
+        return {
+            "operator": op.to_json(),
+            "n_max": args.n_max,
+            "eigenfunctions": [r.to_json() for r in results],
+        }
     header = f"{'degree':>6} {'eigenvalue':>14} {'status':>24}  monic eigenfunction"
     lines = [header, "-" * len(header)]
     for r in results:
         monic = r.monic.pretty() if r.monic is not None else f"(eigenspace dim {r.eigenspace_dim})"
         lines.append(f"{r.degree:>6} {str(r.eigenvalue):>14} {r.status.value:>24}  {monic}")
-    _emit(payload, "\n".join(lines), args.format)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_weight(args, parser) -> int:
+def _cmd_weight(args, parser) -> dict | str:
     op = _resolve_operator(args, parser)
     if op.order != 2:
         raise ValueError("weight derivation requires a second-order operator")
     a, b = op.coeffs[2], op.coeffs[1]
     weight = derive_weight(a, b)
     verdict = pearson_check(weight, a, b)
-    payload = weight.to_json()
-    payload["pearson"] = verdict.to_json()
-    lines = [
+    if args.format == "json":
+        return {**weight.to_json(), "pearson": verdict.to_json()}
+    return "\n".join([
         f"weight:   {weight.formula()}",
         f"interval: {weight.interval.describe()}",
         f"pearson (pa)' = pb: {'pass' if verdict.ok else 'FAIL'}",
-    ]
-    _emit(payload, "\n".join(lines), args.format)
-    return 0
+    ])
 
 
-def _cmd_gram(args, parser) -> int:
+def _cmd_gram(args, parser) -> dict | str:
     spec = _resolve_spec(args, parser)
     if spec is not None:
         report = gram_matrix(spec, args.n_max, args.tol)
     else:
         report = gram_matrix_for_operator(_resolve_operator(args, parser), args.n_max, args.tol)
-    _emit(report.to_json(), report.format_table(), args.format)
-    return 0
+    return report.to_json() if args.format == "json" else report.format_table()
 
 
-def _cmd_romanovski_report(args, parser) -> int:
+def _cmd_romanovski_report(args, parser) -> dict | str:
     report = finite_orthogonality_report(args.alpha, args.beta, args.n_max)
-    _emit(report.to_json(), report.format_table(), args.format)
-    return 0
+    return report.to_json() if args.format == "json" else report.format_table()
 
 
-def _cmd_normalize(args, parser) -> int:
+def _cmd_normalize(args, parser) -> dict | str:
     op = _resolve_operator(args, parser)
     normalized, norm, scale = normalize_operator(op)
-    payload = norm.to_json()
-    payload["eigenvalue_scale"] = str(scale)
-    payload["operator"] = normalized.to_json()
+    if args.format == "json":
+        return {**norm.to_json(), "eigenvalue_scale": str(scale), "operator": normalized.to_json()}
     lines = [
         f"x = s*u + t with s={norm.s}, t={norm.t}; a(s*u+t) = {norm.c} * ({norm.normal_form})",
         f"normalized operator (eigenvalues scaled by {scale}):",
     ]
-    for k, p in enumerate(normalized.coeffs):
-        lines.append(f"  a_{k}(u) = {p.pretty('u')}")
-    _emit(payload, "\n".join(lines), args.format)
-    return 0
+    lines += (f"  a_{k}(u) = {p.pretty('u')}" for k, p in enumerate(normalized.coeffs))
+    return "\n".join(lines)
+
+
+# name, help, handler, whether it takes an operator source (else Romanovski's own
+# --alpha/--beta), whether it takes --n-max
+_COMMANDS = (
+    ("spectrum", "eigenvalues on P_n", _cmd_spectrum, True, True),
+    ("eigenfns", "monic eigenfunction table", _cmd_eigenfns, True, True),
+    ("weight", "symbolic Pearson weight", _cmd_weight, True, False),
+    ("gram", "Gram matrix of eigenfunctions", _cmd_gram, True, True),
+    ("romanovski-report", "finite orthogonality report", _cmd_romanovski_report, False, True),
+    ("normalize", "affine normalization of the leading coefficient", _cmd_normalize, True, False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,42 +218,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser._negative_number_matcher = _NEGATIVE_RATIONAL
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalues on P_n")
-    _add_source_args(p)
-    _add_common_args(p)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("eigenfns", help="monic eigenfunction table")
-    _add_source_args(p)
-    _add_common_args(p)
-    p.set_defaults(handler=_cmd_eigenfns)
-
-    p = sub.add_parser("weight", help="symbolic Pearson weight")
-    _add_source_args(p)
-    _add_common_args(p, n_max=False)
-    p.set_defaults(handler=_cmd_weight)
-
-    p = sub.add_parser("gram", help="Gram matrix of eigenfunctions")
-    _add_source_args(p)
-    _add_common_args(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,  # gram alone runs quadrature
-                   help="quadrature tolerance (default %(default)g)")
-    p.set_defaults(handler=_cmd_gram)
-
-    p = sub.add_parser("romanovski-report", help="finite orthogonality report")
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--beta", type=_fraction, default=Fraction(0))
-    _add_common_args(p)
-    p.set_defaults(handler=_cmd_romanovski_report)
-
-    p = sub.add_parser("normalize", help="affine normalization of the leading coefficient")
-    _add_source_args(p)
-    _add_common_args(p, n_max=False)
-    p.set_defaults(handler=_cmd_normalize)
-
-    for sub_parser in sub.choices.values():
-        sub_parser._negative_number_matcher = _NEGATIVE_RATIONAL
+    for name, help_text, handler, operator_source, n_max in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_RATIONAL
+        if operator_source:
+            _add_source_args(p)
+        else:
+            p.add_argument("--alpha", type=_fraction, required=True)
+            p.add_argument("--beta", type=_fraction, default=Fraction(0))
+        if n_max:
+            p.add_argument("--n-max", type=int, default=6)
+        p.add_argument("--format", choices=["json", "table"], default="json")
+        if name == "gram":  # gram alone runs quadrature
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="quadrature tolerance (default %(default)g)")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -276,9 +240,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.handler(args, parser)
+        out = args.handler(args, parser)
+        print(json.dumps(out, indent=2) if args.format == "json" else out)
         sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
-        return status
+        return 0
     except BrokenPipeError:
         # the reader closed stdout (`| head`): not an error.  What is still buffered
         # goes to devnull, so the interpreter's final flush prints nothing.

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from specpoly._record import Record
 from specpoly.cli import main
+from specpoly.eigen import EigenResult
+from specpoly.operator import DiffOperator
+from specpoly.orthogonality import OrthoReport, RomanovskiReport
+from specpoly.weights import WeightExpr
 
 
 def run(capsys, *argv):
@@ -21,6 +27,14 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# the operator-source group every command but romanovski-report takes, in --help order
+SOURCE_OPTIONS = ["--preset", "--family", "--eps", "--alpha", "--beta", "--operator-json"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built an output format the call does not print")
 
 
 UNSCALED_NOTE = (
@@ -582,17 +596,57 @@ class TestContract:
         assert (code, out) == (1, "")
         assert err == "specpoly: error: weight derivation requires a second-order operator\n"
 
-    @pytest.mark.parametrize(
-        "command", ["spectrum", "eigenfns", "weight", "gram", "romanovski-report", "normalize"]
-    )
-    def test_help_renders(self, capsys, command):
+    @pytest.mark.parametrize("command, options", [
+        ("spectrum", ["--n-max", "--format", *SOURCE_OPTIONS]),
+        ("eigenfns", ["--n-max", "--format", *SOURCE_OPTIONS]),
+        ("weight", ["--format", *SOURCE_OPTIONS]),
+        ("gram", ["--n-max", "--format", "--tol", *SOURCE_OPTIONS]),
+        ("romanovski-report", ["--alpha", "--beta", "--n-max", "--format"]),
+        ("normalize", ["--format", *SOURCE_OPTIONS]),
+    ])
+    def test_help_renders(self, capsys, command, options):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith(f"usage: specpoly {command}")
+        # the option strings of each help entry in the order shown, read without
+        # the layout, which differs between Python versions
+        shown = []
+        for line in re.sub(r"\x1b\[[\d;]*m", "", out).splitlines():
+            if line.startswith("  -"):
+                shown += re.findall(r"(?:^|, )(--?[a-z][\w-]*)", line[2:].split("  ")[0])
+        assert shown == ["-h", "--help", *options]
         if command == "gram":
             assert "quadrature tolerance (default 1e-10)" in out
+
+    def test_romanovski_report_requires_alpha(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["romanovski-report", "--beta", "1/2"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("gram", "--preset", "legendre"),
+        ("romanovski-report", "--alpha", "-13/2"),
+    ], ids=" ".join)
+    def test_json_call_builds_no_table(self, capsys, monkeypatch, argv):
+        for report in (OrthoReport, RomanovskiReport):
+            monkeypatch.setattr(report, "format_table", _refuse)
+        assert run(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--preset", "legendre"),
+        ("eigenfns", "--preset", "legendre"),
+        ("weight", "--preset", "legendre"),
+        ("gram", "--preset", "legendre"),
+        ("romanovski-report", "--alpha", "-13/2"),
+        ("normalize", "--preset", "legendre"),
+    ], ids=" ".join)
+    def test_table_call_builds_no_json(self, capsys, monkeypatch, argv):
+        for cls in (Record, DiffOperator, EigenResult, WeightExpr):
+            monkeypatch.setattr(cls, "to_json", _refuse)
+        assert run(capsys, *argv, "--format", "table")[0] == 0
 
 
     @pytest.mark.parametrize(

@@ -36,6 +36,13 @@ CASES = {
     "readme-gram-legendre-table": (
         "gram", "--preset", "legendre", "--n-max", "8", "--format", "table"),
     "readme-normalize": ("normalize", "--operator-json", OP_JSON),
+    # the table format of the commands whose README examples print JSON
+    "eigenfns-legendre-table": (
+        "eigenfns", "--preset", "legendre", "--n-max", "8", "--format", "table"),
+    "weight-romanovski-13-2-table": (
+        "weight", "--family", "romanovski", "--alpha", "-13/2", "--beta", "1/2",
+        "--format", "table"),
+    "normalize-table": ("normalize", "--operator-json", OP_JSON, "--format", "table"),
     # weight on finite intervals, half lines and the real line
     **{
         f"weight-{name}": ("weight", *source)
