@@ -95,18 +95,19 @@ Romanovski shape, when m + n is past the reach; a pair with no eigenfunction
 is integrable when no end divides and m + n is within the reach.  A weight
 with no form (a non-integer finite exponent, a factor rooted off the ends, the
 Gaussian, a shape with no route) takes the integrability gate, and a pair goes
-to quadrature when the gate holds.  One integrability read at the largest
-m + n decides every pair when it holds; where it refuses, each
-eigenfunction's root orders at the weight's roots are read once, and a pair's
-sum raises the weight's exponents there, so no f g is formed for a verdict; on
-a finite interval the degree plays no part, and the sum alone keys it.  A
-zero f or g is an exact zero with no verdict read (0.0 on a moment shape).  A
-Gram matrix makes one node sweep per weight (quadrature._product_sweep), with
-one evaluation per node: each node's abscissa, log p(x) and Jacobian are
-computed once and shared by all pending entries, each of which still stops
-on its own rule.  A Romanovski report is read off the Romanovski Gram
-matrix: its verdicts map the Gram entries, and its eigenvalue collisions
-always sit on the integrability boundary m + n + gamma + 1 = 0.  The weight
+to quadrature when the gate holds.  The gate reads weights' one integrability
+rule, (divisions, reach), once per matrix, and each eigenfunction's root order
+at each division (r, k) once, capped at k: a pair is integrable when its
+orders sum to k or more at every division and deg f + deg g is within the
+reach, so no f g is formed for a verdict; a degree with no eigenfunction
+counts its degree alone.  A zero f or g is an exact zero with no verdict read
+(0.0 on a moment shape).  A Gram matrix makes one node sweep per weight
+(quadrature._product_sweep), with one evaluation per node: each node's
+abscissa, log p(x) and Jacobian are computed once and shared by all pending
+entries, each of which still stops on its own rule.  A Romanovski report is
+read off the Romanovski Gram matrix: its verdicts map the Gram entries, and
+its eigenvalue collisions always sit on the integrability boundary
+m + n + gamma + 1 = 0.  The weight
 (cached on the WeightExpr) and each eigenfunction are converted to floats
 once; a node evaluates each eigenfunction once, to a sign and
 log p + log J + log|f(x)|, and an entry adds the other function's log|g(x)|,
@@ -124,7 +125,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from typing import Callable, Sequence
 
 from ._record import Record
@@ -133,7 +134,7 @@ from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
 from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, common_denominator, rat
-from .weights import WeightExpr, derive_weight, integrability, moment_reach
+from .weights import WeightExpr, _integrability_rule, derive_weight
 
 __all__ = [
     "NonIntegrable",
@@ -518,39 +519,18 @@ def _shape(weight: WeightExpr) -> str | None:
 
 
 def _integrability_gate(
-    weight: WeightExpr,
-    funcs: Sequence[Poly | None],
-    pairs: Sequence[tuple[int, int]],
-    shape: str | None,
+    weight: WeightExpr, funcs: Sequence[Poly | None]
 ) -> Callable[[int, int], bool]:
-    """integrable(i, j) for an index pair into funcs, on a weight with no moment form: the
-    module docstring's gate."""
-    degree = [d if f is None else max(f.degree, 0) for d, f in enumerate(funcs)]
-    top = max((degree[i] + degree[j] for i, j in pairs), default=0)
-    roots = sorted({pf.root for pf in weight.power_factors})
-    orders = functools.cache(lambda i: [funcs[i].strip_root(r, degree[i])[1] for r in roots])
-    finite, zeros = shape == "finite", (0,) * len(roots)
-
-    @functools.cache
-    def verdict(k: int, s: tuple[int, ...]) -> bool:
-        """Is p times (x - r)^s_r at each root r of p times a degree-k polynomial
-        integrable?  Each root of f g at a root of p raises p's exponent there."""
-        factor = math.prod((Poly((-r, 1)) ** e for r, e in zip(roots, s)), start=Poly.one())
-        return integrability(weight, k, factor).integrable
-
-    def holds(k: int, s: tuple[int, ...]) -> bool:
-        """verdict for degree k with root orders s; the degree counts only at an
-        infinite end, so on a finite interval the root orders alone are the key."""
-        return verdict(0 if finite else k - sum(s), s)
+    """The module docstring's gate: integrable(i, j) for an index pair into funcs."""
+    divisions, reach = _integrability_rule(weight)
+    caps = [k for _, k in divisions]
+    orders = functools.cache(lambda i: [funcs[i].strip_root(r, k)[1] for r, k in divisions])
 
     def integrable(i: int, j: int) -> bool:
-        # the verdict is monotone in the degree: one read at the largest m + n decides
-        # every pair when it holds, and only where it refuses do root orders count
-        if holds(top, zeros):
-            return True
-        both = funcs[i] is not None and funcs[j] is not None  # else the degree alone
-        s = tuple(map(add, orders(i), orders(j))) if both else zeros
-        return holds(degree[i] + degree[j], s)
+        f, g = funcs[i], funcs[j]
+        if f is None or g is None:
+            return not divisions and i + j <= reach
+        return all(map(le, caps, map(add, orders(i), orders(j)))) and f.degree + g.degree <= reach
 
     return integrable
 
@@ -585,11 +565,9 @@ def _route(
     shape = _shape(weight)
     moment = shape in ("romanovski", "laguerre")
     form = None
-    # the last k with a moment r_k: the Romanovski power law caps it, and a half line whose
-    # e^(c x) grows toward its infinite end has none; the other shapes' keys have them all
-    reach = moment_reach(weight) if shape == "romanovski" else math.inf
-    if shape == "laguerre" and (weight.exp_poly.coeff(1) > 0) == (weight.interval.hi is None):
-        reach = -1
+    # the last k with a moment r_k, the integrability rule's reach: the Romanovski power law
+    # caps it, a half line whose e^(c x) grows has none, and a finite form's keys have them all
+    reach = _integrability_rule(weight)[1] if moment else math.inf
     if moment or shape == "finite":
         try:
             form = _MomentForm(weight, known, reach)
@@ -597,7 +575,7 @@ def _route(
             pass
     # a degree alone (no eigenfunction) is integrable where no end divides, within the reach
     integrable = (
-        _integrability_gate(weight, funcs, pairs, shape) if form is None
+        _integrability_gate(weight, funcs) if form is None
         else lambda i, j: not form.divisors and i + j <= reach
     )
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)

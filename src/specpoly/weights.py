@@ -30,15 +30,16 @@ exponents and are projectively meaningful only; the constant is fixed to 1.
 All evaluation is restricted to the interior of the interval of definition,
 where |x - r| factors have constant sign.
 
-The integrability verdicts read the same facts per endpoint of p * P for a
-polynomial P: at each root r of p, the exponent of |x - r| (p's power
-exponent plus r's multiplicity as a root of P); at an infinite end, whether
-e^E decays or grows there, or, when E = 0, the asymptotic power
-deg P + (power exponent sum) + 2 quad_exp.  Integrability knows only the
-degree of P and asks for exponents above -1 at the roots of p and, at an
-infinite end, decay or a power below -1.  moment_reach reads the facts of p
-alone once and answers integrability for every degree: the last k with
-p x^k integrable.  Whether the boundary term p a (f' g - f g') of two
+One rule decides integrability, read once per weight as (divisions, reach).
+A division (r, k) is a root r of p in the interval's closure where p's summed
+exponent E is <= -1, with k = floor(-E): p f g is integrable at r exactly when
+f g has the root r s >= k times, so that E + s > -1.  The reach is the largest
+degree of f g that the infinite ends admit: every degree on a finite interval
+or where e^E decays, none (-1) where it grows, else the power law
+deg + (power exponent sum) + 2 quad_exp < -1; a constant E neither decays nor
+grows.  The arctan factor is bounded and plays no role.  moment_reach, the
+last k with p x^k integrable, is -1 where p has a division and the reach
+otherwise.  Whether the boundary term p a (f' g - f g') of two
 eigenfunctions vanishes, which orthogonality rests on, is decided where the
 pair is: orthogonality's certificate reads it off the eigentable.
 """
@@ -60,10 +61,8 @@ __all__ = [
     "WeightExpr",
     "derive_weight",
     "pearson_check",
-    "integrability",
     "moment_reach",
     "PearsonVerdict",
-    "IntegrabilityVerdict",
 ]
 
 
@@ -263,11 +262,6 @@ class PearsonVerdict(Record):
     symbolic_zero: bool  # the same as ok: the identity is checked exactly
 
 
-class IntegrabilityVerdict(Record):
-    integrable: bool
-    conditions: tuple[tuple[str, bool, str], ...]  # (location, ok, detail)
-
-
 def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     """Verify (pa)' = pb for the symbolic weight.
 
@@ -280,65 +274,29 @@ def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     return PearsonVerdict(ok=zero, symbolic_zero=zero)
 
 
-def _endpoint_facts(
-    weight: WeightExpr, poly: Poly, degree: int
-) -> list[tuple[str, Fraction | None, Fraction, bool | None]]:
-    """(location, point, exponent, decay) per endpoint of p * poly * q, q of degree
-    `degree` with no root counted, the facts of the module docstring: at each root r
-    of p inside the weight's [lo, hi], point r and decay None; at each infinite end,
-    point None and decay True or False when e^E decays or grows there, else None with
-    exponent the asymptotic power.  The arctan factor is bounded and plays no role."""
-    iv = weight.interval
-    facts = []
-    for r in sorted({pf.root for pf in weight.power_factors}):
-        if (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi):
-            mult = poly.strip_root(r, max(poly.degree, 0))[1]
-            facts.append((f"x={r}", r, weight.power_exponent_at(r) + mult, None))
-    asym = degree + max(poly.degree, 0) + sum(pf.exponent for pf in weight.power_factors)
-    asym += 2 * weight.quad_exp if weight.quad_exp is not None else Fraction(0)
-    exp_poly = weight.exp_poly
-    for name, end, sign in (("-inf", iv.lo, -1), ("+inf", iv.hi, 1)):
-        if end is None:
-            decay = None if exp_poly.is_zero() else exp_poly.leading() * sign ** exp_poly.degree < 0
-            facts.append((name, None, asym, decay))
-    return facts
-
-
-def integrability(
-    weight: WeightExpr, total_degree: int = 0, factor: Poly = Poly.one()
-) -> IntegrabilityVerdict:
-    """Is factor * (polynomial of degree total_degree) * weight integrable over
-    the weight's interval?
-
-    Every power exponent at a finite root, plus the root's multiplicity in
-    factor, must exceed -1; each infinite end needs a decaying exponential
-    factor, or else an asymptotic power below -1.
-    """
-    conditions = []
-    for loc, r, e, decay in _endpoint_facts(weight, factor, total_degree):
-        if decay is not None:
-            ok, detail = decay, f"exponential factor {'decays' if decay else 'grows'}"
-        elif r is None:
-            ok = e < -1
-            detail = f"asymptotic power {e} {'<' if ok else '>='} -1"
-        else:
-            ok = e > -1
-            detail = f"power exponent {e} {'>' if ok else '<='} -1"
-        conditions.append((loc, ok, detail))
-    return IntegrabilityVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))
+def _integrability_rule(weight: WeightExpr) -> tuple[tuple[tuple[Fraction, int], ...], int | float]:
+    """(divisions, reach), the module docstring's rule: p f g is integrable exactly when f g
+    has each division's root r at least k times and its degree is at most the reach."""
+    iv, exp_poly = weight.interval, weight.exp_poly
+    divisions = tuple(
+        (r, math.floor(-e))
+        for r in sorted({pf.root for pf in weight.power_factors})
+        if (e := weight.power_exponent_at(r)) <= -1
+        and (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi)
+    )
+    if iv.finite:
+        return divisions, math.inf
+    if exp_poly.degree > 0:  # e^E decays or grows at an infinite end; a constant does neither
+        grows = any(end is None and exp_poly.leading() * sign**exp_poly.degree > 0
+                    for end, sign in ((iv.lo, -1), (iv.hi, 1)))
+        return divisions, -1 if grows else math.inf
+    power = sum(pf.exponent for pf in weight.power_factors) + 2 * (weight.quad_exp or 0)
+    return divisions, max(math.ceil(-1 - power) - 1, -1)  # deg + power < -1
 
 
 def moment_reach(weight: WeightExpr) -> int | float:
     """The largest k with p x^k integrable over the weight's interval: -1 when p
-    itself is not, math.inf when every moment is.  So k >= 0 lies within the
-    reach exactly when integrability(weight, k) holds; one read of the
-    endpoint facts decides every degree at once.
-    """
-    reach = math.inf
-    for _, r, e, decay in _endpoint_facts(weight, Poly.one(), 0):
-        if r is None and decay is None:  # a power law at an infinite end: k + e < -1
-            reach = min(reach, math.ceil(-1 - e) - 1)
-        elif not (decay if r is None else e > -1):
-            reach = -1
-    return max(reach, -1)
-
+    itself is not (a division, or no degree within the reach), math.inf when
+    every moment is."""
+    divisions, reach = _integrability_rule(weight)
+    return -1 if divisions else reach

@@ -37,6 +37,12 @@ ends, as the library kept it before its certificate became the one rule: it asks
 p a's exponent at a finite end to be positive (or zero with both functions
 vanishing there) and, at an infinite end, decay or a negative power, so it is a
 one-way oracle of the certificate, which proves more pairs than it passes.
+``integrability`` is the library's integrability verdict as it was before the one
+rule (weights' divisions and reach) replaced it: it reads the endpoint facts of
+p * factor * q for a polynomial q of a given degree, one condition per root of p in
+the interval's closure and per infinite end, and asks each root's exponent, raised
+by its multiplicity in factor, to exceed -1 and each infinite end to decay or carry
+an asymptotic power below -1; the gate's verdict must equal it on every pair.
 ``favard_diagonals`` is Favard's theorem read off the eigentable: a monic orthogonal
 family obeys p_(k+1) = (x - beta_k) p_k - gamma_k p_(k-1), so the top two coefficients
 c_k, d_k of p_k = x^k + c_k x^(k-1) + d_k x^(k-2) give beta_k = c_k - c_(k+1) and
@@ -678,6 +684,60 @@ def boundary_vanishing(
             detail = f"boundary term asymptotic power {asym} {'<' if ok else '>='} 0"
         conditions.append((loc, ok, detail))
     return BoundaryVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))
+
+
+class IntegrabilityVerdict(Record):
+    integrable: bool
+    conditions: tuple[tuple[str, bool, str], ...]  # (location, ok, detail)
+
+
+def _endpoint_facts(
+    weight: WeightExpr, poly: Poly, degree: int
+) -> list[tuple[str, Fraction | None, Fraction, bool | None]]:
+    """(location, point, exponent, decay) per endpoint of p * poly * q, q of degree
+    `degree` with no root counted: at each root r of p inside the weight's [lo, hi],
+    point r and decay None; at each infinite end, point None and decay True or False
+    when e^E decays or grows there, else None with exponent the asymptotic power (a
+    constant E neither decays nor grows).  The arctan factor is bounded and plays no
+    role."""
+    iv = weight.interval
+    facts = []
+    for r in sorted({pf.root for pf in weight.power_factors}):
+        if (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi):
+            mult = poly.strip_root(r, max(poly.degree, 0))[1]
+            facts.append((f"x={r}", r, weight.power_exponent_at(r) + mult, None))
+    asym = degree + max(poly.degree, 0) + sum(pf.exponent for pf in weight.power_factors)
+    asym += 2 * weight.quad_exp if weight.quad_exp is not None else Fraction(0)
+    exp_poly = weight.exp_poly
+    for name, end, sign in (("-inf", iv.lo, -1), ("+inf", iv.hi, 1)):
+        if end is None:  # a constant E (degree 0) is a constant factor
+            decay = exp_poly.leading() * sign**exp_poly.degree < 0 if exp_poly.degree > 0 else None
+            facts.append((name, None, asym, decay))
+    return facts
+
+
+def integrability(
+    weight: WeightExpr, total_degree: int = 0, factor: Poly = Poly.one()
+) -> IntegrabilityVerdict:
+    """Is factor * (polynomial of degree total_degree) * weight integrable over
+    the weight's interval?
+
+    Every power exponent at a finite root, plus the root's multiplicity in
+    factor, must exceed -1; each infinite end needs a decaying exponential
+    factor, or else an asymptotic power below -1.
+    """
+    conditions = []
+    for loc, r, e, decay in _endpoint_facts(weight, factor, total_degree):
+        if decay is not None:
+            ok, detail = decay, f"exponential factor {'decays' if decay else 'grows'}"
+        elif r is None:
+            ok = e < -1
+            detail = f"asymptotic power {e} {'<' if ok else '>='} -1"
+        else:
+            ok = e > -1
+            detail = f"power exponent {e} {'>' if ok else '<='} -1"
+        conditions.append((loc, ok, detail))
+    return IntegrabilityVerdict(all(ok for _, ok, _ in conditions), tuple(conditions))
 
 
 def interior_points(iv: Interval, count: int) -> list[float]:

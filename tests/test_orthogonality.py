@@ -31,7 +31,6 @@ from specpoly import (
     gram_matrix,
     gram_matrix_for_operator,
     inner_product,
-    integrability,
     moment_reach,
 )
 from specpoly.orthogonality import NotPolynomialReducible
@@ -41,6 +40,7 @@ from oracles import (
     boundary_vanishing,
     divide_and_integrate,
     favard_diagonals,
+    integrability,
     moment_scale,
     pair_quadrature,
     random_poly,
@@ -769,7 +769,8 @@ class TestGramMatrix:
             assert e.value == pytest.approx((-1) ** (e.m + e.n) * u.value, rel=1e-14, abs=0), (e.m, e.n)
 
     def test_root_orders_form_no_product(self, monkeypatch):
-        # a pair's verdict adds the root orders read once per eigenfunction: no f g is formed
+        # a pair's verdict adds the root orders read once per eigenfunction: no Poly product
+        # is formed on the way to any verdict
         spec = FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3))
         weight, funcs = weight_of(spec), [r.monic for r in eigentable(build_operator(spec), 8)]
         operands, mul = [], Poly.__mul__
@@ -777,37 +778,59 @@ class TestGramMatrix:
         pairs = list(combinations_with_replacement(range(9), 2))
         routes = orthogonality._route(weight, funcs, pairs, 1e-10)
         assert [pair for pair, route in zip(pairs, routes) if not route[2]] == [(0, 0)]
-        is_func = lambda p: any(p is f for f in funcs)
-        assert operands and not any(is_func(a) and is_func(b) for a, b in operands)
+        assert operands == []
+
+    @staticmethod
+    def _spy_root_orders(monkeypatch) -> tuple[list, list]:
+        """(rules, reads): the weights each _integrability_rule call reads, and each
+        (eigenfunction, root, cap) the gate's integrable(i, j) strips."""
+        rules, reads, inside = [], [], []
+        rule, gate = orthogonality._integrability_rule, orthogonality._integrability_gate
+        strip = Poly.strip_root
+
+        def stripped(f, root, limit):
+            if inside:
+                reads.append((f, root, limit))
+            return strip(f, root, limit)
+
+        def spied_gate(weight, funcs):
+            integrable = gate(weight, funcs)
+
+            def spied(i, j):
+                inside.append(True)
+                try:
+                    return integrable(i, j)
+                finally:
+                    inside.pop()
+            return spied
+
+        monkeypatch.setattr(Poly, "strip_root", stripped)
+        monkeypatch.setattr(
+            orthogonality, "_integrability_rule", lambda w: rules.append(w) or rule(w)
+        )
+        monkeypatch.setattr(orthogonality, "_integrability_gate", spied_gate)
+        return rules, reads
 
     def test_one_integrability_read_per_matrix(self, monkeypatch):
-        # the verdict at the largest m + n decides every degree when it holds; an
-        # exact-route matrix reads none
-        reads = []
-
-        def counted(*args):
-            reads.append(args[1:])
-            return integrability(*args)
-
-        monkeypatch.setattr(orthogonality, "integrability", counted)
+        # no verdict is read (the library has none): the gate reads weights' rule once per
+        # form-less matrix, and a weight with no division reads no root order; an exact-route
+        # matrix reads neither
+        assert not hasattr(orthogonality, "integrability")
+        rules, reads = self._spy_root_orders(monkeypatch)
         gram_matrix(FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 6)
-        assert reads == [(12, Poly.one())]  # degree 12, no root order
-        reads.clear()
+        assert len(rules) == 1 and reads == []
+        rules.clear()
         gram_matrix(classical_presets()["legendre"], 6)
-        assert reads == []
+        assert rules == [] and reads == []
 
     def test_finite_interval_verdict_reads_root_orders_only(self, monkeypatch):
-        # on (-1, 1) the degree plays no part: the refused top read and the verdicts
-        # of the three root-order sums (0, 0), (0, 1) and (0, 2) decide all 45 pairs
-        reads = []
-
-        def counted(*args):
-            reads.append(args[1:])
-            return integrability(*args)
-
-        monkeypatch.setattr(orthogonality, "integrability", counted)
-        report = gram_matrix(FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3)), 8)
-        assert len(reads) == 3 and {k for k, _ in reads} == {0}
+        # on (-1, 1) the degree plays no part: the one division (1, 1) decides all 45 pairs,
+        # and each eigenfunction's root order there is read once, capped at 1
+        rules, reads = self._spy_root_orders(monkeypatch)
+        spec = FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3))
+        report = gram_matrix(spec, 8)
+        funcs = [r.monic for r in eigentable(build_operator(spec), 8)]
+        assert len(rules) == 1 and reads == [(f, 1, 1) for f in funcs]
         assert [(e.m, e.n) for e in report.entries if not e.integrable] == [(0, 0)]
 
     def test_no_degrees_no_entries(self):
@@ -1897,8 +1920,8 @@ def integrability_draw():
 class TestIntegrabilityDecision:
     def test_gram_entries_match_the_root_order_verdict(self):
         # where a weight has a moment form, the form alone decides integrability (a negative
-        # key, or past the Romanovski reach); every Gram entry's flag must equal the public
-        # weights.integrability verdict on p times (x - r)^s at each root r of p, with s the
+        # key, or past the Romanovski reach); every Gram entry's flag must equal the oracles'
+        # integrability verdict on p times (x - r)^s at each root r of p, with s the
         # pair's summed root orders read by the oracle's synthetic division, times a degree
         # m + n - sum(s); a pair with no eigenfunction reads the degree verdict for m + n
         counts = {"finite": 0, "laguerre": 0, "romanovski": 0}
@@ -1927,6 +1950,95 @@ class TestIntegrabilityDecision:
                 refused += not want
         assert counts == {"finite": 50, "laguerre": 30, "romanovski": 60}
         assert refused > 2000 and missing > 300
+
+
+def hand_built_draw():
+    """Seeded hand-built weights, each with a table funcs[d] of degree d in 0..8 (None at
+    random, a degree with no eigenfunction) whose roots at the weight's roots have orders
+    0..3: finite intervals with roots at the ends, inside, repeated (two factors, one
+    root) and outside; half lines with a power law or an exponential e^(c x) or e^(c x^2)
+    of either sign; the real line with (x^2+1)^q, arctan, a Gaussian of either sign or a
+    constant exponential of either sign, with or without power factors."""
+    rng = random.Random(4201)
+    rat = lambda num, den: Fraction(rng.randint(-num, num), rng.randint(1, den))
+    draw = []
+    for i in range(240):
+        kind = ("finite", "half", "real")[i % 3]
+        lo = rat(4, 2)
+        hi = lo + Fraction(rng.randint(1, 6), rng.randint(1, 2))
+        parts = {}
+        if kind == "finite":
+            interval, spots = Interval(lo, hi), [lo, hi, (lo + hi) / 2, hi + 1]
+        elif kind == "half":
+            interval = rng.choice([Interval(lo, None), Interval(None, lo)])
+            spots = [lo, lo + 1, lo - 1]
+            if rng.random() < 0.6:
+                parts["exp_poly"] = P(*[0] * rng.randint(1, 2), rat(3, 2) or Fraction(1))
+        else:
+            interval, spots = Interval(None, None), [lo, hi]
+            choice = rng.randrange(4)
+            if choice == 0:
+                parts["quad_exp"], parts["arctan_coeff"] = rat(12, 4), rat(4, 2)
+            elif choice == 1:
+                parts["exp_poly"] = P(rat(2, 1), rat(2, 1), rat(3, 2) or Fraction(-1))
+            else:  # a constant exponential, with or without (x^2+1)^q
+                parts["exp_poly"] = P(rat(3, 2) or Fraction(-1))
+                if choice == 3:
+                    parts["quad_exp"] = rat(12, 4)
+        factors = []
+        for _ in range(rng.randint(0 if kind == "real" else 1, 3)):
+            exponent = rng.choice([Fraction(rng.randint(-5, 2)), rat(10, 3)])
+            factors.append(PowerFactor(rng.choice(spots), exponent))
+        w = WeightExpr(power_factors=tuple(factors), interval=interval, **parts)
+        roots = sorted({pf.root for pf in factors})
+        funcs = []
+        for d in range(9):
+            if rng.random() < 0.15:
+                funcs.append(None)
+                continue
+            f = Poly.one()
+            for r in roots:
+                f *= P(-r, 1) ** min(rng.randint(0, 3), d - f.degree)
+            funcs.append(f * P(*[rat(6, 3) for _ in range(d - f.degree)], 1))
+        draw.append((w, funcs))
+    return draw
+
+
+class TestIntegrabilityRule:
+    def test_gate_matches_the_oracle_on_hand_built_weights(self):
+        # the gate reads weights' one rule (divisions, reach) with each function's capped root
+        # orders; the oracle reads p f g's endpoint facts with f g formed, one condition per
+        # root and infinite end: they must agree on every pair
+        verdicts = Counter()
+        for w, funcs in hand_built_draw():
+            gate = orthogonality._integrability_gate(w, funcs)
+            for i, j in combinations_with_replacement(range(len(funcs)), 2):
+                f, g = funcs[i], funcs[j]
+                if f is None or g is None:
+                    want = integrability(w, i + j).integrable
+                else:
+                    want = integrability(w, factor=f * g).integrable
+                assert gate(i, j) == want, (w, i, j)
+                verdicts[want, w.interval.finite, not w.exp_poly or w.exp_poly.degree == 0] += 1
+        assert sorted(verdicts) == [(v, finite, flat) for v in (False, True)
+                                    for finite in (False, True) for flat in (False, True)
+                                    if not (finite and not flat)]
+        assert min(verdicts.values()) > 100
+
+    def test_constant_exponential_is_no_decay(self):
+        # e^E with E constant is a constant factor: the power law decides at the infinite
+        # ends.  exp(-1) on R admits no degree, and (x^2+1)^(-1) e admits degree 0 (its
+        # integral is e pi) on no route the library has
+        real_line = Interval(None, None)
+        bare = WeightExpr(exp_poly=P(-1), interval=real_line)
+        with pytest.raises(NonIntegrable, match=r"^p f g of degree 0 is not integrable"):
+            inner_product(bare, Poly.one(), Poly.one())
+        cauchy = WeightExpr(quad_exp=Fraction(-1), exp_poly=P(1), interval=real_line)
+        formula = re.escape("(x^2+1)^(-1) * exp(1)")
+        with pytest.raises(ValueError, match=f"^no quadrature map for {formula} on"):
+            inner_product(cauchy, Poly.one(), Poly.one())
+        with pytest.raises(NonIntegrable):
+            inner_product(cauchy, Poly.one(), P(0, 1))
 
 
 class TestRefusals:

@@ -12,7 +12,6 @@ from specpoly import (
     FamilyKind,
     FamilySpec,
     GramEntry,
-    IntegrabilityVerdict,
     Interval,
     OperatorMatrix,
     OrthoReport,
@@ -30,13 +29,12 @@ from specpoly import (
     eigentable,
     finite_orthogonality_report,
     gram_matrix,
-    integrability,
     pearson_check,
 )
 from specpoly._record import Record
 from specpoly.quadrature import QuadResult
 
-from oracles import BoundaryVerdict, boundary_vanishing
+from oracles import BoundaryVerdict, IntegrabilityVerdict, boundary_vanishing, integrability
 
 
 def chebyshev1_weight() -> WeightExpr:
@@ -201,7 +199,8 @@ SAMPLES = {
     RomanovskiPair: lambda: RomanovskiPair(0, 1, "orthogonal", 0.0, 0.0),
     RomanovskiReport: lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 3),
 }
-RECORDS = _package_records() + [BoundaryVerdict]  # the oracles' verdict is a Record too
+# the oracles' verdicts are Records too
+RECORDS = _package_records() + [BoundaryVerdict, IntegrabilityVerdict]
 # the only classes with a __post_init__, and an argument list each refuses
 REFUSALS = {
     Interval: ((Fraction(1), Fraction(1)), r"empty interval \(1, 1\)"),
@@ -225,7 +224,7 @@ def _defaulted(cls) -> list[str]:
 
 
 def test_every_record_class_has_a_sample():
-    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 15
+    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 14
     assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [(OperatorMatrix, "entries"), (WeightExpr, "_float_form")]

@@ -15,13 +15,13 @@ from specpoly import (
     classical_presets,
     derive_weight,
     eigentable,
-    integrability,
     moment_reach,
     pearson_check,
 )
 
 from oracles import (
     boundary_vanishing,
+    integrability,
     interior_points,
     log_eval_reference,
     log_slope_error,
@@ -263,6 +263,17 @@ class TestIntegrability:
                 for k in range(20):
                     assert (k <= reach) == integrability(w, k).integrable, (spec, k)
         assert reaches == {-1, math.inf, "finite"}
+
+    def test_constant_exponential_neither_decays_nor_grows(self):
+        # e^E with E constant is a constant factor, so the power law decides at the infinite
+        # ends, in the library's rule and in the oracle: exp(-1) on R admits no degree, and
+        # (x^2+1)^(-1) e admits degree 0 (its integral is e pi)
+        bare = WeightExpr(exp_poly=P(-1), interval=Interval(None, None))
+        assert moment_reach(bare) == -1
+        assert integrability(bare).conditions[-1] == ("+inf", False, "asymptotic power 0 >= -1")
+        cauchy = WeightExpr(quad_exp=Fraction(-1), exp_poly=P(1), interval=Interval(None, None))
+        assert moment_reach(cauchy) == 0
+        assert integrability(cauchy).integrable and not integrability(cauchy, 1).integrable
 
 
 class TestBoundaryVanishing:
