@@ -89,7 +89,7 @@ def build_operator(spec: FamilySpec) -> DiffOperator:
     if spec.kind is FamilyKind.CHAUDHRY_QADIR:
         a = Poly((0, 1, -1))  # t - t^2
         b = Poly((1, -1))  # 1 - t
-        return DiffOperator([Poly.zero(), b, a])
+        return DiffOperator([Poly(), b, a])
     if spec.kind is FamilyKind.JACOBI:
         a = Poly((1, 0, -1)) if spec.eps == -1 else Poly((1, 0, 1))
     elif spec.kind is FamilyKind.ROMANOVSKI:
@@ -101,7 +101,7 @@ def build_operator(spec: FamilySpec) -> DiffOperator:
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown family kind {spec.kind}")
     b = Poly((spec.beta, spec.alpha))
-    return DiffOperator([Poly.zero(), b, a])
+    return DiffOperator([Poly(), b, a])
 
 
 def classical_presets() -> dict[str, FamilySpec]:

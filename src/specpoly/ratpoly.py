@@ -11,11 +11,11 @@ behave sensibly).  The form is canonical, so equal values always have equal
 representations, and arithmetic runs on ints with one gcd per result.
 
 ``coeffs`` is the same polynomial as a tuple of reduced ``fractions.Fraction``
-coefficients: the ones a ``Poly`` was built from, or built from the integer
-form on first read.  Scalars are plain ``Fraction`` everywhere: always
-reduced, positive denominator, value equality for free.  The string forms
-``"p/q"`` and ``"p"`` used in JSON output are exactly what ``str(Fraction)``
-produces.
+coefficients, built from the integer form on each read; nothing is cached, so
+the integer form is the only state a ``Poly`` holds.  Scalars are plain
+``Fraction`` everywhere: always reduced, positive denominator, value equality
+for free.  The string forms ``"p/q"`` and ``"p"`` used in JSON output are
+exactly what ``str(Fraction)`` produces.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _strip_linear(nums: Sequence[int], p: int, q: int, limit: int) -> tuple[Sequ
 class Poly:
     """Immutable dense polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("den", "nums", "_coeffs")
+    __slots__ = ("den", "nums")
 
     den: int
     nums: tuple[int, ...]
@@ -98,10 +98,9 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         # the lcm of reduced denominators leaves the numerators no common factor with it
-        den = lcm(*(c.denominator for c in cs))
+        den, nums = common_denominator(cs)
         _set(self, "den", den)
-        _set(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
-        _set(self, "_coeffs", tuple(cs))
+        _set(self, "nums", tuple(nums))
 
     @classmethod
     def _from_ints(cls, den: int, nums: Iterable[int]) -> Poly:
@@ -121,7 +120,6 @@ class Poly:
         p = object.__new__(cls)
         _set(p, "den", den)
         _set(p, "nums", nums)
-        _set(p, "_coeffs", None)
         return p
 
     def __setattr__(self, name, value):
@@ -129,34 +127,15 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced Fractions, ascending degree; built once."""
-        cs = self._coeffs
-        if cs is None:
-            den = self.den
-            cs = tuple([Fraction(v, den) for v in self.nums])
-            _set(self, "_coeffs", cs)
-        return cs
+        """The coefficients as reduced Fractions, ascending degree, built on each read."""
+        den = self.den
+        return tuple([Fraction(v, den) for v in self.nums])
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> Poly:
-        return cls(())
-
-    @classmethod
     def one(cls) -> Poly:
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> Poly:
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, k: int, c: RatLike = 1) -> Poly:
-        """c * x^k"""
-        if k < 0:
-            raise ValueError("monomial exponent must be >= 0")
-        return cls((0,) * k + (rat(c),))
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> Poly:
@@ -184,10 +163,6 @@ class Poly:
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the stored degree)."""
         return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
-
-    def monic(self) -> Poly:
-        lead = self.leading()
-        return self if lead == 1 else self * (1 / lead)
 
     # -- ring arithmetic -------------------------------------------------
 
@@ -254,16 +229,9 @@ class Poly:
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative(self, k: int = 1) -> Poly:
-        """Exact k-th derivative; k = 0 returns self."""
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        p = self
-        for _ in range(k):
-            if not p.nums:
-                return p
-            p = Poly._from_ints(p.den, [i * v for i, v in enumerate(p.nums) if i])
-        return p
+    def derivative(self) -> Poly:
+        """Exact derivative."""
+        return Poly._from_ints(self.den, [i * v for i, v in enumerate(self.nums) if i])
 
     def antiderivative(self) -> Poly:
         """Antiderivative with zero constant term."""

@@ -37,11 +37,10 @@ f g has the root r s >= k times, so that E + s > -1.  The reach is the largest
 degree of f g that the infinite ends admit: every degree on a finite interval
 or where e^E decays, none (-1) where it grows, else the power law
 deg + (power exponent sum) + 2 quad_exp < -1; a constant E neither decays nor
-grows.  The arctan factor is bounded and plays no role.  moment_reach, the
-last k with p x^k integrable, is -1 where p has a division and the reach
-otherwise.  Whether the boundary term p a (f' g - f g') of two
-eigenfunctions vanishes, which orthogonality rests on, is decided where the
-pair is: orthogonality's certificate reads it off the eigentable.
+grows.  The arctan factor is bounded and plays no role.  Whether the boundary
+term p a (f' g - f g') of two eigenfunctions vanishes, which orthogonality
+rests on, is decided where the pair is: orthogonality's certificate reads it
+off the eigentable.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ __all__ = [
     "WeightExpr",
     "derive_weight",
     "pearson_check",
-    "moment_reach",
     "PearsonVerdict",
 ]
 
@@ -292,11 +290,3 @@ def _integrability_rule(weight: WeightExpr) -> tuple[tuple[tuple[Fraction, int],
         return divisions, -1 if grows else math.inf
     power = sum(pf.exponent for pf in weight.power_factors) + 2 * (weight.quad_exp or 0)
     return divisions, max(math.ceil(-1 - power) - 1, -1)  # deg + power < -1
-
-
-def moment_reach(weight: WeightExpr) -> int | float:
-    """The largest k with p x^k integrable over the weight's interval: -1 when p
-    itself is not (a division, or no degree within the reach), math.inf when
-    every moment is."""
-    divisions, reach = _integrability_rule(weight)
-    return -1 if divisions else reach

@@ -86,7 +86,7 @@ def monic_classical(name: str, n_max: int) -> list[Poly]:
     monic p_{n+1} = (x - a_n) p_n - c_n p_{n-1} with the standard
     coefficients for each family.
     """
-    x = Poly.x()
+    x = Poly((0, 1))
 
     def shift(n: int) -> Fraction:
         return Fraction(2 * n + 1) if name == "laguerre" else Fraction(0)
@@ -190,7 +190,7 @@ def random_operator(rng: random.Random, max_order: int) -> DiffOperator:
     for k in range(order + 1):
         coeffs.append(Poly([random_rational(rng) for _ in range(k + 1)]))
     if coeffs[-1].is_zero():
-        coeffs[-1] = Poly.monomial(order)
+        coeffs[-1] = Poly((0,) * order + (1,))
     return DiffOperator(coeffs)
 
 

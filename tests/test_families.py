@@ -157,7 +157,7 @@ class TestBochnerNormalize:
 
     def test_rejects_degree_three(self):
         with pytest.raises(ValueError):
-            bochner_normalize(Poly.monomial(3))
+            bochner_normalize(Poly((0, 0, 0, 1)))
 
     def test_rejects_irrational_roots(self):
         with pytest.raises(ValueError):
@@ -210,7 +210,7 @@ class TestNormalizeOperator:
         assert res_u.eigenvalue == scale * res_x.eigenvalue
         # the monic eigenfunction in u is the x one substituted and rescaled
         transported = res_x.monic.affine_sub(norm.s, norm.t)
-        assert transported.monic() == res_u.monic
+        assert transported * (1 / transported.leading()) == res_u.monic
 
     def test_requires_second_order(self):
         from specpoly import DiffOperator

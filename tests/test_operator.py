@@ -32,7 +32,7 @@ class TestValidation:
 
     def test_degree_violation_identifies_k(self):
         with pytest.raises(DegreeViolation) as err:
-            DiffOperator([Poly(), Poly.monomial(2)])
+            DiffOperator([Poly(), Poly((0, 0, 1))])
         assert err.value.k == 1
         assert err.value.deg == 2
 
@@ -70,10 +70,10 @@ class TestValidation:
 
 class TestApply:
     def test_second_derivative_of_cubic(self):
-        assert D2.apply(Poly.monomial(3)) == P(0, 6)
+        assert D2.apply(Poly((0, 0, 0, 1))) == P(0, 6)
 
     def test_legendre_type_on_x_squared(self):
-        assert LEGENDRE.apply(Poly.monomial(2)) == P(2, 0, -6)
+        assert LEGENDRE.apply(Poly((0, 0, 1))) == P(2, 0, -6)
 
     def test_chaudhry_qadir_on_one_minus_t(self):
         # eigenfunction: L(1-t) = -(1-t), confirming eigenvalue -1
@@ -94,7 +94,7 @@ class TestApply:
         for _ in range(20):
             op = random_operator(rng, 4)
             for j in range(8):
-                assert op.apply(Poly.monomial(j)).degree <= j
+                assert op.apply(Poly((0,) * j + (1,))).degree <= j
 
 
 class TestMatrix:
@@ -156,7 +156,7 @@ class TestMatrix:
             n = rng.randint(0, 10)
             m = op.matrix(n)
             for j in range(n + 1):
-                image = op.apply(Poly.monomial(j))
+                image = op.apply(Poly((0,) * j + (1,)))
                 column = [m.entry(i, j) for i in range(n + 1)]
                 assert column == [image.coeff(i) for i in range(n + 1)]
                 assert all(m.entry(i, j) == 0 for i in range(j - op.order))
@@ -192,7 +192,7 @@ class TestBand:
     def test_band_is_cleared_matrix_of_monomial_images(self):
         for op, n in _band_cases():
             m = op.matrix(n)
-            images = [op.apply(Poly.monomial(j)) for j in range(n + 1)]
+            images = [op.apply(Poly((0,) * j + (1,))) for j in range(n + 1)]
             dense = [[image.coeff(i) for image in images] for i in range(n + 1)]
             assert m.denominator == lcm(*(v.denominator for row in dense for v in row))
             assert len(m.band) == n + 1

@@ -31,10 +31,10 @@ from specpoly import (
     gram_matrix,
     gram_matrix_for_operator,
     inner_product,
-    moment_reach,
 )
 from specpoly.orthogonality import NotPolynomialReducible
 from specpoly.ratpoly import common_denominator
+from specpoly.weights import _integrability_rule
 
 from oracles import (
     boundary_vanishing,
@@ -84,7 +84,7 @@ ROM_W = weight_of(ROM_SPEC)
 
 class TestExactPath:
     def test_legendre_odd_pair_is_zero(self):
-        assert inner_product(LEGENDRE_W, Poly.x(), P("-1/3", 0, 1)) == (0, "exact", None)
+        assert inner_product(LEGENDRE_W, Poly((0, 1)), P("-1/3", 0, 1)) == (0, "exact", None)
 
     def test_legendre_norm(self):
         p = P("-1/3", 0, 1)
@@ -126,7 +126,7 @@ class TestExactPath:
         # the weight's exponents; on the Romanovski shape it is the moment route's 0.0
         interior = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(1)),))
         for w in (CHEB_W, interior):
-            for f, g in ((Poly(), Poly.x()), (P(1, 2), Poly())):
+            for f, g in ((Poly(), Poly((0, 1))), (P(1, 2), Poly())):
                 value = exact_value(w, f, g)
                 assert value == 0 and isinstance(value, Fraction)
         with pytest.raises(NotPolynomialReducible):
@@ -136,7 +136,7 @@ class TestExactPath:
 
     def test_uncancelled_negative_power_not_reducible(self):
         with pytest.raises(NotPolynomialReducible, match=r"^f\*g is not divisible by \(x - 1\)\^1$"):
-            form_pair(CQ_W, Poly.one(), Poly.x())
+            form_pair(CQ_W, Poly.one(), Poly((0, 1)))
 
     # the exact route integrates powers rooted at the interval's ends only: |x|^2 (inside)
     # and |x - 3| (outside) on (-1, 1) are refused by name and integrated by quadrature
@@ -344,7 +344,7 @@ class TestMomentAssembly:
             asked.clear()
             refusals.clear()
             w = weight_of(spec)
-            reach = moment_reach(w) if orthogonality._shape(w) == "romanovski" else math.inf
+            reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
             table = eigentable(build_operator(spec), n)
             gram = gram_matrix(spec, n)
             integrable = [e for e in gram.entries if e.integrable]
@@ -435,7 +435,7 @@ class TestNumericPath:
         assert quad(CHEB_W, Poly.one(), Poly.one(), 1e-12).value == pytest.approx(math.pi, rel=1e-11)
         t2 = P("-1/2", 0, 1)
         assert quad(CHEB_W, t2, t2, 1e-12).value == pytest.approx(math.pi / 8, rel=1e-10)
-        assert quad(CHEB_W, Poly.one(), Poly.x(), 1e-12).value == pytest.approx(0.0, abs=1e-13)
+        assert quad(CHEB_W, Poly.one(), Poly((0, 1)), 1e-12).value == pytest.approx(0.0, abs=1e-13)
 
     def test_hermite_mass(self):
         herm_w = weight_of(FamilySpec.hermite(-2, 0))
@@ -447,7 +447,7 @@ class TestNumericPath:
         # integrable pair (TestNoRouteWeights), and the sweep refuses a half line rather
         # than integrating it on the real line's map
         with pytest.raises(ValueError, match="no quadrature map for .* on \\((0, \\+inf|-inf, 0)\\)"):
-            quad(weight_of(spec), Poly.x(), P(0, 1, 1))
+            quad(weight_of(spec), Poly((0, 1)), P(0, 1, 1))
 
     def test_romanovski_first_pair(self):
         # the library sweeps no Romanovski weight (the moment route takes it): the
@@ -508,9 +508,9 @@ class TestRouter:
 
     def test_non_integrable_raises(self):
         with pytest.raises(NonIntegrable):
-            inner_product(ROM_W, Poly.monomial(4), Poly.monomial(4))
+            inner_product(ROM_W, Poly((0, 0, 0, 0, 1)), Poly((0, 0, 0, 0, 1)))
         with pytest.raises(NonIntegrable):  # 1/(1-t) is integrable only against a root at 1
-            inner_product(CQ_W, Poly.one(), Poly.x())
+            inner_product(CQ_W, Poly.one(), Poly((0, 1)))
 
     @pytest.mark.parametrize("lo, hi, c, e", [(0, None, 1, 0), (None, 0, -1, 0), (None, 0, -2, -2)])
     def test_growing_half_line_has_no_moment(self, lo, hi, c, e):
@@ -526,7 +526,7 @@ class TestRouter:
         for f, g in ((P(1), P(1)), (P(0, 0, 1), P(0, 0, 1)), (P(1), P(2, 1))):
             with pytest.raises(NonIntegrable):
                 inner_product(w, f, g)
-        assert inner_product(w, Poly.zero(), P(1)) == (0.0, "moment", None)
+        assert inner_product(w, Poly(), P(1)) == (0.0, "moment", None)
         routes = orthogonality._route(w, [None, P(0, 1)], [(0, 0), (0, 1), (1, 1)], 1e-10)
         assert [route[2] for route in routes] == [False, False, False]
 
@@ -578,7 +578,7 @@ class TestRouter:
         # p f g = 0 is integrable at any degree and needs no quadrature: on the moment
         # shape a moment zero, on every other shape an exact one
         p1 = eigentable(build_operator(ROM_SPEC), 1)[1].monic
-        for f, g in ((Poly.zero(), p1), (p1, Poly.zero()), (Poly.zero(), Poly.monomial(9))):
+        for f, g in ((Poly(), p1), (p1, Poly()), (Poly(), Poly((0,) * 9 + (1,)))):
             got = inner_product(weight, f, g)
             assert got == zero and type(got[0]) is type(zero[0])
 
@@ -647,7 +647,7 @@ class TestGramMatrix:
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (100, 101, 103)
         # one shared eigenvalue: the monomials are no eigentable, so no pair is certified
-        table = [SimpleNamespace(monic=Poly.x() ** a, eigenvalue=Fraction(0)) for a in powers]
+        table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
         report = orthogonality._gram_for(table, w, range(3), "monomials")
         assert len(report.entries) == 6
         for e in report.entries:
@@ -663,7 +663,7 @@ class TestGramMatrix:
         length = Fraction(1, 10**6)
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (29, 30, 32)
-        table = [SimpleNamespace(monic=Poly.x() ** a, eigenvalue=Fraction(0)) for a in powers]
+        table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
         report = orthogonality._gram_for(table, w, range(3), "monomials")
         closed = []
         for e in report.entries:
@@ -858,7 +858,7 @@ class TestGramMatrix:
             with pytest.raises(ValueError, match="^tol must be a finite positive number"):
                 gram_matrix(spec, 2, tol)
             with pytest.raises(ValueError, match="^tol must be a finite positive number"):
-                inner_product(weight_of(spec), Poly.one(), Poly.x(), tol)
+                inner_product(weight_of(spec), Poly.one(), Poly((0, 1)), tol)
 
     def test_report_json_is_stable(self):
         a = gram_matrix(FamilySpec.jacobi(-1, -2, 0), 4).to_json()
@@ -1066,6 +1066,33 @@ def test_laguerre_preset_norm_is_exact_past_a_float():
     assert report.entry(99, 99).value == math.factorial(99) ** 2
 
 
+# Gaussian weights whose quadrature sweep refuses with NoConvergence where every entry has a
+# closed form: the hermite preset from n = 39 ("last error 2.792e+13") and hermite(-1, -20),
+# weight e^(-x^2/2 - 20x), from n = 7 ("last error 4.896e+79"; at n = 6 it answers with
+# (6, 6) 2.7e-10 off its norm and four off-diagonals above tol).  The bar is exact 0.0
+# off-diagonals and diagonals within 1e-13 of the norm.  Strict, as above
+KNOWN_REFUSED = {
+    "hermite": (classical_presets()["hermite"], 39, hermite_norm),
+    "hermite(-1,-20)": (
+        FamilySpec.hermite(-1, -20),
+        7,
+        lambda n: math.factorial(n) * math.sqrt(2 * math.pi) * math.exp(200),
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason="the Gaussian quadrature sweep refuses")
+@pytest.mark.parametrize("name", KNOWN_REFUSED)
+def test_known_refused_gaussian_grams(name):
+    spec, n, norm = KNOWN_REFUSED[name]
+    report = gram_matrix(spec, n)
+    for e in report.entries:
+        if e.m == e.n:
+            assert abs(e.value - norm(e.m)) <= 1e-13 * norm(e.m), e.m
+        else:
+            assert e.value == 0.0, (e.m, e.n)
+
+
 class TestLaguerreMoments:
     """The Laguerre shape takes the moment route: off-diagonals exactly 0.0, diagonals
     within 1e-13 of n! Gamma(n+e+1) / c^(2n+e+1).  Quadrature on the half line's tan map
@@ -1147,11 +1174,11 @@ class TestLaguerreMoments:
         # over (-inf, 0): integral of x e^x is -1, and of |x|^-1 x^3 e^x (one root stripped,
         # s = 3 odd) is -2; of |x|^-1 x^2 e^x (s = 2) is 1
         w = WeightExpr(exp_poly=P(0, 1), interval=Interval(None, Fraction(0)))
-        assert inner_product(w, Poly.x(), Poly.one()) == (-1.0, "moment", None)
+        assert inner_product(w, Poly((0, 1)), Poly.one()) == (-1.0, "moment", None)
         w = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(-1)),), exp_poly=P(0, 1),
                        interval=Interval(None, Fraction(0)))
-        assert inner_product(w, Poly.x(), P(0, 0, 1)) == (-2.0, "moment", None)
-        assert inner_product(w, Poly.x(), Poly.x()) == (1.0, "moment", None)
+        assert inner_product(w, Poly((0, 1)), P(0, 0, 1)) == (-2.0, "moment", None)
+        assert inner_product(w, Poly((0, 1)), Poly((0, 1))) == (1.0, "moment", None)
         with pytest.raises(NonIntegrable):
             inner_product(w, Poly.one(), P(1, 1))
 
@@ -1331,7 +1358,7 @@ class TestNodePairKernel:
 
     def test_zero_function_reads_zero(self):
         # a zero function at a finite end where p's exponent is <= -1 has no root to divide
-        res = orthogonality._numeric_quad(CQ_W, [Poly(), Poly.x()], [(0, 1)], 1e-10)
+        res = orthogonality._numeric_quad(CQ_W, [Poly(), Poly((0, 1))], [(0, 1)], 1e-10)
         assert [r.value for r in res] == [0.0]
 
 
@@ -1353,7 +1380,7 @@ class TestRealLineMaps:
         with pytest.raises(ValueError, match="no quadrature map for .* on \\(-inf, \\+inf\\)"):
             inner_product(w, Poly.one(), Poly.one())
         with pytest.raises(NonIntegrable):  # the gate refuses first: no map is needed
-            inner_product(w, Poly.monomial(-q), Poly.monomial(-q))
+            inner_product(w, Poly((0,) * -q + (1,)), Poly((0,) * -q + (1,)))
         res = pair_quadrature(w, Poly.one(), Poly.one(), orthogonality.DEFAULT_TOL)
         assert res.value == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -1511,7 +1538,7 @@ class TestMomentRoute:
         with mpmath.workdps(30):
             for w in weights + large_a:
                 bound = 5e-15 if w in large_a else 1e-13
-                reach = moment_reach(w)
+                reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
                 if reach < 0:
                     continue
                 near = derive_weight(P(1, 0, 1), P(w.arctan_coeff, 2 * w.quad_exp + 2 + reach))
@@ -1556,7 +1583,7 @@ class TestMomentRoute:
             table = eigentable(op, n)
             gram = gram_matrix_for_operator(op, n)
             diagonals = favard_diagonals(table)
-            reach = moment_reach(w)
+            reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
             diagonal = [(k, k) for k in range(len(diagonals)) if 2 * k <= reach]  # the gated
             form = orthogonality._MomentForm(w, {k: table[k].monic for k, _ in diagonal}, reach)
             ratios = dict(zip(diagonal, form.block(diagonal)))
@@ -1641,7 +1668,7 @@ def _form_and_pairs(op, n):
         return None
     table = eigentable(op, n)
     funcs = [r.monic for r in table]
-    reach = moment_reach(w) if orthogonality._shape(w) == "romanovski" else math.inf
+    reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
     try:
         form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
     except NotPolynomialReducible:  # a non-integer exponent on a finite interval
@@ -1765,7 +1792,7 @@ class TestCertifiedEntries:
         else:
             w, orders, direct = LEGENDRE_W, [0] * 7, {0, 1, 2, 3, 5}
         base = {  # (x - 1)^s (x^(j-s) + x^(j-s-1)), and (x - 1)^s at j = s
-            j: P(-1, 1) ** s * (Poly.monomial(j - s) + (Poly.monomial(j - s - 1) if j > s else P()))
+            j: P(-1, 1) ** s * (P(0, 1) ** (j - s) + (P(0, 1) ** (j - s - 1) if j > s else P()))
             for j, s in enumerate(orders)
         }
         form = orthogonality._MomentForm(w, base)
@@ -1793,7 +1820,7 @@ class TestCertifiedEntries:
                     assert answer == e, (m, k)
                 continue
             d = m - orders[m]
-            dot = exact_value(w, base[m], P(-1, 1) ** orders[m] * Poly.monomial(d))
+            dot = exact_value(w, base[m], P(-1, 1) ** orders[m] * Poly((0,) * d + (1,)))
             if m in direct:
                 assert answer == (dot, key) and (dot != e[0]) == (d > 0), m
             else:  # the block's entry, which the dot product would miss

@@ -15,9 +15,9 @@ from specpoly import (
     classical_presets,
     derive_weight,
     eigentable,
-    moment_reach,
     pearson_check,
 )
+from specpoly.weights import _integrability_rule
 
 from oracles import (
     boundary_vanishing,
@@ -99,7 +99,7 @@ class TestDeriveWeight:
 
     def test_rejects_high_degree(self):
         with pytest.raises(UnsupportedLeadingCoefficient):
-            derive_weight(Poly.monomial(3), P(0, 1))
+            derive_weight(Poly((0, 0, 0, 1)), P(0, 1))
 
     def test_rejects_quadratic_b(self):
         with pytest.raises(ValueError, match=r"^weight derivation requires deg\(b\) <= 1$") as err:
@@ -238,14 +238,15 @@ class TestIntegrability:
         assert integrability(weight_of(FamilySpec.hermite(-2, 0)), total_degree=9).integrable
         assert not integrability(weight_of(FamilySpec.hermite(2, 0))).integrable
 
-    def test_moment_reach_is_the_degree_verdict(self):
-        # k <= moment_reach(w) exactly when integrability(w, k) holds, on every
-        # weight shape; the reach is finite only on the Romanovski shape
-        assert moment_reach(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == 7
-        assert moment_reach(weight_of(FamilySpec.romanovski(-7, 0))) == 7
-        assert moment_reach(weight_of(FamilySpec.romanovski(0, 1))) == 0
-        assert moment_reach(weight_of(FamilySpec.romanovski(1, 1))) == -1
-        assert moment_reach(weight_of(FamilySpec.hermite(-2, 0))) == math.inf
+    def test_rule_reach_is_the_degree_verdict(self):
+        # p x^k is integrable (integrability(w, k)) exactly when the rule has no division
+        # and k <= its reach, on every weight shape; the reach is finite only on the
+        # Romanovski shape
+        assert _integrability_rule(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == ((), 7)
+        assert _integrability_rule(weight_of(FamilySpec.romanovski(-7, 0))) == ((), 7)
+        assert _integrability_rule(weight_of(FamilySpec.romanovski(0, 1))) == ((), 0)
+        assert _integrability_rule(weight_of(FamilySpec.romanovski(1, 1))) == ((), -1)
+        assert _integrability_rule(weight_of(FamilySpec.hermite(-2, 0))) == ((), math.inf)
         rng = random.Random(131)
         reaches = set()
         for _ in range(40):
@@ -258,21 +259,21 @@ class TestIntegrability:
                 FamilySpec.hermite(alpha or Fraction(-1), beta),
             ):
                 w = weight_of(spec)
-                reach = moment_reach(w)
-                reaches.add(reach if reach in (-1, math.inf) else "finite")
+                divisions, reach = _integrability_rule(w)
+                reaches.add("division" if divisions else reach if reach in (-1, math.inf) else "finite")
                 for k in range(20):
-                    assert (k <= reach) == integrability(w, k).integrable, (spec, k)
-        assert reaches == {-1, math.inf, "finite"}
+                    assert (not divisions and k <= reach) == integrability(w, k).integrable, (spec, k)
+        assert reaches == {"division", -1, math.inf, "finite"}
 
     def test_constant_exponential_neither_decays_nor_grows(self):
         # e^E with E constant is a constant factor, so the power law decides at the infinite
         # ends, in the library's rule and in the oracle: exp(-1) on R admits no degree, and
         # (x^2+1)^(-1) e admits degree 0 (its integral is e pi)
         bare = WeightExpr(exp_poly=P(-1), interval=Interval(None, None))
-        assert moment_reach(bare) == -1
+        assert _integrability_rule(bare) == ((), -1)
         assert integrability(bare).conditions[-1] == ("+inf", False, "asymptotic power 0 >= -1")
         cauchy = WeightExpr(quad_exp=Fraction(-1), exp_poly=P(1), interval=Interval(None, None))
-        assert moment_reach(cauchy) == 0
+        assert _integrability_rule(cauchy) == ((), 0)
         assert integrability(cauchy).integrable and not integrability(cauchy, 1).integrable
 
 
