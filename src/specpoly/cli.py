@@ -125,9 +125,7 @@ def _cmd_spectrum(args, parser) -> dict | str:
             "distinct": spec.distinct,
             "multiplicity": [
                 {"eigenvalue_of_L": str(mu), "degrees": list(degs)}
-                for mu, degs in sorted(
-                    spec.multiplicity.items(), key=lambda item: item[1][0]
-                )
+                for mu, degs in spec.multiplicity.items()
             ],
         }
     header = f"{'degree':>6} {'eigenvalue of L':>18} {'lambda (ODE)':>14}"

@@ -1,10 +1,10 @@
 """Weighted inner products <f, g> = integral p f g and Gram matrices.
 
 Routing policy: one router serves Gram matrices and inner_product alike, and
-takes one of three routes per pair.  _shape names the route once per weight
-from the four shapes derive_weight gives (Bochner's classification): Jacobi
-on a finite interval, Laguerre on a half line, Romanovski or Gaussian on the
-real line.
+takes one of three routes per pair.  _shape alone names the route, once per
+weight, from the four shapes derive_weight gives (Bochner's classification):
+Jacobi on a finite interval, Laguerre on a half line, Romanovski or Gaussian
+on the real line.
 
 * exact and moment: on the three shapes below every moment m_k = integral
   p x^k is an exact rational r_k times m_0.  From a Pearson pair (a, b),
@@ -34,8 +34,8 @@ real line.
     route: integer exponents, so A_r >= 0, and
     m_0 = (hi - lo)^(A_lo+A_hi+1) A_lo! A_hi! / (A_lo+A_hi+1)! is rational,
     folded into the entry, which is then the exact integral, with no float.
-    A factor rooted off the ends, a non-integer exponent or a transcendental
-    factor leaves the weight to quadrature.
+    _shape leaves a weight with a factor rooted off the ends, a non-integer
+    exponent, an (x^2+1) or a transcendental factor to quadrature.
   - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: m_0 is
     Cauchy's beta integral.  The last k with p x^k integrable (the reach),
     read once per matrix, refuses every pair with m + n past it before the
@@ -46,8 +46,8 @@ real line.
     reach -1: no pair is integrable.
   These two are the moment route: m_0 is a float, and an entry is its exact
   ratio to m_0 (times the weight's constant) times that float.
-* quadrature: by tanh-sinh, a finite-interval pair that does not reduce, on
-  the interval, and every pair of a Gaussian factor e^(c2 x^2 + c1 x),
+* quadrature: by tanh-sinh, every pair of a finite-interval weight off the
+  exact route, on the interval, and of a Gaussian factor e^(c2 x^2 + c1 x),
   c2 < 0, on the real line, with x = centre + scale artanh(t) on (-1, 1),
   centre = -c1/(2 c2), scale = 2/sqrt(-c2): after the sweep's
   t = tanh((pi/2) sinh u) that is the plain sinh substitution of an integrand
@@ -93,14 +93,14 @@ One integrability decision per weight.  Where it has a moment form, the form
 decides: a pair is non-integrable when the block refuses its key or, on the
 Romanovski shape, when m + n is past the reach; a pair with no eigenfunction
 is integrable when no end divides and m + n is within the reach.  A weight
-with no form (a non-integer finite exponent, a factor rooted off the ends, the
-Gaussian, a shape with no route) takes the integrability gate, and a pair goes
-to quadrature when the gate holds.  The gate reads weights' one integrability
-rule, (divisions, reach), once per matrix, and each eigenfunction's root order
-at each division (r, k) once, capped at k: a pair is integrable when its
-orders sum to k or more at every division and deg f + deg g is within the
-reach, so no f g is formed for a verdict; a degree with no eigenfunction
-counts its degree alone.  A zero f or g is an exact zero with no verdict read
+with no form (a finite interval off the exact route, the Gaussian, a shape
+with no route) takes the integrability gate, and a pair goes to quadrature
+when the gate holds.  The gate reads weights' one integrability rule,
+(divisions, reach), once per matrix, and each eigenfunction's root order at
+each division (r, k) once, capped at k: a pair is integrable when its orders
+sum to k or more at every division and deg f + deg g is within the reach, so
+no f g is formed for a verdict; a degree with no eigenfunction counts its
+degree alone.  A zero f or g is an exact zero with no verdict read
 (0.0 on a moment shape).  A Gram matrix makes one node sweep per weight
 (quadrature._product_sweep), with one evaluation per node: each node's
 abscissa, log p(x) and Jacobian are computed once and shared by all pending
@@ -147,10 +147,6 @@ __all__ = [
     "RomanovskiReport",
     "finite_orthogonality_report",
 ]
-
-
-class NotPolynomialReducible(ValueError):
-    """p*f*g does not reduce to a polynomial on a finite interval."""
 
 
 class NonIntegrable(ValueError):
@@ -236,31 +232,19 @@ class _MomentForm:
     entry is the integral; on the moment route it is the ratio to the key's float m_0
     (m_0[key], set when the key's moments are read).  A refused key is a non-integrable
     pair.  steps caps the ratios (the Romanovski reach): a pair past it has no moment, and
-    the caller asks none."""
+    the caller asks none.  The weight is one _shape names "exact", "laguerre" or
+    "romanovski": every power factor with a nonzero exponent is rooted at an end."""
 
     def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: float = math.inf):
         iv = weight.interval
         self.weight, self.finite = weight, iv.finite
-        if self.finite:  # no f g cancels a transcendental factor
-            if weight.exp_poly or weight.arctan_coeff:
-                raise NotPolynomialReducible("weight has a transcendental factor")
-            if weight.quad_exp:
-                raise NotPolynomialReducible("weight has a (x^2+1) factor")
         # per finite end r: the summed exponent E_r (an int on a finite interval) and the
         # divisions k_r = max(floor(-E_r), 0), a divisor (end index, k_r) where k_r > 0
         self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
         self.exponents = net = [0] * len(ends)
         for pf in weight.power_factors:
-            e, r = pf.exponent, pf.root
-            if not e:
-                continue
-            if r not in ends:
-                raise NotPolynomialReducible(f"root {r} is not an end of {iv.describe()}")
-            if self.finite:
-                if e.denominator != 1:
-                    raise NotPolynomialReducible(f"non-integer exponent {e} at root {r}")
-                e = e.numerator
-            net[ends.index(r)] += e
+            if pf.exponent:  # rooted at an end, by _shape
+                net[ends.index(pf.root)] += pf.exponent.numerator if self.finite else pf.exponent
         self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
         # the module docstring's one Pearson pair, as ints over the lcm d of the denominators
         # of the E_r, E' and the real line's quad_exp and arctan_coeff: a = prod (q x - p)
@@ -324,7 +308,7 @@ class _MomentForm:
 
     def block(self, pairs: Sequence[tuple[int, int]], ids: Sequence[int] | None = None) -> list:
         """Per label pair (m, n): its entry and key, s_f + s_g - k per divisor (r, k), the power
-        of (x - r) the pair leaves; or, where a key is negative, the pair's refusal.  Each key's
+        of (x - r) the pair leaves; or, where a key is negative, its reason text.  Each key's
         moments are read once and each row L once per (label, key), for the label with the
         longer f~; a zero entry is the one shared Fraction(0).
 
@@ -357,7 +341,7 @@ class _MomentForm:
                 answers.append(zero)
                 continue
             if refusal:
-                answers.append(NotPolynomialReducible(refusal))
+                answers.append(refusal)
                 continue
             d_a, a = reduced[m]
             if m in direct and m == n:
@@ -430,11 +414,10 @@ def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, flo
         roots.append(tuple(mults) if any(mults) else None)
     count = len(funcs)
     log, copysign, inf = math.log, math.copysign, math.inf
-    shape = _shape(weight)
-    finite = shape == "finite"
+    finite = iv.finite
     if finite:
         lo, hi = float(iv.lo), float(iv.hi)
-    elif shape == "gaussian":
+    elif _shape(weight) == "gaussian":
         lo, hi = -1.0, 1.0  # a Gaussian factor e^(c2 x^2 + c1 x): the module docstring's map
         c1, c2 = exp_poly.coeff(1), exp_poly.coeff(2)
         centre, scale = float(-c1 / (2 * c2)), 2.0 / math.sqrt(float(-c2))
@@ -502,12 +485,17 @@ def _numeric_quad(
 
 
 def _shape(weight: WeightExpr) -> str | None:
-    """The weight's route: "romanovski" or "laguerre", the moment route; "finite", exact
-    where the pair reduces, else quadrature on the interval; "gaussian", quadrature on the
-    sinh map (module docstring); None, no route."""
+    """The weight's route, the one place it is decided: "exact", a finite interval whose
+    weight is its constant times |x - r|^E_r at the ends with integer E_r; "romanovski" or
+    "laguerre", the moment route; "finite", quadrature on any other finite interval;
+    "gaussian", quadrature on the sinh map (module docstring); None, no route."""
     iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
     if iv.finite:
-        return "finite"
+        ends = iv.lo, iv.hi
+        polynomial = not (exp_poly or weight.arctan_coeff or weight.quad_exp) and all(
+            pf.root in ends and pf.exponent.denominator == 1 for pf in factors if pf.exponent
+        )
+        return "exact" if polynomial else "finite"
     if iv.lo is None and iv.hi is None:
         if weight.quad_exp is not None and not factors and not exp_poly:
             return "romanovski"
@@ -564,15 +552,10 @@ def _route(
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
     shape = _shape(weight)
     moment = shape in ("romanovski", "laguerre")
-    form = None
     # the last k with a moment r_k, the integrability rule's reach: the Romanovski power law
     # caps it, a half line whose e^(c x) grows has none, and a finite form's keys have them all
     reach = _integrability_rule(weight)[1] if moment else math.inf
-    if moment or shape == "finite":
-        try:
-            form = _MomentForm(weight, known, reach)
-        except NotPolynomialReducible:  # only a finite interval's form refuses a weight
-            pass
+    form = _MomentForm(weight, known, reach) if moment or shape == "exact" else None
     # a degree alone (no eigenfunction) is integrable where no end divides, within the reach
     integrable = (
         _integrability_gate(weight, funcs) if form is None

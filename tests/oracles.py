@@ -8,7 +8,10 @@ independent of the solver's banded back-substitution and of the rational
 Gauss-Jordan ``rref_kernel`` it runs on a collision's condition matrix.
 ``divide_and_integrate`` is the exact inner product computed the direct
 way, one polynomial product and one definite integral per pair, against
-which the library's moment assembly is checked.  ``log_eval_reference``
+which the library's moment assembly is checked; its refusal,
+``NotPolynomialReducible``, is its own (the library's router decides a
+weight's route once, and its moment form returns a refused pair's reason
+text, the same text this oracle raises).  ``log_eval_reference``
 is ``WeightExpr.log_eval`` as it was before the weight cached its float
 form: it converts and compares the Fraction fields at every call, and the
 cached version must agree with it bit for bit.  ``moment_scale`` is
@@ -75,7 +78,6 @@ from specpoly import (
     WeightExpr,
 )
 from specpoly._record import Record
-from specpoly.orthogonality import NotPolynomialReducible
 from specpoly.quadrature import QuadResult
 from specpoly.ratpoly import horner
 
@@ -276,6 +278,10 @@ def spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
     """Do two sets of vectors span the same subspace?  Stacking them raises
     neither rank."""
     return _rank(a) == _rank([*a, *b]) == _rank(b)
+
+
+class NotPolynomialReducible(ValueError):
+    """divide_and_integrate's refusal: p*f*g does not reduce to a polynomial."""
 
 
 def divide_and_integrate(weight: WeightExpr, f: Poly, g: Poly) -> Fraction:

@@ -11,10 +11,13 @@ the last digit between machines.  A Romanovski report prints no such float:
 its valued pairs are exact zeros.
 
 To regenerate after an intended output change, run
-``PYTHONPATH=src python tests/test_golden_cli.py``.
+``PYTHONPATH=src python tests/test_golden_cli.py``.  The degree-200 Legendre
+Gram matrix, too large to commit, is pinned by the sha256 of its stdout in
+each format instead; an intended change to it updates ``LARGE_SHA256``.
 """
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -80,6 +83,13 @@ CASES = {
     },
 }
 
+# the Gram matrix of Legendre up to degree 200 (20,301 exact entries), by format
+LARGE = ("gram", "--preset", "legendre", "--n-max", "200")
+LARGE_SHA256 = {
+    "json": "9ba2589de9ba81c3a220157c101bc61d00456402b72f64d33515c41c1d42ee01",
+    "table": "c24c27e8d3d41db21437e98f0651cd979d3d9ce64890e883d5dad11da3e81d33",
+}
+
 
 def _stdout(argv) -> tuple[int, str]:
     out = io.StringIO()
@@ -93,6 +103,13 @@ def test_cli_output_matches_golden(name):
     code, out = _stdout(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", sorted(LARGE_SHA256))
+def test_degree_200_gram_matches_its_hash(fmt):
+    code, out = _stdout((*LARGE, "--format", fmt))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_SHA256[fmt]
 
 
 if __name__ == "__main__":

@@ -246,6 +246,26 @@ class TestSpectrum:
         assert spec.multiplicity == {Fraction(0): (0, 1, 2, 3, 4)}
         assert not spec.distinct
 
+    def test_multiplicity_is_in_first_degree_order(self):
+        # the CLI prints multiplicity as the dict holds it: each eigenvalue once, with its
+        # degrees ascending, in the order of its first degree.  Jacobi eigenvalues
+        # eps j(j-1) + alpha j collide at j + k = 1 - eps alpha, an integer here
+        rng = random.Random(44)
+        collided = 0
+        for _ in range(300):
+            eps = rng.choice([-1, 1])
+            alpha = -eps * rng.randint(1, 20)
+            beta = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            n = rng.randint(2, 16)
+            spec = build_operator(FamilySpec.jacobi(eps, alpha, beta)).spectrum(n)
+            multiplicity = spec.multiplicity
+            firsts = [degs[0] for degs in multiplicity.values()]
+            assert firsts == sorted(firsts), (eps, alpha, n)
+            assert sorted(d for degs in multiplicity.values() for d in degs) == list(range(n + 1))
+            assert all(list(degs) == sorted(degs) for degs in multiplicity.values())
+            collided += not spec.distinct
+        assert collided > 100
+
     def test_prop_two_plus_eps_eigenvalues(self):
         # (x^2+1) y'' + (alpha x) y' has eigenvalues j(j-1) + alpha*j on L
         alpha = Fraction(-4)

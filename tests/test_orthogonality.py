@@ -32,11 +32,11 @@ from specpoly import (
     gram_matrix_for_operator,
     inner_product,
 )
-from specpoly.orthogonality import NotPolynomialReducible
 from specpoly.ratpoly import common_denominator
 from specpoly.weights import _integrability_rule
 
 from oracles import (
+    NotPolynomialReducible,
     boundary_vanishing,
     divide_and_integrate,
     favard_diagonals,
@@ -66,12 +66,20 @@ def exact_value(w, f, g):
 
 
 def form_pair(w, f, g):
-    """The moment form's block of the one pair (f, g): its exact value, or the pair's
-    NotPolynomialReducible raised.  The form raises its refusal of the weight itself."""
+    """The moment form's block of the one pair (f, g) on a weight that _shape routes to the
+    exact route: its exact value, or the pair's refusal text."""
+    assert orthogonality._shape(w) == "exact", w.formula()
     (answer,) = orthogonality._MomentForm(w, {0: f, 1: g}).block([(0, 1)])
-    if isinstance(answer, NotPolynomialReducible):
-        raise answer
-    return answer[0]
+    return answer[0] if isinstance(answer, tuple) else answer
+
+
+def left_to_quadrature(w, reason):
+    """_shape routes the finite-interval weight w to quadrature, the oracle refuses <1, 1>
+    on it with reason, and inner_product integrates it by quadrature."""
+    assert orthogonality._shape(w) == "finite", w.formula()
+    with pytest.raises(NotPolynomialReducible, match=f"^{re.escape(reason)}$"):
+        divide_and_integrate(w, Poly.one(), Poly.one())
+    assert inner_product(w, Poly.one(), Poly.one())[1] == "quadrature"
 
 
 LEGENDRE_W = weight_of(FamilySpec.jacobi(-1, -2, 0))
@@ -110,41 +118,40 @@ class TestExactPath:
         assert exact_value(CQ_W, y2, y2) > 0
 
     def test_transcendental_weight_not_reducible(self):
-        # the exact route is the finite interval's: the form refuses a transcendental factor
-        # there, and the Romanovski weight's pairs take the moment route
-        with pytest.raises(NotPolynomialReducible, match="^weight has a transcendental factor$"):
-            form_pair(WeightExpr(arctan_coeff=Fraction(1)), Poly.one(), Poly.one())
+        # the exact route is the finite interval's: _shape leaves a transcendental factor
+        # there to quadrature, and the Romanovski weight's pairs take the moment route
+        left_to_quadrature(WeightExpr(arctan_coeff=Fraction(1)), "weight has a transcendental factor")
         value, method, err_est = inner_product(ROM_W, Poly.one(), Poly.one())
         assert method == "moment" and type(value) is float and err_est is None
 
     def test_fractional_exponent_not_reducible(self):
-        with pytest.raises(NotPolynomialReducible, match="^non-integer exponent -1/2 at root -1$"):
-            form_pair(CHEB_W, Poly.one(), Poly.one())
+        left_to_quadrature(CHEB_W, "non-integer exponent -1/2 at root -1")
 
     def test_zero_polynomial_is_zero_before_exponent_checks(self):
-        # a zero f or g is an exact zero on a finite interval, also where the form refuses
-        # the weight's exponents; on the Romanovski shape it is the moment route's 0.0
+        # a zero f or g is an exact zero on a finite interval, also where _shape leaves the
+        # weight to quadrature; on the Romanovski shape it is the moment route's 0.0
         interior = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(1)),))
         for w in (CHEB_W, interior):
             for f, g in ((Poly(), Poly((0, 1))), (P(1, 2), Poly())):
                 value = exact_value(w, f, g)
                 assert value == 0 and isinstance(value, Fraction)
-        with pytest.raises(NotPolynomialReducible):
-            form_pair(interior, Poly.one(), Poly.one())
+        assert orthogonality._shape(interior) == "finite"
+        with pytest.raises(NotPolynomialReducible, match=r"^root 0 lies inside \(-1, 1\)$"):
+            divide_and_integrate(interior, Poly.one(), Poly.one())
         value = inner_product(ROM_W, Poly(), Poly.one())
         assert value == (0.0, "moment", None) and type(value[0]) is float
 
     def test_uncancelled_negative_power_not_reducible(self):
-        with pytest.raises(NotPolynomialReducible, match=r"^f\*g is not divisible by \(x - 1\)\^1$"):
-            form_pair(CQ_W, Poly.one(), Poly((0, 1)))
+        assert form_pair(CQ_W, Poly.one(), Poly((0, 1))) == "f*g is not divisible by (x - 1)^1"
 
-    # the exact route integrates powers rooted at the interval's ends only: |x|^2 (inside)
-    # and |x - 3| (outside) on (-1, 1) are refused by name and integrated by quadrature
-    @pytest.mark.parametrize("root, exponent, expected", [(0, 2, 2 / 3), (3, 1, 6.0)])
+    # the exact route integrates powers rooted at the interval's ends only: _shape leaves
+    # |x|^2 (inside) and |x - 3| (outside) on (-1, 1) to quadrature, which meets the oracle's
+    # exact integral
+    @pytest.mark.parametrize("root, exponent, expected", [(0, 2, Fraction(2, 3)), (3, 1, 6)])
     def test_power_rooted_off_the_ends_is_refused(self, root, exponent, expected):
         w = WeightExpr(power_factors=(PowerFactor(Fraction(root), Fraction(exponent)),))
-        with pytest.raises(NotPolynomialReducible, match=f"root {root} is not an end of \\(-1, 1\\)"):
-            form_pair(w, Poly.one(), Poly.one())
+        assert orthogonality._shape(w) == "finite"
+        assert divide_and_integrate(w, Poly.one(), Poly.one()) == expected
         value, method, _ = inner_product(w, Poly.one(), Poly.one())
         assert method == "quadrature" and abs(value - expected) <= 1e-12
 
@@ -195,9 +202,8 @@ def _jacobi_with_exponents(p, q):
 def _same_as_oracle(w, f, g):
     try:
         expected = divide_and_integrate(w, f, g)
-    except NotPolynomialReducible:
-        with pytest.raises(NotPolynomialReducible):
-            form_pair(w, f, g)
+    except NotPolynomialReducible as error:
+        assert form_pair(w, f, g) == str(error)
         return False
     assert inner_product(w, f, g) == (expected, "exact", None)
     return True
@@ -215,11 +221,6 @@ PLANTED_WEIGHTS = [
     )
     for e1, e2 in ((-1, -1), (-1, 2), (3, -2), (-2, 3), (1, 1))
 ]
-
-
-def _outcome(answer):
-    """A block answer, with a refusal as its type and text."""
-    return answer if isinstance(answer, tuple) else (type(answer), str(answer))
 
 
 def _block_key(w, f, g):
@@ -273,7 +274,7 @@ class TestMomentAssembly:
     def test_block_agrees_with_oracle_in_any_order(self):
         # a Gram matrix's pairs as one block, shuffled, and one pair at a time give the same
         # answers: divide_and_integrate's value (and inner_product's) with the key
-        # s_f + s_g - k per divisor, or the oracle's NotPolynomialReducible text
+        # s_f + s_g - k per divisor, or the oracle's NotPolynomialReducible text as the refusal
         rng = random.Random(107)
         draws = []
         for spec, n_max in ASSEMBLY_SPECS:
@@ -290,20 +291,19 @@ class TestMomentAssembly:
             draws.append((w, polys))
         exact = refused = 0
         for w, polys in draws:
+            assert orthogonality._shape(w) == "exact", w.formula()
             form = orthogonality._MomentForm(w, polys)
             pairs = [(m, n) for m in polys for n in polys if m <= n]
-            answers = dict(zip(pairs, map(_outcome, form.block(pairs))))
+            answers = dict(zip(pairs, form.block(pairs)))
             shuffled = rng.sample(pairs, len(pairs))
-            assert dict(zip(shuffled, map(_outcome, form.block(shuffled)))) == answers
+            assert dict(zip(shuffled, form.block(shuffled))) == answers
             for (m, n), answer in answers.items():
-                assert list(map(_outcome, form.block([(m, n)]))) == [answer]
+                assert form.block([(m, n)]) == [answer]
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
                 except NotPolynomialReducible as error:
-                    assert answer == (NotPolynomialReducible, str(error)), (w, m, n)
-                    with pytest.raises(NotPolynomialReducible, match=re.escape(str(error))):
-                        form_pair(w, f, g)
+                    assert answer == str(error) == form_pair(w, f, g), (w, m, n)
                     refused += 1
                     continue
                 assert answer == (expected, _block_key(w, f, g)), (w, m, n)
@@ -386,6 +386,7 @@ class TestMomentAssembly:
         ))
         exact = refused = 0
         for w in weights:
+            assert orthogonality._shape(w) == "exact", w.formula()
             polys = {}
             for label in range(8):
                 f = big_poly(rng.randint(0, 5))
@@ -397,8 +398,8 @@ class TestMomentAssembly:
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
-                except NotPolynomialReducible:
-                    assert isinstance(answer, NotPolynomialReducible)
+                except NotPolynomialReducible as error:
+                    assert answer == str(error), (w, m, n)
                     refused += 1
                     continue
                 assert answer[0] == expected == exact_value(w, f, g)
@@ -1664,15 +1665,12 @@ def _form_and_pairs(op, n):
         w = derive_weight(op.coeffs[2], op.coeffs[1])
     except ValueError:
         return None
-    if orthogonality._shape(w) not in ("finite", "laguerre", "romanovski"):
+    if orthogonality._shape(w) not in ("exact", "laguerre", "romanovski"):
         return None
     table = eigentable(op, n)
     funcs = [r.monic for r in table]
     reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
-    try:
-        form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
-    except NotPolynomialReducible:  # a non-integer exponent on a finite interval
-        return None
+    form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
     pairs = [
         (m, k) for m in range(n + 1) for k in range(m, n + 1)
         if funcs[m] is not None and funcs[k] is not None and m + k <= reach
@@ -1719,11 +1717,10 @@ class TestCertifiedEntries:
             got, want = form.block(pairs, ids), form.block(pairs)
             blind = dict(zip(pairs, _poisoned(form).block(pairs, ids)))
             for (m, k), g, e in zip(pairs, got, want):
-                assert type(g) is type(e), (op, m, k)
-                if not isinstance(e, tuple):
-                    assert str(g) == str(e), (op, m, k)
+                assert type(g) is type(e) and g == e, (op, m, k)
+                if not isinstance(e, tuple):  # a negative key's refusal text
                     continue
-                assert g == e and type(g[0]) is Fraction, (op, m, k)
+                assert type(g[0]) is Fraction, (op, m, k)
                 if m == k:  # the labels from sum(s) below m all have m's class s, other ids
                     s = form.classes[m]
                     counts["direct"] += all(
@@ -1805,8 +1802,8 @@ class TestCertifiedEntries:
         k_r = 2 if divided else 0
         for (m, k), answer in got.items():
             e = want[m, k]
-            if isinstance(e, NotPolynomialReducible):
-                assert orders[m] + orders[k] < k_r and str(answer) == str(e), (m, k)
+            if isinstance(e, str):
+                assert orders[m] + orders[k] < k_r and answer == e, (m, k)
                 continue
             key = e[1]
             assert key == ((orders[m] + orders[k] - k_r,) if divided else ())
@@ -1888,7 +1885,7 @@ class TestPearsonPair:
                 assert b.degree <= 1 and all(type(v) is int for v in pair), (op, key)
                 scale = Fraction(pair[2] or pair[1], want[2] or want[1])
                 assert scale and [scale * v for v in want] == list(pair), (op, key, pair)
-        assert shapes == {"finite": 360, "laguerre": 150, "romanovski": 60}
+        assert shapes == {"exact": 360, "laguerre": 150, "romanovski": 60}
         assert len(keys) == len(pairs) > 750 and shifted > 500
 
 
@@ -1951,7 +1948,7 @@ class TestIntegrabilityDecision:
         # integrability verdict on p times (x - r)^s at each root r of p, with s the
         # pair's summed root orders read by the oracle's synthetic division, times a degree
         # m + n - sum(s); a pair with no eigenfunction reads the degree verdict for m + n
-        counts = {"finite": 0, "laguerre": 0, "romanovski": 0}
+        counts = {"exact": 0, "laguerre": 0, "romanovski": 0}
         refused = missing = 0
         for op, n in integrability_draw():
             w = derive_weight(op.coeffs[2], op.coeffs[1])
@@ -1975,7 +1972,7 @@ class TestIntegrabilityDecision:
                     want = integrability(w, e.m + e.n - sum(s), factor).integrable
                 assert e.integrable == want, (op, e.m, e.n)
                 refused += not want
-        assert counts == {"finite": 50, "laguerre": 30, "romanovski": 60}
+        assert counts == {"exact": 50, "laguerre": 30, "romanovski": 60}
         assert refused > 2000 and missing > 300
 
 
@@ -2095,9 +2092,12 @@ class TestRefusals:
          r"weight has a \(x\^2\+1\) factor"),
     ], ids=["exp", "arctan", "quad", "quad-on-(0,2)"])
     def test_exact_route_refuses_finite_weight_shapes(self, weight, reason):
+        # _shape leaves these to quadrature on the interval, where the oracle refuses them
+        assert orthogonality._shape(weight) == "finite"
         for f in (Poly.one(), Poly()):  # refused before the zero case
             with pytest.raises(NotPolynomialReducible, match=f"^{reason}$"):
-                form_pair(weight, f, P(1, 1))
+                divide_and_integrate(weight, f, P(1, 1))
+        assert inner_product(weight, Poly.one(), P(1, 1))[1] == "quadrature"
 
     def test_missing_entry_is_key_error(self):
         report = gram_matrix(CQ_SPEC, 3)  # degrees 1..3

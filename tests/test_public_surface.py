@@ -37,9 +37,10 @@ SURFACE = [
     "gram_matrix_for_operator", "RomanovskiPair", "RomanovskiReport",
     "finite_orthogonality_report",
 ]
-# the first four live in the test oracles; moment_reach is the integrability rule's reach
-# (weights._integrability_rule); no public function returns a QuadResult or lets a
-# NotPolynomialReducible escape (both stay defined in their modules)
+# the first four live in the test oracles, and so does NotPolynomialReducible, the oracle's
+# refusal (the moment form returns a refused pair's reason text); moment_reach is the
+# integrability rule's reach (weights._integrability_rule); no public function returns a
+# QuadResult (it stays defined in quadrature)
 NOT_EXPORTED = ["boundary_vanishing", "BoundaryVerdict", "integrability", "IntegrabilityVerdict",
                 "moment_reach", "QuadResult", "NotPolynomialReducible"]
 
