@@ -48,7 +48,6 @@ from .orthogonality import (
     NonIntegrable,
     finite_orthogonality_report,
     gram_matrix,
-    gram_matrix_for_operator,
 )
 from .quadrature import NoConvergence
 from .weights import UnsupportedLeadingCoefficient, derive_weight, pearson_check
@@ -170,11 +169,8 @@ def _cmd_weight(args, parser) -> dict | str:
 
 
 def _cmd_gram(args, parser) -> dict | str:
-    spec = _resolve_spec(args, parser)
-    if spec is not None:
-        report = gram_matrix(spec, args.n_max, args.tol)
-    else:
-        report = gram_matrix_for_operator(_resolve_operator(args, parser), args.n_max, args.tol)
+    report = gram_matrix(_resolve_spec(args, parser) or _resolve_operator(args, parser),
+                         args.n_max, args.tol)
     return report.to_json() if args.format == "json" else report.format_table()
 
 

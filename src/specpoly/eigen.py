@@ -7,8 +7,9 @@ mu = mu_n without a collision Z is just [n].  Each z in Z gives a vector
 v^(z): c_z = 1, 0 above z and at the rest of Z, and back-substitution over
 the band solves each row below z that has a nonzero diagonal.  A row in Z
 cannot be solved and records its residual instead.  v^(z) depends on z and
-mu = M[z][z] alone, so ``eigentable`` back-substitutes each degree once and
-keeps v^(z) while M[z][z] repeats higher up: a collision reuses it.
+mu = M[z][z] alone, so one loop, run on 0..n_max by ``eigentable`` and on Z
+alone by a single-degree query, back-substitutes each degree once and keeps
+v^(z) while M[z][z] repeats higher up: a collision reuses it.
 
 In the condition matrix (a row per row of Z, a column of residuals per z)
 a zero column is free, and its basis vector lifts to v^(z) itself; a lone
@@ -192,15 +193,6 @@ def _kernel(columns: Sequence[Column]) -> list[Poly]:
     return sorted(basis, key=lambda v: v.degree)
 
 
-def _basis(matrix: OperatorMatrix, mu: Fraction, n: int) -> list[Poly]:
-    """Standard kernel basis of M - mu I on the leading (n+1)x(n+1) block."""
-    d_m, rows = matrix.denominator, matrix.band
-    if d_m % mu.denominator:
-        return []  # every diagonal entry's denominator divides D: U is invertible
-    shift = mu.numerator * (d_m // mu.denominator)
-    return _kernel([_back_substitute(rows, shift, z) for z in range(n + 1) if rows[z][0] == shift])
-
-
 def _result(n: int, mu: Fraction, basis: list[Poly]) -> EigenResult:
     """The degree-n result; only the last basis vector can reach degree n."""
     top, basis = basis[-1], tuple(basis)
@@ -208,6 +200,29 @@ def _result(n: int, mu: Fraction, basis: list[Poly]) -> EigenResult:
         return EigenResult(n, mu, EigenStatus.NO_DEGREE_N, None, len(basis), basis)
     status = EigenStatus.UNIQUE_MONIC if len(basis) == 1 else EigenStatus.DEGENERATE
     return EigenResult(n, mu, status, top, len(basis), basis)
+
+
+def _table(matrix: OperatorMatrix, degrees: Sequence[int]) -> list[EigenResult]:
+    """One EigenResult per degree in the ascending ``degrees``, one back-substitution
+    per degree; a degree collides only with the listed lower degrees, and one that no
+    lower degree collides with is its own UniqueMonic result, with no kernel read."""
+    rows = matrix.band
+    last = {rows[z][0]: z for z in degrees}
+    lower: dict[int, list[Column]] = {}  # columns by D M[z][z], while it repeats higher up
+    table = []
+    for z in degrees:
+        shift = rows[z][0]
+        mu, column = Fraction(shift, matrix.denominator), _back_substitute(rows, shift, z)
+        columns = lower.pop(shift, None)
+        if columns is None:  # no lower degree collides: v^(z) is the unique monic eigenfunction
+            columns = [column]
+            table.append(EigenResult(z, mu, EigenStatus.UNIQUE_MONIC, column[0], 1, (column[0],)))
+        else:
+            columns.append(column)
+            table.append(_result(z, mu, _kernel(columns)))
+        if last[shift] > z:
+            lower[shift] = columns
+    return table
 
 
 def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
@@ -220,36 +235,20 @@ def monic_eigenfunction(op: DiffOperator, n: int) -> EigenResult:
     collision, and NoDegreeNEigenfunction.
     """
     matrix = op.matrix(n)
-    mu = Fraction(matrix.band[n][0], matrix.denominator)
-    return _result(n, mu, _basis(matrix, mu, n))
+    rows = matrix.band
+    return _table(matrix, [z for z in range(n + 1) if rows[z][0] == rows[n][0]])[-1]
 
 
 def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
     """Basis of ker(M - mu I) inside P_n; empty when mu is not an eigenvalue."""
-    return _basis(op.matrix(n), rat(mu), n)
+    matrix = op.matrix(n)
+    shift, rows = rat(mu) * matrix.denominator, matrix.band  # no int equals a non-integer shift
+    degrees = [z for z in range(n + 1) if rows[z][0] == shift]
+    return list(_table(matrix, degrees)[-1].basis) if degrees else []
 
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
-    """One EigenResult per degree 0..n_max from one matrix on P_n_max and one
-    back-substitution per degree; a degree that no lower one collides with is its own
-    UniqueMonic result, with no kernel read."""
+    """One EigenResult per degree 0..n_max from one matrix on P_n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    matrix = op.matrix(n_max)
-    rows = matrix.band
-    last = {row[0]: z for z, row in enumerate(rows)}
-    lower: dict[int, list[Column]] = {}  # columns by D M[z][z], while it repeats higher up
-    table = []
-    for z, row in enumerate(rows):
-        shift = row[0]
-        mu, column = Fraction(shift, matrix.denominator), _back_substitute(rows, shift, z)
-        columns = lower.pop(shift, None)
-        if columns is None:  # no lower degree collides: v^(z) is the unique monic eigenfunction
-            columns = [column]
-            table.append(EigenResult(z, mu, EigenStatus.UNIQUE_MONIC, column[0], 1, (column[0],)))
-        else:
-            columns.append(column)
-            table.append(_result(z, mu, _kernel(columns)))
-        if last[shift] > z:
-            lower[shift] = columns
-    return table
+    return _table(op.matrix(n_max), range(n_max + 1))

@@ -136,10 +136,14 @@ class DiffOperator:
         if not isinstance(data, dict) or "a" not in data:
             raise ValueError('operator JSON must be an object with key "a"')
         item, polys = data["a"], []  # item: what a refusal names
-        try:
+        try:  # arrays only: a string or an object would iterate, and a boolean is an int
+            if not isinstance(item, list):
+                raise TypeError("not a JSON array")
             for item in data["a"]:
+                if not isinstance(item, list) or any(isinstance(c, bool) for c in item):
+                    raise TypeError("not a JSON array of numbers and strings")
                 polys.append(Poly.from_strings(item))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:  # "1/0", and Infinity overflows
             raise ValueError(f"operator JSON: {item!r} is not a list of rationals ({exc})") from exc
         return cls(polys)
 

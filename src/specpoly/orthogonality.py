@@ -142,7 +142,6 @@ __all__ = [
     "GramEntry",
     "OrthoReport",
     "gram_matrix",
-    "gram_matrix_for_operator",
     "RomanovskiPair",
     "RomanovskiReport",
     "finite_orthogonality_report",
@@ -749,35 +748,27 @@ def _gram_for(
     )
 
 
-def gram_matrix(spec: FamilySpec, n_max: int, tol: float = DEFAULT_TOL) -> OrthoReport:
-    """Gram matrix of the family's monic eigenfunctions up to degree n_max.
+def gram_matrix(
+    source: FamilySpec | DiffOperator, n_max: int, tol: float = DEFAULT_TOL
+) -> OrthoReport:
+    """Gram matrix of the monic eigenfunctions up to degree n_max of a family, or of a
+    second-order operator (labelled "custom operator", degrees 0..n_max).
 
     The chaudhry-qadir family starts at degree 1: its degree-0 eigenfunction
     (the constant) does not vanish at t = 1, and the weight 1/(1-t) alone is
     not integrable, so the constant is outside the self-adjointness subspace.
     """
-    op = build_operator(spec)
-    weight = derive_weight(op.coeffs[2], op.coeffs[1])
-    notes: tuple[str, ...] = ()
-    if spec.kind is FamilyKind.CHAUDHRY_QADIR:
-        degrees = tuple(range(1, n_max + 1))
-        notes = (
-            "degree 0 excluded: eigenfunctions must vanish at t=1 for integrability",
-        )
-    else:
-        degrees = tuple(range(n_max + 1))
-    return _gram_for(eigentable(op, n_max), weight, degrees, spec.describe(), tol, notes)
-
-
-def gram_matrix_for_operator(
-    op: DiffOperator, n_max: int, tol: float = DEFAULT_TOL
-) -> OrthoReport:
-    """Gram matrix for a raw second-order operator (degrees 0..n_max)."""
+    spec = source if isinstance(source, FamilySpec) else None
+    op = source if spec is None else build_operator(spec)
     if op.order != 2:
         raise ValueError("gram matrices require a second-order operator")
     weight = derive_weight(op.coeffs[2], op.coeffs[1])
-    degrees = tuple(range(n_max + 1))
-    return _gram_for(eigentable(op, n_max), weight, degrees, "custom operator", tol)
+    degrees, notes = tuple(range(n_max + 1)), ()
+    if spec is not None and spec.kind is FamilyKind.CHAUDHRY_QADIR:
+        degrees = degrees[1:]
+        notes = ("degree 0 excluded: eigenfunctions must vanish at t=1 for integrability",)
+    label = "custom operator" if spec is None else spec.describe()
+    return _gram_for(eigentable(op, n_max), weight, degrees, label, tol, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -168,21 +168,21 @@ class WeightExpr(Record):
             num, den = num * quad + slope * den, den * quad
         return num, den
 
-    def formula(self, var: str = "x") -> str:
+    def formula(self) -> str:
         parts: list[str] = []
         if self.constant != 1:
             parts.append(str(self.constant))
         for pf in self.power_factors:
-            base = f"|{var} - {pf.root}|" if pf.root != 0 else f"|{var}|"
+            base = f"|x - {pf.root}|" if pf.root != 0 else "|x|"
             if pf.root < 0:
-                base = f"|{var} + {-pf.root}|"
+                base = f"|x + {-pf.root}|"
             parts.append(f"{base}^({pf.exponent})")
         if self.quad_exp is not None and self.quad_exp != 0:
-            parts.append(f"({var}^2+1)^({self.quad_exp})")
+            parts.append(f"(x^2+1)^({self.quad_exp})")
         if not self.exp_poly.is_zero():
-            parts.append(f"exp({self.exp_poly.pretty(var)})")
+            parts.append(f"exp({self.exp_poly.pretty()})")
         if self.arctan_coeff != 0:
-            parts.append(f"exp({self.arctan_coeff}*arctan({var}))")
+            parts.append(f"exp({self.arctan_coeff}*arctan(x))")
         return " * ".join(parts) if parts else "1"
 
     def to_json(self) -> dict:

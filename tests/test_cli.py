@@ -470,6 +470,11 @@ class TestContract:
         ({"a": 5}, "5"),
         ({"a": [[None]]}, "[None]"),
         ({"a": [["1/0"]]}, "['1/0']"),
+        ({"a": "123"}, "'123'"),
+        ({"a": ["0", "12", "345"]}, "'0'"),
+        ({"a": [{"1": 0}, ["0", "1"], ["1", "0", "-1"]]}, "{'1': 0}"),
+        ({"a": [[True]]}, "[True]"),
+        ({"a": [["0"], [float("inf")]]}, "[inf]"),
     ])
     def test_malformed_operator_json_is_domain_error(self, capsys, tmp_path, payload, named):
         path = tmp_path / "bad.json"

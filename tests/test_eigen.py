@@ -27,6 +27,7 @@ from oracles import (
     span_contains,
     spans_equal,
 )
+from test_payload_digests import collision_operators  # orders 1-4, forced collisions
 
 
 def P(*coeffs):
@@ -268,6 +269,29 @@ class TestSharedSolver:
         op = build_operator(classical_presets()[name])
         expected = monic_classical(name, 60)
         assert [r.monic for r in eigentable(op, 60)] == expected
+
+
+class TestSingleDegreeCost:
+    # a single-degree query back-substitutes only the degrees up to n whose diagonal is
+    # its eigenvalue, and eigentable each degree once: neither is a full table solve
+    def test_back_substitutions_on_the_collision_corpus(self, monkeypatch):
+        solved, real = [], eigen_module._back_substitute
+        monkeypatch.setattr(eigen_module, "_back_substitute",
+                            lambda rows, shift, z: solved.append(z) or real(rows, shift, z))
+        for op, n_max in collision_operators():
+            diagonal = op.spectrum(n_max).values
+            for n in range(n_max + 1):
+                own = [z for z in range(n + 1) if diagonal[z] == diagonal[n]]
+                solved.clear()
+                monic_eigenfunction(op, n)
+                assert solved == own, (op, n)
+                for mu in (diagonal[n], max(diagonal) + 1):  # an eigenvalue, and none
+                    solved.clear()
+                    eigenspace_basis(op, mu, n)
+                    assert solved == [z for z in own if mu == diagonal[n]], (op, mu, n)
+            solved.clear()
+            eigentable(op, n_max)
+            assert solved == list(range(n_max + 1)), op
 
 
 def _triple_collision(rng, roots, lower):

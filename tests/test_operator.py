@@ -61,6 +61,11 @@ class TestValidation:
         ({"a": [[None]]}, "[None]"),
         ({"a": [["0"], ["1/0"]]}, "['1/0']"),
         ({"a": [["x"]]}, "['x']"),
+        ({"a": "123"}, "'123'"),
+        ({"a": ["0", "12", "345"]}, "'0'"),
+        ({"a": [{"1": 0}, ["0", "1"], ["1", "0", "-1"]]}, "{'1': 0}"),
+        ({"a": [[True]]}, "[True]"),
+        ({"a": [["0"], [float("inf")]]}, "[inf]"),
     ])
     def test_malformed_json_is_value_error_naming_the_item(self, data, named):
         with pytest.raises(ValueError) as err:

@@ -29,7 +29,6 @@ from specpoly import (
     eigentable,
     finite_orthogonality_report,
     gram_matrix,
-    gram_matrix_for_operator,
     inner_product,
 )
 from specpoly.ratpoly import common_denominator
@@ -848,7 +847,7 @@ class TestGramMatrix:
 
     def test_custom_operator_gram(self):
         op = build_operator(FamilySpec.jacobi(-1, -2, 0))
-        report = gram_matrix_for_operator(op, 4)
+        report = gram_matrix(op, 4)
         assert report.degrees == (0, 1, 2, 3, 4)
         assert report.off_diagonal_max_relative == 0.0
 
@@ -885,7 +884,7 @@ class TestFavardDiagonals:
     def check(op, n, r1, r2, e1, e2):
         weight = derive_weight(op.coeffs[2], op.coeffs[1])
         assert weight.power_exponent_at(r1) == e1 and weight.power_exponent_at(r2) == e2
-        gram = gram_matrix_for_operator(op, n)
+        gram = gram_matrix(op, n)
         diagonals = favard_diagonals(eigentable(op, n))
         assert len(diagonals) == n  # every degree is unique: k = 0 .. n - 1
         g00 = gram.entry(0, 0).value
@@ -1147,7 +1146,7 @@ class TestLaguerreMoments:
                     power = mpf(e) + i
                     return mpmath.quad(lambda y: y**power * mpmath.exp(mpf(c) * (mpf(t) + side * y)), [0, mpmath.inf])
 
-                gram = gram_matrix_for_operator(op, n)
+                gram = gram_matrix(op, n)
                 exact = {}
                 for g in gram.entries:
                     assert g.integrable == (g.value is not None)
@@ -1582,7 +1581,7 @@ class TestMomentRoute:
             op = DiffOperator([Poly(), P(beta, alpha), c * P(1, 0, 1)])
             w = derive_weight(op.coeffs[2], op.coeffs[1])
             table = eigentable(op, n)
-            gram = gram_matrix_for_operator(op, n)
+            gram = gram_matrix(op, n)
             diagonals = favard_diagonals(table)
             reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
             diagonal = [(k, k) for k in range(len(diagonals)) if 2 * k <= reach]  # the gated
@@ -1734,7 +1733,7 @@ class TestCertifiedEntries:
             counts["collided"] += len(set(ids)) < len(ids)
             if n <= 12:  # the Gram matrix is the uncertified route's, entry by entry
                 cq = op == build_operator(CQ_SPEC)
-                gram = gram_matrix(CQ_SPEC, n) if cq else gram_matrix_for_operator(op, n)
+                gram = gram_matrix(CQ_SPEC, n) if cq else gram_matrix(op, n)
                 gram_pairs = [(e.m, e.n) for e in gram.entries]
                 funcs = [r.monic for r in table]
                 routes = orthogonality._route(w, funcs, gram_pairs, orthogonality.DEFAULT_TOL)
@@ -1904,7 +1903,7 @@ class TestMomentRatios:
     def test_ratios_know_nothing_of_the_shape(self, a, b, want):
         op = DiffOperator([Poly(), b, a])
         with pytest.raises(UnsupportedLeadingCoefficient):
-            gram_matrix_for_operator(op, 2)
+            gram_matrix(op, 2)
         pair = [int(a.coeff(i)) for i in range(3)] + [int(b.coeff(i)) for i in range(2)]
         den, nums = orthogonality._moment_ratios(pair, len(want) - 1)
         assert [Fraction(v, den) for v in nums] == want
@@ -1960,7 +1959,7 @@ class TestIntegrabilityDecision:
                 None if f is None else [ref_strip_root(f.coeffs, r, f.degree)[1] for r in roots]
                 for f in funcs
             ]
-            for e in gram_matrix_for_operator(op, n).entries:
+            for e in gram_matrix(op, n).entries:
                 if orders[e.m] is None or orders[e.n] is None:
                     want = integrability(w, e.m + e.n).integrable
                     missing += 1
@@ -2068,7 +2067,7 @@ class TestIntegrabilityRule:
 class TestRefusals:
     @pytest.mark.parametrize("call", [
         lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), -1),
-        lambda: gram_matrix_for_operator(build_operator(ROM_SPEC), -1),
+        lambda: gram_matrix(build_operator(ROM_SPEC), -1),
         lambda: finite_orthogonality_report(Fraction(-13, 2), 1, -1),
     ], ids=["gram_matrix", "gram_matrix_for_operator", "finite_orthogonality_report"])
     def test_negative_degree(self, call):
@@ -2082,7 +2081,7 @@ class TestRefusals:
     ], ids=["order-1", "order-3", "order-4"])
     def test_gram_for_operator_needs_order_two(self, coeffs):
         with pytest.raises(ValueError, match="^gram matrices require a second-order operator$"):
-            gram_matrix_for_operator(DiffOperator(coeffs), 2)
+            gram_matrix(DiffOperator(coeffs), 2)
 
     @pytest.mark.parametrize("weight, reason", [
         (WeightExpr(exp_poly=P(0, 1)), "weight has a transcendental factor"),
@@ -2138,7 +2137,7 @@ class TestNoRouteWeights:
         for op, n in draw:
             w = derive_weight(op.coeffs[2], op.coeffs[1])
             assert orthogonality._shape(w) is None, w.formula()
-            entries = gram_matrix_for_operator(op, n).entries
+            entries = gram_matrix(op, n).entries
             assert len(entries) == (n + 1) * (n + 2) // 2
             for e in entries:
                 assert not e.integrable and e.value is None, (op, e)

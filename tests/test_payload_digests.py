@@ -48,7 +48,6 @@ from specpoly import (
     eigentable,
     finite_orthogonality_report,
     gram_matrix,
-    gram_matrix_for_operator,
     pearson_check,
 )
 
@@ -128,7 +127,7 @@ def family_grams() -> list:
         a = c * Poly((-r1, 1)) * Poly((-r2, 1))
         b = c * ((e1 + 1) * Poly((-r2, 1)) + (e2 + 1) * Poly((-r1, 1)))
         op = DiffOperator([Poly(), b, a])
-        calls.append((op.to_json(), gram_matrix_for_operator, op, rng.randint(0, 10)))
+        calls.append((op.to_json(), gram_matrix, op, rng.randint(0, 10)))
     return [[label, _payload(lambda: gram(arg, n).to_json())] for label, gram, arg, n in calls]
 
 
