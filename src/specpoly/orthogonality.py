@@ -17,13 +17,12 @@ on the real line.
   root orders s_r = s_f + s_g reach k_r (key s_r - k_r) integrates
   p prod (x - r)^s_r, with exponent A_r = E_r + s_r at r and the sign
   (-1)^s_r at the upper end.  A negative key leaves A_r <= -1, so the key (with
-  the Romanovski reach) decides integrability.  One pair serves every shape,
-  built once per weight from the fields WeightExpr.dlog sums: a = prod (x - r)
-  over the finite ends, or x^2 + 1 where there is none, so that p a x^k
-  vanishes at each end, and b = a p'/p + a'.  A key's p prod (x - r)^s_r has
-  the pair (a, b + sum s_r a/(x - r)), and each a/(x - r) is a polynomial, so
-  a key adds s_r times one fixed shift per end to b; the recurrence is blind
-  to a common scale of the pair, which is held as ints over one denominator.
+  the Romanovski reach) decides integrability.  One pair serves every shape:
+  the operator's own, which a Gram matrix passes, and WeightExpr.pearson_pair,
+  the same up to scale, for inner_product.  a has a simple root at each finite
+  end, where p a x^k vanishes and E_r = b(r)/a'(r) - 1, in ints over one
+  denominator.  A key's p prod (x - r)^s_r has the pair (a, b + sum s_r
+  a/(x - r)), so a key adds s_r times one fixed polynomial per end to b.
   An entry is a bilinear form over its key's r_k, cleared to integers over
   one denominator: O(n^3) operations for an n x n Gram matrix, no polynomial
   product per entry and one Fraction per nonzero entry (every exact zero is
@@ -133,7 +132,7 @@ from .eigen import EigenResult, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
-from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, common_denominator, rat
+from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, rat
 from .weights import WeightExpr, _integrability_rule, derive_weight
 
 __all__ = [
@@ -232,36 +231,29 @@ class _MomentForm:
     (m_0[key], set when the key's moments are read).  A refused key is a non-integrable
     pair.  steps caps the ratios (the Romanovski reach): a pair past it has no moment, and
     the caller asks none.  The weight is one _shape names "exact", "laguerre" or
-    "romanovski": every power factor with a nonzero exponent is rooted at an end."""
+    "romanovski", and pearson is its Pearson pair (a, b), (p a)' = p b with a simple root
+    of a at each finite end: the operator's own, or WeightExpr.pearson_pair.  The pair
+    gives the exponents and the moments; the weight gives only its ends and m_0."""
 
-    def __init__(self, weight: WeightExpr, polys: dict[int, Poly], steps: float = math.inf):
+    def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly], polys: dict[int, Poly],
+                 steps: float = math.inf):
         iv = weight.interval
         self.weight, self.finite = weight, iv.finite
-        # per finite end r: the summed exponent E_r (an int on a finite interval) and the
-        # divisions k_r = max(floor(-E_r), 0), a divisor (end index, k_r) where k_r > 0
+        # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
+        a, b = pearson
+        d = math.lcm(a.den, b.den)
+        a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
+        b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
+        self.pair = a0, a1, a2, b0, b1
+        # per finite end r = p/q: E_r = b(r)/a'(r) - 1 in ints as derive_weight reads it (an
+        # int on a finite interval), the shift q a/(q x - p) = a/(x - r), and the divisions
+        # k_r = max(floor(-E_r), 0), a divisor (end index, k_r) where k_r > 0
         self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
-        self.exponents = net = [0] * len(ends)
-        for pf in weight.power_factors:
-            if pf.exponent:  # rooted at an end, by _shape
-                net[ends.index(pf.root)] += pf.exponent.numerator if self.finite else pf.exponent
-        self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
-        # the module docstring's one Pearson pair, as ints over the lcm d of the denominators
-        # of the E_r, E' and the real line's quad_exp and arctan_coeff: a = prod (q x - p)
-        # over the ends r = p/q (x^2 + 1 with none), each end's shift q a/(q x - p) = a/(x - r),
-        # and b = a' + sum E_r a/(x - r) + E' a + 2 quad_exp x + arctan_coeff
         self.linear = linear = [(r.numerator, r.denominator) for r in ends]
-        a = [1] if linear else [1, 0, 1]
-        for p, q in linear:
-            a = [q * u - p * v for u, v in zip([0, *a], [*a, 0])]
-        shifts = [(*(q * v for v in _divide_linear(a, p, q)), 0) for p, q in linear]
-        d, (*exps, slope, quad, h) = common_denominator(
-            (*net, weight.exp_poly.coeff(1), weight.quad_exp or 0, weight.arctan_coeff)
-        )
-        a0, a1, a2 = (*a, 0)[:3]
-        b0 = d * a1 + slope * a0 + h + sum(e * c[0] for e, c in zip(exps, shifts))
-        b1 = 2 * d * a2 + slope * a1 + 2 * quad + sum(e * c[1] for e, c in zip(exps, shifts))
-        self.pair = d * a0, d * a1, d * a2, b0, b1
-        self.shifts = [(d * c[0], d * c[1]) for c in shifts]
+        net = [Fraction(b0 * q + b1 * p, a1 * q + 2 * a2 * p) - 1 for p, q in linear]
+        self.exponents = [e.numerator for e in net] if self.finite else net
+        self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
+        self.shifts = [[q * v for v in _divide_linear(self.pair[:3], p, q)] for p, q in linear]
         self.m_0: dict[tuple[int, ...], float] = {}
         # label -> (den, numerators) of f divided by the divisors as far as it goes, in ints
         # (no gcd); label -> its class, the root orders s per divisor
@@ -531,21 +523,22 @@ def _certificate(eigenvalues: Sequence[Fraction]) -> list[int]:
 
 def _route(
     weight: WeightExpr,
+    pearson: tuple[Poly, Poly],
     funcs: Sequence[Poly | None],
     pairs: Sequence[tuple[int, int]],
     tol: float,
     eigenvalues: Sequence[Fraction] | None = None,
 ) -> list[tuple]:
     """(value, method, integrable, err_est, note) per index pair (i, j) into funcs, by the
-    routes of the module docstring.  Where the weight has a moment form, the form decides
-    integrability: a pair past the reach is refused before the block, and one whose key the
-    block refuses is non-integrable; the integrability gate is built only for a weight with
-    no form.  funcs[d] is None where degree d has no eigenfunction; such a pair has no value
-    and its degree's verdict.  eigenvalues, when given, makes funcs an eigentable of the
-    weight's operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue
-    eigenvalues[d]), whose pairs the form certifies where the boundary term vanishes, at
-    its divisors too (_MomentForm.block); the eigenvalues' collisions are read once, not
-    per pair."""
+    routes of the module docstring.  Where the weight has a moment form, on its Pearson pair
+    pearson, the form decides integrability: a pair past the reach is refused before the
+    block, and one whose key the block refuses is non-integrable; the gate is built only for
+    a weight with no form.  funcs[d] is None where degree d has no eigenfunction; such a pair
+    has no value and its degree's verdict.  eigenvalues, when given, makes funcs an
+    eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
+    eigenvalue eigenvalues[d]), whose pairs the form certifies where the boundary term
+    vanishes, at its divisors too (_MomentForm.block); the eigenvalues' collisions are read
+    once, not per pair."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
@@ -554,7 +547,7 @@ def _route(
     # the last k with a moment r_k, the integrability rule's reach: the Romanovski power law
     # caps it, a half line whose e^(c x) grows has none, and a finite form's keys have them all
     reach = _integrability_rule(weight)[1] if moment else math.inf
-    form = _MomentForm(weight, known, reach) if moment or shape == "exact" else None
+    form = _MomentForm(weight, pearson, known, reach) if moment or shape == "exact" else None
     # a degree alone (no eigenfunction) is integrable where no end divides, within the reach
     integrable = (
         _integrability_gate(weight, funcs) if form is None
@@ -609,7 +602,8 @@ def inner_product(
     the Gram entry's to the bit.  Raises NonIntegrable when p f g is not integrable
     and NoConvergence when the quadrature's level budget runs out.
     """
-    value, method, integrable, err_est, _ = _route(weight, [f, g], [(0, 1)], tol)[0]
+    pearson = weight.pearson_pair()  # the one caller with no operator
+    value, method, integrable, err_est, _ = _route(weight, pearson, [f, g], [(0, 1)], tol)[0]
     if not integrable:
         raise NonIntegrable(
             f"p f g of degree {f.degree + g.degree} is not integrable on {weight.interval.describe()}"
@@ -692,18 +686,20 @@ def _float_in_range(value: Fraction | float) -> Fraction | float:
 def _gram_for(
     table: Sequence[EigenResult],
     weight: WeightExpr,
+    pearson: tuple[Poly, Poly],
     degrees: Sequence[int],
     family_label: str,
     tol: float = DEFAULT_TOL,
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
-    """The Gram entries over degrees of the eigenfunctions in table (indexed by degree).  An
-    off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive,
-    from the exact values where a float's range does not hold them; else 0.0 where its value
-    is 0 (noted "relative uses moment scale" on the Romanovski shape, where every valued
-    off-diagonal is a certified zero and no moment is read); else None."""
+    """The Gram entries over degrees of table's eigenfunctions (by degree), on their operator's
+    Pearson pair.  An off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both
+    diagonals are positive, from exact values past a float's range; else 0.0 where its value
+    is 0 (noted "relative uses moment scale" on the Romanovski shape, where each is a certified
+    zero: no row, though _MomentForm._rule reads its key's moments); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
-    routes = _route(weight, [r.monic for r in table], pairs, tol, [r.eigenvalue for r in table])
+    funcs, eigenvalues = [r.monic for r in table], [r.eigenvalue for r in table]
+    routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
     romanovski = _shape(weight) == "romanovski"
@@ -762,13 +758,14 @@ def gram_matrix(
     op = source if spec is None else build_operator(spec)
     if op.order != 2:
         raise ValueError("gram matrices require a second-order operator")
-    weight = derive_weight(op.coeffs[2], op.coeffs[1])
+    pearson = op.coeffs[2], op.coeffs[1]
+    weight = derive_weight(*pearson)
     degrees, notes = tuple(range(n_max + 1)), ()
     if spec is not None and spec.kind is FamilyKind.CHAUDHRY_QADIR:
         degrees = degrees[1:]
         notes = ("degree 0 excluded: eigenfunctions must vanish at t=1 for integrability",)
     label = "custom operator" if spec is None else spec.describe()
-    return _gram_for(eigentable(op, n_max), weight, degrees, label, tol, notes)
+    return _gram_for(eigentable(op, n_max), weight, pearson, degrees, label, tol, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +826,10 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     alpha, beta = rat(alpha), rat(beta)
     spec = FamilySpec.romanovski(alpha, beta)
     op = build_operator(spec)
-    weight = derive_weight(op.coeffs[2], op.coeffs[1])
+    pearson = op.coeffs[2], op.coeffs[1]
     gamma = alpha - 2
     table = eigentable(op, n_max)
-    gram = _gram_for(table, weight, range(n_max + 1), spec.describe())
+    gram = _gram_for(table, derive_weight(*pearson), pearson, range(n_max + 1), spec.describe())
     collisions = Spectrum(tuple(r.eigenvalue for r in table)).multiplicity.values()
 
     normed = {e.m for e in gram.entries if e.m == e.n and (e.value or 0) > 0}

@@ -155,18 +155,21 @@ class WeightExpr(Record):
         exp_cs = tuple(map(float, self.exp_poly.coeffs)) or None
         return math.log(self.constant), powers, quad, exp_cs, arctan
 
-    def dlog(self) -> tuple[Poly, Poly]:
-        """(numerator, denominator) of p'/p as an exact rational function: E'
-        plus one factor's log-derivative g/f at a time, n/d + g/f = (n f + g d)/(d f)."""
-        num, den = self.exp_poly.derivative(), Poly.one()
-        for pf in self.power_factors:
-            linear = Poly((-pf.root, 1))
-            num, den = num * linear + den * pf.exponent, den * linear
-        if self.quad_exp or self.arctan_coeff:
+    def pearson_pair(self) -> tuple[Poly, Poly]:
+        """(a, b) with (p a)' = p b: a = prod (x - r) over the finite ends and the distinct
+        roots of factors with a nonzero exponent, times x^2 + 1 with an (x^2+1) or arctan
+        factor, and b = num + a', p'/p = num/a summed as num/a + g/f = (num f + g a)/(a f)."""
+        roots = {r for r in (self.interval.lo, self.interval.hi) if r is not None}
+        roots.update(pf.root for pf in self.power_factors if pf.exponent)
+        num, a = self.exp_poly.derivative(), Poly.one()
+        for r in sorted(roots):
+            linear = Poly((-r, 1))
+            num, a = num * linear + a * self.power_exponent_at(r), a * linear
+        if self.quad_exp is not None or self.arctan_coeff:
             quad = Poly((1, 0, 1))
             slope = Poly((self.arctan_coeff, 2 * (self.quad_exp or 0)))
-            num, den = num * quad + slope * den, den * quad
-        return num, den
+            num, a = num * quad + slope * a, a * quad
+        return a, num + a.derivative()
 
     def formula(self) -> str:
         parts: list[str] = []
@@ -263,12 +266,12 @@ class PearsonVerdict(Record):
 def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     """Verify (pa)' = pb for the symbolic weight.
 
-    The identity divided by p is (a * p'/p + a' - b) = 0, a rational
-    function with polynomial denominator; clearing it gives an exact
-    polynomial identity.
+    The identity divided by p is a p'/p + a' - b = 0.  With the weight's own
+    pair (A, B), p'/p = (B - A')/A, so clearing A gives an exact polynomial
+    identity.
     """
-    num, den = weight.dlog()
-    zero = (a * num + (a.derivative() - b) * den).is_zero()
+    pa, pb = weight.pearson_pair()
+    zero = (a * (pb - pa.derivative()) + (a.derivative() - b) * pa).is_zero()
     return PearsonVerdict(ok=zero, symbolic_zero=zero)
 
 

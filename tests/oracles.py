@@ -53,8 +53,8 @@ gamma_k = d_k - d_(k+1) - beta_k c_k, and G_kk = G_00 gamma_1 ... gamma_k; it sh
 code with the library's moment form, which computes those diagonals from moments.
 ``interior_points`` and ``weight_value`` are numeric spot-check helpers, and
 ``log_slope_error`` is a numeric Pearson check: the central difference of
-``log p`` against (b - a')/a, which does not go through ``WeightExpr.dlog``
-as the library's exact check does.
+``log p`` against (b - a')/a, which does not go through
+``WeightExpr.pearson_pair`` as the library's exact check does.
 """
 
 from __future__ import annotations

@@ -53,8 +53,13 @@ def P(*coeffs):
 
 
 def weight_of(spec):
-    op = build_operator(spec)
-    return derive_weight(op.coeffs[2], op.coeffs[1])
+    return derive_weight(*pair_of(spec))
+
+
+def pair_of(op):
+    """The Pearson pair (a, b) of op, a second-order DiffOperator or a FamilySpec's."""
+    op = op if isinstance(op, DiffOperator) else build_operator(op)
+    return op.coeffs[2], op.coeffs[1]
 
 
 def exact_value(w, f, g):
@@ -68,7 +73,7 @@ def form_pair(w, f, g):
     """The moment form's block of the one pair (f, g) on a weight that _shape routes to the
     exact route: its exact value, or the pair's refusal text."""
     assert orthogonality._shape(w) == "exact", w.formula()
-    (answer,) = orthogonality._MomentForm(w, {0: f, 1: g}).block([(0, 1)])
+    (answer,) = orthogonality._MomentForm(w, w.pearson_pair(), {0: f, 1: g}).block([(0, 1)])
     return answer[0] if isinstance(answer, tuple) else answer
 
 
@@ -278,7 +283,8 @@ class TestMomentAssembly:
         draws = []
         for spec, n_max in ASSEMBLY_SPECS:
             table = eigentable(build_operator(spec), n_max)
-            draws.append((weight_of(spec), {r.degree: r.monic for r in table if r.monic is not None}))
+            polys = {r.degree: r.monic for r in table if r.monic is not None}
+            draws.append((weight_of(spec), pair_of(spec), polys))
         for w in PLANTED_WEIGHTS:
             polys = {}
             while len(polys) < 10:
@@ -287,11 +293,11 @@ class TestMomentAssembly:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 3)
                 if f:  # the block's labels are nonzero, as a Gram matrix's are
                     polys[len(polys)] = f
-            draws.append((w, polys))
+            draws.append((w, w.pearson_pair(), polys))
         exact = refused = 0
-        for w, polys in draws:
+        for w, pearson, polys in draws:
             assert orthogonality._shape(w) == "exact", w.formula()
-            form = orthogonality._MomentForm(w, polys)
+            form = orthogonality._MomentForm(w, pearson, polys)
             pairs = [(m, n) for m in polys for n in polys if m <= n]
             answers = dict(zip(pairs, form.block(pairs)))
             shuffled = rng.sample(pairs, len(pairs))
@@ -375,16 +381,16 @@ class TestMomentAssembly:
             ])
 
         lo, hi = Fraction(-2, 7), Fraction(5, 3)
-        weights = [
-            weight_of(_jacobi_with_exponents(p, q)) for p, q in ((-1, -1), (-2, 0), (-3, 2), (1, -2))
-        ]
-        weights.append(WeightExpr(
+        specs = [_jacobi_with_exponents(p, q) for p, q in ((-1, -1), (-2, 0), (-3, 2), (1, -2))]
+        weights = [(weight_of(spec), pair_of(spec)) for spec in specs]
+        planted = WeightExpr(
             Fraction(-3, 7),
             (PowerFactor(lo, Fraction(-2)), PowerFactor(hi, Fraction(-1))),
             interval=Interval(lo, hi),
-        ))
+        )
+        weights.append((planted, planted.pearson_pair()))
         exact = refused = 0
-        for w in weights:
+        for w, pearson in weights:
             assert orthogonality._shape(w) == "exact", w.formula()
             polys = {}
             for label in range(8):
@@ -393,7 +399,8 @@ class TestMomentAssembly:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 2)
                 polys[label] = f
             pairs = [(m, n) for m in polys for n in polys]
-            for (m, n), answer in zip(pairs, orthogonality._MomentForm(w, polys).block(pairs)):
+            form = orthogonality._MomentForm(w, pearson, polys)
+            for (m, n), answer in zip(pairs, form.block(pairs)):
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
@@ -415,7 +422,7 @@ class TestMomentAssembly:
                 tuple(PowerFactor(one, Fraction(e)) for e in exponents),
                 interval=Interval(Fraction(0), one),
             )
-            form = orthogonality._MomentForm(w, {0: Poly.one()})
+            form = orthogonality._MomentForm(w, w.pearson_pair(), {0: Poly.one()})
             assert form.divisors == () and form.block([(0, 0)]) == [(Fraction(1, 2), ())]
             assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
 
@@ -527,7 +534,8 @@ class TestRouter:
             with pytest.raises(NonIntegrable):
                 inner_product(w, f, g)
         assert inner_product(w, Poly(), P(1)) == (0.0, "moment", None)
-        routes = orthogonality._route(w, [None, P(0, 1)], [(0, 0), (0, 1), (1, 1)], 1e-10)
+        pairs = [(0, 0), (0, 1), (1, 1)]
+        routes = orthogonality._route(w, w.pearson_pair(), [None, P(0, 1)], pairs, 1e-10)
         assert [route[2] for route in routes] == [False, False, False]
 
     # spec, n_max, the routes its pairs take, whether some pair is non-integrable
@@ -648,7 +656,7 @@ class TestGramMatrix:
         powers = (100, 101, 103)
         # one shared eigenvalue: the monomials are no eigentable, so no pair is certified
         table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
-        report = orthogonality._gram_for(table, w, range(3), "monomials")
+        report = orthogonality._gram_for(table, w, w.pearson_pair(), range(3), "monomials")
         assert len(report.entries) == 6
         for e in report.entries:
             a, b = powers[e.m], powers[e.n]
@@ -664,7 +672,7 @@ class TestGramMatrix:
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (29, 30, 32)
         table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
-        report = orthogonality._gram_for(table, w, range(3), "monomials")
+        report = orthogonality._gram_for(table, w, w.pearson_pair(), range(3), "monomials")
         closed = []
         for e in report.entries:
             a, b = powers[e.m], powers[e.n]
@@ -773,10 +781,11 @@ class TestGramMatrix:
         # is formed on the way to any verdict
         spec = FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3))
         weight, funcs = weight_of(spec), [r.monic for r in eigentable(build_operator(spec), 8)]
+        pearson = pair_of(spec)
         operands, mul = [], Poly.__mul__
         monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append((a, b)) or mul(a, b))
         pairs = list(combinations_with_replacement(range(9), 2))
-        routes = orthogonality._route(weight, funcs, pairs, 1e-10)
+        routes = orthogonality._route(weight, pearson, funcs, pairs, 1e-10)
         assert [pair for pair, route in zip(pairs, routes) if not route[2]] == [(0, 0)]
         assert operands == []
 
@@ -1091,6 +1100,16 @@ def test_known_refused_gaussian_grams(name):
             assert abs(e.value - norm(e.m)) <= 1e-13 * norm(e.m), e.m
         else:
             assert e.value == 0.0, (e.m, e.n)
+
+
+# the hand-built |x| on (-1, 1), whose <1, 1> is exactly 1: _shape leaves its interior root
+# to quadrature, and the kink at the sweep's centre node makes the trapezoid error fall only
+# algebraically ("no convergence after 12 levels (last error 7.353e-08)").  Strict, as above
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason="the kink at the centre node")
+def test_interior_kink_integrates():
+    w = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(1)),))
+    value, method, _ = inner_product(w, Poly.one(), Poly.one())
+    assert method == "quadrature" and abs(value - 1) <= 1e-12
 
 
 class TestLaguerreMoments:
@@ -1585,7 +1604,8 @@ class TestMomentRoute:
             diagonals = favard_diagonals(table)
             reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
             diagonal = [(k, k) for k in range(len(diagonals)) if 2 * k <= reach]  # the gated
-            form = orthogonality._MomentForm(w, {k: table[k].monic for k, _ in diagonal}, reach)
+            polys = {k: table[k].monic for k, _ in diagonal}
+            form = orthogonality._MomentForm(w, pair_of(op), polys, reach)
             ratios = dict(zip(diagonal, form.block(diagonal)))
             collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
             near_boundary += (alpha / c).denominator == 1000
@@ -1669,7 +1689,8 @@ def _form_and_pairs(op, n):
     table = eigentable(op, n)
     funcs = [r.monic for r in table]
     reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
-    form = orthogonality._MomentForm(w, {d: f for d, f in enumerate(funcs) if f}, reach)
+    polys = {d: f for d, f in enumerate(funcs) if f}
+    form = orthogonality._MomentForm(w, pair_of(op), polys, reach)
     pairs = [
         (m, k) for m in range(n + 1) for k in range(m, n + 1)
         if funcs[m] is not None and funcs[k] is not None and m + k <= reach
@@ -1736,7 +1757,8 @@ class TestCertifiedEntries:
                 gram = gram_matrix(CQ_SPEC, n) if cq else gram_matrix(op, n)
                 gram_pairs = [(e.m, e.n) for e in gram.entries]
                 funcs = [r.monic for r in table]
-                routes = orthogonality._route(w, funcs, gram_pairs, orthogonality.DEFAULT_TOL)
+                tol = orthogonality.DEFAULT_TOL
+                routes = orthogonality._route(w, pair_of(op), funcs, gram_pairs, tol)
                 for e, route in zip(gram.entries, routes):
                     assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
                     assert e.value is None or type(e.value) is type(route[0])
@@ -1782,16 +1804,16 @@ class TestCertifiedEntries:
         # 4's diagonal lies above a gap in its class, and degree 4 leaves a gap below 5 and 6
         ids = [0, 1, 2, 3, 2, 4, 4]
         if divided:
-            w = derive_weight(P(0, -1, 1), P(-1))  # x (x - 1) D^2 - D: |x - 1|^-2 on (0, 1)
-            orders = [0, 1, 1, 1, 2, 1, 1]
-            direct = {1, 2, 3}
+            pearson = P(0, -1, 1), P(-1)  # x (x - 1) D^2 - D: |x - 1|^-2 on (0, 1)
+            w, orders, direct = derive_weight(*pearson), [0, 1, 1, 1, 2, 1, 1], {1, 2, 3}
         else:
+            pearson = pair_of(FamilySpec.jacobi(-1, -2, 0))
             w, orders, direct = LEGENDRE_W, [0] * 7, {0, 1, 2, 3, 5}
         base = {  # (x - 1)^s (x^(j-s) + x^(j-s-1)), and (x - 1)^s at j = s
             j: P(-1, 1) ** s * (P(0, 1) ** (j - s) + (P(0, 1) ** (j - s - 1) if j > s else P()))
             for j, s in enumerate(orders)
         }
-        form = orthogonality._MomentForm(w, base)
+        form = orthogonality._MomentForm(w, pearson, base)
         assert [len(c) - 1 for _, c in map(form.reduced.get, range(7))] == [
             j - s for j, s in enumerate(orders)
         ]
@@ -1852,8 +1874,9 @@ def pearson_draw():
 
 class TestPearsonPair:
     def test_form_pair_is_the_operators_shifted(self, monkeypatch):
-        # every key the block reads takes the pair lambda (a, b + sum_r s_r a/(x - r)) with
-        # (a, b) the operator's own and s_r = k_r + key_r the pair's root order at each divisor
+        # every key the block reads takes the operator's own (a, b), cleared to ints over
+        # lcm(a.den, b.den), plus s_r a/(x - r) with s_r = k_r + key_r the pair's root order at
+        # each divisor r: the same ints, with no scale between the two
         keys, pairs = [], []
         moments, ratios = orthogonality._MomentForm._moments, orthogonality._moment_ratios
 
@@ -1875,6 +1898,8 @@ class TestPearsonPair:
             form.block(asked)
             for key, pair in zip(keys[start:], pairs[start:]):
                 a, b = op.coeffs[2], op.coeffs[1]
+                d = math.lcm(a.den, b.den)
+                a, b = a * d, b * d
                 for (i, k), e in zip(form.divisors, key):
                     quotient, order = ref_strip_root(a.coeffs, form.ends[i], 1)  # a/(x - r)
                     assert order == 1, (op, form.ends[i])
@@ -1882,10 +1907,37 @@ class TestPearsonPair:
                 shifted += any(k + e for (_, k), e in zip(form.divisors, key))
                 want = [a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)]
                 assert b.degree <= 1 and all(type(v) is int for v in pair), (op, key)
-                scale = Fraction(pair[2] or pair[1], want[2] or want[1])
-                assert scale and [scale * v for v in want] == list(pair), (op, key, pair)
+                assert list(pair) == want, (op, key, pair)
         assert shapes == {"exact": 360, "laguerre": 150, "romanovski": 60}
         assert len(keys) == len(pairs) > 750 and shifted > 500
+
+    def test_weights_pair_is_the_operators(self):
+        # WeightExpr.pearson_pair, inner_product's pair, is the operator's (a, b) up to one scale
+        for op, _ in pearson_draw():
+            a, b = pair_of(op)
+            wa, wb = derive_weight(a, b).pearson_pair()
+            scale = a.leading() / wa.leading()
+            assert (wa * scale, wb * scale) == (a, b), op
+
+    @pytest.mark.parametrize(
+        "draw, floor", [(pearson_draw, 300), (certificate_draw, 50)], ids=["pearson", "certificate"]
+    )
+    def test_form_divisors_are_the_integrability_rules(self, draw, floor):
+        # the form reads its divisors off the pair, the integrability rule off the weight's
+        # factors: mapped to roots, they are the same divisions on every weight with a form
+        divided = 0
+        for op, _ in draw():
+            try:
+                w = derive_weight(*pair_of(op))
+            except ValueError:
+                continue
+            if orthogonality._shape(w) not in ("exact", "laguerre", "romanovski"):
+                continue
+            form = orthogonality._MomentForm(w, pair_of(op), {})
+            divisions = [(form.ends[i], k) for i, k in form.divisors]
+            assert divisions == list(_integrability_rule(w)[0]), op
+            divided += bool(divisions)
+        assert divided > floor
 
 
 class TestMomentRatios:

@@ -15,8 +15,10 @@ from specpoly import (
     classical_presets,
     derive_weight,
     eigentable,
+    inner_product,
     pearson_check,
 )
+from specpoly.orthogonality import _shape
 from specpoly.weights import _integrability_rule
 
 from oracles import (
@@ -136,7 +138,7 @@ class TestPearson:
         assert log_slope_error(bad, a, b) > 1e-2
 
     # log_slope_error reads (log p)' = (b - a')/a numerically off log_eval, a check
-    # independent of WeightExpr.dlog, which the exact verdict shares with the weight
+    # independent of WeightExpr.pearson_pair, which the exact verdict shares with the weight
     @pytest.mark.parametrize("name", sorted(classical_presets()))
     def test_presets_pass(self, name):
         spec = classical_presets()[name]
@@ -160,6 +162,58 @@ class TestPearson:
                 verdict = pearson_check(weight_of(spec), a, b)
                 assert verdict.ok, spec
                 assert log_slope_error(weight_of(spec), a, b) < 1e-6, spec
+
+
+ONE, HALF = Fraction(1), Fraction(1, 2)
+
+# hand-built weights no operator gives, for WeightExpr.pearson_pair
+HAND_BUILT = {
+    # |x|^0 off the ends: a stays (x + 1)(x - 1), since the form takes no cubic a
+    "zero exponent": WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(0)),)),
+    # |x - 1|^(-2) |x - 1|^3 on (0, 1): one root, its exponents summed
+    "two factors at one root": WeightExpr(
+        power_factors=(PowerFactor(ONE, Fraction(-2)), PowerFactor(ONE, Fraction(3))),
+        interval=Interval(Fraction(0), ONE),
+    ),
+    # |x|^(-1/2) |x - 4| on (-4, 4), a root inside the interval: log_slope_error's step
+    # follows the distance to the ends alone, so the root sits midway between two of its
+    # points, 0.19 from each
+    "interior root": WeightExpr(
+        power_factors=(PowerFactor(Fraction(0), -HALF), PowerFactor(Fraction(4), ONE)),
+        interval=Interval(Fraction(-4), Fraction(4)),
+    ),
+    "arctan alone": WeightExpr(arctan_coeff=Fraction(3), interval=Interval(None, None)),
+    "gaussian": WeightExpr(exp_poly=P(0, 1, -1), interval=Interval(None, None)),
+    "lower half line": WeightExpr(
+        power_factors=(PowerFactor(Fraction(2), -HALF),),
+        exp_poly=P(0, -1),
+        interval=Interval(Fraction(2), None),
+    ),
+    "upper half line": WeightExpr(
+        power_factors=(PowerFactor(-ONE, Fraction(3)),),
+        exp_poly=P(0, 2),
+        interval=Interval(None, -ONE),
+    ),
+}
+
+
+class TestPearsonPair:
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_pair_of_a_hand_built_weight(self, name):
+        # (p a)' = p b numerically, a vanishes at each finite end, and a form route (the
+        # exact, Laguerre and Romanovski shapes) gets a quadratic a at most
+        w = HAND_BUILT[name]
+        a, b = w.pearson_pair()
+        assert log_slope_error(w, a, b) < 1e-6, name
+        assert all(a(r) == 0 for r in (w.interval.lo, w.interval.hi) if r is not None), name
+        if _shape(w) in ("exact", "laguerre", "romanovski"):
+            assert a.degree <= 2, name
+        if name == "gaussian":
+            assert (a, b) == (Poly.one(), P(1, -2))
+
+    def test_zero_exponent_factor_leaves_the_exact_value(self):
+        w = HAND_BUILT["zero exponent"]
+        assert inner_product(w, Poly.one(), Poly.one()) == (2, "exact", None)
 
 
 class TestIntegrability:
