@@ -158,7 +158,12 @@ class WeightExpr(Record):
     def pearson_pair(self) -> tuple[Poly, Poly]:
         """(a, b) with (p a)' = p b: a = prod (x - r) over the finite ends and the distinct
         roots of factors with a nonzero exponent, times x^2 + 1 with an (x^2+1) or arctan
-        factor, and b = num + a', p'/p = num/a summed as num/a + g/f = (num f + g a)/(a f)."""
+        factor, and b = num + a', p'/p = num/a summed as num/a + g/f = (num f + g a)/(a f).
+        Built once per weight: the same tuple on every call."""
+        return self._pearson
+
+    @cached_property
+    def _pearson(self) -> tuple[Poly, Poly]:
         roots = {r for r in (self.interval.lo, self.interval.hi) if r is not None}
         roots.update(pf.root for pf in self.power_factors if pf.exponent)
         num, a = self.exp_poly.derivative(), Poly.one()

@@ -769,12 +769,14 @@ def log_slope_error(weight: WeightExpr, a: Poly, b: Poly, count: int = 20) -> fl
     """The largest gap, over count interior points, between the central
     difference of log p and (b - a')/a (exact at the float point), relative
     to 1 + |(b - a')/a|.  The step is 1e-4 of the smaller of 1 + |x| and the
-    distance to the nearest finite endpoint, so the truncation error stays
-    near 1e-9 of the slope."""
+    distance to the nearest finite endpoint or root of a factor with a nonzero
+    exponent, so the truncation error stays near 1e-9 of the slope."""
     iv, da = weight.interval, a.derivative()
+    singular = [float(end) for end in (iv.lo, iv.hi) if end is not None]
+    singular += [float(pf.root) for pf in weight.power_factors if pf.exponent]
     worst = 0.0
     for x in interior_points(iv, count):
-        dist = [abs(x - float(end)) for end in (iv.lo, iv.hi) if end is not None]
+        dist = [abs(x - r) for r in singular]
         h = 1e-4 * min([1 + abs(x), *dist])
         hi, lo = x + h, x - h
         slope = (weight.log_eval(hi) - weight.log_eval(lo)) / (hi - lo)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -31,6 +32,13 @@ def run_json(capsys, *argv):
 
 # the operator-source group every command but romanovski-report takes, in --help order
 SOURCE_OPTIONS = ["--preset", "--family", "--eps", "--alpha", "--beta", "--operator-json"]
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment, with the tested src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def _refuse(*args, **kwargs):
@@ -667,11 +675,9 @@ class TestContract:
 
     def test_closed_stdout_is_not_an_error(self):
         # the reader closes the pipe before anything is written: every write fails
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "specpoly", "eigenfns", "--preset", "legendre", "--n-max", "60"],
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         proc.stdout.close()
@@ -710,13 +716,84 @@ class TestColdStart:
             "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr)); "
             + entry
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+            [sys.executable, "-c", probe], env=child_env(),
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stderr.split())
         assert "specpoly.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+
+# a call that succeeds, a domain error and an argument error
+EXIT_CASES = {
+    "ok": ["gram", "--preset", "legendre", "--n-max", "4"],
+    "domain error": ["gram", "--preset", "legendre", "--tol", "nan"],
+    "argument error": ["spectrum", "--family", "bessel"],
+}
+
+
+class TestExit:
+    """Only the process entry point, `python -m specpoly`, touches the collector: it
+    freezes the heap once main has returned or raised, so the interpreter's shutdown
+    skips its full collections.  An in-process main leaves the caller's collector alone."""
+
+    @pytest.fixture(autouse=True)
+    def _plain_stderr(self, monkeypatch):
+        # argparse wraps usage to the terminal width and, from Python 3.14, may colour
+        # it; both processes must print the same text
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("PYTHON_COLORS", "0")
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out.encode(), err
+
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_main_leaves_the_collector_alone(self, capsys, case):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        code, _, _ = self.in_process(capsys, EXIT_CASES[case])
+        assert code == {"ok": 0, "domain error": 1, "argument error": 2}[case]
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_process_matches_in_process_main(self, capsys, case):
+        argv = EXIT_CASES[case]
+        proc = subprocess.run(
+            [sys.executable, "-m", "specpoly", *argv], env=child_env(),
+            capture_output=True, timeout=60,
+        )
+        got = (proc.returncode, proc.stdout, proc.stderr.decode())
+        assert got == self.in_process(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # python -m specpoly
+            "runpy.run_module('specpoly', run_name='__main__', alter_sys=True)",
+            # the installed `specpoly` script
+            "from specpoly.__main__ import run; sys.exit(run())",
+        ],
+        ids=["module", "script"],
+    )
+    def test_entry_point_freezes_before_exit(self, entry):
+        # `specpoly spectrum --preset legendre`, with the frozen count read by an atexit
+        # handler, after the entry point's finally
+        probe = (
+            "import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+            "sys.argv[1:] = ['spectrum', '--preset', 'legendre']; "
+            + entry
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) > 0

@@ -227,7 +227,9 @@ def test_every_record_class_has_a_sample():
     assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 14
     assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
-    assert CACHED == [(OperatorMatrix, "entries"), (WeightExpr, "_float_form")]
+    assert CACHED == [
+        (OperatorMatrix, "entries"), (WeightExpr, "_float_form"), (WeightExpr, "_pearson"),
+    ]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

@@ -19,7 +19,7 @@ from specpoly import (
     pearson_check,
 )
 from specpoly.orthogonality import _shape
-from specpoly.weights import _integrability_rule
+from specpoly.weights import PearsonVerdict, _integrability_rule
 
 from oracles import (
     boundary_vanishing,
@@ -175,12 +175,16 @@ HAND_BUILT = {
         power_factors=(PowerFactor(ONE, Fraction(-2)), PowerFactor(ONE, Fraction(3))),
         interval=Interval(Fraction(0), ONE),
     ),
-    # |x|^(-1/2) |x - 4| on (-4, 4), a root inside the interval: log_slope_error's step
-    # follows the distance to the ends alone, so the root sits midway between two of its
-    # points, 0.19 from each
+    # |x|^(-1/2) |x - 4| on (-4, 4), a root inside the interval
     "interior root": WeightExpr(
         power_factors=(PowerFactor(Fraction(0), -HALF), PowerFactor(Fraction(4), ONE)),
         interval=Interval(Fraction(-4), Fraction(4)),
+    ),
+    # |x - 1/2|^(-1/2) |x + 1| on (-1, 1): a point of log_slope_error sits 0.024 from the
+    # interior root, so its step must shrink with the distance to the root, not only to
+    # the ends
+    "root near a sample": WeightExpr(
+        power_factors=(PowerFactor(HALF, -HALF), PowerFactor(-ONE, ONE)),
     ),
     "arctan alone": WeightExpr(arctan_coeff=Fraction(3), interval=Interval(None, None)),
     "gaussian": WeightExpr(exp_poly=P(0, 1, -1), interval=Interval(None, None)),
@@ -210,6 +214,16 @@ class TestPearsonPair:
             assert a.degree <= 2, name
         if name == "gaussian":
             assert (a, b) == (Poly.one(), P(1, -2))
+
+    def test_pair_is_built_once_per_weight(self):
+        # inner_product asks for the pair on every call: the weight keeps the first one,
+        # and the verdicts read off it are unchanged
+        w = weight_of(FamilySpec.chaudhry_qadir())
+        pair = w.pearson_pair()
+        assert w.pearson_pair() is pair
+        a, b = ab_of(FamilySpec.chaudhry_qadir())
+        assert pearson_check(w, a, b) == PearsonVerdict(ok=True, symbolic_zero=True)
+        assert pearson_check(w, a, b + Poly.one()) == PearsonVerdict(ok=False, symbolic_zero=False)
 
     def test_zero_exponent_factor_leaves_the_exact_value(self):
         w = HAND_BUILT["zero exponent"]
