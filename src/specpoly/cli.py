@@ -42,26 +42,15 @@ from .families import (
     classical_presets,
     normalize_operator,
 )
-from .operator import DegreeViolation, DiffOperator, EmptyOperator
-from .orthogonality import (
-    DEFAULT_TOL,
-    NonIntegrable,
-    finite_orthogonality_report,
-    gram_matrix,
-)
+from .operator import DiffOperator
+from .orthogonality import DEFAULT_TOL, finite_orthogonality_report, gram_matrix
 from .quadrature import NoConvergence
-from .weights import UnsupportedLeadingCoefficient, derive_weight, pearson_check
+from .weights import derive_weight, pearson_check
 
-_DOMAIN_ERRORS = (
-    DegreeViolation,
-    EmptyOperator,
-    UnsupportedLeadingCoefficient,
-    NonIntegrable,
-    NoConvergence,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+# every refusal of the library's is a ValueError (DegreeViolation, EmptyOperator,
+# UnsupportedLeadingCoefficient, NonIntegrable, and json's JSONDecodeError among them) but
+# NoConvergence; OSError is a file that cannot be read
+_DOMAIN_ERRORS = (ValueError, NoConvergence, OSError)
 
 
 def _fraction(text: str) -> Fraction:
@@ -248,5 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m specpoly.cli exits as the entry point does
+    from .__main__ import run
+
+    run()

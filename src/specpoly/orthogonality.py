@@ -11,13 +11,13 @@ on the real line.
   (p a)' = p b (the moment functional; Chihara, An Introduction to
   Orthogonal Polynomials, 1978), integrating (p a x^k)' = p (k a x^(k-1) +
   b x^k) gives m_(k+1) = -(k a0 m_(k-1) + (k a1 + b0) m_k) / (k a2 + b1)
-  while the boundary term p a x^k vanishes.  At each finite end r, where p
-  has the summed exponent E_r, each eigenfunction is divided by (x - r) up to
-  k_r = max(floor(-E_r), 0) times, once, on every shape, and a pair whose
-  root orders s_r = s_f + s_g reach k_r (key s_r - k_r) integrates
-  p prod (x - r)^s_r, with exponent A_r = E_r + s_r at r and the sign
-  (-1)^s_r at the upper end.  A negative key leaves A_r <= -1, so the key (with
-  the Romanovski reach) decides integrability.  One pair serves every shape:
+  while the boundary term p a x^k vanishes.  At each division (r, k_r) of the
+  integrability rule, a finite end where p's summed exponent E_r is <= -1 and
+  k_r = floor(-E_r), the router has divided each eigenfunction by (x - r) up to
+  k_r times (below), and a pair whose root orders s_r = s_f + s_g reach k_r
+  (key s_r - k_r >= 0) integrates p prod (x - r)^s_r, with exponent
+  A_r = E_r + s_r > -1 at r and the sign (-1)^s_r at the upper end; the form
+  reads E_r off the pair and values only such pairs.  One pair serves every shape:
   the operator's own, which a Gram matrix passes, and WeightExpr.pearson_pair,
   the same up to scale, for inner_product.  a has a simple root at each finite
   end, where p a x^k vanishes and E_r = b(r)/a'(r) - 1, in ints over one
@@ -36,9 +36,8 @@ on the real line.
     _shape leaves a weight with a factor rooted off the ends, a non-integer
     exponent, an (x^2+1) or a transcendental factor to quadrature.
   - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: m_0 is
-    Cauchy's beta integral.  The last k with p x^k integrable (the reach),
-    read once per matrix, refuses every pair with m + n past it before the
-    block.
+    Cauchy's beta integral.  The last k with p x^k integrable is the rule's
+    reach, and the router refuses every pair with m + n past it.
   - Laguerre, p = |x - t|^E e^(c x) on a half line from t: k = floor(-E)
     when E <= -1, A = E + s > -1, and m_0 = Gamma(A+1) e^(ct) / |c|^(A+1).
     A hand-built half line whose e^(c x) grows toward its infinite end has
@@ -54,7 +53,7 @@ on the real line.
   1974).  No other weight has a map.  A weight of derive_weight's without a
   route, |x - r|^E on a half line or e^(c2 x^2 + c1 x) with c2 >= 0 on the
   real line, has no integrable pair, so the ValueError ("no quadrature map")
-  that refuses a weight once a pair passes the integrability gate is raised
+  that refuses a weight once the router finds a pair integrable is raised
   only for a hand-built weight (the test oracles keep x = tan u for
   algebraic tails).
 
@@ -62,23 +61,23 @@ Certified entries (PAPER.md's argument; Raposo, Weber, Alvarez-Castillo and
 Kirchbach, arXiv:0706.3897 for Romanovski): for eigenfunctions L f = lambda_m f
 and L g = lambda_n g of L = a D^2 + b D, (p a)' = p b gives
 (lambda_m - lambda_n) p f g = (p a (f' g - f g'))'.  The boundary term vanishes
-at an end without a divisor for every pair the block is asked: a finite end
+at an end without a division for every pair the block is asked: a finite end
 has E_r > -1, so p a has a positive exponent; a half line's e^(c x) decays; on
 the Romanovski shape the router asks only pairs inside the reach,
-m + n + 2q + 1 < 0, which is the power of the boundary term.  At a divisor
+m + n + 2q + 1 < 0, which is the power of the boundary term.  At a division
 (r, k_r), a simple root of a, the term has the order A_r = E_r + s_f + s_g when
 s_f != s_g and more when they are equal; with the key s_f + s_g - k_r >= 0,
 A_r = E_r + k_r + key and -1 < E_r + k_r <= 0, so it vanishes where the key is
 >= 1 or s_f == s_g (key 0 then makes s_f = k_r / 2 < k_r an exact root order),
 for integer and non-integer E_r, and need not elsewhere (laguerre(-1, 0)'s
 (0, n) are 1, -1, 2).  So, read off the eigentable once per Gram matrix, an
-off-diagonal pair of two eigenvalues that passes at every divisor is the shared
+off-diagonal pair of two eigenvalues that passes at every division is the shared
 exact zero, with no row (its key's moments are still read once).  A diagonal
 (k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is <f~_k, x^d> under
 its key, one O(d) dot product instead of an O(d^2) row, when the eigenfunctions
 with root orders s fill the reduced degrees 0 .. d-1 and none has k's
 eigenvalue: each is then a zero against f_k under k's key.  Each is the block's
-own Fraction.  A pair of equal eigenvalues or that fails at a divisor, a
+own Fraction.  A pair of equal eigenvalues or that fails at a division, a
 diagonal above a gap or sharing its eigenvalue within its run, and
 inner_product, whose f and g need be no eigenfunctions, take the block.
 
@@ -88,19 +87,18 @@ off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
 On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
 is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
-One integrability decision per weight.  Where it has a moment form, the form
-decides: a pair is non-integrable when the block refuses its key or, on the
-Romanovski shape, when m + n is past the reach; a pair with no eigenfunction
-is integrable when no end divides and m + n is within the reach.  A weight
-with no form (a finite interval off the exact route, the Gaussian, a shape
-with no route) takes the integrability gate, and a pair goes to quadrature
-when the gate holds.  The gate reads weights' one integrability rule,
-(divisions, reach), once per matrix, and each eigenfunction's root order at
-each division (r, k) once, capped at k: a pair is integrable when its orders
-sum to k or more at every division and deg f + deg g is within the reach, so
-no f g is formed for a verdict; a degree with no eigenfunction counts its
-degree alone.  A zero f or g is an exact zero with no verdict read
-(0.0 on a moment shape).  A Gram matrix makes one node sweep per weight
+One integrability decision, the router's, on every route.  It reads weights'
+one integrability rule, (divisions, reach), once per Gram matrix or
+inner_product call, and strips each eigenfunction once at each division (r, k),
+capped at k, in ints (_reduce): its root orders there are its class, and its
+quotient is what the form values.  Each class pair is judged once, by its key
+s_f + s_g - k per division, refused when a part is negative, and a pair is
+integrable when its class pair's key is and deg f + deg g is within the
+reach, so no f g is formed for a verdict.  A degree with no eigenfunction is
+integrable when no end divides and m + n is within the reach.  A zero f or g
+is an exact zero with no verdict read (0.0 on a moment shape).  The form, with
+each pair's key, or the node sweep then values the integrable pairs only.
+A Gram matrix makes one node sweep per weight
 (quadrature._product_sweep), with one evaluation per node: each node's
 abscissa, log p(x) and Jacobian are computed once and shared by all pending
 entries, each of which still stops on its own rule.  A Romanovski report is
@@ -120,11 +118,10 @@ endpoint distance.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from ._record import Record
@@ -222,21 +219,23 @@ def _real_line_moment(weight: WeightExpr) -> float:
 
 class _MomentForm:
     """<f, g> = integral p f g for labelled f, g, on the Pearson moments of the module
-    docstring.  With f = f~ prod (x - r)^s_f at the divisors (r, k_r), a pair reduces when
-    s_f + s_g >= k_r at each, to sum_i f~_i L(i) with L(i) = sum_j g~_j r_(i+j), r the cached
-    moment ratios of its key: O(n^3) for an n x n Gram matrix, answered as one block.
-    f~, g~ and r are int lists over their denominators, so an entry is int sums and, when
-    it is not 0, one Fraction.  On a finite interval r carries the rational m_0, and the
-    entry is the integral; on the moment route it is the ratio to the key's float m_0
-    (m_0[key], set when the key's moments are read).  A refused key is a non-integrable
-    pair.  steps caps the ratios (the Romanovski reach): a pair past it has no moment, and
-    the caller asks none.  The weight is one _shape names "exact", "laguerre" or
-    "romanovski", and pearson is its Pearson pair (a, b), (p a)' = p b with a simple root
-    of a at each finite end: the operator's own, or WeightExpr.pearson_pair.  The pair
-    gives the exponents and the moments; the weight gives only its ends and m_0."""
+    docstring: a valuer of the pairs the router has judged integrable.  The router hands it
+    its divisions (r, k), each label's class (its root orders s there) and reduced f~, with
+    f = f~ prod (x - r)^s, and each pair's key; a pair reduces to sum_i f~_i L(i) with
+    L(i) = sum_j g~_j r_(i+j), r the cached moment ratios of its key: O(n^3) for an n x n
+    Gram matrix, answered as one block.  f~, g~ and r are int lists over their
+    denominators, so an entry is int sums and, when it is not 0, one Fraction.  On a finite
+    interval r carries the rational m_0, and the entry is the integral; on the moment route
+    it is the ratio to the key's float m_0 (m_0[key], set when the key's moments are read).
+    steps caps the ratios (the reach): no pair asked reads past it.  The weight is one _shape
+    names "exact", "laguerre" or "romanovski", and pearson is its Pearson pair (a, b),
+    (p a)' = p b with a simple root of a at each finite end: the operator's own, or
+    WeightExpr.pearson_pair.  The pair gives the exponents and the moments; the weight gives
+    only its ends and m_0."""
 
-    def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly], polys: dict[int, Poly],
-                 steps: float = math.inf):
+    def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly],
+                 divisions: Sequence[tuple[Fraction, int]], classes: dict, reduced: dict,
+                 steps: float):
         iv = weight.interval
         self.weight, self.finite = weight, iv.finite
         # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
@@ -246,27 +245,16 @@ class _MomentForm:
         b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
         self.pair = a0, a1, a2, b0, b1
         # per finite end r = p/q: E_r = b(r)/a'(r) - 1 in ints as derive_weight reads it (an
-        # int on a finite interval), the shift q a/(q x - p) = a/(x - r), and the divisions
-        # k_r = max(floor(-E_r), 0), a divisor (end index, k_r) where k_r > 0
+        # int on a finite interval) and the shift q a/(q x - p) = a/(x - r); a division's
+        # root is an end: (end index, k) per division
         self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
         self.linear = linear = [(r.numerator, r.denominator) for r in ends]
-        net = [Fraction(b0 * q + b1 * p, a1 * q + 2 * a2 * p) - 1 for p, q in linear]
-        self.exponents = [e.numerator for e in net] if self.finite else net
-        self.divisors = tuple((i, k) for i, e in enumerate(net) if (k := max(math.floor(-e), 0)))
+        net = [(b0 * q + b1 * p, a1 * q + 2 * a2 * p) for p, q in linear]  # b(r)/a'(r) in ints
+        self.exponents = [n // d - 1 if self.finite else Fraction(n, d) - 1 for n, d in net]
+        self.divisors = [(ends.index(r), k) for r, k in divisions]
         self.shifts = [[q * v for v in _divide_linear(self.pair[:3], p, q)] for p, q in linear]
         self.m_0: dict[tuple[int, ...], float] = {}
-        # label -> (den, numerators) of f divided by the divisors as far as it goes, in ints
-        # (no gcd); label -> its class, the root orders s per divisor
-        self.reduced = reduced = {}
-        self.classes = classes = {}
-        stripped = [(*linear[i], k) for i, k in self.divisors]
-        for label, f in polys.items():
-            nums, mults = f.nums, ()
-            for p, q, k in stripped:
-                nums, s = _strip_linear(nums, p, q, k)
-                mults += (s,)
-            reduced[label] = f.den, nums
-            classes[label] = mults
+        self.classes, self.reduced = classes, reduced
         span = 2 * max((len(c) for _, c in reduced.values()), default=0)
         self.steps = min(steps, span - 2)  # no entry reads a ratio past span - 2
 
@@ -297,21 +285,25 @@ class _MomentForm:
             self.m_0[key] = _real_line_moment(w)
         return _moment_ratios((a0, a1, a2, b0, b1), self.steps, num, den)
 
-    def block(self, pairs: Sequence[tuple[int, int]], ids: Sequence[int] | None = None) -> list:
-        """Per label pair (m, n): its entry and key, s_f + s_g - k per divisor (r, k), the power
-        of (x - r) the pair leaves; or, where a key is negative, its reason text.  Each key's
-        moments are read once and each row L once per (label, key), for the label with the
-        longer f~; a zero entry is the one shared Fraction(0).
+    def block(
+        self, pairs: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]],
+        ids: Sequence[int] | None = None,
+    ) -> list[tuple[Fraction, tuple[int, ...]]]:
+        """(entry, key) per label pair (m, n) with its key keys[i], s_f + s_g - k >= 0 per
+        division (r, k), the power of (x - r) the pair leaves.  Each key's moments are read
+        once and each row L once per (label, key), for the label with the longer f~; a zero
+        entry is the one shared Fraction(0).
 
         ids says that the labels are the degrees of an eigentable of the weight's operator,
         each a monic eigenfunction, with ids[d] the same int for degrees of one eigenvalue.
         The module docstring's certificate then answers without a row: a pair with
-        ids[m] != ids[n] whose key is >= 1 or s_f == s_g at each divisor is the shared zero,
+        ids[m] != ids[n] whose key is >= 1 or s_f == s_g at each division is the shared zero,
         and a diagonal (k, k) is <f~_k, x^d>, d = deg f~_k, one dot product with its key's
         moments, where the labels of k's class (its root orders) fill every reduced degree
         below d and none of them has ids[k]."""
         reduced, classes = self.reduced, self.classes
-        moments, rows, rules, answers = {}, {}, {}, []  # key -> moments; (label, key) -> row
+        moments = {key: self._moments(key) for key in dict.fromkeys(keys)}
+        rows, answers = {}, []  # (label, key) -> row
         if ids is None:  # every label has the one id, and no diagonal is direct
             ids, direct = dict.fromkeys(reduced, 0), set()
         else:  # per class s, the labels from sum(s) up (a degree is >= sum(s)) until one
@@ -322,17 +314,11 @@ class _MomentForm:
                 while classes.get(end) == s:
                     end += 1
                 direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
-        for m, n in pairs:
-            both = classes[m], classes[n]
-            rule = rules.get(both)
-            if rule is None:
-                rule = rules[both] = self._rule(*both, moments)
-            key, refusal, zero = rule
-            if zero and ids[m] != ids[n]:
-                answers.append(zero)
-                continue
-            if refusal:
-                answers.append(refusal)
+        for (m, n), key in zip(pairs, keys):
+            if ids[m] != ids[n] and (  # a key with no 0 needs no root orders
+                0 not in key or all(e or s == t for e, s, t in zip(key, classes[m], classes[n]))
+            ):
+                answers.append((_ZERO, key))
                 continue
             d_a, a = reduced[m]
             if m in direct and m == n:
@@ -350,19 +336,6 @@ class _MomentForm:
             total = sum(map(mul, a, row[1]))
             answers.append((Fraction(total, d_a * row[0]) if total else _ZERO, key))
         return answers
-
-    def _rule(self, s: tuple[int, ...], t: tuple[int, ...], moments: dict) -> tuple:
-        """(key, refusal, zero) for the root orders s and t: the refusal text of a negative
-        key, else None and the key's moments read into moments; zero, the certified answer
-        (Fraction(0), key) where the boundary term vanishes at every divisor, else None."""
-        key = tuple(map(sub, map(add, s, t), [k for _, k in self.divisors]))
-        if key and min(key) < 0:
-            i, k = self.divisors[next(i for i, e in enumerate(key) if e < 0)]
-            return key, f"f*g is not divisible by (x - {self.ends[i]})^{k}", None
-        if key not in moments:
-            moments[key] = self._moments(key)
-        vanishes = s == t or all(e or s_f == s_g for e, s_f, s_g in zip(key, s, t))
-        return key, None, (_ZERO, key) if vanishes else None
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +470,28 @@ def _shape(weight: WeightExpr) -> str | None:
     return "laguerre" if all(pf.root == anchor for pf in factors) else None
 
 
-def _integrability_gate(
-    weight: WeightExpr, funcs: Sequence[Poly | None]
-) -> Callable[[int, int], bool]:
-    """The module docstring's gate: integrable(i, j) for an index pair into funcs."""
-    divisions, reach = _integrability_rule(weight)
-    caps = [k for _, k in divisions]
-    orders = functools.cache(lambda i: [funcs[i].strip_root(r, k)[1] for r, k in divisions])
-
-    def integrable(i: int, j: int) -> bool:
-        f, g = funcs[i], funcs[j]
-        if f is None or g is None:
-            return not divisions and i + j <= reach
-        return all(map(le, caps, map(add, orders(i), orders(j)))) and f.degree + g.degree <= reach
-
-    return integrable
-
-
 def _certificate(eigenvalues: Sequence[Fraction]) -> list[int]:
     """ids for _MomentForm.block from an eigentable, read once: ids[d] numbers degree d's
     eigenvalue by first appearance, so ids[m] != ids[n] exactly when the eigenvalues differ."""
     seen: dict[tuple[int, int], int] = {}
     return [seen.setdefault(mu.as_integer_ratio(), len(seen)) for mu in eigenvalues]
+
+
+def _reduce(
+    polys: dict[int, Poly], divisions: Sequence[tuple[Fraction, int]]
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, Sequence[int]]]]:
+    """(classes, reduced) of the labelled nonzero polys at the divisions (r, k): a label's
+    class is its root order s at each r, capped at k, and its reduced form is f divided by
+    prod (x - r)^s as (den, numerators), in ints (no gcd)."""
+    stripped = [(r.numerator, r.denominator, k) for r, k in divisions]
+    classes, reduced = {}, {}
+    for label, f in polys.items():
+        nums, orders = f.nums, ()
+        for p, q, k in stripped:
+            nums, s = _strip_linear(nums, p, q, k)
+            orders += (s,)
+        classes[label], reduced[label] = orders, (f.den, nums)
+    return classes, reduced
 
 
 def _route(
@@ -530,66 +503,67 @@ def _route(
     eigenvalues: Sequence[Fraction] | None = None,
 ) -> list[tuple]:
     """(value, method, integrable, err_est, note) per index pair (i, j) into funcs, by the
-    routes of the module docstring.  Where the weight has a moment form, on its Pearson pair
-    pearson, the form decides integrability: a pair past the reach is refused before the
-    block, and one whose key the block refuses is non-integrable; the gate is built only for
-    a weight with no form.  funcs[d] is None where degree d has no eigenfunction; such a pair
-    has no value and its degree's verdict.  eigenvalues, when given, makes funcs an
+    routes of the module docstring.  The router alone decides integrability, on every shape,
+    from weights' one rule read once: each class pair's key once, and each pair's degree
+    against the reach.  The form (on its Pearson pair pearson) or the node sweep then values
+    only the integrable pairs.  funcs[d] is None where degree d has no eigenfunction; such a
+    pair has no value and its degree's verdict.  eigenvalues, when given, makes funcs an
     eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
     eigenvalue eigenvalues[d]), whose pairs the form certifies where the boundary term
-    vanishes, at its divisors too (_MomentForm.block); the eigenvalues' collisions are read
+    vanishes, at its divisions too (_MomentForm.block); the eigenvalues' collisions are read
     once, not per pair."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
+    degree = {i: len(f.nums) - 1 for i, f in known.items()}
     shape = _shape(weight)
     moment = shape in ("romanovski", "laguerre")
-    # the last k with a moment r_k, the integrability rule's reach: the Romanovski power law
-    # caps it, a half line whose e^(c x) grows has none, and a finite form's keys have them all
-    reach = _integrability_rule(weight)[1] if moment else math.inf
-    form = _MomentForm(weight, pearson, known, reach) if moment or shape == "exact" else None
-    # a degree alone (no eigenfunction) is integrable where no end divides, within the reach
-    integrable = (
-        _integrability_gate(weight, funcs) if form is None
-        else lambda i, j: not form.divisors and i + j <= reach
-    )
+    divisions, reach = _integrability_rule(weight)
+    classes, reduced = _reduce(known, divisions)
+    caps = [k for _, k in divisions]
+    bounded = reach < math.inf  # the Romanovski power law, or -1 on a growing half line
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
-    numeric = (None, "quadrature", True, None, None)  # valued by the sweep below
     routes: list = [None] * len(pairs)
-    asked: list[int] = []  # the pairs the form answers, as one block
-    bounded = reach < math.inf
+    keys: dict = {}  # class pair -> its key, False where a part is negative
+    asked, asked_keys = [], []  # the integrable pairs, valued below, and their keys
     for k, (i, j) in enumerate(pairs):
-        if funcs[i] is None or funcs[j] is None:
-            routes[k] = (None, None, integrable(i, j), None, "no degree-exact eigenfunction")
-        elif i not in known or j not in known:  # f or g is zero
+        if i in known and j in known:
+            both = classes[i], classes[j]
+            key = keys.get(both)
+            if key is None:  # the class pair's one verdict: a negative part refuses it
+                key = tuple(map(sub, map(add, *both), caps))
+                key = keys[both] = key if min(key, default=0) >= 0 else False
+            if key is False or bounded and degree[i] + degree[j] > reach:
+                routes[k] = refused
+            else:
+                asked.append(k)
+                asked_keys.append(key)
+        elif funcs[i] is None or funcs[j] is None:  # a degree alone: no end divides, in reach
+            routes[k] = (None, None, not divisions and i + j <= reach, None,
+                         "no degree-exact eigenfunction")
+        else:  # f or g is zero
             routes[k] = zero
-        elif bounded and known[i].degree + known[j].degree > reach:  # no moment
-            routes[k] = refused
-        else:
-            asked.append(k)
-    block = [pairs[k] for k in asked]
-    ids = _certificate(eigenvalues) if eigenvalues is not None and form is not None else None
+    if not asked:
+        return routes
+    if shape not in ("exact", "romanovski", "laguerre"):  # quadrature, on one node sweep
+        slot = {d: s for s, d in enumerate(sorted({d for k in asked for d in pairs[k]}))}
+        swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in asked)]
+        for k, res in zip(asked, _numeric_quad(weight, [funcs[d] for d in slot], swept, tol)):
+            routes[k] = (res.value, "quadrature", True, res.err_est, None)
+        return routes
+    form = _MomentForm(weight, pearson, divisions, classes, reduced, reach)
+    ids = _certificate(eigenvalues) if eigenvalues is not None else None
+    method = "moment" if moment else "exact"
     try:  # a moment entry is its ratio times its key's float m_0, which the block reads
-        answers = form.block(block, ids) if form is not None else [None] * len(block)
-        for k, answer in zip(asked, answers):
-            if not isinstance(answer, tuple):  # a negative key, or no form and the gate
-                routes[k] = numeric if answer is None and integrable(*pairs[k]) else refused
-            elif moment:
-                value = float(answer[0]) * form.m_0[answer[1]]
+        for k, (value, key) in zip(asked, form.block([pairs[k] for k in asked], asked_keys, ids)):
+            if moment:
+                value = float(value) * form.m_0[key]
                 if math.isinf(value):
                     raise OverflowError
-                routes[k] = (value, "moment", True, None, None)
-            else:
-                routes[k] = (answer[0], "exact", True, None, None)
+            routes[k] = (value, method, True, None, None)
     except OverflowError:
         raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
-    pending = [k for k, route in enumerate(routes) if route[1] == "quadrature"]
-    slot = {d: k for k, d in enumerate(sorted({d for k in pending for d in pairs[k]}))}
-    swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in pending)]
-    results = _numeric_quad(weight, [funcs[d] for d in slot], swept, tol) if pending else []
-    for k, res in zip(pending, results):
-        routes[k] = (res.value, "quadrature", True, res.err_est, None)
     return routes
 
 
@@ -696,7 +670,7 @@ def _gram_for(
     Pearson pair.  An off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both
     diagonals are positive, from exact values past a float's range; else 0.0 where its value
     is 0 (noted "relative uses moment scale" on the Romanovski shape, where each is a certified
-    zero: no row, though _MomentForm._rule reads its key's moments); else None."""
+    zero: no row, though _MomentForm.block reads its key's moments); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
     funcs, eigenvalues = [r.monic for r in table], [r.eigenvalue for r in table]
     routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)

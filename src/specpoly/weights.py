@@ -284,11 +284,13 @@ def _integrability_rule(weight: WeightExpr) -> tuple[tuple[tuple[Fraction, int],
     """(divisions, reach), the module docstring's rule: p f g is integrable exactly when f g
     has each division's root r at least k times and its degree is at most the reach."""
     iv, exp_poly = weight.interval, weight.exp_poly
+    summed: dict[Fraction, Fraction] = {}  # root -> p's summed exponent there, in one pass
+    for pf in weight.power_factors:
+        summed[pf.root] = summed[pf.root] + pf.exponent if pf.root in summed else pf.exponent
     divisions = tuple(
         (r, math.floor(-e))
-        for r in sorted({pf.root for pf in weight.power_factors})
-        if (e := weight.power_exponent_at(r)) <= -1
-        and (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi)
+        for r, e in sorted(summed.items())
+        if e <= -1 and (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi)
     )
     if iv.finite:
         return divisions, math.inf

@@ -537,6 +537,17 @@ class TestContract:
         code, _, err = run(capsys, "gram", "--operator-json", "/nonexistent.json")
         assert code == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        (json.dumps({"a": [["0"], ["0", "0"], []]}), "operator has no nonzero coefficients"),
+        ("a: [[0], [1]]\n", "Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["all-zero", "not-json"])
+    def test_unusable_operator_file_is_domain_error(self, capsys, tmp_path, text, reason):
+        # EmptyOperator and json's JSONDecodeError, both ValueErrors, exit 1 with the reason
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--operator-json", str(path), "--n-max", "2")
+        assert (code, out, err) == (1, "", f"specpoly: error: {reason}\n")
+
     def test_negative_rational_flag_value(self, capsys):
         data = run_json(
             capsys, "spectrum", "--family", "romanovski", "--alpha", "-13/2",
@@ -779,8 +790,10 @@ class TestExit:
             "runpy.run_module('specpoly', run_name='__main__', alter_sys=True)",
             # the installed `specpoly` script
             "from specpoly.__main__ import run; sys.exit(run())",
+            # python -m specpoly.cli
+            "runpy.run_module('specpoly.cli', run_name='__main__', alter_sys=True)",
         ],
-        ids=["module", "script"],
+        ids=["module", "script", "cli-module"],
     )
     def test_entry_point_freezes_before_exit(self, entry):
         # `specpoly spectrum --preset legendre`, with the frozen count read by an atexit

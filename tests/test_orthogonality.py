@@ -69,11 +69,41 @@ def exact_value(w, f, g):
     return value
 
 
+def router_form(w, pearson, polys):
+    """The moment form of w on its Pearson pair for the labelled nonzero polys, built the
+    router's way: weights' one rule gives the divisions and the reach, and the router's
+    reduction each label's class and reduced form."""
+    divisions, reach = _integrability_rule(w)
+    classes, reduced = orthogonality._reduce(polys, divisions)
+    return orthogonality._MomentForm(w, pearson, divisions, classes, reduced, reach)
+
+
+def form_answers(form, pairs, ids=None):
+    """Per label pair, what the router makes of it on form: the router's verdict is the key
+    s_f + s_g - k at each division (r, k), and a pair with a negative part is refused, here
+    as the divisibility it lacks at the first such division, "f*g is not divisible by
+    (x - r)^k" (the oracle's NotPolynomialReducible text); the others are asked of the block
+    in one call, which gives (value, key)."""
+    answers, asked, keys = {}, [], []
+    for m, n in pairs:
+        key = tuple(s + t - k for s, t, (_, k) in zip(form.classes[m], form.classes[n], form.divisors))
+        if key and min(key) < 0:
+            i, k = form.divisors[next(i for i, e in enumerate(key) if e < 0)]
+            answers[m, n] = f"f*g is not divisible by (x - {form.ends[i]})^{k}"
+        else:
+            asked.append((m, n))
+            keys.append(key)
+    valued = form.block(asked, keys, ids)
+    assert all(type(v) is tuple and len(v) == 2 and type(v[0]) is Fraction for v in valued)
+    answers.update(zip(asked, valued))
+    return [answers[pair] for pair in pairs]
+
+
 def form_pair(w, f, g):
-    """The moment form's block of the one pair (f, g) on a weight that _shape routes to the
-    exact route: its exact value, or the pair's refusal text."""
+    """The moment form's answer to the one pair (f, g) on a weight that _shape routes to the
+    exact route, built the router's way: its exact value, or the pair's refusal text."""
     assert orthogonality._shape(w) == "exact", w.formula()
-    (answer,) = orthogonality._MomentForm(w, w.pearson_pair(), {0: f, 1: g}).block([(0, 1)])
+    (answer,) = form_answers(router_form(w, w.pearson_pair(), {0: f, 1: g}), [(0, 1)])
     return answer[0] if isinstance(answer, tuple) else answer
 
 
@@ -146,7 +176,14 @@ class TestExactPath:
         assert value == (0.0, "moment", None) and type(value[0]) is float
 
     def test_uncancelled_negative_power_not_reducible(self):
-        assert form_pair(CQ_W, Poly.one(), Poly((0, 1))) == "f*g is not divisible by (x - 1)^1"
+        # the router refuses the pair at the division (1, 1), where the oracle finds f*g
+        # not divisible, and the form is never asked it
+        reason = "f*g is not divisible by (x - 1)^1"
+        with pytest.raises(NotPolynomialReducible, match=f"^{re.escape(reason)}$"):
+            divide_and_integrate(CQ_W, Poly.one(), Poly((0, 1)))
+        assert form_pair(CQ_W, Poly.one(), Poly((0, 1))) == reason
+        with pytest.raises(NonIntegrable):
+            inner_product(CQ_W, Poly.one(), Poly((0, 1)))
 
     # the exact route integrates powers rooted at the interval's ends only: _shape leaves
     # |x|^2 (inside) and |x - 3| (outside) on (-1, 1) to quadrature, which meets the oracle's
@@ -208,6 +245,8 @@ def _same_as_oracle(w, f, g):
         expected = divide_and_integrate(w, f, g)
     except NotPolynomialReducible as error:
         assert form_pair(w, f, g) == str(error)
+        with pytest.raises(NonIntegrable):
+            inner_product(w, f, g)
         return False
     assert inner_product(w, f, g) == (expected, "exact", None)
     return True
@@ -278,7 +317,8 @@ class TestMomentAssembly:
     def test_block_agrees_with_oracle_in_any_order(self):
         # a Gram matrix's pairs as one block, shuffled, and one pair at a time give the same
         # answers: divide_and_integrate's value (and inner_product's) with the key
-        # s_f + s_g - k per divisor, or the oracle's NotPolynomialReducible text as the refusal
+        # s_f + s_g - k per division, or, where the router refuses the key, the oracle's
+        # NotPolynomialReducible text and inner_product's NonIntegrable
         rng = random.Random(107)
         draws = []
         for spec, n_max in ASSEMBLY_SPECS:
@@ -297,18 +337,20 @@ class TestMomentAssembly:
         exact = refused = 0
         for w, pearson, polys in draws:
             assert orthogonality._shape(w) == "exact", w.formula()
-            form = orthogonality._MomentForm(w, pearson, polys)
+            form = router_form(w, pearson, polys)
             pairs = [(m, n) for m in polys for n in polys if m <= n]
-            answers = dict(zip(pairs, form.block(pairs)))
+            answers = dict(zip(pairs, form_answers(form, pairs)))
             shuffled = rng.sample(pairs, len(pairs))
-            assert dict(zip(shuffled, form.block(shuffled))) == answers
+            assert dict(zip(shuffled, form_answers(form, shuffled))) == answers
             for (m, n), answer in answers.items():
-                assert form.block([(m, n)]) == [answer]
+                assert form_answers(form, [(m, n)]) == [answer]
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
                 except NotPolynomialReducible as error:
                     assert answer == str(error) == form_pair(w, f, g), (w, m, n)
+                    with pytest.raises(NonIntegrable):
+                        inner_product(w, f, g)
                     refused += 1
                     continue
                 assert answer == (expected, _block_key(w, f, g)), (w, m, n)
@@ -317,21 +359,21 @@ class TestMomentAssembly:
         assert exact > 4500 and refused > 50
 
     def test_moment_route_reads_only_gated_keys(self, monkeypatch):
-        # the form decides integrability on the moment route: the block is asked every pair
-        # of two eigenfunctions within the reach, reads the moments (and m_0) of each key of an
-        # integrable pair once and no other key, and its refusals are the entries marked
-        # non-integrable that lie within the reach; a weight with no integrable pair reads none
-        reads, asked, refusals = [], [], []
+        # the router decides integrability on the moment route: the block is asked exactly the
+        # integrable pairs of two eigenfunctions, each with its key, returns (value, key) for
+        # each and no refusal, and reads the moments (and m_0) of each key once and no other
+        # key; a weight with no integrable pair builds no form and reads none
+        reads, asked, answered = [], [], []
         moments, block = orthogonality._MomentForm._moments, orthogonality._MomentForm.block
 
         def spy_moments(form, key):
             reads.append(key)
             return moments(form, key)
 
-        def spy_block(form, pairs, *certificate):
-            answers = block(form, pairs, *certificate)
+        def spy_block(form, pairs, keys, *certificate):
+            answers = block(form, pairs, keys, *certificate)
             asked.extend(pairs)
-            refusals.extend(pair for pair, a in zip(pairs, answers) if not isinstance(a, tuple))
+            answered.extend(zip(keys, answers))
             return answers
 
         monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
@@ -347,24 +389,23 @@ class TestMomentAssembly:
         for spec, n, refused in specs:
             reads.clear()
             asked.clear()
-            refusals.clear()
+            answered.clear()
             w = weight_of(spec)
             reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
             table = eigentable(build_operator(spec), n)
             gram = gram_matrix(spec, n)
             integrable = [e for e in gram.entries if e.integrable]
             assert len(gram.entries) - len(integrable) == refused, spec
-            within = [
-                (e.m, e.n) for e in gram.entries
+            valued = [
+                (e.m, e.n) for e in integrable
                 if table[e.m].monic is not None and table[e.n].monic is not None
-                and e.m + e.n <= reach
             ]
-            assert sorted(asked) == sorted(within), spec
+            assert sorted(asked) == sorted(valued), spec
+            for (m, k), (key, answer) in zip(asked, answered):
+                assert key == _block_key(w, table[m].monic, table[k].monic) and min(key, default=0) >= 0
+                assert type(answer) is tuple and type(answer[0]) is Fraction and answer[1] == key
             keys = {_block_key(w, table[e.m].monic, table[e.n].monic) for e in integrable}
             assert len(reads) == len(set(reads)) and set(reads) == keys, spec
-            assert sorted(refusals) == sorted(
-                (e.m, e.n) for e in gram.entries if not e.integrable and e.m + e.n <= reach
-            ), spec
             assert all(e.m + e.n <= reach for e in integrable), spec
 
     def test_large_denominators_match_divide_and_integrate(self):
@@ -399,8 +440,8 @@ class TestMomentAssembly:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 2)
                 polys[label] = f
             pairs = [(m, n) for m in polys for n in polys]
-            form = orthogonality._MomentForm(w, pearson, polys)
-            for (m, n), answer in zip(pairs, form.block(pairs)):
+            form = router_form(w, pearson, polys)
+            for (m, n), answer in zip(pairs, form_answers(form, pairs)):
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
@@ -422,8 +463,8 @@ class TestMomentAssembly:
                 tuple(PowerFactor(one, Fraction(e)) for e in exponents),
                 interval=Interval(Fraction(0), one),
             )
-            form = orthogonality._MomentForm(w, w.pearson_pair(), {0: Poly.one()})
-            assert form.divisors == () and form.block([(0, 0)]) == [(Fraction(1, 2), ())]
+            form = router_form(w, w.pearson_pair(), {0: Poly.one()})
+            assert form.divisors == [] and form.block([(0, 0)], [()]) == [(Fraction(1, 2), ())]
             assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
 
 
@@ -792,45 +833,39 @@ class TestGramMatrix:
     @staticmethod
     def _spy_root_orders(monkeypatch) -> tuple[list, list]:
         """(rules, reads): the weights each _integrability_rule call reads, and each
-        (eigenfunction, root, cap) the gate's integrable(i, j) strips."""
-        rules, reads, inside = [], [], []
-        rule, gate = orthogonality._integrability_rule, orthogonality._integrability_gate
-        strip = Poly.strip_root
-
-        def stripped(f, root, limit):
-            if inside:
-                reads.append((f, root, limit))
-            return strip(f, root, limit)
-
-        def spied_gate(weight, funcs):
-            integrable = gate(weight, funcs)
-
-            def spied(i, j):
-                inside.append(True)
-                try:
-                    return integrable(i, j)
-                finally:
-                    inside.pop()
-            return spied
-
-        monkeypatch.setattr(Poly, "strip_root", stripped)
+        (numerators, p, q, cap) the router's reduction strips at the division root p/q."""
+        rules, reads = [], []
+        rule, strip = orthogonality._integrability_rule, orthogonality._strip_linear
+        monkeypatch.setattr(
+            orthogonality, "_strip_linear",
+            lambda nums, p, q, cap: reads.append((nums, p, q, cap)) or strip(nums, p, q, cap),
+        )
         monkeypatch.setattr(
             orthogonality, "_integrability_rule", lambda w: rules.append(w) or rule(w)
         )
-        monkeypatch.setattr(orthogonality, "_integrability_gate", spied_gate)
         return rules, reads
 
     def test_one_integrability_read_per_matrix(self, monkeypatch):
-        # no verdict is read (the library has none): the gate reads weights' rule once per
-        # form-less matrix, and a weight with no division reads no root order; an exact-route
-        # matrix reads neither
+        # no verdict is read (the library has none) and no gate is left: the router reads
+        # weights' rule once per matrix or inner_product call on every shape, the exact one
+        # included, and a weight with no division reads no root order
         assert not hasattr(orthogonality, "integrability")
+        assert not hasattr(orthogonality, "_integrability_gate")
         rules, reads = self._spy_root_orders(monkeypatch)
-        gram_matrix(FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)), 6)
-        assert len(rules) == 1 and reads == []
+        for spec in (FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3)),
+                     classical_presets()["legendre"], ROM_SPEC, classical_presets()["laguerre"]):
+            rules.clear()
+            gram_matrix(spec, 6)
+            assert rules == [weight_of(spec)] and reads == [], spec
         rules.clear()
-        gram_matrix(classical_presets()["legendre"], 6)
-        assert rules == [] and reads == []
+        inner_product(LEGENDRE_W, Poly.one(), Poly((0, 1)))
+        assert rules == [LEGENDRE_W] and reads == []
+        # chaudhry-qadir's division (1, 1): one root order per eigenfunction of the table,
+        # capped at 1 (degree 0's too, though the matrix starts at degree 1)
+        rules.clear()
+        gram_matrix(CQ_SPEC, 6)
+        funcs = [r.monic for r in eigentable(build_operator(CQ_SPEC), 6)]
+        assert rules == [CQ_W] and reads == [(f.nums, 1, 1, 1) for f in funcs]
 
     def test_finite_interval_verdict_reads_root_orders_only(self, monkeypatch):
         # on (-1, 1) the degree plays no part: the one division (1, 1) decides all 45 pairs,
@@ -839,7 +874,7 @@ class TestGramMatrix:
         spec = FamilySpec.jacobi(-1, Fraction(-4, 3), Fraction(4, 3))
         report = gram_matrix(spec, 8)
         funcs = [r.monic for r in eigentable(build_operator(spec), 8)]
-        assert len(rules) == 1 and reads == [(f, 1, 1) for f in funcs]
+        assert len(rules) == 1 and reads == [(f.nums, 1, 1, 1) for f in funcs]
         assert [(e.m, e.n) for e in report.entries if not e.integrable] == [(0, 0)]
 
     def test_no_degrees_no_entries(self):
@@ -1605,8 +1640,7 @@ class TestMomentRoute:
             reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
             diagonal = [(k, k) for k in range(len(diagonals)) if 2 * k <= reach]  # the gated
             polys = {k: table[k].monic for k, _ in diagonal}
-            form = orthogonality._MomentForm(w, pair_of(op), polys, reach)
-            ratios = dict(zip(diagonal, form.block(diagonal)))
+            ratios = dict(zip(diagonal, form_answers(router_form(w, pair_of(op), polys), diagonal)))
             collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
             near_boundary += (alpha / c).denominator == 1000
             for e in gram.entries:
@@ -1679,7 +1713,8 @@ def divisor_draw():
 
 def _form_and_pairs(op, n):
     """(weight, eigentable, form, pairs) as the router builds them for op up to degree n: every
-    pair of two eigenfunctions within the reach; None where the weight has no moment form."""
+    pair of two eigenfunctions within the reach, whose keys form_answers judges as the router
+    does; None where the weight has no moment form."""
     try:
         w = derive_weight(op.coeffs[2], op.coeffs[1])
     except ValueError:
@@ -1689,8 +1724,7 @@ def _form_and_pairs(op, n):
     table = eigentable(op, n)
     funcs = [r.monic for r in table]
     reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
-    polys = {d: f for d, f in enumerate(funcs) if f}
-    form = orthogonality._MomentForm(w, pair_of(op), polys, reach)
+    form = router_form(w, pair_of(op), {d: f for d, f in enumerate(funcs) if f})
     pairs = [
         (m, k) for m in range(n + 1) for k in range(m, n + 1)
         if funcs[m] is not None and funcs[k] is not None and m + k <= reach
@@ -1708,7 +1742,8 @@ def _poisoned(form):
 
 
 class TestCertifiedEntries:
-    """_MomentForm.block with an eigentable's certificate against the block without it."""
+    """_MomentForm.block with an eigentable's certificate against the block without it, asked
+    the pairs the router judges integrable (form_answers)."""
 
     @pytest.mark.parametrize(
         "draw, floors",
@@ -1734,8 +1769,8 @@ class TestCertifiedEntries:
                 continue
             w, table, form, pairs = built
             ids = orthogonality._certificate([r.eigenvalue for r in table])
-            got, want = form.block(pairs, ids), form.block(pairs)
-            blind = dict(zip(pairs, _poisoned(form).block(pairs, ids)))
+            got, want = form_answers(form, pairs, ids), form_answers(form, pairs)
+            blind = dict(zip(pairs, form_answers(_poisoned(form), pairs, ids)))
             for (m, k), g, e in zip(pairs, got, want):
                 assert type(g) is type(e) and g == e, (op, m, k)
                 if not isinstance(e, tuple):  # a negative key's refusal text
@@ -1778,8 +1813,8 @@ class TestCertifiedEntries:
                 continue
             w, table, form, pairs = built
             ids = orthogonality._certificate([r.eigenvalue for r in table])
-            blind = dict(zip(pairs, _poisoned(form).block(pairs, ids)))
-            want = dict(zip(pairs, form.block(pairs)))
+            blind = dict(zip(pairs, form_answers(_poisoned(form), pairs, ids)))
+            want = dict(zip(pairs, form_answers(form, pairs)))
             for m, k in pairs:
                 if m == k or ids[m] == ids[k]:
                     continue
@@ -1813,13 +1848,13 @@ class TestCertifiedEntries:
             j: P(-1, 1) ** s * (P(0, 1) ** (j - s) + (P(0, 1) ** (j - s - 1) if j > s else P()))
             for j, s in enumerate(orders)
         }
-        form = orthogonality._MomentForm(w, pearson, base)
+        form = router_form(w, pearson, base)
         assert [len(c) - 1 for _, c in map(form.reduced.get, range(7))] == [
             j - s for j, s in enumerate(orders)
         ]
         pairs = [(m, k) for m in range(7) for k in range(m, 7)]
-        got = dict(zip(pairs, form.block(pairs, ids)))
-        want = dict(zip(pairs, form.block(pairs)))
+        got = dict(zip(pairs, form_answers(form, pairs, ids)))
+        want = dict(zip(pairs, form_answers(form, pairs)))
         k_r = 2 if divided else 0
         for (m, k), answer in got.items():
             e = want[m, k]
@@ -1895,7 +1930,7 @@ class TestPearsonPair:
             w, _, form, asked = _form_and_pairs(op, n)
             shapes[orthogonality._shape(w)] += 1
             start = len(keys)
-            form.block(asked)
+            form_answers(form, asked)
             for key, pair in zip(keys[start:], pairs[start:]):
                 a, b = op.coeffs[2], op.coeffs[1]
                 d = math.lcm(a.den, b.den)
@@ -1923,8 +1958,10 @@ class TestPearsonPair:
         "draw, floor", [(pearson_draw, 300), (certificate_draw, 50)], ids=["pearson", "certificate"]
     )
     def test_form_divisors_are_the_integrability_rules(self, draw, floor):
-        # the form reads its divisors off the pair, the integrability rule off the weight's
-        # factors: mapped to roots, they are the same divisions on every weight with a form
+        # the form reads each end's exponent E_r off the operator's pair, the integrability
+        # rule reads the divisions off the weight's factors: k = floor(-E_r) wherever it is
+        # positive is the rule's k at every end, on every weight with a form, and the router
+        # hands the form the rule's divisions
         divided = 0
         for op, _ in draw():
             try:
@@ -1933,9 +1970,13 @@ class TestPearsonPair:
                 continue
             if orthogonality._shape(w) not in ("exact", "laguerre", "romanovski"):
                 continue
-            form = orthogonality._MomentForm(w, pair_of(op), {})
-            divisions = [(form.ends[i], k) for i, k in form.divisors]
-            assert divisions == list(_integrability_rule(w)[0]), op
+            form = router_form(w, pair_of(op), {})
+            from_pair = [
+                (r, math.floor(-e)) for r, e in zip(form.ends, form.exponents) if math.floor(-e) > 0
+            ]
+            divisions = list(_integrability_rule(w)[0])
+            assert from_pair == divisions, op
+            assert [(form.ends[i], k) for i, k in form.divisors] == divisions, op
             divided += bool(divisions)
         assert divided > floor
 
@@ -2080,21 +2121,30 @@ def hand_built_draw():
 
 
 class TestIntegrabilityRule:
-    def test_gate_matches_the_oracle_on_hand_built_weights(self):
-        # the gate reads weights' one rule (divisions, reach) with each function's capped root
-        # orders; the oracle reads p f g's endpoint facts with f g formed, one condition per
-        # root and infinite end: they must agree on every pair
-        verdicts = Counter()
+    def test_gate_matches_the_oracle_on_hand_built_weights(self, monkeypatch):
+        # the router's one decision reads weights' one rule (divisions, reach) with each
+        # function's capped root orders, on every shape; the oracle reads p f g's endpoint
+        # facts with f g formed, one condition per root and infinite end: they must agree on
+        # every pair.  The node sweep is stubbed (only the verdicts are compared), so a
+        # weight with no quadrature map passes its integrable pairs to it too
+        monkeypatch.setattr(
+            orthogonality, "_numeric_quad",
+            lambda w, funcs, pairs, tol: [SimpleNamespace(value=0.0, err_est=0.0)] * len(pairs),
+        )
+        verdicts, shapes = Counter(), Counter()
         for w, funcs in hand_built_draw():
-            gate = orthogonality._integrability_gate(w, funcs)
-            for i, j in combinations_with_replacement(range(len(funcs)), 2):
+            pairs = list(combinations_with_replacement(range(len(funcs)), 2))
+            routes = orthogonality._route(w, w.pearson_pair(), funcs, pairs, 1e-10)
+            shapes[orthogonality._shape(w)] += 1
+            for (i, j), route in zip(pairs, routes):
                 f, g = funcs[i], funcs[j]
                 if f is None or g is None:
                     want = integrability(w, i + j).integrable
                 else:
                     want = integrability(w, factor=f * g).integrable
-                assert gate(i, j) == want, (w, i, j)
+                assert route[2] == want, (w, i, j)
                 verdicts[want, w.interval.finite, not w.exp_poly or w.exp_poly.degree == 0] += 1
+        assert set(shapes) == {"exact", "finite", "laguerre", "romanovski", "gaussian", None}
         assert sorted(verdicts) == [(v, finite, flat) for v in (False, True)
                                     for finite in (False, True) for flat in (False, True)
                                     if not (finite and not flat)]
