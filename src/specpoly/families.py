@@ -84,24 +84,16 @@ class FamilySpec(Record):
         return f"{self.kind.value}(alpha={self.alpha}, beta={self.beta})"
 
 
+# the leading coefficient a of each family with a free (alpha, beta), besides Jacobi's
+_LEADING = {FamilyKind.ROMANOVSKI: (1, 0, 1), FamilyKind.LAGUERRE: (0, 1), FamilyKind.HERMITE: (1,)}
+
+
 def build_operator(spec: FamilySpec) -> DiffOperator:
     """The validated operator a D^2 + b D for the family (a_0 = 0)."""
     if spec.kind is FamilyKind.CHAUDHRY_QADIR:
-        a = Poly((0, 1, -1))  # t - t^2
-        b = Poly((1, -1))  # 1 - t
-        return DiffOperator([Poly(), b, a])
-    if spec.kind is FamilyKind.JACOBI:
-        a = Poly((1, 0, -1)) if spec.eps == -1 else Poly((1, 0, 1))
-    elif spec.kind is FamilyKind.ROMANOVSKI:
-        a = Poly((1, 0, 1))
-    elif spec.kind is FamilyKind.LAGUERRE:
-        a = Poly((0, 1))
-    elif spec.kind is FamilyKind.HERMITE:
-        a = Poly((1,))
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown family kind {spec.kind}")
-    b = Poly((spec.beta, spec.alpha))
-    return DiffOperator([Poly(), b, a])
+        return DiffOperator([Poly(), Poly((1, -1)), Poly((0, 1, -1))])  # (1 - t) D + (t - t^2) D^2
+    a = (1, 0, spec.eps) if spec.kind is FamilyKind.JACOBI else _LEADING[spec.kind]
+    return DiffOperator([Poly(), Poly((spec.beta, spec.alpha)), Poly(a)])
 
 
 def classical_presets() -> dict[str, FamilySpec]:

@@ -1,10 +1,10 @@
 """Weighted inner products <f, g> = integral p f g and Gram matrices.
 
 Routing policy: one router serves Gram matrices and inner_product alike, and
-takes one of three routes per pair.  _shape alone names the route, once per
-weight, from the four shapes derive_weight gives (Bochner's classification):
-Jacobi on a finite interval, Laguerre on a half line, Romanovski or Gaussian
-on the real line.
+takes one of three routes per pair.  weights._classify alone names the route,
+once per call, from the four shapes derive_weight gives (Bochner's
+classification): Jacobi on a finite interval, Laguerre on a half line,
+Romanovski or Gaussian on the real line.
 
 * exact and moment: on the three shapes below every moment m_k = integral
   p x^k is an exact rational r_k times m_0.  From a Pearson pair (a, b),
@@ -33,7 +33,7 @@ on the real line.
     route: integer exponents, so A_r >= 0, and
     m_0 = (hi - lo)^(A_lo+A_hi+1) A_lo! A_hi! / (A_lo+A_hi+1)! is rational,
     folded into the entry, which is then the exact integral, with no float.
-    _shape leaves a weight with a factor rooted off the ends, a non-integer
+    _classify leaves a weight with a factor rooted off the ends, a non-integer
     exponent, an (x^2+1) or a transcendental factor to quadrature.
   - Romanovski, p = (x^2+1)^q e^(h arctan x) on the real line: m_0 is
     Cauchy's beta integral.  The last k with p x^k integrable is the rule's
@@ -61,7 +61,7 @@ Certified entries (PAPER.md's argument; Raposo, Weber, Alvarez-Castillo and
 Kirchbach, arXiv:0706.3897 for Romanovski): for eigenfunctions L f = lambda_m f
 and L g = lambda_n g of L = a D^2 + b D, (p a)' = p b gives
 (lambda_m - lambda_n) p f g = (p a (f' g - f g'))'.  The boundary term vanishes
-at an end without a division for every pair the block is asked: a finite end
+at an end without a division for every pair the router values: a finite end
 has E_r > -1, so p a has a positive exponent; a half line's e^(c x) decays; on
 the Romanovski shape the router asks only pairs inside the reach,
 m + n + 2q + 1 < 0, which is the power of the boundary term.  At a division
@@ -70,16 +70,18 @@ s_f != s_g and more when they are equal; with the key s_f + s_g - k_r >= 0,
 A_r = E_r + k_r + key and -1 < E_r + k_r <= 0, so it vanishes where the key is
 >= 1 or s_f == s_g (key 0 then makes s_f = k_r / 2 < k_r an exact root order),
 for integer and non-integer E_r, and need not elsewhere (laguerre(-1, 0)'s
-(0, n) are 1, -1, 2).  So, read off the eigentable once per Gram matrix, an
-off-diagonal pair of two eigenvalues that passes at every division is the shared
-exact zero, with no row (its key's moments are still read once).  A diagonal
-(k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is <f~_k, x^d> under
-its key, one O(d) dot product instead of an O(d^2) row, when the eigenfunctions
-with root orders s fill the reduced degrees 0 .. d-1 and none has k's
-eigenvalue: each is then a zero against f_k under k's key.  Each is the block's
-own Fraction.  A pair of equal eigenvalues or that fails at a division, a
-diagonal above a gap or sharing its eigenvalue within its run, and
-inner_product, whose f and g need be no eigenfunctions, take the block.
+(0, n) are 1, -1, 2).  The router judges this once per class pair, beside its
+key, and reads the eigenvalues off the eigentable once per Gram matrix: an
+off-diagonal pair of two eigenvalues whose class pair passes at every division
+is the shared exact zero, with no row (the block still reads its key's moments
+once).  A diagonal (k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is
+<f~_k, x^d> under its key, one O(d) dot product instead of an O(d^2) row, when
+the eigenfunctions with root orders s fill the reduced degrees 0 .. d-1 and
+none has k's eigenvalue: each is then a zero against f_k under k's key.  The
+router names these direct diagonals, and each is the block's own Fraction.  A
+pair of equal eigenvalues or that fails at a division, a diagonal above a gap
+or sharing its eigenvalue within its run, and inner_product, whose f and g need
+be no eigenfunctions, take the block's rows.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0.  An
@@ -87,17 +89,19 @@ off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
 On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
 is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
-One integrability decision, the router's, on every route.  It reads weights'
-one integrability rule, (divisions, reach), once per Gram matrix or
-inner_product call, and strips each eigenfunction once at each division (r, k),
-capped at k, in ints (_reduce): its root orders there are its class, and its
-quotient is what the form values.  Each class pair is judged once, by its key
-s_f + s_g - k per division, refused when a part is negative, and a pair is
-integrable when its class pair's key is and deg f + deg g is within the
-reach, so no f g is formed for a verdict.  A degree with no eigenfunction is
-integrable when no end divides and m + n is within the reach.  A zero f or g
-is an exact zero with no verdict read (0.0 on a moment shape).  The form, with
-each pair's key, or the node sweep then values the integrable pairs only.
+The router makes every decision, once, on every route, and the form only
+computes.  It reads _classify's (route, divisions, reach) once per Gram
+matrix, Romanovski report or inner_product call, hands the route to the node
+sweep and to the Gram assembly, and strips each eigenfunction once at each
+division (r, k), capped at k, in ints (_reduce): its root orders there are its
+class, and its quotient is what the form values.  Each class pair is judged
+once, by its key s_f + s_g - k per division, refused when a part is negative,
+and by whether the boundary term vanishes; a pair is integrable when its class
+pair's key is and deg f + deg g is within the reach, so no f g is formed for a
+verdict.  A degree with no eigenfunction is integrable when no end divides and
+m + n is within the reach.  A zero f or g is an exact zero with no verdict read
+(0.0 on a moment shape).  The form, with each pair's key and the router's
+certificate, or the node sweep then values the integrable pairs only.
 A Gram matrix makes one node sweep per weight
 (quadrature._product_sweep), with one evaluation per node: each node's
 abscissa, log p(x) and Jacobian are computed once and shared by all pending
@@ -130,7 +134,7 @@ from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
 from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, rat
-from .weights import WeightExpr, _integrability_rule, derive_weight
+from .weights import WeightExpr, _classify, derive_weight
 
 __all__ = [
     "NonIntegrable",
@@ -219,23 +223,22 @@ def _real_line_moment(weight: WeightExpr) -> float:
 
 class _MomentForm:
     """<f, g> = integral p f g for labelled f, g, on the Pearson moments of the module
-    docstring: a valuer of the pairs the router has judged integrable.  The router hands it
-    its divisions (r, k), each label's class (its root orders s there) and reduced f~, with
-    f = f~ prod (x - r)^s, and each pair's key; a pair reduces to sum_i f~_i L(i) with
-    L(i) = sum_j g~_j r_(i+j), r the cached moment ratios of its key: O(n^3) for an n x n
-    Gram matrix, answered as one block.  f~, g~ and r are int lists over their
-    denominators, so an entry is int sums and, when it is not 0, one Fraction.  On a finite
-    interval r carries the rational m_0, and the entry is the integral; on the moment route
-    it is the ratio to the key's float m_0 (m_0[key], set when the key's moments are read).
-    steps caps the ratios (the reach): no pair asked reads past it.  The weight is one _shape
-    names "exact", "laguerre" or "romanovski", and pearson is its Pearson pair (a, b),
-    (p a)' = p b with a simple root of a at each finite end: the operator's own, or
-    WeightExpr.pearson_pair.  The pair gives the exponents and the moments; the weight gives
-    only its ends and m_0."""
+    docstring: a valuer, which decides nothing.  The router hands it its divisions (r, k)
+    and each label's reduced f~, with f = f~ prod (x - r)^s for the label's root orders s
+    there, and, per block, the integrable pairs with their keys and its certificate; a pair
+    reduces to sum_i f~_i L(i) with L(i) = sum_j g~_j r_(i+j), r the cached moment ratios of
+    its key: O(n^3) for an n x n Gram matrix, answered as one block.  f~, g~ and r are int
+    lists over their denominators, so an entry is int sums and, when it is not 0, one
+    Fraction.  On a finite interval r carries the rational m_0, and the entry is the
+    integral; on the moment route it is the ratio to the key's float m_0 (m_0[key], set when
+    the key's moments are read).  steps caps the ratios (the reach): no pair asked reads past
+    it.  The weight is one _classify routes "exact", "laguerre" or "romanovski", and pearson
+    is its Pearson pair (a, b), (p a)' = p b with a simple root of a at each finite end: the
+    operator's own, or WeightExpr.pearson_pair.  The pair gives the exponents and the
+    moments; the weight gives only its ends and m_0."""
 
     def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly],
-                 divisions: Sequence[tuple[Fraction, int]], classes: dict, reduced: dict,
-                 steps: float):
+                 divisions: Sequence[tuple[Fraction, int]], reduced: dict, steps: float):
         iv = weight.interval
         self.weight, self.finite = weight, iv.finite
         # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
@@ -254,7 +257,7 @@ class _MomentForm:
         self.divisors = [(ends.index(r), k) for r, k in divisions]
         self.shifts = [[q * v for v in _divide_linear(self.pair[:3], p, q)] for p, q in linear]
         self.m_0: dict[tuple[int, ...], float] = {}
-        self.classes, self.reduced = classes, reduced
+        self.reduced = reduced
         span = 2 * max((len(c) for _, c in reduced.values()), default=0)
         self.steps = min(steps, span - 2)  # no entry reads a ratio past span - 2
 
@@ -287,44 +290,27 @@ class _MomentForm:
 
     def block(
         self, pairs: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]],
-        ids: Sequence[int] | None = None,
-    ) -> list[tuple[Fraction, tuple[int, ...]]]:
-        """(entry, key) per label pair (m, n) with its key keys[i], s_f + s_g - k >= 0 per
+        zeros: Sequence[bool], direct: set[int],
+    ) -> list[Fraction]:
+        """The entry per label pair (m, n) with its key keys[i], s_f + s_g - k >= 0 per
         division (r, k), the power of (x - r) the pair leaves.  Each key's moments are read
-        once and each row L once per (label, key), for the label with the longer f~; a zero
-        entry is the one shared Fraction(0).
-
-        ids says that the labels are the degrees of an eigentable of the weight's operator,
-        each a monic eigenfunction, with ids[d] the same int for degrees of one eigenvalue.
-        The module docstring's certificate then answers without a row: a pair with
-        ids[m] != ids[n] whose key is >= 1 or s_f == s_g at each division is the shared zero,
-        and a diagonal (k, k) is <f~_k, x^d>, d = deg f~_k, one dot product with its key's
-        moments, where the labels of k's class (its root orders) fill every reduced degree
-        below d and none of them has ids[k]."""
-        reduced, classes = self.reduced, self.classes
+        once, the zeros' keys too, and each row L once per (label, key), for the label with
+        the longer f~; a zero entry is the one shared Fraction(0).  The router's certificate
+        says how: zeros[i] makes the entry the shared zero with no row, and a diagonal (k, k)
+        with k in direct is <f~_k, x^d>, d = deg f~_k, one dot product with its key's
+        moments."""
+        reduced = self.reduced
         moments = {key: self._moments(key) for key in dict.fromkeys(keys)}
-        rows, answers = {}, []  # (label, key) -> row
-        if ids is None:  # every label has the one id, and no diagonal is direct
-            ids, direct = dict.fromkeys(reduced, 0), set()
-        else:  # per class s, the labels from sum(s) up (a degree is >= sum(s)) until one
-            # has another class or none, and of these the ones whose id no lower one has
-            direct = set()
-            for s in dict.fromkeys(classes.values()):
-                start = end = sum(s)
-                while classes.get(end) == s:
-                    end += 1
-                direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
-        for (m, n), key in zip(pairs, keys):
-            if ids[m] != ids[n] and (  # a key with no 0 needs no root orders
-                0 not in key or all(e or s == t for e, s, t in zip(key, classes[m], classes[n]))
-            ):
-                answers.append((_ZERO, key))
+        rows, values = {}, []  # (label, key) -> row
+        for (m, n), key, zero in zip(pairs, keys, zeros):
+            if zero:
+                values.append(_ZERO)
                 continue
             d_a, a = reduced[m]
-            if m in direct and m == n:
+            if m == n and m in direct:
                 d_mu, mu = moments[key]
                 total = sum(map(mul, a, mu[len(a) - 1 :]))
-                answers.append((Fraction(total, d_a * d_mu) if total else _ZERO, key))
+                values.append(Fraction(total, d_a * d_mu) if total else _ZERO)
                 continue
             d_b, b = reduced[n]
             if len(a) > len(b):
@@ -334,15 +320,17 @@ class _MomentForm:
                 d_mu, mu = moments[key]
                 row = rows[n, key] = (d_b * d_mu, [sum(map(mul, b, mu[i:])) for i in range(len(b))])
             total = sum(map(mul, a, row[1]))
-            answers.append((Fraction(total, d_a * row[0]) if total else _ZERO, key))
-        return answers
+            values.append(Fraction(total, d_a * row[0]) if total else _ZERO)
+        return values
 
 
 # ---------------------------------------------------------------------------
 # numeric path
 
 
-def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, float, float]:
+def _integrand(
+    weight: WeightExpr, route: str | None, funcs: Sequence[Poly]
+) -> tuple[Callable, float, float]:
     """(evaluate, lo, hi) for _product_sweep: evaluate(x, d_lo, d_hi, need) -> (signs, based,
     logs) gives, for each index i in need into funcs, f_i's sign at the sweep's node (x on a
     finite interval, the identity map; the point x(t) of the Gaussian map at its t = x,
@@ -381,7 +369,7 @@ def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, flo
     finite = iv.finite
     if finite:
         lo, hi = float(iv.lo), float(iv.hi)
-    elif _shape(weight) == "gaussian":
+    elif route == "gaussian":
         lo, hi = -1.0, 1.0  # a Gaussian factor e^(c2 x^2 + c1 x): the module docstring's map
         c1, c2 = exp_poly.coeff(1), exp_poly.coeff(2)
         centre, scale = float(-c1 / (2 * c2)), 2.0 / math.sqrt(float(-c2))
@@ -432,11 +420,13 @@ def _integrand(weight: WeightExpr, funcs: Sequence[Poly]) -> tuple[Callable, flo
 
 
 def _numeric_quad(
-    weight: WeightExpr, funcs: Sequence[Poly], pairs: Sequence[tuple[int, int]], tol: float
+    weight: WeightExpr, route: str | None, funcs: Sequence[Poly],
+    pairs: Sequence[tuple[int, int]], tol: float,
 ) -> list[QuadResult]:
-    """Quadrature of p f_i f_j for every index pair (i, j) into funcs, on one node
-    sweep; raises the NoConvergence of the first pair, in list order, that fails."""
-    evaluate, lo, hi = _integrand(weight, funcs)
+    """Quadrature of p f_i f_j for every index pair (i, j) into funcs, on one node sweep of
+    the weight's route (_classify's); raises the NoConvergence of the first pair, in list
+    order, that fails."""
+    evaluate, lo, hi = _integrand(weight, route, funcs)
     results = _product_sweep(evaluate, pairs, lo, hi, tol)
     for res in results:
         if isinstance(res, NoConvergence):
@@ -448,31 +438,10 @@ def _numeric_quad(
 # routing
 
 
-def _shape(weight: WeightExpr) -> str | None:
-    """The weight's route, the one place it is decided: "exact", a finite interval whose
-    weight is its constant times |x - r|^E_r at the ends with integer E_r; "romanovski" or
-    "laguerre", the moment route; "finite", quadrature on any other finite interval;
-    "gaussian", quadrature on the sinh map (module docstring); None, no route."""
-    iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
-    if iv.finite:
-        ends = iv.lo, iv.hi
-        polynomial = not (exp_poly or weight.arctan_coeff or weight.quad_exp) and all(
-            pf.root in ends and pf.exponent.denominator == 1 for pf in factors if pf.exponent
-        )
-        return "exact" if polynomial else "finite"
-    if iv.lo is None and iv.hi is None:
-        if weight.quad_exp is not None and not factors and not exp_poly:
-            return "romanovski"
-        return "gaussian" if exp_poly.degree == 2 and exp_poly.leading() < 0 else None
-    anchor = iv.lo if iv.hi is None else iv.hi
-    if weight.quad_exp or weight.arctan_coeff or exp_poly.degree != 1:
-        return None
-    return "laguerre" if all(pf.root == anchor for pf in factors) else None
-
-
 def _certificate(eigenvalues: Sequence[Fraction]) -> list[int]:
-    """ids for _MomentForm.block from an eigentable, read once: ids[d] numbers degree d's
-    eigenvalue by first appearance, so ids[m] != ids[n] exactly when the eigenvalues differ."""
+    """ids for the router's certificate from an eigentable, read once: ids[d] numbers degree
+    d's eigenvalue by first appearance, so ids[m] != ids[n] exactly when the eigenvalues
+    differ."""
     seen: dict[tuple[int, int], int] = {}
     return [seen.setdefault(mu.as_integer_ratio(), len(seen)) for mu in eigenvalues]
 
@@ -501,62 +470,75 @@ def _route(
     pairs: Sequence[tuple[int, int]],
     tol: float,
     eigenvalues: Sequence[Fraction] | None = None,
-) -> list[tuple]:
-    """(value, method, integrable, err_est, note) per index pair (i, j) into funcs, by the
-    routes of the module docstring.  The router alone decides integrability, on every shape,
-    from weights' one rule read once: each class pair's key once, and each pair's degree
+) -> tuple[str | None, list[tuple]]:
+    """(route, answers): the weight's route (_classify's) and (value, method, integrable,
+    err_est, note) per index pair (i, j) into funcs, by the routes of the module docstring.
+    The router makes every decision, once: it classifies the weight once, judges each class
+    pair once (its key, and whether the boundary term vanishes) and each pair's degree
     against the reach.  The form (on its Pearson pair pearson) or the node sweep then values
     only the integrable pairs.  funcs[d] is None where degree d has no eigenfunction; such a
     pair has no value and its degree's verdict.  eigenvalues, when given, makes funcs an
     eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
-    eigenvalue eigenvalues[d]), whose pairs the form certifies where the boundary term
-    vanishes, at its divisions too (_MomentForm.block); the eigenvalues' collisions are read
-    once, not per pair."""
+    eigenvalue eigenvalues[d]): on a form route the router reads their collisions once and
+    certifies the pairs whose boundary term vanishes, and picks the direct diagonals."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
+    route, divisions, reach = _classify(weight)
+    moment = route in ("romanovski", "laguerre")
+    form_route = moment or route == "exact"
+    ids = _certificate(eigenvalues) if form_route and eigenvalues is not None else None
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
     degree = {i: len(f.nums) - 1 for i, f in known.items()}
-    shape = _shape(weight)
-    moment = shape in ("romanovski", "laguerre")
-    divisions, reach = _integrability_rule(weight)
     classes, reduced = _reduce(known, divisions)
     caps = [k for _, k in divisions]
     bounded = reach < math.inf  # the Romanovski power law, or -1 on a growing half line
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
     routes: list = [None] * len(pairs)
-    keys: dict = {}  # class pair -> its key, False where a part is negative
-    asked, asked_keys = [], []  # the integrable pairs, valued below, and their keys
+    verdicts: dict = {}  # class pair -> (key, False where a part is negative; vanishes)
+    asked, keys, zeros = [], [], []  # the integrable pairs, valued below, and their verdicts
     for k, (i, j) in enumerate(pairs):
         if i in known and j in known:
             both = classes[i], classes[j]
-            key = keys.get(both)
-            if key is None:  # the class pair's one verdict: a negative part refuses it
+            verdict = verdicts.get(both)
+            if verdict is None:  # the class pair's one verdict: a negative part refuses it
                 key = tuple(map(sub, map(add, *both), caps))
-                key = keys[both] = key if min(key, default=0) >= 0 else False
+                vanishes = ids is not None and all(e or s == t for e, s, t in zip(key, *both))
+                verdict = verdicts[both] = (key if min(key, default=0) >= 0 else False, vanishes)
+            key, vanishes = verdict
             if key is False or bounded and degree[i] + degree[j] > reach:
                 routes[k] = refused
             else:
                 asked.append(k)
-                asked_keys.append(key)
+                keys.append(key)
+                zeros.append(vanishes and ids[i] != ids[j])
         elif funcs[i] is None or funcs[j] is None:  # a degree alone: no end divides, in reach
             routes[k] = (None, None, not divisions and i + j <= reach, None,
                          "no degree-exact eigenfunction")
         else:  # f or g is zero
             routes[k] = zero
     if not asked:
-        return routes
-    if shape not in ("exact", "romanovski", "laguerre"):  # quadrature, on one node sweep
+        return route, routes
+    if not form_route:  # quadrature, on one node sweep
         slot = {d: s for s, d in enumerate(sorted({d for k in asked for d in pairs[k]}))}
         swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in asked)]
-        for k, res in zip(asked, _numeric_quad(weight, [funcs[d] for d in slot], swept, tol)):
+        results = _numeric_quad(weight, route, [funcs[d] for d in slot], swept, tol)
+        for k, res in zip(asked, results):
             routes[k] = (res.value, "quadrature", True, res.err_est, None)
-        return routes
-    form = _MomentForm(weight, pearson, divisions, classes, reduced, reach)
-    ids = _certificate(eigenvalues) if eigenvalues is not None else None
+        return route, routes
+    direct = set()  # the diagonals the block values by one dot product
+    if ids is not None:  # per class s, the labels from sum(s) up (a degree is >= sum(s)) until
+        # one has another class or none, and of these the ones whose id no lower one has
+        for s in dict.fromkeys(classes.values()):
+            start = end = sum(s)
+            while classes.get(end) == s:
+                end += 1
+            direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
+    form = _MomentForm(weight, pearson, divisions, reduced, reach)
     method = "moment" if moment else "exact"
     try:  # a moment entry is its ratio times its key's float m_0, which the block reads
-        for k, (value, key) in zip(asked, form.block([pairs[k] for k in asked], asked_keys, ids)):
+        values = form.block([pairs[k] for k in asked], keys, zeros, direct)
+        for k, value, key in zip(asked, values, keys):
             if moment:
                 value = float(value) * form.m_0[key]
                 if math.isinf(value):
@@ -564,7 +546,7 @@ def _route(
             routes[k] = (value, method, True, None, None)
     except OverflowError:
         raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
-    return routes
+    return route, routes
 
 
 def inner_product(
@@ -577,7 +559,7 @@ def inner_product(
     and NoConvergence when the quadrature's level budget runs out.
     """
     pearson = weight.pearson_pair()  # the one caller with no operator
-    value, method, integrable, err_est, _ = _route(weight, pearson, [f, g], [(0, 1)], tol)[0]
+    value, method, integrable, err_est, _ = _route(weight, pearson, [f, g], [(0, 1)], tol)[1][0]
     if not integrable:
         raise NonIntegrable(
             f"p f g of degree {f.degree + g.degree} is not integrable on {weight.interval.describe()}"
@@ -673,10 +655,10 @@ def _gram_for(
     zero: no row, though _MomentForm.block reads its key's moments); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
     funcs, eigenvalues = [r.monic for r in table], [r.eigenvalue for r in table]
-    routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)
+    route, routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
-    romanovski = _shape(weight) == "romanovski"
+    romanovski = route == "romanovski"
     entries: list[GramEntry] = []
     max_rel, unscaled, above = None, 0, []
     for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):

@@ -30,17 +30,20 @@ exponents and are projectively meaningful only; the constant is fixed to 1.
 All evaluation is restricted to the interior of the interval of definition,
 where |x - r| factors have constant sign.
 
-One rule decides integrability, read once per weight as (divisions, reach).
-A division (r, k) is a root r of p in the interval's closure where p's summed
-exponent E is <= -1, with k = floor(-E): p f g is integrable at r exactly when
-f g has the root r s >= k times, so that E + s > -1.  The reach is the largest
-degree of f g that the infinite ends admit: every degree on a finite interval
-or where e^E decays, none (-1) where it grows, else the power law
+One walk over a weight's fields, _classify, gives its route (the shape
+orthogonality integrates it on) and the one rule that decides integrability,
+(divisions, reach); orthogonality's router reads it once per Gram matrix,
+Romanovski report or inner_product call.  A division (r, k) is a root r of p
+in the interval's closure where p's summed exponent E is <= -1, with
+k = floor(-E): p f g is integrable at r exactly when f g has the root r s >= k
+times, so that E + s > -1.  The reach is the largest degree of f g that the
+infinite ends admit: every degree on a finite interval or where e^E decays,
+none (-1) where it grows, else the power law
 deg + (power exponent sum) + 2 quad_exp < -1; a constant E neither decays nor
 grows.  The arctan factor is bounded and plays no role.  Whether the boundary
 term p a (f' g - f g') of two eigenfunctions vanishes, which orthogonality
-rests on, is decided where the pair is: orthogonality's certificate reads it
-off the eigentable.
+rests on, is decided where the pairs are: the router judges it once per class
+pair, beside the pair's key, and reads the eigenvalues off the eigentable.
 """
 
 from __future__ import annotations
@@ -259,6 +262,45 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
     )
 
 
+def _classify(weight: WeightExpr) -> tuple[str | None, tuple[tuple[Fraction, int], ...], float]:
+    """(route, divisions, reach) in one walk over the fields, the one place each is decided.
+    The route names a shape derive_weight builds (orthogonality's module docstring): "exact",
+    a finite interval whose weight is its constant times |x - r|^E at the ends with integer
+    E, and "finite" on any other; "romanovski" or "laguerre", the moment route; "gaussian",
+    the sinh map; None, no route.  (divisions, reach) is the module docstring's rule."""
+    iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
+    quad = weight.quad_exp
+    summed: dict[Fraction, Fraction] = {}  # root -> p's summed exponent there, in one pass
+    for pf in factors:
+        summed[pf.root] = summed[pf.root] + pf.exponent if pf.root in summed else pf.exponent
+    divisions = tuple(
+        (r, math.floor(-e))
+        for r, e in sorted(summed.items())
+        if e <= -1 and (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi)
+    )
+    if iv.finite:
+        polynomial = not (exp_poly or weight.arctan_coeff or quad) and all(
+            pf.root in (iv.lo, iv.hi) and pf.exponent.denominator == 1
+            for pf in factors if pf.exponent
+        )
+        return "exact" if polynomial else "finite", divisions, math.inf
+    if iv.lo is None and iv.hi is None:
+        if quad is not None and not factors and not exp_poly:
+            route = "romanovski"
+        else:
+            route = "gaussian" if exp_poly.degree == 2 and exp_poly.leading() < 0 else None
+    else:
+        anchor = iv.lo if iv.hi is None else iv.hi
+        plain = not (quad or weight.arctan_coeff) and exp_poly.degree == 1
+        route = "laguerre" if plain and all(pf.root == anchor for pf in factors) else None
+    if exp_poly.degree > 0:  # e^E decays or grows at an infinite end; a constant does neither
+        grows = any(end is None and exp_poly.leading() * sign**exp_poly.degree > 0
+                    for end, sign in ((iv.lo, -1), (iv.hi, 1)))
+        return route, divisions, -1 if grows else math.inf
+    power = sum(summed.values()) + 2 * (quad or 0)
+    return route, divisions, max(math.ceil(-1 - power) - 1, -1)  # deg + power < -1
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -278,25 +320,3 @@ def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
     pa, pb = weight.pearson_pair()
     zero = (a * (pb - pa.derivative()) + (a.derivative() - b) * pa).is_zero()
     return PearsonVerdict(ok=zero, symbolic_zero=zero)
-
-
-def _integrability_rule(weight: WeightExpr) -> tuple[tuple[tuple[Fraction, int], ...], int | float]:
-    """(divisions, reach), the module docstring's rule: p f g is integrable exactly when f g
-    has each division's root r at least k times and its degree is at most the reach."""
-    iv, exp_poly = weight.interval, weight.exp_poly
-    summed: dict[Fraction, Fraction] = {}  # root -> p's summed exponent there, in one pass
-    for pf in weight.power_factors:
-        summed[pf.root] = summed[pf.root] + pf.exponent if pf.root in summed else pf.exponent
-    divisions = tuple(
-        (r, math.floor(-e))
-        for r, e in sorted(summed.items())
-        if e <= -1 and (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi)
-    )
-    if iv.finite:
-        return divisions, math.inf
-    if exp_poly.degree > 0:  # e^E decays or grows at an infinite end; a constant does neither
-        grows = any(end is None and exp_poly.leading() * sign**exp_poly.degree > 0
-                    for end, sign in ((iv.lo, -1), (iv.hi, 1)))
-        return divisions, -1 if grows else math.inf
-    power = sum(pf.exponent for pf in weight.power_factors) + 2 * (weight.quad_exp or 0)
-    return divisions, max(math.ceil(-1 - power) - 1, -1)  # deg + power < -1

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import specpoly.orthogonality as orthogonality
+import specpoly.weights
 from specpoly import (
     DiffOperator,
     EigenStatus,
@@ -32,7 +33,7 @@ from specpoly import (
     inner_product,
 )
 from specpoly.ratpoly import common_denominator
-from specpoly.weights import _integrability_rule
+from specpoly.weights import _classify
 
 from oracles import (
     NotPolynomialReducible,
@@ -70,47 +71,67 @@ def exact_value(w, f, g):
 
 
 def router_form(w, pearson, polys):
-    """The moment form of w on its Pearson pair for the labelled nonzero polys, built the
-    router's way: weights' one rule gives the divisions and the reach, and the router's
-    reduction each label's class and reduced form."""
-    divisions, reach = _integrability_rule(w)
+    """(form, classes): the moment form of w on its Pearson pair for the labelled nonzero
+    polys, built the router's way (_classify gives the divisions and the reach, and the
+    router's reduction each label's reduced form), and each label's class, its root orders
+    at the divisions."""
+    _, divisions, reach = _classify(w)
     classes, reduced = orthogonality._reduce(polys, divisions)
-    return orthogonality._MomentForm(w, pearson, divisions, classes, reduced, reach)
+    return orthogonality._MomentForm(w, pearson, divisions, reduced, reach), classes
 
 
-def form_answers(form, pairs, ids=None):
-    """Per label pair, what the router makes of it on form: the router's verdict is the key
-    s_f + s_g - k at each division (r, k), and a pair with a negative part is refused, here
-    as the divisibility it lacks at the first such division, "f*g is not divisible by
-    (x - r)^k" (the oracle's NotPolynomialReducible text); the others are asked of the block
-    in one call, which gives (value, key)."""
+def form_answers(form, classes, pairs):
+    """Per label pair, what the router makes of it on form when it certifies nothing: the
+    router's verdict is the key s_f + s_g - k at each division (r, k), and a pair with a
+    negative part is refused, here as the divisibility it lacks at the first such division,
+    "f*g is not divisible by (x - r)^k" (the oracle's NotPolynomialReducible text); the
+    others are asked of the block in one call, with no zero and no direct diagonal, and
+    answered (value, key)."""
     answers, asked, keys = {}, [], []
     for m, n in pairs:
-        key = tuple(s + t - k for s, t, (_, k) in zip(form.classes[m], form.classes[n], form.divisors))
+        key = tuple(s + t - k for s, t, (_, k) in zip(classes[m], classes[n], form.divisors))
         if key and min(key) < 0:
             i, k = form.divisors[next(i for i, e in enumerate(key) if e < 0)]
             answers[m, n] = f"f*g is not divisible by (x - {form.ends[i]})^{k}"
         else:
             asked.append((m, n))
             keys.append(key)
-    valued = form.block(asked, keys, ids)
-    assert all(type(v) is tuple and len(v) == 2 and type(v[0]) is Fraction for v in valued)
-    answers.update(zip(asked, valued))
+    valued = form.block(asked, keys, [False] * len(asked), set())
+    assert all(type(v) is Fraction for v in valued)
+    answers.update(zip(asked, zip(valued, keys)))
     return [answers[pair] for pair in pairs]
 
 
+def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
+    """(form, asked, keys, zeros, direct): the one call the router makes to _MomentForm.block
+    for pairs (i, j) into funcs (an eigentable of eigenvalues, when given): the form, the
+    integrable pairs with their keys, whether its certificate makes each the shared zero, and
+    the diagonals it values by one dot product; None where the router asks the block nothing."""
+    calls, block = [], orthogonality._MomentForm.block
+
+    def spy(form, *args):
+        calls.append((form, *args))
+        return block(form, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orthogonality._MomentForm, "block", spy)
+        orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL, eigenvalues)
+    assert len(calls) <= 1
+    return calls[0] if calls else None
+
+
 def form_pair(w, f, g):
-    """The moment form's answer to the one pair (f, g) on a weight that _shape routes to the
+    """The moment form's answer to the one pair (f, g) on a weight that _classify routes to the
     exact route, built the router's way: its exact value, or the pair's refusal text."""
-    assert orthogonality._shape(w) == "exact", w.formula()
-    (answer,) = form_answers(router_form(w, w.pearson_pair(), {0: f, 1: g}), [(0, 1)])
+    assert _classify(w)[0] == "exact", w.formula()
+    (answer,) = form_answers(*router_form(w, w.pearson_pair(), {0: f, 1: g}), [(0, 1)])
     return answer[0] if isinstance(answer, tuple) else answer
 
 
 def left_to_quadrature(w, reason):
-    """_shape routes the finite-interval weight w to quadrature, the oracle refuses <1, 1>
+    """_classify routes the finite-interval weight w to quadrature, the oracle refuses <1, 1>
     on it with reason, and inner_product integrates it by quadrature."""
-    assert orthogonality._shape(w) == "finite", w.formula()
+    assert _classify(w)[0] == "finite", w.formula()
     with pytest.raises(NotPolynomialReducible, match=f"^{re.escape(reason)}$"):
         divide_and_integrate(w, Poly.one(), Poly.one())
     assert inner_product(w, Poly.one(), Poly.one())[1] == "quadrature"
@@ -152,7 +173,7 @@ class TestExactPath:
         assert exact_value(CQ_W, y2, y2) > 0
 
     def test_transcendental_weight_not_reducible(self):
-        # the exact route is the finite interval's: _shape leaves a transcendental factor
+        # the exact route is the finite interval's: _classify leaves a transcendental factor
         # there to quadrature, and the Romanovski weight's pairs take the moment route
         left_to_quadrature(WeightExpr(arctan_coeff=Fraction(1)), "weight has a transcendental factor")
         value, method, err_est = inner_product(ROM_W, Poly.one(), Poly.one())
@@ -162,14 +183,14 @@ class TestExactPath:
         left_to_quadrature(CHEB_W, "non-integer exponent -1/2 at root -1")
 
     def test_zero_polynomial_is_zero_before_exponent_checks(self):
-        # a zero f or g is an exact zero on a finite interval, also where _shape leaves the
+        # a zero f or g is an exact zero on a finite interval, also where _classify leaves the
         # weight to quadrature; on the Romanovski shape it is the moment route's 0.0
         interior = WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(1)),))
         for w in (CHEB_W, interior):
             for f, g in ((Poly(), Poly((0, 1))), (P(1, 2), Poly())):
                 value = exact_value(w, f, g)
                 assert value == 0 and isinstance(value, Fraction)
-        assert orthogonality._shape(interior) == "finite"
+        assert _classify(interior)[0] == "finite"
         with pytest.raises(NotPolynomialReducible, match=r"^root 0 lies inside \(-1, 1\)$"):
             divide_and_integrate(interior, Poly.one(), Poly.one())
         value = inner_product(ROM_W, Poly(), Poly.one())
@@ -182,16 +203,17 @@ class TestExactPath:
         with pytest.raises(NotPolynomialReducible, match=f"^{re.escape(reason)}$"):
             divide_and_integrate(CQ_W, Poly.one(), Poly((0, 1)))
         assert form_pair(CQ_W, Poly.one(), Poly((0, 1))) == reason
+        assert routed_block(CQ_W, CQ_W.pearson_pair(), [Poly.one(), Poly((0, 1))], [(0, 1)]) is None
         with pytest.raises(NonIntegrable):
             inner_product(CQ_W, Poly.one(), Poly((0, 1)))
 
-    # the exact route integrates powers rooted at the interval's ends only: _shape leaves
+    # the exact route integrates powers rooted at the interval's ends only: _classify leaves
     # |x|^2 (inside) and |x - 3| (outside) on (-1, 1) to quadrature, which meets the oracle's
     # exact integral
     @pytest.mark.parametrize("root, exponent, expected", [(0, 2, Fraction(2, 3)), (3, 1, 6)])
     def test_power_rooted_off_the_ends_is_refused(self, root, exponent, expected):
         w = WeightExpr(power_factors=(PowerFactor(Fraction(root), Fraction(exponent)),))
-        assert orthogonality._shape(w) == "finite"
+        assert _classify(w)[0] == "finite"
         assert divide_and_integrate(w, Poly.one(), Poly.one()) == expected
         value, method, _ = inner_product(w, Poly.one(), Poly.one())
         assert method == "quadrature" and abs(value - expected) <= 1e-12
@@ -232,7 +254,7 @@ class TestExactPath:
 
 def quad(w, f, g, tol=orthogonality.DEFAULT_TOL):
     """The quadrature leg of one pair alone: what the Gram sweep gives its entry."""
-    return orthogonality._numeric_quad(w, [f, g], [(0, 1)], tol)[0]
+    return orthogonality._numeric_quad(w, _classify(w)[0], [f, g], [(0, 1)], tol)[0]
 
 
 def _jacobi_with_exponents(p, q):
@@ -336,14 +358,14 @@ class TestMomentAssembly:
             draws.append((w, w.pearson_pair(), polys))
         exact = refused = 0
         for w, pearson, polys in draws:
-            assert orthogonality._shape(w) == "exact", w.formula()
-            form = router_form(w, pearson, polys)
+            assert _classify(w)[0] == "exact", w.formula()
+            form, classes = router_form(w, pearson, polys)
             pairs = [(m, n) for m in polys for n in polys if m <= n]
-            answers = dict(zip(pairs, form_answers(form, pairs)))
+            answers = dict(zip(pairs, form_answers(form, classes, pairs)))
             shuffled = rng.sample(pairs, len(pairs))
-            assert dict(zip(shuffled, form_answers(form, shuffled))) == answers
+            assert dict(zip(shuffled, form_answers(form, classes, shuffled))) == answers
             for (m, n), answer in answers.items():
-                assert form_answers(form, [(m, n)]) == [answer]
+                assert form_answers(form, classes, [(m, n)]) == [answer]
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
@@ -360,7 +382,7 @@ class TestMomentAssembly:
 
     def test_moment_route_reads_only_gated_keys(self, monkeypatch):
         # the router decides integrability on the moment route: the block is asked exactly the
-        # integrable pairs of two eigenfunctions, each with its key, returns (value, key) for
+        # integrable pairs of two eigenfunctions, each with its key, returns a Fraction for
         # each and no refusal, and reads the moments (and m_0) of each key once and no other
         # key; a weight with no integrable pair builds no form and reads none
         reads, asked, answered = [], [], []
@@ -370,8 +392,8 @@ class TestMomentAssembly:
             reads.append(key)
             return moments(form, key)
 
-        def spy_block(form, pairs, keys, *certificate):
-            answers = block(form, pairs, keys, *certificate)
+        def spy_block(form, pairs, keys, zeros, direct):
+            answers = block(form, pairs, keys, zeros, direct)
             asked.extend(pairs)
             answered.extend(zip(keys, answers))
             return answers
@@ -391,7 +413,7 @@ class TestMomentAssembly:
             asked.clear()
             answered.clear()
             w = weight_of(spec)
-            reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
+            reach = _classify(w)[2] if _classify(w)[0] == "romanovski" else math.inf
             table = eigentable(build_operator(spec), n)
             gram = gram_matrix(spec, n)
             integrable = [e for e in gram.entries if e.integrable]
@@ -403,7 +425,7 @@ class TestMomentAssembly:
             assert sorted(asked) == sorted(valued), spec
             for (m, k), (key, answer) in zip(asked, answered):
                 assert key == _block_key(w, table[m].monic, table[k].monic) and min(key, default=0) >= 0
-                assert type(answer) is tuple and type(answer[0]) is Fraction and answer[1] == key
+                assert type(answer) is Fraction
             keys = {_block_key(w, table[e.m].monic, table[e.n].monic) for e in integrable}
             assert len(reads) == len(set(reads)) and set(reads) == keys, spec
             assert all(e.m + e.n <= reach for e in integrable), spec
@@ -432,7 +454,7 @@ class TestMomentAssembly:
         weights.append((planted, planted.pearson_pair()))
         exact = refused = 0
         for w, pearson in weights:
-            assert orthogonality._shape(w) == "exact", w.formula()
+            assert _classify(w)[0] == "exact", w.formula()
             polys = {}
             for label in range(8):
                 f = big_poly(rng.randint(0, 5))
@@ -440,8 +462,7 @@ class TestMomentAssembly:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 2)
                 polys[label] = f
             pairs = [(m, n) for m in polys for n in polys]
-            form = router_form(w, pearson, polys)
-            for (m, n), answer in zip(pairs, form_answers(form, pairs)):
+            for (m, n), answer in zip(pairs, form_answers(*router_form(w, pearson, polys), pairs)):
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
@@ -463,8 +484,9 @@ class TestMomentAssembly:
                 tuple(PowerFactor(one, Fraction(e)) for e in exponents),
                 interval=Interval(Fraction(0), one),
             )
-            form = router_form(w, w.pearson_pair(), {0: Poly.one()})
-            assert form.divisors == [] and form.block([(0, 0)], [()]) == [(Fraction(1, 2), ())]
+            form, classes = router_form(w, w.pearson_pair(), {0: Poly.one()})
+            assert form.divisors == [] and classes == {0: ()}
+            assert form.block([(0, 0)], [()], [False], set()) == [Fraction(1, 2)]
             assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
 
 
@@ -570,13 +592,13 @@ class TestRouter:
             exp_poly=P(0, c),
             interval=Interval(lo, hi),
         )
-        assert orthogonality._shape(w) == "laguerre"
+        assert _classify(w)[0] == "laguerre"
         for f, g in ((P(1), P(1)), (P(0, 0, 1), P(0, 0, 1)), (P(1), P(2, 1))):
             with pytest.raises(NonIntegrable):
                 inner_product(w, f, g)
         assert inner_product(w, Poly(), P(1)) == (0.0, "moment", None)
         pairs = [(0, 0), (0, 1), (1, 1)]
-        routes = orthogonality._route(w, w.pearson_pair(), [None, P(0, 1)], pairs, 1e-10)
+        routes = orthogonality._route(w, w.pearson_pair(), [None, P(0, 1)], pairs, 1e-10)[1]
         assert [route[2] for route in routes] == [False, False, False]
 
     # spec, n_max, the routes its pairs take, whether some pair is non-integrable
@@ -826,29 +848,29 @@ class TestGramMatrix:
         operands, mul = [], Poly.__mul__
         monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append((a, b)) or mul(a, b))
         pairs = list(combinations_with_replacement(range(9), 2))
-        routes = orthogonality._route(weight, pearson, funcs, pairs, 1e-10)
+        routes = orthogonality._route(weight, pearson, funcs, pairs, 1e-10)[1]
         assert [pair for pair, route in zip(pairs, routes) if not route[2]] == [(0, 0)]
         assert operands == []
 
     @staticmethod
     def _spy_root_orders(monkeypatch) -> tuple[list, list]:
-        """(rules, reads): the weights each _integrability_rule call reads, and each
+        """(rules, reads): the weights each _classify call reads, and each
         (numerators, p, q, cap) the router's reduction strips at the division root p/q."""
         rules, reads = [], []
-        rule, strip = orthogonality._integrability_rule, orthogonality._strip_linear
+        rule, strip = orthogonality._classify, orthogonality._strip_linear
         monkeypatch.setattr(
             orthogonality, "_strip_linear",
             lambda nums, p, q, cap: reads.append((nums, p, q, cap)) or strip(nums, p, q, cap),
         )
         monkeypatch.setattr(
-            orthogonality, "_integrability_rule", lambda w: rules.append(w) or rule(w)
+            orthogonality, "_classify", lambda w: rules.append(w) or rule(w)
         )
         return rules, reads
 
     def test_one_integrability_read_per_matrix(self, monkeypatch):
         # no verdict is read (the library has none) and no gate is left: the router reads
-        # weights' rule once per matrix or inner_product call on every shape, the exact one
-        # included, and a weight with no division reads no root order
+        # weights' rule (_classify) once per matrix or inner_product call on every shape, the
+        # exact one included, and a weight with no division reads no root order
         assert not hasattr(orthogonality, "integrability")
         assert not hasattr(orthogonality, "_integrability_gate")
         rules, reads = self._spy_root_orders(monkeypatch)
@@ -876,6 +898,29 @@ class TestGramMatrix:
         funcs = [r.monic for r in eigentable(build_operator(spec), 8)]
         assert len(rules) == 1 and reads == [(f.nums, 1, 1, 1) for f in funcs]
         assert [(e.m, e.n) for e in report.entries if not e.integrable] == [(0, 0)]
+
+    def test_one_classification_per_call(self, monkeypatch):
+        # the weight is classified once per Gram matrix, Romanovski report or inner_product
+        # call, on the exact, moment and quadrature routes alike: the router hands its route
+        # to the node sweep and to the Gram assembly, which classify nothing again
+        assert not hasattr(orthogonality, "_shape")
+        assert not hasattr(specpoly.weights, "_integrability_rule")
+        calls, classify = [], orthogonality._classify
+        monkeypatch.setattr(orthogonality, "_classify", lambda w: calls.append(w) or classify(w))
+        presets = classical_presets()
+        for spec, method in ((presets["legendre"], "exact"), (ROM_SPEC, "moment"),
+                             (presets["laguerre"], "moment"), (presets["hermite"], "quadrature"),
+                             (presets["chebyshev1"], "quadrature")):
+            w = weight_of(spec)
+            calls.clear()
+            report = gram_matrix(spec, 3)
+            assert calls == [w] and {e.method for e in report.entries} == {method}, spec
+            calls.clear()
+            assert inner_product(w, P(1, 1), P(0, 1))[1] == method
+            assert calls == [w], spec
+        calls.clear()
+        report = finite_orthogonality_report(Fraction(-13, 2), 1, 5)
+        assert calls == [ROM_W] and {p.verdict for p in report.pairs} == {"orthogonal", "non-integrable"}
 
     def test_no_degrees_no_entries(self):
         # chaudhry-qadir starts at degree 1: at n_max 0 the matrix has no pair at all
@@ -1137,7 +1182,7 @@ def test_known_refused_gaussian_grams(name):
             assert e.value == 0.0, (e.m, e.n)
 
 
-# the hand-built |x| on (-1, 1), whose <1, 1> is exactly 1: _shape leaves its interior root
+# the hand-built |x| on (-1, 1), whose <1, 1> is exactly 1: _classify leaves its interior root
 # to quadrature, and the kink at the sweep's centre node makes the trapezoid error fall only
 # algebraically ("no convergence after 12 levels (last error 7.353e-08)").  Strict, as above
 @pytest.mark.xfail(strict=True, raises=NoConvergence, reason="the kink at the centre node")
@@ -1356,7 +1401,7 @@ class TestNodePairKernel:
         table = eigentable(build_operator(spec), 6)
         funcs = [r.monic for r in table]
         pairs = list(combinations_with_replacement(range(7), 2))
-        swept = orthogonality._numeric_quad(w, funcs, pairs, 1e-10)
+        swept = orthogonality._numeric_quad(w, _classify(w)[0], funcs, pairs, 1e-10)
         alone = [pair_quadrature(w, funcs[i], funcs[j], 1e-10) for i, j in pairs]
         assert [bits(r) for r in swept] == [bits(r) for r in alone]
         assert len({r.levels for r in alone}) > 1  # entries leave the sweep at different levels
@@ -1367,7 +1412,7 @@ class TestNodePairKernel:
         failed = zeros = 0
         for w, funcs in kernel_draw():
             pairs = list(combinations_with_replacement(range(len(funcs)), 2))
-            evaluate, lo, hi = orthogonality._integrand(w, funcs)
+            evaluate, lo, hi = orthogonality._integrand(w, _classify(w)[0], funcs)
             swept = orthogonality._product_sweep(evaluate, pairs, lo, hi, 1e-10)
             for (i, j), res in zip(pairs, swept):
                 try:
@@ -1385,8 +1430,8 @@ class TestNodePairKernel:
     def test_one_evaluation_per_node(self, monkeypatch):
         calls, integrand = [], orthogonality._integrand
 
-        def counted_integrand(weight, funcs):
-            evaluate, lo, hi = integrand(weight, funcs)
+        def counted_integrand(weight, route, funcs):
+            evaluate, lo, hi = integrand(weight, route, funcs)
 
             def counted(u, d_lo, d_hi, need):
                 calls.append((u, d_lo, d_hi))  # nodes near an end share u == 1.0
@@ -1403,16 +1448,15 @@ class TestNodePairKernel:
         # a Gram sweep evaluates each node once for all its active entries
         calls.clear()
         funcs = [r.monic for r in eigentable(build_operator(self.SPECS[1]), 6)]
-        results = orthogonality._numeric_quad(
-            weight_of(self.SPECS[1]), funcs, list(combinations_with_replacement(range(7), 2)), 1e-10
-        )
+        pairs = list(combinations_with_replacement(range(7), 2))
+        results = orthogonality._numeric_quad(weight_of(self.SPECS[1]), "gaussian", funcs, pairs, 1e-10)
         assert len(calls) == len(set(calls))
         evals = [r.evals for r in results]
         assert max(evals) <= len(calls) < sum(evals) // 2
 
     def test_zero_function_reads_zero(self):
         # a zero function at a finite end where p's exponent is <= -1 has no root to divide
-        res = orthogonality._numeric_quad(CQ_W, [Poly(), Poly((0, 1))], [(0, 1)], 1e-10)
+        res = orthogonality._numeric_quad(CQ_W, "exact", [Poly(), Poly((0, 1))], [(0, 1)], 1e-10)
         assert [r.value for r in res] == [0.0]
 
 
@@ -1442,7 +1486,7 @@ class TestRealLineMaps:
         spec = FamilySpec.hermite(Fraction(-5, 2), Fraction(2, 3))
         funcs = [r.monic for r in eigentable(build_operator(spec), 6)]
         pairs = list(combinations_with_replacement(range(7), 2))
-        results = orthogonality._numeric_quad(weight_of(spec), funcs, pairs, 1e-10)
+        results = orthogonality._numeric_quad(weight_of(spec), "gaussian", funcs, pairs, 1e-10)
         assert max(r.levels for r in results) <= 5
 
     def test_hermite_preset_at_degree_20(self):
@@ -1592,7 +1636,7 @@ class TestMomentRoute:
         with mpmath.workdps(30):
             for w in weights + large_a:
                 bound = 5e-15 if w in large_a else 1e-13
-                reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
+                reach = _classify(w)[2]  # a Romanovski weight has no division
                 if reach < 0:
                     continue
                 near = derive_weight(P(1, 0, 1), P(w.arctan_coeff, 2 * w.quad_exp + 2 + reach))
@@ -1637,10 +1681,10 @@ class TestMomentRoute:
             table = eigentable(op, n)
             gram = gram_matrix(op, n)
             diagonals = favard_diagonals(table)
-            reach = _integrability_rule(w)[1]  # a Romanovski weight has no division
+            reach = _classify(w)[2]  # a Romanovski weight has no division
             diagonal = [(k, k) for k in range(len(diagonals)) if 2 * k <= reach]  # the gated
             polys = {k: table[k].monic for k, _ in diagonal}
-            ratios = dict(zip(diagonal, form_answers(router_form(w, pair_of(op), polys), diagonal)))
+            ratios = dict(zip(diagonal, form_answers(*router_form(w, pair_of(op), polys), diagonal)))
             collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
             near_boundary += (alpha / c).denominator == 1000
             for e in gram.entries:
@@ -1712,24 +1756,40 @@ def divisor_draw():
 
 
 def _form_and_pairs(op, n):
-    """(weight, eigentable, form, pairs) as the router builds them for op up to degree n: every
-    pair of two eigenfunctions within the reach, whose keys form_answers judges as the router
-    does; None where the weight has no moment form."""
+    """(weight, eigentable, (form, classes), pairs) as the router builds them for op up to
+    degree n: every pair of two eigenfunctions within the reach, whose keys form_answers
+    judges as the router does; None where the weight has no moment form."""
     try:
         w = derive_weight(op.coeffs[2], op.coeffs[1])
     except ValueError:
         return None
-    if orthogonality._shape(w) not in ("exact", "laguerre", "romanovski"):
+    route, _, reach = _classify(w)
+    if route not in ("exact", "laguerre", "romanovski"):
         return None
     table = eigentable(op, n)
     funcs = [r.monic for r in table]
-    reach = _integrability_rule(w)[1] if orthogonality._shape(w) == "romanovski" else math.inf
-    form = router_form(w, pair_of(op), {d: f for d, f in enumerate(funcs) if f})
+    built = router_form(w, pair_of(op), {d: f for d, f in enumerate(funcs) if f})
     pairs = [
         (m, k) for m in range(n + 1) for k in range(m, n + 1)
         if funcs[m] is not None and funcs[k] is not None and m + k <= reach
     ]
-    return w, table, form, pairs
+    return w, table, built, pairs
+
+
+def _certified(w, op, table, pairs):
+    """(asked, keys, zeros, direct, got, own, blind) for the router's one block call on the
+    pairs of table, op's eigentable: the pairs it asks with their keys, its certificate (zeros
+    and direct), and the block's values with that certificate, with none (its own values)
+    and with the certificate on the poisoned form."""
+    routed = routed_block(w, pair_of(op), [r.monic for r in table], pairs,
+                          [r.eigenvalue for r in table])
+    if routed is None:
+        return [], [], [], set(), [], [], []
+    form, asked, keys, zeros, direct = routed
+    got = form.block(asked, keys, zeros, direct)
+    own = form.block(asked, keys, [False] * len(asked), set())
+    blind = _poisoned(form).block(asked, keys, zeros, direct)
+    return asked, keys, zeros, direct, got, own, blind
 
 
 def _poisoned(form):
@@ -1742,8 +1802,8 @@ def _poisoned(form):
 
 
 class TestCertifiedEntries:
-    """_MomentForm.block with an eigentable's certificate against the block without it, asked
-    the pairs the router judges integrable (form_answers)."""
+    """The router's certificate on an eigentable (its zeros and direct diagonals) against the
+    block's own values, on the pairs the router judges integrable (form_answers)."""
 
     @pytest.mark.parametrize(
         "draw, floors",
@@ -1754,37 +1814,38 @@ class TestCertifiedEntries:
         ids=["certificate_draw", "divisor_draw"],
     )
     def test_certified_entries_equal_the_block(self, draw, floors):
-        # every pair the router would ask, answered with the certificate and without it: the
-        # same Fraction (or refusal), type and key, with no row built where it certifies
-        # (the poisoned form reads the shared zero there).  The divisor draw holds the entries
-        # that certifying every key >= 0 would break: distinct eigenvalues, key 0 and unequal
-        # root orders at a divisor, and a nonzero entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2,
-        # ...).  Its eigentables have no integrable pair of equal eigenvalues and no diagonal
-        # above a gap whose dot product differs from its entry: the hand-built test below
-        # plants those
+        # every pair the router asks, valued with its certificate and without it: the same
+        # Fraction, with no row built where it certifies (the poisoned form reads the shared
+        # zero there), the pairs it refuses being the negative keys, and its direct diagonals
+        # the labels of a class's run with no lower one sharing their eigenvalue.  The divisor
+        # draw holds the entries that certifying every key >= 0 would break: distinct
+        # eigenvalues, key 0 and unequal root orders at a divisor, and a nonzero entry
+        # (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...).  Its eigentables have no integrable pair
+        # of equal eigenvalues and no diagonal above a gap whose dot product differs from its
+        # entry: the hand-built test below plants those
         counts = Counter()
         for op, n in draw():
             built = _form_and_pairs(op, n)
             if built is None:
                 continue
-            w, table, form, pairs = built
+            w, table, (form, classes), pairs = built
             ids = orthogonality._certificate([r.eigenvalue for r in table])
-            got, want = form_answers(form, pairs, ids), form_answers(form, pairs)
-            blind = dict(zip(pairs, form_answers(_poisoned(form), pairs, ids)))
-            for (m, k), g, e in zip(pairs, got, want):
-                assert type(g) is type(e) and g == e, (op, m, k)
-                if not isinstance(e, tuple):  # a negative key's refusal text
-                    continue
-                assert type(g[0]) is Fraction, (op, m, k)
+            want = dict(zip(pairs, form_answers(form, classes, pairs)))
+            asked, keys, zeros, direct, got, own, blind = _certified(w, op, table, pairs)
+            assert asked == [pair for pair in pairs if isinstance(want[pair], tuple)], op
+            assert keys == [want[pair][1] for pair in asked], op
+            for (m, k), key, zero, g, e, b in zip(asked, keys, zeros, got, own, blind):
+                assert type(g) is type(e) is Fraction and g == e == want[m, k][0], (op, m, k)
                 if m == k:  # the labels from sum(s) below m all have m's class s, other ids
-                    s = form.classes[m]
-                    counts["direct"] += all(
-                        form.classes.get(d) == s and ids[d] != ids[m] for d in range(sum(s), m)
-                    )
-                elif blind[m, k][0] is orthogonality._ZERO:
+                    s = classes[m]
+                    run = all(classes.get(d) == s and ids[d] != ids[m] for d in range(sum(s), m))
+                    assert (m in direct) == run and not zero, (op, m)
+                    counts["direct"] += run
+                elif zero:
+                    assert b is orthogonality._ZERO, (op, m, k)
                     counts["certified"] += 1
-                elif ids[m] != ids[k] and 0 in e[1] and form.classes[m] != form.classes[k]:
-                    counts["unequal"] += e[0] != 0
+                elif ids[m] != ids[k] and 0 in key and classes[m] != classes[k]:
+                    counts["unequal"] += e != 0
             counts["divisors"] += bool(form.divisors)
             counts["collided"] += len(set(ids)) < len(ids)
             if n <= 12:  # the Gram matrix is the uncertified route's, entry by entry
@@ -1793,7 +1854,7 @@ class TestCertifiedEntries:
                 gram_pairs = [(e.m, e.n) for e in gram.entries]
                 funcs = [r.monic for r in table]
                 tol = orthogonality.DEFAULT_TOL
-                routes = orthogonality._route(w, pair_of(op), funcs, gram_pairs, tol)
+                routes = orthogonality._route(w, pair_of(op), funcs, gram_pairs, tol)[1]
                 for e, route in zip(gram.entries, routes):
                     assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
                     assert e.value is None or type(e.value) is type(route[0])
@@ -1802,27 +1863,30 @@ class TestCertifiedEntries:
 
     def test_boundary_vanishing_pairs_are_certified_zeros(self):
         # oracles.boundary_vanishing is one-way: where it says the boundary term of two
-        # eigenfunctions of different eigenvalues vanishes, the entry is certified (it reads
-        # no row) and an exact zero.  It is conservative (it asks p a's exponent at an end to
-        # be positive, or 0 with both functions vanishing there), so it refuses pairs that the
-        # certificate proves, such as laguerre(-1, -1)'s with s_f = s_g = 1: no converse
+        # eigenfunctions of different eigenvalues vanishes, the router certifies the entry (it
+        # reads no row) and the block's own value is an exact zero.  It is conservative (it
+        # asks p a's exponent at an end to be positive, or 0 with both functions vanishing
+        # there), so it refuses pairs that the certificate proves, such as laguerre(-1, -1)'s
+        # with s_f = s_g = 1: no converse
         vanishing = beyond = 0
         for op, n in divisor_draw() + certificate_draw()[::4]:
             built = _form_and_pairs(op, n)
             if built is None:
                 continue
-            w, table, form, pairs = built
+            w, table, _, pairs = built
             ids = orthogonality._certificate([r.eigenvalue for r in table])
-            blind = dict(zip(pairs, form_answers(_poisoned(form), pairs, ids)))
-            want = dict(zip(pairs, form_answers(form, pairs)))
+            asked, _, zeros, _, _, own, blind = _certified(w, op, table, pairs)
+            certified = {pair for pair, zero in zip(asked, zeros) if zero}
+            own, blind = dict(zip(asked, own)), dict(zip(asked, blind))
             for m, k in pairs:
                 if m == k or ids[m] == ids[k]:
                     continue
                 f, g = table[m].monic, table[k].monic
                 if boundary_vanishing(w, op.coeffs[2], (m, k), (f, g)).vanishes:
-                    assert blind[m, k][0] is orthogonality._ZERO and want[m, k][0] == 0, (op, m, k)
+                    assert (m, k) in certified, (op, m, k)
+                    assert blind[m, k] is orthogonality._ZERO and own[m, k] == 0, (op, m, k)
                     vanishing += 1
-                elif isinstance(blind[m, k], tuple) and blind[m, k][0] is orthogonality._ZERO:
+                elif (m, k) in certified:
                     beyond += 1
         assert vanishing > 1500 and beyond > 700
 
@@ -1848,25 +1912,28 @@ class TestCertifiedEntries:
             j: P(-1, 1) ** s * (P(0, 1) ** (j - s) + (P(0, 1) ** (j - s - 1) if j > s else P()))
             for j, s in enumerate(orders)
         }
-        form = router_form(w, pearson, base)
+        form, classes = router_form(w, pearson, base)
         assert [len(c) - 1 for _, c in map(form.reduced.get, range(7))] == [
             j - s for j, s in enumerate(orders)
         ]
         pairs = [(m, k) for m in range(7) for k in range(m, 7)]
-        got = dict(zip(pairs, form_answers(form, pairs, ids)))
-        want = dict(zip(pairs, form_answers(form, pairs)))
+        want = dict(zip(pairs, form_answers(form, classes, pairs)))
+        # the router on the labels as an eigentable whose eigenvalues repeat as ids do
+        routed = routed_block(w, pearson, list(base.values()), pairs, ids)
+        routed, asked, keys, zeros, routed_direct = routed
+        got = dict(zip(asked, zip(routed.block(asked, keys, zeros, routed_direct), keys)))
+        zeros = dict(zip(asked, zeros))
         k_r = 2 if divided else 0
-        for (m, k), answer in got.items():
-            e = want[m, k]
+        for (m, k), e in want.items():
             if isinstance(e, str):
-                assert orders[m] + orders[k] < k_r and answer == e, (m, k)
+                assert orders[m] + orders[k] < k_r and (m, k) not in got, (m, k)
                 continue
-            key = e[1]
+            answer, key = got[m, k], e[1]
             assert key == ((orders[m] + orders[k] - k_r,) if divided else ())
             if m != k:
                 certified = ids[m] != ids[k] and (not key or key[0] >= 1 or orders[m] == orders[k])
                 # the block's entry is not 0, so a certificate shows itself
-                assert e[0] != 0, (m, k)
+                assert e[0] != 0 and zeros[m, k] == certified, (m, k)
                 if certified:
                     assert answer == (0, key) and answer[0] is orthogonality._ZERO, (m, k)
                 else:
@@ -1874,6 +1941,7 @@ class TestCertifiedEntries:
                 continue
             d = m - orders[m]
             dot = exact_value(w, base[m], P(-1, 1) ** orders[m] * Poly((0,) * d + (1,)))
+            assert (m in routed_direct) == (m in direct) and not zeros[m, m], m
             if m in direct:
                 assert answer == (dot, key) and (dot != e[0]) == (d > 0), m
             else:  # the block's entry, which the dot product would miss
@@ -1927,10 +1995,10 @@ class TestPearsonPair:
         monkeypatch.setattr(orthogonality, "_moment_ratios", spy_ratios)
         shapes, shifted = Counter(), 0
         for op, n in pearson_draw():
-            w, _, form, asked = _form_and_pairs(op, n)
-            shapes[orthogonality._shape(w)] += 1
+            w, _, (form, classes), asked = _form_and_pairs(op, n)
+            shapes[_classify(w)[0]] += 1
             start = len(keys)
-            form_answers(form, asked)
+            form_answers(form, classes, asked)
             for key, pair in zip(keys[start:], pairs[start:]):
                 a, b = op.coeffs[2], op.coeffs[1]
                 d = math.lcm(a.den, b.den)
@@ -1968,13 +2036,13 @@ class TestPearsonPair:
                 w = derive_weight(*pair_of(op))
             except ValueError:
                 continue
-            if orthogonality._shape(w) not in ("exact", "laguerre", "romanovski"):
+            if _classify(w)[0] not in ("exact", "laguerre", "romanovski"):
                 continue
-            form = router_form(w, pair_of(op), {})
+            form, _ = router_form(w, pair_of(op), {})
             from_pair = [
                 (r, math.floor(-e)) for r, e in zip(form.ends, form.exponents) if math.floor(-e) > 0
             ]
-            divisions = list(_integrability_rule(w)[0])
+            divisions = list(_classify(w)[1])
             assert from_pair == divisions, op
             assert [(form.ends[i], k) for i, k in form.divisors] == divisions, op
             divided += bool(divisions)
@@ -2044,7 +2112,7 @@ class TestIntegrabilityDecision:
         refused = missing = 0
         for op, n in integrability_draw():
             w = derive_weight(op.coeffs[2], op.coeffs[1])
-            shape = orthogonality._shape(w)
+            shape = _classify(w)[0]
             counts[shape] += 1
             roots = sorted({pf.root for pf in w.power_factors})
             funcs = [r.monic for r in eigentable(op, n)]
@@ -2129,13 +2197,13 @@ class TestIntegrabilityRule:
         # weight with no quadrature map passes its integrable pairs to it too
         monkeypatch.setattr(
             orthogonality, "_numeric_quad",
-            lambda w, funcs, pairs, tol: [SimpleNamespace(value=0.0, err_est=0.0)] * len(pairs),
+            lambda w, route, funcs, pairs, tol: [SimpleNamespace(value=0.0, err_est=0.0)] * len(pairs),
         )
         verdicts, shapes = Counter(), Counter()
         for w, funcs in hand_built_draw():
             pairs = list(combinations_with_replacement(range(len(funcs)), 2))
-            routes = orthogonality._route(w, w.pearson_pair(), funcs, pairs, 1e-10)
-            shapes[orthogonality._shape(w)] += 1
+            route, routes = orthogonality._route(w, w.pearson_pair(), funcs, pairs, 1e-10)
+            shapes[route] += 1
             for (i, j), route in zip(pairs, routes):
                 f, g = funcs[i], funcs[j]
                 if f is None or g is None:
@@ -2193,8 +2261,8 @@ class TestRefusals:
          r"weight has a \(x\^2\+1\) factor"),
     ], ids=["exp", "arctan", "quad", "quad-on-(0,2)"])
     def test_exact_route_refuses_finite_weight_shapes(self, weight, reason):
-        # _shape leaves these to quadrature on the interval, where the oracle refuses them
-        assert orthogonality._shape(weight) == "finite"
+        # _classify leaves these to quadrature on the interval, where the oracle refuses them
+        assert _classify(weight)[0] == "finite"
         for f in (Poly.one(), Poly()):  # refused before the zero case
             with pytest.raises(NotPolynomialReducible, match=f"^{reason}$"):
                 divide_and_integrate(weight, f, P(1, 1))
@@ -2238,7 +2306,7 @@ class TestNoRouteWeights:
         draw = [(op, 6) for op in ops] + no_route_draw()
         for op, n in draw:
             w = derive_weight(op.coeffs[2], op.coeffs[1])
-            assert orthogonality._shape(w) is None, w.formula()
+            assert _classify(w)[0] is None, w.formula()
             entries = gram_matrix(op, n).entries
             assert len(entries) == (n + 1) * (n + 2) // 2
             for e in entries:

@@ -37,9 +37,9 @@ SURFACE = [
     "RomanovskiPair", "RomanovskiReport", "finite_orthogonality_report",
 ]
 # the first four live in the test oracles, and so does NotPolynomialReducible, the oracle's
-# refusal (the moment form returns a refused pair's reason text); moment_reach is the
-# integrability rule's reach (weights._integrability_rule); no public function returns a
-# QuadResult (it stays defined in quadrature); gram_matrix takes an operator as well as a family
+# refusal; moment_reach is the integrability rule's reach (weights._classify); no public
+# function returns a QuadResult (it stays defined in quadrature); gram_matrix takes an
+# operator as well as a family
 NOT_EXPORTED = ["boundary_vanishing", "BoundaryVerdict", "integrability", "IntegrabilityVerdict",
                 "moment_reach", "QuadResult", "NotPolynomialReducible",
                 "gram_matrix_for_operator"]

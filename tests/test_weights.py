@@ -18,8 +18,7 @@ from specpoly import (
     inner_product,
     pearson_check,
 )
-from specpoly.orthogonality import _shape
-from specpoly.weights import PearsonVerdict, _integrability_rule
+from specpoly.weights import PearsonVerdict, _classify
 
 from oracles import (
     boundary_vanishing,
@@ -210,7 +209,7 @@ class TestPearsonPair:
         a, b = w.pearson_pair()
         assert log_slope_error(w, a, b) < 1e-6, name
         assert all(a(r) == 0 for r in (w.interval.lo, w.interval.hi) if r is not None), name
-        if _shape(w) in ("exact", "laguerre", "romanovski"):
+        if _classify(w)[0] in ("exact", "laguerre", "romanovski"):
             assert a.degree <= 2, name
         if name == "gaussian":
             assert (a, b) == (Poly.one(), P(1, -2))
@@ -306,15 +305,42 @@ class TestIntegrability:
         assert integrability(weight_of(FamilySpec.hermite(-2, 0)), total_degree=9).integrable
         assert not integrability(weight_of(FamilySpec.hermite(2, 0))).integrable
 
+    def test_classify_names_every_route(self):
+        # one walk over the fields names the route of every shape, derived or hand-built; a
+        # field the shape lacks (an arctan or a root off the anchor on a half line, a
+        # non-integer exponent on a finite interval, an (x^2+1) beside a power factor on the
+        # real line) takes the weight off it
+        half, real = Interval(Fraction(0), None), Interval(None, None)
+        presets = classical_presets()
+        cases = [
+            (weight_of(presets["legendre"]), "exact"),
+            (weight_of(presets["chaudhry-qadir"]), "exact"),
+            (weight_of(presets["chebyshev1"]), "finite"),
+            (weight_of(presets["laguerre"]), "laguerre"),
+            (weight_of(presets["hermite"]), "gaussian"),
+            (weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1)), "romanovski"),
+            (weight_of(FamilySpec.hermite(2, 0)), None),
+            (WeightExpr(exp_poly=P(0, -1), interval=half), "laguerre"),
+            (WeightExpr(exp_poly=P(0, -1), arctan_coeff=Fraction(1), interval=half), None),
+            (WeightExpr(exp_poly=P(0, -1), quad_exp=Fraction(-1), interval=half), None),
+            (WeightExpr(power_factors=(PowerFactor(Fraction(1), Fraction(-1, 2)),),
+                        exp_poly=P(0, -1), interval=half), None),
+            (WeightExpr(quad_exp=Fraction(-2), interval=real), "romanovski"),
+            (WeightExpr(power_factors=(PowerFactor(Fraction(0), Fraction(2)),),
+                        quad_exp=Fraction(-4), interval=real), None),
+        ]
+        for w, route in cases:
+            assert _classify(w)[0] == route, w.formula()
+
     def test_rule_reach_is_the_degree_verdict(self):
         # p x^k is integrable (integrability(w, k)) exactly when the rule has no division
         # and k <= its reach, on every weight shape; the reach is finite only on the
         # Romanovski shape
-        assert _integrability_rule(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == ((), 7)
-        assert _integrability_rule(weight_of(FamilySpec.romanovski(-7, 0))) == ((), 7)
-        assert _integrability_rule(weight_of(FamilySpec.romanovski(0, 1))) == ((), 0)
-        assert _integrability_rule(weight_of(FamilySpec.romanovski(1, 1))) == ((), -1)
-        assert _integrability_rule(weight_of(FamilySpec.hermite(-2, 0))) == ((), math.inf)
+        assert _classify(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == ("romanovski", (), 7)
+        assert _classify(weight_of(FamilySpec.romanovski(-7, 0))) == ("romanovski", (), 7)
+        assert _classify(weight_of(FamilySpec.romanovski(0, 1))) == ("romanovski", (), 0)
+        assert _classify(weight_of(FamilySpec.romanovski(1, 1))) == ("romanovski", (), -1)
+        assert _classify(weight_of(FamilySpec.hermite(-2, 0))) == ("gaussian", (), math.inf)
         rng = random.Random(131)
         reaches = set()
         for _ in range(40):
@@ -327,7 +353,7 @@ class TestIntegrability:
                 FamilySpec.hermite(alpha or Fraction(-1), beta),
             ):
                 w = weight_of(spec)
-                divisions, reach = _integrability_rule(w)
+                _, divisions, reach = _classify(w)
                 reaches.add("division" if divisions else reach if reach in (-1, math.inf) else "finite")
                 for k in range(20):
                     assert (not divisions and k <= reach) == integrability(w, k).integrable, (spec, k)
@@ -338,10 +364,10 @@ class TestIntegrability:
         # ends, in the library's rule and in the oracle: exp(-1) on R admits no degree, and
         # (x^2+1)^(-1) e admits degree 0 (its integral is e pi)
         bare = WeightExpr(exp_poly=P(-1), interval=Interval(None, None))
-        assert _integrability_rule(bare) == ((), -1)
+        assert _classify(bare) == (None, (), -1)
         assert integrability(bare).conditions[-1] == ("+inf", False, "asymptotic power 0 >= -1")
         cauchy = WeightExpr(quad_exp=Fraction(-1), exp_poly=P(1), interval=Interval(None, None))
-        assert _integrability_rule(cauchy) == ((), 0)
+        assert _classify(cauchy) == (None, (), 0)
         assert integrability(cauchy).integrable and not integrability(cauchy, 1).integrable
 
 
