@@ -7,7 +7,9 @@ to the instance ``__dict__``, then ``__post_init__`` if the class defines
 it), compiled when the class makes its first instance; equality, hashing and
 repr work over the field values, as a frozen dataclass's do.  Assigning or
 deleting an attribute raises AttributeError; ``functools.cached_property``
-still works, because it writes the instance ``__dict__`` directly.
+still works, because it writes the instance ``__dict__`` directly.  A
+``__post_init__`` may normalize a field the same way, writing the instance
+``__dict__`` once (DiffOperator stores its coefficients as a tuple of Polys).
 Importing ``dataclasses`` (and ``inspect`` behind it) plus one ``exec`` of
 six methods per class cost a command-line call more start-up time than the
 rest of the package import.

@@ -72,27 +72,25 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
                        help="file with {\"a\": [[...a_0...], [...a_1...], ...]}")
 
 
-def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec | None:
-    sources = [args.preset is not None, args.family is not None,
-               getattr(args, "operator_json", None) is not None]
-    if sum(sources) != 1:
+def _resolve_source(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> FamilySpec | DiffOperator:
+    if sum(v is not None for v in (args.preset, args.family, args.operator_json)) != 1:
         parser.error("provide exactly one of --preset, --family, --operator-json")
     if args.preset is not None:
         return classical_presets()[args.preset]
-    if args.family is None:
-        return None
-    kind = FamilyKind(args.family)
-    if kind is FamilyKind.CHAUDHRY_QADIR:
-        return FamilySpec.chaudhry_qadir()
-    return FamilySpec(kind, args.alpha, args.beta, args.eps)
+    if args.family is not None:
+        kind = FamilyKind(args.family)
+        if kind is FamilyKind.CHAUDHRY_QADIR:
+            return FamilySpec.chaudhry_qadir()
+        return FamilySpec(kind, args.alpha, args.beta, args.eps)
+    with open(args.operator_json, encoding="utf-8") as fh:
+        return DiffOperator.from_json(json.load(fh))
 
 
 def _resolve_operator(args: argparse.Namespace, parser: argparse.ArgumentParser) -> DiffOperator:
-    spec = _resolve_spec(args, parser)
-    if spec is not None:
-        return build_operator(spec)
-    with open(args.operator_json, encoding="utf-8") as fh:
-        return DiffOperator.from_json(json.load(fh))
+    source = _resolve_source(args, parser)
+    return build_operator(source) if isinstance(source, FamilySpec) else source
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +156,7 @@ def _cmd_weight(args, parser) -> dict | str:
 
 
 def _cmd_gram(args, parser) -> dict | str:
-    report = gram_matrix(_resolve_spec(args, parser) or _resolve_operator(args, parser),
-                         args.n_max, args.tol)
+    report = gram_matrix(_resolve_source(args, parser), args.n_max, args.tol)
     return report.to_json() if args.format == "json" else report.format_table()
 
 

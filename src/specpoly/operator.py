@@ -12,6 +12,11 @@ the operator's eigenvalues on P_n.
 Eigenvalues here are always eigenvalues of L itself (L y = mu y).  The ODE
 convention L(y) + lambda y = 0 flips the sign; consumers that print results
 surface both.
+
+DiffOperator, like the matrix and spectrum it gives, is a Record (``_record``):
+its ``__post_init__`` checks the degree bound and stores ``coeffs`` as a tuple
+of Polys with trailing zeros dropped, so the record's equality, hash and repr
+over that one field are the operator's.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from ._record import Record
 from .ratpoly import Poly, RatLike, rat
@@ -46,15 +50,14 @@ class EmptyOperator(ValueError):
     """All coefficients are zero."""
 
 
-class DiffOperator:
-    """Validated operator; ``coeffs[k]`` multiplies the k-th derivative."""
-
-    __slots__ = ("coeffs",)
+class DiffOperator(Record):
+    """Validated operator; ``coeffs[k]`` multiplies the k-th derivative.  Built from any
+    iterable of Polys or coefficient sequences: the module docstring."""
 
     coeffs: tuple[Poly, ...]
 
-    def __init__(self, coeffs: Iterable[Poly | Sequence[RatLike]]):
-        polys = [c if isinstance(c, Poly) else Poly(c) for c in coeffs]
+    def __post_init__(self):
+        polys = [c if isinstance(c, Poly) else Poly(c) for c in self.coeffs]
         while polys and polys[-1].is_zero():
             polys.pop()
         if not polys:
@@ -62,21 +65,11 @@ class DiffOperator:
         for k, a_k in enumerate(polys):
             if a_k.degree > k:
                 raise DegreeViolation(k, int(a_k.degree))
-        object.__setattr__(self, "coeffs", tuple(polys))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOperator is immutable")
+        self.__dict__["coeffs"] = tuple(polys)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DiffOperator) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"a{k}={p.pretty()}" for k, p in enumerate(self.coeffs))
-        return f"DiffOperator({terms})"
 
     # -- action on polynomials ------------------------------------------------
 

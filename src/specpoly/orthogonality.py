@@ -20,8 +20,8 @@ Romanovski or Gaussian on the real line.
   reads E_r off the pair and values only such pairs.  One pair serves every shape:
   the operator's own, which a Gram matrix passes, and WeightExpr.pearson_pair,
   the same up to scale, for inner_product.  a has a simple root at each finite
-  end, where p a x^k vanishes and E_r = b(r)/a'(r) - 1, in ints over one
-  denominator.  A key's p prod (x - r)^s_r has the pair (a, b + sum s_r
+  end, where p a x^k vanishes and E_r = b(r)/a'(r) - 1 (weights._exponent, which
+  derive_weight calls too).  A key's p prod (x - r)^s_r has the pair (a, b + sum s_r
   a/(x - r)), so a key adds s_r times one fixed polynomial per end to b.
   An entry is a bilinear form over its key's r_k, cleared to integers over
   one denominator: O(n^3) operations for an n x n Gram matrix, no polynomial
@@ -134,7 +134,7 @@ from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
 from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, rat
-from .weights import WeightExpr, _classify, derive_weight
+from .weights import WeightExpr, _classify, _exponent, derive_weight
 
 __all__ = [
     "NonIntegrable",
@@ -247,13 +247,12 @@ class _MomentForm:
         a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
         b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
         self.pair = a0, a1, a2, b0, b1
-        # per finite end r = p/q: E_r = b(r)/a'(r) - 1 in ints as derive_weight reads it (an
-        # int on a finite interval) and the shift q a/(q x - p) = a/(x - r); a division's
-        # root is an end: (end index, k) per division
+        # per finite end r = p/q: E_r (an int on a finite interval) and the shift
+        # q a/(q x - p) = a/(x - r); a division's root is an end: (end index, k) per division
         self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
         self.linear = linear = [(r.numerator, r.denominator) for r in ends]
-        net = [(b0 * q + b1 * p, a1 * q + 2 * a2 * p) for p, q in linear]  # b(r)/a'(r) in ints
-        self.exponents = [n // d - 1 if self.finite else Fraction(n, d) - 1 for n, d in net]
+        exponents = [_exponent(a, b, r) for r in ends]
+        self.exponents = [int(e) for e in exponents] if self.finite else exponents
         self.divisors = [(ends.index(r), k) for r, k in divisions]
         self.shifts = [[q * v for v in _divide_linear(self.pair[:3], p, q)] for p, q in linear]
         self.m_0: dict[tuple[int, ...], float] = {}

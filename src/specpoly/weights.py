@@ -225,17 +225,9 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
         raise ValueError("weight derivation requires deg(b) <= 1")
     s, t, c = norm.s, norm.t, norm.c
     if norm.normal_form == "x^2-1":  # roots t - s < t + s
-        # e = b(r) / a'(r) - 1 in ints: for r = p/q, q a.den a'(r) = a1 q + 2 a2 p and
-        # q b.den b(r) = b0 q + b1 p
-        (_, a1, a2), (b0, b1) = a.nums, (b.nums + (0, 0))[:2]
-        ends, factors = (t - s, t + s), []
-        for r in ends:
-            p, q = r.numerator, r.denominator
-            slope = (a1 * q + 2 * a2 * p) * b.den
-            e = Fraction((b0 * q + b1 * p) * a.den - slope, slope)
-            if e:
-                factors.append(PowerFactor(r, e))
-        return WeightExpr(power_factors=tuple(factors), interval=Interval(*ends))
+        ends = (t - s, t + s)
+        factors = tuple(PowerFactor(r, e) for r in ends if (e := _exponent(a, b, r)))
+        return WeightExpr(power_factors=factors, interval=Interval(*ends))
     b1, b0 = b.coeff(1), b.coeff(0)
     if norm.normal_form == "x^2+1":
         if (s, t) != (1, 0):
@@ -252,7 +244,7 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
             "double root (x^2 normal form): weight not developed for this shape"
         )
     if norm.normal_form == "x":  # root t, slope 1/s
-        exponent = b(t) * s - 1
+        exponent = _exponent(a, b, t)
         factors = (PowerFactor(t, exponent),) if exponent != 0 else ()
         # pick the half line on which the exponential factor decays
         interval = Interval(None, t) if b1 * s > 0 else Interval(t, None)
@@ -260,6 +252,17 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
     return WeightExpr(
         exp_poly=Poly((0, b0 / c, b1 / (2 * c))), interval=Interval(None, None)
     )
+
+
+def _exponent(a: Poly, b: Poly, r: Fraction) -> Fraction:
+    """E_r = b(r)/a'(r) - 1, the exponent of the weight with (p a)' = p b at a simple root
+    r of a, in ints: for r = p/q, q a.den a'(r) = a1 q + 2 a2 p and q b.den b(r) = b0 q + b1 p.
+    An a of degree > 2 or a b of degree > 1 does not unpack."""
+    _, a1, a2 = (*a.nums, *[0] * (3 - len(a.nums)))
+    b0, b1 = (*b.nums, *[0] * (2 - len(b.nums)))
+    p, q = r.numerator, r.denominator
+    slope = (a1 * q + 2 * a2 * p) * b.den
+    return Fraction((b0 * q + b1 * p) * a.den - slope, slope)
 
 
 def _classify(weight: WeightExpr) -> tuple[str | None, tuple[tuple[Fraction, int], ...], float]:

@@ -267,6 +267,15 @@ class TestGram:
         assert code == 1 and out == ""
         assert err.startswith("specpoly: error: a moment entry on |x - 1000|^(999) * exp(x) overflows a float")
 
+    def test_moment_entry_past_a_float_is_domain_error(self, capsys):
+        # x y'' + (171 - x) y': weight x^170 e^(-x) on (0, inf), whose m_0 = 170! fits a float
+        # but whose (1, 1) entry 171! does not, so the entry itself overflows, not the moment
+        # ratios; an exact m_0 (ROADMAP item 8) would restate this
+        code, out, err = run(capsys, "gram", "--family", "laguerre", "--alpha", "-1",
+                             "--beta", "171", "--n-max", "1")
+        assert (code, out) == (1, "")
+        assert err == "specpoly: error: a moment entry on |x|^(170) * exp(-x) overflows a float\n"
+
     def test_exact_norms_past_a_float_keep_exact_relatives(self, capsys, tmp_path):
         # (x^2 - 10^6 x) y'' + (2x - 10^6) y': the weight 1 on (0, 10^6), whose exact monic
         # norm at n = 28 is past a float's range; --n-max 28 exited with an OverflowError
@@ -492,6 +501,13 @@ class TestContract:
         assert out == ""
         assert err.startswith("specpoly: error: ")
         assert f"{named} is not a list of rationals" in err
+
+    def test_operator_json_that_is_not_an_object_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([1, 2]))
+        code, out, err = run(capsys, "spectrum", "--operator-json", str(path), "--n-max", "2")
+        assert (code, out) == (1, "")
+        assert err == 'specpoly: error: operator JSON must be an object with key "a"\n'
 
     def test_bessel_shape_weight_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "op.json"

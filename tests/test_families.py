@@ -159,6 +159,10 @@ class TestBochnerNormalize:
         with pytest.raises(ValueError):
             bochner_normalize(Poly((0, 0, 0, 1)))
 
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="^cannot normalize the zero polynomial$"):
+            bochner_normalize(Poly())
+
     def test_rejects_irrational_roots(self):
         with pytest.raises(ValueError):
             bochner_normalize(P(-2, 0, 1))  # roots +-sqrt(2)

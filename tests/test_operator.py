@@ -12,6 +12,7 @@ from specpoly import (
     Poly,
     build_operator,
 )
+from specpoly._record import Record
 
 from oracles import random_operator, random_poly
 
@@ -49,12 +50,26 @@ class TestValidation:
         op = DiffOperator([P(1), Poly(), Poly()])
         assert op.order == 0
 
+    def test_is_a_record_over_its_normalized_coefficients(self):
+        # equality, hash, repr and immutability are the Record's (tests/test_record.py)
+        assert issubclass(DiffOperator, Record)
+        assert not {"__slots__", "__setattr__", "__eq__", "__hash__", "__repr__"} & set(
+            vars(DiffOperator))
+        op = DiffOperator([[0], (0, -2), P(1, 0, -1), Poly()])
+        assert op.coeffs == (Poly(), P(0, -2), P(1, 0, -1))
+        assert op == LEGENDRE and hash(op) == hash(LEGENDRE)
+
     def test_json_round_trip(self):
         op = CHAUDHRY_QADIR
         assert DiffOperator.from_json(op.to_json()) == op
 
     def test_json_accepts_numbers(self):
         assert DiffOperator.from_json({"a": [[0], [0, -2], [1, 0.0, "-1"]]}) == LEGENDRE
+
+    @pytest.mark.parametrize("data", [[1, 2], {"b": []}, None])
+    def test_json_that_is_not_an_object_with_key_a_is_refused(self, data):
+        with pytest.raises(ValueError, match='^operator JSON must be an object with key "a"$'):
+            DiffOperator.from_json(data)
 
     @pytest.mark.parametrize("data, named", [
         ({"a": 5}, "5"),

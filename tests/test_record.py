@@ -8,6 +8,7 @@ import pytest
 
 from specpoly import (
     AffineNormalization,
+    DiffOperator,
     EigenResult,
     FamilyKind,
     FamilySpec,
@@ -182,6 +183,7 @@ def _legendre_op():
 
 # one instance per class, from the library's own calls where they are cheap
 SAMPLES = {
+    DiffOperator: _legendre_op,
     OperatorMatrix: lambda: _legendre_op().matrix(3),
     Spectrum: lambda: _legendre_op().spectrum(3),
     EigenResult: lambda: eigentable(_legendre_op(), 2)[2],
@@ -203,11 +205,13 @@ SAMPLES = {
 RECORDS = _package_records() + [BoundaryVerdict, IntegrabilityVerdict]
 # the only classes with a __post_init__, and an argument list each refuses
 REFUSALS = {
+    DiffOperator: (([[1, 2]],), r"coefficient of y\^\(0\) has degree 1 > 0"),
     Interval: ((Fraction(1), Fraction(1)), r"empty interval \(1, 1\)"),
     FamilySpec: ((FamilyKind.JACOBI, Fraction(0), Fraction(0), 0), "jacobi eps must be"),
 }
 # the only classes whose JSON keys are not their fields
 OWN_JSON_KEYS = {
+    DiffOperator: ["a"],
     EigenResult: ["degree", "eigenvalue_of_L", "lambda_ode_convention", "status", "monic",
                   "eigenspace_dim", "basis"],
     WeightExpr: ["constant", "power_factors", "quad_exp", "exp_poly", "arctan_coeff", "interval",
@@ -224,7 +228,7 @@ def _defaulted(cls) -> list[str]:
 
 
 def test_every_record_class_has_a_sample():
-    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 14
+    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 15
     assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [

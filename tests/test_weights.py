@@ -18,7 +18,7 @@ from specpoly import (
     inner_product,
     pearson_check,
 )
-from specpoly.weights import PearsonVerdict, _classify
+from specpoly.weights import PearsonVerdict, _classify, _exponent
 
 from oracles import (
     boundary_vanishing,
@@ -106,6 +106,31 @@ class TestDeriveWeight:
         with pytest.raises(ValueError, match=r"^weight derivation requires deg\(b\) <= 1$") as err:
             derive_weight(P(1, 0, -1), P(0, 0, 1))
         assert not isinstance(err.value, UnsupportedLeadingCoefficient)
+
+
+class TestExponent:
+    def test_matches_the_pearson_formula(self):
+        # E_r = b(r)/a'(r) - 1 at each simple root of random two-root and linear a
+        rng = random.Random(61)
+        for _ in range(40):
+            r1, r2 = sorted(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+            c = Fraction(rng.choice([i for i in range(-4, 5) if i]), rng.randint(1, 3))
+            b = P(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(rng.randint(-9, 9), 2))
+            a = c * P(-r1, 1) * P(-r2, 1) if r1 != r2 else c * P(-r1, 1)
+            for r in {r1, r2}:
+                assert _exponent(a, b, r) == b(r) / a.derivative()(r) - 1
+
+    def test_derived_weights_carry_it(self):
+        a, b = ab_of(FamilySpec.jacobi(-1, Fraction(-7, 3), Fraction(1, 2)))
+        exps = {pf.root: pf.exponent for pf in derive_weight(a, b).power_factors}
+        assert exps == {r: _exponent(a, b, r) for r in (Fraction(-1), Fraction(1))}
+        a, b = ab_of(FamilySpec.laguerre(-1, Fraction(5, 2)))
+        assert derive_weight(a, b).power_factors == (PowerFactor(Fraction(0), _exponent(a, b, 0)),)
+
+    @pytest.mark.parametrize("a, b", [(P(0, 0, 0, 1), P(0, 1)), (P(-1, 0, 1), P(0, 0, 1))])
+    def test_too_high_a_degree_does_not_unpack(self, a, b):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            _exponent(a, b, Fraction(1))
 
 
 class TestPearson:
@@ -541,6 +566,12 @@ class TestPositivityAndEvaluation:
         assert data["arctan_coeff"] == "1"
         assert data["power_factors"] == []
         assert data["interval"] == {"lo": None, "hi": None}
+
+    def test_formula_leads_with_a_constant_other_than_1(self):
+        factor = PowerFactor(Fraction(1), Fraction(-1, 2))
+        w = WeightExpr(constant=Fraction(3, 7), power_factors=(factor,))
+        assert w.formula() == "3/7 * |x - 1|^(-1/2)"
+        assert WeightExpr(constant=Fraction(3, 7)).formula() == "3/7"
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
