@@ -39,9 +39,9 @@ Bareiss cross-check lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
-from typing import Sequence
 
 from ._record import Record
 from .operator import DiffOperator, OperatorMatrix

@@ -17,12 +17,12 @@ Romanovski or Gaussian on the real line.
   k_r times (below), and a pair whose root orders s_r = s_f + s_g reach k_r
   (key s_r - k_r >= 0) integrates p prod (x - r)^s_r, with exponent
   A_r = E_r + s_r > -1 at r and the sign (-1)^s_r at the upper end; the form
-  reads E_r off the pair and values only such pairs.  One pair serves every shape:
-  the operator's own, which a Gram matrix passes, and WeightExpr.pearson_pair,
-  the same up to scale, for inner_product.  a has a simple root at each finite
-  end, where p a x^k vanishes and E_r = b(r)/a'(r) - 1 (weights._exponent, which
-  derive_weight calls too).  A key's p prod (x - r)^s_r has the pair (a, b + sum s_r
-  a/(x - r)), so a key adds s_r times one fixed polynomial per end to b.
+  takes E_r from _classify's rule and values only such pairs.  One pair serves
+  every shape: the operator's own, which a Gram matrix passes, and
+  WeightExpr.pearson_pair, the same up to scale, for inner_product.  a has a
+  simple root at each finite end, where p a x^k vanishes, and a key's
+  p prod (x - r)^s_r has the pair (a, b + sum s_r a/(x - r)): a key adds s_r
+  times one fixed polynomial per end to b.
   An entry is a bilinear form over its key's r_k, cleared to integers over
   one denominator: O(n^3) operations for an n x n Gram matrix, no polynomial
   product per entry and one Fraction per nonzero entry (every exact zero is
@@ -90,19 +90,19 @@ On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
 is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
 The router makes every decision, once, on every route, and the form only
-computes.  It reads _classify's (route, divisions, reach) once per Gram
-matrix, Romanovski report or inner_product call, hands the route to the node
-sweep and to the Gram assembly, and strips each eigenfunction once at each
-division (r, k), capped at k, in ints (_reduce): its root orders there are its
-class, and its quotient is what the form values.  Each class pair is judged
-once, by its key s_f + s_g - k per division, refused when a part is negative,
-and by whether the boundary term vanishes; a pair is integrable when its class
-pair's key is and deg f + deg g is within the reach, so no f g is formed for a
-verdict.  A degree with no eigenfunction is integrable when no end divides and
-m + n is within the reach.  A zero f or g is an exact zero with no verdict read
-(0.0 on a moment shape).  The form, with each pair's key and the router's
-certificate, or the node sweep then values the integrable pairs only.
-A Gram matrix makes one node sweep per weight
+computes.  It reads _classify's rule (route, divisions, reach, exponents) once
+per Gram matrix, Romanovski report or inner_product call, hands the route to
+the node sweep and the Gram assembly and the whole rule to the form, and strips
+each eigenfunction once at each division (r, k), capped at k, in ints (_reduce):
+its root orders there are its class, and its quotient is what the form values.
+Each class pair is judged once, by its key s_f + s_g - k per division, refused
+when a part is negative, and by whether the boundary term vanishes; a pair is
+integrable when its class pair's key is and deg f + deg g is within the reach,
+so no f g is formed for a verdict.  A degree with no eigenfunction is
+integrable when no end divides and m + n is within the reach.  A zero f or g is
+an exact zero with no verdict read (0.0 on a moment shape).  The form, with
+each pair's key and the router's certificate, or the node sweep then values the
+integrable pairs only.  A Gram matrix makes one node sweep per weight
 (quadrature._product_sweep), with one evaluation per node: each node's
 abscissa, log p(x) and Jacobian are computed once and shared by all pending
 entries, each of which still stops on its own rule.  A Romanovski report is
@@ -123,10 +123,10 @@ endpoint distance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul, sub
-from typing import Callable, Sequence
 
 from ._record import Record
 from .eigen import EigenResult, eigentable
@@ -134,7 +134,7 @@ from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator, Spectrum
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
 from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, rat
-from .weights import WeightExpr, _classify, _exponent, derive_weight
+from .weights import WeightExpr, _classify, derive_weight
 
 __all__ = [
     "NonIntegrable",
@@ -223,46 +223,41 @@ def _real_line_moment(weight: WeightExpr) -> float:
 
 class _MomentForm:
     """<f, g> = integral p f g for labelled f, g, on the Pearson moments of the module
-    docstring: a valuer, which decides nothing.  The router hands it its divisions (r, k)
-    and each label's reduced f~, with f = f~ prod (x - r)^s for the label's root orders s
-    there, and, per block, the integrable pairs with their keys and its certificate; a pair
-    reduces to sum_i f~_i L(i) with L(i) = sum_j g~_j r_(i+j), r the cached moment ratios of
-    its key: O(n^3) for an n x n Gram matrix, answered as one block.  f~, g~ and r are int
-    lists over their denominators, so an entry is int sums and, when it is not 0, one
-    Fraction.  On a finite interval r carries the rational m_0, and the entry is the
-    integral; on the moment route it is the ratio to the key's float m_0 (m_0[key], set when
-    the key's moments are read).  steps caps the ratios (the reach): no pair asked reads past
-    it.  The weight is one _classify routes "exact", "laguerre" or "romanovski", and pearson
-    is its Pearson pair (a, b), (p a)' = p b with a simple root of a at each finite end: the
-    operator's own, or WeightExpr.pearson_pair.  The pair gives the exponents and the
-    moments; the weight gives only its ends and m_0."""
+    docstring: a valuer, which decides nothing.  The router hands it _classify's rule
+    (route, divisions, reach, exponents), each label's reduced f~, with f = f~ prod (x - r)^s
+    for the label's root orders s at the divisions (r, k), and, per block, the integrable
+    pairs with their keys and its certificate; a pair reduces to sum_i f~_i L(i) with
+    L(i) = sum_j g~_j r_(i+j), r the cached moment ratios of its key: O(n^3) for an n x n
+    Gram matrix, answered as one block.  f~, g~ and r are int lists over their denominators,
+    so an entry is int sums and, when it is not 0, one Fraction.  The route names m_0: on
+    the exact route r carries the rational m_0, and the entry is the integral; on the moment
+    route it is the ratio to the key's float m_0[key], set as the key's moments are read.
+    pearson, (a, b) with (p a)' = p b and a simple root of a at each finite end, gives the
+    recurrence and the shifts a/(x - r); the weight gives its ends, its constant and m_0's
+    inputs."""
 
-    def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly],
-                 divisions: Sequence[tuple[Fraction, int]], reduced: dict, steps: float):
-        iv = weight.interval
-        self.weight, self.finite = weight, iv.finite
+    def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, reduced: dict):
+        self.weight, (self.route, divisions, steps, exponents) = weight, rule
         # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
         a, b = pearson
         d = math.lcm(a.den, b.den)
         a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
         b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
         self.pair = a0, a1, a2, b0, b1
-        # per finite end r = p/q: E_r (an int on a finite interval) and the shift
+        # per finite end r = p/q: E_r (an int on the exact route) and the shift
         # q a/(q x - p) = a/(x - r); a division's root is an end: (end index, k) per division
-        self.ends = ends = [r for r in (iv.lo, iv.hi) if r is not None]
+        self.ends = ends = [r for r in (weight.interval.lo, weight.interval.hi) if r is not None]
         self.linear = linear = [(r.numerator, r.denominator) for r in ends]
-        exponents = [_exponent(a, b, r) for r in ends]
-        self.exponents = [int(e) for e in exponents] if self.finite else exponents
+        self.exponents = [int(e) for e in exponents] if self.route == "exact" else exponents
         self.divisors = [(ends.index(r), k) for r, k in divisions]
         self.shifts = [[q * v for v in _divide_linear(self.pair[:3], p, q)] for p, q in linear]
-        self.m_0: dict[tuple[int, ...], float] = {}
-        self.reduced = reduced
+        self.m_0, self.reduced = {}, reduced  # m_0: key -> its float m_0, on the moment route
         span = 2 * max((len(c) for _, c in reduced.values()), default=0)
-        self.steps = min(steps, span - 2)  # no entry reads a ratio past span - 2
+        self.steps = min(steps, span - 2)  # the reach, and no entry reads a ratio past span - 2
 
     def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
-        """The key's ratios r_0 .. r_steps times the weight's constant and, on a finite
-        interval, the signed m_0, over their common denominator: the key's root orders shift
+        """The key's ratios r_0 .. r_steps times the weight's constant and, on the exact
+        route, the signed m_0, over their common denominator: the key's root orders shift
         the form's pair, in ints, and m_0 and the sign are the module docstring's."""
         w = self.weight
         a0, a1, a2, b0, b1 = self.pair
@@ -274,16 +269,16 @@ class _MomentForm:
         powers = [e + s + 1 for e, s in zip(self.exponents, orders)]  # A + 1 > 0 per end
         sign = (-1) ** orders[-1] if w.interval.hi is not None else 1
         num, den = w.constant.numerator, w.constant.denominator
-        if self.finite:  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!, lo = l1/l2, hi = h1/h2
-            (l1, l2), (h1, h2) = self.linear
+        if self.route == "exact":  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!
+            (l1, l2), (h1, h2) = self.linear  # lo = l1/l2, hi = h1/h2
             p1, p2 = powers
             num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
             den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
-        elif powers:  # p = |x - t|^A e^(c x) on a half line from t
+        elif self.route == "laguerre":  # p = |x - t|^A e^(c x) on a half line from t
             (t,), (power,), c = self.ends, powers, w.exp_poly.coeff(1)
             log_m_0 = math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c))
             self.m_0[key] = sign * math.exp(log_m_0)
-        else:  # the Romanovski shape: no finite end
+        else:  # "romanovski": no finite end
             self.m_0[key] = _real_line_moment(w)
         return _moment_ratios((a0, a1, a2, b0, b1), self.steps, num, den)
 
@@ -482,7 +477,7 @@ def _route(
     certifies the pairs whose boundary term vanishes, and picks the direct diagonals."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
-    route, divisions, reach = _classify(weight)
+    route, divisions, reach, _ = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
     form_route = moment or route == "exact"
     ids = _certificate(eigenvalues) if form_route and eigenvalues is not None else None
@@ -533,7 +528,7 @@ def _route(
             while classes.get(end) == s:
                 end += 1
             direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
-    form = _MomentForm(weight, pearson, divisions, reduced, reach)
+    form = _MomentForm(weight, pearson, rule, reduced)
     method = "moment" if moment else "exact"
     try:  # a moment entry is its ratio times its key's float m_0, which the block reads
         values = form.block([pairs[k] for k in asked], keys, zeros, direct)
@@ -665,7 +660,7 @@ def _gram_for(
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
                 try:  # from the exact values where a float product overflows or underflows
-                    rel = abs(float(value)) / math.sqrt(diag[m] * diag[n]) if value else 0.0
+                    rel = 0.0 if value is _ZERO else abs(float(value)) / math.sqrt(diag[m] * diag[n])
                 except (OverflowError, ZeroDivisionError):
                     rel = math.sqrt(Fraction(value) ** 2 / (Fraction(diag[m]) * Fraction(diag[n])))
             elif not value:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from ._record import Record
 

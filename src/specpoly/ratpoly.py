@@ -20,9 +20,9 @@ exactly what ``str(Fraction)`` produces.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Poly",
@@ -30,7 +30,7 @@ __all__ = [
     "rat",
 ]
 
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 
 _MINUS_INF = float("-inf")
 

@@ -31,19 +31,20 @@ All evaluation is restricted to the interior of the interval of definition,
 where |x - r| factors have constant sign.
 
 One walk over a weight's fields, _classify, gives its route (the shape
-orthogonality integrates it on) and the one rule that decides integrability,
-(divisions, reach); orthogonality's router reads it once per Gram matrix,
+orthogonality integrates it on), the one rule that decides integrability,
+(divisions, reach), and p's summed exponent E at each finite end, which the
+moment form takes; orthogonality's router reads it once per Gram matrix,
 Romanovski report or inner_product call.  A division (r, k) is a root r of p
-in the interval's closure where p's summed exponent E is <= -1, with
-k = floor(-E): p f g is integrable at r exactly when f g has the root r s >= k
-times, so that E + s > -1.  The reach is the largest degree of f g that the
-infinite ends admit: every degree on a finite interval or where e^E decays,
-none (-1) where it grows, else the power law
-deg + (power exponent sum) + 2 quad_exp < -1; a constant E neither decays nor
-grows.  The arctan factor is bounded and plays no role.  Whether the boundary
-term p a (f' g - f g') of two eigenfunctions vanishes, which orthogonality
-rests on, is decided where the pairs are: the router judges it once per class
-pair, beside the pair's key, and reads the eigenvalues off the eigentable.
+in the interval's closure where E <= -1, with k = floor(-E): p f g is
+integrable at r exactly when f g has the root r s >= k times, so that
+E + s > -1.  The reach is the largest degree of f g that the infinite ends
+admit: every degree on a finite interval or where e^E decays, none (-1) where
+it grows, else the power law deg + (power exponent sum) + 2 quad_exp < -1; a
+constant E neither decays nor grows.  The arctan factor is bounded and plays
+no role.  Whether the boundary term p a (f' g - f g') of two eigenfunctions
+vanishes, which orthogonality rests on, is decided where the pairs are: the
+router judges it once per class pair, beside the pair's key, and reads the
+eigenvalues off the eigentable.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ __all__ = [
     "pearson_check",
     "PearsonVerdict",
 ]
+
+_ZERO = Fraction(0)  # the summed exponent at an end no factor is rooted at
 
 
 class UnsupportedLeadingCoefficient(ValueError):
@@ -265,12 +268,13 @@ def _exponent(a: Poly, b: Poly, r: Fraction) -> Fraction:
     return Fraction((b0 * q + b1 * p) * a.den - slope, slope)
 
 
-def _classify(weight: WeightExpr) -> tuple[str | None, tuple[tuple[Fraction, int], ...], float]:
-    """(route, divisions, reach) in one walk over the fields, the one place each is decided.
-    The route names a shape derive_weight builds (orthogonality's module docstring): "exact",
-    a finite interval whose weight is its constant times |x - r|^E at the ends with integer
-    E, and "finite" on any other; "romanovski" or "laguerre", the moment route; "gaussian",
-    the sinh map; None, no route.  (divisions, reach) is the module docstring's rule."""
+def _classify(weight: WeightExpr) -> tuple[str | None, tuple, float, tuple[Fraction, ...]]:
+    """(route, divisions, reach, exponents) in one walk over the fields, the one place each
+    is decided.  The route names a shape derive_weight builds (orthogonality's module
+    docstring): "exact", a finite interval whose weight is its constant times |x - r|^E at
+    the ends with integer E, and "finite" on any other; "romanovski" or "laguerre", the
+    moment route; "gaussian", the sinh map; None, no route.  (divisions, reach) is the module
+    docstring's rule; exponents, E at each finite end in interval order (() on R)."""
     iv, factors, exp_poly = weight.interval, weight.power_factors, weight.exp_poly
     quad = weight.quad_exp
     summed: dict[Fraction, Fraction] = {}  # root -> p's summed exponent there, in one pass
@@ -281,12 +285,13 @@ def _classify(weight: WeightExpr) -> tuple[str | None, tuple[tuple[Fraction, int
         for r, e in sorted(summed.items())
         if e <= -1 and (iv.lo is None or iv.lo <= r) and (iv.hi is None or r <= iv.hi)
     )
+    exponents = tuple([summed.get(r, _ZERO) for r in (iv.lo, iv.hi) if r is not None])
     if iv.finite:
         polynomial = not (exp_poly or weight.arctan_coeff or quad) and all(
             pf.root in (iv.lo, iv.hi) and pf.exponent.denominator == 1
             for pf in factors if pf.exponent
         )
-        return "exact" if polynomial else "finite", divisions, math.inf
+        return "exact" if polynomial else "finite", divisions, math.inf, exponents
     if iv.lo is None and iv.hi is None:
         if quad is not None and not factors and not exp_poly:
             route = "romanovski"
@@ -299,9 +304,9 @@ def _classify(weight: WeightExpr) -> tuple[str | None, tuple[tuple[Fraction, int
     if exp_poly.degree > 0:  # e^E decays or grows at an infinite end; a constant does neither
         grows = any(end is None and exp_poly.leading() * sign**exp_poly.degree > 0
                     for end, sign in ((iv.lo, -1), (iv.hi, 1)))
-        return route, divisions, -1 if grows else math.inf
+        return route, divisions, -1 if grows else math.inf, exponents
     power = sum(summed.values()) + 2 * (quad or 0)
-    return route, divisions, max(math.ceil(-1 - power) - 1, -1)  # deg + power < -1
+    return route, divisions, max(math.ceil(-1 - power) - 1, -1), exponents  # deg + power < -1
 
 
 # ---------------------------------------------------------------------------

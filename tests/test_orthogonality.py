@@ -33,7 +33,7 @@ from specpoly import (
     inner_product,
 )
 from specpoly.ratpoly import common_denominator
-from specpoly.weights import _classify
+from specpoly.weights import _classify, _exponent
 
 from oracles import (
     NotPolynomialReducible,
@@ -72,12 +72,11 @@ def exact_value(w, f, g):
 
 def router_form(w, pearson, polys):
     """(form, classes): the moment form of w on its Pearson pair for the labelled nonzero
-    polys, built the router's way (_classify gives the divisions and the reach, and the
-    router's reduction each label's reduced form), and each label's class, its root orders
-    at the divisions."""
-    _, divisions, reach = _classify(w)
-    classes, reduced = orthogonality._reduce(polys, divisions)
-    return orthogonality._MomentForm(w, pearson, divisions, reduced, reach), classes
+    polys, built the router's way (_classify gives the rule, and the router's reduction each
+    label's reduced form), and each label's class, its root orders at the divisions."""
+    rule = _classify(w)
+    classes, reduced = orthogonality._reduce(polys, rule[1])
+    return orthogonality._MomentForm(w, pearson, rule, reduced), classes
 
 
 def form_answers(form, classes, pairs):
@@ -922,6 +921,22 @@ class TestGramMatrix:
         report = finite_orthogonality_report(Fraction(-13, 2), 1, 5)
         assert calls == [ROM_W] and {p.verdict for p in report.pairs} == {"orthogonal", "non-integrable"}
 
+    def test_one_exponent_reading_per_end(self, monkeypatch):
+        # each finite end's exponent is read once per Gram matrix, by derive_weight: the form
+        # takes the rule's exponents, which _classify sums off the weight's factors, so
+        # orthogonality computes no weight fact
+        assert not hasattr(orthogonality, "_exponent")
+        calls, exponent = [], specpoly.weights._exponent
+        monkeypatch.setattr(
+            specpoly.weights, "_exponent", lambda a, b, r: calls.append(r) or exponent(a, b, r)
+        )
+        presets = classical_presets()
+        for spec, ends in ((presets["legendre"], 2), (CQ_SPEC, 2), (presets["laguerre"], 1),
+                           (ROM_SPEC, 0), (presets["hermite"], 0)):
+            calls.clear()
+            gram_matrix(spec, 6)
+            assert len(calls) == ends, spec
+
     def test_no_degrees_no_entries(self):
         # chaudhry-qadir starts at degree 1: at n_max 0 the matrix has no pair at all
         report = gram_matrix(CQ_SPEC, 0)
@@ -1763,7 +1778,7 @@ def _form_and_pairs(op, n):
         w = derive_weight(op.coeffs[2], op.coeffs[1])
     except ValueError:
         return None
-    route, _, reach = _classify(w)
+    route, _, reach, _ = _classify(w)
     if route not in ("exact", "laguerre", "romanovski"):
         return None
     table = eigentable(op, n)
@@ -2026,10 +2041,10 @@ class TestPearsonPair:
         "draw, floor", [(pearson_draw, 300), (certificate_draw, 50)], ids=["pearson", "certificate"]
     )
     def test_form_divisors_are_the_integrability_rules(self, draw, floor):
-        # the form reads each end's exponent E_r off the operator's pair, the integrability
-        # rule reads the divisions off the weight's factors: k = floor(-E_r) wherever it is
-        # positive is the rule's k at every end, on every weight with a form, and the router
-        # hands the form the rule's divisions
+        # the form takes each end's exponent from the rule, which sums it off the weight's
+        # factors: it is E_r of the operator's pair (weights._exponent), k = floor(-E_r)
+        # wherever it is positive is the rule's k at every end, on every weight with a form,
+        # and the router hands the form the rule's divisions
         divided = 0
         for op, _ in draw():
             try:
@@ -2039,6 +2054,7 @@ class TestPearsonPair:
             if _classify(w)[0] not in ("exact", "laguerre", "romanovski"):
                 continue
             form, _ = router_form(w, pair_of(op), {})
+            assert list(form.exponents) == [_exponent(*pair_of(op), r) for r in form.ends], op
             from_pair = [
                 (r, math.floor(-e)) for r, e in zip(form.ends, form.exponents) if math.floor(-e) > 0
             ]

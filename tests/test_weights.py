@@ -132,6 +132,31 @@ class TestExponent:
         with pytest.raises(ValueError, match="too many values to unpack"):
             _exponent(a, b, Fraction(1))
 
+    def test_classify_sums_it_at_each_end(self):
+        # _classify's exponents, the one reading of E the moment form takes, are _exponent's
+        # at each finite end, in interval order, and () on the real line: a seeded draw over
+        # every shape derive_weight builds, each checked on its operator's pair
+        rng = random.Random(157)
+        routes, sides = set(), set()
+        for _ in range(30):
+            alpha = Fraction(rng.randint(-12, 6), rng.choice([1, 1, 2, 3]))
+            beta = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+            for spec in (
+                FamilySpec.jacobi(-1, alpha, beta), FamilySpec.jacobi(-1, round(alpha), round(beta)),
+                FamilySpec.jacobi(1, alpha, beta), FamilySpec.chaudhry_qadir(),
+                FamilySpec.laguerre(alpha or 1, beta), FamilySpec.romanovski(alpha, beta),
+                FamilySpec.hermite(alpha or -1, beta),
+            ):
+                a, b = ab_of(spec)
+                w = derive_weight(a, b)
+                ends = [r for r in (w.interval.lo, w.interval.hi) if r is not None]
+                route, _, _, exponents = _classify(w)
+                assert exponents == tuple(_exponent(a, b, r) for r in ends), spec
+                routes.add(route)
+                sides.add(w.interval.lo is None if len(ends) == 1 else None)
+        assert routes == {"exact", "finite", "laguerre", "romanovski", "gaussian", None}
+        assert sides == {True, False, None}
+
 
 class TestPearson:
     def test_example_two_weight_satisfies_identity(self):
@@ -253,6 +278,23 @@ class TestPearsonPair:
         w = HAND_BUILT["zero exponent"]
         assert inner_product(w, Poly.one(), Poly.one()) == (2, "exact", None)
 
+    @pytest.mark.parametrize("w, route", [
+        (HAND_BUILT["two factors at one root"], "exact"),
+        (WeightExpr(power_factors=(PowerFactor(-ONE, Fraction(2)),)), "exact"),
+        (HAND_BUILT["lower half line"], "laguerre"),
+        (HAND_BUILT["upper half line"], "laguerre"),
+        (WeightExpr(exp_poly=P(0, -1), interval=Interval(Fraction(0), None)), "laguerre"),
+        (WeightExpr(quad_exp=Fraction(-3), arctan_coeff=Fraction(1, 2),
+                    interval=Interval(None, None)), "romanovski"),
+    ])
+    def test_classify_reads_each_ends_exponent(self, w, route):
+        # _classify's exponents are _exponent's of the weight's own pair at each finite end
+        # on each form route: an end with no factor reads 0, and factors sharing a root are summed
+        a, b = w.pearson_pair()
+        ends = [r for r in (w.interval.lo, w.interval.hi) if r is not None]
+        named, _, _, exponents = _classify(w)
+        assert (named, exponents) == (route, tuple(_exponent(a, b, r) for r in ends)), w.formula()
+
 
 class TestIntegrability:
     def test_jacobi_window(self):
@@ -361,11 +403,11 @@ class TestIntegrability:
         # p x^k is integrable (integrability(w, k)) exactly when the rule has no division
         # and k <= its reach, on every weight shape; the reach is finite only on the
         # Romanovski shape
-        assert _classify(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == ("romanovski", (), 7)
-        assert _classify(weight_of(FamilySpec.romanovski(-7, 0))) == ("romanovski", (), 7)
-        assert _classify(weight_of(FamilySpec.romanovski(0, 1))) == ("romanovski", (), 0)
-        assert _classify(weight_of(FamilySpec.romanovski(1, 1))) == ("romanovski", (), -1)
-        assert _classify(weight_of(FamilySpec.hermite(-2, 0))) == ("gaussian", (), math.inf)
+        assert _classify(weight_of(FamilySpec.romanovski(Fraction(-13, 2), 1))) == ("romanovski", (), 7, ())
+        assert _classify(weight_of(FamilySpec.romanovski(-7, 0))) == ("romanovski", (), 7, ())
+        assert _classify(weight_of(FamilySpec.romanovski(0, 1))) == ("romanovski", (), 0, ())
+        assert _classify(weight_of(FamilySpec.romanovski(1, 1))) == ("romanovski", (), -1, ())
+        assert _classify(weight_of(FamilySpec.hermite(-2, 0))) == ("gaussian", (), math.inf, ())
         rng = random.Random(131)
         reaches = set()
         for _ in range(40):
@@ -378,7 +420,7 @@ class TestIntegrability:
                 FamilySpec.hermite(alpha or Fraction(-1), beta),
             ):
                 w = weight_of(spec)
-                _, divisions, reach = _classify(w)
+                _, divisions, reach, _ = _classify(w)
                 reaches.add("division" if divisions else reach if reach in (-1, math.inf) else "finite")
                 for k in range(20):
                     assert (not divisions and k <= reach) == integrability(w, k).integrable, (spec, k)
@@ -389,10 +431,10 @@ class TestIntegrability:
         # ends, in the library's rule and in the oracle: exp(-1) on R admits no degree, and
         # (x^2+1)^(-1) e admits degree 0 (its integral is e pi)
         bare = WeightExpr(exp_poly=P(-1), interval=Interval(None, None))
-        assert _classify(bare) == (None, (), -1)
+        assert _classify(bare) == (None, (), -1, ())
         assert integrability(bare).conditions[-1] == ("+inf", False, "asymptotic power 0 >= -1")
         cauchy = WeightExpr(quad_exp=Fraction(-1), exp_poly=P(1), interval=Interval(None, None))
-        assert _classify(cauchy) == (None, (), 0)
+        assert _classify(cauchy) == (None, (), 0, ())
         assert integrability(cauchy).integrable and not integrability(cauchy, 1).integrable
 
 
