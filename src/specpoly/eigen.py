@@ -64,20 +64,31 @@ class EigenStatus(str, enum.Enum):
 
 
 class EigenResult(Record):
-    """Outcome of the degree-n eigenfunction search.
-
-    ``monic`` is the unique monic eigenfunction (UniqueMonic) or the
-    canonical degree-n representative with free coordinates zeroed
-    (Degenerate); it is None when no eigenfunction of exact degree n
-    exists.  ``basis`` spans the full eigenspace of ``eigenvalue`` in P_n.
+    """Outcome of the degree-n eigenfunction search: ``basis`` spans the eigenspace
+    of ``eigenvalue`` in P_n, by degree, and fixes the rest.  ``monic`` is its last
+    vector where that has degree n (the unique monic eigenfunction, or the canonical
+    representative with free coordinates zeroed), else None; ``status`` is then
+    NoDegreeNEigenfunction, else UniqueMonic for one vector and Degenerate for more.
     """
 
     degree: int
     eigenvalue: Fraction
-    status: EigenStatus
-    monic: Poly | None
-    eigenspace_dim: int
     basis: tuple[Poly, ...]
+
+    @property
+    def monic(self) -> Poly | None:
+        top = self.basis[-1]
+        return top if top.degree == self.degree else None
+
+    @property
+    def status(self) -> EigenStatus:
+        if self.monic is None:
+            return EigenStatus.NO_DEGREE_N
+        return EigenStatus.UNIQUE_MONIC if len(self.basis) == 1 else EigenStatus.DEGENERATE
+
+    @property
+    def eigenspace_dim(self) -> int:
+        return len(self.basis)
 
     def to_json(self) -> dict:
         return {
@@ -193,19 +204,10 @@ def _kernel(columns: Sequence[Column]) -> list[Poly]:
     return sorted(basis, key=lambda v: v.degree)
 
 
-def _result(n: int, mu: Fraction, basis: list[Poly]) -> EigenResult:
-    """The degree-n result; only the last basis vector can reach degree n."""
-    top, basis = basis[-1], tuple(basis)
-    if top.degree != n:
-        return EigenResult(n, mu, EigenStatus.NO_DEGREE_N, None, len(basis), basis)
-    status = EigenStatus.UNIQUE_MONIC if len(basis) == 1 else EigenStatus.DEGENERATE
-    return EigenResult(n, mu, status, top, len(basis), basis)
-
-
 def _table(matrix: OperatorMatrix, degrees: Sequence[int]) -> list[EigenResult]:
     """One EigenResult per degree in the ascending ``degrees``, one back-substitution
     per degree; a degree collides only with the listed lower degrees, and one that no
-    lower degree collides with is its own UniqueMonic result, with no kernel read."""
+    lower degree collides with has v^(z) alone as its basis, with no kernel read."""
     rows = matrix.band
     last = {rows[z][0]: z for z in degrees}
     lower: dict[int, list[Column]] = {}  # columns by D M[z][z], while it repeats higher up
@@ -216,10 +218,10 @@ def _table(matrix: OperatorMatrix, degrees: Sequence[int]) -> list[EigenResult]:
         columns = lower.pop(shift, None)
         if columns is None:  # no lower degree collides: v^(z) is the unique monic eigenfunction
             columns = [column]
-            table.append(EigenResult(z, mu, EigenStatus.UNIQUE_MONIC, column[0], 1, (column[0],)))
+            table.append(EigenResult(z, mu, (column[0],)))
         else:
             columns.append(column)
-            table.append(_result(z, mu, _kernel(columns)))
+            table.append(EigenResult(z, mu, tuple(_kernel(columns))))
         if last[shift] > z:
             lower[shift] = columns
     return table

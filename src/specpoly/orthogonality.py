@@ -648,7 +648,8 @@ def _gram_for(
     is 0 (noted "relative uses moment scale" on the Romanovski shape, where each is a certified
     zero: no row, though _MomentForm.block reads its key's moments); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
-    funcs, eigenvalues = [r.monic for r in table], [r.eigenvalue for r in table]
+    shown, eigenvalues = set(degrees), [r.eigenvalue for r in table]
+    funcs = [r.monic if d in shown else None for d, r in enumerate(table)]  # _route reads no other
     route, routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}

@@ -64,7 +64,6 @@ __all__ = [
     "WeightExpr",
     "derive_weight",
     "pearson_check",
-    "PearsonVerdict",
 ]
 
 _ZERO = Fraction(0)  # the summed exponent at an end no factor is rooted at
@@ -313,18 +312,12 @@ def _classify(weight: WeightExpr) -> tuple[str | None, tuple, float, tuple[Fract
 # verdicts
 
 
-class PearsonVerdict(Record):
-    ok: bool
-    symbolic_zero: bool  # the same as ok: the identity is checked exactly
-
-
-def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> PearsonVerdict:
-    """Verify (pa)' = pb for the symbolic weight.
+def pearson_check(weight: WeightExpr, a: Poly, b: Poly) -> bool:
+    """Whether (pa)' = pb holds for the symbolic weight, decided exactly.
 
     The identity divided by p is a p'/p + a' - b = 0.  With the weight's own
     pair (A, B), p'/p = (B - A')/A, so clearing A gives an exact polynomial
     identity.
     """
     pa, pb = weight.pearson_pair()
-    zero = (a * (pb - pa.derivative()) + (a.derivative() - b) * pa).is_zero()
-    return PearsonVerdict(ok=zero, symbolic_zero=zero)
+    return (a * (pb - pa.derivative()) + (a.derivative() - b) * pa).is_zero()

@@ -6,6 +6,10 @@ eigensolver they check.  The kernel and span checks use fraction-free
 Bareiss elimination over integers (Bareiss 1968) on the whole dense block,
 independent of the solver's banded back-substitution and of the rational
 Gauss-Jordan ``rref_kernel`` it runs on a collision's condition matrix.
+``collision_status`` is the second-order collision law on its own: from the
+coefficients of a D^2 + b D alone (no library call) it names the degree a
+degree n collides with and, by the end exponents E_r = b(r)/a'(r) - 1, whether
+that collision is Degenerate, against which every eigentable status is checked.
 ``divide_and_integrate`` is the exact inner product computed the direct
 way, one polynomial product and one definite integral per pair, against
 which the library's moment assembly is checked; its refusal,
@@ -278,6 +282,61 @@ def spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
     """Do two sets of vectors span the same subspace?  Stacking them raises
     neither rank."""
     return _rank(a) == _rank([*a, *b]) == _rank(b)
+
+
+def _quadratic(a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
+    """(a0, a1, a2, b0, b1) of a D^2 + b D from ascending coefficients; a2 != 0."""
+    a0, a1, a2 = (Fraction(c) for c in (*a, 0, 0, 0)[:3])
+    b0, b1 = (Fraction(c) for c in (*b, 0, 0)[:2])
+    if not a2:
+        raise ValueError("the collision law needs a2 != 0")
+    return a0, a1, a2, b0, b1
+
+
+def collision_partner(a: Sequence, b: Sequence, n: int) -> Fraction:
+    """K - n, K = 1 - b1/a2: mu_n - mu_k = (n - k)((n + k - 1) a2 + b1) vanishes for
+    k != n only there, so degree n collides with a lower degree exactly when this is
+    an integer in [0, n)."""
+    _, _, a2, _, b1 = _quadratic(a, b)
+    return 1 - b1 / a2 - n
+
+
+def end_exponents(a: Sequence, b: Sequence) -> list[Fraction]:
+    """The rational end exponents E_r = b(r)/a'(r) - 1 at the two simple roots r of a.
+
+    With c = -a1/(2 a2) and disc = a1^2 - 4 a0 a2 != 0, a'(r) = +-sqrt(disc) and
+    b(r) = b(c) + b1 (r - c), so E_r = b1/(2 a2) - 1 +- b(c)/sqrt(disc).  Rational roots
+    give both; otherwise (irrational or complex roots) E_r is rational, and then real and
+    the same at both roots, only where b(c) = 0."""
+    a0, a1, a2, b0, b1 = _quadratic(a, b)
+    disc = a1 * a1 - 4 * a0 * a2
+    p, q = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if disc > 0 and p * p == disc.numerator and q * q == disc.denominator:
+        roots = [(-a1 + s * Fraction(p, q)) / (2 * a2) for s in (1, -1)]
+        return [(b0 + b1 * r) / (2 * a2 * r + a1) - 1 for r in roots]
+    return [b1 / (2 * a2) - 1] if b0 - b1 * a1 / (2 * a2) == 0 else []
+
+
+def collision_status(a: Sequence, b: Sequence, n: int) -> str:
+    """The eigen status of degree n for a D^2 + b D (a2 != 0) by the second-order
+    collision law alone, from the ascending coefficients of a and b.
+
+    A degree that collides with no lower one is UniqueMonic.  Expanded in (x - r)^j at a
+    simple root r of a the operator has two bands, and row j couples to j + 1 by
+    (j + 1) a'(r) (j + 1 + E_r); so back-substitution from degree n reaches the colliding
+    degree k = K - n with a residual that vanishes exactly when some E_r is an integer in
+    [-n, -k-1] (Degenerate; NoDegreeNEigenfunction otherwise).  At a double root r the
+    couplings are (j + 1) b(r): Degenerate exactly when b(r) = 0.  Szego, Orthogonal
+    Polynomials, section 4.22, is the Jacobi case."""
+    k = collision_partner(a, b, n)
+    if k.denominator != 1 or not 0 <= k < n:
+        return "UniqueMonic"
+    a0, a1, a2, b0, b1 = _quadratic(a, b)
+    if a1 * a1 == 4 * a0 * a2:
+        degenerate = b0 - b1 * a1 / (2 * a2) == 0
+    else:
+        degenerate = any(e.denominator == 1 and -n <= e <= -k - 1 for e in end_exponents(a, b))
+    return "Degenerate" if degenerate else "NoDegreeNEigenfunction"
 
 
 class NotPolynomialReducible(ValueError):

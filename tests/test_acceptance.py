@@ -161,7 +161,7 @@ def test_criterion_8_pearson_identity():
             op = build_operator(spec)
             a, b = op.coeffs[2], op.coeffs[1]
             weight = derive_weight(a, b)
-            assert pearson_check(weight, a, b).ok, spec
+            assert pearson_check(weight, a, b) is True, spec
             assert log_slope_error(weight, a, b) < 1e-6, spec
 
 

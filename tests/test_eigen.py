@@ -1,11 +1,14 @@
+import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from specpoly import (
     DiffOperator,
+    EigenResult,
     EigenStatus,
     FamilySpec,
     Poly,
@@ -19,7 +22,9 @@ from specpoly import eigen as eigen_module
 from specpoly.eigen import rref_kernel
 from specpoly.operator import OperatorMatrix
 
+import oracles
 from oracles import (
+    collision_status,
     monic_classical,
     nullspace_oracle,
     random_operator,
@@ -82,6 +87,30 @@ class TestMonicEigenfunction:
         assert data["lambda_ode_convention"] == "6"
         assert data["monic"] == ["-1/3", "0", "1"]
         assert data["status"] == "UniqueMonic"
+
+
+class TestResultFields:
+    # a result keeps the basis that proves its status: monic, status and dimension are
+    # read off it, so no record can hold a status its basis contradicts
+    def test_three_fields_and_read_only_properties(self):
+        assert EigenResult._fields == ("degree", "eigenvalue", "basis")
+        assert not hasattr(eigen_module, "_result")
+        res = monic_eigenfunction(DEGENERATE, 2)
+        for name in ("status", "monic", "eigenspace_dim"):
+            assert isinstance(vars(EigenResult)[name], property), name
+            with pytest.raises(AttributeError):
+                setattr(res, name, getattr(res, name))
+
+    def test_status_follows_the_basis(self):
+        one, x, x2 = Poly.one(), P(0, 1), P(0, 0, 1)
+        for basis, status, monic in [
+            ((x2,), EigenStatus.UNIQUE_MONIC, x2),
+            ((one, x2), EigenStatus.DEGENERATE, x2),
+            ((one,), EigenStatus.NO_DEGREE_N, None),
+            ((one, x), EigenStatus.NO_DEGREE_N, None),
+        ]:
+            res = EigenResult(2, Fraction(-2), basis)
+            assert (res.status, res.monic, res.eigenspace_dim) == (status, monic, len(basis))
 
 
 class TestEigenspaceBasis:
@@ -214,6 +243,114 @@ class TestDegeneracySweep:
                 basis = eigenspace_basis(op, mu, n)
                 oracle = nullspace_oracle(op.matrix(n), mu)
                 assert len(basis) == len(oracle) >= 1
+
+
+def _jacobi_shape_grid():
+    # a (x - r1)(x - r2) with end exponents E1, E2 multiples of 1/2 in [-12, 4] whose sum
+    # is an integer (so K is); b is fixed by b(r_i) = (E_i + 1) a'(r_i)
+    rng = random.Random(23)
+    halves = [Fraction(h, 2) for h in range(-24, 9)]
+    for e1 in halves:
+        for e2 in halves:
+            if (e1 + e2).denominator != 1:
+                continue
+            r1 = Fraction(rng.randint(-4, 3), rng.randint(1, 3))
+            r2 = r1 + Fraction(rng.randint(1, 6), rng.randint(1, 2))
+            a2 = rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3)])
+            b_r1, b_r2 = (e1 + 1) * a2 * (r1 - r2), (e2 + 1) * a2 * (r2 - r1)
+            b1 = (b_r2 - b_r1) / (r2 - r1)
+            yield (a2 * r1 * r2, -a2 * (r1 + r2), a2), (b_r1 - b1 * r1, b1)
+
+
+def _romanovski_grid():
+    # a2 (x^2 + 1) with b0 in {0, 1, -3/2, 2} (times a2) and E = b1/(2 a2) - 1 a multiple
+    # of 1/2 in [-15, 1]
+    rng = random.Random(24)
+    for b0 in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(2)):
+        for h in range(-30, 3):
+            a2 = rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)])
+            yield (a2, 0, a2), (b0 * a2, 2 * a2 * (Fraction(h, 2) + 1))
+
+
+def _double_root_grid():
+    # a2 (x - r)^2 with K = 1 - b1/a2 in [-2, 31] and b(r) = beta a2, beta in {0, 1, -2/3}
+    rng = random.Random(25)
+    for beta in (Fraction(0), Fraction(1), Fraction(-2, 3)):
+        for K in range(-2, 32):
+            r = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            a2 = rng.choice([Fraction(1), Fraction(-1), Fraction(2)])
+            b1 = (1 - K) * a2
+            yield (a2 * r * r, -2 * a2 * r, a2), (beta * a2 - b1 * r, b1)
+
+
+@functools.lru_cache(maxsize=None)
+def _law_tables():
+    """(a, b, ((status, dim) per degree 0..24)) for every operator a D^2 + b D of the three
+    grids, and the seconds their eigentables took."""
+    start, tables = time.perf_counter(), []
+    for grid in (_jacobi_shape_grid, _romanovski_grid, _double_root_grid):
+        for a, b in grid():
+            table = eigentable(DiffOperator([Poly(), Poly(b), Poly(a)]), 24)
+            tables.append((a, b, tuple((r.status.value, r.eigenspace_dim) for r in table)))
+    return tables, time.perf_counter() - start
+
+
+def _law_check(law):
+    """(collisions, Degenerate ones, mismatches) of law(a, b, n) against the tables; a
+    collision has dimension 2 when Degenerate and 1 when not."""
+    collisions, degenerate, mismatches = 0, 0, []
+    for a, b, table in _law_tables()[0]:
+        for n, got in enumerate(table):
+            status = law(a, b, n)
+            if status != "UniqueMonic":
+                collisions += 1
+                degenerate += status == "Degenerate"
+            if got != (status, 2 if status == "Degenerate" else 1):
+                mismatches.append((a, b, n, got, status))
+    return collisions, degenerate, mismatches
+
+
+_FLIPPED = {"Degenerate": "NoDegreeNEigenfunction", "NoDegreeNEigenfunction": "Degenerate"}
+
+
+class TestCollisionLaw:
+    # the second-order collision law (tests/oracles.py), which reads each status off (a, b)
+    # alone, is an independent check of the one status decision, EigenResult's
+    def test_law_decides_every_collision(self):
+        start = time.perf_counter()
+        collisions, degenerate, mismatches = _law_check(collision_status)
+        seconds = time.perf_counter() - start + _law_tables()[1]  # the eigentables, once
+        assert mismatches == []
+        assert collisions >= 2000 and 0 < degenerate < collisions
+        assert seconds < 2.0
+
+    def test_law_explains_the_criterion_3_sweep(self):
+        # jacobi(1, -(n+k-1), 0) is the Romanovski shape with b0 = 0 and E = -(n+k+1)/2,
+        # an integer in [-n, -k-1] exactly when n - k is odd
+        statuses = []
+        for n in range(2, 7):
+            for k in range(1, n):
+                op = build_operator(FamilySpec.jacobi(1, -(n + k - 1), 0))
+                law = collision_status(op.coeffs[2].coeffs, op.coeffs[1].coeffs, n)
+                assert law == ("Degenerate" if (n - k) % 2 else "NoDegreeNEigenfunction")
+                assert monic_eigenfunction(op, n).status.value == law, (n, k)
+                statuses.append(law)
+        assert statuses.count("NoDegreeNEigenfunction") == 6
+        assert statuses.count("Degenerate") == 9
+
+    @pytest.mark.parametrize("fault", ["flipped status", "exponent off by 1", "partner off by 1"])
+    def test_planted_fault_is_seen(self, fault, monkeypatch):
+        law = collision_status
+        if fault == "flipped status":
+            law = lambda a, b, n: _FLIPPED.get(s := collision_status(a, b, n), s)  # noqa: E731
+        elif fault == "exponent off by 1":
+            exponents = oracles.end_exponents
+            shifted = lambda a, b: [e + 1 for e in exponents(a, b)]  # noqa: E731
+            monkeypatch.setattr(oracles, "end_exponents", shifted)
+        else:
+            partner = oracles.collision_partner
+            monkeypatch.setattr(oracles, "collision_partner", lambda a, b, n: partner(a, b, n) + 1)
+        assert _law_check(law)[2]
 
 
 class TestAgainstClassicalRecurrences:

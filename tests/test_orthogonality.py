@@ -881,11 +881,11 @@ class TestGramMatrix:
         rules.clear()
         inner_product(LEGENDRE_W, Poly.one(), Poly((0, 1)))
         assert rules == [LEGENDRE_W] and reads == []
-        # chaudhry-qadir's division (1, 1): one root order per eigenfunction of the table,
-        # capped at 1 (degree 0's too, though the matrix starts at degree 1)
+        # chaudhry-qadir's division (1, 1): one root order per degree the matrix prints,
+        # capped at 1; degree 0, which it leaves out, is not read
         rules.clear()
         gram_matrix(CQ_SPEC, 6)
-        funcs = [r.monic for r in eigentable(build_operator(CQ_SPEC), 6)]
+        funcs = [r.monic for r in eigentable(build_operator(CQ_SPEC), 6)][1:]
         assert rules == [CQ_W] and reads == [(f.nums, 1, 1, 1) for f in funcs]
 
     def test_finite_interval_verdict_reads_root_orders_only(self, monkeypatch):

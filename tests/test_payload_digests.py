@@ -74,7 +74,8 @@ def _payload(call):
 def _weight(op: DiffOperator):
     a, b = op.coeffs[2], op.coeffs[1]
     weight = derive_weight(a, b)
-    return {**weight.to_json(), "pearson": pearson_check(weight, a, b).to_json()}
+    ok = pearson_check(weight, a, b)
+    return {**weight.to_json(), "pearson": {"ok": ok, "symbolic_zero": ok}}
 
 
 def _rat(rng: random.Random, num: int, den: int) -> Fraction:

@@ -16,7 +16,6 @@ from specpoly import (
     Interval,
     OperatorMatrix,
     OrthoReport,
-    PearsonVerdict,
     Poly,
     PowerFactor,
     RomanovskiPair,
@@ -30,7 +29,6 @@ from specpoly import (
     eigentable,
     finite_orthogonality_report,
     gram_matrix,
-    pearson_check,
 )
 from specpoly._record import Record
 from specpoly.quadrature import QuadResult
@@ -193,7 +191,6 @@ SAMPLES = {
     PowerFactor: lambda: PowerFactor(Fraction(1), Fraction(-1, 2)),
     Interval: lambda: Interval(Fraction(-1), None),
     WeightExpr: chebyshev1_weight,
-    PearsonVerdict: lambda: pearson_check(chebyshev1_weight(), Poly((1, 0, -1)), Poly((0, -1))),
     IntegrabilityVerdict: lambda: integrability(chebyshev1_weight(), 2),
     BoundaryVerdict: lambda: boundary_vanishing(chebyshev1_weight(), Poly((1, 0, -1)), (1, 2)),
     GramEntry: lambda: GramEntry(0, 2, Fraction(-4, 45), "exact", True),
@@ -228,7 +225,7 @@ def _defaulted(cls) -> list[str]:
 
 
 def test_every_record_class_has_a_sample():
-    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 15
+    assert set(RECORDS) == set(SAMPLES) and len(_package_records()) == 14
     assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [
