@@ -33,10 +33,13 @@ read once more, by ``to_json``), so the dict writes win.  Compiling each
 ``__init__`` at its class's first instance, not at import, took 1.2-2 ms off
 ``import specpoly`` (medians of 15 imports from compiled bytecode).
 
-``to_json`` is the one JSON format of the reports: an object with the fields
-in order under their own names, where a record becomes its own ``to_json()``,
-a tuple a list, a Fraction its exact ``"p/q"`` string, and any other value
-passes through.  A type whose JSON keys are not its field names overrides it.
+``to_json`` is the one JSON format of the reports: an object with the
+annotated names (``_keys``) in order under their own names, where a record
+becomes its own ``to_json()``, a tuple a list, a Fraction its exact ``"p/q"``
+string, and any other value passes through.  An annotated name whose class
+value is a ``property`` is a computed key: ``to_json`` prints it, but it is no
+field (``_fields``), so no ``__init__`` parameter, and equality, hashing and
+repr skip it.  A type whose JSON keys are not its annotated names overrides it.
 The tuple and Fraction tests are on the exact type (no field holds a subclass
 of either): ``isinstance(value, Fraction)`` would run
 ``ABCMeta.__instancecheck__`` on every float, int, string and None field.
@@ -49,9 +52,12 @@ from fractions import Fraction
 
 class Record:
     _fields: tuple[str, ...] = ()
+    _keys: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._keys = keys = cls._keys + tuple(cls.__dict__.get("__annotations__", ()))
+        computed = {k for k in keys if isinstance(getattr(cls, k, None), property)}
+        cls._fields = fields = tuple(k for k in keys if k not in computed)
         missing = object()
         defaults = [getattr(cls, f, missing) for f in fields]
         first = next((i for i, d in enumerate(defaults) if d is not missing), len(fields))
@@ -65,7 +71,7 @@ class Record:
         cls.__init__ = __init__
 
     def to_json(self) -> dict:
-        return {f: _json_value(getattr(self, f)) for f in self._fields}
+        return {k: _json_value(getattr(self, k)) for k in self._keys}
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

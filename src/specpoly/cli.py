@@ -64,10 +64,10 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("operator source (exactly one)")
     group.add_argument("--preset", choices=sorted(classical_presets()))
     group.add_argument("--family", choices=[kind.value for kind in FamilyKind])
-    group.add_argument("--eps", type=int, choices=[-1, 1], default=-1,
+    group.add_argument("--eps", type=int, choices=[-1, 1],
                        help="sign in x^2+eps for --family jacobi")
-    group.add_argument("--alpha", type=_fraction, default=Fraction(0))
-    group.add_argument("--beta", type=_fraction, default=Fraction(0))
+    group.add_argument("--alpha", type=_fraction)
+    group.add_argument("--beta", type=_fraction)
     group.add_argument("--operator-json", metavar="FILE",
                        help="file with {\"a\": [[...a_0...], [...a_1...], ...]}")
 
@@ -77,13 +77,13 @@ def _resolve_source(
 ) -> FamilySpec | DiffOperator:
     if sum(v is not None for v in (args.preset, args.family, args.operator_json)) != 1:
         parser.error("provide exactly one of --preset, --family, --operator-json")
+    given = {k: v for k in ("alpha", "beta", "eps") if (v := getattr(args, k)) is not None}
+    if given and args.family is None:
+        parser.error("--alpha, --beta and --eps go with --family only")
     if args.preset is not None:
         return classical_presets()[args.preset]
-    if args.family is not None:
-        kind = FamilyKind(args.family)
-        if kind is FamilyKind.CHAUDHRY_QADIR:
-            return FamilySpec.chaudhry_qadir()
-        return FamilySpec(kind, args.alpha, args.beta, args.eps)
+    if args.family is not None:  # FamilySpec refuses a parameter the family does not take
+        return FamilySpec(FamilyKind(args.family), **given)
     with open(args.operator_json, encoding="utf-8") as fh:
         return DiffOperator.from_json(json.load(fh))
 

@@ -50,11 +50,15 @@ class FamilySpec(Record):
     kind: FamilyKind
     alpha: Fraction = Fraction(0)
     beta: Fraction = Fraction(0)
-    eps: int = -1  # only meaningful for kind=JACOBI
+    eps: int = -1
 
     def __post_init__(self):
         if self.kind is FamilyKind.JACOBI and self.eps not in (-1, 1):
             raise ValueError("jacobi eps must be +1 or -1")
+        if self.kind is not FamilyKind.JACOBI and self.eps != -1:
+            raise ValueError(f"{self.kind.value} takes no eps")
+        if self.kind is FamilyKind.CHAUDHRY_QADIR and (self.alpha or self.beta):
+            raise ValueError("chaudhry-qadir takes no alpha or beta")
 
     @classmethod
     def jacobi(cls, eps: int, alpha: RatLike, beta: RatLike) -> FamilySpec:

@@ -113,7 +113,7 @@ class DiffOperator(Record):
         if g != 1:
             band = [[v // g for v in row] for row in band]
         # tuple(list) reuses CPython's freed small tuples; tuple(genexpr) hoards them
-        return OperatorMatrix(n, d // g, tuple(tuple(row) for row in band))
+        return OperatorMatrix(d // g, tuple(tuple(row) for row in band))
 
     def spectrum(self, n: int) -> Spectrum:
         """Eigenvalues mu_0..mu_n: the diagonal of the matrix on P_n."""
@@ -145,7 +145,7 @@ class OperatorMatrix(Record):
     """M on P_n as band[i][t] = D*M[i][i+t] for 0 <= t <= min(order, n-i), all
     other entries 0; D = ``denominator``, the lcm of the entries' denominators."""
 
-    n: int
+    n: int = property(lambda self: len(self.band) - 1)
     denominator: int
     band: tuple[tuple[int, ...], ...]
 

@@ -578,12 +578,13 @@ class GramEntry(Record):
 
 class OrthoReport(Record):
     family: str
-    max_degree: int
+    max_degree: int = property(lambda self: max(self.degrees, default=0))
     degrees: tuple[int, ...]
     weight: str
     interval: str
     entries: tuple[GramEntry, ...]
-    off_diagonal_max_relative: float | None
+    off_diagonal_max_relative: float | None = property(lambda self: max(
+        (e.relative for e in self.entries if e.m != e.n and e.relative is not None), default=None))
     notes: tuple[str, ...] = ()
 
     def entry(self, m: int, n: int) -> GramEntry:
@@ -655,7 +656,7 @@ def _gram_for(
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
     romanovski = route == "romanovski"
     entries: list[GramEntry] = []
-    max_rel, unscaled, above = None, 0, []
+    unscaled, above = 0, []
     for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):
         rel = None
         if m != n and value is not None:
@@ -670,11 +671,8 @@ def _gram_for(
                     note = "relative uses moment scale"
             if rel is None:
                 unscaled += 1
-            else:
-                if max_rel is None or rel > max_rel:
-                    max_rel = rel
-                if rel > tol:
-                    above.append(rel)
+            elif rel > tol:
+                above.append(rel)
         entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
     if unscaled:
         notes += ("nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
@@ -685,12 +683,10 @@ def _gram_for(
 
     return OrthoReport(
         family=family_label,
-        max_degree=max(degrees, default=0),
         degrees=tuple(degrees),
         weight=weight.formula(),
         interval=weight.interval.describe(),
         entries=tuple(entries),
-        off_diagonal_max_relative=max_rel,
         notes=notes,
     )
 
@@ -730,15 +726,15 @@ class RomanovskiPair(Record):
     verdict: str
     value: float | None = None
     relative: float | None = None
-    err_est: float | None = None
+    err_est: float | None = property(lambda self: None)  # the moment route gives no estimate
     detail: str = ""
 
 
 class RomanovskiReport(Record):
     alpha: Fraction
     beta: Fraction
-    gamma: Fraction
-    max_degree: int
+    gamma: Fraction = property(lambda self: self.alpha - 2)
+    max_degree: int = property(lambda self: len(self.statuses) - 1)
     statuses: tuple[str, ...]
     degenerate_degree_pairs: tuple[tuple[int, int], ...]
     pairs: tuple[RomanovskiPair, ...]
@@ -778,7 +774,6 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     spec = FamilySpec.romanovski(alpha, beta)
     op = build_operator(spec)
     pearson = op.coeffs[2], op.coeffs[1]
-    gamma = alpha - 2
     table = eigentable(op, n_max)
     gram = _gram_for(table, derive_weight(*pearson), pearson, range(n_max + 1), spec.describe())
     collisions = Spectrum(tuple(r.eigenvalue for r in table)).multiplicity.values()
@@ -789,8 +784,8 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
         m, n = e.m, e.n
         if m == n:
             continue
-        if not e.integrable:  # past the moment reach: m + n + gamma + 1 >= 0
-            detail = f"m+n+gamma+1 = {m + n + gamma + 1} >= 0"
+        if not e.integrable:  # past the moment reach: m + n + gamma + 1 = m + n + alpha - 1 >= 0
+            detail = f"m+n+gamma+1 = {m + n + alpha - 1} >= 0"
             pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
         elif e.value is None:
             pairs.append(RomanovskiPair(m, n, "inconclusive", detail=e.note or ""))
@@ -801,13 +796,11 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
                 else "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
             )
             verdict = "orthogonal" if e.value == 0 else "inconclusive"
-            pairs.append(RomanovskiPair(m, n, verdict, e.value, e.relative, e.err_est, detail))
+            pairs.append(RomanovskiPair(m, n, verdict, e.value, e.relative, detail))
 
     return RomanovskiReport(
         alpha=alpha,
         beta=beta,
-        gamma=gamma,
-        max_degree=n_max,
         statuses=tuple(r.status.value for r in table),
         degenerate_degree_pairs=tuple(p for degs in collisions for p in combinations(degs, 2)),
         pairs=tuple(pairs),

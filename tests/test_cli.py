@@ -721,6 +721,33 @@ class TestFamilySource:
         assert by_family[0] == 0
         assert by_family == by_preset
 
+    def test_jacobi_eps_defaults_to_minus_one(self, capsys):
+        by_family = run(capsys, "spectrum", "--family", "jacobi", "--alpha", "-2", "--n-max", "4")
+        assert by_family[0] == 0
+        assert by_family == run(capsys, "spectrum", "--preset", "legendre", "--n-max", "4")
+
+    # a parameter its source ignores is refused, not dropped
+    @pytest.mark.parametrize("source", [
+        ("--preset", "legendre", "--alpha", "5"),
+        ("--preset", "chaudhry-qadir", "--eps", "1"),
+        ("--operator-json", str(Path(__file__).parent / "golden" / "op.json"), "--beta", "1"),
+    ], ids=lambda source: " ".join(source[::2]))
+    def test_parameter_without_family_is_argument_error(self, capsys, source):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *source])
+        assert exc.value.code == 2
+        assert "--alpha, --beta and --eps go with --family only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, message", [
+        (("--family", "laguerre", "--eps", "1"), "laguerre takes no eps"),
+        (("--family", "romanovski", "--alpha", "-13/2", "--eps", "1"), "romanovski takes no eps"),
+        (("--family", "chaudhry-qadir", "--alpha", "3"), "chaudhry-qadir takes no alpha or beta"),
+        (("--family", "chaudhry-qadir", "--beta", "1/2"), "chaudhry-qadir takes no alpha or beta"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+    def test_parameter_the_family_ignores_is_domain_error(self, capsys, source, message):
+        code, out, err = run(capsys, "spectrum", *source, "--n-max", "2")
+        assert (code, out, err) == (1, "", f"specpoly: error: {message}\n")
+
 
 class TestColdStart:
     """`dataclasses` and `inspect` stay out of a command's process: their

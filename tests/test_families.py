@@ -5,6 +5,7 @@ import pytest
 
 from specpoly import (
     AffineNormalization,
+    FamilyKind,
     FamilySpec,
     Poly,
     bochner_normalize,
@@ -59,6 +60,18 @@ class TestBuildOperator:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             FamilySpec.jacobi(2, 0, 0)
+
+    def test_a_spec_holds_only_its_family_parameters(self):
+        # one operator, one spec: eps is Jacobi's alone, and chaudhry-qadir takes nothing
+        for kind in (FamilyKind.LAGUERRE, FamilyKind.HERMITE, FamilyKind.ROMANOVSKI):
+            with pytest.raises(ValueError, match=f"{kind.value} takes no eps"):
+                FamilySpec(kind, Fraction(-1), Fraction(1), 1)
+            assert FamilySpec(kind, Fraction(-1), Fraction(1), -1) == FamilySpec(kind, -1, 1)
+        for alpha, beta in ((3, 2), (3, 0), (0, Fraction(1, 2))):
+            with pytest.raises(ValueError, match="chaudhry-qadir takes no alpha or beta"):
+                FamilySpec(FamilyKind.CHAUDHRY_QADIR, Fraction(alpha), Fraction(beta))
+        with pytest.raises(ValueError, match="chaudhry-qadir takes no eps"):
+            FamilySpec(FamilyKind.CHAUDHRY_QADIR, eps=1)
 
     def test_all_specs_validate(self):
         rng = random.Random(43)

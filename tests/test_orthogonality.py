@@ -807,13 +807,14 @@ class TestGramMatrix:
             GramEntry(1, 1, Fraction(2**90, 3**40), "exact", True),
             GramEntry(1, 2, None, None, False, note="non-integrable"),
         )
-        report = OrthoReport("custom", 2, (0, 1, 2), "1", "(-1, 1)", entries, 0.25)
+        report = OrthoReport("custom", (0, 1, 2), "1", "(-1, 1)", entries)
         lines = report.format_table().splitlines()
         header = lines.index(next(line for line in lines if line.lstrip().startswith("m ")))
         rows = lines[header + 2 : header + 2 + len(entries)]
         assert len(rows) == len(entries)
         assert {len(row) for row in rows} == {len(lines[header])}
         assert rows[1].endswith(" 1.500e+00    2.500e-01")
+        assert lines[-1] == "max off-diagonal relative entry: 2.500e-01"
 
     def test_root_orders_decide_integrability(self):
         # weight |x+1|^(1/3) |x-1|^(-1): every eigenfunction of degree >= 1 has the

@@ -3,6 +3,7 @@
 import functools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,7 @@ from specpoly._record import Record
 from specpoly.quadrature import QuadResult
 
 from oracles import BoundaryVerdict, IntegrabilityVerdict, boundary_vanishing, integrability
+from test_payload_digests import family_grams, preset_grams, romanovski_reports
 
 
 def chebyshev1_weight() -> WeightExpr:
@@ -179,6 +181,7 @@ def _legendre_op():
     return build_operator(classical_presets()["legendre"])
 
 
+ROMANOVSKI = lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 3)
 # one instance per class, from the library's own calls where they are cheap
 SAMPLES = {
     DiffOperator: _legendre_op,
@@ -196,7 +199,7 @@ SAMPLES = {
     GramEntry: lambda: GramEntry(0, 2, Fraction(-4, 45), "exact", True),
     OrthoReport: lambda: gram_matrix(classical_presets()["legendre"], 2),
     RomanovskiPair: lambda: RomanovskiPair(0, 1, "orthogonal", 0.0, 0.0),
-    RomanovskiReport: lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 3),
+    RomanovskiReport: ROMANOVSKI,
 }
 # the oracles' verdicts are Records too
 RECORDS = _package_records() + [BoundaryVerdict, IntegrabilityVerdict]
@@ -218,6 +221,8 @@ CACHED = [
     (cls, name) for cls in RECORDS for name, v in vars(cls).items()
     if isinstance(v, functools.cached_property)
 ]
+# the annotated names whose class value is a property: printed by to_json, stored nowhere
+COMPUTED = [(cls, name) for cls in RECORDS for name in cls._keys if name not in cls._fields]
 
 
 def _defaulted(cls) -> list[str]:
@@ -230,6 +235,19 @@ def test_every_record_class_has_a_sample():
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [
         (OperatorMatrix, "entries"), (WeightExpr, "_float_form"), (WeightExpr, "_pearson"),
+    ]
+
+
+def test_stored_state_and_computed_keys():
+    # ROADMAP aim 2's count of settable fields, and the keys derived from them
+    assert sum(len(cls._fields) for cls in _package_records()) == 54
+    assert COMPUTED == [
+        (OperatorMatrix, "n"),
+        (OrthoReport, "max_degree"),
+        (OrthoReport, "off_diagonal_max_relative"),
+        (RomanovskiPair, "err_est"),
+        (RomanovskiReport, "gamma"),
+        (RomanovskiReport, "max_degree"),
     ]
 
 
@@ -262,8 +280,83 @@ class TestEveryRecord:
 
     def test_to_json_field_order(self, cls):
         data = SAMPLES[cls]().to_json()
-        assert list(data) == OWN_JSON_KEYS.get(cls, list(cls._fields))
+        assert list(data) == OWN_JSON_KEYS.get(cls, list(cls._keys))
         assert json.loads(json.dumps(data)) == data
+        if cls not in OWN_JSON_KEYS:
+            assert set(cls._fields) <= set(data)
+
+
+@pytest.mark.parametrize("cls, name", COMPUTED, ids=lambda v: getattr(v, "__name__", v))
+class TestComputedKey:
+    def test_read_only_and_no_parameter(self, cls, name):
+        sample = SAMPLES[cls]()
+        value = getattr(sample, name)
+        with pytest.raises(AttributeError):
+            setattr(sample, name, value)
+        with pytest.raises(TypeError):
+            cls(**dict(zip(cls._fields, sample._values())), **{name: value})
+        assert name not in vars(sample) and sample.to_json()[name] == SAMPLES[cls]().to_json()[name]
+
+    def test_left_out_of_equality_hash_and_repr(self, cls, name, monkeypatch):
+        a, b = SAMPLES[cls](), SAMPLES[cls]()
+        shown = repr(a)
+        monkeypatch.setattr(cls, name, property(lambda self: object()))  # never equal twice
+        assert getattr(a, name) != getattr(b, name)
+        assert a == b and hash(a) == hash(b) and repr(a) == shown
+        assert f", {name}=" not in shown and f"({name}=" not in shown
+
+
+def _replace(record, **changes):
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+def test_report_equality():
+    # the benchmark's repeat check compares two calls' reports
+    chebyshev1 = lambda: gram_matrix(classical_presets()["chebyshev1"], 4)  # quadrature floats
+    for build in (chebyshev1, ROMANOVSKI):
+        assert build() == build() and hash(build()) == hash(build())
+    gram, rom = chebyshev1(), ROMANOVSKI()
+    entry, pair = gram.entries[1], rom.pairs[0]
+    assert (entry.m, entry.n, entry.method) == (0, 1, "quadrature")
+    moved = _replace(entry, value=entry.value + 1.0)
+    assert _replace(gram, entries=(gram.entries[0], moved, *gram.entries[2:])) != gram
+    assert _replace(gram, entries=gram.entries[:-1]) != gram
+    assert _replace(rom, pairs=(_replace(pair, verdict="inconclusive"), *rom.pairs[1:])) != rom
+    assert _replace(rom, alpha=rom.alpha - 1) != rom
+
+
+def _golden_reports() -> list:
+    golden = Path(__file__).parent / "golden"
+    paths = [*golden.glob("gram-*.txt"), *golden.glob("romanovski-report-*.txt")]
+    return [json.loads(p.read_text(encoding="utf-8")) for p in sorted(paths)
+            if not p.stem.endswith("-table")]
+
+
+# every committed JSON report, and the reports of the payload digests' groups
+REPORT_SOURCES = {
+    "golden": _golden_reports,
+    "preset-grams": lambda: [payload for _, _, payload in preset_grams()],
+    "family-grams": lambda: [payload for _, payload in family_grams()],
+    "romanovski-reports": lambda: [row[3] for row in romanovski_reports()],
+}
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_computed_keys_print_what_was_stored(source):
+    # each computed key's value from the stored fields it now reads, over reports
+    # that the golden files and payload digests pin byte for byte
+    reports = [r for r in REPORT_SOURCES[source]() if isinstance(r, dict)]  # not refusals
+    assert len(reports) >= 3
+    for rep in reports:
+        if "gamma" in rep:  # a Romanovski report
+            assert Fraction(rep["gamma"]) == Fraction(rep["alpha"]) - 2
+            assert rep["max_degree"] == len(rep["statuses"]) - 1
+            assert all(p["err_est"] is None for p in rep["pairs"])
+        else:
+            assert rep["max_degree"] == max(rep["degrees"], default=0)
+            rels = [e["relative"] for e in rep["entries"]
+                    if e["m"] != e["n"] and e["relative"] is not None]
+            assert rep["off_diagonal_max_relative"] == max(rels, default=None)
 
 
 @pytest.mark.parametrize("cls", list(REFUSALS), ids=lambda c: c.__name__)
