@@ -251,6 +251,4 @@ def eigenspace_basis(op: DiffOperator, mu: RatLike, n: int) -> list[Poly]:
 
 def eigentable(op: DiffOperator, n_max: int) -> list[EigenResult]:
     """One EigenResult per degree 0..n_max from one matrix on P_n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     return _table(op.matrix(n_max), range(n_max + 1))

@@ -53,6 +53,11 @@ class FamilySpec(Record):
     eps: int = -1
 
     def __post_init__(self):
+        # one form per field, as DiffOperator keeps its coefficients: a FamilyKind, two Fractions
+        d = self.__dict__
+        d["kind"], d["alpha"], d["beta"] = FamilyKind(self.kind), rat(self.alpha), rat(self.beta)
+        if not isinstance(self.eps, int):
+            raise TypeError(f"eps must be an int, not {self.eps!r}")
         if self.kind is FamilyKind.JACOBI and self.eps not in (-1, 1):
             raise ValueError("jacobi eps must be +1 or -1")
         if self.kind is not FamilyKind.JACOBI and self.eps != -1:
@@ -62,19 +67,19 @@ class FamilySpec(Record):
 
     @classmethod
     def jacobi(cls, eps: int, alpha: RatLike, beta: RatLike) -> FamilySpec:
-        return cls(FamilyKind.JACOBI, rat(alpha), rat(beta), eps)
+        return cls(FamilyKind.JACOBI, alpha, beta, eps)
 
     @classmethod
     def laguerre(cls, alpha: RatLike, beta: RatLike) -> FamilySpec:
-        return cls(FamilyKind.LAGUERRE, rat(alpha), rat(beta))
+        return cls(FamilyKind.LAGUERRE, alpha, beta)
 
     @classmethod
     def hermite(cls, alpha: RatLike, beta: RatLike) -> FamilySpec:
-        return cls(FamilyKind.HERMITE, rat(alpha), rat(beta))
+        return cls(FamilyKind.HERMITE, alpha, beta)
 
     @classmethod
     def romanovski(cls, alpha: RatLike, beta: RatLike) -> FamilySpec:
-        return cls(FamilyKind.ROMANOVSKI, rat(alpha), rat(beta))
+        return cls(FamilyKind.ROMANOVSKI, alpha, beta)
 
     @classmethod
     def chaudhry_qadir(cls) -> FamilySpec:

@@ -16,13 +16,14 @@ Romanovski or Gaussian on the real line.
   k_r = floor(-E_r), the router has divided each eigenfunction by (x - r) up to
   k_r times (below), and a pair whose root orders s_r = s_f + s_g reach k_r
   (key s_r - k_r >= 0) integrates p prod (x - r)^s_r, with exponent
-  A_r = E_r + s_r > -1 at r and the sign (-1)^s_r at the upper end; the form
-  takes E_r from _classify's rule and values only such pairs.  One pair serves
-  every shape: the operator's own, which a Gram matrix passes, and
-  WeightExpr.pearson_pair, the same up to scale, for inner_product.  a has a
-  simple root at each finite end, where p a x^k vanishes, and a key's
-  p prod (x - r)^s_r has the pair (a, b + sum s_r a/(x - r)): a key adds s_r
-  times one fixed polynomial per end to b.
+  A_r = E_r + s_r > -1 at r and the sign (-1)^s_r at the upper end;
+  _moment_block takes E_r from _classify's rule and values only such pairs.
+  One pair serves every shape: the operator's own, which a Gram matrix
+  passes, and WeightExpr.pearson_pair, the same up to scale, for
+  inner_product.  a has a simple root at each finite end, where p a x^k
+  vanishes, and a key's p prod (x - r)^s_r has the pair
+  (a, b + sum s_r a/(x - r)): a key adds s_r times one fixed polynomial per
+  end to b.
   An entry is a bilinear form over its key's r_k, cleared to integers over
   one denominator: O(n^3) operations for an n x n Gram matrix, no polynomial
   product per entry and one Fraction per nonzero entry (every exact zero is
@@ -78,7 +79,7 @@ once).  A diagonal (k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is
 <f~_k, x^d> under its key, one O(d) dot product instead of an O(d^2) row, when
 the eigenfunctions with root orders s fill the reduced degrees 0 .. d-1 and
 none has k's eigenvalue: each is then a zero against f_k under k's key.  The
-router names these direct diagonals, and each is the block's own Fraction.  A
+router names these direct diagonals, and each is the block's own value.  A
 pair of equal eigenvalues or that fails at a division, a diagonal above a gap
 or sharing its eigenvalue within its run, and inner_product, whose f and g need
 be no eigenfunctions, take the block's rows.
@@ -89,35 +90,34 @@ off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
 On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
 is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
-The router makes every decision, once, on every route, and the form only
+The router makes every decision, once, on every route, and the block only
 computes.  It reads _classify's rule (route, divisions, reach, exponents) once
 per Gram matrix, Romanovski report or inner_product call, hands the route to
-the node sweep and the Gram assembly and the whole rule to the form, and strips
-each eigenfunction once at each division (r, k), capped at k, in ints (_reduce):
-its root orders there are its class, and its quotient is what the form values.
+the node sweep and the Gram assembly and the whole rule to the block, and
+strips each eigenfunction once at each division (r, k), capped at k, in ints
+(_reduce): its root orders are its class, and its quotient the block's input.
 Each class pair is judged once, by its key s_f + s_g - k per division, refused
 when a part is negative, and by whether the boundary term vanishes; a pair is
 integrable when its class pair's key is and deg f + deg g is within the reach,
 so no f g is formed for a verdict.  A degree with no eigenfunction is
 integrable when no end divides and m + n is within the reach.  A zero f or g is
-an exact zero with no verdict read (0.0 on a moment shape).  The form, with
+an exact zero with no verdict read (0.0 on a moment shape).  The block, with
 each pair's key and the router's certificate, or the node sweep then values the
-integrable pairs only.  A Gram matrix makes one node sweep per weight
-(quadrature._product_sweep), with one evaluation per node: each node's
-abscissa, log p(x) and Jacobian are computed once and shared by all pending
-entries, each of which still stops on its own rule.  A Romanovski report is
-read off the Romanovski Gram matrix: its verdicts map the Gram entries, and
-its eigenvalue collisions always sit on the integrability boundary
-m + n + gamma + 1 = 0.  The weight
-(cached on the WeightExpr) and each eigenfunction are converted to floats
-once; a node evaluates each eigenfunction once, to a sign and
-log p + log J + log|f(x)|, and an entry adds the other function's log|g(x)|,
-so f*g is never formed (quadrature floats may differ in their last digits
-from expanding it; exact entries do not).  Log space keeps weights with
-strong (but integrable) endpoint singularities from overflowing or losing
-endpoint distances; a root of an eigenfunction at a finite end where p's
-exponent is <= -1 is divided out and added back as a log of the exact
-endpoint distance.
+integrable pairs only, finished: the router reads nothing back.  A Gram matrix
+makes one node sweep per weight (quadrature._product_sweep), with one
+evaluation per node: each node's abscissa, log p(x) and Jacobian are computed
+once and shared by all pending entries, each of which still stops on its own
+rule.  A Romanovski report is read off the Romanovski Gram matrix: its
+verdicts map the Gram entries, and its eigenvalue collisions always sit on the
+integrability boundary m + n + gamma + 1 = 0.  The weight (cached on the
+WeightExpr) and each eigenfunction are converted to floats once; a node
+evaluates each eigenfunction once, to a sign and log p + log J + log|f(x)|,
+and an entry adds the other function's log|g(x)|, so f*g is never formed
+(quadrature floats may differ in their last digits from expanding it; exact
+entries do not).  Log space keeps weights with strong (but integrable)
+endpoint singularities from overflowing or losing endpoint distances; a root
+of an eigenfunction at a finite end where p's exponent is <= -1 is divided out
+and added back as a log of the exact endpoint distance.
 """
 
 from __future__ import annotations
@@ -221,101 +221,101 @@ def _real_line_moment(weight: WeightExpr) -> float:
     return math.sqrt(math.pi) * shift * math.exp(log_half - 2 * log_ratio)
 
 
-class _MomentForm:
-    """<f, g> = integral p f g for labelled f, g, on the Pearson moments of the module
-    docstring: a valuer, which decides nothing.  The router hands it _classify's rule
-    (route, divisions, reach, exponents), each label's reduced f~, with f = f~ prod (x - r)^s
-    for the label's root orders s at the divisions (r, k), and, per block, the integrable
-    pairs with their keys and its certificate; a pair reduces to sum_i f~_i L(i) with
-    L(i) = sum_j g~_j r_(i+j), r the cached moment ratios of its key: O(n^3) for an n x n
-    Gram matrix, answered as one block.  f~, g~ and r are int lists over their denominators,
-    so an entry is int sums and, when it is not 0, one Fraction.  The route names m_0: on
-    the exact route r carries the rational m_0, and the entry is the integral; on the moment
-    route it is the ratio to the key's float m_0[key], set as the key's moments are read.
-    pearson, (a, b) with (p a)' = p b and a simple root of a at each finite end, gives the
-    recurrence and the shifts a/(x - r); the weight gives its ends, its constant and m_0's
-    inputs."""
+def _moment_block(
+    weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, reduced: dict,
+    pairs: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]],
+    zeros: Sequence[bool], direct: set[int],
+) -> list[Fraction | float]:
+    """The finished value of <f, g> = integral p f g per label pair (m, n) in pairs, on the
+    Pearson moments of the module docstring: a valuer, which decides nothing.  The router
+    hands it _classify's rule, each label's reduced f~ (f = f~ prod (x - r)^s for its root
+    orders s at the divisions (r, k)), and the integrable pairs with their keys
+    s_f + s_g - k >= 0 per division and its certificate.  A pair is sum_i f~_i L(i) with
+    L(i) = sum_j g~_j r_(i+j), r its key's moment ratios, in ints over their denominators:
+    O(n^3) for an n x n Gram matrix, and one Fraction per nonzero entry.  Each key's moments
+    are read once, the zeros' keys too, and each row L once per (label, key), for the label
+    with the longer f~.  zeros[i] makes the entry the shared Fraction(0) with no row, and a
+    diagonal (k, k) with k in direct is <f~_k, x^d>, d = deg f~_k, one dot product.  On the
+    exact route r carries the rational m_0 and the entry is the integral; on the moment route
+    it is the float of its ratio times its key's float m_0, and a ValueError refuses the
+    block where an m_0 or an entry is past a float's range.  pearson, (a, b) with
+    (p a)' = p b and a simple root of a at each finite end, gives the recurrence and the
+    shifts a/(x - r); the weight gives its ends, its constant and m_0's inputs."""
+    route, divisions, steps, exponents = rule
+    # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
+    a, b = pearson
+    d = math.lcm(a.den, b.den)
+    a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
+    b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
+    # per finite end r = p/q: E_r (an int on the exact route) and the shift
+    # q a/(q x - p) = a/(x - r); a division's root is an end: (end index, k) per division
+    iv, constant = weight.interval, weight.constant
+    ends = [r for r in (iv.lo, iv.hi) if r is not None]
+    linear = [(r.numerator, r.denominator) for r in ends]
+    if route == "exact":
+        exponents = [int(e) for e in exponents]
+    divisors = [(ends.index(r), k) for r, k in divisions]
+    shifts = [[q * v for v in _divide_linear((a0, a1, a2), p, q)] for p, q in linear]
+    span = 2 * max((len(c) for _, c in reduced.values()), default=0)
+    steps = min(steps, span - 2)  # the reach, and no entry reads a ratio past span - 2
 
-    def __init__(self, weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, reduced: dict):
-        self.weight, (self.route, divisions, steps, exponents) = weight, rule
-        # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
-        a, b = pearson
-        d = math.lcm(a.den, b.den)
-        a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
-        b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
-        self.pair = a0, a1, a2, b0, b1
-        # per finite end r = p/q: E_r (an int on the exact route) and the shift
-        # q a/(q x - p) = a/(x - r); a division's root is an end: (end index, k) per division
-        self.ends = ends = [r for r in (weight.interval.lo, weight.interval.hi) if r is not None]
-        self.linear = linear = [(r.numerator, r.denominator) for r in ends]
-        self.exponents = [int(e) for e in exponents] if self.route == "exact" else exponents
-        self.divisors = [(ends.index(r), k) for r, k in divisions]
-        self.shifts = [[q * v for v in _divide_linear(self.pair[:3], p, q)] for p, q in linear]
-        self.m_0, self.reduced = {}, reduced  # m_0: key -> its float m_0, on the moment route
-        span = 2 * max((len(c) for _, c in reduced.values()), default=0)
-        self.steps = min(steps, span - 2)  # the reach, and no entry reads a ratio past span - 2
-
-    def _moments(self, key: tuple[int, ...]) -> tuple[int, list[int]]:
-        """The key's ratios r_0 .. r_steps times the weight's constant and, on the exact
-        route, the signed m_0, over their common denominator: the key's root orders shift
-        the form's pair, in ints, and m_0 and the sign are the module docstring's."""
-        w = self.weight
-        a0, a1, a2, b0, b1 = self.pair
-        orders = [0] * len(self.ends)  # the pair's root orders s at each end
-        for (i, k), e in zip(self.divisors, key):
+    def moments(key: tuple[int, ...]) -> tuple[int, list[int], float | None]:
+        """(den, nums, m_0): the key's ratios r_0 .. r_steps times the weight's constant and,
+        on the exact route, the signed m_0, over their common denominator, and the key's
+        float m_0 on the moment route (None on the exact route): the key's root orders shift
+        the pair, in ints, and m_0 and the sign are the module docstring's."""
+        key_b0, key_b1 = b0, b1
+        orders = [0] * len(ends)  # the pair's root orders s at each end
+        for (i, k), e in zip(divisors, key):
             orders[i] = s = k + e
-            b0 += s * self.shifts[i][0]
-            b1 += s * self.shifts[i][1]
-        powers = [e + s + 1 for e, s in zip(self.exponents, orders)]  # A + 1 > 0 per end
-        sign = (-1) ** orders[-1] if w.interval.hi is not None else 1
-        num, den = w.constant.numerator, w.constant.denominator
-        if self.route == "exact":  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!
-            (l1, l2), (h1, h2) = self.linear  # lo = l1/l2, hi = h1/h2
+            key_b0 += s * shifts[i][0]
+            key_b1 += s * shifts[i][1]
+        powers = [e + s + 1 for e, s in zip(exponents, orders)]  # A + 1 > 0 per end
+        sign = (-1) ** orders[-1] if iv.hi is not None else 1
+        num, den, m_0 = constant.numerator, constant.denominator, None
+        if route == "exact":  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!
+            (l1, l2), (h1, h2) = linear  # lo = l1/l2, hi = h1/h2
             p1, p2 = powers
             num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
             den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
-        elif self.route == "laguerre":  # p = |x - t|^A e^(c x) on a half line from t
-            (t,), (power,), c = self.ends, powers, w.exp_poly.coeff(1)
-            log_m_0 = math.lgamma(power) + float(w.exp_poly(t)) - float(power) * math.log(abs(c))
-            self.m_0[key] = sign * math.exp(log_m_0)
+        elif route == "laguerre":  # p = |x - t|^A e^(c x) on a half line from t
+            (t,), (power,), c = ends, powers, weight.exp_poly.coeff(1)
+            log_m_0 = (math.lgamma(power) + float(weight.exp_poly(t))
+                       - float(power) * math.log(abs(c)))
+            m_0 = sign * math.exp(log_m_0)
         else:  # "romanovski": no finite end
-            self.m_0[key] = _real_line_moment(w)
-        return _moment_ratios((a0, a1, a2, b0, b1), self.steps, num, den)
+            m_0 = _real_line_moment(weight)
+        return (*_moment_ratios((a0, a1, a2, key_b0, key_b1), steps, num, den), m_0)
 
-    def block(
-        self, pairs: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]],
-        zeros: Sequence[bool], direct: set[int],
-    ) -> list[Fraction]:
-        """The entry per label pair (m, n) with its key keys[i], s_f + s_g - k >= 0 per
-        division (r, k), the power of (x - r) the pair leaves.  Each key's moments are read
-        once, the zeros' keys too, and each row L once per (label, key), for the label with
-        the longer f~; a zero entry is the one shared Fraction(0).  The router's certificate
-        says how: zeros[i] makes the entry the shared zero with no row, and a diagonal (k, k)
-        with k in direct is <f~_k, x^d>, d = deg f~_k, one dot product with its key's
-        moments."""
-        reduced = self.reduced
-        moments = {key: self._moments(key) for key in dict.fromkeys(keys)}
+    try:  # the m_0 recipes and the moment entries overflow alike
+        read = {key: moments(key) for key in dict.fromkeys(keys)}
         rows, values = {}, []  # (label, key) -> row
         for (m, n), key, zero in zip(pairs, keys, zeros):
             if zero:
                 values.append(_ZERO)
                 continue
-            d_a, a = reduced[m]
+            d_f, f = reduced[m]
             if m == n and m in direct:
-                d_mu, mu = moments[key]
-                total = sum(map(mul, a, mu[len(a) - 1 :]))
-                values.append(Fraction(total, d_a * d_mu) if total else _ZERO)
+                d_mu, mu, _ = read[key]
+                total = sum(map(mul, f, mu[len(f) - 1 :]))
+                values.append(Fraction(total, d_f * d_mu) if total else _ZERO)
                 continue
-            d_b, b = reduced[n]
-            if len(a) > len(b):
-                d_a, a, d_b, b, n = d_b, b, d_a, a, m
+            d_g, g = reduced[n]
+            if len(f) > len(g):
+                d_f, f, d_g, g, n = d_g, g, d_f, f, m
             row = rows.get((n, key))
             if row is None:
-                d_mu, mu = moments[key]
-                row = rows[n, key] = (d_b * d_mu, [sum(map(mul, b, mu[i:])) for i in range(len(b))])
-            total = sum(map(mul, a, row[1]))
-            values.append(Fraction(total, d_a * row[0]) if total else _ZERO)
-        return values
+                d_mu, mu, _ = read[key]
+                row = rows[n, key] = (d_g * d_mu, [sum(map(mul, g, mu[i:])) for i in range(len(g))])
+            total = sum(map(mul, f, row[1]))
+            values.append(Fraction(total, d_f * row[0]) if total else _ZERO)
+        if route != "exact":  # a moment entry: its ratio times its key's float m_0
+            values = [float(value) * read[key][2] for value, key in zip(values, keys)]
+            if any(map(math.isinf, values)):
+                raise OverflowError
+    except OverflowError:
+        raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +469,19 @@ def _route(
     err_est, note) per index pair (i, j) into funcs, by the routes of the module docstring.
     The router makes every decision, once: it classifies the weight once, judges each class
     pair once (its key, and whether the boundary term vanishes) and each pair's degree
-    against the reach.  The form (on its Pearson pair pearson) or the node sweep then values
-    only the integrable pairs.  funcs[d] is None where degree d has no eigenfunction; such a
-    pair has no value and its degree's verdict.  eigenvalues, when given, makes funcs an
-    eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
-    eigenvalue eigenvalues[d]): on a form route the router reads their collisions once and
-    certifies the pairs whose boundary term vanishes, and picks the direct diagonals."""
+    against the reach.  The moment block (on the Pearson pair pearson) or the node sweep then
+    values only the integrable pairs, and the router maps their values to answers.  funcs[d]
+    is None where degree d has no eigenfunction; such a pair has no value and its degree's
+    verdict.  eigenvalues, when given, makes funcs an eigentable of the weight's operator
+    (funcs[d] the monic eigenfunction of degree d, of eigenvalue eigenvalues[d]): on a block
+    route the router reads their collisions once and certifies the pairs whose boundary term
+    vanishes, and picks the direct diagonals."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     route, divisions, reach, _ = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
-    form_route = moment or route == "exact"
-    ids = _certificate(eigenvalues) if form_route and eigenvalues is not None else None
+    block_route = moment or route == "exact"
+    ids = _certificate(eigenvalues) if block_route and eigenvalues is not None else None
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
     degree = {i: len(f.nums) - 1 for i, f in known.items()}
     classes, reduced = _reduce(known, divisions)
@@ -513,7 +514,7 @@ def _route(
             routes[k] = zero
     if not asked:
         return route, routes
-    if not form_route:  # quadrature, on one node sweep
+    if not block_route:  # quadrature, on one node sweep
         slot = {d: s for s, d in enumerate(sorted({d for k in asked for d in pairs[k]}))}
         swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in asked)]
         results = _numeric_quad(weight, route, [funcs[d] for d in slot], swept, tol)
@@ -528,18 +529,11 @@ def _route(
             while classes.get(end) == s:
                 end += 1
             direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
-    form = _MomentForm(weight, pearson, rule, reduced)
     method = "moment" if moment else "exact"
-    try:  # a moment entry is its ratio times its key's float m_0, which the block reads
-        values = form.block([pairs[k] for k in asked], keys, zeros, direct)
-        for k, value, key in zip(asked, values, keys):
-            if moment:
-                value = float(value) * form.m_0[key]
-                if math.isinf(value):
-                    raise OverflowError
-            routes[k] = (value, method, True, None, None)
-    except OverflowError:
-        raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
+    values = _moment_block(weight, pearson, rule, reduced, [pairs[k] for k in asked], keys,
+                           zeros, direct)
+    for k, value in zip(asked, values):
+        routes[k] = (value, method, True, None, None)
     return route, routes
 
 
@@ -647,7 +641,7 @@ def _gram_for(
     Pearson pair.  An off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both
     diagonals are positive, from exact values past a float's range; else 0.0 where its value
     is 0 (noted "relative uses moment scale" on the Romanovski shape, where each is a certified
-    zero: no row, though _MomentForm.block reads its key's moments); else None."""
+    zero: no row, though _moment_block reads its key's moments); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
     shown, eigenvalues = set(degrees), [r.eigenvalue for r in table]
     funcs = [r.monic if d in shown else None for d, r in enumerate(table)]  # _route reads no other

@@ -476,6 +476,15 @@ class TestContract:
         assert "invalid choice: 'bessel'" in err
         assert "--family {jacobi,laguerre,hermite,romanovski,chaudhry-qadir}" in err
 
+    @pytest.mark.parametrize("value", ["1/0", "abc"])
+    def test_unparsable_rational_is_argument_error(self, capsys, value):
+        # cli._fraction turns Fraction's ValueError and ZeroDivisionError into argparse's refusal
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--family", "romanovski", "--alpha", value, "--n-max", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --alpha: not a rational number: {value!r}" in err
+
     def test_invalid_operator_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"a": [["0"], ["0", "0", "1"]]}))  # deg(a_1)=2
@@ -615,19 +624,20 @@ class TestContract:
 
     @pytest.mark.parametrize("argv, message", [
         (("spectrum", "--preset", "legendre"), "n must be >= 0"),
-        (("eigenfns", "--preset", "legendre"), "n_max must be >= 0"),
-        (("gram", "--preset", "legendre"), "n_max must be >= 0"),
-        (("gram", "--family", "romanovski", "--alpha", "-13/2"), "n_max must be >= 0"),
-        (("romanovski-report", "--alpha", "-13/2"), "n_max must be >= 0"),
+        (("eigenfns", "--preset", "legendre"), "n must be >= 0"),
+        (("gram", "--preset", "legendre"), "n must be >= 0"),
+        (("gram", "--family", "romanovski", "--alpha", "-13/2"), "n must be >= 0"),
+        (("romanovski-report", "--alpha", "-13/2"), "n must be >= 0"),
     ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
     def test_negative_n_max_is_domain_error(self, capsys, argv, message):
+        # one degree check, the operator matrix's, gives every command its text
         assert run(capsys, *argv, "--n-max", "-1") == (1, "", f"specpoly: error: {message}\n")
 
     def test_negative_n_max_on_operator_json_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"a": [["0"], ["0", "-2"], ["1", "0", "-1"]]}))  # Legendre
         code, out, err = run(capsys, "gram", "--operator-json", str(path), "--n-max", "-1")
-        assert (code, out, err) == (1, "", "specpoly: error: n_max must be >= 0\n")
+        assert (code, out, err) == (1, "", "specpoly: error: n must be >= 0\n")
 
     def test_weight_of_higher_order_operator_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "op.json"

@@ -164,7 +164,7 @@ class TestNullspaceOracle:
 
 class TestNegativeDegree:
     @pytest.mark.parametrize("call, message", [
-        (lambda op: eigentable(op, -1), "n_max must be >= 0"),
+        (lambda op: eigentable(op, -1), "n must be >= 0"),
         (lambda op: monic_eigenfunction(op, -1), "n must be >= 0"),
         (lambda op: eigenspace_basis(op, 0, -1), "n must be >= 0"),
     ], ids=["eigentable", "monic_eigenfunction", "eigenspace_basis"])

@@ -73,6 +73,29 @@ class TestBuildOperator:
         with pytest.raises(ValueError, match="chaudhry-qadir takes no eps"):
             FamilySpec(FamilyKind.CHAUDHRY_QADIR, eps=1)
 
+    def test_a_spec_stores_one_form_of_each_field(self):
+        # the kind through FamilyKind and alpha, beta through rat, whatever form they come in:
+        # equal specs hash alike, describe alike and build one operator
+        for spec, same in (
+            (FamilySpec("jacobi", -2, 0), FamilySpec.jacobi(-1, -2, 0)),
+            (FamilySpec(FamilyKind.JACOBI, "1/2"), FamilySpec.jacobi(-1, "1/2", 0)),
+            (FamilySpec("romanovski", Fraction(-13, 2), "1"), FamilySpec.romanovski("-13/2", 1)),
+        ):
+            assert spec == same and hash(spec) == hash(same), spec
+            assert spec.kind is same.kind and type(spec.alpha) is type(spec.beta) is Fraction
+            assert spec.describe() == same.describe()
+            assert build_operator(spec) == build_operator(same)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((FamilyKind.JACOBI, 0.5), TypeError, "cannot interpret 0.5 as an exact rational"),
+        ((FamilyKind.JACOBI, -2, 0, 1.0), TypeError, "eps must be an int, not 1.0"),
+        (("bessel", -2, 0), ValueError, "'bessel' is not a valid FamilyKind"),
+    ], ids=["float-alpha", "float-eps", "unknown-kind"])
+    def test_a_spec_refuses_a_field_it_cannot_normalize(self, args, error, message):
+        # refused when built, not later in build_operator or describe
+        with pytest.raises(error, match=f"^{message}$"):
+            FamilySpec(*args)
+
     def test_all_specs_validate(self):
         rng = random.Random(43)
         for _ in range(20):

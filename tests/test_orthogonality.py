@@ -71,59 +71,73 @@ def exact_value(w, f, g):
 
 
 def router_form(w, pearson, polys):
-    """(form, classes): the moment form of w on its Pearson pair for the labelled nonzero
-    polys, built the router's way (_classify gives the rule, and the router's reduction each
-    label's reduced form), and each label's class, its root orders at the divisions."""
+    """(rule, reduced, classes): the moment block's inputs for w on its Pearson pair and the
+    labelled nonzero polys, built the router's way (_classify gives the rule, and the router's
+    reduction each label's reduced form), and each label's class, its root orders at the
+    rule's divisions."""
     rule = _classify(w)
     classes, reduced = orthogonality._reduce(polys, rule[1])
-    return orthogonality._MomentForm(w, pearson, rule, reduced), classes
+    return rule, reduced, classes
 
 
-def form_answers(form, classes, pairs):
-    """Per label pair, what the router makes of it on form when it certifies nothing: the
-    router's verdict is the key s_f + s_g - k at each division (r, k), and a pair with a
-    negative part is refused, here as the divisibility it lacks at the first such division,
-    "f*g is not divisible by (x - r)^k" (the oracle's NotPolynomialReducible text); the
-    others are asked of the block in one call, with no zero and no direct diagonal, and
-    answered (value, key)."""
+def form_answers(w, pearson, form, pairs):
+    """Per label pair, what the router makes of it on form, router_form's (rule, reduced,
+    classes), when it certifies nothing: the router's verdict is the key s_f + s_g - k at each
+    division (r, k) of the rule, and a pair with a negative part is refused, here as the
+    divisibility it lacks at the first such division, "f*g is not divisible by (x - r)^k" (the
+    oracle's NotPolynomialReducible text); the others are asked of the block in one call, with
+    no zero and no direct diagonal, and answered (value, key): a Fraction on the exact route,
+    a float on the moment route."""
+    rule, reduced, classes = form
     answers, asked, keys = {}, [], []
     for m, n in pairs:
-        key = tuple(s + t - k for s, t, (_, k) in zip(classes[m], classes[n], form.divisors))
+        key = tuple(s + t - k for s, t, (_, k) in zip(classes[m], classes[n], rule[1]))
         if key and min(key) < 0:
-            i, k = form.divisors[next(i for i, e in enumerate(key) if e < 0)]
-            answers[m, n] = f"f*g is not divisible by (x - {form.ends[i]})^{k}"
+            r, k = rule[1][next(i for i, e in enumerate(key) if e < 0)]
+            answers[m, n] = f"f*g is not divisible by (x - {r})^{k}"
         else:
             asked.append((m, n))
             keys.append(key)
-    valued = form.block(asked, keys, [False] * len(asked), set())
-    assert all(type(v) is Fraction for v in valued)
+    valued = orthogonality._moment_block(
+        w, pearson, rule, reduced, asked, keys, [False] * len(asked), set()
+    )
+    assert len(valued) == len(asked)
+    assert all(type(v) is (Fraction if rule[0] == "exact" else float) for v in valued)
     answers.update(zip(asked, zip(valued, keys)))
     return [answers[pair] for pair in pairs]
 
 
 def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
-    """(form, asked, keys, zeros, direct): the one call the router makes to _MomentForm.block
-    for pairs (i, j) into funcs (an eigentable of eigenvalues, when given): the form, the
-    integrable pairs with their keys, whether its certificate makes each the shared zero, and
-    the diagonals it values by one dot product; None where the router asks the block nothing."""
-    calls, block = [], orthogonality._MomentForm.block
+    """The arguments of the one call the router makes to _moment_block for pairs (i, j) into
+    funcs (an eigentable of eigenvalues, when given): (weight, pearson, rule, reduced, asked,
+    keys, zeros, direct), the integrable pairs with their keys, whether its certificate makes
+    each the shared zero, and the diagonals it values by one dot product; None where the
+    router asks the block nothing.  The router's answers are the block's values, unchanged."""
+    calls, block = [], orthogonality._moment_block
 
-    def spy(form, *args):
-        calls.append((form, *args))
-        return block(form, *args)
+    def spy(*args):
+        calls.append((args, block(*args)))
+        return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orthogonality._MomentForm, "block", spy)
-        orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL, eigenvalues)
+        patch.setattr(orthogonality, "_moment_block", spy)
+        tol = orthogonality.DEFAULT_TOL
+        routes = orthogonality._route(w, pearson, funcs, pairs, tol, eigenvalues)[1]
     assert len(calls) <= 1
-    return calls[0] if calls else None
+    if not calls:
+        return None
+    args, values = calls[0]
+    answers = dict(zip(pairs, routes))
+    assert [answers[pair][0] for pair in args[4]] == values
+    return args
 
 
 def form_pair(w, f, g):
-    """The moment form's answer to the one pair (f, g) on a weight that _classify routes to the
+    """The moment block's answer to the one pair (f, g) on a weight that _classify routes to the
     exact route, built the router's way: its exact value, or the pair's refusal text."""
     assert _classify(w)[0] == "exact", w.formula()
-    (answer,) = form_answers(*router_form(w, w.pearson_pair(), {0: f, 1: g}), [(0, 1)])
+    pearson = w.pearson_pair()
+    (answer,) = form_answers(w, pearson, router_form(w, pearson, {0: f, 1: g}), [(0, 1)])
     return answer[0] if isinstance(answer, tuple) else answer
 
 
@@ -197,7 +211,7 @@ class TestExactPath:
 
     def test_uncancelled_negative_power_not_reducible(self):
         # the router refuses the pair at the division (1, 1), where the oracle finds f*g
-        # not divisible, and the form is never asked it
+        # not divisible, and the block is never asked it
         reason = "f*g is not divisible by (x - 1)^1"
         with pytest.raises(NotPolynomialReducible, match=f"^{re.escape(reason)}$"):
             divide_and_integrate(CQ_W, Poly.one(), Poly((0, 1)))
@@ -358,13 +372,13 @@ class TestMomentAssembly:
         exact = refused = 0
         for w, pearson, polys in draws:
             assert _classify(w)[0] == "exact", w.formula()
-            form, classes = router_form(w, pearson, polys)
+            form = router_form(w, pearson, polys)
             pairs = [(m, n) for m in polys for n in polys if m <= n]
-            answers = dict(zip(pairs, form_answers(form, classes, pairs)))
+            answers = dict(zip(pairs, form_answers(w, pearson, form, pairs)))
             shuffled = rng.sample(pairs, len(pairs))
-            assert dict(zip(shuffled, form_answers(form, classes, shuffled))) == answers
+            assert dict(zip(shuffled, form_answers(w, pearson, form, shuffled))) == answers
             for (m, n), answer in answers.items():
-                assert form_answers(form, classes, [(m, n)]) == [answer]
+                assert form_answers(w, pearson, form, [(m, n)]) == [answer]
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
@@ -381,24 +395,30 @@ class TestMomentAssembly:
 
     def test_moment_route_reads_only_gated_keys(self, monkeypatch):
         # the router decides integrability on the moment route: the block is asked exactly the
-        # integrable pairs of two eigenfunctions, each with its key, returns a Fraction for
-        # each and no refusal, and reads the moments (and m_0) of each key once and no other
-        # key; a weight with no integrable pair builds no form and reads none
-        reads, asked, answered = [], [], []
-        moments, block = orthogonality._MomentForm._moments, orthogonality._MomentForm.block
+        # integrable pairs of two eigenfunctions, each with its key, returns for each a float,
+        # the Gram entry's value, and no refusal, and reads the moments of each key once
+        # (_moment_ratios, one call per key in order of first appearance, each on its own
+        # shifted pair), and no other key, and on the Romanovski shape m_0 once per key; a
+        # weight with no integrable pair calls no block and reads none
+        pair_reads, m_0_reads, calls = [], [], []
+        ratios, real_line = orthogonality._moment_ratios, orthogonality._real_line_moment
+        block = orthogonality._moment_block
 
-        def spy_moments(form, key):
-            reads.append(key)
-            return moments(form, key)
+        def spy_ratios(pair, *args):
+            pair_reads.append(tuple(pair))
+            return ratios(pair, *args)
 
-        def spy_block(form, pairs, keys, zeros, direct):
-            answers = block(form, pairs, keys, zeros, direct)
-            asked.extend(pairs)
-            answered.extend(zip(keys, answers))
-            return answers
+        def spy_real_line(w):
+            m_0_reads.append(w)
+            return real_line(w)
 
-        monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
-        monkeypatch.setattr(orthogonality._MomentForm, "block", spy_block)
+        def spy_block(*args):
+            calls.append((args[4], args[5], block(*args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(orthogonality, "_moment_ratios", spy_ratios)
+        monkeypatch.setattr(orthogonality, "_real_line_moment", spy_real_line)
+        monkeypatch.setattr(orthogonality, "_moment_block", spy_block)
         specs = [
             (FamilySpec.laguerre(-1, 1), 8, 0),  # no divisor: one key, ()
             (FamilySpec.laguerre(-1, -2), 8, 6),  # |x|^(-3) e^(-x): k = 3
@@ -408,11 +428,12 @@ class TestMomentAssembly:
             (ROM_SPEC, 10, 46),  # the reach: m + n <= 7
         ]
         for spec, n, refused in specs:
-            reads.clear()
-            asked.clear()
-            answered.clear()
+            pair_reads.clear()
+            m_0_reads.clear()
+            calls.clear()
             w = weight_of(spec)
-            reach = _classify(w)[2] if _classify(w)[0] == "romanovski" else math.inf
+            romanovski = _classify(w)[0] == "romanovski"
+            reach = _classify(w)[2] if romanovski else math.inf
             table = eigentable(build_operator(spec), n)
             gram = gram_matrix(spec, n)
             integrable = [e for e in gram.entries if e.integrable]
@@ -421,12 +442,17 @@ class TestMomentAssembly:
                 (e.m, e.n) for e in integrable
                 if table[e.m].monic is not None and table[e.n].monic is not None
             ]
-            assert sorted(asked) == sorted(valued), spec
-            for (m, k), (key, answer) in zip(asked, answered):
+            assert len(calls) == bool(valued), spec
+            asked, asked_keys, answers = calls[0] if calls else ([], [], [])
+            assert sorted(asked) == sorted(valued) and len(answers) == len(asked), spec
+            for (m, k), key, answer in zip(asked, asked_keys, answers):
                 assert key == _block_key(w, table[m].monic, table[k].monic) and min(key, default=0) >= 0
-                assert type(answer) is Fraction
+                assert type(answer) is float and answer == gram.entry(m, k).value
             keys = {_block_key(w, table[e.m].monic, table[e.n].monic) for e in integrable}
-            assert len(reads) == len(set(reads)) and set(reads) == keys, spec
+            reads = list(dict.fromkeys(asked_keys))  # the order the block reads its keys in
+            assert set(reads) == keys, spec
+            assert len(pair_reads) == len(set(pair_reads)) == len(reads), spec
+            assert len(m_0_reads) == (len(reads) if romanovski else 0), spec
             assert all(e.m + e.n <= reach for e in integrable), spec
 
     def test_large_denominators_match_divide_and_integrate(self):
@@ -461,7 +487,8 @@ class TestMomentAssembly:
                     f = f * P(-pf.root, 1) ** rng.randint(0, 2)
                 polys[label] = f
             pairs = [(m, n) for m in polys for n in polys]
-            for (m, n), answer in zip(pairs, form_answers(*router_form(w, pearson, polys), pairs)):
+            form = router_form(w, pearson, polys)
+            for (m, n), answer in zip(pairs, form_answers(w, pearson, form, pairs)):
                 f, g = polys[m], polys[n]
                 try:
                     expected = divide_and_integrate(w, f, g)
@@ -483,10 +510,51 @@ class TestMomentAssembly:
                 tuple(PowerFactor(one, Fraction(e)) for e in exponents),
                 interval=Interval(Fraction(0), one),
             )
-            form, classes = router_form(w, w.pearson_pair(), {0: Poly.one()})
-            assert form.divisors == [] and classes == {0: ()}
-            assert form.block([(0, 0)], [()], [False], set()) == [Fraction(1, 2)]
+            pearson = w.pearson_pair()
+            rule, reduced, classes = router_form(w, pearson, {0: Poly.one()})
+            assert rule[1] == () and classes == {0: ()}
+            block = orthogonality._moment_block(w, pearson, rule, reduced, [(0, 0)], [()], [False],
+                                                set())
+            assert block == [Fraction(1, 2)]
             assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
+
+
+class TestMomentBlockCalls:
+    # the router calls _moment_block at most once per Gram matrix, Romanovski report or
+    # inner_product call, and not at all on a quadrature route, for a zero f or where no pair
+    # is integrable; the block returns one value per asked pair, a Fraction on the exact route
+    # and a float on the moment route
+    @pytest.mark.parametrize("call, kind", [
+        (lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), 6), Fraction),
+        (lambda: gram_matrix(CQ_SPEC, 6), Fraction),
+        (lambda: inner_product(LEGENDRE_W, P(1, 2), P(0, 1, 3)), Fraction),
+        (lambda: gram_matrix(FamilySpec.laguerre(-1, -2), 6), float),
+        (lambda: gram_matrix(ROM_SPEC, 6), float),
+        (lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 6), float),
+        (lambda: inner_product(ROM_W, P(1, 2), P(0, 1)), float),
+        (lambda: gram_matrix(FamilySpec.jacobi(-1, -1, 0), 4), None),  # quadrature, finite
+        (lambda: gram_matrix(FamilySpec.hermite(-2, 0), 4), None),  # quadrature, Gaussian
+        (lambda: inner_product(CHEB_W, P(1, 2), P(0, 1)), None),
+        (lambda: inner_product(ROM_W, Poly(), P(0, 1)), None),  # a zero f
+        (lambda: gram_matrix(FamilySpec.laguerre(-1, Fraction(-1, 2)), 6), None),  # none integrable
+    ], ids=[
+        "gram-exact", "gram-divisor", "inner-exact", "gram-laguerre", "gram-romanovski",
+        "romanovski-report", "inner-moment", "gram-finite-quadrature", "gram-gaussian-quadrature",
+        "inner-quadrature", "inner-zero", "gram-none-integrable",
+    ])
+    def test_block_runs_at_most_once(self, monkeypatch, call, kind):
+        calls, block = [], orthogonality._moment_block
+
+        def spy(*args):
+            calls.append((args[4], block(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(orthogonality, "_moment_block", spy)
+        call()
+        assert len(calls) == (kind is not None)
+        for asked, values in calls:
+            assert len(values) == len(asked) > 0
+            assert all(type(v) is kind for v in values)
 
 
 class TestNumericPath:
@@ -923,7 +991,7 @@ class TestGramMatrix:
         assert calls == [ROM_W] and {p.verdict for p in report.pairs} == {"orthogonal", "non-integrable"}
 
     def test_one_exponent_reading_per_end(self, monkeypatch):
-        # each finite end's exponent is read once per Gram matrix, by derive_weight: the form
+        # each finite end's exponent is read once per Gram matrix, by derive_weight: the block
         # takes the rule's exponents, which _classify sums off the weight's factors, so
         # orthogonality computes no weight fact
         assert not hasattr(orthogonality, "_exponent")
@@ -1700,7 +1768,17 @@ class TestMomentRoute:
             reach = _classify(w)[2]  # a Romanovski weight has no division
             diagonal = [(k, k) for k in range(len(diagonals)) if 2 * k <= reach]  # the gated
             polys = {k: table[k].monic for k, _ in diagonal}
-            ratios = dict(zip(diagonal, form_answers(*router_form(w, pair_of(op), polys), diagonal)))
+            pearson = pair_of(op)
+            form = router_form(w, pearson, polys)
+            block = dict(zip(diagonal, form_answers(w, pearson, form, diagonal)))
+            # the exact ratios r_j = m_j / m_0 of the operator's own pair, cleared to ints
+            a, b = pearson
+            scale = math.lcm(a.den, b.den)
+            pair = [int(scale * a.coeff(i)) for i in range(3)]
+            pair += [int(scale * b.coeff(i)) for i in range(2)]
+            steps = 2 * max((k for k, _ in diagonal), default=0)
+            den, nums = orthogonality._moment_ratios(pair, steps)
+            m_0 = orthogonality._real_line_moment(w)
             collided += any(r.status is not EigenStatus.UNIQUE_MONIC for r in table)
             near_boundary += (alpha / c).denominator == 1000
             for e in gram.entries:
@@ -1713,8 +1791,13 @@ class TestMomentRoute:
                     assert e.value == e.relative == 0.0, (c, alpha, beta, e.m, e.n)
                     zeros += 1
                 elif e.m < len(diagonals):
-                    product = diagonals[e.m]
-                    assert ratios[e.m, e.m] == (product, ()), (c, alpha, beta, e.m)
+                    product, f = diagonals[e.m], table[e.m].monic.coeffs
+                    ratio = w.constant * sum(
+                        fi * fj * Fraction(nums[i + j], den)
+                        for i, fi in enumerate(f) for j, fj in enumerate(f)
+                    )
+                    assert ratio == product, (c, alpha, beta, e.m)
+                    assert block[e.m, e.m] == (float(product) * m_0, ()), (c, alpha, beta, e.m)
                     assert e.value == float(product) * gram.entry(0, 0).value
                     favard += 1
         assert len(draw) >= 100 and collided >= 15 and near_boundary >= 15
@@ -1772,9 +1855,10 @@ def divisor_draw():
 
 
 def _form_and_pairs(op, n):
-    """(weight, eigentable, (form, classes), pairs) as the router builds them for op up to
-    degree n: every pair of two eigenfunctions within the reach, whose keys form_answers
-    judges as the router does; None where the weight has no moment form."""
+    """(weight, eigentable, form, pairs) as the router builds them for op up to degree n: form
+    is router_form's (rule, reduced, classes), and pairs every pair of two eigenfunctions
+    within the reach, whose keys form_answers judges as the router does; None where the weight
+    has no moment block."""
     try:
         w = derive_weight(op.coeffs[2], op.coeffs[1])
     except ValueError:
@@ -1784,37 +1868,44 @@ def _form_and_pairs(op, n):
         return None
     table = eigentable(op, n)
     funcs = [r.monic for r in table]
-    built = router_form(w, pair_of(op), {d: f for d, f in enumerate(funcs) if f})
+    form = router_form(w, pair_of(op), {d: f for d, f in enumerate(funcs) if f})
     pairs = [
         (m, k) for m in range(n + 1) for k in range(m, n + 1)
         if funcs[m] is not None and funcs[k] is not None and m + k <= reach
     ]
-    return w, table, built, pairs
+    return w, table, form, pairs
 
 
 def _certified(w, op, table, pairs):
     """(asked, keys, zeros, direct, got, own, blind) for the router's one block call on the
     pairs of table, op's eigentable: the pairs it asks with their keys, its certificate (zeros
     and direct), and the block's values with that certificate, with none (its own values)
-    and with the certificate on the poisoned form."""
+    and with the certificate on the poisoned reduced forms."""
     routed = routed_block(w, pair_of(op), [r.monic for r in table], pairs,
                           [r.eigenvalue for r in table])
     if routed is None:
         return [], [], [], set(), [], [], []
-    form, asked, keys, zeros, direct = routed
-    got = form.block(asked, keys, zeros, direct)
-    own = form.block(asked, keys, [False] * len(asked), set())
-    blind = _poisoned(form).block(asked, keys, zeros, direct)
+    weight, pearson, rule, reduced, asked, keys, zeros, direct = routed
+    block = orthogonality._moment_block
+    got = block(*routed)
+    own = block(weight, pearson, rule, reduced, asked, keys, [False] * len(asked), set())
+    blind = block(weight, pearson, rule, _poisoned(reduced), asked, keys, zeros, direct)
     return asked, keys, zeros, direct, got, own, blind
 
 
-def _poisoned(form):
-    """form with every reduced numerator replaced by ones of the same degree: an entry the
-    certificate answers with no row still reads the shared zero, any other changes."""
-    copy = object.__new__(type(form))
-    copy.__dict__.update(form.__dict__)
-    copy.reduced = {d: (den, [1] * len(nums)) for d, (den, nums) in form.reduced.items()}
-    return copy
+def _poisoned(reduced):
+    """reduced with every numerator replaced by ones of the same degree: an entry the
+    certificate answers with no row still reads the shared zero (0.0 on the moment route),
+    any other changes."""
+    return {d: (den, [1] * len(nums)) for d, (den, nums) in reduced.items()}
+
+
+def _is_shared_zero(value, rule):
+    """value is the block's certified zero on rule's route: the shared Fraction(0) on the
+    exact route, and on the moment route its float times the key's m_0, a float 0."""
+    if rule[0] == "exact":
+        return value is orthogonality._ZERO
+    return type(value) is float and value == 0
 
 
 class TestCertifiedEntries:
@@ -1831,38 +1922,40 @@ class TestCertifiedEntries:
     )
     def test_certified_entries_equal_the_block(self, draw, floors):
         # every pair the router asks, valued with its certificate and without it: the same
-        # Fraction, with no row built where it certifies (the poisoned form reads the shared
-        # zero there), the pairs it refuses being the negative keys, and its direct diagonals
-        # the labels of a class's run with no lower one sharing their eigenvalue.  The divisor
-        # draw holds the entries that certifying every key >= 0 would break: distinct
-        # eigenvalues, key 0 and unequal root orders at a divisor, and a nonzero entry
-        # (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...).  Its eigentables have no integrable pair
-        # of equal eigenvalues and no diagonal above a gap whose dot product differs from its
-        # entry: the hand-built test below plants those
+        # value, a Fraction (a float on the moment route), with no row built where it certifies
+        # (the poisoned reduced forms read the shared zero there), the pairs it refuses being
+        # the negative keys, and its direct diagonals the labels of a class's run with no
+        # lower one sharing their eigenvalue.  The divisor draw holds the entries that
+        # certifying every key >= 0 would break: distinct eigenvalues, key 0 and unequal root
+        # orders at a divisor, and a nonzero entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...).
+        # Its eigentables have no integrable pair of equal eigenvalues and no diagonal above a
+        # gap whose dot product differs from its entry: the hand-built test below plants those
         counts = Counter()
         for op, n in draw():
             built = _form_and_pairs(op, n)
             if built is None:
                 continue
-            w, table, (form, classes), pairs = built
+            w, table, form, pairs = built
+            rule, _, classes = form
+            kind = Fraction if rule[0] == "exact" else float
             ids = orthogonality._certificate([r.eigenvalue for r in table])
-            want = dict(zip(pairs, form_answers(form, classes, pairs)))
+            want = dict(zip(pairs, form_answers(w, pair_of(op), form, pairs)))
             asked, keys, zeros, direct, got, own, blind = _certified(w, op, table, pairs)
             assert asked == [pair for pair in pairs if isinstance(want[pair], tuple)], op
             assert keys == [want[pair][1] for pair in asked], op
             for (m, k), key, zero, g, e, b in zip(asked, keys, zeros, got, own, blind):
-                assert type(g) is type(e) is Fraction and g == e == want[m, k][0], (op, m, k)
+                assert type(g) is type(e) is kind and g == e == want[m, k][0], (op, m, k)
                 if m == k:  # the labels from sum(s) below m all have m's class s, other ids
                     s = classes[m]
                     run = all(classes.get(d) == s and ids[d] != ids[m] for d in range(sum(s), m))
                     assert (m in direct) == run and not zero, (op, m)
                     counts["direct"] += run
                 elif zero:
-                    assert b is orthogonality._ZERO, (op, m, k)
+                    assert _is_shared_zero(b, rule), (op, m, k)
                     counts["certified"] += 1
                 elif ids[m] != ids[k] and 0 in key and classes[m] != classes[k]:
                     counts["unequal"] += e != 0
-            counts["divisors"] += bool(form.divisors)
+            counts["divisors"] += bool(rule[1])
             counts["collided"] += len(set(ids)) < len(ids)
             if n <= 12:  # the Gram matrix is the uncertified route's, entry by entry
                 cq = op == build_operator(CQ_SPEC)
@@ -1889,7 +1982,7 @@ class TestCertifiedEntries:
             built = _form_and_pairs(op, n)
             if built is None:
                 continue
-            w, table, _, pairs = built
+            w, table, (rule, _, _), pairs = built
             ids = orthogonality._certificate([r.eigenvalue for r in table])
             asked, _, zeros, _, _, own, blind = _certified(w, op, table, pairs)
             certified = {pair for pair, zero in zip(asked, zeros) if zero}
@@ -1900,7 +1993,7 @@ class TestCertifiedEntries:
                 f, g = table[m].monic, table[k].monic
                 if boundary_vanishing(w, op.coeffs[2], (m, k), (f, g)).vanishes:
                     assert (m, k) in certified, (op, m, k)
-                    assert blind[m, k] is orthogonality._ZERO and own[m, k] == 0, (op, m, k)
+                    assert _is_shared_zero(blind[m, k], rule) and own[m, k] == 0, (op, m, k)
                     vanishing += 1
                 elif (m, k) in certified:
                     beyond += 1
@@ -1928,16 +2021,16 @@ class TestCertifiedEntries:
             j: P(-1, 1) ** s * (P(0, 1) ** (j - s) + (P(0, 1) ** (j - s - 1) if j > s else P()))
             for j, s in enumerate(orders)
         }
-        form, classes = router_form(w, pearson, base)
-        assert [len(c) - 1 for _, c in map(form.reduced.get, range(7))] == [
+        form = router_form(w, pearson, base)
+        assert [len(c) - 1 for _, c in map(form[1].get, range(7))] == [
             j - s for j, s in enumerate(orders)
         ]
         pairs = [(m, k) for m in range(7) for k in range(m, 7)]
-        want = dict(zip(pairs, form_answers(form, classes, pairs)))
+        want = dict(zip(pairs, form_answers(w, pearson, form, pairs)))
         # the router on the labels as an eigentable whose eigenvalues repeat as ids do
         routed = routed_block(w, pearson, list(base.values()), pairs, ids)
-        routed, asked, keys, zeros, routed_direct = routed
-        got = dict(zip(asked, zip(routed.block(asked, keys, zeros, routed_direct), keys)))
+        *_, asked, keys, zeros, routed_direct = routed
+        got = dict(zip(asked, zip(orthogonality._moment_block(*routed), keys)))
         zeros = dict(zip(asked, zeros))
         k_r = 2 if divided else 0
         for (m, k), e in want.items():
@@ -1995,40 +2088,42 @@ class TestPearsonPair:
     def test_form_pair_is_the_operators_shifted(self, monkeypatch):
         # every key the block reads takes the operator's own (a, b), cleared to ints over
         # lcm(a.den, b.den), plus s_r a/(x - r) with s_r = k_r + key_r the pair's root order at
-        # each divisor r: the same ints, with no scale between the two
-        keys, pairs = [], []
-        moments, ratios = orthogonality._MomentForm._moments, orthogonality._moment_ratios
-
-        def spy_moments(form, key):
-            keys.append(key)
-            return moments(form, key)
+        # each divisor r, an end of the weight's interval: the same ints, with no scale between
+        # the two.  The block reads its keys' moments in order of first appearance, one
+        # _moment_ratios call each
+        pairs = []
+        ratios = orthogonality._moment_ratios
 
         def spy_ratios(pair, *args):
             pairs.append(pair)
             return ratios(pair, *args)
 
-        monkeypatch.setattr(orthogonality._MomentForm, "_moments", spy_moments)
         monkeypatch.setattr(orthogonality, "_moment_ratios", spy_ratios)
-        shapes, shifted = Counter(), 0
+        shapes, shifted, read = Counter(), 0, 0
         for op, n in pearson_draw():
-            w, _, (form, classes), asked = _form_and_pairs(op, n)
+            w, _, form, asked = _form_and_pairs(op, n)
             shapes[_classify(w)[0]] += 1
-            start = len(keys)
-            form_answers(form, classes, asked)
-            for key, pair in zip(keys[start:], pairs[start:]):
+            start = len(pairs)
+            answers = form_answers(w, pair_of(op), form, asked)
+            keys = list(dict.fromkeys(answer[1] for answer in answers if isinstance(answer, tuple)))
+            assert len(pairs) - start == len(keys), op
+            read += len(keys)
+            divisions = form[0][1]
+            for key, pair in zip(keys, pairs[start:]):
                 a, b = op.coeffs[2], op.coeffs[1]
                 d = math.lcm(a.den, b.den)
                 a, b = a * d, b * d
-                for (i, k), e in zip(form.divisors, key):
-                    quotient, order = ref_strip_root(a.coeffs, form.ends[i], 1)  # a/(x - r)
-                    assert order == 1, (op, form.ends[i])
+                for (r, k), e in zip(divisions, key):
+                    assert r in (w.interval.lo, w.interval.hi), (op, r)
+                    quotient, order = ref_strip_root(a.coeffs, r, 1)  # a/(x - r)
+                    assert order == 1, (op, r)
                     b = b + (k + e) * Poly(quotient)
-                shifted += any(k + e for (_, k), e in zip(form.divisors, key))
+                shifted += any(k + e for (_, k), e in zip(divisions, key))
                 want = [a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)]
                 assert b.degree <= 1 and all(type(v) is int for v in pair), (op, key)
                 assert list(pair) == want, (op, key, pair)
         assert shapes == {"exact": 360, "laguerre": 150, "romanovski": 60}
-        assert len(keys) == len(pairs) > 750 and shifted > 500
+        assert read == len(pairs) > 750 and shifted > 500
 
     def test_weights_pair_is_the_operators(self):
         # WeightExpr.pearson_pair, inner_product's pair, is the operator's (a, b) up to one scale
@@ -2042,10 +2137,10 @@ class TestPearsonPair:
         "draw, floor", [(pearson_draw, 300), (certificate_draw, 50)], ids=["pearson", "certificate"]
     )
     def test_form_divisors_are_the_integrability_rules(self, draw, floor):
-        # the form takes each end's exponent from the rule, which sums it off the weight's
-        # factors: it is E_r of the operator's pair (weights._exponent), k = floor(-E_r)
-        # wherever it is positive is the rule's k at every end, on every weight with a form,
-        # and the router hands the form the rule's divisions
+        # the block takes each end's exponent from the rule, which sums it off the weight's
+        # factors: it is E_r of the operator's pair (weights._exponent) at each end of the
+        # weight's interval, and k = floor(-E_r) wherever it is positive is the rule's k at
+        # every end, on every weight with a moment block, so each division's root is an end
         divided = 0
         for op, _ in draw():
             try:
@@ -2054,14 +2149,12 @@ class TestPearsonPair:
                 continue
             if _classify(w)[0] not in ("exact", "laguerre", "romanovski"):
                 continue
-            form, _ = router_form(w, pair_of(op), {})
-            assert list(form.exponents) == [_exponent(*pair_of(op), r) for r in form.ends], op
-            from_pair = [
-                (r, math.floor(-e)) for r, e in zip(form.ends, form.exponents) if math.floor(-e) > 0
-            ]
-            divisions = list(_classify(w)[1])
+            rule, _, _ = router_form(w, pair_of(op), {})
+            ends = [r for r in (w.interval.lo, w.interval.hi) if r is not None]
+            assert list(rule[3]) == [_exponent(*pair_of(op), r) for r in ends], op
+            from_pair = [(r, math.floor(-e)) for r, e in zip(ends, rule[3]) if math.floor(-e) > 0]
+            divisions = list(rule[1])
             assert from_pair == divisions, op
-            assert [(form.ends[i], k) for i, k in form.divisors] == divisions, op
             divided += bool(divisions)
         assert divided > floor
 
@@ -2120,7 +2213,7 @@ def integrability_draw():
 
 class TestIntegrabilityDecision:
     def test_gram_entries_match_the_root_order_verdict(self):
-        # where a weight has a moment form, the form alone decides integrability (a negative
+        # where a weight has a moment form, the router alone decides integrability (a negative
         # key, or past the Romanovski reach); every Gram entry's flag must equal the oracles'
         # integrability verdict on p times (x - r)^s at each root r of p, with s the
         # pair's summed root orders read by the oracle's synthetic division, times a degree
@@ -2258,7 +2351,7 @@ class TestRefusals:
         lambda: finite_orthogonality_report(Fraction(-13, 2), 1, -1),
     ], ids=["gram_matrix", "gram_matrix_for_operator", "finite_orthogonality_report"])
     def test_negative_degree(self, call):
-        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
             call()
 
     @pytest.mark.parametrize("coeffs", [
