@@ -72,7 +72,8 @@ A_r = E_r + k_r + key and -1 < E_r + k_r <= 0, so it vanishes where the key is
 >= 1 or s_f == s_g (key 0 then makes s_f = k_r / 2 < k_r an exact root order),
 for integer and non-integer E_r, and need not elsewhere (laguerre(-1, 0)'s
 (0, n) are 1, -1, 2).  The router judges this once per class pair, beside its
-key, and reads the eigenvalues off the eigentable once per Gram matrix: an
+key, and reads the eigenvalues once per Gram matrix, lambda_k = k (k-1) a2 +
+k b1 off the Pearson pair (the eigentable's less L's constant term): an
 off-diagonal pair of two eigenvalues whose class pair passes at every division
 is the shared exact zero, with no row (the block still reads its key's moments
 once).  A diagonal (k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is
@@ -84,9 +85,29 @@ pair of equal eigenvalues or that fails at a division, a diagonal above a gap
 or sharing its eigenvalue within its run, and inner_product, whose f and g need
 be no eigenfunctions, take the block's rows.
 
+The certified regime (Favard's recurrence; Chihara 1978): on a block route with
+no division, where lambda_0 .. lambda_(n+1) are pairwise distinct for the
+highest degree n, every degree has one monic eigenfunction
+p_k = x^k + c_k x^(k-1) + d_k x^(k-2) + ..., of class ().  Every off-diagonal
+within the reach is then the certified zero, every diagonal within it is direct,
+and the reach refuses by degree alone, so no verdict and no value reads an
+eigenfunction: a Gram matrix builds no operator matrix and no eigentable (a
+Romanovski report keeps its own, for its statuses) and calls no block.  From
+x p_k = p_(k+1) + beta_k p_k + gamma_k p_(k-1), G_kk = G_00 gamma_1 ... gamma_k,
+with, read off (a, b) alone,
+  c_k = k ((k-1) a1 + b0) / (lambda_k - lambda_(k-1)),
+  d_k = (k (k-1) a0 + c_k (k-1) ((k-2) a1 + b0)) / (lambda_k - lambda_(k-2)),
+  beta_k = c_k - c_(k+1),  gamma_k = d_k - d_(k+1) - beta_k c_k;
+gamma_n reads p_(n+1)'s top coefficients, hence the bound n + 1.  G_00 is the
+block's own m_0 recipe, so an exact diagonal is the same Fraction as the block's
+dot product and a moment diagonal float(constant gamma_1 ... gamma_k) times the
+same float m_0, bit for bit.
+
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
-value is its ratio times m_0, 0.0 exactly when the ratio is 0.  An
-off-diagonal's relative is 0.0 wherever its value is 0, whatever its diagonals.
+value is its ratio times m_0, 0.0 exactly when the ratio is 0 (an m_0, or the
+value of a nonzero ratio, that reads 0.0 is refused as an underflow, as one
+that reads inf is as an overflow).  An off-diagonal's relative is 0.0 wherever
+its value is 0, whatever its diagonals.
 On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
 is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
@@ -102,17 +123,18 @@ integrable when its class pair's key is and deg f + deg g is within the reach,
 so no f g is formed for a verdict.  A degree with no eigenfunction is
 integrable when no end divides and m + n is within the reach.  A zero f or g is
 an exact zero with no verdict read (0.0 on a moment shape).  The block, with
-each pair's key and the router's certificate, or the node sweep then values the
-integrable pairs only, finished: the router reads nothing back.  A Gram matrix
-makes one node sweep per weight (quadrature._product_sweep), with one
-evaluation per node: each node's abscissa, log p(x) and Jacobian are computed
-once and shared by all pending entries, each of which still stops on its own
-rule.  A Romanovski report is read off the Romanovski Gram matrix: its
-verdicts map the Gram entries, and its eigenvalue collisions always sit on the
-integrability boundary m + n + gamma + 1 = 0.  The weight (cached on the
-WeightExpr) and each eigenfunction are converted to floats once; a node
-evaluates each eigenfunction once, to a sign and log p + log J + log|f(x)|,
-and an entry adds the other function's log|g(x)|, so f*g is never formed
+each pair's key and the router's certificate, Favard's recurrence in the
+certified regime, or the node sweep then values the integrable pairs only,
+finished: the router reads nothing back.  A Gram matrix makes one node sweep
+per weight (quadrature._product_sweep), with one evaluation per node: each
+node's abscissa, log p(x) and Jacobian are computed once and shared by all
+pending entries, each of which still stops on its own rule.  A Romanovski
+report is read off the Romanovski Gram matrix: its verdicts map the Gram
+entries, and its eigenvalue collisions always sit on the integrability boundary
+m + n + gamma + 1 = 0.  The weight (cached on the WeightExpr) and each
+eigenfunction are converted to floats once; a node evaluates each
+eigenfunction once, to a sign and log p + log J + log|f(x)|, and an entry
+adds the other function's log|g(x)|, so f*g is never formed
 (quadrature floats may differ in their last digits from expanding it; exact
 entries do not).  Log space keeps weights with strong (but integrable)
 endpoint singularities from overflowing or losing endpoint distances; a root
@@ -221,6 +243,60 @@ def _real_line_moment(weight: WeightExpr) -> float:
     return math.sqrt(math.pi) * shift * math.exp(log_half - 2 * log_ratio)
 
 
+def _pair_ints(pearson: tuple[Poly, Poly]) -> tuple[int, int, int, int, int]:
+    """(a0, a1, a2, b0, b1) of the Pearson pair a = a0 + a1 x + a2 x^2, b = b0 + b1 x, as ints
+    over lcm(a.den, b.den); an a of degree > 2 or a b of degree > 1 does not unpack."""
+    a, b = pearson
+    d = math.lcm(a.den, b.den)
+    a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
+    b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
+    return a0, a1, a2, b0, b1
+
+
+def _m_0(
+    weight: WeightExpr, route: str, exponents: Sequence[Fraction], orders: Sequence[int]
+) -> tuple[int, int, float | None]:
+    """(num, den, m_0) for the weight times prod (x - r)^s_r, s_r = orders at its finite ends,
+    whose summed exponents there are exponents: num / den is the weight's constant times, on
+    the exact route, the signed rational m_0, and m_0 the float m_0 on the moment route (None
+    on the exact route; math.inf where it overflows), by the module docstring's recipes."""
+    iv, constant = weight.interval, weight.constant
+    sign = (-1) ** orders[-1] if iv.hi is not None else 1
+    num, den = constant.numerator, constant.denominator
+    if route == "exact":  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!, integer E
+        (l1, l2), (h1, h2) = (iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio())
+        p1, p2 = [int(e) + s + 1 for e, s in zip(exponents, orders)]  # A + 1 > 0 per end
+        num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
+        den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
+        return num, den, None
+    try:
+        if route == "romanovski":
+            return num, den, _real_line_moment(weight)
+        # "laguerre": p = |x - t|^A e^(c x) on a half line from t
+        (t,) = [r for r in (iv.lo, iv.hi) if r is not None]
+        power, c = exponents[0] + orders[0] + 1, weight.exp_poly.coeff(1)
+        log_m_0 = math.lgamma(power) + float(weight.exp_poly(t)) - float(power) * math.log(abs(c))
+        return num, den, sign * math.exp(log_m_0)
+    except OverflowError:
+        return num, den, math.inf
+
+
+def _finish(weight: WeightExpr, ratios: Sequence[Fraction], m_0s: Sequence[float]) -> list[float]:
+    """The moment route's values: each exact ratio's float times its key's float m_0.  A
+    ValueError refuses them where an m_0 or a value is past a float's range: one that reads
+    inf overflows, and an m_0, or the value of a nonzero ratio, that reads 0.0 underflows."""
+    formula = weight.formula()
+    try:
+        values = [float(ratio) * m_0 for ratio, m_0 in zip(ratios, m_0s)]
+    except OverflowError:  # a ratio past a float's range
+        values = [math.inf]
+    if not all(map(math.isfinite, [*m_0s, *values])):
+        raise ValueError(f"a moment entry on {formula} overflows a float")
+    if not all(m_0s) or any(ratio and not value for ratio, value in zip(ratios, values)):
+        raise ValueError(f"a moment entry on {formula} underflows a float")
+    return values
+
+
 def _moment_block(
     weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, reduced: dict,
     pairs: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]],
@@ -237,85 +313,89 @@ def _moment_block(
     with the longer f~.  zeros[i] makes the entry the shared Fraction(0) with no row, and a
     diagonal (k, k) with k in direct is <f~_k, x^d>, d = deg f~_k, one dot product.  On the
     exact route r carries the rational m_0 and the entry is the integral; on the moment route
-    it is the float of its ratio times its key's float m_0, and a ValueError refuses the
-    block where an m_0 or an entry is past a float's range.  pearson, (a, b) with
-    (p a)' = p b and a simple root of a at each finite end, gives the recurrence and the
-    shifts a/(x - r); the weight gives its ends, its constant and m_0's inputs."""
+    _finish makes it the float of its ratio times its key's float m_0, or refuses the block.
+    pearson, (a, b) with (p a)' = p b and a simple root of a at each finite end, gives the
+    recurrence and the shifts a/(x - r); the weight gives its ends, its constant and m_0's
+    inputs (_m_0)."""
     route, divisions, steps, exponents = rule
-    # ints over lcm(a.den, b.den): an a of degree > 2 or a b of degree > 1 does not unpack
-    a, b = pearson
-    d = math.lcm(a.den, b.den)
-    a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
-    b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
-    # per finite end r = p/q: E_r (an int on the exact route) and the shift
-    # q a/(q x - p) = a/(x - r); a division's root is an end: (end index, k) per division
-    iv, constant = weight.interval, weight.constant
+    a0, a1, a2, b0, b1 = _pair_ints(pearson)
+    # per finite end r = p/q the shift q a/(q x - p) = a/(x - r); a division's root is an
+    # end: (end index, k) per division
+    iv = weight.interval
     ends = [r for r in (iv.lo, iv.hi) if r is not None]
     linear = [(r.numerator, r.denominator) for r in ends]
-    if route == "exact":
-        exponents = [int(e) for e in exponents]
     divisors = [(ends.index(r), k) for r, k in divisions]
     shifts = [[q * v for v in _divide_linear((a0, a1, a2), p, q)] for p, q in linear]
     span = 2 * max((len(c) for _, c in reduced.values()), default=0)
     steps = min(steps, span - 2)  # the reach, and no entry reads a ratio past span - 2
 
     def moments(key: tuple[int, ...]) -> tuple[int, list[int], float | None]:
-        """(den, nums, m_0): the key's ratios r_0 .. r_steps times the weight's constant and,
-        on the exact route, the signed m_0, over their common denominator, and the key's
-        float m_0 on the moment route (None on the exact route): the key's root orders shift
-        the pair, in ints, and m_0 and the sign are the module docstring's."""
+        """(den, nums, m_0): the key's ratios r_0 .. r_steps times _m_0's num / den, over
+        their common denominator, and its float m_0 (None on the exact route): the key's root
+        orders shift the pair, in ints."""
         key_b0, key_b1 = b0, b1
         orders = [0] * len(ends)  # the pair's root orders s at each end
         for (i, k), e in zip(divisors, key):
             orders[i] = s = k + e
             key_b0 += s * shifts[i][0]
             key_b1 += s * shifts[i][1]
-        powers = [e + s + 1 for e, s in zip(exponents, orders)]  # A + 1 > 0 per end
-        sign = (-1) ** orders[-1] if iv.hi is not None else 1
-        num, den, m_0 = constant.numerator, constant.denominator, None
-        if route == "exact":  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!
-            (l1, l2), (h1, h2) = linear  # lo = l1/l2, hi = h1/h2
-            p1, p2 = powers
-            num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
-            den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
-        elif route == "laguerre":  # p = |x - t|^A e^(c x) on a half line from t
-            (t,), (power,), c = ends, powers, weight.exp_poly.coeff(1)
-            log_m_0 = (math.lgamma(power) + float(weight.exp_poly(t))
-                       - float(power) * math.log(abs(c)))
-            m_0 = sign * math.exp(log_m_0)
-        else:  # "romanovski": no finite end
-            m_0 = _real_line_moment(weight)
+        num, den, m_0 = _m_0(weight, route, exponents, orders)
         return (*_moment_ratios((a0, a1, a2, key_b0, key_b1), steps, num, den), m_0)
 
-    try:  # the m_0 recipes and the moment entries overflow alike
-        read = {key: moments(key) for key in dict.fromkeys(keys)}
-        rows, values = {}, []  # (label, key) -> row
-        for (m, n), key, zero in zip(pairs, keys, zeros):
-            if zero:
-                values.append(_ZERO)
-                continue
-            d_f, f = reduced[m]
-            if m == n and m in direct:
-                d_mu, mu, _ = read[key]
-                total = sum(map(mul, f, mu[len(f) - 1 :]))
-                values.append(Fraction(total, d_f * d_mu) if total else _ZERO)
-                continue
-            d_g, g = reduced[n]
-            if len(f) > len(g):
-                d_f, f, d_g, g, n = d_g, g, d_f, f, m
-            row = rows.get((n, key))
-            if row is None:
-                d_mu, mu, _ = read[key]
-                row = rows[n, key] = (d_g * d_mu, [sum(map(mul, g, mu[i:])) for i in range(len(g))])
-            total = sum(map(mul, f, row[1]))
-            values.append(Fraction(total, d_f * row[0]) if total else _ZERO)
-        if route != "exact":  # a moment entry: its ratio times its key's float m_0
-            values = [float(value) * read[key][2] for value, key in zip(values, keys)]
-            if any(map(math.isinf, values)):
-                raise OverflowError
-    except OverflowError:
-        raise ValueError(f"a moment entry on {weight.formula()} overflows a float") from None
-    return values
+    read = {key: moments(key) for key in dict.fromkeys(keys)}
+    rows, values = {}, []  # (label, key) -> row
+    for (m, n), key, zero in zip(pairs, keys, zeros):
+        if zero:
+            values.append(_ZERO)
+            continue
+        d_f, f = reduced[m]
+        if m == n and m in direct:
+            d_mu, mu, _ = read[key]
+            total = sum(map(mul, f, mu[len(f) - 1 :]))
+            values.append(Fraction(total, d_f * d_mu) if total else _ZERO)
+            continue
+        d_g, g = reduced[n]
+        if len(f) > len(g):
+            d_f, f, d_g, g, n = d_g, g, d_f, f, m
+        row = rows.get((n, key))
+        if row is None:
+            d_mu, mu, _ = read[key]
+            row = rows[n, key] = (d_g * d_mu, [sum(map(mul, g, mu[i:])) for i in range(len(g))])
+        total = sum(map(mul, f, row[1]))
+        values.append(Fraction(total, d_f * row[0]) if total else _ZERO)
+    return values if route == "exact" else _finish(weight, values, [read[key][2] for key in keys])
+
+
+def _favard_values(
+    weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple,
+    pairs: Sequence[tuple[int, int]], zeros: Sequence[bool],
+) -> list[Fraction | float]:
+    """The finished value per pair (m, n) in pairs in the certified regime (module docstring):
+    the shared Fraction(0) where zeros[i], else a diagonal (k, k), Favard's
+    G_kk = G_00 gamma_1 ... gamma_k, with G_00 and the finish the moment block's own (_m_0,
+    _finish).  The gammas are the module docstring's, in ints: c_k = P/Q and d_k = R/(Q E)
+    with Q = lambda_k - lambda_(k-1) and E = lambda_k - lambda_(k-2), so gamma_(k-1) is a
+    ratio over q^2 Q e E with (p, q, r, e) those of k - 1, and one gcd per degree reduces the
+    running product."""
+    route, _, _, exponents = rule
+    a0, a1, a2, b0, b1 = _pair_ints(pearson)
+    num, den, m_0 = _m_0(weight, route, exponents, [0] * len(exponents))
+    top = max((m for (m, _), zero in zip(pairs, zeros) if not zero), default=0)
+    norms = [(num, den)]  # G_kk / m_0 on the moment route
+    p, q, r, e = b0, b1, 0, 1  # p_1 = x + b0/b1, d_1 = 0
+    for k in range(2, top + 2):
+        P, Q, E = k * ((k - 1) * a1 + b0), 2 * (k - 1) * a2 + b1, 2 * ((2 * k - 3) * a2 + b1)
+        R = k * (k - 1) * a0 * Q + (k - 1) * ((k - 2) * a1 + b0) * P
+        # gamma_(k-1) = d_(k-1) - d_k - (c_(k-1) - c_k) c_(k-1)
+        g_num, g_den = norms[-1]
+        g_num *= q * (r * Q * E - R * q * e) - (p * Q - P * q) * p * e * E
+        g_den *= q * q * Q * e * E
+        g = math.gcd(g_num, g_den)
+        norms.append((g_num // g, g_den // g))
+        p, q, r, e = P, Q, R, E
+    values = [_ZERO if zero or not norms[m][0] else Fraction(*norms[m])
+              for (m, _), zero in zip(pairs, zeros)]
+    return values if route == "exact" else _finish(weight, values, [m_0] * len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +512,10 @@ def _numeric_quad(
 # routing
 
 
-def _certificate(eigenvalues: Sequence[Fraction]) -> list[int]:
-    """ids for the router's certificate from an eigentable, read once: ids[d] numbers degree
-    d's eigenvalue by first appearance, so ids[m] != ids[n] exactly when the eigenvalues
-    differ."""
+def _certificate(eigenvalues: Sequence[Fraction | int]) -> list[int]:
+    """ids for the router's certificate from the eigenvalues by degree, read once: ids[d]
+    numbers degree d's eigenvalue by first appearance, so ids[m] != ids[n] exactly when the
+    eigenvalues differ."""
     seen: dict[tuple[int, int], int] = {}
     return [seen.setdefault(mu.as_integer_ratio(), len(seen)) for mu in eigenvalues]
 
@@ -460,31 +540,42 @@ def _reduce(
 def _route(
     weight: WeightExpr,
     pearson: tuple[Poly, Poly],
-    funcs: Sequence[Poly | None],
+    funcs: Sequence[Poly | None] | Callable[[], Sequence[Poly | None]],
     pairs: Sequence[tuple[int, int]],
     tol: float,
-    eigenvalues: Sequence[Fraction] | None = None,
+    eigenvalues: Sequence[Fraction | int] | None = None,
 ) -> tuple[str | None, list[tuple]]:
     """(route, answers): the weight's route (_classify's) and (value, method, integrable,
     err_est, note) per index pair (i, j) into funcs, by the routes of the module docstring.
     The router makes every decision, once: it classifies the weight once, judges each class
     pair once (its key, and whether the boundary term vanishes) and each pair's degree
-    against the reach.  The moment block (on the Pearson pair pearson) or the node sweep then
-    values only the integrable pairs, and the router maps their values to answers.  funcs[d]
-    is None where degree d has no eigenfunction; such a pair has no value and its degree's
-    verdict.  eigenvalues, when given, makes funcs an eigentable of the weight's operator
-    (funcs[d] the monic eigenfunction of degree d, of eigenvalue eigenvalues[d]): on a block
-    route the router reads their collisions once and certifies the pairs whose boundary term
-    vanishes, and picks the direct diagonals."""
+    against the reach.  The moment block (on the Pearson pair pearson), Favard's recurrence or
+    the node sweep then values only the integrable pairs, and the router maps their values to
+    answers.  funcs[d] is None where degree d has no eigenfunction; such a pair has no value
+    and its degree's verdict.  funcs may be a zero-argument callable that returns them, called
+    at most once and only where they are read.  eigenvalues, when given, makes funcs an
+    eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
+    eigenvalue eigenvalues[d], in any scale and shift): on a block route the router reads their
+    collisions once and certifies the pairs whose boundary term vanishes, and picks the direct
+    diagonals.  Where they also reach one degree past the pairs' highest, pairwise distinct,
+    and no end divides, the pairs are in the certified regime (module docstring): every degree
+    has one monic eigenfunction, of class (), and the router reads none."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     route, divisions, reach, _ = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
     block_route = moment or route == "exact"
     ids = _certificate(eigenvalues) if block_route and eigenvalues is not None else None
-    known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
-    degree = {i: len(f.nums) - 1 for i, f in known.items()}
-    classes, reduced = _reduce(known, divisions)
+    # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the pairs'
+    top = max(map(max, pairs), default=-1)
+    regime = ids is not None and not divisions and len(set(ids)) == len(ids) > top + 1
+    if regime:  # each degree to top has one monic eigenfunction, of class ()
+        classes, degree = dict.fromkeys(range(top + 1), ()), range(top + 1)
+    else:
+        funcs = funcs() if callable(funcs) else funcs
+        known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
+        degree = {i: len(f.nums) - 1 for i, f in known.items()}
+        classes, reduced = _reduce(known, divisions)
     caps = [k for _, k in divisions]
     bounded = reach < math.inf  # the Romanovski power law, or -1 on a growing half line
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
@@ -493,7 +584,7 @@ def _route(
     verdicts: dict = {}  # class pair -> (key, False where a part is negative; vanishes)
     asked, keys, zeros = [], [], []  # the integrable pairs, valued below, and their verdicts
     for k, (i, j) in enumerate(pairs):
-        if i in known and j in known:
+        if i in classes and j in classes:
             both = classes[i], classes[j]
             verdict = verdicts.get(both)
             if verdict is None:  # the class pair's one verdict: a negative part refuses it
@@ -521,17 +612,21 @@ def _route(
         for k, res in zip(asked, results):
             routes[k] = (res.value, "quadrature", True, res.err_est, None)
         return route, routes
-    direct = set()  # the diagonals the block values by one dot product
-    if ids is not None:  # per class s, the labels from sum(s) up (a degree is >= sum(s)) until
-        # one has another class or none, and of these the ones whose id no lower one has
-        for s in dict.fromkeys(classes.values()):
-            start = end = sum(s)
-            while classes.get(end) == s:
-                end += 1
-            direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
     method = "moment" if moment else "exact"
-    values = _moment_block(weight, pearson, rule, reduced, [pairs[k] for k in asked], keys,
-                           zeros, direct)
+    if regime:  # every asked off-diagonal is a certified zero, and every diagonal direct
+        values = _favard_values(weight, pearson, rule, [pairs[k] for k in asked], zeros)
+    else:
+        direct = set()  # the diagonals the block values by one dot product
+        if ids is not None:  # per class s, the labels from sum(s) up (a degree is >= sum(s))
+            # until one has another class or none, and of these the ones whose id no lower
+            # one has
+            for s in dict.fromkeys(classes.values()):
+                start = end = sum(s)
+                while classes.get(end) == s:
+                    end += 1
+                direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
+        values = _moment_block(weight, pearson, rule, reduced, [pairs[k] for k in asked], keys,
+                               zeros, direct)
     for k, value in zip(asked, values):
         routes[k] = (value, method, True, None, None)
     return route, routes
@@ -628,8 +723,19 @@ def _float_in_range(value: Fraction | float) -> Fraction | float:
     return value if value and not as_float else as_float
 
 
+def _eigenvalues(pearson: tuple[Poly, Poly], n_max: int) -> list[int]:
+    """lambda_k = k (k - 1) a2 + k b1 of L = a D^2 + b D for the Pearson pair (a, b), in ints
+    over one denominator, for k = 0 .. n_max + 1: the eigentable's eigenvalues up to scale and
+    L's constant term, and one more for Favard's gamma_(n_max)."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    _, _, a2, _, b1 = _pair_ints(pearson)
+    return [k * ((k - 1) * a2 + b1) for k in range(n_max + 2)]
+
+
 def _gram_for(
-    table: Sequence[EigenResult],
+    eigenvalues: Sequence[Fraction | int],
+    table: Callable[[], Sequence[EigenResult]],
     weight: WeightExpr,
     pearson: tuple[Poly, Poly],
     degrees: Sequence[int],
@@ -637,14 +743,15 @@ def _gram_for(
     tol: float = DEFAULT_TOL,
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
-    """The Gram entries over degrees of table's eigenfunctions (by degree), on their operator's
-    Pearson pair.  An off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both
-    diagonals are positive, from exact values past a float's range; else 0.0 where its value
-    is 0 (noted "relative uses moment scale" on the Romanovski shape, where each is a certified
-    zero: no row, though _moment_block reads its key's moments); else None."""
+    """The Gram entries over degrees of an operator's eigenfunctions, on its Pearson pair, with
+    eigenvalues[d] the eigenvalue of degree d (_eigenvalues') and table() its eigentable (by
+    degree), which the router calls only outside the certified regime.  An off-diagonal's
+    relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive, from exact values
+    past a float's range; else 0.0 where its value is 0 (noted "relative uses moment scale" on
+    the Romanovski shape, where each is a certified zero); else None."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
-    shown, eigenvalues = set(degrees), [r.eigenvalue for r in table]
-    funcs = [r.monic if d in shown else None for d, r in enumerate(table)]  # _route reads no other
+    shown = set(degrees)  # _route reads no other eigenfunction
+    funcs = lambda: [r.monic if d in shown else None for d, r in enumerate(table())]
     route, routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
     diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
@@ -706,7 +813,8 @@ def gram_matrix(
         degrees = degrees[1:]
         notes = ("degree 0 excluded: eigenfunctions must vanish at t=1 for integrability",)
     label = "custom operator" if spec is None else spec.describe()
-    return _gram_for(eigentable(op, n_max), weight, pearson, degrees, label, tol, notes)
+    return _gram_for(_eigenvalues(pearson, n_max), lambda: eigentable(op, n_max), weight, pearson,
+                     degrees, label, tol, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +877,8 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     op = build_operator(spec)
     pearson = op.coeffs[2], op.coeffs[1]
     table = eigentable(op, n_max)
-    gram = _gram_for(table, derive_weight(*pearson), pearson, range(n_max + 1), spec.describe())
+    gram = _gram_for(_eigenvalues(pearson, n_max), lambda: table, derive_weight(*pearson), pearson,
+                     range(n_max + 1), spec.describe())
     collisions = Spectrum(tuple(r.eigenvalue for r in table)).multiplicity.values()
 
     normed = {e.m for e in gram.entries if e.m == e.n and (e.value or 0) > 0}

@@ -44,7 +44,7 @@ constant E neither decays nor grows.  The arctan factor is bounded and plays
 no role.  Whether the boundary term p a (f' g - f g') of two eigenfunctions
 vanishes, which orthogonality rests on, is decided where the pairs are: the
 router judges it once per class pair, beside the pair's key, and reads the
-eigenvalues off the eigentable.
+eigenvalues off the operator's Pearson pair.
 """
 
 from __future__ import annotations

@@ -267,6 +267,20 @@ class TestGram:
         assert code == 1 and out == ""
         assert err.startswith("specpoly: error: a moment entry on |x - 1000|^(999) * exp(x) overflows a float")
 
+    @pytest.mark.parametrize("b, past", [
+        (["801", "-1"], "underflows"), (["-799", "-1"], "overflows"),
+    ])
+    def test_moment_underflow_is_domain_error(self, capsys, tmp_path, b, past):
+        # (x - 800) y'' + (801 - x) y': exp(-x) on (800, +inf), m_0 = e^-800, read every entry
+        # as 0.000e+00, its norms too, and exited 0; its mirror (x + 800) y'' + (-799 - x) y',
+        # exp(-x) on (-800, +inf) with m_0 = e^800, is refused as an overflow
+        path = tmp_path / "op.json"
+        a = ["-800", "1"] if past == "underflows" else ["800", "1"]
+        path.write_text(json.dumps({"a": [["0"], b, a]}))
+        code, out, err = run(capsys, "gram", "--operator-json", str(path), "--n-max", "2")
+        assert (code, out) == (1, "")
+        assert err == f"specpoly: error: a moment entry on exp(-x) {past} a float\n"
+
     def test_moment_entry_past_a_float_is_domain_error(self, capsys):
         # x y'' + (171 - x) y': weight x^170 e^(-x) on (0, inf), whose m_0 = 170! fits a float
         # but whose (1, 1) entry 171! does not, so the entry itself overflows, not the moment

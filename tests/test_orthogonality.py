@@ -399,7 +399,8 @@ class TestMomentAssembly:
         # the Gram entry's value, and no refusal, and reads the moments of each key once
         # (_moment_ratios, one call per key in order of first appearance, each on its own
         # shifted pair), and no other key, and on the Romanovski shape m_0 once per key; a
-        # weight with no integrable pair calls no block and reads none
+        # weight with no integrable pair calls no block and reads none, and one in the
+        # certified regime calls no block, reads no moment ratio and m_0 once
         pair_reads, m_0_reads, calls = [], [], []
         ratios, real_line = orthogonality._moment_ratios, orthogonality._real_line_moment
         block = orthogonality._moment_block
@@ -420,12 +421,12 @@ class TestMomentAssembly:
         monkeypatch.setattr(orthogonality, "_real_line_moment", spy_real_line)
         monkeypatch.setattr(orthogonality, "_moment_block", spy_block)
         specs = [
-            (FamilySpec.laguerre(-1, 1), 8, 0),  # no divisor: one key, ()
+            (FamilySpec.laguerre(-1, 1), 8, 0),  # no divisor: the certified regime
             (FamilySpec.laguerre(-1, -2), 8, 6),  # |x|^(-3) e^(-x): k = 3
             (FamilySpec.laguerre(-2, -3), 8, 10),  # |x|^(-4) e^(-2x): k = 4
             (FamilySpec.laguerre(1, -1), 8, 3),  # |x|^(-2) e^x on (-inf, 0): k = 2
             (FamilySpec.laguerre(-1, Fraction(-1, 2)), 6, 28),  # |x|^(-3/2) e^(-x): none integrable
-            (ROM_SPEC, 10, 46),  # the reach: m + n <= 7
+            (ROM_SPEC, 10, 46),  # the reach: m + n <= 7; the certified regime
         ]
         for spec, n, refused in specs:
             pair_reads.clear()
@@ -442,6 +443,10 @@ class TestMomentAssembly:
                 (e.m, e.n) for e in integrable
                 if table[e.m].monic is not None and table[e.n].monic is not None
             ]
+            if not _classify(w)[1]:  # the certified regime: Favard's diagonals, off the pair
+                assert calls == pair_reads == [] and len(m_0_reads) == romanovski, spec
+                assert all(type(e.value) is float for e in integrable) and valued, spec
+                continue
             assert len(calls) == bool(valued), spec
             asked, asked_keys, answers = calls[0] if calls else ([], [], [])
             assert sorted(asked) == sorted(valued) and len(answers) == len(asked), spec
@@ -521,16 +526,17 @@ class TestMomentAssembly:
 
 class TestMomentBlockCalls:
     # the router calls _moment_block at most once per Gram matrix, Romanovski report or
-    # inner_product call, and not at all on a quadrature route, for a zero f or where no pair
-    # is integrable; the block returns one value per asked pair, a Fraction on the exact route
+    # inner_product call, and not at all on a quadrature route, for a zero f, where no pair
+    # is integrable or in the certified regime (no division and distinct eigenvalues: Favard's
+    # diagonals); the block returns one value per asked pair, a Fraction on the exact route
     # and a float on the moment route
     @pytest.mark.parametrize("call, kind", [
-        (lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), 6), Fraction),
+        (lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), 6), None),  # the certified regime
         (lambda: gram_matrix(CQ_SPEC, 6), Fraction),
         (lambda: inner_product(LEGENDRE_W, P(1, 2), P(0, 1, 3)), Fraction),
         (lambda: gram_matrix(FamilySpec.laguerre(-1, -2), 6), float),
-        (lambda: gram_matrix(ROM_SPEC, 6), float),
-        (lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 6), float),
+        (lambda: gram_matrix(ROM_SPEC, 6), None),  # the certified regime
+        (lambda: finite_orthogonality_report(Fraction(-13, 2), 1, 6), None),  # the same
         (lambda: inner_product(ROM_W, P(1, 2), P(0, 1)), float),
         (lambda: gram_matrix(FamilySpec.jacobi(-1, -1, 0), 4), None),  # quadrature, finite
         (lambda: gram_matrix(FamilySpec.hermite(-2, 0), 4), None),  # quadrature, Gaussian
@@ -786,7 +792,8 @@ class TestGramMatrix:
         powers = (100, 101, 103)
         # one shared eigenvalue: the monomials are no eigentable, so no pair is certified
         table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
-        report = orthogonality._gram_for(table, w, w.pearson_pair(), range(3), "monomials")
+        report = orthogonality._gram_for([0] * 4, lambda: table, w, w.pearson_pair(), range(3),
+                                         "monomials")
         assert len(report.entries) == 6
         for e in report.entries:
             a, b = powers[e.m], powers[e.n]
@@ -802,7 +809,8 @@ class TestGramMatrix:
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (29, 30, 32)
         table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
-        report = orthogonality._gram_for(table, w, w.pearson_pair(), range(3), "monomials")
+        report = orthogonality._gram_for([0] * 4, lambda: table, w, w.pearson_pair(), range(3),
+                                         "monomials")
         closed = []
         for e in report.entries:
             a, b = powers[e.m], powers[e.n]
@@ -1048,10 +1056,72 @@ def beta_mass(r1, r2, e1, e2):
     )
 
 
+def favard_draw():
+    """Seeded operators with no division, each with a degree n: the Jacobi shape
+    c (x - r1)(x - r2) D^2 + c ((e1 + 1)(x - r2) + (e2 + 1)(x - r1)) D with end exponents
+    0..4; the Laguerre shape c (x - t) D^2 + c (E + 1 + s (x - t)) D, the weight
+    |x - t|^E e^(s x) with rational E > -1 on either side of t; and the Romanovski shape near
+    its reach (romanovski_shape_draw), with c (x^2 + 1) D^2 + c ((1 - K) x + h) D at
+    K = 2n + 1 and K = 2n, where lambda_(n+1) repeats lambda_n or lambda_(n-1) and the
+    diagonal (n, n) is inside the reach or just past it."""
+    rng = random.Random(55)
+    scales = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)]
+    draw = []
+    for _ in range(30):
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        r2 = r1 + Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        e1, e2, c = rng.randint(0, 4), rng.randint(0, 4), rng.choice(scales)
+        b = c * ((e1 + 1) * P(-r2, 1) + (e2 + 1) * P(-r1, 1))
+        draw.append((DiffOperator([Poly(), b, c * P(-r1, 1) * P(-r2, 1)]), rng.randint(0, 12)))
+    for _ in range(30):
+        t, c = Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.choice(scales)
+        e = Fraction(rng.randint(-2, 12), 3)
+        s = rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        b = c * P(e + 1 - s * t, s)
+        draw.append((DiffOperator([Poly(), b, c * P(-t, 1)]), rng.randint(0, 10)))
+    for c, alpha, beta, n in romanovski_shape_draw()[::2]:
+        draw.append((DiffOperator([Poly(), P(beta, alpha), c * P(1, 0, 1)]), n))
+    for n in range(1, 9):
+        for k in (2 * n + 1, 2 * n):
+            c, h = rng.choice(scales), Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            draw.append((DiffOperator([Poly(), c * P(h, 1 - k), c * P(1, 0, 1)]), n))
+    return draw
+
+
 class TestFavardDiagonals:
     """Every exact diagonal is G_00 gamma_1 ... gamma_k, the gammas read off the
     eigentable's top two coefficients (oracles.favard_diagonals), and G_00 is the Beta
     integral, on weights (x - r1)^e1 (r2 - x)^e2 with integer exponents >= 0."""
+
+    def test_seeded_draw_on_every_moment_shape(self):
+        # each valued diagonal (k, k) of favard_draw's Gram matrices is G_00 times the oracle's
+        # gamma_1 ... gamma_k off the eigentable to degree n + 1: exactly on the Jacobi shape,
+        # and as float(product) times m_0 = G_00 on the Laguerre and Romanovski shapes (a
+        # derived weight's constant is 1), in the certified regime and outside it
+        counts = Counter()
+        for op, n in favard_draw():
+            w = derive_weight(*pair_of(op))
+            route = _classify(w)[0]
+            assert route in ("exact", "laguerre", "romanovski") and not _classify(w)[1], op
+            gram = gram_matrix(op, n)
+            ratios = favard_diagonals(eigentable(op, n + 1))
+            g00 = gram.entry(0, 0).value
+            for k, ratio in enumerate(ratios[: n + 1]):
+                e = gram.entry(k, k)
+                if not e.integrable:  # past the Romanovski reach
+                    continue
+                if route == "exact":
+                    assert e.method == "exact" and e.value == g00 * ratio, (op, k)
+                else:
+                    assert e.method == "moment" and e.value == float(ratio) * g00, (op, k)
+                counts[route] += 1
+            eigenvalues = orthogonality._eigenvalues(pair_of(op), n)
+            regime = len(set(eigenvalues)) == n + 2
+            counts["regime"] += regime
+            # the bound n + 1: lambda_0 .. lambda_n distinct and lambda_(n+1) repeating one
+            counts["bound"] += not regime and len(set(eigenvalues[:-1])) == n + 1
+        floors = {"exact": 150, "laguerre": 150, "romanovski": 150, "regime": 100, "bound": 16}
+        assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
     @staticmethod
     def check(op, n, r1, r2, e1, e2):
@@ -1877,20 +1947,41 @@ def _form_and_pairs(op, n):
 
 
 def _certified(w, op, table, pairs):
-    """(asked, keys, zeros, direct, got, own, blind) for the router's one block call on the
-    pairs of table, op's eigentable: the pairs it asks with their keys, its certificate (zeros
-    and direct), and the block's values with that certificate, with none (its own values)
-    and with the certificate on the poisoned reduced forms."""
-    routed = routed_block(w, pair_of(op), [r.monic for r in table], pairs,
-                          [r.eigenvalue for r in table])
-    if routed is None:
-        return [], [], [], set(), [], [], []
-    weight, pearson, rule, reduced, asked, keys, zeros, direct = routed
+    """(asked, keys, zeros, direct, got, own, blind) for the router's valuation of the pairs
+    of table, op's eigentable: the pairs it asks with their keys, its certificate (zeros and
+    direct), and its values with that certificate, with none (the block's own values) and
+    with the certificate on poisoned eigenfunctions.  Where it makes its one block call, these
+    are the block's inputs and values, poisoned in the reduced forms.  Where it values pairs
+    with no block call, the certified regime, its certificate is every asked off-diagonal a
+    zero and every diagonal direct, and blind is its own answers on an eigentable poisoned the
+    same way: it reads no eigenfunction."""
+    pearson, funcs = pair_of(op), [r.monic for r in table]
+    eigenvalues = [r.eigenvalue for r in table]
+    routed = routed_block(w, pearson, funcs, pairs, eigenvalues)
     block = orthogonality._moment_block
-    got = block(*routed)
-    own = block(weight, pearson, rule, reduced, asked, keys, [False] * len(asked), set())
-    blind = block(weight, pearson, rule, _poisoned(reduced), asked, keys, zeros, direct)
-    return asked, keys, zeros, direct, got, own, blind
+    if routed is not None:
+        weight, pearson, rule, reduced, asked, keys, zeros, direct = routed
+        got = block(*routed)
+        own = block(weight, pearson, rule, reduced, asked, keys, [False] * len(asked), set())
+        blind = block(weight, pearson, rule, _poisoned(reduced), asked, keys, zeros, direct)
+        return asked, keys, zeros, direct, got, own, blind
+
+    def answers(polys):  # the router's value per integrable pair
+        tol = orthogonality.DEFAULT_TOL
+        routes = orthogonality._route(w, pearson, polys, pairs, tol, eigenvalues)[1]
+        return {pair: route[0] for pair, route in zip(pairs, routes) if route[2]}
+
+    got = answers(funcs)
+    asked = list(got)
+    if not asked:
+        return [], [], [], set(), [], [], []
+    rule, reduced, _ = router_form(w, pearson, {d: f for d, f in enumerate(funcs) if f})
+    keys = [()] * len(asked)
+    own = block(w, pearson, rule, reduced, asked, keys, [False] * len(asked), set())
+    blind = answers([P(*[1] * len(f.nums)) for f in funcs])
+    zeros = [m != k for m, k in asked]
+    direct = {m for m, k in asked if m == k}
+    return asked, keys, zeros, direct, list(got.values()), own, [blind[pair] for pair in asked]
 
 
 def _poisoned(reduced):
@@ -2055,6 +2146,69 @@ class TestCertifiedEntries:
                 assert answer == (dot, key) and (dot != e[0]) == (d > 0), m
             else:  # the block's entry, which the dot product would miss
                 assert answer == e and dot != e[0], m
+
+
+def romanovski_colliding(n, shift):
+    """(x^2 + 1) D^2 + ((1 - K) x + 1/3) D with K = 1 - b1/a2 = 2n + shift: lambda_m and
+    lambda_k collide at m + k = K, so lambda_0 .. lambda_n are distinct and lambda_(n+1)
+    repeats lambda_n (shift 1, the diagonal (n, n) inside the reach) or lambda_(n-1)
+    (shift 0, (n, n) just past it)."""
+    return DiffOperator([Poly(), P(Fraction(1, 3), 1 - 2 * n - shift), P(1, 0, 1)])
+
+
+class TestCertifiedRegime:
+    """A Gram matrix in the certified regime (a block route with no division, and lambda_0 ..
+    lambda_(n+1) pairwise distinct) reads no eigenfunction: it builds no operator matrix and
+    no eigentable and calls no block.  Outside it each runs once.  Either way every entry is
+    the router's uncertified one: the block's rows on the eigentable."""
+
+    @pytest.mark.parametrize("source, n, regime", [
+        (classical_presets()["legendre"], 8, True),
+        (classical_presets()["laguerre"], 8, True),
+        (ROM_SPEC, 10, True),  # alpha = -13/2: no collision
+        (CQ_SPEC, 8, False),  # the division (1, 1)
+        (FamilySpec.laguerre(-1, -2), 8, False),  # |x|^-3 e^(-x): the division (0, 3)
+        (romanovski_colliding(5, 1), 5, False),
+        (romanovski_colliding(5, 0), 5, False),
+    ], ids=["legendre", "laguerre", "romanovski", "chaudhry-qadir", "laguerre-divided",
+            "collision-at-2n+1", "collision-at-2n"])
+    def test_regime_reads_no_eigenfunction(self, monkeypatch, source, n, regime):
+        op = source if isinstance(source, DiffOperator) else build_operator(source)
+        w, pearson = weight_of(source), pair_of(op)
+        degrees = range(1 if source == CQ_SPEC else 0, n + 1)
+        funcs = [r.monic if d in degrees else None for d, r in enumerate(eigentable(op, n))]
+        pairs = [(m, k) for i, m in enumerate(degrees) for k in degrees[i:]]
+        uncertified = orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL)[1]
+        eigenvalues = orthogonality._eigenvalues(pearson, n)
+        assert (not _classify(w)[1] and len(set(eigenvalues)) == n + 2) == regime
+        calls = Counter()
+        matrix, table = DiffOperator.matrix, orthogonality.eigentable
+        block = orthogonality._moment_block
+        monkeypatch.setattr(DiffOperator, "matrix",
+                            lambda self, m: calls.update(["matrix"]) or matrix(self, m))
+        monkeypatch.setattr(orthogonality, "eigentable",
+                            lambda *args: calls.update(["eigentable"]) or table(*args))
+        monkeypatch.setattr(orthogonality, "_moment_block",
+                            lambda *args: calls.update(["block"]) or block(*args))
+        gram = gram_matrix(source, n)
+        assert calls == (Counter() if regime else Counter(matrix=1, eigentable=1, block=1))
+        assert [(e.m, e.n) for e in gram.entries] == pairs
+        for e, route in zip(gram.entries, uncertified):
+            assert (e.value, e.method, e.integrable) == route[:3], (e.m, e.n)
+            assert type(e.value) is type(route[0]), (e.m, e.n)
+        if isinstance(source, DiffOperator):  # the collision sits at n + 1 alone
+            assert len(set(eigenvalues[:-1])) == n + 1 and eigenvalues[-1] in eigenvalues[:-1]
+
+    def test_moment_underflow_is_refused(self):
+        # exp(-x) on (800, +inf), m_0 = e^-800, in the regime, and |x - 800|^-1 exp(-x) there,
+        # with the division (800, 1), through the block: both read every entry as 0.0 and
+        # answered; the mirror exp(-x) on (-800, +inf), m_0 = e^800, is refused as an overflow
+        for b, formula in ((P(801, -1), "exp(-x)"), (P(800, -1), "|x - 800|^(-1) * exp(-x)")):
+            refusal = f"^a moment entry on {re.escape(formula)} underflows a float$"
+            with pytest.raises(ValueError, match=refusal):
+                gram_matrix(DiffOperator([Poly(), b, P(-800, 1)]), 3)
+        with pytest.raises(ValueError, match=r"^a moment entry on exp\(-x\) overflows a float$"):
+            gram_matrix(DiffOperator([Poly(), P(-799, -1), P(800, 1)]), 3)
 
 
 def pearson_draw():
