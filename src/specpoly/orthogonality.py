@@ -91,10 +91,10 @@ highest degree n, every degree has one monic eigenfunction
 p_k = x^k + c_k x^(k-1) + d_k x^(k-2) + ..., of class ().  Every off-diagonal
 within the reach is then the certified zero, every diagonal within it is direct,
 and the reach refuses by degree alone, so no verdict and no value reads an
-eigenfunction: a Gram matrix builds no operator matrix and no eigentable (a
-Romanovski report keeps its own, for its statuses) and calls no block.  From
-x p_k = p_(k+1) + beta_k p_k + gamma_k p_(k-1), G_kk = G_00 gamma_1 ... gamma_k,
-with, read off (a, b) alone,
+eigenfunction: a Gram matrix, and a Romanovski report, whose statuses the
+distinct eigenvalues give, build no operator matrix and no eigentable, and call
+no block.  From x p_k = p_(k+1) + beta_k p_k + gamma_k p_(k-1),
+G_kk = G_00 gamma_1 ... gamma_k, with, read off (a, b) alone,
   c_k = k ((k-1) a1 + b0) / (lambda_k - lambda_(k-1)),
   d_k = (k (k-1) a0 + c_k (k-1) ((k-2) a1 + b0)) / (lambda_k - lambda_(k-2)),
   beta_k = c_k - c_(k+1),  gamma_k = d_k - d_(k+1) - beta_k c_k;
@@ -113,10 +113,10 @@ is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
 
 The router makes every decision, once, on every route, and the block only
 computes.  It reads _classify's rule (route, divisions, reach, exponents) once
-per Gram matrix, Romanovski report or inner_product call, hands the route to
-the node sweep and the Gram assembly and the whole rule to the block, and
-strips each eigenfunction once at each division (r, k), capped at k, in ints
-(_reduce): its root orders are its class, and its quotient the block's input.
+per Gram matrix or inner_product call, hands the route to the node sweep and the
+Gram assembly and the whole rule to the block, and strips each eigenfunction
+once at each division (r, k), capped at k, in ints (_reduce): its root orders
+are its class, and its quotient the block's input.
 Each class pair is judged once, by its key s_f + s_g - k per division, refused
 when a part is negative, and by whether the boundary term vanishes; a pair is
 integrable when its class pair's key is and deg f + deg g is within the reach,
@@ -129,12 +129,12 @@ finished: the router reads nothing back.  A Gram matrix makes one node sweep
 per weight (quadrature._product_sweep), with one evaluation per node: each
 node's abscissa, log p(x) and Jacobian are computed once and shared by all
 pending entries, each of which still stops on its own rule.  A Romanovski
-report is read off the Romanovski Gram matrix: its verdicts map the Gram
-entries, and its eigenvalue collisions always sit on the integrability boundary
-m + n + gamma + 1 = 0.  The weight (cached on the WeightExpr) and each
-eigenfunction are converted to floats once; a node evaluates each
-eigenfunction once, to a sign and log p + log J + log|f(x)|, and an entry
-adds the other function's log|g(x)|, so f*g is never formed
+report is a view of the Romanovski Gram matrix: its verdicts map the Gram
+entries, and its eigenvalue collisions, the router's eigenvalues, always sit on
+the integrability boundary m + n + gamma + 1 = 0.  The weight (cached on the
+WeightExpr) and each eigenfunction are converted to floats once; a node
+evaluates each eigenfunction once, to a sign and log p + log J + log|f(x)|, and
+an entry adds the other function's log|g(x)|, so f*g is never formed
 (quadrature floats may differ in their last digits from expanding it; exact
 entries do not).  Log space keeps weights with strong (but integrable)
 endpoint singularities from overflowing or losing endpoint distances; a root
@@ -151,9 +151,9 @@ from itertools import combinations
 from operator import add, mul, sub
 
 from ._record import Record
-from .eigen import EigenResult, eigentable
+from .eigen import EigenResult, EigenStatus, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
-from .operator import DiffOperator, Spectrum
+from .operator import DiffOperator
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
 from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, rat
 from .weights import WeightExpr, _classify, derive_weight
@@ -512,14 +512,6 @@ def _numeric_quad(
 # routing
 
 
-def _certificate(eigenvalues: Sequence[Fraction | int]) -> list[int]:
-    """ids for the router's certificate from the eigenvalues by degree, read once: ids[d]
-    numbers degree d's eigenvalue by first appearance, so ids[m] != ids[n] exactly when the
-    eigenvalues differ."""
-    seen: dict[tuple[int, int], int] = {}
-    return [seen.setdefault(mu.as_integer_ratio(), len(seen)) for mu in eigenvalues]
-
-
 def _reduce(
     polys: dict[int, Poly], divisions: Sequence[tuple[Fraction, int]]
 ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, Sequence[int]]]]:
@@ -555,17 +547,17 @@ def _route(
     and its degree's verdict.  funcs may be a zero-argument callable that returns them, called
     at most once and only where they are read.  eigenvalues, when given, makes funcs an
     eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
-    eigenvalue eigenvalues[d], in any scale and shift): on a block route the router reads their
-    collisions once and certifies the pairs whose boundary term vanishes, and picks the direct
-    diagonals.  Where they also reach one degree past the pairs' highest, pairwise distinct,
-    and no end divides, the pairs are in the certified regime (module docstring): every degree
-    has one monic eigenfunction, of class (), and the router reads none."""
+    eigenvalue eigenvalues[d], exact, in one scale and shift): on a block route the router
+    compares them as given, certifies the pairs whose boundary term vanishes, and picks the
+    direct diagonals.  Where they also reach one degree past the pairs' highest, pairwise
+    distinct, and no end divides, the pairs are in the certified regime (module docstring):
+    every degree has one monic eigenfunction, of class (), and the router reads none."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     route, divisions, reach, _ = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
     block_route = moment or route == "exact"
-    ids = _certificate(eigenvalues) if block_route and eigenvalues is not None else None
+    ids = eigenvalues if block_route else None  # equal ids are equal eigenvalues
     # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the pairs'
     top = max(map(max, pairs), default=-1)
     regime = ids is not None and not divisions and len(set(ids)) == len(ids) > top + 1
@@ -748,7 +740,9 @@ def _gram_for(
     degree), which the router calls only outside the certified regime.  An off-diagonal's
     relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive, from exact values
     past a float's range; else 0.0 where its value is 0 (noted "relative uses moment scale" on
-    the Romanovski shape, where each is a certified zero); else None."""
+    the Romanovski shape, where each is a certified zero); else None.  gram_matrix is its one
+    library caller; it takes eigenvalues and table apart only so that a test can hand it a
+    table of polynomials that are no eigenfunctions."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
     shown = set(degrees)  # _route reads no other eigenfunction
     funcs = lambda: [r.monic if d in shown else None for d, r in enumerate(table())]
@@ -860,26 +854,30 @@ class RomanovskiReport(Record):
 
 
 def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> RomanovskiReport:
-    """Pairwise orthogonality verdicts for the Romanovski family, read off its
-    Gram matrix, which takes the moment route: no quadrature runs.
+    """Pairwise orthogonality verdicts for the Romanovski family, a view of
+    gram_matrix, which takes the moment route: no quadrature runs.
 
     A pair (m, n) is checked only when m + n + gamma + 1 < 0 (product
     integrability, gamma = alpha - 2: the Gram entry's verdict from the
     moment reach); pairs violating that are flagged non-integrable.  A
     checked pair is orthogonal when its exact ratio to m_0 is 0 (its value
-    then is 0.0), else inconclusive.  Eigenvalues collide
-    (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
+    then is 0.0), else inconclusive.  The collisions, lower degree first, are
+    read off the router's eigenvalues, lambda_k = k (k - 1) + alpha k; they
+    occur (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
     m + n = 1 - alpha, so m + n + gamma + 1 = 0 and no collision pair is ever
-    called orthogonal.
+    called orthogonal.  A degree that repeats no lower degree's eigenvalue is
+    UniqueMonic, so only a collision builds the eigentable, for the statuses.
     """
     alpha, beta = rat(alpha), rat(beta)
     spec = FamilySpec.romanovski(alpha, beta)
+    gram = gram_matrix(spec, n_max)
     op = build_operator(spec)
-    pearson = op.coeffs[2], op.coeffs[1]
-    table = eigentable(op, n_max)
-    gram = _gram_for(_eigenvalues(pearson, n_max), lambda: table, derive_weight(*pearson), pearson,
-                     range(n_max + 1), spec.describe())
-    collisions = Spectrum(tuple(r.eigenvalue for r in table)).multiplicity.values()
+    degrees: dict[int, list[int]] = {}  # each eigenvalue's degrees, ascending
+    for d, mu in enumerate(_eigenvalues((op.coeffs[2], op.coeffs[1]), n_max)[:-1]):
+        degrees.setdefault(mu, []).append(d)
+    collisions = tuple(p for degs in degrees.values() for p in combinations(degs, 2))
+    statuses = (tuple(r.status.value for r in eigentable(op, n_max)) if collisions
+                else (EigenStatus.UNIQUE_MONIC.value,) * (n_max + 1))
 
     normed = {e.m for e in gram.entries if e.m == e.n and (e.value or 0) > 0}
     pairs = []
@@ -904,7 +902,7 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     return RomanovskiReport(
         alpha=alpha,
         beta=beta,
-        statuses=tuple(r.status.value for r in table),
-        degenerate_degree_pairs=tuple(p for degs in collisions for p in combinations(degs, 2)),
+        statuses=statuses,
+        degenerate_degree_pairs=collisions,
         pairs=tuple(pairs),
     )

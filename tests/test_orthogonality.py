@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
@@ -1175,12 +1175,21 @@ class TestFiniteOrthogonalityReport:
         assert (3, 4) in report.degenerate_degree_pairs
         assert (2, 5) in report.degenerate_degree_pairs
 
-    @pytest.mark.parametrize("alpha", [Fraction(k, 2) for k in range(-24, 1)], ids=float)
-    def test_degenerate_pair_verdict_when_integrable(self, alpha):
+    @pytest.mark.parametrize("alpha, beta", [
+        pytest.param(Fraction(k, 2), beta, id=f"{k / 2}-{float(beta)}" if beta else f"{k / 2}")
+        for beta in (0, Fraction(1, 2)) for k in range(-24, 1)
+    ])
+    def test_degenerate_pair_verdict_when_integrable(self, alpha, beta):
         # A collision pair (m,n) has m+n = 1-alpha and gamma+1 = alpha-1, so
         # m+n+gamma+1 = 0: collision pairs are always exactly on the
-        # non-integrability boundary and get that verdict.
-        report = finite_orthogonality_report(alpha, 0, 12)
+        # non-integrability boundary and get that verdict.  The statuses and the
+        # collisions (equal eigenvalues, lower degree first) are the eigensolver's.
+        report = finite_orthogonality_report(alpha, beta, 12)
+        table = eigentable(build_operator(FamilySpec.romanovski(alpha, beta)), 12)
+        assert report.statuses == tuple(r.status.value for r in table)
+        assert report.degenerate_degree_pairs == tuple(
+            (m, n) for m, n in combinations(range(13), 2) if table[m].eigenvalue == table[n].eigenvalue
+        )
         assert bool(report.degenerate_degree_pairs) == (alpha.denominator == 1)
         verdicts = {(p.m, p.n): p.verdict for p in report.pairs}
         for m, n in report.degenerate_degree_pairs:
@@ -2029,7 +2038,7 @@ class TestCertifiedEntries:
             w, table, form, pairs = built
             rule, _, classes = form
             kind = Fraction if rule[0] == "exact" else float
-            ids = orthogonality._certificate([r.eigenvalue for r in table])
+            ids = [r.eigenvalue for r in table]
             want = dict(zip(pairs, form_answers(w, pair_of(op), form, pairs)))
             asked, keys, zeros, direct, got, own, blind = _certified(w, op, table, pairs)
             assert asked == [pair for pair in pairs if isinstance(want[pair], tuple)], op
@@ -2074,7 +2083,7 @@ class TestCertifiedEntries:
             if built is None:
                 continue
             w, table, (rule, _, _), pairs = built
-            ids = orthogonality._certificate([r.eigenvalue for r in table])
+            ids = [r.eigenvalue for r in table]
             asked, _, zeros, _, _, own, blind = _certified(w, op, table, pairs)
             certified = {pair for pair, zero in zip(asked, zeros) if zero}
             own, blind = dict(zip(asked, own)), dict(zip(asked, blind))
@@ -2160,19 +2169,24 @@ class TestCertifiedRegime:
     """A Gram matrix in the certified regime (a block route with no division, and lambda_0 ..
     lambda_(n+1) pairwise distinct) reads no eigenfunction: it builds no operator matrix and
     no eigentable and calls no block.  Outside it each runs once.  Either way every entry is
-    the router's uncertified one: the block's rows on the eigentable."""
+    the router's uncertified one: the block's rows on the eigentable.  A Romanovski report,
+    a view of its Gram matrix, makes the same calls, and at a collision builds the eigentable
+    once more, for its statuses."""
 
-    @pytest.mark.parametrize("source, n, regime", [
-        (classical_presets()["legendre"], 8, True),
-        (classical_presets()["laguerre"], 8, True),
-        (ROM_SPEC, 10, True),  # alpha = -13/2: no collision
-        (CQ_SPEC, 8, False),  # the division (1, 1)
-        (FamilySpec.laguerre(-1, -2), 8, False),  # |x|^-3 e^(-x): the division (0, 3)
-        (romanovski_colliding(5, 1), 5, False),
-        (romanovski_colliding(5, 0), 5, False),
+    @pytest.mark.parametrize("source, n, regime, report", [
+        (classical_presets()["legendre"], 8, True, False),
+        (classical_presets()["laguerre"], 8, True, False),
+        (ROM_SPEC, 10, True, False),  # alpha = -13/2: no collision
+        (CQ_SPEC, 8, False, False),  # the division (1, 1)
+        (FamilySpec.laguerre(-1, -2), 8, False, False),  # |x|^-3 e^(-x): the division (0, 3)
+        (romanovski_colliding(5, 1), 5, False, False),
+        (romanovski_colliding(5, 0), 5, False, False),
+        (ROM_SPEC, 5, True, True),
+        (FamilySpec.romanovski(-6, 0), 5, False, True),  # lambda_m = lambda_k at m + k = 7
     ], ids=["legendre", "laguerre", "romanovski", "chaudhry-qadir", "laguerre-divided",
-            "collision-at-2n+1", "collision-at-2n"])
-    def test_regime_reads_no_eigenfunction(self, monkeypatch, source, n, regime):
+            "collision-at-2n+1", "collision-at-2n", "romanovski-report",
+            "romanovski-report-collision"])
+    def test_regime_reads_no_eigenfunction(self, monkeypatch, source, n, regime, report):
         op = source if isinstance(source, DiffOperator) else build_operator(source)
         w, pearson = weight_of(source), pair_of(op)
         degrees = range(1 if source == CQ_SPEC else 0, n + 1)
@@ -2198,6 +2212,12 @@ class TestCertifiedRegime:
             assert type(e.value) is type(route[0]), (e.m, e.n)
         if isinstance(source, DiffOperator):  # the collision sits at n + 1 alone
             assert len(set(eigenvalues[:-1])) == n + 1 and eigenvalues[-1] in eigenvalues[:-1]
+        if report:
+            calls.clear()
+            rom = finite_orthogonality_report(source.alpha, source.beta, n)
+            assert calls == (Counter() if regime else Counter(matrix=2, eigentable=2, block=1))
+            off = [(e.m, e.n, e.value, e.relative) for e in gram.entries if e.m != e.n]
+            assert [(p.m, p.n, p.value, p.relative) for p in rom.pairs] == off
 
     def test_moment_underflow_is_refused(self):
         # exp(-x) on (800, +inf), m_0 = e^-800, in the regime, and |x - 800|^-1 exp(-x) there,
