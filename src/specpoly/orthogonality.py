@@ -85,23 +85,31 @@ pair of equal eigenvalues or that fails at a division, a diagonal above a gap
 or sharing its eigenvalue within its run, and inner_product, whose f and g need
 be no eigenfunctions, take the block's rows.
 
-The certified regime (Favard's recurrence; Chihara 1978): on a block route with
-no division, where lambda_0 .. lambda_(n+1) are pairwise distinct for the
-highest degree n, every degree has one monic eigenfunction
-p_k = x^k + c_k x^(k-1) + d_k x^(k-2) + ..., of class ().  Every off-diagonal
-within the reach is then the certified zero, every diagonal within it is direct,
-and the reach refuses by degree alone, so no verdict and no value reads an
-eigenfunction: a Gram matrix, and a Romanovski report, whose statuses the
-distinct eigenvalues give, build no operator matrix and no eigentable, and call
-no block.  From x p_k = p_(k+1) + beta_k p_k + gamma_k p_(k-1),
-G_kk = G_00 gamma_1 ... gamma_k, with, read off (a, b) alone,
+The certified regime (Favard's recurrence; Chihara 1978): on a block route where
+lambda_0 .. lambda_(n+1) are pairwise distinct for the highest degree n, every
+degree d has one monic eigenfunction f_d.  At a division (r, k_r) its Taylor
+coefficients c_j at r obey (j+1) a'(r) (j + E_r + 1) c_(j+1) = (lambda_d -
+lambda_j) c_j (the indicial law), so its root order is -E_r where E_r is an
+integer in [-d, -1], else 0.  The regime also asks E_r = -k_r at each division
+and no degree below K = sum k_r, so every degree has the class (k_r) and every
+pair the key (k_r) >= 1 with s_f == s_g.  Every off-diagonal within the reach is
+then the certified zero, every diagonal within it is direct, and the reach
+refuses by degree alone, so no verdict and no value reads an eigenfunction: a
+Gram matrix (chaudhry-qadir's, from degree 1, too, but not laguerre(-1, 0)'s,
+from 0) and a Romanovski report, whose statuses the distinct eigenvalues give,
+build no operator matrix and no eigentable, and call no block.  For the monic
+p_k = x^k + c_k x^(k-1) + d_k x^(k-2) + ... of (a, b), x p_k = p_(k+1) +
+beta_k p_k + gamma_k p_(k-1) gives G_kk = G_00 gamma_1 ... gamma_k, from
   c_k = k ((k-1) a1 + b0) / (lambda_k - lambda_(k-1)),
   d_k = (k (k-1) a0 + c_k (k-1) ((k-2) a1 + b0)) / (lambda_k - lambda_(k-2)),
   beta_k = c_k - c_(k+1),  gamma_k = d_k - d_(k+1) - beta_k c_k;
-gamma_n reads p_(n+1)'s top coefficients, hence the bound n + 1.  G_00 is the
-block's own m_0 recipe, so an exact diagonal is the same Fraction as the block's
-dot product and a moment diagonal float(constant gamma_1 ... gamma_k) times the
-same float m_0, bit for bit.
+gamma_n reads p_(n+1)'s top coefficients, hence the bound n + 1.  At the
+divisions the quotients f_d / prod (x - r)^k_r are the p_(d-K) of the shifted
+pair (a, b + sum 2 k_r a/(x - r)) of p prod (x - r)^(2 k_r), with the distinct
+eigenvalues lambda_(j+K) - lambda_K.  G_00 is the block's own m_0 recipe at
+orders 2 k_r, so an exact diagonal is the same Fraction as the block's dot
+product and a moment diagonal float(constant gamma_1 ... gamma_k) times the same
+float m_0, bit for bit.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0 (an m_0, or the
@@ -373,14 +381,21 @@ def _favard_values(
     """The finished value per pair (m, n) in pairs in the certified regime (module docstring):
     the shared Fraction(0) where zeros[i], else a diagonal (k, k), Favard's
     G_kk = G_00 gamma_1 ... gamma_k, with G_00 and the finish the moment block's own (_m_0,
-    _finish).  The gammas are the module docstring's, in ints: c_k = P/Q and d_k = R/(Q E)
-    with Q = lambda_k - lambda_(k-1) and E = lambda_k - lambda_(k-2), so gamma_(k-1) is a
-    ratio over q^2 Q e E with (p, q, r, e) those of k - 1, and one gcd per degree reduces the
+    _finish).  At the divisions (r, k_r) it runs on the shifted pair (a, b + sum 2 k_r
+    a/(x - r)) from G_00 at orders 2 k_r, and degree d is its degree d - sum k_r.  The gammas
+    are the module docstring's, in ints: c_k = P/Q and d_k = R/(Q E) with
+    Q = lambda_k - lambda_(k-1) and E = lambda_k - lambda_(k-2), so gamma_(k-1) is a ratio
+    over q^2 Q e E with (p, q, r, e) those of k - 1, and one gcd per degree reduces the
     running product."""
-    route, _, _, exponents = rule
+    route, divisions, _, exponents = rule
     a0, a1, a2, b0, b1 = _pair_ints(pearson)
-    num, den, m_0 = _m_0(weight, route, exponents, [0] * len(exponents))
-    top = max((m for (m, _), zero in zip(pairs, zeros) if not zero), default=0)
+    for r, k in divisions:  # a/(x - r) = q a/(q x - p), as in the block
+        s0, s1 = _divide_linear((a0, a1, a2), r.numerator, r.denominator)
+        b0, b1 = b0 + 2 * k * r.denominator * s0, b1 + 2 * k * r.denominator * s1
+    orders = [-2 * int(e) if e <= -1 else 0 for e in exponents]  # E_r = -k_r at a division
+    shift = sum(orders) // 2
+    num, den, m_0 = _m_0(weight, route, exponents, orders)
+    top = max((m for (m, _), zero in zip(pairs, zeros) if not zero), default=shift) - shift
     norms = [(num, den)]  # G_kk / m_0 on the moment route
     p, q, r, e = b0, b1, 0, 1  # p_1 = x + b0/b1, d_1 = 0
     for k in range(2, top + 2):
@@ -393,7 +408,7 @@ def _favard_values(
         g = math.gcd(g_num, g_den)
         norms.append((g_num // g, g_den // g))
         p, q, r, e = P, Q, R, E
-    values = [_ZERO if zero or not norms[m][0] else Fraction(*norms[m])
+    values = [_ZERO if zero or not norms[m - shift][0] else Fraction(*norms[m - shift])
               for (m, _), zero in zip(pairs, zeros)]
     return values if route == "exact" else _finish(weight, values, [m_0] * len(values))
 
@@ -550,25 +565,30 @@ def _route(
     eigenvalue eigenvalues[d], exact, in one scale and shift): on a block route the router
     compares them as given, certifies the pairs whose boundary term vanishes, and picks the
     direct diagonals.  Where they also reach one degree past the pairs' highest, pairwise
-    distinct, and no end divides, the pairs are in the certified regime (module docstring):
-    every degree has one monic eigenfunction, of class (), and the router reads none."""
+    distinct, every division (r, k_r) has E_r = -k_r and no pair reaches below
+    K = sum k_r, the pairs are in the certified regime (module docstring): every degree from
+    K has one monic eigenfunction, of class (k_r) by the indicial law, and the router reads
+    none."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
-    route, divisions, reach, _ = rule = _classify(weight)
+    route, divisions, reach, exponents = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
     block_route = moment or route == "exact"
     ids = eigenvalues if block_route else None  # equal ids are equal eigenvalues
+    caps = tuple(k for _, k in divisions)
     # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the pairs'
     top = max(map(max, pairs), default=-1)
-    regime = ids is not None and not divisions and len(set(ids)) == len(ids) > top + 1
-    if regime:  # each degree to top has one monic eigenfunction, of class ()
-        classes, degree = dict.fromkeys(range(top + 1), ()), range(top + 1)
+    regime = ids is not None and len(set(ids)) == len(ids) > top + 1
+    if regime and divisions:  # the indicial law: each division's E_r is -k_r, none below K
+        regime = (all(e > -1 or e.denominator == 1 for e in exponents)
+                  and min(map(min, pairs), default=math.inf) >= sum(caps))
+    if regime:  # each degree to top has one monic eigenfunction, of class caps from sum(caps)
+        classes, degree = dict.fromkeys(range(sum(caps), top + 1), caps), range(top + 1)
     else:
         funcs = funcs() if callable(funcs) else funcs
         known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
         degree = {i: len(f.nums) - 1 for i, f in known.items()}
         classes, reduced = _reduce(known, divisions)
-    caps = [k for _, k in divisions]
     bounded = reach < math.inf  # the Romanovski power law, or -1 on a growing half line
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")

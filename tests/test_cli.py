@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import specpoly.orthogonality as orthogonality
 from specpoly._record import Record
 from specpoly.cli import main
 from specpoly.eigen import EigenResult
@@ -257,6 +258,22 @@ class TestGram:
     def test_scaled_off_diagonals_add_no_note(self, capsys, source):
         notes = run_json(capsys, "gram", *source, "--n-max", "5")["notes"]
         assert not any(note.startswith(UNSCALED_NOTE) for note in notes)
+
+    @pytest.mark.parametrize("n_max, entries", [
+        ("0", []),  # degree 0 is left out: no degree, no pair
+        ("1", [{"m": 1, "n": 1, "value": "1/2", "method": "exact", "integrable": True,
+                "err_est": None, "relative": None, "note": None}]),
+    ])
+    def test_chaudhry_qadir_smallest_sizes(self, capsys, monkeypatch, n_max, entries):
+        # the certified regime at its division (1, 1) reads no eigenfunction, with or without
+        # a pair to value
+        def table(*args):
+            raise AssertionError("built the eigentable")
+
+        monkeypatch.setattr(orthogonality, "eigentable", table)
+        data = run_json(capsys, "gram", "--preset", "chaudhry-qadir", "--n-max", n_max)
+        assert data["degrees"] == list(range(1, int(n_max) + 1)) and data["entries"] == entries
+        assert data["off_diagonal_max_relative"] is None
 
     def test_moment_overflow_is_domain_error(self, capsys, tmp_path):
         # (x - 1000) y'' + x y': weight |x - 1000|^999 e^x on (-inf, 1000), whose m_0 is

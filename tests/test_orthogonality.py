@@ -527,12 +527,14 @@ class TestMomentAssembly:
 class TestMomentBlockCalls:
     # the router calls _moment_block at most once per Gram matrix, Romanovski report or
     # inner_product call, and not at all on a quadrature route, for a zero f, where no pair
-    # is integrable or in the certified regime (no division and distinct eigenvalues: Favard's
-    # diagonals); the block returns one value per asked pair, a Fraction on the exact route
-    # and a float on the moment route
+    # is integrable or in the certified regime (distinct eigenvalues, and every division's
+    # E_r = -k_r below the lowest degree: Favard's diagonals); the block returns one value per
+    # asked pair, a Fraction on the exact route and a float on the moment route
     @pytest.mark.parametrize("call, kind", [
         (lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), 6), None),  # the certified regime
-        (lambda: gram_matrix(CQ_SPEC, 6), Fraction),
+        # |x + 1|^-1 on (-1, 1): the division (-1, 1), with degree 0 below it
+        (lambda: gram_matrix(FamilySpec.jacobi(-1, -1, -1), 6), Fraction),
+        (lambda: gram_matrix(CQ_SPEC, 6), None),  # the certified regime at the division (1, 1)
         (lambda: inner_product(LEGENDRE_W, P(1, 2), P(0, 1, 3)), Fraction),
         (lambda: gram_matrix(FamilySpec.laguerre(-1, -2), 6), float),
         (lambda: gram_matrix(ROM_SPEC, 6), None),  # the certified regime
@@ -544,9 +546,9 @@ class TestMomentBlockCalls:
         (lambda: inner_product(ROM_W, Poly(), P(0, 1)), None),  # a zero f
         (lambda: gram_matrix(FamilySpec.laguerre(-1, Fraction(-1, 2)), 6), None),  # none integrable
     ], ids=[
-        "gram-exact", "gram-divisor", "inner-exact", "gram-laguerre", "gram-romanovski",
-        "romanovski-report", "inner-moment", "gram-finite-quadrature", "gram-gaussian-quadrature",
-        "inner-quadrature", "inner-zero", "gram-none-integrable",
+        "gram-exact", "gram-divisor", "gram-divisor-regime", "inner-exact", "gram-laguerre",
+        "gram-romanovski", "romanovski-report", "inner-moment", "gram-finite-quadrature",
+        "gram-gaussian-quadrature", "inner-quadrature", "inner-zero", "gram-none-integrable",
     ])
     def test_block_runs_at_most_once(self, monkeypatch, call, kind):
         calls, block = [], orthogonality._moment_block
@@ -958,12 +960,17 @@ class TestGramMatrix:
         rules.clear()
         inner_product(LEGENDRE_W, Poly.one(), Poly((0, 1)))
         assert rules == [LEGENDRE_W] and reads == []
-        # chaudhry-qadir's division (1, 1): one root order per degree the matrix prints,
-        # capped at 1; degree 0, which it leaves out, is not read
+        # laguerre(-1, 0)'s division (0, 1), with degree 0 below it: one root order per degree,
+        # capped at 1; chaudhry-qadir's (1, 1) is in the certified regime, which reads none
         rules.clear()
+        gram_matrix(FamilySpec.laguerre(-1, 0), 6)
+        funcs = [r.monic for r in eigentable(build_operator(FamilySpec.laguerre(-1, 0)), 6)]
+        assert rules == [weight_of(FamilySpec.laguerre(-1, 0))]
+        assert reads == [(f.nums, 0, 1, 1) for f in funcs]
+        rules.clear()
+        reads.clear()
         gram_matrix(CQ_SPEC, 6)
-        funcs = [r.monic for r in eigentable(build_operator(CQ_SPEC), 6)][1:]
-        assert rules == [CQ_W] and reads == [(f.nums, 1, 1, 1) for f in funcs]
+        assert rules == [CQ_W] and reads == []
 
     def test_finite_interval_verdict_reads_root_orders_only(self, monkeypatch):
         # on (-1, 1) the degree plays no part: the one division (1, 1) decides all 45 pairs,
@@ -2166,9 +2173,10 @@ def romanovski_colliding(n, shift):
 
 
 class TestCertifiedRegime:
-    """A Gram matrix in the certified regime (a block route with no division, and lambda_0 ..
-    lambda_(n+1) pairwise distinct) reads no eigenfunction: it builds no operator matrix and
-    no eigentable and calls no block.  Outside it each runs once.  Either way every entry is
+    """A Gram matrix in the certified regime (a block route, lambda_0 .. lambda_(n+1) pairwise
+    distinct, and at each division (r, k_r) the exponent E_r = -k_r with no printed degree below
+    the sum of the k_r) reads no eigenfunction: it builds no operator matrix and no eigentable
+    and calls no block.  Outside it each runs once.  Either way every entry is
     the router's uncertified one: the block's rows on the eigentable.  A Romanovski report,
     a view of its Gram matrix, makes the same calls, and at a collision builds the eigentable
     once more, for its statuses."""
@@ -2177,14 +2185,15 @@ class TestCertifiedRegime:
         (classical_presets()["legendre"], 8, True, False),
         (classical_presets()["laguerre"], 8, True, False),
         (ROM_SPEC, 10, True, False),  # alpha = -13/2: no collision
-        (CQ_SPEC, 8, False, False),  # the division (1, 1)
+        (CQ_SPEC, 8, True, False),  # the division (1, 1), degrees from 1
         (FamilySpec.laguerre(-1, -2), 8, False, False),  # |x|^-3 e^(-x): the division (0, 3)
+        (FamilySpec.laguerre(-1, 0), 8, False, False),  # |x|^-1 e^(-x): degrees from 0
         (romanovski_colliding(5, 1), 5, False, False),
         (romanovski_colliding(5, 0), 5, False, False),
         (ROM_SPEC, 5, True, True),
         (FamilySpec.romanovski(-6, 0), 5, False, True),  # lambda_m = lambda_k at m + k = 7
     ], ids=["legendre", "laguerre", "romanovski", "chaudhry-qadir", "laguerre-divided",
-            "collision-at-2n+1", "collision-at-2n", "romanovski-report",
+            "laguerre-degree-0", "collision-at-2n+1", "collision-at-2n", "romanovski-report",
             "romanovski-report-collision"])
     def test_regime_reads_no_eigenfunction(self, monkeypatch, source, n, regime, report):
         op = source if isinstance(source, DiffOperator) else build_operator(source)
@@ -2194,7 +2203,10 @@ class TestCertifiedRegime:
         pairs = [(m, k) for i, m in enumerate(degrees) for k in degrees[i:]]
         uncertified = orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL)[1]
         eigenvalues = orthogonality._eigenvalues(pearson, n)
-        assert (not _classify(w)[1] and len(set(eigenvalues)) == n + 2) == regime
+        divisions = _classify(w)[1]
+        indicial = all(w.power_exponent_at(r) == -k for r, k in divisions)
+        lowest = degrees[0] >= sum(k for _, k in divisions)
+        assert (len(set(eigenvalues)) == n + 2 and indicial and lowest) == regime
         calls = Counter()
         matrix, table = DiffOperator.matrix, orthogonality.eigentable
         block = orthogonality._moment_block
@@ -2229,6 +2241,122 @@ class TestCertifiedRegime:
                 gram_matrix(DiffOperator([Poly(), b, P(-800, 1)]), 3)
         with pytest.raises(ValueError, match=r"^a moment entry on exp\(-x\) overflows a float$"):
             gram_matrix(DiffOperator([Poly(), P(-799, -1), P(800, 1)]), 3)
+
+
+def divided_draw():
+    """Seeded operators whose weights have a division, each with a degree: the Laguerre shape
+    c (x - t) D^2 + c (E + 1 + s (x - t)) D, the weight |x - t|^E e^(s x), and the Jacobi
+    shape c (x - r1)(x - r2) D^2 + c ((E1 + 1)(x - r2) + (E2 + 1)(x - r1)) D, the weight
+    |x - r1|^E1 |x - r2|^E2 on (r1, r2), with E and E1 in -1..-4 or a non-integer <= -1, and
+    E2 an integer in -2..3 or a non-integer, either end first."""
+    rng = random.Random(57)
+    scales = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)]
+    divided = [-1, -2, -3, -4, Fraction(-3, 2), Fraction(-7, 3), Fraction(-11, 4)]
+    draw = []
+    for _ in range(60):
+        t, c = Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.choice(scales)
+        e = rng.choice(divided)
+        s = rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        draw.append((DiffOperator([Poly(), c * P(e + 1 - s * t, s), c * P(-t, 1)]), rng.randint(1, 14)))
+    for _ in range(90):
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        r2 = r1 + Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        e1, e2 = rng.choice(divided), rng.choice([-2, -1, 0, 0, 1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 3)])
+        if rng.random() < 0.5:
+            e1, e2 = e2, e1
+        c = rng.choice(scales)
+        b = c * ((e1 + 1) * P(-r2, 1) + (e2 + 1) * P(-r1, 1))
+        draw.append((DiffOperator([Poly(), b, c * P(-r1, 1) * P(-r2, 1)]), rng.randint(1, 14)))
+    return draw
+
+
+def _answers(w, pearson, funcs, pairs, eigenvalues=None):
+    """The router's (value, method, integrable) per pair, each value's type, and the
+    refusal's text in place of them all where the router raises a ValueError."""
+    try:
+        routes = orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL,
+                                      eigenvalues)[1]
+    except ValueError as refusal:
+        return str(refusal)
+    return [(*route[:3], type(route[0])) for route in routes]
+
+
+class TestDividedRegime:
+    """The certified regime at divisions: the indicial law gives every root order from (a, b),
+    and the diagonals are Favard's on the shifted pair (a, b + sum 2 k_r a/(x - r))."""
+
+    def test_indicial_law_gives_the_root_orders(self):
+        # at a division (r, k_r), with E_r its exponent, every degree d whose eigenvalue no lower
+        # degree shares has the root order -E_r at r where E_r is an integer in [-d, -1], and 0
+        # otherwise; _reduce, which strips the eigentable, reads it capped at k_r
+        counts = Counter()
+        for op, _ in divided_draw():
+            w = derive_weight(*pair_of(op))
+            divisions = _classify(w)[1]
+            assert divisions, op
+            table = eigentable(op, 14)
+            ids = [row.eigenvalue for row in table]
+            unique = {d: row.monic for d, row in enumerate(table) if ids[d] not in ids[:d]}
+            assert None not in unique.values(), op
+            classes, _ = orthogonality._reduce(unique, divisions)
+            for i, (r, k) in enumerate(divisions):
+                e = w.power_exponent_at(r)
+                for d, f in unique.items():
+                    law = -e if e.denominator == 1 and -d <= e else 0
+                    assert f.strip_root(r, d)[1] == law and classes[d][i] == min(law, k), (op, d)
+                    counts["root" if law else "integer" if e.denominator == 1 else "fraction"] += 1
+            counts["collided"] += len(unique) < len(table)
+        floors = {"root": 1000, "integer": 100, "fraction": 700, "collided": 20}
+        assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+    def test_chaudhry_qadir_is_the_uncertified_route(self, monkeypatch):
+        # gram_matrix at n = 1..40 builds no eigentable and calls no block, and every entry is
+        # the router's with no eigenvalues given: the block's rows on the eigentable
+        op = build_operator(CQ_SPEC)
+        funcs = [r.monic for r in eigentable(op, 41)]
+        calls, block = Counter(), orthogonality._moment_block
+        monkeypatch.setattr(orthogonality, "eigentable",
+                            lambda *args: calls.update(["eigentable"]) or eigentable(*args))
+        monkeypatch.setattr(orthogonality, "_moment_block",
+                            lambda *args: calls.update(["block"]) or block(*args))
+        for n in range(1, 41):
+            gram = gram_matrix(CQ_SPEC, n)
+            assert not calls, n
+            pairs = [(e.m, e.n) for e in gram.entries]
+            want = _answers(CQ_W, pair_of(op), funcs[: n + 1], pairs)
+            calls.clear()  # the uncertified route calls the block
+            got = [(e.value, e.method, e.integrable, type(e.value)) for e in gram.entries]
+            assert got == want, n
+
+    def test_seeded_divisions_are_the_uncertified_route(self):
+        # on pairs over the degrees lo..n, lo = sum(k_r) and one below it: with the eigenvalues
+        # the router reads no eigenfunction exactly where the regime holds (distinct
+        # eigenvalues, every E_r = -k_r, no degree below sum(k_r)), and its answers, values,
+        # types and refusals alike, are the router's with no eigenvalues given
+        counts = Counter()
+        for op, n in divided_draw():
+            w, pearson = derive_weight(*pair_of(op)), pair_of(op)
+            route, divisions, _, _ = _classify(w)
+            if route not in ("exact", "laguerre"):
+                continue
+            funcs = [r.monic for r in eigentable(op, n)]
+            eigenvalues = orthogonality._eigenvalues(pearson, n)
+            lo = sum(k for _, k in divisions)
+            indicial = all(w.power_exponent_at(r) == -k for r, k in divisions)
+            for start in (lo, lo - 1):
+                if not 0 <= start <= n:
+                    continue
+                pairs = [(m, k) for m in range(start, n + 1) for k in range(m, n + 1)]
+                read = []
+                got = _answers(w, pearson, lambda: read.append(1) or funcs, pairs, eigenvalues)
+                assert got == _answers(w, pearson, funcs, pairs), (op, start)
+                regime = len(set(eigenvalues)) == n + 2 and indicial and start >= lo
+                assert (not read) == regime, (op, start)
+                if regime and not isinstance(got, str):
+                    counts[route] += sum(m == k and a[2] for (m, k), a in zip(pairs, got))
+                counts["outside"] += not regime
+        floors = {"exact": 120, "laguerre": 200, "outside": 120}
+        assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
 
 def pearson_draw():
