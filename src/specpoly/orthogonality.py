@@ -71,19 +71,12 @@ s_f != s_g and more when they are equal; with the key s_f + s_g - k_r >= 0,
 A_r = E_r + k_r + key and -1 < E_r + k_r <= 0, so it vanishes where the key is
 >= 1 or s_f == s_g (key 0 then makes s_f = k_r / 2 < k_r an exact root order),
 for integer and non-integer E_r, and need not elsewhere (laguerre(-1, 0)'s
-(0, n) are 1, -1, 2).  The router judges this once per class pair, beside its
-key, and reads the eigenvalues once per Gram matrix, lambda_k = k (k-1) a2 +
-k b1 off the Pearson pair (the eigentable's less L's constant term): an
-off-diagonal pair of two eigenvalues whose class pair passes at every division
-is the shared exact zero, with no row (the block still reads its key's moments
-once).  A diagonal (k, k), f_k = prod (x - r)^s f~_k with f~_k of degree d, is
-<f~_k, x^d> under its key, one O(d) dot product instead of an O(d^2) row, when
-the eigenfunctions with root orders s fill the reduced degrees 0 .. d-1 and
-none has k's eigenvalue: each is then a zero against f_k under k's key.  The
-router names these direct diagonals, and each is the block's own value.  A
-pair of equal eigenvalues or that fails at a division, a diagonal above a gap
-or sharing its eigenvalue within its run, and inner_product, whose f and g need
-be no eigenfunctions, take the block's rows.
+(0, n) are 1, -1, 2).  The router certifies entries only in the certified
+regime below, where every pair has s_f == s_g; outside it the block values
+every integrable pair from its rows, and its value is an exact zero wherever
+the rule holds.  The router reads the eigenvalues once per Gram matrix,
+lambda_k = k (k-1) a2 + k b1 off the Pearson pair (the eigentable's less L's
+constant term), for the regime's test alone.
 
 The certified regime (Favard's recurrence; Chihara 1978): on a block route where
 lambda_0 .. lambda_(n+1) are pairwise distinct for the highest degree n, every
@@ -93,11 +86,12 @@ lambda_j) c_j (the indicial law), so its root order is -E_r where E_r is an
 integer in [-d, -1], else 0.  The regime also asks E_r = -k_r at each division
 and no degree below K = sum k_r, so every degree has the class (k_r) and every
 pair the key (k_r) >= 1 with s_f == s_g.  Every off-diagonal within the reach is
-then the certified zero, every diagonal within it is direct, and the reach
-refuses by degree alone, so no verdict and no value reads an eigenfunction: a
-Gram matrix (chaudhry-qadir's, from degree 1, too, but not laguerre(-1, 0)'s,
-from 0) and a Romanovski report, whose statuses the distinct eigenvalues give,
-build no operator matrix and no eigentable, and call no block.  For the monic
+then the certified zero, every diagonal within it is Favard's below, and the
+reach refuses by degree alone, so no verdict and no value reads an
+eigenfunction: a Gram matrix (chaudhry-qadir's, from degree 1, too, but not
+laguerre(-1, 0)'s, from 0) and a Romanovski report, whose statuses the distinct
+eigenvalues give, build no operator matrix and no eigentable, and call no
+block.  For the monic
 p_k = x^k + c_k x^(k-1) + d_k x^(k-2) + ... of (a, b), x p_k = p_(k+1) +
 beta_k p_k + gamma_k p_(k-1) gives G_kk = G_00 gamma_1 ... gamma_k, from
   c_k = k ((k-1) a1 + b0) / (lambda_k - lambda_(k-1)),
@@ -107,8 +101,8 @@ gamma_n reads p_(n+1)'s top coefficients, hence the bound n + 1.  At the
 divisions the quotients f_d / prod (x - r)^k_r are the p_(d-K) of the shifted
 pair (a, b + sum 2 k_r a/(x - r)) of p prod (x - r)^(2 k_r), with the distinct
 eigenvalues lambda_(j+K) - lambda_K.  G_00 is the block's own m_0 recipe at
-orders 2 k_r, so an exact diagonal is the same Fraction as the block's dot
-product and a moment diagonal float(constant gamma_1 ... gamma_k) times the same
+orders 2 k_r, so an exact diagonal is the same Fraction as the block's row
+and a moment diagonal float(constant gamma_1 ... gamma_k) times the same
 float m_0, bit for bit.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
@@ -117,7 +111,8 @@ value of a nonzero ratio, that reads 0.0 is refused as an underflow, as one
 that reads inf is as an overflow).  An off-diagonal's relative is 0.0 wherever
 its value is 0, whatever its diagonals.
 On the Romanovski shape, a = c (x^2+1), b = b1 x + b0, every valued off-diagonal
-is certified: two eigenvalues collide only at m + n = 1 - b1/c, past the reach.
+is an exact zero: two eigenvalues collide only at m + n = 1 - b1/c, past the
+reach.
 
 The router makes every decision, once, on every route, and the block only
 computes.  It reads _classify's rule (route, divisions, reach, exponents) once
@@ -126,12 +121,11 @@ Gram assembly and the whole rule to the block, and strips each eigenfunction
 once at each division (r, k), capped at k, in ints (_reduce): its root orders
 are its class, and its quotient the block's input.
 Each class pair is judged once, by its key s_f + s_g - k per division, refused
-when a part is negative, and by whether the boundary term vanishes; a pair is
-integrable when its class pair's key is and deg f + deg g is within the reach,
-so no f g is formed for a verdict.  A degree with no eigenfunction is
-integrable when no end divides and m + n is within the reach.  A zero f or g is
-an exact zero with no verdict read (0.0 on a moment shape).  The block, with
-each pair's key and the router's certificate, Favard's recurrence in the
+when a part is negative; a pair is integrable when its class pair's key is and
+deg f + deg g is within the reach, so no f g is formed for a verdict.  A degree
+with no eigenfunction is integrable when no end divides and m + n is within
+the reach.  A zero f or g is an exact zero with no verdict read (0.0 on a
+moment shape).  The block, with each pair's key, Favard's recurrence in the
 certified regime, or the node sweep then values the integrable pairs only,
 finished: the router reads nothing back.  A Gram matrix makes one node sweep
 per weight (quadrature._product_sweep), with one evaluation per node: each
@@ -308,20 +302,18 @@ def _finish(weight: WeightExpr, ratios: Sequence[Fraction], m_0s: Sequence[float
 def _moment_block(
     weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, reduced: dict,
     pairs: Sequence[tuple[int, int]], keys: Sequence[tuple[int, ...]],
-    zeros: Sequence[bool], direct: set[int],
 ) -> list[Fraction | float]:
     """The finished value of <f, g> = integral p f g per label pair (m, n) in pairs, on the
     Pearson moments of the module docstring: a valuer, which decides nothing.  The router
     hands it _classify's rule, each label's reduced f~ (f = f~ prod (x - r)^s for its root
     orders s at the divisions (r, k)), and the integrable pairs with their keys
-    s_f + s_g - k >= 0 per division and its certificate.  A pair is sum_i f~_i L(i) with
+    s_f + s_g - k >= 0 per division.  A pair is sum_i f~_i L(i) with
     L(i) = sum_j g~_j r_(i+j), r its key's moment ratios, in ints over their denominators:
     O(n^3) for an n x n Gram matrix, and one Fraction per nonzero entry.  Each key's moments
-    are read once, the zeros' keys too, and each row L once per (label, key), for the label
-    with the longer f~.  zeros[i] makes the entry the shared Fraction(0) with no row, and a
-    diagonal (k, k) with k in direct is <f~_k, x^d>, d = deg f~_k, one dot product.  On the
-    exact route r carries the rational m_0 and the entry is the integral; on the moment route
-    _finish makes it the float of its ratio times its key's float m_0, or refuses the block.
+    are read once, and each row L once per (label, key), for the label with the longer f~.
+    On the exact route r carries the rational m_0 and the entry is the integral; on the
+    moment route _finish makes it the float of its ratio times its key's float m_0, or
+    refuses the block.
     pearson, (a, b) with (p a)' = p b and a simple root of a at each finite end, gives the
     recurrence and the shifts a/(x - r); the weight gives its ends, its constant and m_0's
     inputs (_m_0)."""
@@ -352,17 +344,8 @@ def _moment_block(
 
     read = {key: moments(key) for key in dict.fromkeys(keys)}
     rows, values = {}, []  # (label, key) -> row
-    for (m, n), key, zero in zip(pairs, keys, zeros):
-        if zero:
-            values.append(_ZERO)
-            continue
-        d_f, f = reduced[m]
-        if m == n and m in direct:
-            d_mu, mu, _ = read[key]
-            total = sum(map(mul, f, mu[len(f) - 1 :]))
-            values.append(Fraction(total, d_f * d_mu) if total else _ZERO)
-            continue
-        d_g, g = reduced[n]
+    for (m, n), key in zip(pairs, keys):
+        (d_f, f), (d_g, g) = reduced[m], reduced[n]
         if len(f) > len(g):
             d_f, f, d_g, g, n = d_g, g, d_f, f, m
         row = rows.get((n, key))
@@ -376,10 +359,10 @@ def _moment_block(
 
 def _favard_values(
     weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple,
-    pairs: Sequence[tuple[int, int]], zeros: Sequence[bool],
+    pairs: Sequence[tuple[int, int]],
 ) -> list[Fraction | float]:
     """The finished value per pair (m, n) in pairs in the certified regime (module docstring):
-    the shared Fraction(0) where zeros[i], else a diagonal (k, k), Favard's
+    the shared Fraction(0) off the diagonal, and on it (k, k), Favard's
     G_kk = G_00 gamma_1 ... gamma_k, with G_00 and the finish the moment block's own (_m_0,
     _finish).  At the divisions (r, k_r) it runs on the shifted pair (a, b + sum 2 k_r
     a/(x - r)) from G_00 at orders 2 k_r, and degree d is its degree d - sum k_r.  The gammas
@@ -395,7 +378,7 @@ def _favard_values(
     orders = [-2 * int(e) if e <= -1 else 0 for e in exponents]  # E_r = -k_r at a division
     shift = sum(orders) // 2
     num, den, m_0 = _m_0(weight, route, exponents, orders)
-    top = max((m for (m, _), zero in zip(pairs, zeros) if not zero), default=shift) - shift
+    top = max((m for m, n in pairs if m == n), default=shift) - shift
     norms = [(num, den)]  # G_kk / m_0 on the moment route
     p, q, r, e = b0, b1, 0, 1  # p_1 = x + b0/b1, d_1 = 0
     for k in range(2, top + 2):
@@ -408,8 +391,8 @@ def _favard_values(
         g = math.gcd(g_num, g_den)
         norms.append((g_num // g, g_den // g))
         p, q, r, e = P, Q, R, E
-    values = [_ZERO if zero or not norms[m - shift][0] else Fraction(*norms[m - shift])
-              for (m, _), zero in zip(pairs, zeros)]
+    values = [_ZERO if m != n or not norms[m - shift][0] else Fraction(*norms[m - shift])
+              for m, n in pairs]
     return values if route == "exact" else _finish(weight, values, [m_0] * len(values))
 
 
@@ -555,30 +538,29 @@ def _route(
     """(route, answers): the weight's route (_classify's) and (value, method, integrable,
     err_est, note) per index pair (i, j) into funcs, by the routes of the module docstring.
     The router makes every decision, once: it classifies the weight once, judges each class
-    pair once (its key, and whether the boundary term vanishes) and each pair's degree
-    against the reach.  The moment block (on the Pearson pair pearson), Favard's recurrence or
-    the node sweep then values only the integrable pairs, and the router maps their values to
-    answers.  funcs[d] is None where degree d has no eigenfunction; such a pair has no value
-    and its degree's verdict.  funcs may be a zero-argument callable that returns them, called
-    at most once and only where they are read.  eigenvalues, when given, makes funcs an
-    eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
-    eigenvalue eigenvalues[d], exact, in one scale and shift): on a block route the router
-    compares them as given, certifies the pairs whose boundary term vanishes, and picks the
-    direct diagonals.  Where they also reach one degree past the pairs' highest, pairwise
-    distinct, every division (r, k_r) has E_r = -k_r and no pair reaches below
-    K = sum k_r, the pairs are in the certified regime (module docstring): every degree from
-    K has one monic eigenfunction, of class (k_r) by the indicial law, and the router reads
-    none."""
+    pair once (its key) and each pair's degree against the reach.  The moment block (on the
+    Pearson pair pearson), Favard's recurrence or the node sweep then values only the
+    integrable pairs, and the router maps their values to answers.  funcs[d] is None where
+    degree d has no eigenfunction; such a pair has no value and its degree's verdict.  funcs
+    may be a zero-argument callable that returns them, called at most once and only where
+    they are read.  eigenvalues, when given, makes funcs an eigentable of the weight's
+    operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue eigenvalues[d],
+    exact, in one scale and shift), and serves the regime's test alone: on a block route,
+    where they reach one degree past the pairs' highest, pairwise distinct, every division
+    (r, k_r) has E_r = -k_r and no pair reaches below K = sum k_r, the pairs are in the
+    certified regime (module docstring): every degree from K has one monic eigenfunction,
+    of class (k_r) by the indicial law, and the router reads none.  Outside it the block
+    values every integrable pair from its rows."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     route, divisions, reach, exponents = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
     block_route = moment or route == "exact"
-    ids = eigenvalues if block_route else None  # equal ids are equal eigenvalues
     caps = tuple(k for _, k in divisions)
     # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the pairs'
     top = max(map(max, pairs), default=-1)
-    regime = ids is not None and len(set(ids)) == len(ids) > top + 1
+    regime = (block_route and eigenvalues is not None
+              and len(set(eigenvalues)) == len(eigenvalues) > top + 1)
     if regime and divisions:  # the indicial law: each division's E_r is -k_r, none below K
         regime = (all(e > -1 or e.denominator == 1 for e in exponents)
                   and min(map(min, pairs), default=math.inf) >= sum(caps))
@@ -593,23 +575,20 @@ def _route(
     zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
     refused = (None, None, False, None, "non-integrable")
     routes: list = [None] * len(pairs)
-    verdicts: dict = {}  # class pair -> (key, False where a part is negative; vanishes)
-    asked, keys, zeros = [], [], []  # the integrable pairs, valued below, and their verdicts
+    verdicts: dict = {}  # class pair -> key, False where a part is negative
+    asked, keys = [], []  # the integrable pairs, valued below, and their keys
     for k, (i, j) in enumerate(pairs):
         if i in classes and j in classes:
             both = classes[i], classes[j]
-            verdict = verdicts.get(both)
-            if verdict is None:  # the class pair's one verdict: a negative part refuses it
+            key = verdicts.get(both)
+            if key is None:  # the class pair's one verdict: a negative part refuses it
                 key = tuple(map(sub, map(add, *both), caps))
-                vanishes = ids is not None and all(e or s == t for e, s, t in zip(key, *both))
-                verdict = verdicts[both] = (key if min(key, default=0) >= 0 else False, vanishes)
-            key, vanishes = verdict
+                key = verdicts[both] = key if min(key, default=0) >= 0 else False
             if key is False or bounded and degree[i] + degree[j] > reach:
                 routes[k] = refused
             else:
                 asked.append(k)
                 keys.append(key)
-                zeros.append(vanishes and ids[i] != ids[j])
         elif funcs[i] is None or funcs[j] is None:  # a degree alone: no end divides, in reach
             routes[k] = (None, None, not divisions and i + j <= reach, None,
                          "no degree-exact eigenfunction")
@@ -625,20 +604,10 @@ def _route(
             routes[k] = (res.value, "quadrature", True, res.err_est, None)
         return route, routes
     method = "moment" if moment else "exact"
-    if regime:  # every asked off-diagonal is a certified zero, and every diagonal direct
-        values = _favard_values(weight, pearson, rule, [pairs[k] for k in asked], zeros)
+    if regime:  # every asked off-diagonal is a certified zero, and every diagonal Favard's
+        values = _favard_values(weight, pearson, rule, [pairs[k] for k in asked])
     else:
-        direct = set()  # the diagonals the block values by one dot product
-        if ids is not None:  # per class s, the labels from sum(s) up (a degree is >= sum(s))
-            # until one has another class or none, and of these the ones whose id no lower
-            # one has
-            for s in dict.fromkeys(classes.values()):
-                start = end = sum(s)
-                while classes.get(end) == s:
-                    end += 1
-                direct.update(d for d in range(start, end) if ids.index(ids[d], start) == d)
-        values = _moment_block(weight, pearson, rule, reduced, [pairs[k] for k in asked], keys,
-                               zeros, direct)
+        values = _moment_block(weight, pearson, rule, reduced, [pairs[k] for k in asked], keys)
     for k, value in zip(asked, values):
         routes[k] = (value, method, True, None, None)
     return route, routes
@@ -760,7 +729,7 @@ def _gram_for(
     degree), which the router calls only outside the certified regime.  An off-diagonal's
     relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive, from exact values
     past a float's range; else 0.0 where its value is 0 (noted "relative uses moment scale" on
-    the Romanovski shape, where each is a certified zero); else None.  gram_matrix is its one
+    the Romanovski shape, where each is an exact zero); else None.  gram_matrix is its one
     library caller; it takes eigenvalues and table apart only so that a test can hand it a
     table of polynomials that are no eigenfunctions."""
     pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
@@ -889,9 +858,8 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     UniqueMonic, so only a collision builds the eigentable, for the statuses.
     """
     alpha, beta = rat(alpha), rat(beta)
-    spec = FamilySpec.romanovski(alpha, beta)
-    gram = gram_matrix(spec, n_max)
-    op = build_operator(spec)
+    op = build_operator(FamilySpec.romanovski(alpha, beta))
+    gram = gram_matrix(op, n_max)
     degrees: dict[int, list[int]] = {}  # each eigenvalue's degrees, ascending
     for d, mu in enumerate(_eigenvalues((op.coeffs[2], op.coeffs[1]), n_max)[:-1]):
         degrees.setdefault(mu, []).append(d)

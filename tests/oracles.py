@@ -40,10 +40,15 @@ The ``ref_*`` functions are ``Poly`` arithmetic on plain tuples of ``Fraction``
 coefficients, ascending with no trailing zero, the format ``Poly`` stored before it
 kept integer numerators over one denominator; ``Poly`` must agree with them.
 ``boundary_vanishing`` is PAPER.md's boundary-term rule read at the interval's
-ends, as the library kept it before its certificate became the one rule: it asks
+ends, as the library kept it before its certificate at divisions: it asks
 p a's exponent at a finite end to be positive (or zero with both functions
 vanishing there) and, at an infinite end, decay or a negative power, so it is a
-one-way oracle of the certificate, which proves more pairs than it passes.
+one-way oracle of ``certified_zero``, which proves more pairs than it passes.
+``certified_zero`` is the same argument at the divisions of the integrability
+rule, as the library's router applied it to every eigentable before only its
+certified regime kept it: two eigenfunctions of different eigenvalues whose key
+s_f + s_g - k_r at each division (r, k_r) is at least 1, or 0 with s_f == s_g.
+Where it holds, the moment block's own value of the pair must be an exact zero.
 ``integrability`` is the library's integrability verdict as it was before the one
 rule (weights' divisions and reach) replaced it: it reads the endpoint facts of
 p * factor * q for a polynomial q of a given degree, one condition per root of p in
@@ -695,6 +700,25 @@ def favard_diagonals(table) -> list[Fraction]:
         beta = c - c_next
         diagonals.append(diagonals[-1] * (d - d_next - beta * c))
     return diagonals
+
+
+def certified_zero(
+    eigenvalues: tuple[Fraction, Fraction],
+    classes: tuple[Sequence[int], Sequence[int]],
+    caps: Sequence[int],
+) -> bool:
+    """Does PAPER.md's argument make <f, g> an exact zero, for eigenfunctions f and g of
+    L = a D^2 + b D with these eigenvalues and these root orders s_f, s_g (capped at k_r)
+    at the divisions (r, k_r) of the weight's integrability rule, caps the k_r?  The pair
+    must be one the router values (no key s_f + s_g - k_r below 0, and inside the reach).
+    (lambda_f - lambda_g) p f g = (p a (f' g - f g'))', and the boundary term vanishes at
+    every end without a division; at a division, a simple root of a, it has the order
+    E_r + s_f + s_g (more when s_f == s_g) with -1 < E_r + k_r <= 0, so it vanishes where
+    the key is >= 1 or s_f == s_g."""
+    (lambda_f, lambda_g), (s_f, s_g) = eigenvalues, classes
+    return lambda_f != lambda_g and all(
+        s + t - k >= 1 or s == t and s + t >= k for s, t, k in zip(s_f, s_g, caps)
+    )
 
 
 class BoundaryVerdict(Record):

@@ -38,6 +38,7 @@ from specpoly.weights import _classify, _exponent
 from oracles import (
     NotPolynomialReducible,
     boundary_vanishing,
+    certified_zero,
     divide_and_integrate,
     favard_diagonals,
     integrability,
@@ -82,12 +83,11 @@ def router_form(w, pearson, polys):
 
 def form_answers(w, pearson, form, pairs):
     """Per label pair, what the router makes of it on form, router_form's (rule, reduced,
-    classes), when it certifies nothing: the router's verdict is the key s_f + s_g - k at each
-    division (r, k) of the rule, and a pair with a negative part is refused, here as the
+    classes), outside the certified regime: the router's verdict is the key s_f + s_g - k at
+    each division (r, k) of the rule, and a pair with a negative part is refused, here as the
     divisibility it lacks at the first such division, "f*g is not divisible by (x - r)^k" (the
-    oracle's NotPolynomialReducible text); the others are asked of the block in one call, with
-    no zero and no direct diagonal, and answered (value, key): a Fraction on the exact route,
-    a float on the moment route."""
+    oracle's NotPolynomialReducible text); the others are asked of the block in one call and
+    answered (value, key): a Fraction on the exact route, a float on the moment route."""
     rule, reduced, classes = form
     answers, asked, keys = {}, [], []
     for m, n in pairs:
@@ -98,9 +98,7 @@ def form_answers(w, pearson, form, pairs):
         else:
             asked.append((m, n))
             keys.append(key)
-    valued = orthogonality._moment_block(
-        w, pearson, rule, reduced, asked, keys, [False] * len(asked), set()
-    )
+    valued = orthogonality._moment_block(w, pearson, rule, reduced, asked, keys)
     assert len(valued) == len(asked)
     assert all(type(v) is (Fraction if rule[0] == "exact" else float) for v in valued)
     answers.update(zip(asked, zip(valued, keys)))
@@ -110,9 +108,8 @@ def form_answers(w, pearson, form, pairs):
 def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
     """The arguments of the one call the router makes to _moment_block for pairs (i, j) into
     funcs (an eigentable of eigenvalues, when given): (weight, pearson, rule, reduced, asked,
-    keys, zeros, direct), the integrable pairs with their keys, whether its certificate makes
-    each the shared zero, and the diagonals it values by one dot product; None where the
-    router asks the block nothing.  The router's answers are the block's values, unchanged."""
+    keys), the integrable pairs with their keys; None where the router asks the block
+    nothing.  The router's answers are the block's values, unchanged."""
     calls, block = [], orthogonality._moment_block
 
     def spy(*args):
@@ -518,8 +515,7 @@ class TestMomentAssembly:
             pearson = w.pearson_pair()
             rule, reduced, classes = router_form(w, pearson, {0: Poly.one()})
             assert rule[1] == () and classes == {0: ()}
-            block = orthogonality._moment_block(w, pearson, rule, reduced, [(0, 0)], [()], [False],
-                                                set())
+            block = orthogonality._moment_block(w, pearson, rule, reduced, [(0, 0)], [()])
             assert block == [Fraction(1, 2)]
             assert inner_product(w, Poly.one(), Poly.one()) == (Fraction(1, 2), "exact", None)
 
@@ -529,7 +525,8 @@ class TestMomentBlockCalls:
     # inner_product call, and not at all on a quadrature route, for a zero f, where no pair
     # is integrable or in the certified regime (distinct eigenvalues, and every division's
     # E_r = -k_r below the lowest degree: Favard's diagonals); the block returns one value per
-    # asked pair, a Fraction on the exact route and a float on the moment route
+    # asked pair, a Fraction on the exact route and a float on the moment route, and values
+    # every asked pair from its rows
     @pytest.mark.parametrize("call, kind", [
         (lambda: gram_matrix(FamilySpec.jacobi(-1, -2, 0), 6), None),  # the certified regime
         # |x + 1|^-1 on (-1, 1): the division (-1, 1), with degree 0 below it
@@ -563,6 +560,45 @@ class TestMomentBlockCalls:
         for asked, values in calls:
             assert len(values) == len(asked) > 0
             assert all(type(v) is kind for v in values)
+
+    @pytest.mark.parametrize("source, n, report", [
+        (FamilySpec.laguerre(-1, 0), 8, False),  # |x|^-1 e^(-x): degrees from 0, below K = 1
+        (FamilySpec.romanovski(-6, 0), 5, True),  # lambda_m = lambda_k at m + k = 7
+    ], ids=["laguerre-degree-0", "romanovski-report-collision"])
+    def test_block_values_every_integrable_pair_from_its_rows(self, monkeypatch, source, n,
+                                                              report):
+        # outside the certified regime the router asks the block every integrable pair of
+        # two eigenfunctions, the off-diagonals that PAPER.md's argument makes exact zeros
+        # (certified_zero) among them, and the block values each from its rows: with every
+        # reduced form replaced by the constant 1 each value is its key's m_0, nonzero, where
+        # a value that read no row would stay 0
+        op = build_operator(source)
+        w, pearson, table = weight_of(source), pair_of(source), eigentable(op, n)
+        gram = gram_matrix(op, n)
+        integrable = [(e.m, e.n) for e in gram.entries if e.integrable and e.value is not None]
+        rule, _, classes = router_form(w, pearson, {d: r.monic for d, r in enumerate(table)
+                                                    if r.monic is not None})
+        caps, ids = [k for _, k in rule[1]], [r.eigenvalue for r in table]
+        certified = [(m, k) for m, k in integrable if m != k and certified_zero(
+            (ids[m], ids[k]), (classes[m], classes[k]), caps)]
+        assert len(certified) >= 10 and all(gram.entry(m, k).value == 0 for m, k in certified)
+        calls, block = [], orthogonality._moment_block
+
+        def spy(*args):
+            ones = {d: (den, [1]) for d, (den, _) in args[3].items()}
+            calls.append((args[4], block(*args), block(*args[:3], ones, *args[4:])))
+            return calls[-1][1]
+
+        monkeypatch.setattr(orthogonality, "_moment_block", spy)
+        if report:
+            rom = finite_orthogonality_report(source.alpha, source.beta, n)
+            assert rom.degenerate_degree_pairs
+        else:
+            gram_matrix(source, n)
+        (asked, values, ones), = calls
+        assert asked == integrable
+        assert values == [gram.entry(m, k).value for m, k in asked]
+        assert all(type(v) is float and v != 0 for v in ones), asked
 
 
 class TestNumericPath:
@@ -1962,81 +1998,44 @@ def _form_and_pairs(op, n):
     return w, table, form, pairs
 
 
-def _certified(w, op, table, pairs):
-    """(asked, keys, zeros, direct, got, own, blind) for the router's valuation of the pairs
-    of table, op's eigentable: the pairs it asks with their keys, its certificate (zeros and
-    direct), and its values with that certificate, with none (the block's own values) and
-    with the certificate on poisoned eigenfunctions.  Where it makes its one block call, these
-    are the block's inputs and values, poisoned in the reduced forms.  Where it values pairs
-    with no block call, the certified regime, its certificate is every asked off-diagonal a
-    zero and every diagonal direct, and blind is its own answers on an eigentable poisoned the
-    same way: it reads no eigenfunction."""
-    pearson, funcs = pair_of(op), [r.monic for r in table]
-    eigenvalues = [r.eigenvalue for r in table]
-    routed = routed_block(w, pearson, funcs, pairs, eigenvalues)
-    block = orthogonality._moment_block
-    if routed is not None:
-        weight, pearson, rule, reduced, asked, keys, zeros, direct = routed
-        got = block(*routed)
-        own = block(weight, pearson, rule, reduced, asked, keys, [False] * len(asked), set())
-        blind = block(weight, pearson, rule, _poisoned(reduced), asked, keys, zeros, direct)
-        return asked, keys, zeros, direct, got, own, blind
-
-    def answers(polys):  # the router's value per integrable pair
-        tol = orthogonality.DEFAULT_TOL
-        routes = orthogonality._route(w, pearson, polys, pairs, tol, eigenvalues)[1]
-        return {pair: route[0] for pair, route in zip(pairs, routes) if route[2]}
-
-    got = answers(funcs)
-    asked = list(got)
-    if not asked:
-        return [], [], [], set(), [], [], []
-    rule, reduced, _ = router_form(w, pearson, {d: f for d, f in enumerate(funcs) if f})
-    keys = [()] * len(asked)
-    own = block(w, pearson, rule, reduced, asked, keys, [False] * len(asked), set())
-    blind = answers([P(*[1] * len(f.nums)) for f in funcs])
-    zeros = [m != k for m, k in asked]
-    direct = {m for m, k in asked if m == k}
-    return asked, keys, zeros, direct, list(got.values()), own, [blind[pair] for pair in asked]
-
-
-def _poisoned(reduced):
-    """reduced with every numerator replaced by ones of the same degree: an entry the
-    certificate answers with no row still reads the shared zero (0.0 on the moment route),
-    any other changes."""
-    return {d: (den, [1] * len(nums)) for d, (den, nums) in reduced.items()}
+def _router_values(w, op, table, pairs):
+    """The router's value per integrable pair of table, op's eigentable, handed its
+    eigenvalues: the block's rows, or in the certified regime Favard's diagonals and the
+    certified zeros."""
+    tol = orthogonality.DEFAULT_TOL
+    funcs, eigenvalues = [r.monic for r in table], [r.eigenvalue for r in table]
+    routes = orthogonality._route(w, pair_of(op), funcs, pairs, tol, eigenvalues)[1]
+    return {pair: route[0] for pair, route in zip(pairs, routes) if route[2]}
 
 
 def _is_shared_zero(value, rule):
-    """value is the block's certified zero on rule's route: the shared Fraction(0) on the
-    exact route, and on the moment route its float times the key's m_0, a float 0."""
+    """value is the block's exact zero on rule's route: the shared Fraction(0) on the exact
+    route, and on the moment route its float times the key's m_0, a float 0."""
     if rule[0] == "exact":
         return value is orthogonality._ZERO
     return type(value) is float and value == 0
 
 
 class TestCertifiedEntries:
-    """The router's certificate on an eigentable (its zeros and direct diagonals) against the
-    block's own values, on the pairs the router judges integrable (form_answers)."""
+    """PAPER.md's argument at divisions (oracles.certified_zero) against the block's own
+    values, on the pairs the router judges integrable (form_answers): the block values every
+    such pair from its rows, and reads an exact zero wherever the argument holds."""
 
     @pytest.mark.parametrize(
         "draw, floors",
         [
             (certificate_draw, {"certified": 3000, "collided": 20, "divisors": 40, "gram": 120}),
-            (divisor_draw, {"certified": 1000, "direct": 300, "unequal": 100, "gram": 80}),
+            (divisor_draw, {"certified": 1000, "unequal": 100, "gram": 80}),
         ],
         ids=["certificate_draw", "divisor_draw"],
     )
     def test_certified_entries_equal_the_block(self, draw, floors):
-        # every pair the router asks, valued with its certificate and without it: the same
-        # value, a Fraction (a float on the moment route), with no row built where it certifies
-        # (the poisoned reduced forms read the shared zero there), the pairs it refuses being
-        # the negative keys, and its direct diagonals the labels of a class's run with no
-        # lower one sharing their eigenvalue.  The divisor draw holds the entries that
-        # certifying every key >= 0 would break: distinct eigenvalues, key 0 and unequal root
-        # orders at a divisor, and a nonzero entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...).
-        # Its eigentables have no integrable pair of equal eigenvalues and no diagonal above a
-        # gap whose dot product differs from its entry: the hand-built test below plants those
+        # every pair the router values, handed the eigentable's eigenvalues, is the block's
+        # own value, a Fraction (a float on the moment route), and the pairs it refuses are
+        # the negative keys; where certified_zero holds the block's value is an exact zero.
+        # The divisor draw holds the entries that calling every key >= 0 a zero would break:
+        # distinct eigenvalues, key 0 and unequal root orders at a divisor, and a nonzero
+        # entry (laguerre(-1, 0)'s (0, n) are 1, -1, 2, ...)
         counts = Counter()
         for op, n in draw():
             built = _form_and_pairs(op, n)
@@ -2044,27 +2043,25 @@ class TestCertifiedEntries:
                 continue
             w, table, form, pairs = built
             rule, _, classes = form
+            caps = [k for _, k in rule[1]]
             kind = Fraction if rule[0] == "exact" else float
             ids = [r.eigenvalue for r in table]
             want = dict(zip(pairs, form_answers(w, pair_of(op), form, pairs)))
-            asked, keys, zeros, direct, got, own, blind = _certified(w, op, table, pairs)
-            assert asked == [pair for pair in pairs if isinstance(want[pair], tuple)], op
-            assert keys == [want[pair][1] for pair in asked], op
-            for (m, k), key, zero, g, e, b in zip(asked, keys, zeros, got, own, blind):
-                assert type(g) is type(e) is kind and g == e == want[m, k][0], (op, m, k)
-                if m == k:  # the labels from sum(s) below m all have m's class s, other ids
-                    s = classes[m]
-                    run = all(classes.get(d) == s and ids[d] != ids[m] for d in range(sum(s), m))
-                    assert (m in direct) == run and not zero, (op, m)
-                    counts["direct"] += run
-                elif zero:
-                    assert _is_shared_zero(b, rule), (op, m, k)
+            got = _router_values(w, op, table, pairs)
+            assert list(got) == [pair for pair in pairs if isinstance(want[pair], tuple)], op
+            for (m, k), g in got.items():
+                value, key = want[m, k]
+                assert type(g) is type(value) is kind and g == value, (op, m, k)
+                if m == k:
+                    continue
+                if certified_zero((ids[m], ids[k]), (classes[m], classes[k]), caps):
+                    assert _is_shared_zero(value, rule), (op, m, k)
                     counts["certified"] += 1
                 elif ids[m] != ids[k] and 0 in key and classes[m] != classes[k]:
-                    counts["unequal"] += e != 0
+                    counts["unequal"] += value != 0
             counts["divisors"] += bool(rule[1])
             counts["collided"] += len(set(ids)) < len(ids)
-            if n <= 12:  # the Gram matrix is the uncertified route's, entry by entry
+            if n <= 12:  # the Gram matrix is the router's with no eigenvalues, entry by entry
                 cq = op == build_operator(CQ_SPEC)
                 gram = gram_matrix(CQ_SPEC, n) if cq else gram_matrix(op, n)
                 gram_pairs = [(e.m, e.n) for e in gram.entries]
@@ -2079,89 +2076,83 @@ class TestCertifiedEntries:
 
     def test_boundary_vanishing_pairs_are_certified_zeros(self):
         # oracles.boundary_vanishing is one-way: where it says the boundary term of two
-        # eigenfunctions of different eigenvalues vanishes, the router certifies the entry (it
-        # reads no row) and the block's own value is an exact zero.  It is conservative (it
-        # asks p a's exponent at an end to be positive, or 0 with both functions vanishing
-        # there), so it refuses pairs that the certificate proves, such as laguerre(-1, -1)'s
-        # with s_f = s_g = 1: no converse
+        # eigenfunctions of different eigenvalues vanishes, the router values the pair,
+        # certified_zero holds and the block's own value is an exact zero.  It is
+        # conservative (it asks p a's exponent at an end to be positive, or 0 with both
+        # functions vanishing there), so it refuses pairs that certified_zero proves, such as
+        # laguerre(-1, -1)'s with s_f = s_g = 1: no converse
         vanishing = beyond = 0
         for op, n in divisor_draw() + certificate_draw()[::4]:
             built = _form_and_pairs(op, n)
             if built is None:
                 continue
-            w, table, (rule, _, _), pairs = built
+            w, table, form, pairs = built
+            rule, _, classes = form
+            caps = [k for _, k in rule[1]]
             ids = [r.eigenvalue for r in table]
-            asked, _, zeros, _, _, own, blind = _certified(w, op, table, pairs)
-            certified = {pair for pair, zero in zip(asked, zeros) if zero}
-            own, blind = dict(zip(asked, own)), dict(zip(asked, blind))
+            own = dict(zip(pairs, form_answers(w, pair_of(op), form, pairs)))
             for m, k in pairs:
                 if m == k or ids[m] == ids[k]:
                     continue
+                rule_holds = certified_zero((ids[m], ids[k]), (classes[m], classes[k]), caps)
                 f, g = table[m].monic, table[k].monic
                 if boundary_vanishing(w, op.coeffs[2], (m, k), (f, g)).vanishes:
-                    assert (m, k) in certified, (op, m, k)
-                    assert _is_shared_zero(blind[m, k], rule) and own[m, k] == 0, (op, m, k)
+                    assert isinstance(own[m, k], tuple) and rule_holds, (op, m, k)
+                    assert _is_shared_zero(own[m, k][0], rule), (op, m, k)
                     vanishing += 1
-                elif (m, k) in certified:
+                elif rule_holds and isinstance(own[m, k], tuple):
+                    assert _is_shared_zero(own[m, k][0], rule), (op, m, k)
                     beyond += 1
         assert vanishing > 1500 and beyond > 700
 
     @pytest.mark.parametrize("divided", [False, True])
     def test_equal_eigenvalues_and_gaps_reach_the_block(self, divided):
-        # x^j + x^(j-1) are no eigenfunctions, so a certified entry shows itself.  With ids
-        # (degree 4 repeats degree 2's eigenvalue, degree 6 degree 5's): an off-diagonal of
-        # two ids is the shared zero where the boundary term vanishes, and a diagonal whose
-        # class's lower labels fill its reduced degrees with other ids is <f~_k, x^d>; equal
-        # ids and every other diagonal take the block.  Undivided: Legendre's weight, one
-        # class.  Divided: |x - 1|^-2 on (0, 1), a divisor (1, 2), with root orders s = 0 at
-        # degree 0, 2 at degree 4 and 1 elsewhere, so that key 0 with s_f != s_g (degree 0
-        # against 4) takes the block, key 0 with s_f == s_g and key 1 are certified, degree
-        # 4's diagonal lies above a gap in its class, and degree 4 leaves a gap below 5 and 6
+        # x^j + x^(j-1) are no eigenfunctions, so a value the router took from anything but
+        # the block's rows shows itself.  Handed ids as eigenvalues (degree 4 repeats degree
+        # 2's, degree 6 degree 5's), the router asks the block every integrable pair, those
+        # that certified_zero passes among them, and returns its value on each.  Undivided:
+        # Legendre's weight, one class.  Divided: |x - 1|^-2 on (0, 1), a divisor (1, 2),
+        # with root orders s = 0 at degree 0, 2 at degree 4 and 1 elsewhere, so that key 0
+        # with s_f != s_g (degree 0 against 4) fails the rule, key 0 with s_f == s_g and key 1
+        # pass it, degree 4's diagonal lies above a gap in its class, and degree 4 leaves a
+        # gap below 5 and 6
         ids = [0, 1, 2, 3, 2, 4, 4]
         if divided:
             pearson = P(0, -1, 1), P(-1)  # x (x - 1) D^2 - D: |x - 1|^-2 on (0, 1)
-            w, orders, direct = derive_weight(*pearson), [0, 1, 1, 1, 2, 1, 1], {1, 2, 3}
+            w, orders = derive_weight(*pearson), [0, 1, 1, 1, 2, 1, 1]
         else:
             pearson = pair_of(FamilySpec.jacobi(-1, -2, 0))
-            w, orders, direct = LEGENDRE_W, [0] * 7, {0, 1, 2, 3, 5}
+            w, orders = LEGENDRE_W, [0] * 7
         base = {  # (x - 1)^s (x^(j-s) + x^(j-s-1)), and (x - 1)^s at j = s
             j: P(-1, 1) ** s * (P(0, 1) ** (j - s) + (P(0, 1) ** (j - s - 1) if j > s else P()))
             for j, s in enumerate(orders)
         }
         form = router_form(w, pearson, base)
-        assert [len(c) - 1 for _, c in map(form[1].get, range(7))] == [
+        rule, reduced, classes = form
+        assert [len(c) - 1 for _, c in map(reduced.get, range(7))] == [
             j - s for j, s in enumerate(orders)
         ]
         pairs = [(m, k) for m in range(7) for k in range(m, 7)]
         want = dict(zip(pairs, form_answers(w, pearson, form, pairs)))
         # the router on the labels as an eigentable whose eigenvalues repeat as ids do
         routed = routed_block(w, pearson, list(base.values()), pairs, ids)
-        *_, asked, keys, zeros, routed_direct = routed
-        got = dict(zip(asked, zip(orthogonality._moment_block(*routed), keys)))
-        zeros = dict(zip(asked, zeros))
+        tol = orthogonality.DEFAULT_TOL
+        routes = orthogonality._route(w, pearson, list(base.values()), pairs, tol, ids)[1]
+        got = dict(zip(pairs, routes))
+        assert routed[4] == [pair for pair in pairs if isinstance(want[pair], tuple)]
         k_r = 2 if divided else 0
+        caps = [k for _, k in rule[1]]
+        passed = 0
         for (m, k), e in want.items():
             if isinstance(e, str):
-                assert orders[m] + orders[k] < k_r and (m, k) not in got, (m, k)
+                assert orders[m] + orders[k] < k_r and not got[m, k][2], (m, k)
                 continue
-            answer, key = got[m, k], e[1]
-            assert key == ((orders[m] + orders[k] - k_r,) if divided else ())
-            if m != k:
-                certified = ids[m] != ids[k] and (not key or key[0] >= 1 or orders[m] == orders[k])
-                # the block's entry is not 0, so a certificate shows itself
-                assert e[0] != 0 and zeros[m, k] == certified, (m, k)
-                if certified:
-                    assert answer == (0, key) and answer[0] is orthogonality._ZERO, (m, k)
-                else:
-                    assert answer == e, (m, k)
-                continue
-            d = m - orders[m]
-            dot = exact_value(w, base[m], P(-1, 1) ** orders[m] * Poly((0,) * d + (1,)))
-            assert (m in routed_direct) == (m in direct) and not zeros[m, m], m
-            if m in direct:
-                assert answer == (dot, key) and (dot != e[0]) == (d > 0), m
-            else:  # the block's entry, which the dot product would miss
-                assert answer == e and dot != e[0], m
+            assert e[1] == ((orders[m] + orders[k] - k_r,) if divided else ())
+            assert got[m, k][:3] == (e[0], "exact", True) and type(got[m, k][0]) is Fraction
+            # the block's entry is not 0 off the diagonal, so a certified zero would show
+            assert m == k or e[0] != 0, (m, k)
+            passed += m != k and certified_zero((ids[m], ids[k]), (classes[m], classes[k]), caps)
+        assert passed >= 10
 
 
 def romanovski_colliding(n, shift):
