@@ -6,10 +6,9 @@ generated ``__init__`` (positional-or-keyword parameters, each field written
 to the instance ``__dict__``, then ``__post_init__`` if the class defines
 it), compiled when the class makes its first instance; equality, hashing and
 repr work over the field values, as a frozen dataclass's do.  Assigning or
-deleting an attribute raises AttributeError; ``functools.cached_property``
-still works, because it writes the instance ``__dict__`` directly.  A
-``__post_init__`` may normalize a field the same way, writing the instance
-``__dict__`` once (DiffOperator stores its coefficients as a tuple of Polys).
+deleting an attribute raises AttributeError.  A ``__post_init__`` may
+normalize a field by writing the instance ``__dict__`` once (DiffOperator
+stores its coefficients as a tuple of Polys).
 Importing ``dataclasses`` (and ``inspect`` behind it) plus one ``exec`` of
 six methods per class cost a command-line call more start-up time than the
 rest of the package import.
@@ -34,12 +33,15 @@ read once more, by ``to_json``), so the dict writes win.  Compiling each
 ``import specpoly`` (medians of 15 imports from compiled bytecode).
 
 ``to_json`` is the one JSON format of the reports: an object with the
-annotated names (``_keys``) in order under their own names, where a record
+printed keys (``_keys``) in order under their own names, where a record
 becomes its own ``to_json()``, a tuple a list, a Fraction its exact ``"p/q"``
-string, and any other value passes through.  An annotated name whose class
-value is a ``property`` is a computed key: ``to_json`` prints it, but it is no
-field (``_fields``), so no ``__init__`` parameter, and equality, hashing and
-repr skip it.  A type whose JSON keys are not its annotated names overrides it.
+string, and any other value passes through.  An annotated name is a stored
+field (``_fields``: an ``__init__`` parameter, in equality, hashing and repr)
+and a printed key, but a name with a leading underscore is stored and not
+printed, and one whose class value is a ``property`` or a
+``functools.cached_property`` (computed once, on its first read, into the
+instance ``__dict__``) is a computed key, printed and not stored.  A type
+whose JSON keys are not its annotated names overrides ``to_json``.
 The tuple and Fraction tests are on the exact type (no field holds a subclass
 of either): ``isinstance(value, Fraction)`` would run
 ``ABCMeta.__instancecheck__`` on every float, int, string and None field.
@@ -48,6 +50,7 @@ of either): ``isinstance(value, Fraction)`` would run
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 
 class Record:
@@ -55,9 +58,10 @@ class Record:
     _keys: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._keys = keys = cls._keys + tuple(cls.__dict__.get("__annotations__", ()))
-        computed = {k for k in keys if isinstance(getattr(cls, k, None), property)}
-        cls._fields = fields = tuple(k for k in keys if k not in computed)
+        names, computed = cls.__dict__.get("__annotations__", ()), (property, cached_property)
+        cls._keys = cls._keys + tuple(k for k in names if not k.startswith("_"))
+        cls._fields = fields = cls._fields + tuple(
+            k for k in names if not isinstance(getattr(cls, k, None), computed))
         missing = object()
         defaults = [getattr(cls, f, missing) for f in fields]
         first = next((i for i, d in enumerate(defaults) if d is not missing), len(fields))

@@ -127,29 +127,32 @@ with no eigenfunction is integrable when no end divides and m + n is within
 the reach.  A zero f or g is an exact zero with no verdict read (0.0 on a
 moment shape).  The block, with each pair's key, Favard's recurrence in the
 certified regime, or the node sweep then values the integrable pairs only,
-finished: the router reads nothing back.  A Gram matrix makes one node sweep
-per weight (quadrature._product_sweep), with one evaluation per node: each
-node's abscissa, log p(x) and Jacobian are computed once and shared by all
-pending entries, each of which still stops on its own rule.  A Romanovski
-report is a view of the Romanovski Gram matrix: its verdicts map the Gram
-entries, and its eigenvalue collisions, the router's eigenvalues, always sit on
-the integrability boundary m + n + gamma + 1 = 0.  The weight (cached on the
-WeightExpr) and each eigenfunction are converted to floats once; a node
+finished: the router reads nothing back.  A Gram report stores the router's
+answer (OrthoReport._answer: in the regime, the diagonals and the refusals) and
+builds its entries, their relatives and its notes on first read.  A Gram matrix
+makes one node sweep per weight (quadrature._product_sweep), with one evaluation
+per node: each node's abscissa, log p(x) and Jacobian are computed once and
+shared by all pending entries, each of which still stops on its own rule.  A
+Romanovski report is a view of the Romanovski Gram matrix: its verdicts map the
+Gram entries, and its eigenvalue collisions, the router's eigenvalues, always
+sit on the integrability boundary m + n + gamma + 1 = 0.  The weight (cached on
+the WeightExpr) and each eigenfunction are converted to floats once; a node
 evaluates each eigenfunction once, to a sign and log p + log J + log|f(x)|, and
-an entry adds the other function's log|g(x)|, so f*g is never formed
-(quadrature floats may differ in their last digits from expanding it; exact
-entries do not).  Log space keeps weights with strong (but integrable)
-endpoint singularities from overflowing or losing endpoint distances; a root
-of an eigenfunction at a finite end where p's exponent is <= -1 is divided out
-and added back as a log of the exact endpoint distance.
+an entry adds the other function's log|g(x)|, so f*g is never formed (quadrature
+floats may differ in their last digits from expanding it; exact entries do not).
+Log space keeps weights with strong (but integrable) endpoint singularities from
+overflowing or losing endpoint distances; a root of an eigenfunction at a finite
+end where p's exponent is <= -1 is divided out and added back as a log of the
+exact endpoint distance.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from operator import add, mul, sub
 
 from ._record import Record
@@ -358,18 +361,16 @@ def _moment_block(
 
 
 def _favard_values(
-    weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple,
-    pairs: Sequence[tuple[int, int]],
+    weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, degrees: Sequence[int]
 ) -> list[Fraction | float]:
-    """The finished value per pair (m, n) in pairs in the certified regime (module docstring):
-    the shared Fraction(0) off the diagonal, and on it (k, k), Favard's
-    G_kk = G_00 gamma_1 ... gamma_k, with G_00 and the finish the moment block's own (_m_0,
-    _finish).  At the divisions (r, k_r) it runs on the shifted pair (a, b + sum 2 k_r
-    a/(x - r)) from G_00 at orders 2 k_r, and degree d is its degree d - sum k_r.  The gammas
-    are the module docstring's, in ints: c_k = P/Q and d_k = R/(Q E) with
-    Q = lambda_k - lambda_(k-1) and E = lambda_k - lambda_(k-2), so gamma_(k-1) is a ratio
-    over q^2 Q e E with (p, q, r, e) those of k - 1, and one gcd per degree reduces the
-    running product."""
+    """The finished diagonal per degree k in degrees in the certified regime (module
+    docstring): Favard's G_kk = G_00 gamma_1 ... gamma_k, with G_00 and the finish the moment
+    block's own (_m_0, _finish).  At the divisions (r, k_r) it runs on the shifted pair
+    (a, b + sum 2 k_r a/(x - r)) from G_00 at orders 2 k_r, and degree d is its degree
+    d - sum k_r.  The gammas are the module docstring's, in ints: c_k = P/Q and
+    d_k = R/(Q E) with Q = lambda_k - lambda_(k-1) and E = lambda_k - lambda_(k-2), so
+    gamma_(k-1) is a ratio over q^2 Q e E with (p, q, r, e) those of k - 1, and one gcd per
+    degree reduces the running product."""
     route, divisions, _, exponents = rule
     a0, a1, a2, b0, b1 = _pair_ints(pearson)
     for r, k in divisions:  # a/(x - r) = q a/(q x - p), as in the block
@@ -378,7 +379,7 @@ def _favard_values(
     orders = [-2 * int(e) if e <= -1 else 0 for e in exponents]  # E_r = -k_r at a division
     shift = sum(orders) // 2
     num, den, m_0 = _m_0(weight, route, exponents, orders)
-    top = max((m for m, n in pairs if m == n), default=shift) - shift
+    top = max(degrees, default=shift) - shift
     norms = [(num, den)]  # G_kk / m_0 on the moment route
     p, q, r, e = b0, b1, 0, 1  # p_1 = x + b0/b1, d_1 = 0
     for k in range(2, top + 2):
@@ -391,8 +392,7 @@ def _favard_values(
         g = math.gcd(g_num, g_den)
         norms.append((g_num // g, g_den // g))
         p, q, r, e = P, Q, R, E
-    values = [_ZERO if m != n or not norms[m - shift][0] else Fraction(*norms[m - shift])
-              for m, n in pairs]
+    values = [Fraction(*norms[k - shift]) if norms[k - shift][0] else _ZERO for k in degrees]
     return values if route == "exact" else _finish(weight, values, [m_0] * len(values))
 
 
@@ -531,49 +531,58 @@ def _route(
     weight: WeightExpr,
     pearson: tuple[Poly, Poly],
     funcs: Sequence[Poly | None] | Callable[[], Sequence[Poly | None]],
-    pairs: Sequence[tuple[int, int]],
+    degrees: Sequence[int],
     tol: float,
     eigenvalues: Sequence[Fraction | int] | None = None,
-) -> tuple[str | None, list[tuple]]:
-    """(route, answers): the weight's route (_classify's) and (value, method, integrable,
-    err_est, note) per index pair (i, j) into funcs, by the routes of the module docstring.
+    pairs: Sequence[tuple[int, int]] | None = None,
+) -> tuple[str | None, dict[tuple[int, int], tuple], tuple | None]:
+    """(route, answers, certified): the weight's route (_classify's) and the router's answer
+    (value, method, integrable, err_est, note), by the routes of the module docstring, per
+    index pair (i, j) into funcs of pairs, else of the Gram triangle over degrees (each m with
+    each n from m on): answers maps a pair to its own, and certified is every other pair's.
     The router makes every decision, once: it classifies the weight once, judges each class
-    pair once (its key) and each pair's degree against the reach.  The moment block (on the
-    Pearson pair pearson), Favard's recurrence or the node sweep then values only the
-    integrable pairs, and the router maps their values to answers.  funcs[d] is None where
-    degree d has no eigenfunction; such a pair has no value and its degree's verdict.  funcs
-    may be a zero-argument callable that returns them, called at most once and only where
-    they are read.  eigenvalues, when given, makes funcs an eigentable of the weight's
-    operator (funcs[d] the monic eigenfunction of degree d, of eigenvalue eigenvalues[d],
-    exact, in one scale and shift), and serves the regime's test alone: on a block route,
-    where they reach one degree past the pairs' highest, pairwise distinct, every division
-    (r, k_r) has E_r = -k_r and no pair reaches below K = sum k_r, the pairs are in the
-    certified regime (module docstring): every degree from K has one monic eigenfunction,
-    of class (k_r) by the indicial law, and the router reads none.  Outside it the block
-    values every integrable pair from its rows."""
+    pair once (its key) and each pair's degree against the reach; the moment block (on the
+    Pearson pair pearson), Favard's recurrence or the node sweep values the integrable pairs.
+    funcs[d] is None where degree d has no eigenfunction; such a pair has no value and its
+    degree's verdict.  funcs may be a zero-argument callable that returns them, called at
+    most once and only where they are read.  eigenvalues, with the triangle, makes funcs an
+    eigentable of the weight's operator (funcs[d] the monic eigenfunction of degree d, of
+    eigenvalue eigenvalues[d], exact, in one scale and shift) and serves the regime's test
+    alone: on a block route, where they reach one degree past the highest, pairwise
+    distinct, every division (r, k_r) has E_r = -k_r and no degree is below K = sum k_r, the
+    triangle is in the certified regime (module docstring).  Each degree then has one monic
+    eigenfunction, of class (k_r) by the indicial law: the router reads none and visits no
+    pair, answers holds Favard's diagonals and the refusals past the reach, and certified is
+    the certified zero.  Outside it the block values every integrable pair from its rows and
+    answers holds every pair (certified None)."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     route, divisions, reach, exponents = rule = _classify(weight)
     moment = route in ("romanovski", "laguerre")
     block_route = moment or route == "exact"
     caps = tuple(k for _, k in divisions)
-    # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the pairs'
-    top = max(map(max, pairs), default=-1)
-    regime = (block_route and eigenvalues is not None
-              and len(set(eigenvalues)) == len(eigenvalues) > top + 1)
+    method = "moment" if moment else "exact"
+    zero = (0.0 if moment else _ZERO, method, True, None, None)
+    refused = (None, None, False, None, "non-integrable")
+    # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the highest
+    regime = (pairs is None and block_route and eigenvalues is not None
+              and len(set(eigenvalues)) == len(eigenvalues) > max(degrees, default=-1) + 1)
     if regime and divisions:  # the indicial law: each division's E_r is -k_r, none below K
         regime = (all(e > -1 or e.denominator == 1 for e in exponents)
-                  and min(map(min, pairs), default=math.inf) >= sum(caps))
-    if regime:  # each degree to top has one monic eigenfunction, of class caps from sum(caps)
-        classes, degree = dict.fromkeys(range(sum(caps), top + 1), caps), range(top + 1)
-    else:
-        funcs = funcs() if callable(funcs) else funcs
-        known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
-        degree = {i: len(f.nums) - 1 for i, f in known.items()}
-        classes, reduced = _reduce(known, divisions)
-    bounded = reach < math.inf  # the Romanovski power law, or -1 on a growing half line
-    zero = (0.0, "moment", True, None, None) if moment else (_ZERO, "exact", True, None, None)
-    refused = (None, None, False, None, "non-integrable")
+                  and min(degrees, default=math.inf) >= sum(caps))
+    if regime:  # each degree has one monic eigenfunction, of class caps, and each key is caps
+        answers = {} if reach == math.inf else {  # the Romanovski power law, or -1 on a half line
+            pair: refused for pair in combinations_with_replacement(degrees, 2) if sum(pair) > reach}
+        inside = [m for m in degrees if 2 * m <= reach]
+        if inside:
+            values = _favard_values(weight, pearson, rule, inside)
+            answers.update(((m, m), (v, method, True, None, None)) for m, v in zip(inside, values))
+        return route, answers, zero
+    funcs = funcs() if callable(funcs) else funcs
+    known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
+    degree = {i: len(f.nums) - 1 for i, f in known.items()}
+    classes, reduced = _reduce(known, divisions)
+    pairs = list(combinations_with_replacement(degrees, 2)) if pairs is None else pairs
     routes: list = [None] * len(pairs)
     verdicts: dict = {}  # class pair -> key, False where a part is negative
     asked, keys = [], []  # the integrable pairs, valued below, and their keys
@@ -584,7 +593,7 @@ def _route(
             if key is None:  # the class pair's one verdict: a negative part refuses it
                 key = tuple(map(sub, map(add, *both), caps))
                 key = verdicts[both] = key if min(key, default=0) >= 0 else False
-            if key is False or bounded and degree[i] + degree[j] > reach:
+            if key is False or degree[i] + degree[j] > reach:
                 routes[k] = refused
             else:
                 asked.append(k)
@@ -594,23 +603,17 @@ def _route(
                          "no degree-exact eigenfunction")
         else:  # f or g is zero
             routes[k] = zero
-    if not asked:
-        return route, routes
-    if not block_route:  # quadrature, on one node sweep
+    if asked and not block_route:  # quadrature, on one node sweep
         slot = {d: s for s, d in enumerate(sorted({d for k in asked for d in pairs[k]}))}
         swept = [(slot[i], slot[j]) for i, j in (pairs[k] for k in asked)]
         results = _numeric_quad(weight, route, [funcs[d] for d in slot], swept, tol)
         for k, res in zip(asked, results):
             routes[k] = (res.value, "quadrature", True, res.err_est, None)
-        return route, routes
-    method = "moment" if moment else "exact"
-    if regime:  # every asked off-diagonal is a certified zero, and every diagonal Favard's
-        values = _favard_values(weight, pearson, rule, [pairs[k] for k in asked])
-    else:
+    elif asked:
         values = _moment_block(weight, pearson, rule, reduced, [pairs[k] for k in asked], keys)
-    for k, value in zip(asked, values):
-        routes[k] = (value, method, True, None, None)
-    return route, routes
+        for k, value in zip(asked, values):
+            routes[k] = (value, method, True, None, None)
+    return route, dict(zip(pairs, routes)), None
 
 
 def inner_product(
@@ -623,7 +626,8 @@ def inner_product(
     and NoConvergence when the quadrature's level budget runs out.
     """
     pearson = weight.pearson_pair()  # the one caller with no operator
-    value, method, integrable, err_est, _ = _route(weight, pearson, [f, g], [(0, 1)], tol)[1][0]
+    answers = _route(weight, pearson, [f, g], (0, 1), tol, pairs=[(0, 1)])[1]
+    value, method, integrable, err_est, _ = answers[0, 1]
     if not integrable:
         raise NonIntegrable(
             f"p f g of degree {f.degree + g.degree} is not integrable on {weight.interval.describe()}"
@@ -646,23 +650,66 @@ class GramEntry(Record):
     note: str | None = None
 
 
+def _entries(report: OrthoReport) -> Iterator[GramEntry]:
+    """OrthoReport.entries: the Gram entry per pair of the report's degrees, in the router's
+    triangle order, from the router's compact answer it stores (_route, _gram_for).  An
+    off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive,
+    from exact values past a float's range; else 0.0 where its value is 0 (noted "relative
+    uses moment scale" on the Romanovski shape, where each is an exact zero); else None."""
+    _, route, certified, answers = report._answer
+    answers, degrees = dict(answers), report.degrees
+    # 0.0 where the norm has no value; an exact norm past a float's range stays exact
+    diag = {m: _float_in_range(answers[m, m][0] or 0) for m in degrees}
+    for m, n in combinations_with_replacement(degrees, 2):
+        value, method, ok, err_est, note = answers.get((m, n), certified)
+        rel = None
+        if m != n and value is not None:
+            if diag[m] > 0 and diag[n] > 0:
+                try:  # from the exact values where a float product overflows or underflows
+                    rel = 0.0 if value is _ZERO else abs(float(value)) / math.sqrt(diag[m] * diag[n])
+                except (OverflowError, ZeroDivisionError):
+                    rel = math.sqrt(Fraction(value) ** 2 / (Fraction(diag[m]) * Fraction(diag[n])))
+            elif not value:
+                rel = 0.0
+                if route == "romanovski":
+                    note = "relative uses moment scale"
+        yield GramEntry(m, n, value, method, ok, err_est, rel, note)
+
+
+def _report_notes(report: OrthoReport) -> tuple[str, ...]:
+    """OrthoReport.notes: its stored notes, then the nonzero off-diagonal entries without a
+    relative and those whose relative is above the router's tol, where there are any."""
+    tol, notes = report._answer[0], report._notes
+    rels = [e.relative for e in report.entries if e.m != e.n and e.value]
+    if None in rels:
+        notes += ("nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
+                  f"which the max relative skips: {rels.count(None)}",)
+    above = [rel for rel in rels if rel is not None and rel > tol]
+    if above:
+        notes += (f"off-diagonal entries with relative above tol {tol:g}: {len(above)}, "
+                  f"max {max(above):.3e}",)
+    return notes
+
+
 class OrthoReport(Record):
     family: str
     max_degree: int = property(lambda self: max(self.degrees, default=0))
     degrees: tuple[int, ...]
     weight: str
     interval: str
-    entries: tuple[GramEntry, ...]
+    _answer: tuple  # (tol, route, certified, ((m, n), answer) pairs): _gram_for's _route call
+    entries: tuple[GramEntry, ...] = cached_property(lambda self: tuple(_entries(self)))
     off_diagonal_max_relative: float | None = property(lambda self: max(
         (e.relative for e in self.entries if e.m != e.n and e.relative is not None), default=None))
-    notes: tuple[str, ...] = ()
+    _notes: tuple[str, ...] = ()
+    notes: tuple[str, ...] = cached_property(_report_notes)
 
     def entry(self, m: int, n: int) -> GramEntry:
-        a, b = min(m, n), max(m, n)
-        for e in self.entries:
-            if e.m == a and e.n == b:
-                return e
-        raise KeyError(f"no gram entry ({m}, {n})")
+        """Entry (m, n) or (n, m), by position: entries holds each degrees[i] with degrees[i:]."""
+        if m not in self.degrees or n not in self.degrees:
+            raise KeyError(f"no gram entry ({m}, {n})")
+        i, j = sorted(map(self.degrees.index, (m, n)))
+        return self.entries[i * len(self.degrees) - i * (i - 1) // 2 + j - i]
 
     def format_table(self) -> str:
         lines = [
@@ -724,55 +771,19 @@ def _gram_for(
     tol: float = DEFAULT_TOL,
     notes: tuple[str, ...] = (),
 ) -> OrthoReport:
-    """The Gram entries over degrees of an operator's eigenfunctions, on its Pearson pair, with
+    """The Gram report over degrees of an operator's eigenfunctions, on its Pearson pair, with
     eigenvalues[d] the eigenvalue of degree d (_eigenvalues') and table() its eigentable (by
-    degree), which the router calls only outside the certified regime.  An off-diagonal's
-    relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive, from exact values
-    past a float's range; else 0.0 where its value is 0 (noted "relative uses moment scale" on
-    the Romanovski shape, where each is an exact zero); else None.  gram_matrix is its one
-    library caller; it takes eigenvalues and table apart only so that a test can hand it a
-    table of polynomials that are no eigenfunctions."""
-    pairs = [(m, n) for i, m in enumerate(degrees) for n in degrees[i:]]
+    degree), which the router calls only outside the certified regime.  The report stores the
+    router's compact answer and builds its entries, and the notes that read their relatives,
+    on first read (_entries, _notes): in the regime no pair is visited until then.
+    gram_matrix is its one library caller; it takes eigenvalues and table apart only so that
+    a test can hand it a table of polynomials that are no eigenfunctions."""
     shown = set(degrees)  # _route reads no other eigenfunction
     funcs = lambda: [r.monic if d in shown else None for d, r in enumerate(table())]
-    route, routes = _route(weight, pearson, funcs, pairs, tol, eigenvalues)
-    # 0.0 where the norm has no value; an exact norm past a float's range stays exact
-    diag = {m: _float_in_range(route[0] or 0) for (m, n), route in zip(pairs, routes) if m == n}
-    romanovski = route == "romanovski"
-    entries: list[GramEntry] = []
-    unscaled, above = 0, []
-    for (m, n), (value, method, ok, err_est, note) in zip(pairs, routes):
-        rel = None
-        if m != n and value is not None:
-            if diag[m] > 0 and diag[n] > 0:
-                try:  # from the exact values where a float product overflows or underflows
-                    rel = 0.0 if value is _ZERO else abs(float(value)) / math.sqrt(diag[m] * diag[n])
-                except (OverflowError, ZeroDivisionError):
-                    rel = math.sqrt(Fraction(value) ** 2 / (Fraction(diag[m]) * Fraction(diag[n])))
-            elif not value:
-                rel = 0.0
-                if romanovski:
-                    note = "relative uses moment scale"
-            if rel is None:
-                unscaled += 1
-            elif rel > tol:
-                above.append(rel)
-        entries.append(GramEntry(m, n, value, method, ok, err_est, rel, note))
-    if unscaled:
-        notes += ("nonzero off-diagonal entries without a scale (a diagonal norm diverges), "
-                  f"which the max relative skips: {unscaled}",)
-    if above:
-        notes += (f"off-diagonal entries with relative above tol {tol:g}: {len(above)}, "
-                  f"max {max(above):.3e}",)
-
-    return OrthoReport(
-        family=family_label,
-        degrees=tuple(degrees),
-        weight=weight.formula(),
-        interval=weight.interval.describe(),
-        entries=tuple(entries),
-        notes=notes,
-    )
+    route, answers, certified = _route(weight, pearson, funcs, degrees, tol, eigenvalues)
+    answer = (tol, route, certified, tuple(answers.items()))
+    return OrthoReport(family_label, tuple(degrees), weight.formula(), weight.interval.describe(),
+                       answer, notes)
 
 
 def gram_matrix(

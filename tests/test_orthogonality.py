@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import math
 import random
 import re
@@ -105,6 +107,18 @@ def form_answers(w, pearson, form, pairs):
     return [answers[pair] for pair in pairs]
 
 
+def route_pairs(w, pearson, funcs, pairs, tol, eigenvalues=None):
+    """(route, answers): the router's answer per pair (m, n), m <= n, of pairs, read off its
+    compact answer.  Handed eigenvalues, the router answers the Gram triangle over the pairs'
+    degrees, where the certified regime can hold; else it answers the pairs alone."""
+    degrees = sorted({d for pair in pairs for d in pair})
+    alone = pairs if eigenvalues is None else None
+    route, answers, certified = orthogonality._route(w, pearson, funcs, degrees, tol, eigenvalues,
+                                                     alone)
+    assert certified is None or eigenvalues is not None
+    return route, [answers.get(pair, certified) for pair in pairs]
+
+
 def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
     """The arguments of the one call the router makes to _moment_block for pairs (i, j) into
     funcs (an eigentable of eigenvalues, when given): (weight, pearson, rule, reduced, asked,
@@ -119,7 +133,7 @@ def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orthogonality, "_moment_block", spy)
         tol = orthogonality.DEFAULT_TOL
-        routes = orthogonality._route(w, pearson, funcs, pairs, tol, eigenvalues)[1]
+        routes = route_pairs(w, pearson, funcs, pairs, tol, eigenvalues)[1]
     assert len(calls) <= 1
     if not calls:
         return None
@@ -709,7 +723,7 @@ class TestRouter:
                 inner_product(w, f, g)
         assert inner_product(w, Poly(), P(1)) == (0.0, "moment", None)
         pairs = [(0, 0), (0, 1), (1, 1)]
-        routes = orthogonality._route(w, w.pearson_pair(), [None, P(0, 1)], pairs, 1e-10)[1]
+        routes = route_pairs(w, w.pearson_pair(), [None, P(0, 1)], pairs, 1e-10)[1]
         assert [route[2] for route in routes] == [False, False, False]
 
     # spec, n_max, the routes its pairs take, whether some pair is non-integrable
@@ -914,18 +928,23 @@ class TestGramMatrix:
         assert "  0   3          - no degree-exact eigenfunction" in report.format_table()
 
     def test_table_rows_as_wide_as_the_header(self):
-        entries = (
-            GramEntry(0, 0, Fraction(2), "exact", True),
-            GramEntry(0, 1, 1.5, "quadrature", True, 1e-12, 0.25),
-            GramEntry(0, 2, None, None, True, note="no degree-exact eigenfunction"),
-            GramEntry(1, 1, Fraction(2**90, 3**40), "exact", True),
-            GramEntry(1, 2, None, None, False, note="non-integrable"),
-        )
-        report = OrthoReport("custom", (0, 1, 2), "1", "(-1, 1)", entries)
+        # a report built by hand from a compact answer: its 2^90/3^40 diagonal is the widest
+        # cell, and (0, 1)'s relative is 1.5 / sqrt(2 * 18)
+        answers = {
+            (0, 0): (Fraction(2), "exact", True, None, None),
+            (0, 1): (1.5, "quadrature", True, 1e-12, None),
+            (0, 2): (None, None, True, None, "no degree-exact eigenfunction"),
+            (1, 1): (Fraction(18), "exact", True, None, None),
+            (1, 2): (None, None, False, None, "non-integrable"),
+            (2, 2): (Fraction(2**90, 3**40), "exact", True, None, None),
+        }
+        answer = (1e-10, "finite", None, tuple(answers.items()))
+        report = OrthoReport("custom", (0, 1, 2), "1", "(-1, 1)", answer)
+        assert [(e.m, e.n) for e in report.entries] == list(answers)
         lines = report.format_table().splitlines()
         header = lines.index(next(line for line in lines if line.lstrip().startswith("m ")))
-        rows = lines[header + 2 : header + 2 + len(entries)]
-        assert len(rows) == len(entries)
+        rows = lines[header + 2 : header + 2 + len(answers)]
+        assert len(rows) == len(answers)
         assert {len(row) for row in rows} == {len(lines[header])}
         assert rows[1].endswith(" 1.500e+00    2.500e-01")
         assert lines[-1] == "max off-diagonal relative entry: 2.500e-01"
@@ -962,7 +981,7 @@ class TestGramMatrix:
         operands, mul = [], Poly.__mul__
         monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append((a, b)) or mul(a, b))
         pairs = list(combinations_with_replacement(range(9), 2))
-        routes = orthogonality._route(weight, pearson, funcs, pairs, 1e-10)[1]
+        routes = route_pairs(weight, pearson, funcs, pairs, 1e-10)[1]
         assert [pair for pair, route in zip(pairs, routes) if not route[2]] == [(0, 0)]
         assert operands == []
 
@@ -2004,7 +2023,7 @@ def _router_values(w, op, table, pairs):
     certified zeros."""
     tol = orthogonality.DEFAULT_TOL
     funcs, eigenvalues = [r.monic for r in table], [r.eigenvalue for r in table]
-    routes = orthogonality._route(w, pair_of(op), funcs, pairs, tol, eigenvalues)[1]
+    routes = route_pairs(w, pair_of(op), funcs, pairs, tol, eigenvalues)[1]
     return {pair: route[0] for pair, route in zip(pairs, routes) if route[2]}
 
 
@@ -2067,7 +2086,7 @@ class TestCertifiedEntries:
                 gram_pairs = [(e.m, e.n) for e in gram.entries]
                 funcs = [r.monic for r in table]
                 tol = orthogonality.DEFAULT_TOL
-                routes = orthogonality._route(w, pair_of(op), funcs, gram_pairs, tol)[1]
+                routes = route_pairs(w, pair_of(op), funcs, gram_pairs, tol)[1]
                 for e, route in zip(gram.entries, routes):
                     assert (e.value, e.method, e.integrable) == route[:3], (op, e.m, e.n)
                     assert e.value is None or type(e.value) is type(route[0])
@@ -2137,7 +2156,7 @@ class TestCertifiedEntries:
         # the router on the labels as an eigentable whose eigenvalues repeat as ids do
         routed = routed_block(w, pearson, list(base.values()), pairs, ids)
         tol = orthogonality.DEFAULT_TOL
-        routes = orthogonality._route(w, pearson, list(base.values()), pairs, tol, ids)[1]
+        routes = route_pairs(w, pearson, list(base.values()), pairs, tol, ids)[1]
         got = dict(zip(pairs, routes))
         assert routed[4] == [pair for pair in pairs if isinstance(want[pair], tuple)]
         k_r = 2 if divided else 0
@@ -2161,6 +2180,15 @@ def romanovski_colliding(n, shift):
     repeats lambda_n (shift 1, the diagonal (n, n) inside the reach) or lambda_(n-1)
     (shift 0, (n, n) just past it)."""
     return DiffOperator([Poly(), P(Fraction(1, 3), 1 - 2 * n - shift), P(1, 0, 1)])
+
+
+# the to_json sha256 of gram_matrix(legendre, 20) and gram_matrix(chaudhry-qadir, 10), as
+# printed by a report that builds every entry with itself
+REGIME_SHA256 = {
+    "jacobi(eps=-1, alpha=-2, beta=0)":
+        "ed3e84872c848ec521a80797c21a45776419353810f66a12e2abba4ec6c1df64",
+    "chaudhry-qadir": "2f5295918c150df8aac89a21094e45bf591b4f7031c3a943f550afac3c3be1f2",
+}
 
 
 class TestCertifiedRegime:
@@ -2192,7 +2220,7 @@ class TestCertifiedRegime:
         degrees = range(1 if source == CQ_SPEC else 0, n + 1)
         funcs = [r.monic if d in degrees else None for d, r in enumerate(eigentable(op, n))]
         pairs = [(m, k) for i, m in enumerate(degrees) for k in degrees[i:]]
-        uncertified = orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL)[1]
+        uncertified = route_pairs(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL)[1]
         eigenvalues = orthogonality._eigenvalues(pearson, n)
         divisions = _classify(w)[1]
         indicial = all(w.power_exponent_at(r) == -k for r, k in divisions)
@@ -2233,6 +2261,28 @@ class TestCertifiedRegime:
         with pytest.raises(ValueError, match=r"^a moment entry on exp\(-x\) overflows a float$"):
             gram_matrix(DiffOperator([Poly(), P(-799, -1), P(800, 1)]), 3)
 
+    @pytest.mark.parametrize("source, n, count, answered", [
+        (FamilySpec.jacobi(-1, -2, 0), 20, 231, 21),
+        (CQ_SPEC, 10, 55, 10),
+        # reach 7 (m + n + gamma + 1 < 0, gamma = -17/2): 29 of the 45 off-diagonals are past it
+        (FamilySpec.romanovski(Fraction(-13, 2), 1), 9, 55, 10 + 29),
+    ], ids=["legendre", "chaudhry-qadir", "romanovski"])
+    def test_regime_builds_no_entry_until_one_is_read(self, monkeypatch, source, n, count,
+                                                       answered):
+        # in the certified regime gram_matrix stores the router's compact answer (the
+        # diagonals and the refusals past the reach) and constructs no GramEntry; the first
+        # read of entries constructs them all, once, and the JSON is REGIME_SHA256's
+        GramEntry(0, 0, None, None, False)  # the compiled __init__, which the spy wraps
+        built, init = [], GramEntry.__init__
+        monkeypatch.setattr(GramEntry, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        report = gram_matrix(source, n)
+        assert built == [] and report._answer[2] is not None and len(report._answer[3]) == answered
+        entries = report.entries
+        assert len(built) == len(entries) == count
+        assert report.entries is entries and report.to_json()["entries"] and len(built) == count
+        digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+        assert digest == REGIME_SHA256.get(report.family, digest)
+
 
 def divided_draw():
     """Seeded operators whose weights have a division, each with a degree: the Laguerre shape
@@ -2265,7 +2315,7 @@ def _answers(w, pearson, funcs, pairs, eigenvalues=None):
     """The router's (value, method, integrable) per pair, each value's type, and the
     refusal's text in place of them all where the router raises a ValueError."""
     try:
-        routes = orthogonality._route(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL,
+        routes = route_pairs(w, pearson, funcs, pairs, orthogonality.DEFAULT_TOL,
                                       eigenvalues)[1]
     except ValueError as refusal:
         return str(refusal)
@@ -2605,7 +2655,7 @@ class TestIntegrabilityRule:
         verdicts, shapes = Counter(), Counter()
         for w, funcs in hand_built_draw():
             pairs = list(combinations_with_replacement(range(len(funcs)), 2))
-            route, routes = orthogonality._route(w, w.pearson_pair(), funcs, pairs, 1e-10)
+            route, routes = route_pairs(w, w.pearson_pair(), funcs, pairs, 1e-10)
             shapes[route] += 1
             for (i, j), route in zip(pairs, routes):
                 f, g = funcs[i], funcs[j]
@@ -2678,6 +2728,27 @@ class TestRefusals:
             with pytest.raises(KeyError, match=rf"no gram entry \({m}, {n}\)"):
                 report.entry(m, n)
 
+    @pytest.mark.parametrize("source, n", [
+        (FamilySpec.jacobi(-1, -2, 0), 8),  # legendre
+        (CQ_SPEC, 6),  # degrees from 1
+        (FamilySpec.romanovski(Fraction(-13, 2), 1), 9),  # pairs refused past the reach
+        (FamilySpec.romanovski(-3, Fraction(1, 2)), 4),  # a collision: no eigenfunction at 3
+    ], ids=["legendre", "chaudhry-qadir", "romanovski", "romanovski-collision"])
+    def test_entry_indexes_by_position(self, source, n):
+        # entry(m, n) reads its entry by the pair's position among the degrees, as a scan of
+        # entries finds it, in either order
+        report = gram_matrix(source, n)
+        assert any(not e.integrable for e in report.entries) == ("romanovski" in report.family)
+        scanned = {(e.m, e.n): e for e in report.entries}
+        assert len(scanned) == len(report.entries)
+        for m in range(-1, n + 2):
+            for k in range(-1, n + 2):
+                key = (min(m, k), max(m, k))
+                if key in scanned:
+                    assert report.entry(m, k) is scanned[key], (m, k)
+                else:
+                    with pytest.raises(KeyError, match=rf"^'no gram entry \({m}, {k}\)'$"):
+                        report.entry(m, k)
 
 def no_route_draw():
     """Seeded second-order operators whose derived weight has no route: c (x - r) D^2 + b0 D,

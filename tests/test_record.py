@@ -134,6 +134,19 @@ class Pair(Record):
     b: object = None
 
 
+class Hidden(Record):
+    a: object
+    _b: object = None
+
+
+DOUBLED = []  # each Doubled.twice computed, by its a
+
+
+class Doubled(Record):
+    a: int
+    twice: int = functools.cached_property(lambda self: DOUBLED.append(self.a) or 2 * self.a)
+
+
 class TestToJson:
     def test_fields_in_order_under_their_names(self):
         entry = GramEntry(0, 2, Fraction(-4, 45), "exact", True)
@@ -156,6 +169,32 @@ class TestToJson:
             "a": {"a": "1/2", "b": None}, "b": [{"a": "1/2", "b": None}]}
         weight = chebyshev1_weight()  # WeightExpr keeps its own keys
         assert Pair(weight).to_json()["a"] == weight.to_json()
+
+    def test_underscore_field_is_stored_not_printed(self):
+        # a stored field that to_json leaves out: an __init__ parameter, in ==, hash and repr
+        assert Hidden._fields == ("a", "_b") and Hidden._keys == ("a",)
+        hidden = Hidden(1, _b=2)
+        assert hidden.to_json() == {"a": 1} and Hidden(1, 3).to_json() == hidden.to_json()
+        assert hidden == Hidden(1, 2) and hash(hidden) == hash(Hidden(a=1, _b=2))
+        assert hidden != Hidden(1, 3) and hidden != Hidden(1)
+        assert repr(hidden) == "Hidden(a=1, _b=2)"
+        with pytest.raises(AttributeError):
+            hidden._b = 3
+
+    def test_cached_property_is_a_computed_key(self):
+        # printed, computed once on its first read, left out of ==, hash and repr, and no field
+        assert Doubled._fields == ("a",) and Doubled._keys == ("a", "twice")
+        DOUBLED.clear()
+        doubled, fresh = Doubled(3), Doubled(3)
+        assert "twice" not in vars(doubled) and DOUBLED == []
+        assert doubled.to_json() == {"a": 3, "twice": 6} and doubled.twice == 6
+        assert DOUBLED == [3] and vars(doubled)["twice"] == 6
+        assert doubled == fresh and hash(doubled) == hash(fresh) and repr(doubled) == repr(fresh)
+        assert "twice" not in repr(doubled)
+        with pytest.raises(TypeError):
+            Doubled(3, twice=6)
+        with pytest.raises(AttributeError):
+            doubled.twice = 7
 
     def test_other_values_pass_through(self):
         data = Pair(None, (0.25, True, False, "x", 3)).to_json()
@@ -221,7 +260,8 @@ CACHED = [
     (cls, name) for cls in RECORDS for name, v in vars(cls).items()
     if isinstance(v, functools.cached_property)
 ]
-# the annotated names whose class value is a property: printed by to_json, stored nowhere
+# the annotated names whose class value is a property or a cached_property: printed by
+# to_json, and no field
 COMPUTED = [(cls, name) for cls in RECORDS for name in cls._keys if name not in cls._fields]
 
 
@@ -234,7 +274,8 @@ def test_every_record_class_has_a_sample():
     assert {cls for cls in RECORDS if hasattr(cls, "__post_init__")} == set(REFUSALS)
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [
-        (OperatorMatrix, "entries"), (WeightExpr, "_float_form"), (WeightExpr, "_pearson"),
+        (OperatorMatrix, "entries"), (OrthoReport, "entries"), (OrthoReport, "notes"),
+        (WeightExpr, "_float_form"), (WeightExpr, "_pearson"),
     ]
 
 
@@ -244,7 +285,9 @@ def test_stored_state_and_computed_keys():
     assert COMPUTED == [
         (OperatorMatrix, "n"),
         (OrthoReport, "max_degree"),
+        (OrthoReport, "entries"),
         (OrthoReport, "off_diagonal_max_relative"),
+        (OrthoReport, "notes"),
         (RomanovskiPair, "err_est"),
         (RomanovskiReport, "gamma"),
         (RomanovskiReport, "max_degree"),
@@ -282,8 +325,9 @@ class TestEveryRecord:
         data = SAMPLES[cls]().to_json()
         assert list(data) == OWN_JSON_KEYS.get(cls, list(cls._keys))
         assert json.loads(json.dumps(data)) == data
-        if cls not in OWN_JSON_KEYS:
-            assert set(cls._fields) <= set(data)
+        if cls not in OWN_JSON_KEYS:  # every field but the unprinted ones (underscore)
+            assert {f for f in cls._fields if not f.startswith("_")} <= set(data)
+            assert not any(k.startswith("_") for k in data)
 
 
 @pytest.mark.parametrize("cls, name", COMPUTED, ids=lambda v: getattr(v, "__name__", v))
@@ -295,7 +339,8 @@ class TestComputedKey:
             setattr(sample, name, value)
         with pytest.raises(TypeError):
             cls(**dict(zip(cls._fields, sample._values())), **{name: value})
-        assert name not in vars(sample) and sample.to_json()[name] == SAMPLES[cls]().to_json()[name]
+        assert (name in vars(sample)) == ((cls, name) in CACHED)  # a cached_property keeps it
+        assert sample.to_json()[name] == SAMPLES[cls]().to_json()[name]
 
     def test_left_out_of_equality_hash_and_repr(self, cls, name, monkeypatch):
         a, b = SAMPLES[cls](), SAMPLES[cls]()
@@ -310,17 +355,33 @@ def _replace(record, **changes):
     return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
 
 
+def _edit(gram, pair, value):
+    """gram with the router's answer to pair given value in place of its own."""
+    tol, route, certified, answers = gram._answer
+    answered = dict(answers)
+    answer = answered.get(pair, certified)
+    answered[pair] = (value, *answer[1:])
+    return _replace(gram, _answer=(tol, route, certified, tuple(answered.items())))
+
+
 def test_report_equality():
-    # the benchmark's repeat check compares two calls' reports
+    # the benchmark's repeat check compares two calls' reports: a report compares by what it
+    # stores, the router's compact answer, which fixes every entry it prints
     chebyshev1 = lambda: gram_matrix(classical_presets()["chebyshev1"], 4)  # quadrature floats
-    for build in (chebyshev1, ROMANOVSKI):
+    legendre = lambda: gram_matrix(classical_presets()["legendre"], 4)  # the certified regime
+    for build in (chebyshev1, legendre, ROMANOVSKI):
         assert build() == build() and hash(build()) == hash(build())
     gram, rom = chebyshev1(), ROMANOVSKI()
     entry, pair = gram.entries[1], rom.pairs[0]
     assert (entry.m, entry.n, entry.method) == (0, 1, "quadrature")
-    moved = _replace(entry, value=entry.value + 1.0)
-    assert _replace(gram, entries=(gram.entries[0], moved, *gram.entries[2:])) != gram
-    assert _replace(gram, entries=gram.entries[:-1]) != gram
+    assert legendre()._answer[2] is not None and len(legendre()._answer[3]) == 5  # diagonals
+    for gram in (chebyshev1(), legendre()):
+        for m, n in ((1, 1), (0, 1)):  # one diagonal, one off-diagonal value
+            edited = _edit(gram, (m, n), gram.entry(m, n).value + 1)
+            assert edited != gram and edited.entry(m, n).value == gram.entry(m, n).value + 1
+            assert edited.to_json() != gram.to_json()
+        assert _replace(gram, degrees=gram.degrees[:-1]) != gram  # one degree
+        assert _replace(gram, _notes=("x",)) != gram
     assert _replace(rom, pairs=(_replace(pair, verdict="inconclusive"), *rom.pairs[1:])) != rom
     assert _replace(rom, alpha=rom.alpha - 1) != rom
 
