@@ -128,13 +128,13 @@ the reach.  A zero f or g is an exact zero with no verdict read (0.0 on a
 moment shape).  The block, with each pair's key, Favard's recurrence in the
 certified regime, or the node sweep then values the integrable pairs only,
 finished: the router reads nothing back.  A Gram report stores the router's
-answer (OrthoReport._answer: in the regime, the diagonals and the refusals) and
+answer (OrthoReport._answer: in the regime, the diagonals and the reach) and
 builds its entries, their relatives and its notes on first read.  A Gram matrix
 makes one node sweep per weight (quadrature._product_sweep), with one evaluation
 per node: each node's abscissa, log p(x) and Jacobian are computed once and
 shared by all pending entries, each of which still stops on its own rule.  A
-Romanovski report is a view of the Romanovski Gram matrix: its verdicts map the
-Gram entries, and its eigenvalue collisions, the router's eigenvalues, always
+Romanovski report stores the Romanovski Gram report: its verdicts map the Gram
+entries on first read, and its eigenvalue collisions, in closed form, always
 sit on the integrability boundary m + n + gamma + 1 = 0.  The weight (cached on
 the WeightExpr) and each eigenfunction are converted to floats once; a node
 evaluates each eigenfunction once, to a sign and log p + log J + log|f(x)|, and
@@ -152,7 +152,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import add, mul, sub
 
 from ._record import Record
@@ -180,6 +180,7 @@ class NonIntegrable(ValueError):
 
 
 _ZERO = Fraction(0)  # every exact zero entry
+_REFUSED = (None, None, False, None, "non-integrable")  # the router's answer to a refused pair
 
 # ---------------------------------------------------------------------------
 # exact and moment paths
@@ -539,7 +540,8 @@ def _route(
     """(route, answers, certified): the weight's route (_classify's) and the router's answer
     (value, method, integrable, err_est, note), by the routes of the module docstring, per
     index pair (i, j) into funcs of pairs, else of the Gram triangle over degrees (each m with
-    each n from m on): answers maps a pair to its own, and certified is every other pair's.
+    each n from m on): answers maps a pair to its own, and certified, (zero, reach), answers
+    every other pair: refused (_REFUSED) when m + n is past the reach, else zero.
     The router makes every decision, once: it classifies the weight once, judges each class
     pair once (its key) and each pair's degree against the reach; the moment block (on the
     Pearson pair pearson), Favard's recurrence or the node sweep values the integrable pairs.
@@ -552,8 +554,8 @@ def _route(
     distinct, every division (r, k_r) has E_r = -k_r and no degree is below K = sum k_r, the
     triangle is in the certified regime (module docstring).  Each degree then has one monic
     eigenfunction, of class (k_r) by the indicial law: the router reads none and visits no
-    pair, answers holds Favard's diagonals and the refusals past the reach, and certified is
-    the certified zero.  Outside it the block values every integrable pair from its rows and
+    pair, answers holds Favard's diagonals within the reach, and certified is the certified
+    zero with the reach.  Outside it the block values every integrable pair from its rows and
     answers holds every pair (certified None)."""
     if not 0 < tol < math.inf:  # refused also when no entry needs the sweep, which checks it
         raise ValueError(f"tol must be a finite positive number, not {tol}")
@@ -563,7 +565,6 @@ def _route(
     caps = tuple(k for _, k in divisions)
     method = "moment" if moment else "exact"
     zero = (0.0 if moment else _ZERO, method, True, None, None)
-    refused = (None, None, False, None, "non-integrable")
     # gamma_k reads p_(k+1): the regime's eigenvalues reach one degree past the highest
     regime = (pairs is None and block_route and eigenvalues is not None
               and len(set(eigenvalues)) == len(eigenvalues) > max(degrees, default=-1) + 1)
@@ -571,13 +572,10 @@ def _route(
         regime = (all(e > -1 or e.denominator == 1 for e in exponents)
                   and min(degrees, default=math.inf) >= sum(caps))
     if regime:  # each degree has one monic eigenfunction, of class caps, and each key is caps
-        answers = {} if reach == math.inf else {  # the Romanovski power law, or -1 on a half line
-            pair: refused for pair in combinations_with_replacement(degrees, 2) if sum(pair) > reach}
-        inside = [m for m in degrees if 2 * m <= reach]
-        if inside:
-            values = _favard_values(weight, pearson, rule, inside)
-            answers.update(((m, m), (v, method, True, None, None)) for m, v in zip(inside, values))
-        return route, answers, zero
+        inside = [m for m in degrees if 2 * m <= reach]  # reach: the Romanovski power law, or -1
+        values = _favard_values(weight, pearson, rule, inside) if inside else []
+        answers = {(m, m): (v, method, True, None, None) for m, v in zip(inside, values)}
+        return route, answers, (zero, reach)
     funcs = funcs() if callable(funcs) else funcs
     known = {i: f for i, f in enumerate(funcs) if f}  # not None, not zero
     degree = {i: len(f.nums) - 1 for i, f in known.items()}
@@ -594,7 +592,7 @@ def _route(
                 key = tuple(map(sub, map(add, *both), caps))
                 key = verdicts[both] = key if min(key, default=0) >= 0 else False
             if key is False or degree[i] + degree[j] > reach:
-                routes[k] = refused
+                routes[k] = _REFUSED
             else:
                 asked.append(k)
                 keys.append(key)
@@ -658,10 +656,12 @@ def _entries(report: OrthoReport) -> Iterator[GramEntry]:
     uses moment scale" on the Romanovski shape, where each is an exact zero); else None."""
     _, route, certified, answers = report._answer
     answers, degrees = dict(answers), report.degrees
+    zero, reach = certified or (None, math.inf)  # outside the regime every pair is stored
+    answer = lambda m, n: answers.get((m, n)) or (_REFUSED if m + n > reach else zero)
     # 0.0 where the norm has no value; an exact norm past a float's range stays exact
-    diag = {m: _float_in_range(answers[m, m][0] or 0) for m in degrees}
+    diag = {m: _float_in_range(answer(m, m)[0] or 0) for m in degrees}
     for m, n in combinations_with_replacement(degrees, 2):
-        value, method, ok, err_est, note = answers.get((m, n), certified)
+        value, method, ok, err_est, note = answer(m, n)
         rel = None
         if m != n and value is not None:
             if diag[m] > 0 and diag[n] > 0:
@@ -826,14 +826,49 @@ class RomanovskiPair(Record):
     detail: str = ""
 
 
+def _collisions(report: RomanovskiReport) -> tuple[tuple[int, int], ...]:
+    """RomanovskiReport.degenerate_degree_pairs, lower degree first: lambda_j = lambda_k, j < k,
+    for lambda_k = k (k - 1) + alpha k, exactly when j + k = s = 1 - alpha, an integer."""
+    s = int(1 - report.alpha) if report.alpha.denominator == 1 else -1  # no pair sums to -1
+    return tuple((j, s - j) for j in range(max(0, s - report.max_degree), (s + 1) // 2))
+
+
+def _statuses(report: RomanovskiReport) -> tuple[str, ...]:
+    """RomanovskiReport.statuses: each UniqueMonic without a collision, else the eigentable's."""
+    if not report.degenerate_degree_pairs:
+        return (EigenStatus.UNIQUE_MONIC.value,) * (report.max_degree + 1)
+    op = build_operator(FamilySpec.romanovski(report.alpha, report.beta))
+    return tuple(r.status.value for r in eigentable(op, report.max_degree))
+
+
+def _romanovski_pairs(report: RomanovskiReport) -> Iterator[RomanovskiPair]:
+    """RomanovskiReport.pairs: the verdict per off-diagonal entry of its Gram report."""
+    normed = {e.m for e in report._gram.entries if e.m == e.n and (e.value or 0) > 0}
+    for e in report._gram.entries:
+        m, n = e.m, e.n
+        if m == n:
+            continue
+        if not e.integrable:  # past the moment reach: m + n + gamma + 1 = m + n + alpha - 1 >= 0
+            detail = f"m+n+gamma+1 = {m + n + report.alpha - 1} >= 0"
+            yield RomanovskiPair(m, n, "non-integrable", detail=detail)
+        elif e.value is None:
+            yield RomanovskiPair(m, n, "inconclusive", detail=e.note or "")
+        else:
+            detail = ("relative to sqrt(G_mm G_nn)" if m in normed and n in normed else
+                      "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)")
+            verdict = "orthogonal" if e.value == 0 else "inconclusive"
+            yield RomanovskiPair(m, n, verdict, e.value, e.relative, detail)
+
+
 class RomanovskiReport(Record):
     alpha: Fraction
     beta: Fraction
+    _gram: OrthoReport  # gram_matrix of romanovski(alpha, beta), which fixes every key
     gamma: Fraction = property(lambda self: self.alpha - 2)
-    max_degree: int = property(lambda self: len(self.statuses) - 1)
-    statuses: tuple[str, ...]
-    degenerate_degree_pairs: tuple[tuple[int, int], ...]
-    pairs: tuple[RomanovskiPair, ...]
+    max_degree: int = property(lambda self: self._gram.degrees[-1])
+    statuses: tuple[str, ...] = cached_property(_statuses)
+    degenerate_degree_pairs: tuple[tuple[int, int], ...] = cached_property(_collisions)
+    pairs: tuple[RomanovskiPair, ...] = cached_property(lambda self: tuple(_romanovski_pairs(self)))
 
     def format_table(self) -> str:
         lines = [
@@ -862,46 +897,11 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     moment reach); pairs violating that are flagged non-integrable.  A
     checked pair is orthogonal when its exact ratio to m_0 is 0 (its value
     then is 0.0), else inconclusive.  The collisions, lower degree first, are
-    read off the router's eigenvalues, lambda_k = k (k - 1) + alpha k; they
-    occur (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
+    read off lambda_k = k (k - 1) + alpha k in closed form; they occur
+    (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
     m + n = 1 - alpha, so m + n + gamma + 1 = 0 and no collision pair is ever
-    called orthogonal.  A degree that repeats no lower degree's eigenvalue is
-    UniqueMonic, so only a collision builds the eigentable, for the statuses.
+    called orthogonal.  The report stores the Gram report and reads every key
+    off it on first read.
     """
     alpha, beta = rat(alpha), rat(beta)
-    op = build_operator(FamilySpec.romanovski(alpha, beta))
-    gram = gram_matrix(op, n_max)
-    degrees: dict[int, list[int]] = {}  # each eigenvalue's degrees, ascending
-    for d, mu in enumerate(_eigenvalues((op.coeffs[2], op.coeffs[1]), n_max)[:-1]):
-        degrees.setdefault(mu, []).append(d)
-    collisions = tuple(p for degs in degrees.values() for p in combinations(degs, 2))
-    statuses = (tuple(r.status.value for r in eigentable(op, n_max)) if collisions
-                else (EigenStatus.UNIQUE_MONIC.value,) * (n_max + 1))
-
-    normed = {e.m for e in gram.entries if e.m == e.n and (e.value or 0) > 0}
-    pairs = []
-    for e in gram.entries:
-        m, n = e.m, e.n
-        if m == n:
-            continue
-        if not e.integrable:  # past the moment reach: m + n + gamma + 1 = m + n + alpha - 1 >= 0
-            detail = f"m+n+gamma+1 = {m + n + alpha - 1} >= 0"
-            pairs.append(RomanovskiPair(m, n, "non-integrable", detail=detail))
-        elif e.value is None:
-            pairs.append(RomanovskiPair(m, n, "inconclusive", detail=e.note or ""))
-        else:
-            detail = (
-                "relative to sqrt(G_mm G_nn)"
-                if m in normed and n in normed
-                else "relative to the (1+x^2)^((m+n)/2) moment (a diagonal norm diverges)"
-            )
-            verdict = "orthogonal" if e.value == 0 else "inconclusive"
-            pairs.append(RomanovskiPair(m, n, verdict, e.value, e.relative, detail))
-
-    return RomanovskiReport(
-        alpha=alpha,
-        beta=beta,
-        statuses=statuses,
-        degenerate_degree_pairs=collisions,
-        pairs=tuple(pairs),
-    )
+    return RomanovskiReport(alpha, beta, gram_matrix(FamilySpec.romanovski(alpha, beta), n_max))

@@ -24,6 +24,7 @@ from specpoly import (
     OrthoReport,
     Poly,
     PowerFactor,
+    RomanovskiPair,
     UnsupportedLeadingCoefficient,
     WeightExpr,
     build_operator,
@@ -109,14 +110,21 @@ def form_answers(w, pearson, form, pairs):
 
 def route_pairs(w, pearson, funcs, pairs, tol, eigenvalues=None):
     """(route, answers): the router's answer per pair (m, n), m <= n, of pairs, read off its
-    compact answer.  Handed eigenvalues, the router answers the Gram triangle over the pairs'
-    degrees, where the certified regime can hold; else it answers the pairs alone."""
+    compact answer: in the certified regime a pair it does not store is refused past the
+    reach, else the certified zero.  Handed eigenvalues, the router answers the Gram triangle
+    over the pairs' degrees, where the certified regime can hold; else it answers the pairs
+    alone."""
     degrees = sorted({d for pair in pairs for d in pair})
     alone = pairs if eigenvalues is None else None
     route, answers, certified = orthogonality._route(w, pearson, funcs, degrees, tol, eigenvalues,
                                                      alone)
-    assert certified is None or eigenvalues is not None
-    return route, [answers.get(pair, certified) for pair in pairs]
+    if certified is None:  # outside the regime every pair is stored
+        return route, [answers[pair] for pair in pairs]
+    assert eigenvalues is not None
+    zero, reach = certified
+    assert all(m == n and m + n <= reach for m, n in answers)  # Favard's diagonals alone
+    refused = (None, None, False, None, "non-integrable")
+    return route, [answers.get(pair, refused if sum(pair) > reach else zero) for pair in pairs]
 
 
 def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
@@ -2197,8 +2205,8 @@ class TestCertifiedRegime:
     the sum of the k_r) reads no eigenfunction: it builds no operator matrix and no eigentable
     and calls no block.  Outside it each runs once.  Either way every entry is
     the router's uncertified one: the block's rows on the eigentable.  A Romanovski report,
-    a view of its Gram matrix, makes the same calls, and at a collision builds the eigentable
-    once more, for its statuses."""
+    which stores its Gram report, makes the same calls, and at a collision builds the
+    eigentable once more when its statuses are read."""
 
     @pytest.mark.parametrize("source, n, regime, report", [
         (classical_presets()["legendre"], 8, True, False),
@@ -2246,9 +2254,12 @@ class TestCertifiedRegime:
         if report:
             calls.clear()
             rom = finite_orthogonality_report(source.alpha, source.beta, n)
-            assert calls == (Counter() if regime else Counter(matrix=2, eigentable=2, block=1))
+            assert calls == (Counter() if regime else Counter(matrix=1, eigentable=1, block=1))
             off = [(e.m, e.n, e.value, e.relative) for e in gram.entries if e.m != e.n]
             assert [(p.m, p.n, p.value, p.relative) for p in rom.pairs] == off
+            assert calls == (Counter() if regime else Counter(matrix=1, eigentable=1, block=1))
+            rom.statuses  # the collision's eigentable, for the statuses alone
+            assert calls == (Counter() if regime else Counter(matrix=2, eigentable=2, block=1))
 
     def test_moment_underflow_is_refused(self):
         # exp(-x) on (800, +inf), m_0 = e^-800, in the regime, and |x - 800|^-1 exp(-x) there,
@@ -2264,13 +2275,14 @@ class TestCertifiedRegime:
     @pytest.mark.parametrize("source, n, count, answered", [
         (FamilySpec.jacobi(-1, -2, 0), 20, 231, 21),
         (CQ_SPEC, 10, 55, 10),
-        # reach 7 (m + n + gamma + 1 < 0, gamma = -17/2): 29 of the 45 off-diagonals are past it
-        (FamilySpec.romanovski(Fraction(-13, 2), 1), 9, 55, 10 + 29),
+        # reach 7 (m + n + gamma + 1 < 0, gamma = -17/2): the diagonals of degrees 0-3 alone are
+        # within it, and the 6 others and 29 of the 45 off-diagonals are read as refused
+        (FamilySpec.romanovski(Fraction(-13, 2), 1), 9, 55, 4),
     ], ids=["legendre", "chaudhry-qadir", "romanovski"])
     def test_regime_builds_no_entry_until_one_is_read(self, monkeypatch, source, n, count,
                                                        answered):
         # in the certified regime gram_matrix stores the router's compact answer (the
-        # diagonals and the refusals past the reach) and constructs no GramEntry; the first
+        # diagonals within the reach, and the reach) and constructs no GramEntry; the first
         # read of entries constructs them all, once, and the JSON is REGIME_SHA256's
         GramEntry(0, 0, None, None, False)  # the compiled __init__, which the spy wraps
         built, init = [], GramEntry.__init__
@@ -2282,6 +2294,35 @@ class TestCertifiedRegime:
         assert report.entries is entries and report.to_json()["entries"] and len(built) == count
         digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
         assert digest == REGIME_SHA256.get(report.family, digest)
+
+    @pytest.mark.parametrize("alpha, beta, n, tables, digest", [
+        (Fraction(-13, 2), 1, 9, 0, "552b3a2a63a4d9069ded99a86bce0fd003dea2798f6f8f8da242fd8c63e2b8a7"),
+        # lambda_j = lambda_k at j + k = 7: gram_matrix's own eigentable, outside the regime
+        (-6, 0, 5, 1, "bad0ecf9f99933267f56e0e0513ef13f637c794d92a7ddbac0f4929ef9b9c04e"),
+    ], ids=["regime", "collision"])
+    def test_romanovski_report_builds_nothing_until_a_key_is_read(self, monkeypatch, alpha, beta,
+                                                                  n, tables, digest):
+        # a Romanovski report stores its Gram report: the call constructs no RomanovskiPair and
+        # no GramEntry, and builds no eigentable past gram_matrix's own; the first read of pairs
+        # builds each pair once, and the statuses build the collision's eigentable
+        GramEntry(0, 0, None, None, False)  # the compiled __init__s, which the spies wrap
+        RomanovskiPair(0, 1, "orthogonal")
+        built, table = Counter(), orthogonality.eigentable
+        for cls in (GramEntry, RomanovskiPair):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, name=cls.__name__, **k:
+                                built.update([name]) or init(self, *a, **k))
+        monkeypatch.setattr(orthogonality, "eigentable",
+                            lambda *args: built.update(["eigentable"]) or table(*args))
+        report = finite_orthogonality_report(alpha, beta, n)
+        assert built == Counter(eigentable=tables)
+        pairs = report.pairs
+        assert built == Counter(eigentable=tables, GramEntry=(n + 1) * (n + 2) // 2,
+                                RomanovskiPair=n * (n + 1) // 2)
+        assert report.pairs is pairs and built["RomanovskiPair"] == len(pairs)
+        report.statuses
+        assert built["eigentable"] == 2 * tables
+        assert hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest() == digest
 
 
 def divided_draw():

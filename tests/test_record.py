@@ -275,13 +275,14 @@ def test_every_record_class_has_a_sample():
     assert {cls for cls in RECORDS if "to_json" in vars(cls)} == set(OWN_JSON_KEYS)
     assert CACHED == [
         (OperatorMatrix, "entries"), (OrthoReport, "entries"), (OrthoReport, "notes"),
-        (WeightExpr, "_float_form"), (WeightExpr, "_pearson"),
+        (RomanovskiReport, "statuses"), (RomanovskiReport, "degenerate_degree_pairs"),
+        (RomanovskiReport, "pairs"), (WeightExpr, "_float_form"), (WeightExpr, "_pearson"),
     ]
 
 
 def test_stored_state_and_computed_keys():
     # ROADMAP aim 2's count of settable fields, and the keys derived from them
-    assert sum(len(cls._fields) for cls in _package_records()) == 54
+    assert sum(len(cls._fields) for cls in _package_records()) == 52
     assert COMPUTED == [
         (OperatorMatrix, "n"),
         (OrthoReport, "max_degree"),
@@ -291,6 +292,9 @@ def test_stored_state_and_computed_keys():
         (RomanovskiPair, "err_est"),
         (RomanovskiReport, "gamma"),
         (RomanovskiReport, "max_degree"),
+        (RomanovskiReport, "statuses"),
+        (RomanovskiReport, "degenerate_degree_pairs"),
+        (RomanovskiReport, "pairs"),
     ]
 
 
@@ -356,33 +360,39 @@ def _replace(record, **changes):
 
 
 def _edit(gram, pair, value):
-    """gram with the router's answer to pair given value in place of its own."""
+    """gram with the router's answer to pair given value in place of its own (within the
+    reach, where a pair the certified regime does not store is the certified zero)."""
     tol, route, certified, answers = gram._answer
     answered = dict(answers)
-    answer = answered.get(pair, certified)
+    answer = answered[pair] if certified is None else answered.get(pair, certified[0])
     answered[pair] = (value, *answer[1:])
     return _replace(gram, _answer=(tol, route, certified, tuple(answered.items())))
 
 
 def test_report_equality():
     # the benchmark's repeat check compares two calls' reports: a report compares by what it
-    # stores, the router's compact answer, which fixes every entry it prints
+    # stores, the router's compact answer, which fixes every entry it prints, and a Romanovski
+    # report by (alpha, beta) and that of its Gram report, which fix every key it prints
     chebyshev1 = lambda: gram_matrix(classical_presets()["chebyshev1"], 4)  # quadrature floats
     legendre = lambda: gram_matrix(classical_presets()["legendre"], 4)  # the certified regime
     for build in (chebyshev1, legendre, ROMANOVSKI):
         assert build() == build() and hash(build()) == hash(build())
     gram, rom = chebyshev1(), ROMANOVSKI()
-    entry, pair = gram.entries[1], rom.pairs[0]
+    entry = gram.entries[1]
     assert (entry.m, entry.n, entry.method) == (0, 1, "quadrature")
     assert legendre()._answer[2] is not None and len(legendre()._answer[3]) == 5  # diagonals
-    for gram in (chebyshev1(), legendre()):
+    assert rom._gram._answer[2] is not None and len(rom._gram._answer[3]) == 4  # within reach 7
+    for gram in (chebyshev1(), legendre(), rom._gram):
         for m, n in ((1, 1), (0, 1)):  # one diagonal, one off-diagonal value
             edited = _edit(gram, (m, n), gram.entry(m, n).value + 1)
             assert edited != gram and edited.entry(m, n).value == gram.entry(m, n).value + 1
             assert edited.to_json() != gram.to_json()
         assert _replace(gram, degrees=gram.degrees[:-1]) != gram  # one degree
         assert _replace(gram, _notes=("x",)) != gram
-    assert _replace(rom, pairs=(_replace(pair, verdict="inconclusive"), *rom.pairs[1:])) != rom
+    for m, n in ((1, 1), (0, 1)):  # a Romanovski report through its Gram report's answer
+        edited = _replace(rom, _gram=_edit(rom._gram, (m, n), rom._gram.entry(m, n).value + 1))
+        assert edited != rom
+    assert edited.pairs[0].verdict == "inconclusive" and rom.pairs[0].verdict == "orthogonal"
     assert _replace(rom, alpha=rom.alpha - 1) != rom
 
 
