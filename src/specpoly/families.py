@@ -56,7 +56,7 @@ class FamilySpec(Record):
         # one form per field, as DiffOperator keeps its coefficients: a FamilyKind, two Fractions
         d = self.__dict__
         d["kind"], d["alpha"], d["beta"] = FamilyKind(self.kind), rat(self.alpha), rat(self.beta)
-        if not isinstance(self.eps, int):
+        if not isinstance(self.eps, int) or isinstance(self.eps, bool):  # a bool is an int
             raise TypeError(f"eps must be an int, not {self.eps!r}")
         if self.kind is FamilyKind.JACOBI and self.eps not in (-1, 1):
             raise ValueError("jacobi eps must be +1 or -1")

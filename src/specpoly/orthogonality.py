@@ -23,7 +23,8 @@ Romanovski or Gaussian on the real line.
   inner_product.  a has a simple root at each finite end, where p a x^k
   vanishes, and a key's p prod (x - r)^s_r has the pair
   (a, b + sum s_r a/(x - r)): a key adds s_r times one fixed polynomial per
-  end to b.
+  end to b.  One helper, _keyed_pair, builds a key's pair in ints and its
+  m_0, for the block's keys and Favard's alike.
   An entry is a bilinear form over its key's r_k, cleared to integers over
   one denominator: O(n^3) operations for an n x n Gram matrix, no polynomial
   product per entry and one Fraction per nonzero entry (every exact zero is
@@ -100,10 +101,10 @@ beta_k p_k + gamma_k p_(k-1) gives G_kk = G_00 gamma_1 ... gamma_k, from
 gamma_n reads p_(n+1)'s top coefficients, hence the bound n + 1.  At the
 divisions the quotients f_d / prod (x - r)^k_r are the p_(d-K) of the shifted
 pair (a, b + sum 2 k_r a/(x - r)) of p prod (x - r)^(2 k_r), with the distinct
-eigenvalues lambda_(j+K) - lambda_K.  G_00 is the block's own m_0 recipe at
-orders 2 k_r, so an exact diagonal is the same Fraction as the block's row
-and a moment diagonal float(constant gamma_1 ... gamma_k) times the same
-float m_0, bit for bit.
+eigenvalues lambda_(j+K) - lambda_K.  That pair and G_00 are _keyed_pair's at
+orders 2 k_r, the block's at the same key, so an exact diagonal is the same
+Fraction as the block's row and a moment diagonal float(constant gamma_1 ...
+gamma_k) times the same float m_0, bit for bit.
 
 Exact zeros make orthogonality claims unambiguous: a moment entry's float
 value is its ratio times m_0, 0.0 exactly when the ratio is 0 (an m_0, or the
@@ -156,12 +157,12 @@ from itertools import combinations_with_replacement
 from operator import add, mul, sub
 
 from ._record import Record
-from .eigen import EigenResult, EigenStatus, eigentable
+from .eigen import EigenStatus, eigentable
 from .families import FamilyKind, FamilySpec, build_operator
 from .operator import DiffOperator
 from .quadrature import DEFAULT_TOL, NoConvergence, QuadResult, _product_sweep
 from .ratpoly import Poly, RatLike, _divide_linear, _strip_linear, rat
-from .weights import WeightExpr, _classify, derive_weight
+from .weights import WeightExpr, _classify, _pair_ints, derive_weight
 
 __all__ = [
     "NonIntegrable",
@@ -249,42 +250,43 @@ def _real_line_moment(weight: WeightExpr) -> float:
     return math.sqrt(math.pi) * shift * math.exp(log_half - 2 * log_ratio)
 
 
-def _pair_ints(pearson: tuple[Poly, Poly]) -> tuple[int, int, int, int, int]:
-    """(a0, a1, a2, b0, b1) of the Pearson pair a = a0 + a1 x + a2 x^2, b = b0 + b1 x, as ints
-    over lcm(a.den, b.den); an a of degree > 2 or a b of degree > 1 does not unpack."""
-    a, b = pearson
-    d = math.lcm(a.den, b.den)
-    a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
-    b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
-    return a0, a1, a2, b0, b1
-
-
-def _m_0(
-    weight: WeightExpr, route: str, exponents: Sequence[Fraction], orders: Sequence[int]
-) -> tuple[int, int, float | None]:
-    """(num, den, m_0) for the weight times prod (x - r)^s_r, s_r = orders at its finite ends,
-    whose summed exponents there are exponents: num / den is the weight's constant times, on
-    the exact route, the signed rational m_0, and m_0 the float m_0 on the moment route (None
-    on the exact route; math.inf where it overflows), by the module docstring's recipes."""
+def _keyed_pair(
+    weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, key: Sequence[int]
+) -> tuple[tuple[int, int, int, int, int], int, int, float | None]:
+    """(pair, num, den, m_0) of a key, for the weight times prod (x - r)^s_r with the root
+    orders s_r = k_r + key_r at the rule's divisions (r, k_r), each at a finite end: pair is
+    that weight's Pearson pair (a, b + sum s_r a/(x - r)) in ints (_pair_ints'), num / den
+    the weight's constant times, on the exact route, the signed rational m_0, and m_0 the
+    float m_0 on the moment route (None on the exact route; math.inf where it overflows), by
+    the module docstring's recipes."""
+    route, divisions, _, exponents = rule
+    a0, a1, a2, b0, b1 = _pair_ints(pearson)
     iv, constant = weight.interval, weight.constant
-    sign = (-1) ** orders[-1] if iv.hi is not None else 1
+    ends = [r for r in (iv.lo, iv.hi) if r is not None]
+    powers = [0] * len(ends)  # s_r at each finite end
+    for (r, k), e in zip(divisions, key):  # a/(x - r) = q a/(q x - p)
+        powers[ends.index(r)] = s = k + e
+        s0, s1 = _divide_linear((a0, a1, a2), r.numerator, r.denominator)
+        b0, b1 = b0 + s * r.denominator * s0, b1 + s * r.denominator * s1
+    pair = a0, a1, a2, b0, b1
+    sign = (-1) ** powers[-1] if iv.hi is not None else 1
     num, den = constant.numerator, constant.denominator
     if route == "exact":  # m_0 = (hi - lo)^(A1+A2+1) A1! A2! / (A1+A2+1)!, integer E
         (l1, l2), (h1, h2) = (iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio())
-        p1, p2 = [int(e) + s + 1 for e, s in zip(exponents, orders)]  # A + 1 > 0 per end
+        p1, p2 = [int(e) + s + 1 for e, s in zip(exponents, powers)]  # A + 1 > 0 per end
         num *= sign * (l2 * h1 - l1 * h2) ** (p1 + p2 - 1)
         den *= (l2 * h2) ** (p1 + p2 - 1) * (p1 + p2 - 1) * math.comb(p1 + p2 - 2, p1 - 1)
-        return num, den, None
+        return pair, num, den, None
     try:
         if route == "romanovski":
-            return num, den, _real_line_moment(weight)
+            return pair, num, den, _real_line_moment(weight)
         # "laguerre": p = |x - t|^A e^(c x) on a half line from t
-        (t,) = [r for r in (iv.lo, iv.hi) if r is not None]
-        power, c = exponents[0] + orders[0] + 1, weight.exp_poly.coeff(1)
+        (t,) = ends
+        power, c = exponents[0] + powers[0] + 1, weight.exp_poly.coeff(1)
         log_m_0 = math.lgamma(power) + float(weight.exp_poly(t)) - float(power) * math.log(abs(c))
-        return num, den, sign * math.exp(log_m_0)
+        return pair, num, den, sign * math.exp(log_m_0)
     except OverflowError:
-        return num, den, math.inf
+        return pair, num, den, math.inf
 
 
 def _finish(weight: WeightExpr, ratios: Sequence[Fraction], m_0s: Sequence[float]) -> list[float]:
@@ -317,34 +319,17 @@ def _moment_block(
     are read once, and each row L once per (label, key), for the label with the longer f~.
     On the exact route r carries the rational m_0 and the entry is the integral; on the
     moment route _finish makes it the float of its ratio times its key's float m_0, or
-    refuses the block.
-    pearson, (a, b) with (p a)' = p b and a simple root of a at each finite end, gives the
-    recurrence and the shifts a/(x - r); the weight gives its ends, its constant and m_0's
-    inputs (_m_0)."""
-    route, divisions, steps, exponents = rule
-    a0, a1, a2, b0, b1 = _pair_ints(pearson)
-    # per finite end r = p/q the shift q a/(q x - p) = a/(x - r); a division's root is an
-    # end: (end index, k) per division
-    iv = weight.interval
-    ends = [r for r in (iv.lo, iv.hi) if r is not None]
-    linear = [(r.numerator, r.denominator) for r in ends]
-    divisors = [(ends.index(r), k) for r, k in divisions]
-    shifts = [[q * v for v in _divide_linear((a0, a1, a2), p, q)] for p, q in linear]
+    refuses the block.  A key's pair and m_0 are _keyed_pair's, on pearson, (a, b) with
+    (p a)' = p b and a simple root of a at each finite end."""
+    route, _, steps, _ = rule
     span = 2 * max((len(c) for _, c in reduced.values()), default=0)
     steps = min(steps, span - 2)  # the reach, and no entry reads a ratio past span - 2
 
     def moments(key: tuple[int, ...]) -> tuple[int, list[int], float | None]:
-        """(den, nums, m_0): the key's ratios r_0 .. r_steps times _m_0's num / den, over
-        their common denominator, and its float m_0 (None on the exact route): the key's root
-        orders shift the pair, in ints."""
-        key_b0, key_b1 = b0, b1
-        orders = [0] * len(ends)  # the pair's root orders s at each end
-        for (i, k), e in zip(divisors, key):
-            orders[i] = s = k + e
-            key_b0 += s * shifts[i][0]
-            key_b1 += s * shifts[i][1]
-        num, den, m_0 = _m_0(weight, route, exponents, orders)
-        return (*_moment_ratios((a0, a1, a2, key_b0, key_b1), steps, num, den), m_0)
+        """(den, nums, m_0): the key's ratios r_0 .. r_steps times its num / den, over their
+        common denominator, and its float m_0 (None on the exact route)."""
+        pair, num, den, m_0 = _keyed_pair(weight, pearson, rule, key)
+        return (*_moment_ratios(pair, steps, num, den), m_0)
 
     read = {key: moments(key) for key in dict.fromkeys(keys)}
     rows, values = {}, []  # (label, key) -> row
@@ -365,21 +350,17 @@ def _favard_values(
     weight: WeightExpr, pearson: tuple[Poly, Poly], rule: tuple, degrees: Sequence[int]
 ) -> list[Fraction | float]:
     """The finished diagonal per degree k in degrees in the certified regime (module
-    docstring): Favard's G_kk = G_00 gamma_1 ... gamma_k, with G_00 and the finish the moment
-    block's own (_m_0, _finish).  At the divisions (r, k_r) it runs on the shifted pair
-    (a, b + sum 2 k_r a/(x - r)) from G_00 at orders 2 k_r, and degree d is its degree
-    d - sum k_r.  The gammas are the module docstring's, in ints: c_k = P/Q and
+    docstring): Favard's G_kk = G_00 gamma_1 ... gamma_k, with the finish the moment block's
+    own (_finish).  It runs on _keyed_pair's pair and m_0 at the key (k_r), the root orders
+    2 k_r at the divisions (r, k_r), G_00 being the block's at that key, and degree d is its
+    degree d - sum k_r.  The gammas are the module docstring's, in ints: c_k = P/Q and
     d_k = R/(Q E) with Q = lambda_k - lambda_(k-1) and E = lambda_k - lambda_(k-2), so
     gamma_(k-1) is a ratio over q^2 Q e E with (p, q, r, e) those of k - 1, and one gcd per
     degree reduces the running product."""
-    route, divisions, _, exponents = rule
-    a0, a1, a2, b0, b1 = _pair_ints(pearson)
-    for r, k in divisions:  # a/(x - r) = q a/(q x - p), as in the block
-        s0, s1 = _divide_linear((a0, a1, a2), r.numerator, r.denominator)
-        b0, b1 = b0 + 2 * k * r.denominator * s0, b1 + 2 * k * r.denominator * s1
-    orders = [-2 * int(e) if e <= -1 else 0 for e in exponents]  # E_r = -k_r at a division
-    shift = sum(orders) // 2
-    num, den, m_0 = _m_0(weight, route, exponents, orders)
+    route, divisions, _, _ = rule
+    caps = [k for _, k in divisions]  # E_r = -k_r at a division
+    shift = sum(caps)
+    (a0, a1, a2, b0, b1), num, den, m_0 = _keyed_pair(weight, pearson, rule, caps)
     top = max(degrees, default=shift) - shift
     norms = [(num, den)]  # G_kk / m_0 on the moment route
     p, q, r, e = b0, b1, 0, 1  # p_1 = x + b0/b1, d_1 = 0
@@ -650,7 +631,7 @@ class GramEntry(Record):
 
 def _entries(report: OrthoReport) -> Iterator[GramEntry]:
     """OrthoReport.entries: the Gram entry per pair of the report's degrees, in the router's
-    triangle order, from the router's compact answer it stores (_route, _gram_for).  An
+    triangle order, from the router's compact answer it stores (_route, gram_matrix).  An
     off-diagonal's relative is |value| / sqrt(G_mm G_nn) where both diagonals are positive,
     from exact values past a float's range; else 0.0 where its value is 0 (noted "relative
     uses moment scale" on the Romanovski shape, where each is an exact zero); else None."""
@@ -697,7 +678,7 @@ class OrthoReport(Record):
     degrees: tuple[int, ...]
     weight: str
     interval: str
-    _answer: tuple  # (tol, route, certified, ((m, n), answer) pairs): _gram_for's _route call
+    _answer: tuple  # (tol, route, certified, ((m, n), answer) pairs): gram_matrix's _route call
     entries: tuple[GramEntry, ...] = cached_property(lambda self: tuple(_entries(self)))
     off_diagonal_max_relative: float | None = property(lambda self: max(
         (e.relative for e in self.entries if e.m != e.n and e.relative is not None), default=None))
@@ -761,36 +742,14 @@ def _eigenvalues(pearson: tuple[Poly, Poly], n_max: int) -> list[int]:
     return [k * ((k - 1) * a2 + b1) for k in range(n_max + 2)]
 
 
-def _gram_for(
-    eigenvalues: Sequence[Fraction | int],
-    table: Callable[[], Sequence[EigenResult]],
-    weight: WeightExpr,
-    pearson: tuple[Poly, Poly],
-    degrees: Sequence[int],
-    family_label: str,
-    tol: float = DEFAULT_TOL,
-    notes: tuple[str, ...] = (),
-) -> OrthoReport:
-    """The Gram report over degrees of an operator's eigenfunctions, on its Pearson pair, with
-    eigenvalues[d] the eigenvalue of degree d (_eigenvalues') and table() its eigentable (by
-    degree), which the router calls only outside the certified regime.  The report stores the
-    router's compact answer and builds its entries, and the notes that read their relatives,
-    on first read (_entries, _notes): in the regime no pair is visited until then.
-    gram_matrix is its one library caller; it takes eigenvalues and table apart only so that
-    a test can hand it a table of polynomials that are no eigenfunctions."""
-    shown = set(degrees)  # _route reads no other eigenfunction
-    funcs = lambda: [r.monic if d in shown else None for d, r in enumerate(table())]
-    route, answers, certified = _route(weight, pearson, funcs, degrees, tol, eigenvalues)
-    answer = (tol, route, certified, tuple(answers.items()))
-    return OrthoReport(family_label, tuple(degrees), weight.formula(), weight.interval.describe(),
-                       answer, notes)
-
-
 def gram_matrix(
     source: FamilySpec | DiffOperator, n_max: int, tol: float = DEFAULT_TOL
 ) -> OrthoReport:
     """Gram matrix of the monic eigenfunctions up to degree n_max of a family, or of a
-    second-order operator (labelled "custom operator", degrees 0..n_max).
+    second-order operator (labelled "custom operator", degrees 0..n_max).  The report
+    stores the router's compact answer and builds its entries, and the notes that read their
+    relatives, on first read (_entries, _report_notes); the router builds the eigentable only
+    outside the certified regime.
 
     The chaudhry-qadir family starts at degree 1: its degree-0 eigenfunction
     (the constant) does not vanish at t = 1, and the weight 1/(1-t) alone is
@@ -807,8 +766,12 @@ def gram_matrix(
         degrees = degrees[1:]
         notes = ("degree 0 excluded: eigenfunctions must vanish at t=1 for integrability",)
     label = "custom operator" if spec is None else spec.describe()
-    return _gram_for(_eigenvalues(pearson, n_max), lambda: eigentable(op, n_max), weight, pearson,
-                     degrees, label, tol, notes)
+    shown = set(degrees)  # _route reads no other eigenfunction, and none in the certified regime
+    funcs = lambda: [r.monic if d in shown else None for d, r in enumerate(eigentable(op, n_max))]
+    route, answers, certified = _route(weight, pearson, funcs, degrees, tol,
+                                       _eigenvalues(pearson, n_max))
+    return OrthoReport(label, degrees, weight.formula(), weight.interval.describe(),
+                       (tol, route, certified, tuple(answers.items())), notes)
 
 
 # ---------------------------------------------------------------------------

@@ -256,15 +256,24 @@ def derive_weight(a: Poly, b: Poly) -> WeightExpr:
     )
 
 
+def _pair_ints(pearson: tuple[Poly, Poly]) -> tuple[int, int, int, int, int]:
+    """(a0, a1, a2, b0, b1) of the Pearson pair a = a0 + a1 x + a2 x^2, b = b0 + b1 x, as ints
+    over lcm(a.den, b.den); an a of degree > 2 or a b of degree > 1 does not unpack."""
+    a, b = pearson
+    d = math.lcm(a.den, b.den)
+    a0, a1, a2 = (*(v * (d // a.den) for v in a.nums), *[0] * (3 - len(a.nums)))
+    b0, b1 = (*(v * (d // b.den) for v in b.nums), *[0] * (2 - len(b.nums)))
+    return a0, a1, a2, b0, b1
+
+
 def _exponent(a: Poly, b: Poly, r: Fraction) -> Fraction:
     """E_r = b(r)/a'(r) - 1, the exponent of the weight with (p a)' = p b at a simple root
-    r of a, in ints: for r = p/q, q a.den a'(r) = a1 q + 2 a2 p and q b.den b(r) = b0 q + b1 p.
-    An a of degree > 2 or a b of degree > 1 does not unpack."""
-    _, a1, a2 = (*a.nums, *[0] * (3 - len(a.nums)))
-    b0, b1 = (*b.nums, *[0] * (2 - len(b.nums)))
+    r of a, in _pair_ints' ints over one denominator: for r = p/q, q a'(r) = a1 q + 2 a2 p and
+    q b(r) = b0 q + b1 p.  An a of degree > 2 or a b of degree > 1 does not unpack."""
+    _, a1, a2, b0, b1 = _pair_ints((a, b))
     p, q = r.numerator, r.denominator
-    slope = (a1 * q + 2 * a2 * p) * b.den
-    return Fraction((b0 * q + b1 * p) * a.den - slope, slope)
+    slope = a1 * q + 2 * a2 * p
+    return Fraction(b0 * q + b1 * p - slope, slope)
 
 
 def _classify(weight: WeightExpr) -> tuple[str | None, tuple, float, tuple[Fraction, ...]]:

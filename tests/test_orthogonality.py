@@ -127,6 +127,17 @@ def route_pairs(w, pearson, funcs, pairs, tol, eigenvalues=None):
     return route, [answers.get(pair, refused if sum(pair) > reach else zero) for pair in pairs]
 
 
+def monomial_report(w, powers, tol=orthogonality.DEFAULT_TOL):
+    """The Gram report over degrees 0, 1, 2 whose functions are the monomials x^a, a in powers,
+    wrapped as gram_matrix wraps its router's answer.  One shared eigenvalue, [0] * 4: the
+    monomials are no eigentable, so no pair is certified."""
+    funcs = [Poly((0, 1)) ** a for a in powers]
+    route, answers, certified = orthogonality._route(w, w.pearson_pair(), funcs, range(3), tol,
+                                                     [0] * 4)
+    return OrthoReport("monomials", (0, 1, 2), w.formula(), w.interval.describe(),
+                       (tol, route, certified, tuple(answers.items())))
+
+
 def routed_block(w, pearson, funcs, pairs, eigenvalues=None):
     """The arguments of the one call the router makes to _moment_block for pairs (i, j) into
     funcs (an eigentable of eigenvalues, when given): (weight, pearson, rule, reduced, asked,
@@ -850,10 +861,7 @@ class TestGramMatrix:
         length = Fraction(10**6)
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (100, 101, 103)
-        # one shared eigenvalue: the monomials are no eigentable, so no pair is certified
-        table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
-        report = orthogonality._gram_for([0] * 4, lambda: table, w, w.pearson_pair(), range(3),
-                                         "monomials")
+        report = monomial_report(w, powers)
         assert len(report.entries) == 6
         for e in report.entries:
             a, b = powers[e.m], powers[e.n]
@@ -868,9 +876,7 @@ class TestGramMatrix:
         length = Fraction(1, 10**6)
         w = WeightExpr(Fraction(1), (), interval=Interval(Fraction(0), length))
         powers = (29, 30, 32)
-        table = [SimpleNamespace(monic=Poly((0, 1)) ** a, eigenvalue=Fraction(0)) for a in powers]
-        report = orthogonality._gram_for([0] * 4, lambda: table, w, w.pearson_pair(), range(3),
-                                         "monomials")
+        report = monomial_report(w, powers)
         closed = []
         for e in report.entries:
             a, b = powers[e.m], powers[e.n]
@@ -2439,6 +2445,54 @@ class TestDividedRegime:
                 counts["outside"] += not regime
         floors = {"exact": 120, "laguerre": 200, "outside": 120}
         assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+    def test_favard_reads_the_operators_pair_shifted(self, monkeypatch):
+        # in the certified regime Favard reads one keyed pair, at the key (k_r), the root
+        # orders 2 k_r at the divisions (r, k_r): the operator's own (a, b), cleared to ints
+        # over lcm(a.den, b.den), plus 2 k_r a/(x - r), integer for integer, on chaudhry-qadir
+        # at n = 10 and on the seeded divided operators over the degrees sum(k_r)..n where
+        # the regime holds
+        reads, keyed = [], orthogonality._keyed_pair
+
+        def spy(*args):
+            reads.append((args[3], keyed(*args)))
+            return reads[-1][1]
+
+        def check(op, w):
+            divisions = _classify(w)[1]
+            assert len(reads) == 1, op
+            key, (pair, _, _, _) = reads.pop()
+            assert list(key) == [k for _, k in divisions], op
+            a, b = pair_of(op)
+            d = math.lcm(a.den, b.den)
+            a, b = a * d, b * d
+            for r, k in divisions:
+                quotient, order = ref_strip_root(a.coeffs, r, 1)  # a/(x - r)
+                assert order == 1, (op, r)
+                b = b + 2 * k * Poly(quotient)
+            want = [a.coeff(0), a.coeff(1), a.coeff(2), b.coeff(0), b.coeff(1)]
+            assert b.degree <= 1 and all(type(v) is int for v in pair), op
+            assert list(pair) == want, (op, pair)
+            return bool(divisions)
+
+        monkeypatch.setattr(orthogonality, "_keyed_pair", spy)
+        gram_matrix(CQ_SPEC, 10)
+        assert check(build_operator(CQ_SPEC), CQ_W)
+        counts = Counter()
+        for op, n in divided_draw():
+            w, pearson = derive_weight(*pair_of(op)), pair_of(op)
+            route, divisions, _, _ = _classify(w)
+            eigenvalues = orthogonality._eigenvalues(pearson, n)
+            lo = sum(k for _, k in divisions)
+            regime = (route in ("exact", "laguerre") and lo <= n and len(set(eigenvalues)) == n + 2
+                      and all(w.power_exponent_at(r) == -k for r, k in divisions))
+            if not regime:
+                continue
+            pairs = [(m, k) for m in range(lo, n + 1) for k in range(m, n + 1)]
+            _answers(w, pearson, lambda: pytest.fail("an eigenfunction was read"), pairs,
+                     eigenvalues)
+            counts[route] += check(op, w)
+        assert counts["exact"] >= 12 and counts["laguerre"] >= 25, counts
 
 
 def pearson_draw():
