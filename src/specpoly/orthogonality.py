@@ -90,9 +90,8 @@ pair the key (k_r) >= 1 with s_f == s_g.  Every off-diagonal within the reach is
 then the certified zero, every diagonal within it is Favard's below, and the
 reach refuses by degree alone, so no verdict and no value reads an
 eigenfunction: a Gram matrix (chaudhry-qadir's, from degree 1, too, but not
-laguerre(-1, 0)'s, from 0) and a Romanovski report, whose statuses the distinct
-eigenvalues give, build no operator matrix and no eigentable, and call no
-block.  For the monic
+laguerre(-1, 0)'s, from 0) and a Romanovski report build no operator matrix and
+no eigentable, and call no block.  For the monic
 p_k = x^k + c_k x^(k-1) + d_k x^(k-2) + ... of (a, b), x p_k = p_(k+1) +
 beta_k p_k + gamma_k p_(k-1) gives G_kk = G_00 gamma_1 ... gamma_k, from
   c_k = k ((k-1) a1 + b0) / (lambda_k - lambda_(k-1)),
@@ -136,7 +135,8 @@ per node: each node's abscissa, log p(x) and Jacobian are computed once and
 shared by all pending entries, each of which still stops on its own rule.  A
 Romanovski report stores the Romanovski Gram report: its verdicts map the Gram
 entries on first read, and its eigenvalue collisions, in closed form, always
-sit on the integrability boundary m + n + gamma + 1 = 0.  The weight (cached on
+sit on the integrability boundary m + n + gamma + 1 = 0; its statuses, the
+collision law's in (alpha, beta), build nothing.  The weight (cached on
 the WeightExpr) and each eigenfunction are converted to floats once; a node
 evaluates each eigenfunction once, to a sign and log p + log J + log|f(x)|, and
 an entry adds the other function's log|g(x)|, so f*g is never formed (quadrature
@@ -766,8 +766,7 @@ def gram_matrix(
         degrees = degrees[1:]
         notes = ("degree 0 excluded: eigenfunctions must vanish at t=1 for integrability",)
     label = "custom operator" if spec is None else spec.describe()
-    shown = set(degrees)  # _route reads no other eigenfunction, and none in the certified regime
-    funcs = lambda: [r.monic if d in shown else None for d, r in enumerate(eigentable(op, n_max))]
+    funcs = lambda: [r.monic for r in eigentable(op, n_max)]  # called outside the regime alone
     route, answers, certified = _route(weight, pearson, funcs, degrees, tol,
                                        _eigenvalues(pearson, n_max))
     return OrthoReport(label, degrees, weight.formula(), weight.interval.describe(),
@@ -797,11 +796,11 @@ def _collisions(report: RomanovskiReport) -> tuple[tuple[int, int], ...]:
 
 
 def _statuses(report: RomanovskiReport) -> tuple[str, ...]:
-    """RomanovskiReport.statuses: each UniqueMonic without a collision, else the eigentable's."""
-    if not report.degenerate_degree_pairs:
-        return (EigenStatus.UNIQUE_MONIC.value,) * (report.max_degree + 1)
-    op = build_operator(FamilySpec.romanovski(report.alpha, report.beta))
-    return tuple(r.status.value for r in eigentable(op, report.max_degree))
+    """RomanovskiReport.statuses, the collision law at +-i: UniqueMonic but each collision's
+    higher degree, Degenerate when beta = 0 and alpha is even, else NoDegreeNEigenfunction."""
+    law = EigenStatus.NO_DEGREE_N if report.beta or report.alpha % 2 else EigenStatus.DEGENERATE
+    higher = {k: law.value for _, k in report.degenerate_degree_pairs}
+    return tuple(higher.get(d, EigenStatus.UNIQUE_MONIC.value) for d in range(report.max_degree + 1))
 
 
 def _romanovski_pairs(report: RomanovskiReport) -> Iterator[RomanovskiPair]:
@@ -863,8 +862,8 @@ def finite_orthogonality_report(alpha: RatLike, beta: RatLike, n_max: int) -> Ro
     read off lambda_k = k (k - 1) + alpha k in closed form; they occur
     (integer alpha) only on that boundary: mu_m = mu_n with m != n forces
     m + n = 1 - alpha, so m + n + gamma + 1 = 0 and no collision pair is ever
-    called orthogonal.  The report stores the Gram report and reads every key
-    off it on first read.
+    called orthogonal.  The statuses are the collision law's (_statuses); the
+    report stores the Gram report and reads every other key off it on first read.
     """
     alpha, beta = rat(alpha), rat(beta)
     return RomanovskiReport(alpha, beta, gram_matrix(FamilySpec.romanovski(alpha, beta), n_max))

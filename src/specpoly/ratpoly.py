@@ -38,10 +38,10 @@ _set = object.__setattr__  # Poly.__setattr__ refuses every assignment
 
 
 def rat(value: RatLike) -> Fraction:
-    """Coerce an int, "p/q" string, or Fraction to an exact Fraction."""
+    """Coerce an int (not a bool), "p/q" string, or Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

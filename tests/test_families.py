@@ -88,10 +88,11 @@ class TestBuildOperator:
 
     @pytest.mark.parametrize("args, error, message", [
         ((FamilyKind.JACOBI, 0.5), TypeError, "cannot interpret 0.5 as an exact rational"),
+        ((FamilyKind.JACOBI, True, False), TypeError, "cannot interpret True as an exact rational"),
         ((FamilyKind.JACOBI, -2, 0, 1.0), TypeError, "eps must be an int, not 1.0"),
         ((FamilyKind.JACOBI, -2, 0, True), TypeError, "eps must be an int, not True"),
         (("bessel", -2, 0), ValueError, "'bessel' is not a valid FamilyKind"),
-    ], ids=["float-alpha", "float-eps", "bool-eps", "unknown-kind"])
+    ], ids=["float-alpha", "bool-alpha", "float-eps", "bool-eps", "unknown-kind"])
     def test_a_spec_refuses_a_field_it_cannot_normalize(self, args, error, message):
         # refused when built, not later in build_operator or describe
         with pytest.raises(error, match=f"^{message}$"):

@@ -42,6 +42,7 @@ from oracles import (
     NotPolynomialReducible,
     boundary_vanishing,
     certified_zero,
+    collision_status,
     divide_and_integrate,
     favard_diagonals,
     integrability,
@@ -1253,16 +1254,21 @@ class TestFiniteOrthogonalityReport:
 
     @pytest.mark.parametrize("alpha, beta", [
         pytest.param(Fraction(k, 2), beta, id=f"{k / 2}-{float(beta)}" if beta else f"{k / 2}")
-        for beta in (0, Fraction(1, 2)) for k in range(-24, 1)
+        for beta in (0, Fraction(1, 2), 3, -2) for k in range(-40, 1)
     ])
     def test_degenerate_pair_verdict_when_integrable(self, alpha, beta):
         # A collision pair (m,n) has m+n = 1-alpha and gamma+1 = alpha-1, so
         # m+n+gamma+1 = 0: collision pairs are always exactly on the
-        # non-integrability boundary and get that verdict.  The statuses and the
-        # collisions (equal eigenvalues, lower degree first) are the eigensolver's.
+        # non-integrability boundary and get that verdict.  The statuses are the
+        # eigensolver's and the oracle's collision law's, and the collisions (equal
+        # eigenvalues, lower degree first) the eigensolver's, also where the higher degree
+        # of a collision lies past n.
         report = finite_orthogonality_report(alpha, beta, 12)
-        table = eigentable(build_operator(FamilySpec.romanovski(alpha, beta)), 12)
+        op = build_operator(FamilySpec.romanovski(alpha, beta))
+        table = eigentable(op, 12)
         assert report.statuses == tuple(r.status.value for r in table)
+        law = (collision_status(op.coeffs[2].coeffs, op.coeffs[1].coeffs, d) for d in range(13))
+        assert report.statuses == tuple(law)
         assert report.degenerate_degree_pairs == tuple(
             (m, n) for m, n in combinations(range(13), 2) if table[m].eigenvalue == table[n].eigenvalue
         )
@@ -1394,11 +1400,20 @@ def test_laguerre_preset_norm_is_exact_past_a_float():
     assert report.entry(99, 99).value == math.factorial(99) ** 2
 
 
-# Gaussian weights whose quadrature sweep refuses with NoConvergence where every entry has a
-# closed form: the hermite preset from n = 39 ("last error 2.792e+13") and hermite(-1, -20),
-# weight e^(-x^2/2 - 20x), from n = 7 ("last error 4.896e+79"; at n = 6 it answers with
-# (6, 6) 2.7e-10 off its norm and four off-diagonals above tol).  The bar is exact 0.0
-# off-diagonals and diagonals within 1e-13 of the norm.  Strict, as above
+def jacobi_norm(n, p, q):
+    """integral of |x - 1|^p |x + 1|^q p_n^2 over (-1, 1) for the monic Jacobi p_n."""
+    s = 2 * n + p + q + 1
+    return (2**s * math.factorial(n) * math.gamma(n + p + 1) * math.gamma(n + q + 1)
+            * math.gamma(n + p + q + 1) / (math.gamma(s) * math.gamma(s + 1)))
+
+
+# weights whose quadrature sweep refuses with NoConvergence where every entry has a closed
+# form: the hermite preset from n = 39 ("last error 2.792e+13"), hermite(-1, -20), weight
+# e^(-x^2/2 - 20x), from n = 7 ("last error 4.896e+79"; at n = 6 it answers with (6, 6)
+# 2.7e-10 off its norm and four off-diagonals above tol), and jacobi(-1, -1/6, -1/9), weight
+# |x + 1|^(-35/36) |x - 1|^(-31/36), at every n ("integrand not finite at a quadrature
+# node"; its m_0 = 2^(-5/6) B(5/36, 1/36) = 24.1082).  The bar is exact 0.0 off-diagonals
+# and diagonals within 1e-13 of the norm.  Strict, as above
 KNOWN_REFUSED = {
     "hermite": (classical_presets()["hermite"], 39, hermite_norm),
     "hermite(-1,-20)": (
@@ -1406,12 +1421,17 @@ KNOWN_REFUSED = {
         7,
         lambda n: math.factorial(n) * math.sqrt(2 * math.pi) * math.exp(200),
     ),
+    "jacobi(-1,-1/6,-1/9)": (
+        FamilySpec.jacobi(-1, Fraction(-1, 6), Fraction(-1, 9)),
+        3,
+        lambda n: jacobi_norm(n, Fraction(-31, 36), Fraction(-35, 36)),
+    ),
 }
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergence, reason="the Gaussian quadrature sweep refuses")
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason="the quadrature sweep refuses")
 @pytest.mark.parametrize("name", KNOWN_REFUSED)
-def test_known_refused_gaussian_grams(name):
+def test_known_refused_grams(name):
     spec, n, norm = KNOWN_REFUSED[name]
     report = gram_matrix(spec, n)
     for e in report.entries:
@@ -2211,8 +2231,8 @@ class TestCertifiedRegime:
     the sum of the k_r) reads no eigenfunction: it builds no operator matrix and no eigentable
     and calls no block.  Outside it each runs once.  Either way every entry is
     the router's uncertified one: the block's rows on the eigentable.  A Romanovski report,
-    which stores its Gram report, makes the same calls, and at a collision builds the
-    eigentable once more when its statuses are read."""
+    which stores its Gram report, makes the same calls, and reads its statuses off (alpha,
+    beta) by the collision law, so reading them builds nothing, at a collision too."""
 
     @pytest.mark.parametrize("source, n, regime, report", [
         (classical_presets()["legendre"], 8, True, False),
@@ -2264,8 +2284,8 @@ class TestCertifiedRegime:
             off = [(e.m, e.n, e.value, e.relative) for e in gram.entries if e.m != e.n]
             assert [(p.m, p.n, p.value, p.relative) for p in rom.pairs] == off
             assert calls == (Counter() if regime else Counter(matrix=1, eigentable=1, block=1))
-            rom.statuses  # the collision's eigentable, for the statuses alone
-            assert calls == (Counter() if regime else Counter(matrix=2, eigentable=2, block=1))
+            rom.statuses  # the collision law: no operator matrix and no eigentable
+            assert calls == (Counter() if regime else Counter(matrix=1, eigentable=1, block=1))
 
     def test_moment_underflow_is_refused(self):
         # exp(-x) on (800, +inf), m_0 = e^-800, in the regime, and |x - 800|^-1 exp(-x) there,
@@ -2310,7 +2330,7 @@ class TestCertifiedRegime:
                                                                   n, tables, digest):
         # a Romanovski report stores its Gram report: the call constructs no RomanovskiPair and
         # no GramEntry, and builds no eigentable past gram_matrix's own; the first read of pairs
-        # builds each pair once, and the statuses build the collision's eigentable
+        # builds each pair once, and the statuses, read off (alpha, beta), build none
         GramEntry(0, 0, None, None, False)  # the compiled __init__s, which the spies wrap
         RomanovskiPair(0, 1, "orthogonal")
         built, table = Counter(), orthogonality.eigentable
@@ -2327,7 +2347,7 @@ class TestCertifiedRegime:
                                 RomanovskiPair=n * (n + 1) // 2)
         assert report.pairs is pairs and built["RomanovskiPair"] == len(pairs)
         report.statuses
-        assert built["eigentable"] == 2 * tables
+        assert built["eigentable"] == tables
         assert hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest() == digest
 
 

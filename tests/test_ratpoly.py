@@ -42,6 +42,8 @@ class TestBasics:
         assert P(0, Fraction(0), "0", Sub(0)).coeffs == ()
         with pytest.raises(TypeError):
             P(Fraction(1), 1.5)
+        with pytest.raises(TypeError):  # not x^2 + 1
+            P(True, False, True)
 
     def test_zero_degree_is_minus_infinity(self):
         assert Poly().degree == float("-inf")
@@ -57,6 +59,8 @@ class TestBasics:
         assert rat(3) == 3
         with pytest.raises(TypeError):
             rat(1.5)
+        with pytest.raises(TypeError, match="^cannot interpret True as an exact rational$"):
+            rat(True)
 
     def test_serialization_round_trip(self):
         p = P("1/3", "-2", "0", "5/7")
